@@ -31,49 +31,30 @@ test-short:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# EXEC_ALLOC_CEILING caps the streaming executor's allocs/op on the
-# 100k-row scan-filter pipeline (measured ~100k: one boxed int64 per
-# wide value is the floor; chunk machinery adds a few hundred). A
-# breach means per-row allocation crept back into the pipeline.
-EXEC_ALLOC_CEILING ?= 130000
-
-# bench-smoke is the CI-sized benchmark pass: 10 iterations of the hot-path
-# micro-benchmarks (executor, obs substrate, LSM) plus the E25/E27
-# observability, E29 overload-governance, E30 anomaly-alert and E33
-# plan-cache reproductions, with live metrics, a sample EXPLAIN ANALYZE
-# profile, the smoke workload's slow-query log, the cancel-to-stop/
-# overload-shedding measurements, the telemetry sampler/scrape
-# overheads, the streaming-vs-materialize allocation comparison (with
-# the allocs/op regression gate), and the plan-cache hit-path
-# measurement (with the >=2x repeated-query speedup and <5% probe
-# overhead gates) as build artifacts. Depends on vet so the artifacts
-# never come from a vet-dirty tree.
+# bench-smoke is the CI-sized benchmark pass. First the micro pass: 10
+# iterations of the hot-path micro-benchmarks next to the code they
+# time (executor incl. serial vs parallel and obs on/off, obs substrate
+# incl. the statement store, LSM), one regeneration each of the
+# observability/governance/plan-cache experiments, and the BenchmarkML*
+# kernel-vs-baseline suite. Then the socket-level harness on small
+# tables with 2 s windows: every workload against a real aidb-serve,
+# every answer checked, non-zero exit on any wrong one; result in
+# bench/out/result.json. Depends on vet so the numbers never come from
+# a vet-dirty tree.
 bench-smoke: vet
 	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem \
-		./internal/exec/ ./internal/obs/ ./internal/kv/ | tee BENCH_smoke.txt
-	$(GO) test -run='^$$' -bench='BenchmarkE(2[5789]|3[0-3])' -benchtime=1x . | tee -a BENCH_smoke.txt
-	$(GO) test -run='^$$' -bench='BenchmarkML' -benchtime=1x . | tee -a BENCH_smoke.txt
-	$(GO) run ./cmd/aidb-bench -e E25 -metrics BENCH_metrics.json > /dev/null
-	$(GO) run ./cmd/aidb-bench -e E27 -explain BENCH_explain.txt -slowlog BENCH_slowlog.json > /dev/null
-	$(GO) run ./cmd/aidb-bench -bench-cancel BENCH_cancel.json
-	$(GO) run ./cmd/aidb-bench -bench-obs BENCH_obs.json
-	$(GO) run ./cmd/aidb-bench -bench-stats BENCH_stats.json
-	$(GO) run ./cmd/aidb-bench -bench-cache BENCH_cache.json
-	$(GO) run ./cmd/aidb-bench -bench-exec BENCH_exec.json -alloc-ceiling $(EXEC_ALLOC_CEILING)
+		./internal/exec/ ./internal/obs/ ./internal/kv/
+	$(GO) test -run='^$$' -bench='BenchmarkE(2[5789]|3[023])' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='BenchmarkML' -benchtime=1x .
+	$(GO) run ./bench -quick -seconds 2
 
-# bench-compare pits each optimized path against its baseline: the
-# serial executor vs the morsel-parallel one plus the streaming
-# pipeline vs the materialize-and-concat reference (BENCH_exec.*), and
-# the batched/parallel ML kernels vs their per-row and naive
-# counterparts (BENCH_ml.*), and the plan-cache hit path vs full
-# re-planning (BENCH_cache.json) — Go benchmark text (with -benchmem
-# allocation columns) plus aidb-bench JSON ratios.
+# bench-compare is the before/after measurement: a full set (10 seeds
+# per workload, about 30 minutes) compared with the committed baseline
+# by BENCHMARK.json's bounds; exits 1 on a regression. Same host only:
+# bench/baseline.json is a 2-vCPU sandbox number, so elsewhere take the
+# "before" set yourself at the parent commit and -compare against that.
 bench-compare:
-	$(GO) test -run='^$$' -bench='BenchmarkExec/(scan|join|agg)' -benchtime=5x -benchmem \
-		./internal/exec/ | tee BENCH_exec.txt
-	$(GO) run ./cmd/aidb-bench -bench-exec BENCH_exec.json -alloc-ceiling $(EXEC_ALLOC_CEILING)
-	$(GO) test -run='^$$' -bench='BenchmarkML' -benchtime=5x . | tee BENCH_ml.txt
-	$(GO) run ./cmd/aidb-bench -bench-ml BENCH_ml.json
-	$(GO) run ./cmd/aidb-bench -bench-cache BENCH_cache.json
+	$(GO) run ./bench -runs 10 -out bench/out/new.json
+	$(GO) run ./bench -compare bench/baseline.json bench/out/new.json
 
 ci: build vet lint test-race

@@ -60,7 +60,6 @@ func BenchmarkE27CardinalityFeedback(b *testing.B)  { benchExperiment(b, "E27") 
 func BenchmarkE28BatchedKernels(b *testing.B)       { benchExperiment(b, "E28") }
 func BenchmarkE29OverloadGovernance(b *testing.B)   { benchExperiment(b, "E29") }
 func BenchmarkE30AnomalyAlerts(b *testing.B)        { benchExperiment(b, "E30") }
-func BenchmarkE31StreamingExec(b *testing.B)        { benchExperiment(b, "E31") }
 func BenchmarkE32SystemCatalog(b *testing.B)        { benchExperiment(b, "E32") }
 func BenchmarkE33PlanCache(b *testing.B)            { benchExperiment(b, "E33") }
 
@@ -70,8 +69,8 @@ func BenchmarkE33PlanCache(b *testing.B)            { benchExperiment(b, "E33") 
 // per-row or naive baseline: GEMM (naive ijk vs cache-blocked vs
 // row-parallel), MLP inference (Predict1 per row vs one batched forward
 // pass), and training (per-example SGD vs chunk-parallel minibatch).
-// `make bench-compare` captures it as BENCH_ml.txt alongside the
-// aidb-bench -bench-ml JSON speedup table.
+// `make bench-smoke` runs it once per kernel; read a speedup as the
+// ratio of two sub-benchmarks' ns/op.
 
 func benchRandMatrix(rng *ml.RNG, rows, cols int) *ml.Matrix {
 	m := ml.NewMatrix(rows, cols)

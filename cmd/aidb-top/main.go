@@ -1,5 +1,5 @@
 // Command aidb-top is a live terminal dashboard over an aidb telemetry
-// endpoint (aidb-repl -serve / aidb-bench -serve / db.Serve). It polls
+// endpoint (aidb-repl -serve / aidb-serve -http / db.Serve). It polls
 // /timeseries and renders one sparkline row per metric — the operator's
 // at-a-glance view of the monitoring plane.
 //

@@ -224,12 +224,6 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 // SlowLog exposes the engine's slow-query log.
 func (db *DB) SlowLog() *obs.SlowQueryLog { return db.engine.SlowLog() }
 
-// WriteSlowLogJSON dumps the slow-query log as a JSON array.
-func (db *DB) WriteSlowLogJSON(w io.Writer) error {
-	_, err := db.engine.SlowLog().WriteJSONTo(w)
-	return err
-}
-
 // Feedback exposes the cardinality-feedback log profiled executions
 // report into.
 func (db *DB) Feedback() *cardest.FeedbackLog { return db.feedback }

@@ -160,8 +160,8 @@ func BenchmarkExec(b *testing.B) {
 
 	// Serial-vs-parallel dimension: the same plans at Parallelism=1 (the
 	// pinned serial baseline) and Parallelism=0 (auto, NumCPU workers).
-	// `make bench-compare` runs these and aidb-bench -bench-exec turns
-	// the same comparison into BENCH_exec.json speedup ratios.
+	// `make bench-smoke` runs these; the speedup is the ratio of the two
+	// sub-benchmarks' ns/op.
 	benchModes := func(b *testing.B, p plan.Node) {
 		for _, mode := range []struct {
 			name    string

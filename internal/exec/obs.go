@@ -49,8 +49,7 @@ type Metrics struct {
 
 	// Per-operator parallel-speedup histograms (serial time / parallel
 	// time, dimensionless). The executor never runs both modes itself;
-	// comparison harnesses — E26 and `aidb-bench -bench-exec` — feed
-	// them through ObserveSpeedup.
+	// E26, which does, feeds them through ObserveSpeedup.
 	ScanSpeedup *obs.Histogram
 	JoinSpeedup *obs.Histogram
 	AggSpeedup  *obs.Histogram

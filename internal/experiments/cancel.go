@@ -6,10 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"aidb/internal/chaos"
-	"aidb/internal/exec"
 	"aidb/internal/governance"
-	"aidb/internal/obs"
 )
 
 func init() {
@@ -142,104 +139,4 @@ func runE29OverloadGovernance(seed uint64) *Table {
 		"open-loop arrivals at 2x drain rate; governed p95 bound %.0fms (deadline %.0fms + service + slack); FIFO tail grows with overload length while shedding %d/%d jobs holds the governed tail",
 		float64(govBound)/1e6, float64(deadline)/1e6, gov200.shed, 200)
 	return t
-}
-
-// CancelBenchResult is the aidb-bench -bench-cancel artifact
-// (BENCH_cancel.json): measured cancel-to-stop latency through the
-// executor, and shed behaviour under open-loop overload.
-type CancelBenchResult struct {
-	// Cancel-to-stop: wall time from cancel() to RunContext returning,
-	// mid-scan on a TableRows-row table with real injected latency.
-	TableRows       int   `json:"table_rows"`
-	Iters           int   `json:"iters"`
-	CancelToStopP50 int64 `json:"cancel_to_stop_p50_ns"`
-	CancelToStopMax int64 `json:"cancel_to_stop_max_ns"`
-	// Overload: the E29 harness shapes.
-	Overload []CancelBenchOverloadRow `json:"overload"`
-}
-
-// CancelBenchOverloadRow is one overload-policy measurement.
-type CancelBenchOverloadRow struct {
-	Policy   string  `json:"policy"`
-	Jobs     int     `json:"jobs"`
-	Admitted int     `json:"admitted"`
-	Shed     int     `json:"shed"`
-	ShedRate float64 `json:"shed_rate"`
-	P95Ns    int64   `json:"p95_ns"`
-	MaxNs    int64   `json:"max_ns"`
-}
-
-// RunCancelBench measures (1) cancel-to-stop latency: a scan over a
-// rows-sized table is slowed by real injected latency, cancelled
-// mid-flight, and timed from cancel() to RunContext return; (2) the
-// shed rate and tail latency of deadline-aware admission versus FIFO
-// under 2x open-loop overload. Like RunExecBench this is a timing
-// harness — numbers vary by host.
-func RunCancelBench(seed uint64, rows, iters int, reg *obs.Registry) (*CancelBenchResult, error) {
-	if iters < 1 {
-		iters = 1
-	}
-	c, err := e26Catalog(seed, rows)
-	if err != nil {
-		return nil, err
-	}
-	p, err := e26Plan(c, "SELECT id FROM users WHERE age >= 0")
-	if err != nil {
-		return nil, err
-	}
-	var stops []time.Duration
-	for i := 0; i < iters; i++ {
-		in := chaos.New(seed).Add(chaos.Rule{Site: exec.SiteExecScan, Kind: chaos.Latency, Delay: 1})
-		in.SetTimeUnit(time.Millisecond)
-		ex := exec.New(nil)
-		ex.Chaos = in
-		ex.ScanMorselPages = 1
-		ex.Obs = exec.NewMetrics(reg)
-		ctx, cancel := context.WithCancel(context.Background())
-		cancelled := make(chan time.Time, 1)
-		go func() {
-			time.Sleep(5 * time.Millisecond)
-			cancelled <- time.Now()
-			cancel()
-		}()
-		_, runErr := ex.RunContext(ctx, p)
-		stopped := time.Now()
-		at := <-cancelled
-		cancel()
-		if runErr == nil {
-			// The scan outran the canceller; skip the sample.
-			continue
-		}
-		stops = append(stops, stopped.Sub(at))
-	}
-	res := &CancelBenchResult{TableRows: rows, Iters: iters}
-	if len(stops) > 0 {
-		sort.Slice(stops, func(a, b int) bool { return stops[a] < stops[b] })
-		res.CancelToStopP50 = stops[len(stops)/2].Nanoseconds()
-		res.CancelToStopMax = stops[len(stops)-1].Nanoseconds()
-	}
-	const (
-		jobs         = 200
-		maxConc      = 2
-		service      = 2 * time.Millisecond
-		interarrival = 500 * time.Microsecond
-		deadline     = 15 * time.Millisecond
-	)
-	m := governance.NewMetrics(reg)
-	for _, mode := range []struct {
-		policy string
-		dl     time.Duration
-	}{{"fifo", 0}, {"deadline-aware", deadline}} {
-		r := runOverload(jobs, maxConc, service, interarrival, mode.dl, m)
-		res.Overload = append(res.Overload, CancelBenchOverloadRow{
-			Policy:   mode.policy,
-			Jobs:     jobs,
-			Admitted: r.admitted,
-			Shed:     r.shed,
-			ShedRate: float64(r.shed) / float64(jobs),
-			P95Ns:    r.p95().Nanoseconds(),
-			MaxNs:    r.max().Nanoseconds(),
-		})
-	}
-	return res, nil
 }

@@ -53,8 +53,8 @@ func bitwiseEqualMatrices(a, b *ml.Matrix) bool {
 // bitwise-identical results to the per-row/per-example paths — at every
 // parallelism — while doing the same arithmetic with far less memory
 // traffic. Wall-clock comparison is deliberately excluded from Holds
-// (runners must be deterministic for a fixed seed): measured speedups
-// land in BENCH_ml.json via `make bench-compare`.
+// (runners must be deterministic for a fixed seed): the BenchmarkML*
+// suite in bench_test.go times each kernel against its baseline.
 func runE28BatchedKernels(seed uint64) *Table {
 	t := &Table{
 		ID:     "E28",
@@ -152,7 +152,7 @@ func runE28BatchedKernels(seed uint64) *Table {
 	}
 
 	t.Note = fmt.Sprintf(
-		"Holds covers only deterministic equality and epochs-to-loss checks; wall-clock speedups (batched inference vs per-row, minibatch vs per-example SGD, parallel vs serial GEMM) are recorded in BENCH_ml.json by `make bench-compare` — this host has %d CPU(s), and with one CPU the parallel paths degenerate to the blocked serial kernel by design; smallest batch size whose equal-loss training wall-clock beat per-example SGD in this run: %s",
+		"Holds covers only deterministic equality and epochs-to-loss checks; wall-clock speedups (batched inference vs per-row, minibatch vs per-example SGD, parallel vs serial GEMM) are timed by the BenchmarkML* suite (`make bench-smoke`) — this host has %d CPU(s), and with one CPU the parallel paths degenerate to the blocked serial kernel by design; smallest batch size whose equal-loss training wall-clock beat per-example SGD in this run: %s",
 		runtime.NumCPU(), parity.crossover)
 	return t
 }
@@ -221,149 +221,4 @@ func e28LossParity(seed uint64) e28Parity {
 		p.batches = append(p.batches, res)
 	}
 	return p
-}
-
-// MLBenchRow is one baseline-vs-optimized wall-clock measurement from
-// RunMLBench, serialized into BENCH_ml.json by aidb-bench.
-type MLBenchRow struct {
-	Op          string  `json:"op"`
-	Shape       string  `json:"shape"`
-	Workers     int     `json:"workers"`
-	BaselineNs  int64   `json:"baseline_ns"`
-	OptimizedNs int64   `json:"optimized_ns"`
-	Speedup     float64 `json:"speedup"`
-	Match       bool    `json:"match"`
-}
-
-// RunMLBench times the batched/parallel kernels against their per-row /
-// naive / per-example baselines: GEMM naive vs blocked vs row-parallel
-// on >=256x256 matrices, MLP per-row vs whole-minibatch inference at
-// batch 64/256/1024, and per-example SGD vs chunk-parallel minibatch
-// training — best-of-iters per mode, verifying outputs match bitwise.
-// Unlike experiment runners this is a timing harness: its numbers vary
-// by host and load.
-func RunMLBench(seed uint64, iters int) ([]MLBenchRow, error) {
-	if iters < 1 {
-		iters = 1
-	}
-	workers := runtime.NumCPU()
-	var out []MLBenchRow
-	best := func(fn func()) time.Duration {
-		// Warm-up plus rep calibration: sub-millisecond kernels are
-		// repeated until one timing sample spans >=2ms, so scheduler
-		// jitter stops dominating the measurement.
-		const minSample = 2 * time.Millisecond
-		start := time.Now()
-		fn()
-		once := time.Since(start)
-		reps := 1
-		if once > 0 && once < minSample {
-			reps = int(minSample/once) + 1
-		}
-		b := time.Duration(0)
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			for r := 0; r < reps; r++ {
-				fn()
-			}
-			elapsed := time.Since(start) / time.Duration(reps)
-			if i == 0 || elapsed < b {
-				b = elapsed
-			}
-		}
-		return b
-	}
-	row := func(op, shape string, w int, base, opt time.Duration, match bool) {
-		speedup := 0.0
-		if opt > 0 {
-			speedup = float64(base) / float64(opt)
-		}
-		out = append(out, MLBenchRow{
-			Op: op, Shape: shape, Workers: w,
-			BaselineNs: base.Nanoseconds(), OptimizedNs: opt.Nanoseconds(),
-			Speedup: speedup, Match: match,
-		})
-	}
-
-	// GEMM: naive vs blocked (serial), and blocked serial vs parallel.
-	rng := ml.NewRNG(seed)
-	for _, n := range []int{256, 384} {
-		a := ml.NewMatrix(n, n)
-		b := ml.NewMatrix(n, n)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-		}
-		for i := range b.Data {
-			b.Data[i] = rng.NormFloat64()
-		}
-		shape := fmt.Sprintf("%dx%d", n, n)
-		var naive, blocked, parallel *ml.Matrix
-		naiveNs := best(func() { naive = ml.MatMulNaive(a, b) })
-		blockedNs := best(func() { blocked = ml.MatMulWorkers(a, b, 1) })
-		parNs := best(func() { parallel = ml.MatMulWorkers(a, b, workers) })
-		row("gemm-blocked-vs-naive", shape, 1, naiveNs, blockedNs, bitwiseEqualMatrices(naive, blocked))
-		row("gemm-parallel-vs-blocked", shape, workers, blockedNs, parNs, bitwiseEqualMatrices(blocked, parallel))
-	}
-
-	// MLP inference: per-row Predict1 vs whole-minibatch PredictBatch.
-	// The 24->128->128->1 net matches the hidden widths learned
-	// cardinality estimators use; at this width a row of weights no
-	// longer fits alongside the strided per-row access pattern, so
-	// batching pays for both the avoided allocations and the streaming
-	// access order.
-	net, x, _ := e28Net(seed+1, 24, 128, 1024)
-	for _, batch := range []int{64, 256, 1024} {
-		xb := x.RowSlice(0, batch)
-		perRow := make([]float64, batch)
-		var batched []float64
-		var s ml.MLPScratch
-		perNs := best(func() {
-			for i := 0; i < batch; i++ {
-				perRow[i] = net.Predict1(xb.Row(i))
-			}
-		})
-		batchNs := best(func() { batched = net.Predict1Batch(&s, xb, batched) })
-		match := true
-		for i := range perRow {
-			if math.Float64bits(perRow[i]) != math.Float64bits(batched[i]) {
-				match = false
-			}
-		}
-		row("mlp-infer-batch-vs-perrow", fmt.Sprintf("batch=%d", batch), workers, perNs, batchNs, match)
-	}
-
-	// Training: per-example SGD epoch vs chunk-parallel minibatch epoch
-	// over the same 1024 examples.
-	trainNet, tx, tyv := e28Net(seed+2, 24, 48, 1024)
-	ty := ml.NewMatrix(len(tyv), 1)
-	for i, v := range tyv {
-		ty.Set(i, 0, v)
-	}
-	sgdNet := trainNet.Clone()
-	sgdNs := best(func() {
-		for i := 0; i < tx.Rows; i++ {
-			sgdNet.TrainStep(tx.Row(i), ty.Row(i), 0.01)
-		}
-	})
-	mbNet := trainNet.Clone()
-	var ts ml.MLPScratch
-	mbNs := best(func() {
-		for lo := 0; lo < tx.Rows; lo += 64 {
-			hi := lo + 64
-			if hi > tx.Rows {
-				hi = tx.Rows
-			}
-			mbNet.TrainMinibatch(&ts, tx.RowSlice(lo, hi), ty.RowSlice(lo, hi), 0.01, 0)
-		}
-	})
-	// Different update rules converge differently; Match here records
-	// only that both produced finite weights.
-	finite := true
-	for _, v := range mbNet.PredictBatch(tx).Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			finite = false
-		}
-	}
-	row("mlp-train-minibatch-vs-sgd", "1024x24 epoch", workers, sgdNs, mbNs, finite)
-	return out, nil
 }

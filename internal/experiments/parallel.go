@@ -109,8 +109,8 @@ func rowsEqual(a, b []catalog.Row) bool {
 // the executor's determinism contract — while actually fanning work out
 // into multiple morsels. Wall-clock comparison is deliberately excluded
 // from the table (runners are deterministic for a fixed seed; timings
-// are not): measured speedups land in the exec.speedup.* histograms here
-// and in BENCH_exec.json via `make bench-compare`.
+// are not): measured speedups land in the exec.speedup.* histograms, and
+// BenchmarkExec's serial/parallel sub-benchmarks time the same plans.
 func runE26MorselParallelism(seed uint64) *Table {
 	t := &Table{
 		ID:     "E26",
@@ -180,123 +180,7 @@ func runE26MorselParallelism(seed uint64) *Table {
 		}
 	}
 	t.Note = fmt.Sprintf(
-		"results are row-for-row identical to serial at every worker count and morsel grain; wall-clock speedups feed exec.speedup.* histograms and BENCH_exec.json (make bench-compare) — this host has %d CPU(s), and with one CPU auto parallelism degenerates to the serial path by design",
+		"results are row-for-row identical to serial at every worker count and morsel grain; wall-clock speedups feed exec.speedup.* histograms (BenchmarkExec times serial vs parallel) — this host has %d CPU(s), and with one CPU auto parallelism degenerates to the serial path by design",
 		runtime.NumCPU())
 	return t
-}
-
-// ExecBenchRow is one serial-vs-parallel wall-clock measurement from
-// RunExecBench, serialized into BENCH_exec.json by aidb-bench. The
-// allocation columns compare the streaming executor's serial run
-// against the materialize-and-concat reference pipeline (see E31 in
-// streaming.go): reductions are 1 - streaming/baseline, so 0.5 means
-// the streaming pipeline halved the cost.
-type ExecBenchRow struct {
-	Op         string  `json:"op"`
-	TableRows  int     `json:"table_rows"`
-	Workers    int     `json:"workers"`
-	SerialNs   int64   `json:"serial_ns"`
-	ParallelNs int64   `json:"parallel_ns"`
-	Speedup    float64 `json:"speedup"`
-	Match      bool    `json:"match"`
-
-	AllocsPerOp         int64   `json:"allocs_per_op"`
-	BytesPerOp          int64   `json:"bytes_per_op"`
-	BaselineAllocsPerOp int64   `json:"baseline_allocs_per_op"`
-	BaselineBytesPerOp  int64   `json:"baseline_bytes_per_op"`
-	AllocsReduction     float64 `json:"allocs_reduction"`
-	BytesReduction      float64 `json:"bytes_reduction"`
-}
-
-// RunExecBench times each E26 operator pipeline serial (Parallelism=1)
-// versus parallel (Parallelism=0, i.e. NumCPU workers) over a
-// rows-sized catalog, best-of-iters per mode, verifying the outputs
-// match row-for-row. Speedups additionally feed the exec.speedup.*
-// histograms on reg (nil disables that). Unlike experiment runners this
-// is a timing harness: its numbers vary by host and load.
-func RunExecBench(seed uint64, rows, iters int, reg *obs.Registry) ([]ExecBenchRow, error) {
-	if iters < 1 {
-		iters = 1
-	}
-	c, err := e26Catalog(seed, rows)
-	if err != nil {
-		return nil, err
-	}
-	m := exec.NewMetrics(reg)
-	speedupClass := map[string]string{"scan-filter": "scan", "hash-join": "join", "group-agg": "agg"}
-	workers := runtime.NumCPU()
-	var out []ExecBenchRow
-	for _, op := range e26Ops {
-		p, err := e26Plan(c, op.query)
-		if err != nil {
-			return nil, err
-		}
-		time1 := func(parallelism int) (time.Duration, []catalog.Row, error) {
-			ex := exec.New(nil)
-			ex.Parallelism = parallelism
-			best := time.Duration(0)
-			var rows []catalog.Row
-			for i := 0; i < iters; i++ {
-				start := time.Now()
-				res, err := ex.Run(p)
-				elapsed := time.Since(start)
-				if err != nil {
-					return 0, nil, err
-				}
-				if i == 0 || elapsed < best {
-					best = elapsed
-				}
-				rows = res.Rows
-			}
-			return best, rows, nil
-		}
-		serialNs, serialRows, err := time1(1)
-		if err != nil {
-			return nil, err
-		}
-		parNs, parRows, err := time1(0)
-		if err != nil {
-			return nil, err
-		}
-		speedup := 0.0
-		if parNs > 0 {
-			speedup = float64(serialNs) / float64(parNs)
-			m.ObserveSpeedup(speedupClass[op.name], speedup)
-		}
-		row := ExecBenchRow{
-			Op:         op.name,
-			TableRows:  rows,
-			Workers:    workers,
-			SerialNs:   serialNs.Nanoseconds(),
-			ParallelNs: parNs.Nanoseconds(),
-			Speedup:    speedup,
-			Match:      rowsEqual(serialRows, parRows),
-		}
-		row.AllocsPerOp, row.BytesPerOp, err = MeasureAllocs(1, func() error {
-			ex := exec.New(nil)
-			ex.Parallelism = 1
-			_, err := ex.Run(p)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		if mat := matPipelines[op.name]; mat != nil {
-			row.BaselineAllocsPerOp, row.BaselineBytesPerOp, err = MeasureAllocs(1, func() error {
-				_, _, err := mat(c)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			if row.BaselineAllocsPerOp > 0 {
-				row.AllocsReduction = 1 - float64(row.AllocsPerOp)/float64(row.BaselineAllocsPerOp)
-			}
-			if row.BaselineBytesPerOp > 0 {
-				row.BytesReduction = 1 - float64(row.BytesPerOp)/float64(row.BaselineBytesPerOp)
-			}
-		}
-		out = append(out, row)
-	}
-	return out, nil
 }

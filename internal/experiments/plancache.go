@@ -6,9 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"aidb/internal/aisql"
 	"aidb/internal/core"
-	"aidb/internal/plancache"
 )
 
 func init() {
@@ -235,205 +233,4 @@ func runE33PlanCache(seed uint64) *Table {
 		t.Note = "parser/planner still invoked on the repeated hot path (or results diverged)"
 	}
 	return t
-}
-
-// CacheBenchResult is the plan-cache benchmark written by
-// aidb-bench -bench-cache (CI uploads it as BENCH_cache.json).
-// SpeedupRepeated and HitOverheadPct are the gated numbers: repeated
-// statements must run at least 2x faster with the cache, and the cache
-// probe itself must cost under 5% of a cached statement's runtime.
-type CacheBenchResult struct {
-	// Queries is the number of repeated statements timed per run.
-	Queries int `json:"queries"`
-	// Shapes is the number of distinct statement texts in the loop.
-	Shapes int `json:"shapes"`
-	// HitNsPerOp is the mean per-statement time on a warm cached engine.
-	HitNsPerOp int64 `json:"hit_ns_per_op"`
-	// MissNsPerOp is the mean per-statement time with the cache
-	// detached (every statement re-parses and re-plans).
-	MissNsPerOp int64 `json:"miss_ns_per_op"`
-	// SpeedupRepeated = MissNsPerOp / HitNsPerOp.
-	SpeedupRepeated float64 `json:"speedup_repeated"`
-	// LookupNsPerOp is the microbenchmarked cost of one cache probe —
-	// the only work the hit path adds in front of the executor.
-	LookupNsPerOp int64 `json:"lookup_ns_per_op"`
-	// HitOverheadPct = LookupNsPerOp / HitNsPerOp, as a percentage.
-	HitOverheadPct float64 `json:"hit_overhead_pct"`
-	// PlanNsSavedTotal sums plan-time-ns * hits over the cache entries:
-	// planning work the timed run did not repeat.
-	PlanNsSavedTotal int64 `json:"plan_ns_saved_total"`
-	// RowsIdentical reports the correctness cross-check: every shape
-	// returned the same rows on the cached and uncached engines.
-	RowsIdentical bool `json:"rows_identical"`
-}
-
-// cacheBenchShapes builds the benchmark's statement set: OLTP-style
-// point lookups over tiny tables, but with deliberately parse-heavy
-// texts (wide IN lists, predicate chains, a join). Execution touches a
-// handful of rows while parse+plan walks hundreds of AST nodes — the
-// dashboard/OLTP regime where a plan cache pays, and the regime the
-// >=2x gate is defined over. Repeated ad-hoc texts like these are what
-// the "text:"-keyed fast path serves.
-func cacheBenchShapes() []string {
-	inList := func(start, n, step int) string {
-		s := ""
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				s += ", "
-			}
-			s += fmt.Sprintf("%d", start+i*step)
-		}
-		return s
-	}
-	return []string{
-		"SELECT id, age FROM users WHERE id IN (" + inList(0, 96, 3) + ") AND age > 10",
-		"SELECT count(*) FROM orders WHERE amount IN (" + inList(1, 80, 2) + ") OR user_id IN (" + inList(0, 64, 1) + ")",
-		"SELECT u.id, o.amount FROM users u JOIN orders o ON u.id = o.user_id WHERE o.amount BETWEEN 10 AND 20 AND u.age > 5 AND u.age < 60 AND o.id IN (" + inList(0, 80, 1) + ") ORDER BY o.amount DESC LIMIT 3",
-		"SELECT city, count(*) FROM users WHERE age > 1 AND age < 70 AND id IN (" + inList(0, 80, 2) + ") GROUP BY city",
-	}
-}
-
-// cacheBenchEngine builds a standalone engine (no governance plane, so
-// the measurement isolates parse+plan vs cached dispatch) over a
-// small two-table schema sized so planning dominates execution.
-func cacheBenchEngine(seed uint64, cacheOn bool) (*aisql.Engine, error) {
-	eng := aisql.NewEngine()
-	if cacheOn {
-		eng.Plans = plancache.New(0)
-	}
-	ddl := []string{
-		"CREATE TABLE users (id INT, age INT, city TEXT)",
-		"CREATE TABLE orders (id INT, user_id INT, amount INT)",
-	}
-	for _, q := range ddl {
-		if _, err := eng.Execute(q); err != nil {
-			return nil, err
-		}
-	}
-	ins := "INSERT INTO users VALUES "
-	for i := 0; i < 8; i++ {
-		if i > 0 {
-			ins += ", "
-		}
-		ins += fmt.Sprintf("(%d, %d, 'c%d')", i, i%80, i%5)
-	}
-	if _, err := eng.Execute(ins); err != nil {
-		return nil, err
-	}
-	ins = "INSERT INTO orders VALUES "
-	for i := 0; i < 8; i++ {
-		if i > 0 {
-			ins += ", "
-		}
-		ins += fmt.Sprintf("(%d, %d, %d)", i, i%24, i%90)
-	}
-	if _, err := eng.Execute(ins); err != nil {
-		return nil, err
-	}
-	return eng, nil
-}
-
-// RunCacheBench measures what the plan cache buys the repeated-query
-// hot path: per-statement time over the E33 workload shapes on a warm
-// cached engine vs one with the cache detached, a Lookup
-// microbenchmark for the hit-path overhead gate, and a row-identity
-// cross-check. aidb-bench applies the >=2x speedup and <5% overhead
-// gates to the returned numbers.
-func RunCacheBench(seed uint64, queries, runs int) (*CacheBenchResult, error) {
-	if queries < 1 {
-		queries = 400
-	}
-	if runs < 1 {
-		runs = 1
-	}
-	on, err := cacheBenchEngine(seed, true)
-	if err != nil {
-		return nil, err
-	}
-	off, err := cacheBenchEngine(seed, false)
-	if err != nil {
-		return nil, err
-	}
-
-	// Correctness cross-check (also warms the cache).
-	shapes := cacheBenchShapes()
-	identical := true
-	for _, q := range shapes {
-		rOn, err := on.Execute(q)
-		if err != nil {
-			return nil, err
-		}
-		rOff, err := off.Execute(q)
-		if err != nil {
-			return nil, err
-		}
-		if core.Format(rOn) != core.Format(rOff) {
-			identical = false
-		}
-	}
-
-	drive := func(eng *aisql.Engine) (int64, error) {
-		best := int64(0)
-		for r := 0; r < runs; r++ {
-			start := time.Now()
-			for i := 0; i < queries; i++ {
-				if _, err := eng.Execute(shapes[i%len(shapes)]); err != nil {
-					return 0, err
-				}
-			}
-			per := time.Since(start).Nanoseconds() / int64(queries)
-			if best == 0 || per < best {
-				best = per
-			}
-		}
-		return best, nil
-	}
-	// Warm both paths once before timing.
-	if _, err := drive(on); err != nil {
-		return nil, err
-	}
-	if _, err := drive(off); err != nil {
-		return nil, err
-	}
-	hitNs, err := drive(on)
-	if err != nil {
-		return nil, err
-	}
-	missNs, err := drive(off)
-	if err != nil {
-		return nil, err
-	}
-
-	// Microbenchmark the probe the hit path pays before dispatch.
-	const lookups = 200000
-	key := "text:" + shapes[0]
-	if on.Plans.Lookup(key) == nil {
-		return nil, fmt.Errorf("cache bench: warm entry missing for %q", key)
-	}
-	start := time.Now()
-	for i := 0; i < lookups; i++ {
-		if on.Plans.Lookup(key) == nil {
-			return nil, fmt.Errorf("cache bench: entry evicted mid-benchmark")
-		}
-	}
-	lookupNs := time.Since(start).Nanoseconds() / lookups
-
-	var saved int64
-	for _, e := range on.Plans.Entries() {
-		saved += e.PlanNs * int64(e.Hits())
-	}
-	res := &CacheBenchResult{
-		Queries:          queries,
-		Shapes:           len(shapes),
-		HitNsPerOp:       hitNs,
-		MissNsPerOp:      missNs,
-		LookupNsPerOp:    lookupNs,
-		PlanNsSavedTotal: saved,
-		RowsIdentical:    identical,
-	}
-	if hitNs > 0 {
-		res.SpeedupRepeated = float64(missNs) / float64(hitNs)
-		res.HitOverheadPct = 100 * float64(lookupNs) / float64(hitNs)
-	}
-	return res, nil
 }

@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"aidb/internal/aisql"
 	"aidb/internal/core"
 	"aidb/internal/idxadvisor"
 	"aidb/internal/ml"
-	"aidb/internal/obs"
 )
 
 func init() {
@@ -164,150 +161,4 @@ func runE32SystemCatalog(seed uint64) *Table {
 		t.Note = "candidate sets diverge between direct and SQL-mined workload sources"
 	}
 	return t
-}
-
-// StatsBenchResult is the statement-statistics overhead measurement
-// written by aidb-bench -bench-stats (CI uploads it as
-// BENCH_stats.json). RecordOverheadPct is the gated number: the cost of
-// one StatementStats.Record relative to the cheapest measured query,
-// i.e. the worst-case fractional overhead the store can add.
-type StatsBenchResult struct {
-	// Queries is the number of SELECTs timed per run.
-	Queries int `json:"queries"`
-	// Fingerprints is the number of distinct fingerprints the Record
-	// microbenchmark rotates through.
-	Fingerprints int `json:"fingerprints"`
-	// RecordNsPerOp is the mean cost of one Record call.
-	RecordNsPerOp int64 `json:"record_ns_per_op"`
-	// SnapshotNsPerOp is the mean cost of one full Snapshot (what a
-	// system.statements scan pays before chunking).
-	SnapshotNsPerOp int64 `json:"snapshot_ns_per_op"`
-	// QueryNsOff / QueryNsOn are mean per-query times on engines with
-	// statement statistics absent vs present (best of N runs).
-	QueryNsOff int64 `json:"query_ns_off"`
-	QueryNsOn  int64 `json:"query_ns_on"`
-	// WallOverheadPct is the measured end-to-end delta between the two
-	// engines (noisy; informational).
-	WallOverheadPct float64 `json:"wall_overhead_pct"`
-	// RecordOverheadPct = RecordNsPerOp / QueryNsOff, as a percentage.
-	RecordOverheadPct float64 `json:"record_overhead_pct"`
-}
-
-// RunStatsBench measures what per-fingerprint statement statistics cost
-// the query path: a Record/Snapshot microbenchmark plus an end-to-end
-// comparison of the same SELECT workload on an engine without the store
-// (nil — Record is a no-op) and one with it. The <2%% acceptance gate is
-// applied by aidb-bench to RecordOverheadPct, which is stable across
-// hosts; the wall-clock delta is reported for context.
-func RunStatsBench(seed uint64, queries, runs int) (*StatsBenchResult, error) {
-	if queries < 1 {
-		queries = 400
-	}
-	if runs < 1 {
-		runs = 1
-	}
-	setup := func(instrument bool) (*aisql.Engine, error) {
-		eng := aisql.NewEngine()
-		if instrument {
-			eng.Instrument(obs.NewRegistry(), nil)
-		}
-		rng := ml.NewRNG(seed)
-		if _, err := eng.Execute("CREATE TABLE t (a INT, b INT)"); err != nil {
-			return nil, err
-		}
-		ins := "INSERT INTO t VALUES "
-		for i := 0; i < 4000; i++ {
-			if i > 0 {
-				ins += ", "
-			}
-			ins += fmt.Sprintf("(%d, %d)", i, rng.Intn(1000))
-		}
-		if _, err := eng.Execute(ins); err != nil {
-			return nil, err
-		}
-		return eng, nil
-	}
-	drive := func(eng *aisql.Engine) (int64, error) {
-		rng := ml.NewRNG(seed + 7)
-		best := int64(0)
-		for r := 0; r < runs; r++ {
-			start := time.Now()
-			for i := 0; i < queries; i++ {
-				q := fmt.Sprintf("SELECT a FROM t WHERE b < %d", rng.Intn(1000))
-				if _, err := eng.Execute(q); err != nil {
-					return 0, err
-				}
-			}
-			per := time.Since(start).Nanoseconds() / int64(queries)
-			if best == 0 || per < best {
-				best = per
-			}
-		}
-		return best, nil
-	}
-
-	off, err := setup(false)
-	if err != nil {
-		return nil, err
-	}
-	on, err := setup(true)
-	if err != nil {
-		return nil, err
-	}
-	// Warm both paths once before timing.
-	if _, err := drive(off); err != nil {
-		return nil, err
-	}
-	if _, err := drive(on); err != nil {
-		return nil, err
-	}
-	offNs, err := drive(off)
-	if err != nil {
-		return nil, err
-	}
-	onNs, err := drive(on)
-	if err != nil {
-		return nil, err
-	}
-
-	// Microbenchmark Record over a rotating fingerprint set sized like a
-	// busy plan cache.
-	const fps = 64
-	const recs = 200000
-	stats := obs.NewStatementStats(0)
-	obsv := obs.StmtObservation{Outcome: obs.StmtOK, LatencyNs: 12345, Rows: 10, Chunks: 1, PeakBytes: 4096}
-	for i := 0; i < fps; i++ {
-		obsv.Fingerprint = fmt.Sprintf("fp-%02d", i)
-		obsv.Query = "SELECT a FROM t WHERE b < ?"
-		stats.Record(obsv)
-	}
-	start := time.Now()
-	for i := 0; i < recs; i++ {
-		obsv.Fingerprint = fmt.Sprintf("fp-%02d", i%fps)
-		stats.Record(obsv)
-	}
-	recordNs := time.Since(start).Nanoseconds() / recs
-
-	const snaps = 2000
-	start = time.Now()
-	for i := 0; i < snaps; i++ {
-		if len(stats.Snapshot()) != fps {
-			return nil, fmt.Errorf("stats bench: snapshot lost fingerprints")
-		}
-	}
-	snapshotNs := time.Since(start).Nanoseconds() / snaps
-
-	res := &StatsBenchResult{
-		Queries:         queries,
-		Fingerprints:    fps,
-		RecordNsPerOp:   recordNs,
-		SnapshotNsPerOp: snapshotNs,
-		QueryNsOff:      offNs,
-		QueryNsOn:       onNs,
-	}
-	if offNs > 0 {
-		res.WallOverheadPct = 100 * float64(onNs-offNs) / float64(offNs)
-		res.RecordOverheadPct = 100 * float64(recordNs) / float64(offNs)
-	}
-	return res, nil
 }

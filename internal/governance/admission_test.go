@@ -201,6 +201,24 @@ func TestMemBudgetChargesAndAborts(t *testing.T) {
 	}
 }
 
+// The streaming executor refunds live chunks while it tears a failed
+// query down, so a worker that has not yet seen the error can cross the
+// limit a second time. That is still one aborted query.
+func TestMemBudgetAbortLatchesAcrossRefund(t *testing.T) {
+	reg := obs.NewRegistry()
+	b := NewMemBudget(100, NewMetrics(reg))
+	if err := b.Charge(150); !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("first crossing: err=%v, want ErrMemBudget", err)
+	}
+	b.Refund(150)
+	if err := b.Charge(150); !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("second crossing: err=%v, want ErrMemBudget", err)
+	}
+	if got := reg.Snapshot()["mem.aborts"]; got != 1 {
+		t.Fatalf("mem.aborts = %v, want 1", got)
+	}
+}
+
 func TestMemBudgetNilAndUnlimited(t *testing.T) {
 	var nilB *MemBudget
 	if err := nilB.Charge(1 << 40); err != nil {

@@ -19,10 +19,11 @@ var ErrMemBudget = errors.New("governance: query memory budget exceeded")
 // (morsel workers charge concurrently) and no-ops on a nil receiver, so
 // an unbudgeted executor pays one nil check per charge.
 type MemBudget struct {
-	limit int64
-	used  atomic.Int64
-	peak  atomic.Int64
-	m     Metrics
+	limit   int64
+	used    atomic.Int64
+	peak    atomic.Int64
+	aborted atomic.Bool // latches the one mem.aborts this budget may count
+	m       Metrics
 }
 
 // NewMemBudget creates a budget of limit bytes (<= 0 means unlimited:
@@ -33,9 +34,11 @@ func NewMemBudget(limit int64, m Metrics) *MemBudget {
 }
 
 // Charge records n more bytes of materialized rows, returning an error
-// wrapping ErrMemBudget once the running total passes the limit. The
-// first failing charge counts one mem.aborts; callers propagate the
-// error and stop, so one query aborts at most once.
+// wrapping ErrMemBudget whenever the running total is past the limit.
+// A budget is one query's, and mem.aborts counts queries: the first
+// failing charge counts it and latches. Counting per crossing would
+// over-count, because error teardown refunds live chunks and a second
+// morsel worker, not yet stopped, can cross the limit again.
 func (b *MemBudget) Charge(n int64) error {
 	if b == nil || n <= 0 {
 		return nil
@@ -49,9 +52,7 @@ func (b *MemBudget) Charge(n int64) error {
 	}
 	b.m.MemCharged.Add(uint64(n))
 	if b.limit > 0 && used > b.limit {
-		// Only the crossing charge reports the abort: earlier charges
-		// left used <= limit, and the query stops on the first error.
-		if used-n <= b.limit {
+		if b.aborted.CompareAndSwap(false, true) {
 			b.m.MemAborts.Inc()
 		}
 		return fmt.Errorf("%w: %d of %d bytes", ErrMemBudget, used, b.limit)

@@ -170,3 +170,22 @@ func TestRegisterProcMetrics(t *testing.T) {
 		t.Fatalf("uptime did not advance: %v -> %v", u1, u2)
 	}
 }
+
+// BenchmarkStatementStatsRecord is the per-statement cost the store
+// adds to the query path: one Record over a rotating fingerprint set
+// sized like a busy plan cache.
+func BenchmarkStatementStatsRecord(b *testing.B) {
+	const fps = 64
+	s := NewStatementStats(0)
+	o := StmtObservation{Query: "SELECT a FROM t WHERE b < ?", Outcome: StmtOK, LatencyNs: 12345, Rows: 10, Chunks: 1, PeakBytes: 4096}
+	var names [fps]string
+	for i := range names {
+		names[i] = fmt.Sprintf("fp-%02d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.Fingerprint = names[i%fps]
+		s.Record(o)
+	}
+}

@@ -162,7 +162,7 @@ func (ts *TimeSeries) Windows() uint64 {
 }
 
 // LastSampleNs reports the wall-clock cost of the most recent sample —
-// the sampler's own overhead, exported into BENCH_obs.json.
+// the sampler's own overhead.
 func (ts *TimeSeries) LastSampleNs() int64 {
 	if ts == nil {
 		return 0

@@ -11,13 +11,15 @@
 //	client: one statement (or ';'-separated script) per line
 //	server: the formatted result (or "ERR <message>"), then a lone "."
 //
-// "\quit" closes the connection. Empty lines are ignored.
+// "\quit" closes the connection. Empty lines are ignored. A line over
+// 1 MiB gets "ERR line too long" and the connection is closed.
 package serve
 
 import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -141,6 +143,20 @@ func (s *Server) handleConn(c net.Conn) {
 		io.WriteString(w, ".\n")
 		if err := w.Flush(); err != nil {
 			return
+		}
+	}
+	// A line over the scanner's limit ends the loop mid-line, so the
+	// framing is lost and the connection must close; say why first.
+	// Closing with the rest of the line unread would reset the
+	// connection and could cost the client the reply, so send FIN and
+	// discard input until the client hangs up.
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		io.WriteString(w, "ERR line too long\n.\n")
+		if w.Flush() != nil {
+			return
+		}
+		if tc, ok := c.(*net.TCPConn); ok && tc.CloseWrite() == nil {
+			io.Copy(io.Discard, c)
 		}
 	}
 }

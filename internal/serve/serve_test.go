@@ -85,6 +85,39 @@ func TestLineProtocolRoundTrip(t *testing.T) {
 	}
 }
 
+// A line over the 1 MiB scanner limit must be answered, not dropped:
+// one ERR reply, then the connection closes, and the server keeps
+// serving everyone else.
+func TestOversizedLineGetsErrReply(t *testing.T) {
+	db := testDB(t)
+	srv, err := Listen(db, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	big := dial(t, srv.Addr())
+	// Written from a goroutine: the reply comes at the limit, while the
+	// tail of the line is still in flight.
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		big.c.Write(append([]byte(strings.Repeat("x", 2<<20)), '\n'))
+	}()
+	big.c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	reply, err := io.ReadAll(big.r)
+	if err != nil {
+		t.Fatalf("reading reply to oversized line: %v (so far: %q)", err, reply)
+	}
+	if string(reply) != "ERR line too long\n.\n" {
+		t.Fatalf("reply = %q, want one ERR line and the terminator", reply)
+	}
+	<-wrote
+	other := dial(t, srv.Addr())
+	if out := other.roundTrip("SELECT v FROM kv WHERE k = 1"); !strings.Contains(out, "one") {
+		t.Fatalf("server stopped serving after an oversized line: %q", out)
+	}
+}
+
 func TestLineProtocolPreparedSession(t *testing.T) {
 	db := testDB(t)
 	srv, err := Listen(db, "127.0.0.1:0")
