@@ -13,8 +13,9 @@ import (
 	"aidb/internal/sql"
 )
 
-// explainAnalyze is the EXPLAIN ANALYZE <select> path: it plans the
-// statement exactly as the normal query path would, executes it with a
+// explainAnalyze is the EXPLAIN ANALYZE <select|update|delete> path: it
+// plans the statement with the query path's own buildPlan, executes it
+// (an UPDATE or DELETE really changes the table) with a
 // per-operator QueryProfile attached, and returns one result row per
 // operator with the optimizer's estimate next to the measured truth.
 // Side effects beyond the result table:
@@ -25,19 +26,16 @@ import (
 //     on e.Feedback, feeding the learned-estimator feedback loop;
 //   - the slow-query log entry carries the full profile summary and any
 //     chaos faults that fired during the run.
-func (e *Engine) explainAnalyze(ctx context.Context, s *sql.SelectStmt, sp *obs.Span, text string) (*exec.Result, error) {
+func (e *Engine) explainAnalyze(ctx context.Context, s sql.Statement, sp *obs.Span, text string) (*exec.Result, error) {
 	start := time.Now()
+	kind := "EXPLAIN ANALYZE " + sql.StatementKind(s)
 	chaosBefore := e.Chaos.FireCounts()
 	psp := sp.Child("plan")
-	p, err := plan.Build(e.Cat, e.rewritePredicts(s))
+	p, err := e.buildPlan(s)
 	psp.Finish()
 	if err != nil {
 		return nil, err
 	}
-	osp := sp.Child("optimize")
-	p = plan.OptimizeFilters(p)
-	p = plan.UseIndexes(p, e.indexLookup())
-	osp.Finish()
 	prof := exec.NewQueryProfile(p, plan.HistogramEstimator{})
 	esp := sp.Child("exec")
 	ex := exec.New(e.funcs())
@@ -49,7 +47,7 @@ func (e *Engine) explainAnalyze(ctx context.Context, s *sql.SelectStmt, sp *obs.
 	prof.AttachSpans(esp)
 	esp.Finish()
 	if err != nil {
-		e.recordFailure(text, "EXPLAIN ANALYZE SELECT", plan.Fingerprint(p), time.Since(start), err)
+		e.recordFailure(text, kind, plan.Fingerprint(p), time.Since(start), err)
 		return nil, err
 	}
 	latency := time.Since(start)
@@ -75,6 +73,6 @@ func (e *Engine) explainAnalyze(ctx context.Context, s *sql.SelectStmt, sp *obs.
 			op.PeakBytes(),
 		})
 	})
-	e.recordSlow(text, "EXPLAIN ANALYZE SELECT", plan.Fingerprint(p), latency, res, prof.Summary(), chaosBefore)
+	e.recordSlow(text, kind, plan.Fingerprint(p), latency, res, prof.Summary(), chaosBefore)
 	return out, nil
 }

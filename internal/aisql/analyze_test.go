@@ -107,8 +107,9 @@ func TestExplainAnalyzeParallelIdentity(t *testing.T) {
 }
 
 // TestExplainAnalyzeSpanTree asserts the query's span tree shape —
-// parse, plan, optimize, exec with one op:* child per plan operator —
-// and that no span is double-finished, at parallelism 1, 2 and NumCPU.
+// parse, plan, exec (the query path's own stages) with one op:* child
+// per plan operator — and that no span is double-finished, at
+// parallelism 1, 2 and NumCPU.
 // Running under -race makes double-Finish across goroutines detectable
 // via the plain finishes counter.
 func TestExplainAnalyzeSpanTree(t *testing.T) {
@@ -126,10 +127,10 @@ func TestExplainAnalyzeSpanTree(t *testing.T) {
 		for _, c := range root.Children() {
 			names = append(names, c.Name)
 		}
-		if fmt.Sprint(names) != "[parse plan optimize exec]" {
+		if fmt.Sprint(names) != "[parse plan exec]" {
 			t.Fatalf("@%d workers: query children = %v", workers, names)
 		}
-		execSp := root.Children()[3]
+		execSp := root.Children()[2]
 		ops := 0
 		var walk func(s *obs.Span)
 		walk = func(s *obs.Span) {

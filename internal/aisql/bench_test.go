@@ -1,14 +1,18 @@
 package aisql
 
 import (
+	"context"
 	"fmt"
 	"testing"
+
+	"aidb/internal/catalog"
+	"aidb/internal/plancache"
 )
 
 // Engine-level wall-clock benchmarks: selective queries with and without
 // a secondary index, and PREDICT-in-SQL throughput.
 
-func benchEngine(b *testing.B, rows int, withIndex bool) *Engine {
+func benchEngine(b testing.TB, rows int, withIndex bool) *Engine {
 	b.Helper()
 	e := NewEngine()
 	if _, err := e.Execute("CREATE TABLE items (id INT, qty INT, name TEXT)"); err != nil {
@@ -73,6 +77,58 @@ func BenchmarkPredictInSQL(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Execute("SELECT COUNT(*) FROM c WHERE PREDICT(m, age, spend) = 1"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The prepared point statements of a key-value workload (the load
+// harness's mixed_rw shapes) on a 20 000-row table with an index on the
+// key: each is an index probe bound at execute, never a scan.
+
+func benchPrepared(b *testing.B, q string) (*Engine, *Prepared) {
+	b.Helper()
+	e := benchEngine(b, 20000, true)
+	e.Plans = plancache.New(0)
+	return e, prepare(b, e, q)
+}
+
+func BenchmarkPreparedPointGet(b *testing.B) {
+	e, get := benchPrepared(b, "SELECT id, qty, name FROM items WHERE id = $1")
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.ExecutePrepared(ctx, get, []catalog.Value{int64(i*7919) % 20000}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkPreparedUpdateByKey(b *testing.B) {
+	e, upd := benchPrepared(b, "UPDATE items SET qty = $2 WHERE id = $1")
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.ExecutePrepared(ctx, upd, []catalog.Value{int64(i*7919) % 20000, int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkPreparedDeleteInsertByKey(b *testing.B) {
+	e, del := benchPrepared(b, "DELETE FROM items WHERE id = $1")
+	ins := prepare(b, e, "INSERT INTO items VALUES ($1, $2, $3)")
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := int64(i*7919) % 20000
+		if _, err := e.ExecutePrepared(ctx, del, []catalog.Value{id}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.ExecutePrepared(ctx, ins, []catalog.Value{id, int64(i), "n"}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -255,7 +255,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, query string) (*exec.Result
 					return nil, err
 				}
 			}
-			return e.execPlan(ctx, ent.Plan, ent.Fingerprint, sp, query, nil)
+			return e.execPlan(ctx, ent.Plan, "SELECT", ent.Fingerprint, sp, query, nil)
 		}
 	}
 	psp := sp.Child("parse")
@@ -340,12 +340,8 @@ func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Sp
 		return e.createTable(s)
 	case *sql.InsertStmt:
 		return e.insert(s, nil)
-	case *sql.SelectStmt:
+	case *sql.SelectStmt, *sql.UpdateStmt, *sql.DeleteStmt:
 		return e.query(ctx, s, sp, text, parseNs)
-	case *sql.UpdateStmt:
-		return e.update(s, nil)
-	case *sql.DeleteStmt:
-		return e.delete(s, nil)
 	case *sql.CreateIndexStmt:
 		// New access path: cached full-scan plans must replan to use it.
 		e.invalidatePlans()
@@ -392,20 +388,19 @@ func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Sp
 			// refresh rather than profiling.
 			return e.executeStmt(ctx, a, sp, text, parseNs)
 		}
-		sel, ok := s.Inner.(*sql.SelectStmt)
-		if !ok {
-			return nil, fmt.Errorf("aisql: EXPLAIN supports only SELECT")
+		switch s.Inner.(type) {
+		case *sql.SelectStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+		default:
+			return nil, fmt.Errorf("aisql: EXPLAIN supports only SELECT, UPDATE and DELETE")
 		}
 		if s.Analyze {
-			return e.explainAnalyze(ctx, sel, sp, text)
+			return e.explainAnalyze(ctx, s.Inner, sp, text)
 		}
-		p, err := plan.Build(e.Cat, e.rewritePredicts(sel))
+		// The plan exactly as the query path would execute it.
+		p, err := e.buildPlan(s.Inner)
 		if err != nil {
 			return nil, err
 		}
-		// Show the plan exactly as the query path would execute it.
-		p = plan.OptimizeFilters(p)
-		p = plan.UseIndexes(p, e.indexLookup())
 		return &exec.Result{Columns: []string{"plan"}, Rows: []catalog.Row{{plan.Explain(p)}}}, nil
 	case *sql.AnalyzeStmt:
 		t, err := e.Cat.Table(s.Table)
@@ -468,7 +463,7 @@ func (e *Engine) insert(s *sql.InsertStmt, params []catalog.Value) (*exec.Result
 			if err != nil {
 				return nil, fmt.Errorf("aisql: INSERT value %d: %w", i, err)
 			}
-			row[i], err = coerce(v, t.Schema.Columns[i].Type)
+			row[i], err = catalog.Coerce(v, t.Schema.Columns[i].Type)
 			if err != nil {
 				return nil, err
 			}
@@ -482,50 +477,16 @@ func (e *Engine) insert(s *sql.InsertStmt, params []catalog.Value) (*exec.Result
 	return emptyResult(), nil
 }
 
-func coerce(v catalog.Value, t catalog.ColType) (catalog.Value, error) {
-	switch t {
-	case catalog.Int64:
-		switch x := v.(type) {
-		case int64:
-			return x, nil
-		case float64:
-			return int64(x), nil
-		}
-	case catalog.Float64:
-		switch x := v.(type) {
-		case float64:
-			return x, nil
-		case int64:
-			return float64(x), nil
-		}
-	case catalog.String:
-		if x, ok := v.(string); ok {
-			return x, nil
-		}
-	}
-	return nil, fmt.Errorf("aisql: cannot store %T as %v", v, t)
-}
-
 // rewritePredicts converts PREDICT(model, ...) calls whose first argument
 // parsed as a bare column reference into a string literal (the model
-// name), so evaluation sees the registry key.
-func (e *Engine) rewritePredicts(s *sql.SelectStmt) *sql.SelectStmt {
-	for i := range s.Items {
-		s.Items[i].Expr = rewriteExpr(s.Items[i].Expr)
-	}
-	if s.Where != nil {
-		s.Where = rewriteExpr(s.Where)
-	}
-	for i := range s.GroupBy {
-		s.GroupBy[i] = rewriteExpr(s.GroupBy[i])
-	}
-	for i := range s.OrderBy {
-		s.OrderBy[i].Expr = rewriteExpr(s.OrderBy[i].Expr)
-	}
-	return s
-}
+// name), so evaluation sees the registry key. It edits the expression
+// trees in place and is idempotent.
+func rewritePredicts(s sql.Statement) { sql.WalkExprs(s, rewriteExpr) }
 
-func rewriteExpr(ex sql.Expr) sql.Expr {
+// rewriteExpr writes only where it replaces a model name, so a second
+// pass over a rewritten tree writes nothing — which is what lets a
+// replan walk an AST that cached plans are evaluating concurrently.
+func rewriteExpr(ex sql.Expr) {
 	switch v := ex.(type) {
 	case *sql.FuncCall:
 		if (v.Name == "PREDICT" || v.Name == "PREDICT_PROBA") && len(v.Args) > 0 {
@@ -533,39 +494,47 @@ func rewriteExpr(ex sql.Expr) sql.Expr {
 				v.Args[0] = &sql.StringLit{Value: c.Column}
 			}
 		}
-		for i := range v.Args {
-			v.Args[i] = rewriteExpr(v.Args[i])
+		for _, a := range v.Args {
+			rewriteExpr(a)
 		}
 	case *sql.BinaryExpr:
-		v.Left = rewriteExpr(v.Left)
-		v.Right = rewriteExpr(v.Right)
+		rewriteExpr(v.Left)
+		rewriteExpr(v.Right)
 	case *sql.NotExpr:
-		v.Inner = rewriteExpr(v.Inner)
+		rewriteExpr(v.Inner)
 	case *sql.BetweenExpr:
-		v.Subject = rewriteExpr(v.Subject)
-		v.Lo = rewriteExpr(v.Lo)
-		v.Hi = rewriteExpr(v.Hi)
+		rewriteExpr(v.Subject)
+		rewriteExpr(v.Lo)
+		rewriteExpr(v.Hi)
 	}
-	return ex
 }
 
-// buildSelectPlan compiles one SELECT: build, optimize, choose index
-// access paths, and freeze cardinality decisions (join build sides)
-// into the plan so executing a cached copy never re-invokes an
-// estimator. The returned plan is immutable and safe to share across
-// concurrent executors.
-func (e *Engine) buildSelectPlan(s *sql.SelectStmt) (plan.Node, error) {
-	return e.buildRewrittenPlan(e.rewritePredicts(s))
-}
-
-// buildRewrittenPlan is buildSelectPlan for an AST whose PREDICT()
-// model references were already rewritten — prepared statements rewrite
-// once at PREPARE time so replans never mutate a shared AST.
-func (e *Engine) buildRewrittenPlan(s *sql.SelectStmt) (plan.Node, error) {
+// buildPlan compiles one SELECT, UPDATE or DELETE: lower it to a
+// plan, reorder filters, choose index access paths, and freeze
+// cardinality decisions (join build sides) into the plan so executing a
+// cached copy never re-invokes an estimator. Every path that needs a
+// plan — ad hoc, prepared, EXPLAIN, EXPLAIN ANALYZE — gets it here. The
+// returned plan is immutable and safe to share across concurrent
+// executors.
+func (e *Engine) buildPlan(stmt sql.Statement) (plan.Node, error) {
 	e.planBuilds.Inc()
-	p, err := plan.Build(e.Cat, s)
-	if err != nil {
-		return nil, err
+	rewritePredicts(stmt)
+	var p plan.Node
+	if sel, ok := stmt.(*sql.SelectStmt); ok {
+		built, err := plan.Build(e.Cat, sel)
+		if err != nil {
+			return nil, err
+		}
+		p = built
+	} else {
+		m, err := plan.BuildModify(e.Cat, stmt)
+		if err != nil {
+			return nil, err
+		}
+		table := m.Table.Name
+		m.Deleted = func(rid storage.RecordID, row catalog.Row) { e.syncIndexesDelete(table, rid, row) }
+		m.Inserted = func(rid storage.RecordID, row catalog.Row) { e.syncIndexesInsert(table, rid, row) }
+		p = m
 	}
 	// AI-operator pushdown: run cheap relational predicates before model
 	// invocations (the executor short-circuits conjunctions).
@@ -577,33 +546,37 @@ func (e *Engine) buildRewrittenPlan(s *sql.SelectStmt) (plan.Node, error) {
 	return p, nil
 }
 
-func (e *Engine) query(ctx context.Context, s *sql.SelectStmt, sp *obs.Span, text string, parseNs int64) (*exec.Result, error) {
+// query plans and runs one ad-hoc SELECT, UPDATE or DELETE.
+func (e *Engine) query(ctx context.Context, s sql.Statement, sp *obs.Span, text string, parseNs int64) (*exec.Result, error) {
 	planStart := time.Now()
 	psp := sp.Child("plan")
-	p, err := e.buildSelectPlan(s)
+	p, err := e.buildPlan(s)
 	psp.Finish()
 	if err != nil {
 		return nil, err
 	}
-	if e.Plans != nil && text != "" && sql.CountParams(s) == 0 {
+	fp := plan.Fingerprint(p)
+	if _, ok := s.(*sql.SelectStmt); ok && e.Plans != nil && text != "" && sql.CountParams(s) == 0 {
 		// Cache under the raw text so the identical statement next time
 		// skips the parser too. Parameterized ad-hoc statements are not
 		// cacheable here (nothing binds their $N values on this path).
 		e.Plans.Put(&plancache.Entry{
 			Key:         "text:" + text,
-			Fingerprint: plan.Fingerprint(p),
+			Fingerprint: fp,
 			Plan:        p,
 			PlanNs:      parseNs + time.Since(planStart).Nanoseconds(),
 		})
 	}
-	return e.execPlan(ctx, p, plan.Fingerprint(p), sp, text, nil)
+	return e.execPlan(ctx, p, sql.StatementKind(s), fp, sp, text, nil)
 }
 
 // execPlan runs a compiled plan — the shared tail of the cold path and
-// the plan-cache hit path. params carries EXECUTE bindings (nil for
-// ad-hoc statements); the plan itself is treated as read-only so one
-// cached copy may execute on any number of sessions at once.
-func (e *Engine) execPlan(ctx context.Context, p plan.Node, fp string, sp *obs.Span, text string, params []catalog.Value) (*exec.Result, error) {
+// the plan-cache hit path, for queries and DML alike. kind is the
+// statement kind the run is recorded under; params carries EXECUTE
+// bindings (nil for ad-hoc statements); the plan itself is treated as
+// read-only so one cached copy may execute on any number of sessions at
+// once.
+func (e *Engine) execPlan(ctx context.Context, p plan.Node, kind, fp string, sp *obs.Span, text string, params []catalog.Value) (*exec.Result, error) {
 	start := time.Now()
 	chaosBefore := e.Chaos.FireCounts()
 	if sp != nil {
@@ -622,9 +595,9 @@ func (e *Engine) execPlan(ctx context.Context, p plan.Node, fp string, sp *obs.S
 	res, err := ex.RunContext(ctx, p)
 	esp.Finish()
 	if err == nil {
-		e.recordSlow(text, "SELECT", fp, time.Since(start), res, "", chaosBefore)
+		e.recordSlow(text, kind, fp, time.Since(start), res, "", chaosBefore)
 	} else {
-		e.recordFailure(text, "SELECT", fp, time.Since(start), err)
+		e.recordFailure(text, kind, fp, time.Since(start), err)
 	}
 	return res, err
 }
@@ -696,102 +669,6 @@ func (e *Engine) recordFailure(text, kind, fp string, latency time.Duration, err
 		Outcome:     outcome,
 		LatencyNs:   latency.Nanoseconds(),
 	})
-}
-
-func (e *Engine) update(s *sql.UpdateStmt, params []catalog.Value) (*exec.Result, error) {
-	t, err := e.Cat.Table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	scope := exec.NewScopeParams(schemaNames(t), params)
-	type change struct {
-		rid    storage.RecordID
-		oldRow catalog.Row
-		row    catalog.Row
-	}
-	var changes []change
-	scanErr := t.Scan(func(rid storage.RecordID, row catalog.Row) bool {
-		if s.Where != nil {
-			ok, err := exec.EvalBool(s.Where, scope, row, e.funcs())
-			if err != nil || !ok {
-				return true
-			}
-		}
-		newRow := append(catalog.Row{}, row...)
-		for col, ex := range s.Set {
-			idx := t.Schema.ColIndex(col)
-			if idx < 0 {
-				return true
-			}
-			v, err := exec.Eval(ex, scope, row, e.funcs())
-			if err != nil {
-				return true
-			}
-			cv, err := coerce(v, t.Schema.Columns[idx].Type)
-			if err != nil {
-				return true
-			}
-			newRow[idx] = cv
-		}
-		changes = append(changes, change{rid, row, newRow})
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	for _, ch := range changes {
-		if err := t.Delete(ch.rid); err != nil {
-			return nil, err
-		}
-		e.syncIndexesDelete(t.Name, ch.rid, ch.oldRow)
-		newRid, err := t.Insert(ch.row)
-		if err != nil {
-			return nil, err
-		}
-		e.syncIndexesInsert(t.Name, newRid, ch.row)
-	}
-	return emptyResult(), nil
-}
-
-func (e *Engine) delete(s *sql.DeleteStmt, params []catalog.Value) (*exec.Result, error) {
-	t, err := e.Cat.Table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	scope := exec.NewScopeParams(schemaNames(t), params)
-	type victim struct {
-		rid storage.RecordID
-		row catalog.Row
-	}
-	var victims []victim
-	scanErr := t.Scan(func(rid storage.RecordID, row catalog.Row) bool {
-		if s.Where != nil {
-			ok, err := exec.EvalBool(s.Where, scope, row, e.funcs())
-			if err != nil || !ok {
-				return true
-			}
-		}
-		victims = append(victims, victim{rid, row})
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	for _, v := range victims {
-		if err := t.Delete(v.rid); err != nil {
-			return nil, err
-		}
-		e.syncIndexesDelete(t.Name, v.rid, v.row)
-	}
-	return emptyResult(), nil
-}
-
-func schemaNames(t *catalog.Table) []string {
-	names := make([]string, len(t.Schema.Columns))
-	for i, c := range t.Schema.Columns {
-		names[i] = t.Name + "." + c.Name
-	}
-	return names
 }
 
 func (e *Engine) createModel(s *sql.CreateModelStmt) (*exec.Result, error) {

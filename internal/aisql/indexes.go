@@ -1,6 +1,7 @@
 package aisql
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -18,35 +19,49 @@ import (
 // (value << 20 | rowSeq), a standard composite-key trick; the fetch path
 // masks the sequence back off.
 
-const dupBits = 20
+const (
+	dupBits = 20
+	seqMask = 1<<dupBits - 1
+)
 
 type secondaryIndex struct {
 	mu     sync.RWMutex
 	table  string
 	column int
 	tree   *index.BTree
-	// rows maps a dense row sequence to the heap record id.
-	rows map[uint64]storage.RecordID
-	next uint64
+	next   uint64
 }
+
+func packRID(rid storage.RecordID) uint64 { return uint64(rid.Page)<<16 | uint64(rid.Slot) }
 
 func (si *secondaryIndex) insert(value int64, rid storage.RecordID) {
 	si.mu.Lock()
 	defer si.mu.Unlock()
-	seq := si.next & (1<<dupBits - 1)
+	key := value<<dupBits | int64(si.next&seqMask)
+	// Once next has wrapped, its low bits may name a slot a live entry of
+	// the same value still holds: take the next free one in the value's
+	// band. (A band with all 2^20 slots live has none; the last probe is
+	// then overwritten, as every colliding insert was before.)
+	if si.next > seqMask {
+		for probes := 0; probes < seqMask; probes++ {
+			if _, err := si.tree.Get(key); err != nil {
+				break
+			}
+			key = value<<dupBits | (key+1)&seqMask
+		}
+	}
 	si.next++
-	si.tree.Put(value<<dupBits|int64(seq), uint64(rid.Page)<<16|uint64(rid.Slot))
-	si.rows[uint64(rid.Page)<<16|uint64(rid.Slot)] = rid
+	si.tree.Put(key, packRID(rid))
 }
 
 func (si *secondaryIndex) remove(value int64, rid storage.RecordID) {
 	si.mu.Lock()
 	defer si.mu.Unlock()
-	packed := uint64(rid.Page)<<16 | uint64(rid.Slot)
+	packed := packRID(rid)
 	// Scan the duplicate band for this value and delete the matching entry.
 	var delKey int64
 	found := false
-	si.tree.Range(value<<dupBits, value<<dupBits|(1<<dupBits-1), func(k int64, v uint64) bool {
+	si.tree.Range(value<<dupBits, value<<dupBits|seqMask, func(k int64, v uint64) bool {
 		if v == packed {
 			delKey, found = k, true
 			return false
@@ -55,7 +70,6 @@ func (si *secondaryIndex) remove(value int64, rid storage.RecordID) {
 	})
 	if found {
 		si.tree.Delete(delKey)
-		delete(si.rows, packed)
 	}
 }
 
@@ -64,31 +78,30 @@ func (si *secondaryIndex) remove(value int64, rid storage.RecordID) {
 const maxIndexable = int64(1) << 42
 
 // fetch streams rows with lo <= column value <= hi in value order.
-func (si *secondaryIndex) fetch(t *catalog.Table) func(lo, hi int64, fn func(row catalog.Row) bool) error {
-	return func(lo, hi int64, fn func(row catalog.Row) bool) error {
-		if lo < -maxIndexable {
-			lo = -maxIndexable
-		}
-		if hi > maxIndexable {
-			hi = maxIndexable
-		}
+func (si *secondaryIndex) fetch(t *catalog.Table) plan.IndexFetch {
+	return func(lo, hi int64, fn func(rid storage.RecordID, row catalog.Row) bool) error {
+		lo, hi = max(lo, -maxIndexable), min(hi, maxIndexable)
 		if lo > hi {
 			return nil
 		}
 		si.mu.RLock()
-		type hit struct{ rid storage.RecordID }
-		var hits []hit
-		si.tree.Range(lo<<dupBits, hi<<dupBits|(1<<dupBits-1), func(k int64, v uint64) bool {
-			hits = append(hits, hit{storage.RecordID{Page: storage.PageID(v >> 16), Slot: int(v & 0xFFFF)}})
+		var hits []storage.RecordID
+		si.tree.Range(lo<<dupBits, hi<<dupBits|seqMask, func(k int64, v uint64) bool {
+			hits = append(hits, storage.RecordID{Page: storage.PageID(v >> 16), Slot: int(v & 0xFFFF)})
 			return true
 		})
 		si.mu.RUnlock()
-		for _, h := range hits {
-			row, err := t.Get(h.rid)
+		for _, rid := range hits {
+			row, err := t.Get(rid)
+			if errors.Is(err, storage.ErrRecordDeleted) {
+				// Deleted since the index was read: the row is gone, not
+				// the query.
+				continue
+			}
 			if err != nil {
 				return fmt.Errorf("aisql: index fetch: %w", err)
 			}
-			if !fn(row) {
+			if !fn(rid, row) {
 				return nil
 			}
 		}
@@ -118,7 +131,7 @@ func (e *Engine) createIndex(name, table, column string) error {
 		e.mu.Unlock()
 		return fmt.Errorf("aisql: index on %s already exists", key)
 	}
-	si := &secondaryIndex{table: table, column: col, tree: index.NewBTree(64), rows: map[uint64]storage.RecordID{}}
+	si := &secondaryIndex{table: table, column: col, tree: index.NewBTree(64)}
 	e.indexes[key] = si
 	e.mu.Unlock()
 	// Backfill from the heap.
@@ -142,7 +155,7 @@ func (e *Engine) indexFor(table string, col int) *secondaryIndex {
 
 // indexLookup adapts the engine's indexes to the planner's interface.
 func (e *Engine) indexLookup() plan.IndexLookup {
-	return func(table string, col int) func(lo, hi int64, fn func(row catalog.Row) bool) error {
+	return func(table string, col int) plan.IndexFetch {
 		si := e.indexFor(table, col)
 		if si == nil {
 			return nil

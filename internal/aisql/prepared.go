@@ -14,9 +14,9 @@ import (
 )
 
 // Prepared is one prepared statement: parsed once at PREPARE time,
-// planned once (for SELECT), then executed any number of times with
-// per-call parameter bindings. SELECT plans live in the engine's shared
-// plan cache keyed by the statement's canonical deparse, so every
+// planned once (SELECT, UPDATE, DELETE), then executed any number of
+// times with per-call parameter bindings. Plans live in the engine's
+// shared plan cache keyed by the statement's canonical deparse, so every
 // session that prepares the same statement executes the same compiled
 // plan, and invalidation (DDL, ANALYZE, estimator retrain) transparently
 // forces a replan from the retained AST on the next EXECUTE.
@@ -25,9 +25,8 @@ type Prepared struct {
 	Kind      string // SELECT, INSERT, UPDATE, DELETE
 	NumParams int
 
-	stmt sql.Statement
-	sel  *sql.SelectStmt // non-nil when Kind == "SELECT" (PREDICTs rewritten)
-	key  string          // plan-cache key ("stmt:" + Deparse); "" for DML
+	stmt sql.Statement // PREDICTs rewritten
+	key  string        // plan-cache key ("stmt:" + Deparse); "" for INSERT
 
 	// mu serializes replans so concurrent EXECUTEs after an invalidation
 	// plan once, not once per caller.
@@ -37,7 +36,7 @@ type Prepared struct {
 }
 
 // Fingerprint reports the plan fingerprint of the prepared statement
-// ("" for DML kinds, which have no plan tree).
+// ("" for INSERT, which has no plan tree).
 func (p *Prepared) Fingerprint() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -52,11 +51,11 @@ func (p *Prepared) PlanNs() int64 {
 	return p.planNs
 }
 
-// Prepare compiles a parsed statement into a Prepared handle. SELECTs
-// are planned immediately (surfacing unknown-table/column errors at
-// PREPARE time, like PostgreSQL) and published to the plan cache; DML
-// statements are held as ASTs and evaluated with bound parameters at
-// execute time. Other statement kinds are not preparable.
+// Prepare compiles a parsed statement into a Prepared handle. SELECT,
+// UPDATE and DELETE are planned immediately (surfacing unknown
+// table/column errors at PREPARE time, like PostgreSQL) and published
+// to the plan cache; INSERT is held as an AST and evaluated with bound
+// parameters at execute time. Other statement kinds are not preparable.
 func (e *Engine) Prepare(name string, stmt sql.Statement) (*Prepared, error) {
 	prep := &Prepared{
 		Name:      name,
@@ -64,17 +63,18 @@ func (e *Engine) Prepare(name string, stmt sql.Statement) (*Prepared, error) {
 		NumParams: sql.CountParams(stmt),
 		stmt:      stmt,
 	}
-	switch s := stmt.(type) {
-	case *sql.SelectStmt:
-		// Rewrite PREDICT() model refs once, up front: replans reuse the
-		// rewritten AST without further mutation, so a cached plan can
-		// execute concurrently with a replan of the same statement.
-		prep.sel = e.rewritePredicts(s)
-		prep.key = "stmt:" + sql.Deparse(prep.sel)
+	switch stmt.(type) {
+	case *sql.SelectStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+		// Rewrite PREDICT() model refs once, up front: the key is the
+		// rewritten text, and replans reuse the AST without further
+		// mutation, so a cached plan can execute concurrently with a
+		// replan of the same statement.
+		rewritePredicts(stmt)
+		prep.key = "stmt:" + sql.Deparse(stmt)
 		if _, _, err := e.preparedPlan(prep); err != nil {
 			return nil, err
 		}
-	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+	case *sql.InsertStmt:
 		// No plan tree; parsing once is the whole saving.
 	default:
 		return nil, fmt.Errorf("aisql: cannot PREPARE %s (only SELECT, INSERT, UPDATE, DELETE)", prep.Kind)
@@ -95,7 +95,7 @@ func (e *Engine) preparedPlan(prep *Prepared) (plan.Node, string, error) {
 	prep.mu.Lock()
 	defer prep.mu.Unlock()
 	start := time.Now()
-	p, err := e.buildRewrittenPlan(prep.sel)
+	p, err := e.buildPlan(prep.stmt)
 	if err != nil {
 		return nil, "", err
 	}
@@ -114,9 +114,9 @@ func (e *Engine) preparedPlan(prep *Prepared) (plan.Node, string, error) {
 }
 
 // ExecutePrepared runs a prepared statement with args bound to its $N
-// placeholders ($1 = args[0]). SELECTs execute the cached plan without
-// touching the parser, planner or estimator; DML evaluates the retained
-// AST with the bindings in scope.
+// placeholders ($1 = args[0]). SELECT, UPDATE and DELETE execute the
+// cached plan without touching the parser, planner or estimator; INSERT
+// evaluates the retained AST with the bindings in scope.
 func (e *Engine) ExecutePrepared(ctx context.Context, prep *Prepared, args []catalog.Value) (*exec.Result, error) {
 	sp := e.tracer.Start("query")
 	defer sp.Finish()
@@ -131,21 +131,12 @@ func (e *Engine) ExecutePrepared(ctx context.Context, prep *Prepared, args []cat
 	if len(args) != prep.NumParams {
 		return nil, fmt.Errorf("aisql: prepared statement %q wants %d parameters, got %d", prep.Name, prep.NumParams, len(args))
 	}
-	text := "EXECUTE " + prep.Name
-	switch s := prep.stmt.(type) {
-	case *sql.SelectStmt:
-		p, fp, err := e.preparedPlan(prep)
-		if err != nil {
-			return nil, err
-		}
-		return e.execPlan(ctx, p, fp, sp, text, args)
-	case *sql.InsertStmt:
-		return e.insert(s, args)
-	case *sql.UpdateStmt:
-		return e.update(s, args)
-	case *sql.DeleteStmt:
-		return e.delete(s, args)
-	default:
-		return nil, fmt.Errorf("aisql: cannot EXECUTE %s", prep.Kind)
+	if ins, ok := prep.stmt.(*sql.InsertStmt); ok {
+		return e.insert(ins, args)
 	}
+	p, fp, err := e.preparedPlan(prep)
+	if err != nil {
+		return nil, err
+	}
+	return e.execPlan(ctx, p, prep.Kind, fp, sp, "EXECUTE "+prep.Name, args)
 }

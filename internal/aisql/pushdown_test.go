@@ -51,7 +51,8 @@ func TestPredictPushdownCutsInvocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := plan.Build(e.Cat, e.rewritePredicts(stmt.(*sql.SelectStmt)))
+		rewritePredicts(stmt)
+		p, err := plan.Build(e.Cat, stmt.(*sql.SelectStmt))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,10 +5,12 @@
 package catalog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -71,6 +73,11 @@ type Table struct {
 	mu    sync.RWMutex
 	pool  *storage.BufferPool
 	pages []storage.PageID
+	// holes lists, in ascending order, the pages a row was deleted from
+	// since they last turned an insert away: where Insert looks for
+	// reusable space once the last page is full, so delete/insert churn
+	// does not grow the table.
+	holes []storage.PageID
 	rows  int
 	Stats *TableStats
 }
@@ -154,6 +161,34 @@ func (c *Catalog) Tables() []string {
 	return names
 }
 
+// Coerce converts v to the Go type a column of type t stores (int64,
+// float64 or string), converting between the two numeric types. Any
+// other pairing — NULL included — is an error: what cannot be stored
+// is rejected before a row is written.
+func Coerce(v Value, t ColType) (Value, error) {
+	switch t {
+	case Int64:
+		switch x := v.(type) {
+		case int64:
+			return x, nil
+		case float64:
+			return int64(x), nil
+		}
+	case Float64:
+		switch x := v.(type) {
+		case float64:
+			return x, nil
+		case int64:
+			return float64(x), nil
+		}
+	case String:
+		if x, ok := v.(string); ok {
+			return x, nil
+		}
+	}
+	return nil, fmt.Errorf("catalog: cannot store %T as %v", v, t)
+}
+
 // encodeRow serializes a row against a schema.
 func encodeRow(schema *Schema, row Row) ([]byte, error) {
 	if len(row) != len(schema.Columns) {
@@ -233,7 +268,9 @@ func decodeRowInto(schema *Schema, b []byte, row Row) error {
 	return nil
 }
 
-// Insert appends a row and returns its record id.
+// Insert stores a row and returns its record id: in the last page while
+// it has room, else in space a deleted row left behind (which reuses
+// that row's record id), else in a new page.
 func (t *Table) Insert(row Row) (storage.RecordID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -241,9 +278,7 @@ func (t *Table) Insert(row Row) (storage.RecordID, error) {
 	if err != nil {
 		return storage.RecordID{}, err
 	}
-	// Try the last page first.
-	if n := len(t.pages); n > 0 {
-		id := t.pages[n-1]
+	tryPage := func(id storage.PageID) (storage.RecordID, error) {
 		p, err := t.pool.Fetch(id)
 		if err != nil {
 			return storage.RecordID{}, err
@@ -252,28 +287,33 @@ func (t *Table) Insert(row Row) (storage.RecordID, error) {
 		if uerr := t.pool.Unpin(id, ierr == nil); uerr != nil {
 			return storage.RecordID{}, uerr
 		}
-		if ierr == nil {
-			t.rows++
-			return storage.RecordID{Page: id, Slot: slot}, nil
-		}
-		if !errors.Is(ierr, storage.ErrPageFull) {
+		if ierr != nil {
 			return storage.RecordID{}, ierr
 		}
+		t.rows++
+		return storage.RecordID{Page: id, Slot: slot}, nil
+	}
+	if n := len(t.pages); n > 0 {
+		if rid, err := tryPage(t.pages[n-1]); !errors.Is(err, storage.ErrPageFull) {
+			return rid, err
+		}
+	}
+	for len(t.holes) > 0 {
+		rid, err := tryPage(t.holes[0])
+		if !errors.Is(err, storage.ErrPageFull) {
+			return rid, err
+		}
+		t.holes = t.holes[1:] // nothing here fits; a later delete may change that
 	}
 	p, err := t.pool.NewPage()
 	if err != nil {
 		return storage.RecordID{}, err
 	}
 	t.pages = append(t.pages, p.ID)
-	slot, ierr := p.Insert(rec)
-	if uerr := t.pool.Unpin(p.ID, true); uerr != nil {
-		return storage.RecordID{}, uerr
+	if err := t.pool.Unpin(p.ID, true); err != nil {
+		return storage.RecordID{}, err
 	}
-	if ierr != nil {
-		return storage.RecordID{}, ierr
-	}
-	t.rows++
-	return storage.RecordID{Page: p.ID, Slot: slot}, nil
+	return tryPage(p.ID)
 }
 
 // Get fetches the row at rid.
@@ -295,19 +335,46 @@ func (t *Table) Get(rid storage.RecordID) (Row, error) {
 }
 
 // Delete tombstones the row at rid.
-func (t *Table) Delete(rid storage.RecordID) error {
+func (t *Table) Delete(rid storage.RecordID) error { return t.deleteIf(rid, nil) }
+
+// DeleteIf tombstones the row at rid provided it still is want, the row
+// a statement read there. Record ids are reused, so between reading a
+// row and deleting it another statement may have deleted it and a third
+// row taken its place; then, as when the slot is simply empty, the
+// error is storage.ErrRecordDeleted and nothing is touched.
+func (t *Table) DeleteIf(rid storage.RecordID, want Row) error {
+	rec, err := encodeRow(&t.Schema, want)
+	if err != nil {
+		return err
+	}
+	return t.deleteIf(rid, rec)
+}
+
+func (t *Table) deleteIf(rid storage.RecordID, want []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p, err := t.pool.Fetch(rid.Page)
 	if err != nil {
 		return err
 	}
-	derr := p.Delete(rid.Slot)
+	var derr error
+	if want != nil {
+		var have []byte
+		if have, derr = p.GetRef(rid.Slot); derr == nil && !bytes.Equal(have, want) {
+			derr = storage.ErrRecordDeleted
+		}
+	}
+	if derr == nil {
+		derr = p.Delete(rid.Slot)
+	}
 	if uerr := t.pool.Unpin(rid.Page, derr == nil); uerr != nil {
 		return uerr
 	}
 	if derr == nil {
 		t.rows--
+		if i, found := slices.BinarySearch(t.holes, rid.Page); !found {
+			t.holes = slices.Insert(t.holes, i, rid.Page)
+		}
 	}
 	return derr
 }

@@ -136,6 +136,77 @@ func TestDeleteHidesRow(t *testing.T) {
 	}
 }
 
+// TestChurnDoesNotGrowTable: deleting the oldest row and inserting a new
+// one of the same size, over and over, must keep the table at its page
+// count (dead space is reused once the last page is full) and its rows
+// intact.
+func TestChurnDoesNotGrowTable(t *testing.T) {
+	c := NewMem()
+	tab, _ := c.CreateTable("t", testSchema())
+	var rids []storage.RecordID
+	for i := 0; i < 1000; i++ {
+		rid, err := tab.Insert(Row{int64(i), 0.5, "payload"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	pages := len(tab.PageIDs())
+	for i := 1000; i < 21000; i++ {
+		if err := tab.Delete(rids[0]); err != nil {
+			t.Fatal(err)
+		}
+		rid, err := tab.Insert(Row{int64(i), 0.5, "payload"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids[1:], rid)
+	}
+	if got := len(tab.PageIDs()); got > pages+1 {
+		t.Errorf("table grew from %d to %d pages under balanced churn", pages, got)
+	}
+	seen := map[int64]bool{}
+	tab.Scan(func(_ storage.RecordID, r Row) bool {
+		seen[r[0].(int64)] = true
+		return true
+	})
+	if len(seen) != 1000 || tab.NumRows() != 1000 {
+		t.Fatalf("%d distinct rows scanned, NumRows %d, want 1000", len(seen), tab.NumRows())
+	}
+	for i := int64(20000); i < 21000; i++ {
+		if !seen[i] {
+			t.Fatalf("row %d lost", i)
+		}
+	}
+	for i, rid := range rids {
+		if r, err := tab.Get(rid); err != nil || r[0].(int64) != int64(20000+i) {
+			t.Fatalf("Get(%v) = %v, %v", rid, r, err)
+		}
+	}
+}
+
+// TestDeleteIfChecksTheRow: record ids are reused, so a delete that
+// names the row it read must not remove a different row that has since
+// taken the slot.
+func TestDeleteIfChecksTheRow(t *testing.T) {
+	c := NewMem()
+	tab, _ := c.CreateTable("t", testSchema())
+	row := Row{int64(1), 1.0, "x"}
+	rid, _ := tab.Insert(row)
+	if err := tab.DeleteIf(rid, Row{int64(1), 1.0, "y"}); !errors.Is(err, storage.ErrRecordDeleted) {
+		t.Fatalf("DeleteIf with a different row: %v", err)
+	}
+	if tab.NumRows() != 1 {
+		t.Fatal("a mismatched DeleteIf removed the row")
+	}
+	if err := tab.DeleteIf(rid, row); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.DeleteIf(rid, row); !errors.Is(err, storage.ErrRecordDeleted) {
+		t.Fatalf("DeleteIf of a deleted row: %v", err)
+	}
+}
+
 // Property: rows of every type round-trip through encode/decode.
 func TestRowRoundTripProperty(t *testing.T) {
 	schema := testSchema()

@@ -143,11 +143,11 @@ func Eval(e sql.Expr, scope *Scope, row catalog.Row, funcs FuncRegistry) (catalo
 		}
 		geLo, err := compare(sub, lo)
 		if err != nil {
-			return nil, err
+			return nullIsFalse(err, sub, lo)
 		}
 		leHi, err := compare(sub, hi)
 		if err != nil {
-			return nil, err
+			return nullIsFalse(err, sub, hi)
 		}
 		return boolVal(geLo >= 0 && leHi <= 0), nil
 	case *sql.BinaryExpr:
@@ -191,7 +191,7 @@ func Eval(e sql.Expr, scope *Scope, row catalog.Row, funcs FuncRegistry) (catalo
 		case "=", "!=", "<", "<=", ">", ">=":
 			c, err := compare(l, r)
 			if err != nil {
-				return nil, err
+				return nullIsFalse(err, l, r)
 			}
 			switch v.Op {
 			case "=":
@@ -248,6 +248,17 @@ func EvalBool(e sql.Expr, scope *Scope, row catalog.Row, funcs FuncRegistry) (bo
 	default:
 		return false, fmt.Errorf("exec: non-boolean condition value %T", v)
 	}
+}
+
+// nullIsFalse settles a failed comparison: when an operand is NULL (a
+// nil parameter — tables hold none) the comparison is not true of any
+// row, as in SQL; any other mismatch stays the error it was. Only the
+// failure path pays for the check.
+func nullIsFalse(err error, a, b catalog.Value) (catalog.Value, error) {
+	if a == nil || b == nil {
+		return boolVal(false), nil
+	}
+	return nil, err
 }
 
 func boolVal(b bool) catalog.Value {

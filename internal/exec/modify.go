@@ -1,0 +1,114 @@
+package exec
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	"aidb/internal/catalog"
+	"aidb/internal/plan"
+	"aidb/internal/storage"
+)
+
+// modifyOp is the sink of an UPDATE or DELETE plan. It drains its input
+// — rows carrying their record id as a trailing value — and computes
+// every new row first; only when the input is exhausted and nothing
+// failed does it touch the table. An error in a WHERE or SET expression,
+// a value that does not fit its column, a cancellation or a blown memory
+// budget therefore leaves the table exactly as it was. It emits no rows.
+type modifyOp struct {
+	ex    *Executor
+	rc    *runCtx
+	node  *plan.ModifyNode
+	scope *Scope
+	prof  *OpProfile
+	in    BatchOperator
+	done  bool
+}
+
+type rowChange struct {
+	rid      storage.RecordID
+	old, new catalog.Row // new is nil for DELETE
+}
+
+func (m *modifyOp) Next(ctx context.Context) (*Chunk, bool, error) {
+	if m.done {
+		return nil, false, nil
+	}
+	m.done = true
+	if m.prof != nil {
+		start := time.Now()
+		defer func() { m.prof.wallNs.Add(time.Since(start).Nanoseconds()) }()
+	}
+	changes, err := m.collect(ctx)
+	if err != nil {
+		return nil, false, err
+	}
+	if m.prof != nil {
+		m.prof.actualRows.Add(int64(len(changes)))
+	}
+	return nil, false, m.apply(changes)
+}
+
+// collect drains the input. The chunks escape the pool (the old rows
+// are kept until apply), so they stay charged to the memory budget.
+func (m *modifyOp) collect(ctx context.Context) ([]rowChange, error) {
+	cols := m.node.Table.Schema.Columns
+	var changes []rowChange
+	for {
+		c, ok, err := m.in.Next(ctx)
+		if err != nil || !ok {
+			return changes, err
+		}
+		m.rc.escape(c)
+		for _, r := range c.rows {
+			ch := rowChange{rid: r[len(cols)].(storage.RecordID), old: r[:len(cols)]}
+			if m.node.Set != nil {
+				ch.new = append(catalog.Row(nil), ch.old...)
+				for _, a := range m.node.Set {
+					v, err := Eval(a.Expr, m.scope, ch.old, m.ex.Funcs)
+					if err == nil {
+						v, err = catalog.Coerce(v, cols[a.Column].Type)
+					}
+					if err != nil {
+						return nil, fmt.Errorf("exec: UPDATE %s SET %s: %w", m.node.Table.Name, cols[a.Column].Name, err)
+					}
+					ch.new[a.Column] = v
+				}
+			}
+			changes = append(changes, ch)
+		}
+	}
+}
+
+// apply makes the collected changes. A row another statement removed
+// or replaced since it was read no longer matches anything and is
+// skipped.
+func (m *modifyOp) apply(changes []rowChange) error {
+	t := m.node.Table
+	for _, ch := range changes {
+		if err := t.DeleteIf(ch.rid, ch.old); err != nil {
+			if errors.Is(err, storage.ErrRecordDeleted) {
+				continue
+			}
+			return fmt.Errorf("exec: %s %s: %w", m.node.Kind(), t.Name, err)
+		}
+		if m.node.Deleted != nil {
+			m.node.Deleted(ch.rid, ch.old)
+		}
+		if ch.new == nil {
+			continue
+		}
+		rid, err := t.Insert(ch.new)
+		if err != nil {
+			return fmt.Errorf("exec: UPDATE %s: %w", t.Name, err)
+		}
+		if m.node.Inserted != nil {
+			m.node.Inserted(rid, ch.new)
+		}
+	}
+	return nil
+}
+
+func (m *modifyOp) Close() { m.in.Close() }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"aidb/internal/catalog"
@@ -310,17 +311,17 @@ func TestParallelIndexScanMatchesSerial(t *testing.T) {
 		keys = append(keys, 100000+i*31)
 	}
 	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	fetch := func(lo, hi int64, fn func(row catalog.Row) bool) error {
+	fetch := func(lo, hi int64, fn func(rid storage.RecordID, row catalog.Row) bool) error {
 		from := sort.Search(len(keys), func(i int) bool { return keys[i] >= lo })
 		for i := from; i < len(keys) && keys[i] <= hi; i++ {
-			if !fn(catalog.Row{keys[i]}) {
+			if !fn(storage.RecordID{}, catalog.Row{keys[i]}) {
 				return nil
 			}
 		}
 		return nil
 	}
 	for _, bounds := range [][2]int64{{0, 699}, {-50, 200000}, {math.MinInt64, math.MaxInt64}, {650, 650}} {
-		node := &plan.IndexScanNode{Table: tab, Alias: "t", Column: 0, Lo: bounds[0], Hi: bounds[1], Fetch: fetch}
+		node := &plan.IndexScanNode{Table: tab, Alias: "t", Column: 0, Lo: []plan.Bound{{N: bounds[0]}}, Hi: []plan.Bound{{N: bounds[1]}}, Fetch: fetch}
 		serial := New(nil)
 		serial.Parallelism = 1
 		want, err := serial.Run(node)
@@ -461,5 +462,60 @@ func TestMorselCountersAdvance(t *testing.T) {
 	}
 	if snap["exec.parallel_ops"] == 0 {
 		t.Error("exec.parallel_ops did not advance")
+	}
+}
+
+// TestIndexScanBoundsResolveAtOpen: one IndexScanNode with placeholder
+// bounds serves every binding under a bare executor with Params set — a
+// NULL reads nothing, and a binding with no int64 value reads the heap
+// instead of the index.
+func TestIndexScanBoundsResolveAtOpen(t *testing.T) {
+	c := catalog.NewMem()
+	tab, err := c.CreateTable("t", catalog.Schema{Columns: []catalog.Column{{Name: "k", Type: catalog.Int64}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < 100; k++ {
+		if _, err := tab.Insert(catalog.Row{k}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fetched atomic.Int64
+	fetch := func(lo, hi int64, fn func(storage.RecordID, catalog.Row) bool) error {
+		for k := max(lo, 0); k <= min(hi, 99); k++ {
+			fetched.Add(1)
+			if !fn(storage.RecordID{}, catalog.Row{k}) {
+				break
+			}
+		}
+		return nil
+	}
+	node := &plan.IndexScanNode{Table: tab, Alias: "t", Column: 0,
+		Lo: []plan.Bound{{Param: 1}}, Hi: []plan.Bound{{Param: 2, N: -1}}, Fetch: fetch}
+	for _, tc := range []struct {
+		params  []catalog.Value
+		rows    int
+		fetched int64
+	}{
+		{[]catalog.Value{int64(10), int64(20)}, 10, 10},
+		{[]catalog.Value{int64(50), int64(51)}, 1, 1},
+		{[]catalog.Value{int64(60), int64(60)}, 0, 0},
+		{[]catalog.Value{nil, int64(20)}, 0, 0},
+		{[]catalog.Value{2.5, int64(20)}, 100, 0}, // heap scan; a filter above would decide
+		{[]catalog.Value{int64(10), "x"}, 100, 0},
+	} {
+		for _, workers := range []int{1, 4} {
+			fetched.Store(0)
+			ex := parallelExec(workers)
+			ex.Params = tc.params
+			res, err := ex.Run(node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != tc.rows || fetched.Load() != tc.fetched {
+				t.Errorf("params %v @%d workers: %d rows, %d fetched through the index; want %d, %d",
+					tc.params, workers, len(res.Rows), fetched.Load(), tc.rows, tc.fetched)
+			}
+		}
 	}
 }

@@ -135,6 +135,8 @@ func opKind(n plan.Node) string {
 		return "Limit"
 	case *plan.DistinctNode:
 		return "Distinct"
+	case *plan.ModifyNode:
+		return "Modify"
 	default:
 		return fmt.Sprintf("%T", n)
 	}

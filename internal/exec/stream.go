@@ -249,6 +249,7 @@ type chunkSink struct {
 	emit  emitFn
 	cur   *Chunk
 	limit int
+	err   error // first failure seen by visitor
 }
 
 // row carves the next arena row for the decoder to fill.
@@ -311,6 +312,37 @@ func (k *chunkSink) abandon() {
 		k.s.rc.recycle(k.cur)
 		k.cur = nil
 	}
+}
+
+// visitor returns the per-row callback a source hands its reader: it
+// checks for cancellation every ctxCheckRows rows and pushes the row.
+// The first failure stops the read and is reported by finish.
+func (k *chunkSink) visitor() func(storage.RecordID, catalog.Row) bool {
+	i := 0
+	return func(_ storage.RecordID, r catalog.Row) bool {
+		if i%ctxCheckRows == 0 {
+			if k.err = k.s.rc.err(); k.err != nil {
+				return false
+			}
+		}
+		i++
+		k.err = k.push(r)
+		return k.err == nil
+	}
+}
+
+// finish ends one morsel's read: readErr is what the reader returned; a
+// failure seen by the visitor takes precedence. On success the partial
+// chunk is flushed, otherwise it is abandoned.
+func (k *chunkSink) finish(readErr error) error {
+	if k.err == nil {
+		k.err = readErr
+	}
+	if k.err != nil {
+		k.abandon()
+		return k.err
+	}
+	return k.flush()
 }
 
 // morselOut is one parallel hand-off: a chunk plus the producing
@@ -594,67 +626,60 @@ func (ex *Executor) compileScan(rc *runCtx, v *plan.ScanNode) *morselStream {
 		}
 		return nil
 	}
-	s.produce = func(m int, emit emitFn) error {
-		sink := &chunkSink{s: s, emit: emit, limit: ex.morselRows()}
-		i := 0
-		var perr error
-		serr := v.Table.ScanPagesInto(morsels[m],
-			func(cols int) catalog.Row { return sink.row(cols) },
-			func(_ storage.RecordID, r catalog.Row) bool {
-				if i%ctxCheckRows == 0 {
-					if perr = rc.err(); perr != nil {
-						return false
-					}
-				}
-				i++
-				if perr = sink.push(r); perr != nil {
-					return false
-				}
-				return true
-			})
-		if perr == nil {
-			perr = serr
-		}
-		if perr != nil {
-			sink.abandon()
-			return perr
-		}
-		return sink.flush()
-	}
+	s.produce = s.heapProduce(v.Table, morsels, v.RowIDs)
 	return s
 }
 
+// heapProduce is the produce function of a heap scan over morsels. With
+// rowIDs each row gets one extra arena slot holding its record id; the
+// plain scan's row loop is the same code either way.
+func (s *morselStream) heapProduce(t *catalog.Table, morsels [][]storage.PageID, rowIDs bool) func(m int, emit emitFn) error {
+	return func(m int, emit emitFn) error {
+		sink := &chunkSink{s: s, emit: emit, limit: s.ex.morselRows()}
+		alloc := func(cols int) catalog.Row { return sink.row(cols) }
+		visit := sink.visitor()
+		if rowIDs {
+			alloc = func(cols int) catalog.Row { return sink.row(cols + 1)[:cols] }
+			visit = withRowID(visit)
+		}
+		serr := t.ScanPagesInto(morsels[m], alloc, visit)
+		return sink.finish(serr)
+	}
+}
+
+// withRowID wraps a row visitor so each row carries its record id as a
+// trailing value (appended in place when the row has the spare slot).
+func withRowID(visit func(storage.RecordID, catalog.Row) bool) func(storage.RecordID, catalog.Row) bool {
+	return func(rid storage.RecordID, r catalog.Row) bool { return visit(rid, append(r, rid)) }
+}
+
 // compileIndexScan builds the streaming source for an index range
-// scan, splitting [Lo, Hi] into key subranges. Fetched rows are
-// appended as-is (the fetch closure allocates them); subranges emit in
-// ascending key order, matching the serial scan exactly.
+// scan. The key range is fixed at open from the run's parameters, so
+// one cached plan serves every binding, then split into key subranges;
+// fetched rows are appended as-is (the fetch closure allocates them)
+// and subranges emit in ascending key order, matching the serial scan
+// exactly. When a bound has no int64 value the scan reads the heap
+// instead and leaves the decision to the filter above it.
 func (ex *Executor) compileIndexScan(rc *runCtx, v *plan.IndexScanNode) *morselStream {
-	subs := splitKeyRange(v.Lo, v.Hi, ex.workers()*2, minIndexMorselWidth)
-	s := &morselStream{ex: ex, rc: rc, prof: ex.Profile.of(v), n: len(subs)}
-	s.produce = func(m int, emit emitFn) error {
-		sink := &chunkSink{s: s, emit: emit, limit: ex.morselRows()}
-		i := 0
-		var perr error
-		ferr := v.Fetch(subs[m][0], subs[m][1], func(r catalog.Row) bool {
-			if i%ctxCheckRows == 0 {
-				if perr = rc.err(); perr != nil {
-					return false
-				}
-			}
-			i++
-			if perr = sink.push(r); perr != nil {
-				return false
-			}
-			return true
-		})
-		if perr == nil {
-			perr = ferr
+	s := &morselStream{ex: ex, rc: rc, prof: ex.Profile.of(v)}
+	s.preOpen = func() error {
+		lo, hi, ok := v.Range(ex.Params)
+		if !ok {
+			morsels := storage.PartitionPages(v.Table.PageIDs(), ex.scanMorselPages())
+			s.n, s.produce = len(morsels), s.heapProduce(v.Table, morsels, v.RowIDs)
+			return nil
 		}
-		if perr != nil {
-			sink.abandon()
-			return perr
+		subs := splitKeyRange(lo, hi, ex.workers()*2, minIndexMorselWidth)
+		s.n = len(subs)
+		s.produce = func(m int, emit emitFn) error {
+			sink := &chunkSink{s: s, emit: emit, limit: ex.morselRows()}
+			visit := sink.visitor()
+			if v.RowIDs {
+				visit = withRowID(visit)
+			}
+			return sink.finish(v.Fetch(subs[m][0], subs[m][1], visit))
 		}
-		return sink.flush()
+		return nil
 	}
 	return s
 }
@@ -1136,6 +1161,12 @@ func (ex *Executor) compile(rc *runCtx, n plan.Node) (BatchOperator, error) {
 			return nil, err
 		}
 		return ex.profiled(&distinctOp{rc: rc, in: in, seen: map[string]bool{}}, v), nil
+	case *plan.ModifyNode:
+		in, err := ex.compile(rc, v.Input)
+		if err != nil {
+			return nil, err
+		}
+		return &modifyOp{ex: ex, rc: rc, node: v, scope: ex.newScope(v.Input.Schema()), prof: ex.Profile.of(v), in: in}, nil
 	default:
 		return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 	}

@@ -152,10 +152,14 @@ func (t *BTree) splitChild(parent *node, i int) {
 		child.next = right
 		upKey = right.keys[0]
 	} else {
+		moved := child.children[mid+1:]
 		right = &node{
 			keys:     append([]int64(nil), child.keys[mid+1:]...),
-			children: append([]*node(nil), child.children[mid+1:]...),
+			children: append([]*node(nil), moved...),
 		}
+		// The left half's array must not keep the moved subtrees alive
+		// once Delete unlinks them from the right half.
+		clear(moved)
 		upKey = child.keys[mid]
 		child.keys = child.keys[:mid]
 		child.children = child.children[:mid+1]
@@ -168,13 +172,20 @@ func (t *BTree) splitChild(parent *node, i int) {
 	parent.children[i+1] = right
 }
 
-// Delete removes key, reporting whether it was present. Underflowed nodes
-// are tolerated (lazy deletion), matching common in-memory B+tree
-// implementations; structure is rebuilt on bulk reload.
+// Delete removes key, reporting whether it was present. Underflowed
+// nodes are tolerated (lazy deletion), matching common in-memory B+tree
+// implementations, but a leaf left empty is unlinked — and with it any
+// ancestor left without children — so a tree whose keys come and go
+// (ascending inserts, oldest deleted) does not keep a shell per dead
+// key range.
 func (t *BTree) Delete(key int64) bool {
+	// path[d] is the internal node at depth d, at[d] the child taken.
+	var path []*node
+	var at []int
 	n := t.root
 	for !n.leaf {
 		i := sort.Search(len(n.keys), func(i int) bool { return key < n.keys[i] })
+		path, at = append(path, n), append(at, i)
 		n = n.children[i]
 	}
 	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
@@ -184,6 +195,37 @@ func (t *BTree) Delete(key int64) bool {
 	n.keys = append(n.keys[:i], n.keys[i+1:]...)
 	n.values = append(n.values[:i], n.values[i+1:]...)
 	t.size--
+	if len(n.keys) > 0 || len(path) == 0 {
+		return true
+	}
+	// Out of the leaf chain: the leaf before n is the rightmost one under
+	// the nearest left sibling on the path.
+	for d := len(path) - 1; d >= 0; d-- {
+		if at[d] > 0 {
+			prev := path[d].children[at[d]-1]
+			for !prev.leaf {
+				prev = prev.children[len(prev.children)-1]
+			}
+			prev.next = n.next
+			break
+		}
+	}
+	n.next = nil // a dead leaf must not hold on to the ones after it
+	// Out of the parent, with the separator that bounded it.
+	for d := len(path) - 1; d >= 0; d-- {
+		p, i := path[d], at[d]
+		copy(p.children[i:], p.children[i+1:])
+		p.children[len(p.children)-1] = nil
+		p.children = p.children[:len(p.children)-1]
+		if len(p.keys) > 0 {
+			k := max(i-1, 0)
+			p.keys = append(p.keys[:k], p.keys[k+1:]...)
+		}
+		if len(p.children) > 0 {
+			return true
+		}
+	}
+	t.root = &node{leaf: true}
 	return true
 }
 

@@ -202,3 +202,59 @@ func TestOrderClamped(t *testing.T) {
 		}
 	}
 }
+
+// TestDeleteUnlinksEmptyLeaves: keys that come and go in ascending order
+// (insert at the top, delete the oldest) must not leave a node per dead
+// key range behind, and the tree must stay correct throughout — point
+// lookups, the leaf chain, and reuse after it has been emptied.
+func TestDeleteUnlinksEmptyLeaves(t *testing.T) {
+	bt := NewBTree(4)
+	const live = 50
+	for k := int64(0); k < 5000; k++ {
+		bt.Put(k, uint64(k))
+		if k >= live && !bt.Delete(k-live) {
+			t.Fatalf("key %d missing", k-live)
+		}
+	}
+	if n := bt.NodeCount(); n > 4*live {
+		t.Errorf("%d nodes hold %d keys: dead leaves are not unlinked", n, bt.Len())
+	}
+	// Unlinked is not enough: nothing may still point at a dead node, or
+	// the collector keeps it (and, through next, every leaf after it).
+	// The hiding place is the spare capacity of a children array.
+	var walk func(n *node)
+	walk = func(n *node) {
+		for _, c := range n.children[len(n.children):cap(n.children)] {
+			if c != nil {
+				t.Fatal("an internal node's spare capacity still references a node")
+			}
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(bt.root)
+	var got []int64
+	bt.Range(-1, 1<<40, func(k int64, v uint64) bool {
+		if v != uint64(k) {
+			t.Errorf("key %d holds %d", k, v)
+		}
+		got = append(got, k)
+		return true
+	})
+	if len(got) != live || got[0] != 5000-live || got[live-1] != 4999 {
+		t.Fatalf("range over the survivors = %v", got)
+	}
+	for _, k := range got {
+		if !bt.Delete(k) {
+			t.Fatalf("key %d missing", k)
+		}
+	}
+	if bt.Len() != 0 || bt.NodeCount() != 1 {
+		t.Errorf("emptied tree has %d keys in %d nodes", bt.Len(), bt.NodeCount())
+	}
+	bt.Put(7, 70)
+	if v, err := bt.Get(7); err != nil || v != 70 {
+		t.Errorf("emptied tree does not take new keys: %v, %v", v, err)
+	}
+}

@@ -161,7 +161,12 @@ func costRec(n Node, est CardinalityEstimator) (cost, rows float64) {
 		r := float64(v.Table.NumRows())
 		return r, r
 	case *IndexScanNode:
-		sel := v.Table.EstimateSelectivity(v.Column, v.Lo, v.Hi)
+		// A placeholder bound has no value at plan time; such a range gets
+		// the guess an inestimable filter gets.
+		sel := 1.0 / 3
+		if lo, hi, ok := v.Range(nil); ok {
+			sel = v.Table.EstimateSelectivity(v.Column, lo, hi)
+		}
 		r := float64(v.Table.NumRows()) * sel
 		return r + math.Log2(float64(v.Table.NumRows())+2), r
 	case *VirtualScanNode:
@@ -212,6 +217,9 @@ func costRec(n Node, est CardinalityEstimator) (cost, rows float64) {
 	case *DistinctNode:
 		c, r := costRec(v.Input, est)
 		return c + r, r / 2
+	case *ModifyNode:
+		c, r := costRec(v.Input, est)
+		return c + r, r
 	default:
 		return 0, 0
 	}

@@ -8,14 +8,17 @@ import (
 )
 
 // Index selection: rewrite Filter(Scan) into Filter(IndexScan) when the
-// filter constrains an indexed Int64 column with literal bounds. The
-// residual filter keeps every conjunct (re-checking absorbed bounds is
-// cheap and keeps the rewrite trivially sound); the win is reading only
-// the index range instead of the whole heap.
+// filter constrains an indexed Int64 column with bounds that are integer
+// literals or $N placeholders. The residual filter keeps every conjunct
+// (re-checking absorbed bounds is cheap and keeps the rewrite trivially
+// sound, whatever a placeholder turns out to hold); the win is reading
+// only the index range instead of the whole heap. It is the one place
+// an access path is chosen — SELECT, prepared SELECT, UPDATE and DELETE
+// plans all pass through it.
 
 // IndexLookup resolves an available index for (table, column position),
-// returning a Fetch closure or nil when no index exists.
-type IndexLookup func(table string, column int) func(lo, hi int64, fn func(row catalog.Row) bool) error
+// returning its fetch closure or nil when no index exists.
+type IndexLookup func(table string, column int) IndexFetch
 
 // UseIndexes rewrites eligible scans under filters throughout the plan.
 func UseIndexes(n Node, lookup IndexLookup) Node {
@@ -26,14 +29,8 @@ func UseIndexes(n Node, lookup IndexLookup) Node {
 		if !ok {
 			return v
 		}
-		col, lo, hi, found := bestIndexRange(scan, v.Cond, lookup)
-		if !found {
-			return v
-		}
-		fetch := lookup(scan.Table.Name, col)
-		v.Input = &IndexScanNode{
-			Table: scan.Table, Alias: scan.Alias,
-			Column: col, Lo: lo, Hi: hi, Fetch: fetch,
+		if is := bestIndexRange(scan, v.Cond, lookup); is != nil {
+			v.Input = is
 		}
 		return v
 	case *JoinNode:
@@ -55,26 +52,82 @@ func UseIndexes(n Node, lookup IndexLookup) Node {
 	case *DistinctNode:
 		v.Input = UseIndexes(v.Input, lookup)
 		return v
+	case *ModifyNode:
+		v.Input = UseIndexes(v.Input, lookup)
+		return v
 	default:
 		return n
 	}
 }
 
-// bestIndexRange finds the indexed column with the tightest literal range
-// implied by the filter's top-level conjunction.
-func bestIndexRange(scan *ScanNode, cond sql.Expr, lookup IndexLookup) (col int, lo, hi int64, found bool) {
-	type bound struct {
-		lo, hi int64
-	}
-	bounds := map[int]*bound{}
-	ensure := func(c int) *bound {
-		b, ok := bounds[c]
-		if !ok {
-			b = &bound{lo: math.MinInt64, hi: math.MaxInt64}
-			bounds[c] = b
+// keyRange collects the bounds a filter's top-level conjunction puts on
+// one column. Literals fold into at most one bound per side as they
+// arrive; placeholder bounds are all kept and compared at execute.
+type keyRange struct {
+	lo, hi []Bound
+	point  bool // some conjunct is an equality: at most one key wide
+}
+
+func (r *keyRange) atLeast(b Bound) { r.lo = tighten(r.lo, b, func(a, b int64) bool { return a > b }) }
+func (r *keyRange) atMost(b Bound)  { r.hi = tighten(r.hi, b, func(a, b int64) bool { return a < b }) }
+
+func tighten(side []Bound, b Bound, tighter func(a, b int64) bool) []Bound {
+	if b.Param == 0 {
+		for i, old := range side {
+			if old.Param == 0 {
+				if tighter(b.N, old.N) {
+					side[i] = b
+				}
+				return side
+			}
 		}
-		return b
 	}
+	return append(side, b)
+}
+
+// unknownWidth is the width assumed for a range closed on both sides
+// whose ends are not all known at plan time: wider than any point,
+// narrower than any range open on one side.
+const unknownWidth = 1 << 32
+
+// width estimates how many keys the range spans, for ranking candidate
+// columns: exact for literal bounds, 0 for an equality whatever it
+// compares with.
+func (r *keyRange) width() uint64 {
+	if r.point {
+		return 0
+	}
+	lo, hi, exact := int64(math.MinInt64), int64(math.MaxInt64), true
+	for _, b := range r.lo {
+		if b.Param == 0 {
+			lo = b.N
+		} else {
+			exact = false
+		}
+	}
+	for _, b := range r.hi {
+		if b.Param == 0 {
+			hi = b.N
+		} else {
+			exact = false
+		}
+	}
+	switch {
+	case hi < lo:
+		return 0 // the literals alone already make it empty
+	case !exact && len(r.lo) > 0 && len(r.hi) > 0:
+		return min(unknownWidth, uint64(hi)-uint64(lo))
+	default:
+		return uint64(hi) - uint64(lo)
+	}
+}
+
+// bestIndexRange finds the indexed column with the tightest range
+// implied by the filter's top-level conjunction and returns the index
+// scan that reads it, or nil when no indexed column is constrained.
+// Ties go to the lower column position, so the choice is deterministic.
+func bestIndexRange(scan *ScanNode, cond sql.Expr, lookup IndexLookup) *IndexScanNode {
+	ranges := make([]keyRange, len(scan.Table.Schema.Columns))
 	var collect func(e sql.Expr)
 	collect = func(e sql.Expr) {
 		switch v := e.(type) {
@@ -84,79 +137,83 @@ func bestIndexRange(scan *ScanNode, cond sql.Expr, lookup IndexLookup) (col int,
 				collect(v.Right)
 				return
 			}
+			op := v.Op
 			c, okc := scanColumnIndex(scan, v.Left)
-			lit, okl := intLitValue(v.Right)
-			if !okc || !okl {
-				// Mirrored form: literal OP column.
+			b, okb := boundOf(v.Right)
+			if !okc || !okb {
+				// Mirrored form: bound OP column.
 				c, okc = scanColumnIndex(scan, v.Right)
-				lit, okl = intLitValue(v.Left)
-				if !okc || !okl {
+				b, okb = boundOf(v.Left)
+				if !okc || !okb {
 					return
 				}
-				v = &sql.BinaryExpr{Op: mirrorOp(v.Op), Left: v.Right, Right: v.Left}
+				op = mirrorOp(op)
 			}
-			b := ensure(c)
-			switch v.Op {
+			r := &ranges[c]
+			switch op {
 			case "=":
-				if lit > b.lo {
-					b.lo = lit
-				}
-				if lit < b.hi {
-					b.hi = lit
-				}
+				r.point = true
+				r.atLeast(b)
+				r.atMost(b)
 			case "<":
-				if lit-1 < b.hi {
-					b.hi = lit - 1
+				if b.Param != 0 || b.N > math.MinInt64 {
+					b.N--
+					r.atMost(b)
 				}
 			case "<=":
-				if lit < b.hi {
-					b.hi = lit
-				}
+				r.atMost(b)
 			case ">":
-				if lit+1 > b.lo {
-					b.lo = lit + 1
+				if b.Param != 0 || b.N < math.MaxInt64 {
+					b.N++
+					r.atLeast(b)
 				}
 			case ">=":
-				if lit > b.lo {
-					b.lo = lit
-				}
+				r.atLeast(b)
 			}
 		case *sql.BetweenExpr:
 			c, okc := scanColumnIndex(scan, v.Subject)
-			l, okl := intLitValue(v.Lo)
-			h, okh := intLitValue(v.Hi)
+			l, okl := boundOf(v.Lo)
+			h, okh := boundOf(v.Hi)
 			if okc && okl && okh {
-				b := ensure(c)
-				if l > b.lo {
-					b.lo = l
-				}
-				if h < b.hi {
-					b.hi = h
-				}
+				ranges[c].atLeast(l)
+				ranges[c].atMost(h)
 			}
 		}
 	}
 	collect(cond)
-	bestWidth := uint64(math.MaxUint64)
-	for c, b := range bounds {
-		if b.lo == math.MinInt64 && b.hi == math.MaxInt64 {
+	var best *IndexScanNode
+	var bestWidth uint64
+	for c := range ranges {
+		r := &ranges[c]
+		if len(r.lo) == 0 && len(r.hi) == 0 {
 			continue // unconstrained
 		}
-		if lookup(scan.Table.Name, c) == nil {
+		fetch := lookup(scan.Table.Name, c)
+		if fetch == nil {
 			continue
 		}
-		var width uint64
-		if b.hi < b.lo {
-			width = 0 // empty range is the best possible
-		} else {
-			width = uint64(b.hi - b.lo)
-		}
-		if !found || width < bestWidth {
-			col, lo, hi, found = c, b.lo, b.hi, true
-			bestWidth = width
+		if w := r.width(); best == nil || w < bestWidth {
+			best = &IndexScanNode{
+				Table: scan.Table, Alias: scan.Alias, Column: c,
+				Lo: r.lo, Hi: r.hi, Fetch: fetch, RowIDs: scan.RowIDs,
+			}
+			bestWidth = w
 		}
 	}
-	return col, lo, hi, found
+	return best
+}
+
+// boundOf accepts the expressions an index bound can be: an integer
+// literal or a placeholder. Float literals are left to the filter —
+// truncating one would move the bound.
+func boundOf(e sql.Expr) (Bound, bool) {
+	switch v := e.(type) {
+	case *sql.IntLit:
+		return Bound{N: v.Value}, true
+	case *sql.ParamRef:
+		return Bound{Param: v.Index}, true
+	}
+	return Bound{}, false
 }
 
 // scanColumnIndex resolves a column reference against a scan node.

@@ -7,10 +7,14 @@ package plan
 
 import (
 	"fmt"
+	"math"
+	"sort"
+	"strconv"
 	"strings"
 
 	"aidb/internal/catalog"
 	"aidb/internal/sql"
+	"aidb/internal/storage"
 )
 
 // Node is a logical plan operator.
@@ -28,16 +32,14 @@ type ScanNode struct {
 	Table *catalog.Table
 	// Alias is the name the query refers to this table by.
 	Alias string
+	// RowIDs makes the scan append each row's storage.RecordID as a
+	// hidden trailing value (not part of Schema). Only UPDATE/DELETE
+	// plans set it; every other scan's rows stay exactly schema-wide.
+	RowIDs bool
 }
 
 // Schema implements Node.
-func (s *ScanNode) Schema() []string {
-	out := make([]string, len(s.Table.Schema.Columns))
-	for i, c := range s.Table.Schema.Columns {
-		out[i] = s.Alias + "." + c.Name
-	}
-	return out
-}
+func (s *ScanNode) Schema() []string { return tableSchema(s.Table, s.Alias) }
 
 // Children implements Node.
 func (s *ScanNode) Children() []Node { return nil }
@@ -47,35 +49,131 @@ func (s *ScanNode) Describe() string {
 	return fmt.Sprintf("Scan %s AS %s (%d rows)", s.Table.Name, s.Alias, s.Table.NumRows())
 }
 
+func tableSchema(t *catalog.Table, alias string) []string {
+	out := make([]string, len(t.Schema.Columns))
+	for i, c := range t.Schema.Columns {
+		out[i] = alias + "." + c.Name
+	}
+	return out
+}
+
+// Bound is one end of an index scan's key range: an integer literal, or
+// a $N placeholder whose value is read when the scan opens, so a cached
+// plan never depends on the values it was first run with.
+type Bound struct {
+	// Param is the 1-based placeholder index; 0 means a literal.
+	Param int
+	// N is the literal, or what a strict comparison adds to the
+	// parameter (col < $1 reads up to $1-1).
+	N int64
+}
+
+func (b Bound) String() string {
+	switch {
+	case b.Param == 0:
+		return strconv.FormatInt(b.N, 10)
+	case b.N == 0:
+		return fmt.Sprintf("$%d", b.Param)
+	default:
+		return fmt.Sprintf("$%d%+d", b.Param, b.N)
+	}
+}
+
+// value resolves the bound against params. null reports a NULL
+// parameter; ok is false when the bound is not an int64 key: the
+// parameter is unbound, a float or a string, or adding N overflows.
+func (b Bound) value(params []catalog.Value) (v int64, null, ok bool) {
+	if b.Param == 0 {
+		return b.N, false, true
+	}
+	if b.Param > len(params) {
+		return 0, false, false
+	}
+	switch p := params[b.Param-1].(type) {
+	case nil:
+		return 0, true, true
+	case int64:
+		v = p + b.N
+		if (b.N > 0 && v < p) || (b.N < 0 && v > p) {
+			return 0, false, false
+		}
+		return v, false, true
+	}
+	return 0, false, false
+}
+
+// IndexFetch streams the rows whose indexed value lies in [lo, hi], in
+// key order, with their record ids. It is an opaque closure so plan does
+// not depend on a concrete index type.
+type IndexFetch func(lo, hi int64, fn func(rid storage.RecordID, row catalog.Row) bool) error
+
 // IndexScanNode reads a base table through a secondary index on one
-// Int64 column, returning only rows with Lo <= col <= Hi. Lookup is an
-// opaque closure so plan does not depend on a concrete index type.
+// Int64 column, returning only rows with max(Lo) <= col <= min(Hi); a
+// side without bounds is open. The filter above it still checks every
+// conjunct, so the bounds only ever narrow what is read.
 type IndexScanNode struct {
 	Table *catalog.Table
 	Alias string
 	// Column is the indexed column's position.
 	Column int
-	Lo, Hi int64
-	// Fetch streams the matching rows in key order.
-	Fetch func(lo, hi int64, fn func(row catalog.Row) bool) error
+	Lo, Hi []Bound
+	Fetch  IndexFetch
+	// RowIDs is ScanNode.RowIDs for the index path.
+	RowIDs bool
+}
+
+// Range fixes the key range for one execution. ok is false when some
+// bound has no int64 value under params (see Bound.value): the caller
+// must read the heap instead, which gives exactly the answer (or the
+// comparison error) a plan without the index gives. A NULL parameter
+// compares true with nothing, so it makes the range empty (lo > hi).
+func (s *IndexScanNode) Range(params []catalog.Value) (lo, hi int64, ok bool) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	anyNull := false
+	for i, side := range [2][]Bound{s.Lo, s.Hi} {
+		for _, b := range side {
+			v, null, ok := b.value(params)
+			switch {
+			case !ok:
+				return 0, 0, false
+			case null:
+				anyNull = true
+			case i == 0:
+				lo = max(lo, v)
+			default:
+				hi = min(hi, v)
+			}
+		}
+	}
+	if anyNull {
+		return 1, 0, true
+	}
+	return lo, hi, true
 }
 
 // Schema implements Node.
-func (s *IndexScanNode) Schema() []string {
-	out := make([]string, len(s.Table.Schema.Columns))
-	for i, c := range s.Table.Schema.Columns {
-		out[i] = s.Alias + "." + c.Name
-	}
-	return out
-}
+func (s *IndexScanNode) Schema() []string { return tableSchema(s.Table, s.Alias) }
 
 // Children implements Node.
 func (s *IndexScanNode) Children() []Node { return nil }
 
 // Describe implements Node.
 func (s *IndexScanNode) Describe() string {
-	return fmt.Sprintf("IndexScan %s.%s ∈ [%d, %d]", s.Alias,
-		s.Table.Schema.Columns[s.Column].Name, s.Lo, s.Hi)
+	side := func(bs []Bound, fn, open string) string {
+		switch len(bs) {
+		case 0:
+			return open
+		case 1:
+			return bs[0].String()
+		}
+		parts := make([]string, len(bs))
+		for i, b := range bs {
+			parts[i] = b.String()
+		}
+		return fn + "(" + strings.Join(parts, ", ") + ")"
+	}
+	return fmt.Sprintf("IndexScan %s.%s ∈ [%s, %s]", s.Alias, s.Table.Schema.Columns[s.Column].Name,
+		side(s.Lo, "max", "-inf"), side(s.Hi, "min", "+inf"))
 }
 
 // VirtualScanNode reads a virtual (computed) table such as
@@ -254,6 +352,91 @@ func (d *DistinctNode) Children() []Node { return []Node{d.Input} }
 
 // Describe implements Node.
 func (d *DistinctNode) Describe() string { return "Distinct" }
+
+// Assignment is one SET clause of an UPDATE: Column's new value is
+// Expr evaluated against the old row.
+type Assignment struct {
+	Column int
+	Expr   sql.Expr
+}
+
+// ModifyNode is the root of an UPDATE or DELETE plan. Its input is a
+// scan (under a filter when there is a WHERE) with RowIDs set; the
+// executor collects every (record id, old row, new row) the input
+// yields and applies them only once the input is exhausted without
+// error, so a statement that fails changes nothing.
+type ModifyNode struct {
+	Input Node
+	Table *catalog.Table
+	// Set lists the assignments in column order; nil means DELETE.
+	Set []Assignment
+	// Deleted and Inserted, when set, are told of every heap change as it
+	// is applied — the hook secondary indexes are kept in step through.
+	Deleted, Inserted func(rid storage.RecordID, row catalog.Row)
+}
+
+// Kind names the statement kind the node implements.
+func (m *ModifyNode) Kind() string {
+	if m.Set == nil {
+		return "DELETE"
+	}
+	return "UPDATE"
+}
+
+// Schema implements Node: DML returns no rows.
+func (m *ModifyNode) Schema() []string { return nil }
+
+// Children implements Node.
+func (m *ModifyNode) Children() []Node { return []Node{m.Input} }
+
+// Describe implements Node.
+func (m *ModifyNode) Describe() string {
+	if m.Set == nil {
+		return "Delete " + m.Table.Name
+	}
+	parts := make([]string, len(m.Set))
+	for i, a := range m.Set {
+		parts[i] = m.Table.Schema.Columns[a.Column].Name + " = " + a.Expr.String()
+	}
+	return "Update " + m.Table.Name + " SET " + strings.Join(parts, ", ")
+}
+
+// BuildModify lowers a parsed UPDATE or DELETE into Modify(Filter(Scan)),
+// the same source shape Build gives a single-table SELECT, so the same
+// filter and index passes apply. A SET on an unknown column is an error.
+func BuildModify(cat *catalog.Catalog, stmt sql.Statement) (*ModifyNode, error) {
+	var table string
+	var where sql.Expr
+	var set map[string]sql.Expr
+	switch s := stmt.(type) {
+	case *sql.UpdateStmt:
+		table, where, set = s.Table, s.Where, s.Set
+	case *sql.DeleteStmt:
+		table, where = s.Table, s.Where
+	default:
+		return nil, fmt.Errorf("plan: cannot build a modify plan for %T", stmt)
+	}
+	t, err := cat.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	m := &ModifyNode{Input: &ScanNode{Table: t, Alias: table, RowIDs: true}, Table: t}
+	if where != nil {
+		m.Input = &FilterNode{Input: m.Input, Cond: where}
+	}
+	if set != nil {
+		m.Set = make([]Assignment, 0, len(set))
+		for col, e := range set {
+			idx := t.Schema.ColIndex(col)
+			if idx < 0 {
+				return nil, fmt.Errorf("plan: UPDATE %s: unknown column %q", table, col)
+			}
+			m.Set = append(m.Set, Assignment{Column: idx, Expr: e})
+		}
+		sort.Slice(m.Set, func(i, j int) bool { return m.Set[i].Column < m.Set[j].Column })
+	}
+	return m, nil
+}
 
 // Build lowers a parsed SELECT into a left-deep logical plan in the order
 // written (the optimizer packages may later reorder joins).
@@ -462,6 +645,8 @@ func Fingerprint(n Node) string {
 			sb.WriteString("Limit")
 		case *DistinctNode:
 			sb.WriteString("Distinct")
+		case *ModifyNode:
+			sb.WriteString(v.Kind())
 		default:
 			fmt.Fprintf(&sb, "%T", n)
 		}

@@ -92,6 +92,9 @@ func OptimizeFilters(n Node) Node {
 	case *DistinctNode:
 		v.Input = OptimizeFilters(v.Input)
 		return v
+	case *ModifyNode:
+		v.Input = OptimizeFilters(v.Input)
+		return v
 	default:
 		return n
 	}

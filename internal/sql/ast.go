@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -396,12 +397,39 @@ func walkExpr(e Expr, fn func(Expr)) {
 // collision-safe identity the plan cache keys prepared statements by —
 // plan.Fingerprint deliberately normalizes constants and projections
 // away (statement grouping wants that), so it cannot distinguish plans
-// that differ only in literals. Non-SELECT statements deparse to "".
+// that differ only in literals. UPDATE and DELETE deparse the same way
+// (SET clauses in column-name order); other statements deparse to "".
 func Deparse(s Statement) string {
-	v, ok := s.(*SelectStmt)
-	if !ok {
-		return ""
+	var sb strings.Builder
+	switch v := s.(type) {
+	case *SelectStmt:
+		return deparseSelect(v)
+	case *UpdateStmt:
+		cols := make([]string, 0, len(v.Set))
+		for c := range v.Set {
+			cols = append(cols, c)
+		}
+		sort.Strings(cols)
+		sb.WriteString("UPDATE " + v.Table + " SET ")
+		for i, c := range cols {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(c + " = " + v.Set[c].String())
+		}
+		if v.Where != nil {
+			sb.WriteString(" WHERE " + v.Where.String())
+		}
+	case *DeleteStmt:
+		sb.WriteString("DELETE FROM " + v.Table)
+		if v.Where != nil {
+			sb.WriteString(" WHERE " + v.Where.String())
+		}
 	}
+	return sb.String()
+}
+
+func deparseSelect(v *SelectStmt) string {
 	var sb strings.Builder
 	sb.WriteString("SELECT ")
 	if v.Distinct {

@@ -107,6 +107,10 @@ func TestDeparseRoundTrip(t *testing.T) {
 		"SELECT id, name AS n FROM users u JOIN orders o ON u.id = o.uid WHERE u.age > 30 GROUP BY u.age ORDER BY u.age DESC LIMIT 10",
 		"SELECT DISTINCT x FROM t WHERE y = $1",
 		"SELECT COUNT(*) FROM t WHERE a BETWEEN 1 AND 5 AND b IN (1, 2, 3)",
+		"UPDATE t SET b = b + 1, a = $2 WHERE id = $1 AND c < 'x'",
+		"UPDATE t SET a = 0",
+		"DELETE FROM t WHERE id BETWEEN $1 AND 9",
+		"DELETE FROM t",
 	}
 	for _, q := range queries {
 		s1, err := Parse(q)
@@ -125,6 +129,13 @@ func TestDeparseRoundTrip(t *testing.T) {
 		if d2 := Deparse(s2); d2 != d1 {
 			t.Errorf("deparse not canonical:\n  first:  %s\n  second: %s", d1, d2)
 		}
+	}
+	// SET clauses are keyed by column, so their written order must not
+	// split one statement over two cache entries.
+	u1, _ := Parse("UPDATE t SET a = 1, b = 2")
+	u2, _ := Parse("UPDATE t SET b = 2, a = 1")
+	if Deparse(u1) != Deparse(u2) {
+		t.Errorf("SET order changes the deparse: %q vs %q", Deparse(u1), Deparse(u2))
 	}
 	// Literal values must survive — they are the cache key's identity.
 	s, _ := Parse("SELECT * FROM t WHERE a > 30")

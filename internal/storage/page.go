@@ -24,12 +24,13 @@ const InvalidPageID = PageID(0xFFFFFFFF)
 //	[0:2)   numSlots
 //	[2:4)   freeSpacePtr (offset where the next record payload ends)
 //	[4:..)  slot directory: per slot, 2-byte offset + 2-byte length
-//	        (length 0xFFFF marks a deleted slot)
+//	        (the offset's top bit marks a deleted slot; its offset and
+//	        length still describe the dead payload, so Insert can reuse it)
 //	[...:PageSize) record payloads, growing downward from the end
 const (
 	headerSize   = 4
 	slotSize     = 4
-	deletedSlot  = 0xFFFF
+	deletedBit   = 0x8000
 	maxRecordLen = PageSize - headerSize - slotSize
 )
 
@@ -67,10 +68,12 @@ func (p *Page) setFreePtr(v int) {
 	binary.LittleEndian.PutUint16(p.Data[2:4], uint16(v%65536))
 }
 
-func (p *Page) slot(i int) (off, length int) {
+// slot decodes directory entry i; dead reports a deleted slot, whose
+// off and length are those of the record it held.
+func (p *Page) slot(i int) (off, length int, dead bool) {
 	base := headerSize + i*slotSize
-	return int(binary.LittleEndian.Uint16(p.Data[base : base+2])),
-		int(binary.LittleEndian.Uint16(p.Data[base+2 : base+4]))
+	off = int(binary.LittleEndian.Uint16(p.Data[base : base+2]))
+	return off &^ deletedBit, int(binary.LittleEndian.Uint16(p.Data[base+2 : base+4])), off&deletedBit != 0
 }
 
 func (p *Page) setSlot(i, off, length int) {
@@ -93,19 +96,30 @@ func (p *Page) freeSpace() int {
 func (p *Page) NumRecords() int {
 	n := 0
 	for i := 0; i < p.numSlots(); i++ {
-		if _, l := p.slot(i); l != deletedSlot {
+		if _, _, dead := p.slot(i); !dead {
 			n++
 		}
 	}
 	return n
 }
 
-// Insert stores record and returns its slot index.
+// Insert stores record and returns its slot index. A page with room
+// appends a new slot; a page without takes over the first deleted slot
+// whose dead record was at least as long, so a table under delete and
+// insert churn stops growing. Live records never move.
 func (p *Page) Insert(record []byte) (int, error) {
 	if len(record) > maxRecordLen {
 		return 0, fmt.Errorf("storage: record of %d bytes exceeds page capacity", len(record))
 	}
 	if p.freeSpace() < len(record)+slotSize {
+		for i := 0; i < p.numSlots(); i++ {
+			if off, l, dead := p.slot(i); dead && l >= len(record) {
+				copy(p.Data[off:off+len(record)], record)
+				p.setSlot(i, off, len(record))
+				p.dirty = true
+				return i, nil
+			}
+		}
 		return 0, ErrPageFull
 	}
 	fp := p.freePtr()
@@ -142,23 +156,24 @@ func (p *Page) GetRef(i int) ([]byte, error) {
 	if i < 0 || i >= p.numSlots() {
 		return nil, fmt.Errorf("storage: slot %d out of range (page has %d)", i, p.numSlots())
 	}
-	off, l := p.slot(i)
-	if l == deletedSlot {
+	off, l, dead := p.slot(i)
+	if dead {
 		return nil, ErrRecordDeleted
 	}
 	return p.Data[off : off+l], nil
 }
 
-// Delete tombstones slot i. Space is reclaimed only by rewriting the page.
+// Delete tombstones slot i. Its space is reused only by an Insert of a
+// record no longer than the one deleted, once the page is otherwise full.
 func (p *Page) Delete(i int) error {
 	if i < 0 || i >= p.numSlots() {
 		return fmt.Errorf("storage: slot %d out of range", i)
 	}
-	off, l := p.slot(i)
-	if l == deletedSlot {
+	off, l, dead := p.slot(i)
+	if dead {
 		return ErrRecordDeleted
 	}
-	p.setSlot(i, off, deletedSlot)
+	p.setSlot(i, off|deletedBit, l)
 	p.dirty = true
 	return nil
 }

@@ -77,6 +77,51 @@ func TestPageFull(t *testing.T) {
 	}
 }
 
+// TestPageInsertReusesDeadSlot: a full page takes a new record into the
+// space of a deleted one that was at least as long — same slot, live
+// neighbours untouched — and still refuses one that is longer.
+func TestPageInsertReusesDeadSlot(t *testing.T) {
+	var p Page
+	p.InitPage()
+	var slots []int
+	for i := 0; ; i++ {
+		s, err := p.Insert(bytes.Repeat([]byte{byte('a' + i)}, 500))
+		if errors.Is(err, ErrPageFull) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots = append(slots, s)
+	}
+	victim := slots[2]
+	if err := p.Delete(victim); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Insert(make([]byte, 501)); !errors.Is(err, ErrPageFull) {
+		t.Fatalf("a longer record must not fit a 500-byte hole: %v", err)
+	}
+	shorter := bytes.Repeat([]byte{'z'}, 400) // still too long to append
+	got, err := p.Insert(shorter)
+	if err != nil || got != victim {
+		t.Fatalf("Insert into a full page with a hole = slot %d, %v; want slot %d", got, err, victim)
+	}
+	if b, _ := p.Get(victim); !bytes.Equal(b, shorter) {
+		t.Errorf("reused slot holds %q", b)
+	}
+	for i, s := range slots {
+		if s == victim {
+			continue
+		}
+		if b, err := p.Get(s); err != nil || !bytes.Equal(b, bytes.Repeat([]byte{byte('a' + i)}, 500)) {
+			t.Errorf("live record in slot %d changed: %v", s, err)
+		}
+	}
+	if p.Slots() != len(slots) || p.NumRecords() != len(slots) {
+		t.Errorf("slots = %d, live = %d, want both %d", p.Slots(), p.NumRecords(), len(slots))
+	}
+}
+
 func TestPageRejectsOversizeRecord(t *testing.T) {
 	var p Page
 	p.InitPage()
