@@ -12,6 +12,8 @@ import (
 	"aidb/internal/exec"
 	"aidb/internal/ml"
 	"aidb/internal/obs"
+	"aidb/internal/plan"
+	"aidb/internal/sql"
 )
 
 // analyzeEngine builds an instrumented engine with a populated table
@@ -289,5 +291,115 @@ func TestExplainAnalyzeLegacyTableForm(t *testing.T) {
 	}
 	if _, err := e.Execute("EXPLAIN ANALYZE t"); err != nil {
 		t.Fatalf("legacy EXPLAIN ANALYZE <table>: %v", err)
+	}
+}
+
+// TestExplainShowsPlacementAndColumns: EXPLAIN and EXPLAIN ANALYZE of a
+// join_top-shaped statement show what the planner decided — each filter
+// conjunct under the join, on the input it reads, estimated from that
+// table's histogram; each scan listing the columns it decodes — and the
+// statement fingerprint depends on neither literals nor column sets.
+func TestExplainShowsPlacementAndColumns(t *testing.T) {
+	e := NewEngine()
+	var sb strings.Builder
+	sb.WriteString("CREATE TABLE users (id INT, age INT, city TEXT, score FLOAT, churned INT); INSERT INTO users VALUES ")
+	for i := 0; i < 3000; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d, 'c%d', %d.5, 0)", i, 18+i%60, i%16, i%100)
+	}
+	sb.WriteString("; CREATE TABLE orders (id INT, user_id INT, amount FLOAT); INSERT INTO orders VALUES ")
+	for i := 0; i < 6000; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d, %d.25)", i, (i*13)%3000, (i*7)%520)
+	}
+	sb.WriteString("; ANALYZE users; ANALYZE orders")
+	if _, err := e.ExecuteScript(sb.String()); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT users.id, orders.amount FROM users JOIN orders ON users.id = orders.user_id WHERE orders.amount > 499 AND users.age = 30 ORDER BY orders.amount DESC LIMIT 5"
+
+	// operators lists the lines of a plan rendering from the join down,
+	// with each line's depth.
+	type line struct {
+		depth int
+		text  string
+		row   catalog.Row
+	}
+	underJoin := func(res *exec.Result) []line {
+		var out []line
+		for _, r := range res.Rows {
+			for _, l := range strings.Split(strings.TrimRight(r[0].(string), "\n"), "\n") {
+				text := strings.TrimLeft(l, " ")
+				if len(out) > 0 || strings.HasPrefix(text, "HashJoin") {
+					out = append(out, line{(len(l) - len(text)) / 2, text, r})
+				}
+			}
+		}
+		return out
+	}
+	want := []string{
+		"HashJoin users.id = orders.user_id",
+		"Filter (users.age = 30)",
+		"Scan users [id, age] AS users (3000 rows)",
+		"Filter (orders.amount > 499)",
+		"Scan orders [user_id, amount] AS orders (6000 rows)",
+	}
+	for _, stmt := range []string{"EXPLAIN " + q, "EXPLAIN ANALYZE " + q} {
+		res, err := e.Execute(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := underJoin(res)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d operators from the join down, want %d:\n%v", stmt, len(got), len(want), res.Rows)
+		}
+		for i, l := range got {
+			if l.text != want[i] {
+				t.Errorf("%s: operator %d is %q, want %q", stmt, i, l.text, want[i])
+			}
+		}
+		if got[1].depth != got[0].depth+1 || got[3].depth != got[0].depth+1 || got[2].depth != got[1].depth+1 {
+			t.Errorf("%s: filters are not the join's inputs:\n%v", stmt, res.Rows)
+		}
+		if len(res.Columns) == 1 {
+			continue // EXPLAIN: the tree only
+		}
+		// est_rows: each filter is estimated against the table it reads,
+		// not with a default over the joined rows — users.age from its
+		// histogram (1/60 of 3000), orders.amount as the third of 6000
+		// that a FLOAT column, which ANALYZE builds no histogram for, gets.
+		for i, bound := range map[int][2]int64{1: {25, 100}, 3: {2000, 2000}} {
+			if est := got[i].row[1].(int64); est < bound[0] || est > bound[1] {
+				t.Errorf("%s: est_rows = %d, want within %v", got[i].text, est, bound)
+			}
+		}
+		if joined, answer := got[0].row[2].(int64), got[1].row[2].(int64); joined > answer {
+			t.Errorf("join produced %d rows from %d filtered users: filters did not run first", joined, answer)
+		}
+	}
+
+	fingerprint := func(q string) string {
+		t.Helper()
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := e.buildPlan(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.Fingerprint(p)
+	}
+	fp := fingerprint(q)
+	if wantFP := "Project(Limit(Sort(HashJoin[users.id=orders.user_id](Filter(Scan(users)),Filter(Scan(orders))))))"; fp != wantFP {
+		t.Errorf("fingerprint = %s\nwant          %s", fp, wantFP)
+	}
+	other := strings.NewReplacer("499", "12.5", "30", "77", "SELECT users.id,", "SELECT users.city, users.score,").Replace(q)
+	if got := fingerprint(other); got != fp {
+		t.Errorf("fingerprint depends on literals or on the columns read:\n%s\n%s", fp, got)
 	}
 }

@@ -274,31 +274,37 @@ func (e *Engine) ExecuteContext(ctx context.Context, query string) (*exec.Result
 	return e.executeStmt(ctx, stmt, sp, query, parseNs)
 }
 
-// ParseScript parses a ';'-separated script into statements, counting
-// parse failures like Execute does. Callers that need per-statement
-// control (timeouts, admission) parse once and run each statement
-// through ExecuteStmtContext.
-func (e *Engine) ParseScript(script string) ([]sql.Statement, error) {
-	stmts, err := sql.ParseAll(script)
-	if err != nil {
-		e.parseErrors.Inc()
-		return nil, err
+// EachStatement parses a ';'-separated script one statement at a time,
+// handing each to run before it parses the next: one statement's AST is
+// alive at a time, however long the script. A syntax error in statement
+// N therefore surfaces after statements 1…N-1 have run (and is counted
+// like Execute counts parse failures); run's first error ends the script.
+// Callers that need per-statement control (timeouts, admission) do it
+// inside run, with ExecuteStmtContext.
+func (e *Engine) EachStatement(script string, run func(sql.Statement) error) error {
+	for text, rest := sql.SplitStatement(script); text != ""; text, rest = sql.SplitStatement(rest) {
+		stmt, err := sql.Parse(text)
+		if err != nil {
+			e.parseErrors.Inc()
+			return err
+		}
+		if err := run(stmt); err != nil {
+			return err
+		}
 	}
-	return stmts, nil
+	return nil
 }
 
-// ExecuteScript runs a ';'-separated script, returning the last result.
+// ExecuteScript runs a ';'-separated script statement by statement (see
+// EachStatement), returning the last result.
 func (e *Engine) ExecuteScript(script string) (*exec.Result, error) {
-	stmts, err := e.ParseScript(script)
+	var last *exec.Result
+	err := e.EachStatement(script, func(s sql.Statement) (err error) {
+		last, err = e.ExecuteStmt(s)
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	var last *exec.Result
-	for _, s := range stmts {
-		last, err = e.ExecuteStmt(s)
-		if err != nil {
-			return nil, err
-		}
 	}
 	return last, nil
 }

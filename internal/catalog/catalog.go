@@ -228,29 +228,52 @@ func encodeRow(schema *Schema, row Row) ([]byte, error) {
 // decodeRow deserializes a row against a schema.
 func decodeRow(schema *Schema, b []byte) (Row, error) {
 	row := make(Row, len(schema.Columns))
-	if err := decodeRowInto(schema, b, row); err != nil {
+	if err := decodeRowInto(schema, b, row, nil); err != nil {
 		return nil, err
 	}
 	return row, nil
 }
 
+// unread fills the slot of a column a scan was told not to decode. It is
+// an error value, so whatever does get hold of one rejects it: comparing
+// or computing with it fails with its message, storing it fails, and
+// printing it prints the message — a planner slip about which columns a
+// plan reads fails the statement instead of answering with a stale or
+// NULL value.
+type unread struct{}
+
+func (unread) Error() string {
+	return "catalog: read of a column the scan did not decode (planner bug)"
+}
+
 // decodeRowInto deserializes a row against a schema into caller-owned
-// storage; row must have exactly one slot per schema column.
-func decodeRowInto(schema *Schema, b []byte, row Row) error {
+// storage; row must have exactly one slot per schema column. A non-nil
+// need selects the columns to decode, by position: the others are
+// stepped over, which allocates nothing, and their slots are set
+// unread.
+func decodeRowInto(schema *Schema, b []byte, row Row, need []bool) error {
 	off := 0
 	for i, col := range schema.Columns {
+		want := need == nil || need[i]
+		if !want {
+			row[i] = unread{}
+		}
 		switch col.Type {
 		case Int64:
 			if off+8 > len(b) {
 				return errors.New("catalog: truncated int64 value")
 			}
-			row[i] = int64(binary.LittleEndian.Uint64(b[off : off+8]))
+			if want {
+				row[i] = int64(binary.LittleEndian.Uint64(b[off : off+8]))
+			}
 			off += 8
 		case Float64:
 			if off+8 > len(b) {
 				return errors.New("catalog: truncated float64 value")
 			}
-			row[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off : off+8]))
+			if want {
+				row[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off : off+8]))
+			}
 			off += 8
 		case String:
 			if off+4 > len(b) {
@@ -261,7 +284,9 @@ func decodeRowInto(schema *Schema, b []byte, row Row) error {
 			if off+l > len(b) {
 				return errors.New("catalog: truncated string value")
 			}
-			row[i] = string(b[off : off+l])
+			if want {
+				row[i] = string(b[off : off+l])
+			}
 			off += l
 		}
 	}
@@ -408,7 +433,7 @@ func (t *Table) Scan(fn func(rid storage.RecordID, row Row) bool) error {
 // and page decode path are shared-read safe — which is how the parallel
 // executor scans one morsel per worker.
 func (t *Table) ScanPages(pages []storage.PageID, fn func(rid storage.RecordID, row Row) bool) error {
-	return t.ScanPagesInto(pages, func(cols int) Row { return make(Row, cols) }, fn)
+	return t.ScanPagesInto(pages, nil, func(cols int) Row { return make(Row, cols) }, fn)
 }
 
 // ScanPagesInto is ScanPages with caller-owned row storage: each row is
@@ -416,8 +441,14 @@ func (t *Table) ScanPages(pages []storage.PageID, fn func(rid storage.RecordID, 
 // carve rows out of a per-chunk arena instead of allocating one slice
 // per row. The row passed to fn is only valid until fn returns if the
 // allocator recycles storage; callers that retain rows must copy them.
-func (t *Table) ScanPagesInto(pages []storage.PageID, alloc func(cols int) Row, fn func(rid storage.RecordID, row Row) bool) error {
+// A non-nil need, one entry per column, limits decoding to the columns
+// it marks; rows keep their full width and the other slots hold a value
+// that cannot be read (see unread).
+func (t *Table) ScanPagesInto(pages []storage.PageID, need []bool, alloc func(cols int) Row, fn func(rid storage.RecordID, row Row) bool) error {
 	cols := len(t.Schema.Columns)
+	if need != nil && len(need) != cols {
+		return fmt.Errorf("catalog: scan of %s asks for %d columns, table has %d", t.Name, len(need), cols)
+	}
 	for _, id := range pages {
 		p, err := t.pool.Fetch(id)
 		if err != nil {
@@ -436,7 +467,7 @@ func (t *Table) ScanPagesInto(pages []storage.PageID, alloc func(cols int) Row, 
 				return gerr
 			}
 			row := alloc(cols)
-			if derr := decodeRowInto(&t.Schema, b, row); derr != nil {
+			if derr := decodeRowInto(&t.Schema, b, row, need); derr != nil {
 				t.pool.Unpin(id, false)
 				return derr
 			}

@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -237,6 +239,81 @@ func TestDecodeTruncated(t *testing.T) {
 		if _, err := decodeRow(&schema, b[:cut]); err == nil {
 			t.Fatalf("decode of %d/%d bytes should fail", cut, len(b))
 		}
+	}
+}
+
+// TestScanDecodesOnlyNeededColumns: a scan given a column set decodes
+// exactly those, whatever types it steps over, allocates nothing for the
+// rest, and leaves in their slots a value nothing can use as data.
+func TestScanDecodesOnlyNeededColumns(t *testing.T) {
+	c := NewMem()
+	tab, err := c.CreateTable("t", testSchema()) // id INT, score FLOAT, name TEXT
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if _, err := tab.Insert(Row{int64(1000 + i), float64(i) + 0.5, "name-of-row"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alloc := func(cols int) Row { return make(Row, cols) }
+	for mask := 0; mask < 8; mask++ {
+		need := []bool{mask&1 != 0, mask&2 != 0, mask&4 != 0}
+		i := 0
+		err := tab.ScanPagesInto(tab.PageIDs(), need, alloc, func(_ storage.RecordID, r Row) bool {
+			want := Row{int64(1000 + i), float64(i) + 0.5, "name-of-row"}
+			for col := range r {
+				if need[col] && r[col] != want[col] {
+					t.Fatalf("need %v, row %d column %d = %v, want %v", need, i, col, r[col], want[col])
+				}
+				if _, unread := r[col].(error); unread == need[col] {
+					t.Fatalf("need %v, row %d column %d = %#v", need, i, col, r[col])
+				}
+			}
+			i++
+			return true
+		})
+		if err != nil || i != 300 {
+			t.Fatalf("need %v: %d rows, err %v", need, i, err)
+		}
+	}
+
+	// Reading one small INT column of a row allocates nothing per row:
+	// the row slice below is reused and the float and the string are
+	// stepped over.
+	row := make(Row, 3)
+	reuse := func(int) Row { return row }
+	if _, err := tab.Insert(Row{int64(7), 1.5, "x"}); err != nil {
+		t.Fatal(err)
+	}
+	perScan := func(need []bool) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := tab.ScanPagesInto(tab.PageIDs(), need, reuse, func(storage.RecordID, Row) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if all, none := perScan(nil), perScan([]bool{false, false, false}); all < 900 || none > 10 {
+		t.Errorf("allocations per 301-row scan: %v decoding every column, %v decoding none; want ~903 and ~0", all, none)
+	}
+
+	// The placeholder is an error value: it prints as its message, and
+	// it cannot be stored.
+	var last Row
+	if err := tab.ScanPagesInto(tab.PageIDs(), []bool{true, false, true}, alloc, func(_ storage.RecordID, r Row) bool { last = r; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if msg := fmt.Sprint(last[1]); !strings.Contains(msg, "did not decode") {
+		t.Errorf("an undecoded slot prints as %q", msg)
+	}
+	if _, err := Coerce(last[1], Float64); err == nil {
+		t.Error("Coerce accepted an undecoded slot")
+	}
+	if _, err := tab.Insert(last); err == nil {
+		t.Error("Insert accepted a row with an undecoded slot")
+	}
+	if err := tab.ScanPagesInto(tab.PageIDs(), []bool{true}, alloc, func(storage.RecordID, Row) bool { return true }); err == nil {
+		t.Error("a column set of the wrong width must be rejected")
 	}
 }
 

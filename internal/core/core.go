@@ -27,6 +27,7 @@ import (
 	"aidb/internal/monitor"
 	"aidb/internal/obs"
 	"aidb/internal/plancache"
+	"aidb/internal/sql"
 	"aidb/internal/txnsched"
 	"aidb/internal/workload"
 )
@@ -374,21 +375,19 @@ func (db *DB) ExecScript(script string) (*exec.Result, error) {
 // individually — the default timeout applies per statement and every
 // statement takes its own turn through the admission gate — so the
 // REPL and script paths observe the same timeouts, concurrency bounds
-// and metrics as ExecContext.
+// and metrics as ExecContext. Statements are parsed one at a time as
+// the script runs, so a syntax error in statement N surfaces after
+// statements 1…N-1 have run.
 func (db *DB) ExecScriptContext(ctx context.Context, script string) (*exec.Result, error) {
-	stmts, err := db.engine.ParseScript(script)
-	if err != nil {
-		return nil, err
-	}
 	var last *exec.Result
-	for _, s := range stmts {
-		s := s
+	err := db.engine.EachStatement(script, func(s sql.Statement) (err error) {
 		last, err = db.govern(ctx, script, func(ctx context.Context) (*exec.Result, error) {
 			return db.engine.ExecuteStmtContext(ctx, s)
 		})
-		if err != nil {
-			return nil, err
-		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return last, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -210,5 +211,41 @@ func TestStreamingCountersInMetrics(t *testing.T) {
 	}
 	if strings.Contains(got, "exec.chunk_pool.misses 0") {
 		t.Error("exec.chunk_pool.misses stayed 0 (first gets always miss)")
+	}
+}
+
+// TestScriptRunsStatementByStatement: a script is parsed one statement
+// at a time as it runs, so a ';' inside a string literal stays in its
+// statement, and a syntax error in statement N surfaces only after
+// statements 1…N-1 have run — on the DB path and the session path alike.
+func TestScriptRunsStatementByStatement(t *testing.T) {
+	db := Open()
+	script := `CREATE TABLE notes (id INT, body TEXT);
+		INSERT INTO notes VALUES (1, 'x;y'), (2, 'it''s; fine');
+		SELEC body FROM notes;
+		INSERT INTO notes VALUES (3, 'never')`
+	_, err := db.ExecScript(script)
+	if err == nil || !strings.Contains(err.Error(), "SELEC") {
+		t.Fatalf("err = %v, want the syntax error of statement 3", err)
+	}
+	res, err := db.Exec("SELECT body FROM notes WHERE body = 'x;y' OR id = 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 || res.Rows[0][0] != "x;y" || res.Rows[1][0] != "it's; fine" {
+		t.Errorf("rows = %v: statements 1 and 2 should have run, with their literals whole", res.Rows)
+	}
+	if res, err = db.Exec("SELECT COUNT(*) FROM notes"); err != nil || res.Rows[0][0] != int64(2) {
+		t.Errorf("count = %v, %v: statement 4 must not run after the error", res, err)
+	}
+
+	s := db.NewSession()
+	defer s.Close()
+	res, err = s.ExecScript(context.Background(), "INSERT INTO notes VALUES (4, 'a;b'); SELECT body FROM notes WHERE body = 'a;b'; ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != "a;b" {
+		t.Errorf("session script rows = %v", res.Rows)
 	}
 }

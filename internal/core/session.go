@@ -142,10 +142,7 @@ func (s *Session) noteTxnWork() {
 func (s *Session) ExecScript(ctx context.Context, script string) (*exec.Result, error) {
 	var last *exec.Result
 	var err error
-	for _, piece := range strings.Split(script, ";") {
-		if strings.TrimSpace(piece) == "" {
-			continue
-		}
+	for piece, rest := sql.SplitStatement(script); piece != ""; piece, rest = sql.SplitStatement(rest) {
 		last, err = s.ExecContext(ctx, piece)
 		if err != nil {
 			return nil, err

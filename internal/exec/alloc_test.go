@@ -1,6 +1,10 @@
 package exec
 
-import "testing"
+import (
+	"testing"
+
+	"aidb/internal/plan"
+)
 
 // scanFilterAllocCeiling caps the streaming executor's allocs/op on a
 // 100k-row scan-filter. One boxed int64 per wide value is the floor
@@ -25,5 +29,30 @@ func TestScanFilterAllocCeiling(t *testing.T) {
 	t.Logf("scan-filter over 100k rows: %.0f allocs/op (ceiling %d)", allocs, scanFilterAllocCeiling)
 	if allocs > scanFilterAllocCeiling {
 		t.Fatalf("scan-filter allocs/op %.0f exceeds ceiling %d (streaming regression)", allocs, scanFilterAllocCeiling)
+	}
+}
+
+// wideFilterAllocCeiling caps allocs/op for a filtered count over 100k
+// rows of the five-column wide table. The plan reads one narrow column,
+// so nothing per row may allocate: not the four columns it does not read
+// (decoding them all costs ~400k allocations), not the bound predicate.
+// What is left is per-page and per-chunk machinery, a few thousand.
+const wideFilterAllocCeiling = 10000
+
+func TestWideFilterAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation changes allocation counts")
+	}
+	p := plan.OptimizeFilters(mustPlan(t, wideCatalog(t, 100000), "SELECT count(*) FROM wide WHERE age < 30"))
+	ex := New(nil)
+	ex.Parallelism = 1
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := ex.Run(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("filtered count over 100k wide rows: %.0f allocs/op (ceiling %d)", allocs, wideFilterAllocCeiling)
+	if allocs > wideFilterAllocCeiling {
+		t.Fatalf("wide filtered count allocs/op %.0f exceeds ceiling %d: the scan decodes columns the plan does not read, or the filter allocates per row", allocs, wideFilterAllocCeiling)
 	}
 }

@@ -42,6 +42,44 @@ func benchCatalog(b testing.TB, rows int) *catalog.Catalog {
 	return c
 }
 
+// wideCatalog is the analytic fixture: a five-column table in which
+// three columns cost an allocation or two to decode (id, city, score)
+// and two do not (age, churned), and an orders table with two rows per
+// wide row — the shape of the load harness's users and orders.
+func wideCatalog(b testing.TB, rows int) *catalog.Catalog {
+	b.Helper()
+	c := catalog.NewMem()
+	wide, err := c.CreateTable("wide", catalog.Schema{Columns: []catalog.Column{
+		{Name: "id", Type: catalog.Int64},
+		{Name: "age", Type: catalog.Int64},
+		{Name: "city", Type: catalog.String},
+		{Name: "score", Type: catalog.Float64},
+		{Name: "churned", Type: catalog.Int64},
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	orders, err := c.CreateTable("orders", catalog.Schema{Columns: []catalog.Column{
+		{Name: "id", Type: catalog.Int64},
+		{Name: "wide_id", Type: catalog.Int64},
+		{Name: "amount", Type: catalog.Float64},
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		if _, err := wide.Insert(catalog.Row{int64(i), int64(18 + i%62), fmt.Sprintf("city%d", i%16), float64(i%1000) / 10, int64(i % 2)}); err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < 2; j++ {
+			if _, err := orders.Insert(catalog.Row{int64(2*i + j), int64((i*7 + j) % rows), float64((i*13+j)%5000) / 10}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return c
+}
+
 func benchQuery(b *testing.B, c *catalog.Catalog, q string) {
 	b.Helper()
 	stmt, err := sql.Parse(q)
@@ -197,6 +235,42 @@ func BenchmarkExec(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(bc.name, func(b *testing.B) { benchModes(b, p) })
+	}
+
+	// The analytic shapes the planner's rewrite exists for, on plans that
+	// went through it: a join whose filters belong below it, and a
+	// filtered count that reads one column of five.
+	wide := wideCatalog(b, 100000)
+	for _, bc := range []struct {
+		name  string
+		query string
+	}{
+		{"join-filtered", "SELECT wide.id, orders.amount FROM wide JOIN orders ON wide.id = orders.wide_id WHERE orders.amount > 499 AND wide.age = 30 ORDER BY orders.amount DESC LIMIT 5"},
+		{"wide-filter-count", "SELECT count(*) FROM wide WHERE age < 30"},
+	} {
+		p := plan.OptimizeFilters(mustPlan(b, wide, bc.query))
+		plan.AnnotateBuildSides(p, plan.HistogramEstimator{})
+		b.Run(bc.name, func(b *testing.B) { benchModes(b, p) })
+	}
+}
+
+// BenchmarkBindPointFilter is what binding costs a statement that
+// touches one row: bind the short range read's two-conjunct filter (the
+// point_adhoc shape) and evaluate it once. Every execution of a plan
+// pays the bind, so it has to stay small beside a single evaluation.
+func BenchmarkBindPointFilter(b *testing.B) {
+	stmt, err := sql.Parse("SELECT id, age, city FROM wide WHERE id > 4711 AND id < 4731")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cond := stmt.(*sql.SelectStmt).Where
+	scope := NewScope([]string{"wide.id", "wide.age", "wide.city", "wide.score", "wide.churned"})
+	row := catalog.Row{int64(4720), int64(33), "city7", 12.5, int64(0)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if ok, err := EvalBool(cond, scope, row, nil); err != nil || !ok {
+			b.Fatal(ok, err)
+		}
 	}
 }
 

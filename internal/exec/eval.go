@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"aidb/internal/catalog"
+	"aidb/internal/plan"
 	"aidb/internal/sql"
 )
 
@@ -56,209 +57,48 @@ func (ex *Executor) newScope(names []string) *Scope {
 }
 
 // Resolve finds the position of a column reference; it accepts exact
-// qualified matches and unambiguous suffix matches.
+// qualified matches and unambiguous suffix matches (plan.ResolveColumn,
+// the resolver the planner's column pass uses too).
 func (s *Scope) Resolve(ref *sql.ColumnRef) (int, error) {
+	idx, matches := plan.ResolveColumn(s.names, ref.Table, ref.Column)
+	if matches == 1 {
+		return idx, nil
+	}
 	want := ref.Column
 	if ref.Table != "" {
 		want = ref.Table + "." + ref.Column
 	}
-	found := -1
-	for i, n := range s.names {
-		if n == want || strings.HasSuffix(n, "."+want) {
-			if found >= 0 {
-				return 0, fmt.Errorf("exec: ambiguous column %q", want)
-			}
-			found = i
-		}
+	if matches > 1 {
+		return 0, fmt.Errorf("exec: ambiguous column %q", want)
 	}
-	if found < 0 {
-		return 0, fmt.Errorf("exec: unknown column %q (schema: %v)", want, s.names)
-	}
-	return found, nil
+	return 0, fmt.Errorf("exec: unknown column %q (schema: %v)", want, s.names)
 }
 
-// Eval evaluates e against row in scope, using funcs for scalar calls.
+// Eval binds e in scope and evaluates it against row. It is for callers
+// with one expression and at most one row (INSERT values, EXECUTE
+// arguments); operators bind once and evaluate per row. A nil scope has
+// no columns and no parameters.
 func Eval(e sql.Expr, scope *Scope, row catalog.Row, funcs FuncRegistry) (catalog.Value, error) {
-	switch v := e.(type) {
-	case *sql.IntLit:
-		return v.Value, nil
-	case *sql.FloatLit:
-		return v.Value, nil
-	case *sql.StringLit:
-		return v.Value, nil
-	case *sql.ColumnRef:
-		idx, err := scope.Resolve(v)
-		if err != nil {
-			return nil, err
-		}
-		return row[idx], nil
-	case *sql.ParamRef:
-		var bound []catalog.Value
-		if scope != nil {
-			bound = scope.Params
-		}
-		if v.Index < 1 || v.Index > len(bound) {
-			return nil, fmt.Errorf("exec: parameter $%d is not bound (%d bound)", v.Index, len(bound))
-		}
-		return bound[v.Index-1], nil
-	case *sql.NotExpr:
-		b, err := EvalBool(v.Inner, scope, row, funcs)
-		if err != nil {
-			return nil, err
-		}
-		return boolVal(!b), nil
-	case *sql.InExpr:
-		sub, err := Eval(v.Subject, scope, row, funcs)
-		if err != nil {
-			return nil, err
-		}
-		found := false
-		for _, item := range v.List {
-			iv, err := Eval(item, scope, row, funcs)
-			if err != nil {
-				return nil, err
-			}
-			c, err := compare(sub, iv)
-			if err != nil {
-				return nil, err
-			}
-			if c == 0 {
-				found = true
-				break
-			}
-		}
-		return boolVal(found != v.Negated), nil
-	case *sql.BetweenExpr:
-		sub, err := Eval(v.Subject, scope, row, funcs)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := Eval(v.Lo, scope, row, funcs)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := Eval(v.Hi, scope, row, funcs)
-		if err != nil {
-			return nil, err
-		}
-		geLo, err := compare(sub, lo)
-		if err != nil {
-			return nullIsFalse(err, sub, lo)
-		}
-		leHi, err := compare(sub, hi)
-		if err != nil {
-			return nullIsFalse(err, sub, hi)
-		}
-		return boolVal(geLo >= 0 && leHi <= 0), nil
-	case *sql.BinaryExpr:
-		switch v.Op {
-		case "AND":
-			lb, err := EvalBool(v.Left, scope, row, funcs)
-			if err != nil {
-				return nil, err
-			}
-			if !lb {
-				return boolVal(false), nil
-			}
-			rb, err := EvalBool(v.Right, scope, row, funcs)
-			if err != nil {
-				return nil, err
-			}
-			return boolVal(rb), nil
-		case "OR":
-			lb, err := EvalBool(v.Left, scope, row, funcs)
-			if err != nil {
-				return nil, err
-			}
-			if lb {
-				return boolVal(true), nil
-			}
-			rb, err := EvalBool(v.Right, scope, row, funcs)
-			if err != nil {
-				return nil, err
-			}
-			return boolVal(rb), nil
-		}
-		l, err := Eval(v.Left, scope, row, funcs)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Eval(v.Right, scope, row, funcs)
-		if err != nil {
-			return nil, err
-		}
-		switch v.Op {
-		case "=", "!=", "<", "<=", ">", ">=":
-			c, err := compare(l, r)
-			if err != nil {
-				return nullIsFalse(err, l, r)
-			}
-			switch v.Op {
-			case "=":
-				return boolVal(c == 0), nil
-			case "!=":
-				return boolVal(c != 0), nil
-			case "<":
-				return boolVal(c < 0), nil
-			case "<=":
-				return boolVal(c <= 0), nil
-			case ">":
-				return boolVal(c > 0), nil
-			default:
-				return boolVal(c >= 0), nil
-			}
-		case "+", "-", "*", "/":
-			return arith(v.Op, l, r)
-		}
-		return nil, fmt.Errorf("exec: unsupported operator %q", v.Op)
-	case *sql.FuncCall:
-		fn, ok := funcs[v.Name]
-		if !ok {
-			return nil, fmt.Errorf("exec: unknown function %q", v.Name)
-		}
-		args := make([]catalog.Value, len(v.Args))
-		for i, a := range v.Args {
-			av, err := Eval(a, scope, row, funcs)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = av
-		}
-		return fn(args)
-	case *sql.Star:
-		return nil, fmt.Errorf("exec: '*' is only valid as a projection or COUNT argument")
-	default:
-		return nil, fmt.Errorf("exec: cannot evaluate %T", e)
+	if scope == nil {
+		scope = &Scope{}
 	}
+	b, err := bind(e, scope, funcs)
+	if err != nil {
+		return nil, err
+	}
+	return b.eval(row)
 }
 
-// EvalBool evaluates e and coerces to boolean (int64 0/1).
+// EvalBool is Eval for a condition.
 func EvalBool(e sql.Expr, scope *Scope, row catalog.Row, funcs FuncRegistry) (bool, error) {
-	v, err := Eval(e, scope, row, funcs)
+	if scope == nil {
+		scope = &Scope{}
+	}
+	p, err := bindBool(e, scope, funcs)
 	if err != nil {
 		return false, err
 	}
-	switch b := v.(type) {
-	case int64:
-		return b != 0, nil
-	case float64:
-		return b != 0, nil
-	case string:
-		return b != "", nil
-	default:
-		return false, fmt.Errorf("exec: non-boolean condition value %T", v)
-	}
-}
-
-// nullIsFalse settles a failed comparison: when an operand is NULL (a
-// nil parameter — tables hold none) the comparison is not true of any
-// row, as in SQL; any other mismatch stays the error it was. Only the
-// failure path pays for the check.
-func nullIsFalse(err error, a, b catalog.Value) (catalog.Value, error) {
-	if a == nil || b == nil {
-		return boolVal(false), nil
-	}
-	return nil, err
+	return p(row)
 }
 
 func boolVal(b bool) catalog.Value {
@@ -290,7 +130,19 @@ func compare(a, b catalog.Value) (int, error) {
 			return strings.Compare(av, bv), nil
 		}
 	}
-	return 0, fmt.Errorf("exec: cannot compare %T with %T", a, b)
+	return 0, notComparable(a, b)
+}
+
+// notComparable is the error for a pair compare has no ordering for. A
+// slot a scan left undecoded is itself an error value and reports
+// itself, so a wrong needed-column set reads as what it is.
+func notComparable(a, b catalog.Value) error {
+	for _, v := range [2]catalog.Value{a, b} {
+		if err, ok := v.(error); ok {
+			return err
+		}
+	}
+	return fmt.Errorf("exec: cannot compare %T with %T", a, b)
 }
 
 func cmpI(a, b int64) int {
@@ -363,6 +215,8 @@ func toFloat(v catalog.Value) (float64, error) {
 		return float64(x), nil
 	case float64:
 		return x, nil
+	case error:
+		return 0, x // an undecoded slot: see notComparable
 	default:
 		return 0, fmt.Errorf("exec: non-numeric value %T in arithmetic", v)
 	}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -214,7 +214,7 @@ func (ex *Executor) execNode(rc *runCtx, n plan.Node) ([]catalog.Row, error) {
 	// Collect output chunks and flatten once at the end: one exact
 	// result allocation instead of append-growth churn proportional to
 	// the result size.
-	var chunks []*Chunk
+	var chunks [][]catalog.Row
 	total := 0
 	for {
 		c, ok, nerr := op.Next(rc.ctx)
@@ -224,13 +224,16 @@ func (ex *Executor) execNode(rc *runCtx, n plan.Node) ([]catalog.Row, error) {
 		if !ok {
 			break
 		}
-		chunks = append(chunks, c)
-		total += len(c.rows)
-		rc.escape(c)
+		kept, kerr := rc.keep(c)
+		if kerr != nil {
+			return nil, kerr
+		}
+		chunks = append(chunks, kept)
+		total += len(kept)
 	}
 	rows := make([]catalog.Row, 0, total)
 	for _, c := range chunks {
-		rows = append(rows, c.rows...)
+		rows = append(rows, c...)
 	}
 	return rows, nil
 }
@@ -297,9 +300,13 @@ func (rc *runCtx) chargeEmit(c *Chunk) error {
 	if c == nil || len(c.rows) == 0 || c.charged != 0 {
 		return nil
 	}
-	n := approxRowsBytes(c.rows)
-	c.charged = n
+	c.charged = approxRowsBytes(c.rows)
 	rc.chunks.Add(1)
+	return rc.charge(c.charged)
+}
+
+// charge adds n bytes to the run's live accounting and memory budget.
+func (rc *runCtx) charge(n int64) error {
 	live := rc.live.Add(n)
 	for {
 		p := rc.peak.Load()
@@ -339,6 +346,35 @@ func (rc *runCtx) escape(c *Chunk) {
 	c.src.escape(c)
 }
 
+// keep hands over c's rows to a consumer that holds them past the
+// pipeline (result, sort buffer, join build table, pending DML). A full
+// chunk simply escapes. A chunk a fused filter left nearly empty would
+// pin its whole arena for a few rows and cost the pool a fresh one, so
+// its survivors are copied out, charged for what they are, and the chunk
+// goes back to the pool.
+func (rc *runCtx) keep(c *Chunk) ([]catalog.Row, error) {
+	kept := 0
+	for _, r := range c.rows {
+		kept += len(r)
+	}
+	if c.src == nil || cap(c.vals) <= sparseChunkFactor*kept {
+		rc.escape(c)
+		return c.rows, nil
+	}
+	vals := make([]catalog.Value, kept)
+	rows := make([]catalog.Row, len(c.rows))
+	for i, r := range c.rows {
+		n := copy(vals, r)
+		rows[i], vals = vals[:n:n], vals[n:]
+	}
+	rc.recycle(c)
+	return rows, rc.charge(approxRowsBytes(rows))
+}
+
+// sparseChunkFactor is how many times larger than its surviving rows a
+// chunk's arena must be before keep copies the rows out instead.
+const sparseChunkFactor = 4
+
 // approxRowsBytes estimates the materialized size of rows: slice
 // headers plus a boxed-word cost per value plus string payloads. The
 // point is a stable, cheap proxy for allocation appetite, not exact
@@ -356,156 +392,185 @@ func approxRowsBytes(rows []catalog.Row) int64 {
 	return n
 }
 
-type aggState struct {
-	groupKey catalog.Row
-	count    int64
-	sums     map[int]float64
-	mins     map[int]catalog.Value
-	maxs     map[int]catalog.Value
-	counts   map[int]int64
+// aggKind is what one output of an aggregation computes.
+type aggKind uint8
+
+const (
+	aggGroupKey aggKind = iota // the value of a grouping expression
+	aggCount
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+var aggKinds = map[string]aggKind{"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin, "MAX": aggMax}
+
+// aggItem is one bound output of an aggregation.
+type aggItem struct {
+	kind aggKind
+	arg  bound // what SUM, AVG, MIN or MAX aggregates
+	key  int   // for aggGroupKey: which grouping expression
 }
 
-// aggregateChunk folds one batch of rows into part. Rows are consumed:
-// every value the state keeps (group keys, min/max) is an evaluated
-// Value, never a slice into the caller's chunk, so the chunk may be
-// recycled as soon as this returns.
-func (ex *Executor) aggregateChunk(rc *runCtx, a *plan.AggregateNode, scope *Scope, part *aggPartial, rows []catalog.Row) error {
+// boundAgg is an AggregateNode's grouping and output expressions, bound
+// against its input.
+type boundAgg struct {
+	groupBy []bound
+	items   []aggItem
+}
+
+// aggCell is one output's running state within one group: count is the
+// rows folded so far, sum serves SUM and AVG, ext is the running MIN or
+// MAX.
+type aggCell struct {
+	count int64
+	sum   float64
+	ext   catalog.Value
+}
+
+// aggState is one group: its key and one cell per output.
+type aggState struct {
+	groupKey catalog.Row
+	cells    []aggCell
+}
+
+// bindAggregate binds an aggregation. An output that is not an aggregate
+// call must repeat a grouping expression.
+func (ex *Executor) bindAggregate(v *plan.AggregateNode) (*boundAgg, error) {
+	scope := ex.newScope(v.Input.Schema())
+	groupBy, err := bindList(v.GroupBy, scope, ex.Funcs)
+	if err != nil {
+		return nil, err
+	}
+	a := &boundAgg{groupBy: groupBy, items: make([]aggItem, len(v.Items))}
+	for i, it := range v.Items {
+		item := &a.items[i]
+		fc, _ := it.Expr.(*sql.FuncCall)
+		if fc != nil {
+			item.kind = aggKinds[fc.Name] // aggGroupKey for a scalar function
+		}
+		switch {
+		case item.kind == aggGroupKey:
+			item.key = slices.IndexFunc(v.GroupBy, func(g sql.Expr) bool { return g.String() == it.Expr.String() })
+			if item.key < 0 {
+				return nil, fmt.Errorf("exec: %s is neither aggregated nor grouped", it.Expr.String())
+			}
+		case item.kind == aggCount:
+			// COUNT counts rows whatever it is given; bind a named
+			// argument anyway so a wrong name is an error here too.
+			if len(fc.Args) == 1 {
+				if _, star := fc.Args[0].(*sql.Star); star {
+					continue
+				}
+			}
+			if _, err := bindList(fc.Args, scope, ex.Funcs); err != nil {
+				return nil, err
+			}
+		case len(fc.Args) != 1:
+			return nil, fmt.Errorf("exec: %s takes one argument", fc.Name)
+		default:
+			if item.arg, err = bind(fc.Args[0], scope, ex.Funcs); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return a, nil
+}
+
+// fold folds one batch of rows into part. Rows are consumed: every
+// value the state keeps (group keys, min/max) is an evaluated Value,
+// never a slice into the caller's chunk, so the chunk may be recycled
+// as soon as this returns.
+func (a *boundAgg) fold(rc *runCtx, part *aggPartial, rows []catalog.Row) error {
 	keyBuf := make([]byte, 0, 64)
-	key := make(catalog.Row, 0, len(a.GroupBy))
+	key := make(catalog.Row, len(a.groupBy))
 	for i, r := range rows {
 		if i%ctxCheckRows == 0 {
 			if err := rc.err(); err != nil {
 				return err
 			}
 		}
-		key = key[:0]
-		for _, g := range a.GroupBy {
-			v, err := Eval(g, scope, r, ex.Funcs)
+		for gi := range a.groupBy {
+			v, err := a.groupBy[gi].eval(r)
 			if err != nil {
 				return err
 			}
-			key = append(key, v)
+			key[gi] = v
 		}
 		keyBuf = appendRowKey(keyBuf[:0], key)
 		st, ok := part.groups[string(keyBuf)]
 		if !ok {
-			st = &aggState{
-				groupKey: append(catalog.Row(nil), key...),
-				sums:     map[int]float64{},
-				mins:     map[int]catalog.Value{},
-				maxs:     map[int]catalog.Value{},
-				counts:   map[int]int64{},
-			}
-			ks := string(keyBuf)
-			part.groups[ks] = st
-			part.order = append(part.order, ks)
+			st = &aggState{groupKey: slices.Clone(key), cells: make([]aggCell, len(a.items))}
+			part.groups[string(keyBuf)] = st
+			part.order = append(part.order, st)
 		}
-		st.count++
-		for i, it := range a.Items {
-			fc, ok := it.Expr.(*sql.FuncCall)
-			if !ok {
+		for ii := range a.items {
+			it, cell := &a.items[ii], &st.cells[ii]
+			if it.kind == aggGroupKey {
 				continue
 			}
-			switch fc.Name {
-			case "COUNT":
-				st.counts[i]++
-			case "SUM", "AVG", "MIN", "MAX":
-				if len(fc.Args) != 1 {
-					return fmt.Errorf("exec: %s takes one argument", fc.Name)
-				}
-				v, err := Eval(fc.Args[0], scope, r, ex.Funcs)
+			cell.count++
+			if it.kind == aggCount {
+				continue
+			}
+			v, err := it.arg.eval(r)
+			if err != nil {
+				return err
+			}
+			if it.kind == aggSum || it.kind == aggAvg {
+				f, err := toFloat(v)
 				if err != nil {
 					return err
 				}
-				switch fc.Name {
-				case "SUM", "AVG":
-					f, err := toFloat(v)
-					if err != nil {
-						return err
-					}
-					st.sums[i] += f
-					st.counts[i]++
-				case "MIN":
-					cur, ok := st.mins[i]
-					if !ok {
-						st.mins[i] = v
-					} else if c, err := compare(v, cur); err != nil {
-						return err
-					} else if c < 0 {
-						st.mins[i] = v
-					}
-				case "MAX":
-					cur, ok := st.maxs[i]
-					if !ok {
-						st.maxs[i] = v
-					} else if c, err := compare(v, cur); err != nil {
-						return err
-					} else if c > 0 {
-						st.maxs[i] = v
-					}
-				}
+				cell.sum += f
+				continue
+			}
+			if cell.count == 1 {
+				cell.ext = v
+				continue
+			}
+			c, err := compare(v, cell.ext)
+			if err != nil {
+				return err
+			}
+			if (it.kind == aggMin && c < 0) || (it.kind == aggMax && c > 0) {
+				cell.ext = v
 			}
 		}
 	}
 	return nil
 }
 
-// finalizeAgg renders the folded partial into output rows.
-func (ex *Executor) finalizeAgg(a *plan.AggregateNode, part *aggPartial) ([]catalog.Row, error) {
-	if len(a.GroupBy) == 0 && len(part.order) == 0 {
+// finalize renders the folded partial into output rows, groups in
+// first-seen order.
+func (a *boundAgg) finalize(part *aggPartial) []catalog.Row {
+	if len(a.groupBy) == 0 && len(part.order) == 0 {
 		// Aggregates over an empty input still produce one row.
-		part.groups[""] = &aggState{sums: map[int]float64{}, mins: map[int]catalog.Value{}, maxs: map[int]catalog.Value{}, counts: map[int]int64{}}
-		part.order = append(part.order, "")
+		part.order = append(part.order, &aggState{cells: make([]aggCell, len(a.items))})
 	}
-	var out []catalog.Row
-	for _, ks := range part.order {
-		st := part.groups[ks]
-		var row catalog.Row
-		for i, it := range a.Items {
-			if fc, ok := it.Expr.(*sql.FuncCall); ok {
-				switch fc.Name {
-				case "COUNT":
-					row = append(row, st.counts[i])
-					continue
-				case "SUM":
-					row = append(row, st.sums[i])
-					continue
-				case "AVG":
-					if st.counts[i] == 0 {
-						row = append(row, float64(0))
-					} else {
-						row = append(row, st.sums[i]/float64(st.counts[i]))
-					}
-					continue
-				case "MIN":
-					row = append(row, st.mins[i])
-					continue
-				case "MAX":
-					row = append(row, st.maxs[i])
-					continue
+	out := make([]catalog.Row, len(part.order))
+	for gi, st := range part.order {
+		row := make(catalog.Row, len(a.items))
+		for i := range a.items {
+			it, cell := &a.items[i], &st.cells[i]
+			switch it.kind {
+			case aggGroupKey:
+				row[i] = st.groupKey[it.key]
+			case aggCount:
+				row[i] = cell.count
+			case aggSum:
+				row[i] = cell.sum
+			case aggAvg:
+				row[i] = float64(0)
+				if cell.count > 0 {
+					row[i] = cell.sum / float64(cell.count)
 				}
-			}
-			// Non-aggregate output must be a grouping expression.
-			found := false
-			for gi, g := range a.GroupBy {
-				if g.String() == it.Expr.String() {
-					row = append(row, st.groupKey[gi])
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("exec: %s is neither aggregated nor grouped", it.Expr.String())
+			default:
+				row[i] = cell.ext
 			}
 		}
-		out = append(out, row)
+		out[gi] = row
 	}
-	return out, nil
-}
-
-func colRefFromName(name string) *sql.ColumnRef {
-	if i := strings.LastIndex(name, "."); i >= 0 {
-		return &sql.ColumnRef{Table: name[:i], Column: name[i+1:]}
-	}
-	return &sql.ColumnRef{Column: name}
+	return out
 }

@@ -18,13 +18,28 @@ import (
 // a value that does not fit its column, a cancellation or a blown memory
 // budget therefore leaves the table exactly as it was. It emits no rows.
 type modifyOp struct {
-	ex    *Executor
-	rc    *runCtx
-	node  *plan.ModifyNode
-	scope *Scope
-	prof  *OpProfile
-	in    BatchOperator
-	done  bool
+	rc   *runCtx
+	node *plan.ModifyNode
+	// set holds the bound SET expressions, one per node.Set entry.
+	set  []bound
+	prof *OpProfile
+	in   BatchOperator
+	done bool
+}
+
+// bindSet binds an UPDATE's SET expressions against the rows its input
+// yields (nil for DELETE).
+func (ex *Executor) bindSet(v *plan.ModifyNode) ([]bound, error) {
+	scope := ex.newScope(v.Input.Schema())
+	set := make([]bound, len(v.Set))
+	for i, a := range v.Set {
+		b, err := bind(a.Expr, scope, ex.Funcs)
+		if err != nil {
+			return nil, fmt.Errorf("exec: UPDATE %s SET %s: %w", v.Table.Name, v.Table.Schema.Columns[a.Column].Name, err)
+		}
+		set[i] = b
+	}
+	return set, nil
 }
 
 type rowChange struct {
@@ -51,8 +66,8 @@ func (m *modifyOp) Next(ctx context.Context) (*Chunk, bool, error) {
 	return nil, false, m.apply(changes)
 }
 
-// collect drains the input. The chunks escape the pool (the old rows
-// are kept until apply), so they stay charged to the memory budget.
+// collect drains the input. The old rows are kept until apply, so they
+// stay charged to the memory budget.
 func (m *modifyOp) collect(ctx context.Context) ([]rowChange, error) {
 	cols := m.node.Table.Schema.Columns
 	var changes []rowChange
@@ -61,13 +76,16 @@ func (m *modifyOp) collect(ctx context.Context) ([]rowChange, error) {
 		if err != nil || !ok {
 			return changes, err
 		}
-		m.rc.escape(c)
-		for _, r := range c.rows {
+		rows, err := m.rc.keep(c)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range rows {
 			ch := rowChange{rid: r[len(cols)].(storage.RecordID), old: r[:len(cols)]}
 			if m.node.Set != nil {
 				ch.new = append(catalog.Row(nil), ch.old...)
-				for _, a := range m.node.Set {
-					v, err := Eval(a.Expr, m.scope, ch.old, m.ex.Funcs)
+				for i, a := range m.node.Set {
+					v, err := m.set[i].eval(ch.old)
 					if err == nil {
 						v, err = catalog.Coerce(v, cols[a.Column].Type)
 					}

@@ -289,13 +289,13 @@ func splitKeyRange(lo, hi int64, k int, minWidth uint64) [][2]int64 {
 }
 
 // aggPartial is the streaming aggregation state: composable per-group
-// partials (count, sum, min, max — AVG finalizes as sum/count) plus
-// the group keys in first-seen order. Chunks fold into it in arrival
-// (morsel) order, so group output order is global first-occurrence
-// order, identical to the serial accumulation.
+// partials (count, sum, min, max — AVG finalizes as sum/count), by
+// encoded group key and in first-seen order. Chunks fold into it in
+// arrival (morsel) order, so group output order is global
+// first-occurrence order, identical to the serial accumulation.
 type aggPartial struct {
 	groups map[string]*aggState
-	order  []string
+	order  []*aggState
 }
 
 func newAggPartial() *aggPartial {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,11 +92,9 @@ func applyTransforms(rc *runCtx, ts []transform, c *Chunk) (*Chunk, error) {
 // filterTransform drops rows failing cond, compacting the chunk in
 // place — the chunk is exclusively owned, so no copy is needed.
 type filterTransform struct {
-	ex    *Executor
-	rc    *runCtx
-	cond  sql.Expr
-	scope *Scope
-	prof  *OpProfile
+	rc   *runCtx
+	cond pred
+	prof *OpProfile
 }
 
 func (t *filterTransform) apply(c *Chunk) (*Chunk, error) {
@@ -115,7 +114,7 @@ func (t *filterTransform) apply(c *Chunk) (*Chunk, error) {
 				return nil, err
 			}
 		}
-		ok, err := EvalBool(t.cond, t.scope, r, t.ex.Funcs)
+		ok, err := t.cond(r)
 		if err != nil {
 			t.rc.recycle(c)
 			return nil, err
@@ -138,11 +137,37 @@ func (t *filterTransform) apply(c *Chunk) (*Chunk, error) {
 // scan→project pipeline cycles two pooled chunks instead of
 // allocating one slice per output row.
 type projectTransform struct {
-	ex    *Executor
 	rc    *runCtx
-	items []sql.SelectItem
-	scope *Scope
+	items []projItem
+	width int // output row width, every `*` expanded
 	prof  *OpProfile
+}
+
+// projItem is one bound projection item; star copies the whole input row.
+type projItem struct {
+	star bool
+	expr bound
+}
+
+// bindProject binds a projection's items against its input schema.
+func (ex *Executor) bindProject(rc *runCtx, v *plan.ProjectNode) (*projectTransform, error) {
+	names := v.Input.Schema()
+	scope := ex.newScope(names)
+	t := &projectTransform{rc: rc, items: make([]projItem, len(v.Items)), prof: ex.Profile.of(v)}
+	for i, it := range v.Items {
+		if _, ok := it.Expr.(*sql.Star); ok {
+			t.items[i].star = true
+			t.width += len(names)
+			continue
+		}
+		b, err := bind(it.Expr, scope, ex.Funcs)
+		if err != nil {
+			return nil, err
+		}
+		t.items[i].expr = b
+		t.width++
+	}
+	return t, nil
 }
 
 func (t *projectTransform) apply(c *Chunk) (*Chunk, error) {
@@ -155,18 +180,8 @@ func (t *projectTransform) apply(c *Chunk) (*Chunk, error) {
 	if t.prof != nil {
 		start = time.Now()
 	}
-	width := 0
-	if len(c.rows) > 0 {
-		for _, it := range t.items {
-			if _, ok := it.Expr.(*sql.Star); ok {
-				width += len(c.rows[0])
-			} else {
-				width++
-			}
-		}
-	}
 	out := rc.pool.get()
-	out.reserve(len(c.rows), width)
+	out.reserve(len(c.rows), t.width)
 	for i, r := range c.rows {
 		if i > 0 && i%ctxCheckRows == 0 {
 			if err := rc.err(); err != nil {
@@ -175,14 +190,15 @@ func (t *projectTransform) apply(c *Chunk) (*Chunk, error) {
 				return nil, err
 			}
 		}
-		row := out.newRow(width)
+		row := out.newRow(t.width)
 		j := 0
-		for _, it := range t.items {
-			if _, ok := it.Expr.(*sql.Star); ok {
+		for k := range t.items {
+			it := &t.items[k]
+			if it.star {
 				j += copy(row[j:], r)
 				continue
 			}
-			v, err := Eval(it.Expr, t.scope, r, t.ex.Funcs)
+			v, err := it.expr.eval(r)
 			if err != nil {
 				rc.recycle(out)
 				rc.recycle(c)
@@ -626,14 +642,15 @@ func (ex *Executor) compileScan(rc *runCtx, v *plan.ScanNode) *morselStream {
 		}
 		return nil
 	}
-	s.produce = s.heapProduce(v.Table, morsels, v.RowIDs)
+	s.produce = s.heapProduce(v.Table, morsels, v.Needed, v.RowIDs)
 	return s
 }
 
-// heapProduce is the produce function of a heap scan over morsels. With
-// rowIDs each row gets one extra arena slot holding its record id; the
-// plain scan's row loop is the same code either way.
-func (s *morselStream) heapProduce(t *catalog.Table, morsels [][]storage.PageID, rowIDs bool) func(m int, emit emitFn) error {
+// heapProduce is the produce function of a heap scan over morsels,
+// decoding the needed columns (nil: all). With rowIDs each row gets one
+// extra arena slot holding its record id; the plain scan's row loop is
+// the same code either way.
+func (s *morselStream) heapProduce(t *catalog.Table, morsels [][]storage.PageID, needed []bool, rowIDs bool) func(m int, emit emitFn) error {
 	return func(m int, emit emitFn) error {
 		sink := &chunkSink{s: s, emit: emit, limit: s.ex.morselRows()}
 		alloc := func(cols int) catalog.Row { return sink.row(cols) }
@@ -642,7 +659,7 @@ func (s *morselStream) heapProduce(t *catalog.Table, morsels [][]storage.PageID,
 			alloc = func(cols int) catalog.Row { return sink.row(cols + 1)[:cols] }
 			visit = withRowID(visit)
 		}
-		serr := t.ScanPagesInto(morsels[m], alloc, visit)
+		serr := t.ScanPagesInto(morsels[m], needed, alloc, visit)
 		return sink.finish(serr)
 	}
 }
@@ -666,7 +683,7 @@ func (ex *Executor) compileIndexScan(rc *runCtx, v *plan.IndexScanNode) *morselS
 		lo, hi, ok := v.Range(ex.Params)
 		if !ok {
 			morsels := storage.PartitionPages(v.Table.PageIDs(), ex.scanMorselPages())
-			s.n, s.produce = len(morsels), s.heapProduce(v.Table, morsels, v.RowIDs)
+			s.n, s.produce = len(morsels), s.heapProduce(v.Table, morsels, nil, v.RowIDs)
 			return nil
 		}
 		subs := splitKeyRange(lo, hi, ex.workers()*2, minIndexMorselWidth)
@@ -768,8 +785,11 @@ func (j *joinOp) open(ctx context.Context) error {
 		if !ok {
 			break
 		}
-		rowsets = append(rowsets, c.rows)
-		j.rc.escape(c)
+		rows, err := j.rc.keep(c)
+		if err != nil {
+			return err
+		}
+		rowsets = append(rowsets, rows)
 	}
 	j.build.Close()
 	w := j.ex.workers()
@@ -854,10 +874,9 @@ func (j *joinOp) Close() {
 // folded (aggregation state copies the values it keeps), so a
 // full-table aggregate holds only its groups, never its input.
 type aggOp struct {
-	ex    *Executor
-	rc    *runCtx
-	node  *plan.AggregateNode
-	scope *Scope
+	ex  *Executor
+	rc  *runCtx
+	agg *boundAgg
 
 	in   BatchOperator
 	done bool
@@ -879,18 +898,14 @@ func (a *aggOp) Next(ctx context.Context) (*Chunk, bool, error) {
 		if !ok {
 			break
 		}
-		if err := a.ex.aggregateChunk(a.rc, a.node, a.scope, part, c.rows); err != nil {
+		if err := a.agg.fold(a.rc, part, c.rows); err != nil {
 			a.rc.recycle(c)
 			a.err = err
 			return nil, false, err
 		}
 		a.rc.recycle(c)
 	}
-	rows, err := a.ex.finalizeAgg(a.node, part)
-	if err != nil {
-		a.err = err
-		return nil, false, err
-	}
+	rows := a.agg.finalize(part)
 	if len(rows) == 0 {
 		return nil, false, nil
 	}
@@ -903,9 +918,8 @@ func (a *aggOp) Close() { a.in.Close() }
 // sortOp drains and escapes its input (sorting needs everything), then
 // emits the ordered rows as one static chunk.
 type sortOp struct {
-	ex   *Executor
 	rc   *runCtx
-	node *plan.SortNode
+	keys []sortKey
 
 	in   BatchOperator
 	done bool
@@ -927,14 +941,18 @@ func (s *sortOp) Next(ctx context.Context) (*Chunk, bool, error) {
 		if !ok {
 			break
 		}
-		rows = append(rows, c.rows...)
-		s.rc.escape(c)
+		kept, err := s.rc.keep(c)
+		if err != nil {
+			s.err = err
+			return nil, false, err
+		}
+		rows = append(rows, kept...)
 	}
 	if err := s.rc.err(); err != nil {
 		s.err = err
 		return nil, false, err
 	}
-	rows, err := s.ex.sortRows(s.rc, s.node, rows)
+	rows, err := sortRows(s.keys, rows)
 	if err != nil {
 		s.err = err
 		return nil, false, err
@@ -947,39 +965,47 @@ func (s *sortOp) Next(ctx context.Context) (*Chunk, bool, error) {
 
 func (s *sortOp) Close() { s.in.Close() }
 
-// sortRows stable-sorts rows by the node's keys. A sort key that
+// sortKey is one bound ORDER BY key.
+type sortKey struct {
+	expr bound
+	desc bool
+}
+
+// bindSortKeys binds a sort's keys against its input schema. A key that
 // textually matches an input column (e.g. an aggregate or PREDICT
 // output) sorts by that column directly instead of re-evaluating the
 // expression.
-func (ex *Executor) sortRows(rc *runCtx, v *plan.SortNode, in []catalog.Row) ([]catalog.Row, error) {
+func (ex *Executor) bindSortKeys(v *plan.SortNode) ([]sortKey, error) {
 	schema := v.Input.Schema()
 	scope := ex.newScope(schema)
-	keyCol := make([]int, len(v.Keys))
+	keys := make([]sortKey, len(v.Keys))
 	for ki, k := range v.Keys {
-		keyCol[ki] = -1
-		want := k.Expr.String()
-		for ci, name := range schema {
-			if name == want {
-				keyCol[ki] = ci
-				break
-			}
+		keys[ki].desc = k.Desc
+		if ci := slices.Index(schema, k.Expr.String()); ci >= 0 {
+			keys[ki].expr = bound{col: ci}
+			continue
 		}
-	}
-	keyVal := func(ki int, row catalog.Row) (catalog.Value, error) {
-		if c := keyCol[ki]; c >= 0 {
-			return row[c], nil
+		b, err := bind(k.Expr, scope, ex.Funcs)
+		if err != nil {
+			return nil, err
 		}
-		return Eval(v.Keys[ki].Expr, scope, row, ex.Funcs)
+		keys[ki].expr = b
 	}
+	return keys, nil
+}
+
+// sortRows stable-sorts rows by keys.
+func sortRows(keys []sortKey, in []catalog.Row) ([]catalog.Row, error) {
 	var sortErr error
 	sort.SliceStable(in, func(i, j int) bool {
-		for ki, k := range v.Keys {
-			a, err := keyVal(ki, in[i])
+		for ki := range keys {
+			k := &keys[ki]
+			a, err := k.expr.eval(in[i])
 			if err != nil {
 				sortErr = err
 				return false
 			}
-			b, err := keyVal(ki, in[j])
+			b, err := k.expr.eval(in[j])
 			if err != nil {
 				sortErr = err
 				return false
@@ -990,7 +1016,7 @@ func (ex *Executor) sortRows(rc *runCtx, v *plan.SortNode, in []catalog.Row) ([]
 				return false
 			}
 			if c != 0 {
-				if k.Desc {
+				if k.desc {
 					return c > 0
 				}
 				return c < 0
@@ -1121,34 +1147,47 @@ func (ex *Executor) compile(rc *runCtx, n plan.Node) (BatchOperator, error) {
 	case *plan.VirtualScanNode:
 		return ex.compileVirtualScan(rc, v), nil
 	case *plan.FilterNode:
+		cond, err := bindBool(v.Cond, ex.newScope(v.Input.Schema()), ex.Funcs)
+		if err != nil {
+			return nil, err
+		}
 		in, err := ex.compile(rc, v.Input)
 		if err != nil {
 			return nil, err
 		}
-		t := &filterTransform{ex: ex, rc: rc, cond: v.Cond, scope: ex.newScope(v.Input.Schema()), prof: ex.Profile.of(v)}
-		return fused(rc, in, t), nil
+		return fused(rc, in, &filterTransform{rc: rc, cond: cond, prof: ex.Profile.of(v)}), nil
 	case *plan.ProjectNode:
+		t, err := ex.bindProject(rc, v)
+		if err != nil {
+			return nil, err
+		}
 		in, err := ex.compile(rc, v.Input)
 		if err != nil {
 			return nil, err
 		}
-		t := &projectTransform{ex: ex, rc: rc, items: v.Items, scope: ex.newScope(v.Input.Schema()), prof: ex.Profile.of(v)}
 		return fused(rc, in, t), nil
 	case *plan.JoinNode:
 		return ex.compileJoin(rc, v)
 	case *plan.AggregateNode:
+		agg, err := ex.bindAggregate(v)
+		if err != nil {
+			return nil, err
+		}
 		in, err := ex.compile(rc, v.Input)
 		if err != nil {
 			return nil, err
 		}
-		op := &aggOp{ex: ex, rc: rc, node: v, scope: ex.newScope(v.Input.Schema()), in: in}
-		return ex.profiled(op, v), nil
+		return ex.profiled(&aggOp{ex: ex, rc: rc, agg: agg, in: in}, v), nil
 	case *plan.SortNode:
+		keys, err := ex.bindSortKeys(v)
+		if err != nil {
+			return nil, err
+		}
 		in, err := ex.compile(rc, v.Input)
 		if err != nil {
 			return nil, err
 		}
-		return ex.profiled(&sortOp{ex: ex, rc: rc, node: v, in: in}, v), nil
+		return ex.profiled(&sortOp{rc: rc, keys: keys, in: in}, v), nil
 	case *plan.LimitNode:
 		in, err := ex.compile(rc, v.Input)
 		if err != nil {
@@ -1162,11 +1201,15 @@ func (ex *Executor) compile(rc *runCtx, n plan.Node) (BatchOperator, error) {
 		}
 		return ex.profiled(&distinctOp{rc: rc, in: in, seen: map[string]bool{}}, v), nil
 	case *plan.ModifyNode:
+		set, err := ex.bindSet(v)
+		if err != nil {
+			return nil, err
+		}
 		in, err := ex.compile(rc, v.Input)
 		if err != nil {
 			return nil, err
 		}
-		return &modifyOp{ex: ex, rc: rc, node: v, scope: ex.newScope(v.Input.Schema()), prof: ex.Profile.of(v), in: in}, nil
+		return &modifyOp{rc: rc, node: v, set: set, prof: ex.Profile.of(v), in: in}, nil
 	default:
 		return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 	}
@@ -1188,13 +1231,13 @@ func (ex *Executor) compileJoin(rc *runCtx, v *plan.JoinNode) (BatchOperator, er
 	}
 	lScope := NewScope(v.Left.Schema())
 	rScope := NewScope(v.Right.Schema())
-	lIdx, err := lScope.Resolve(colRefFromName(v.LeftCol))
+	lIdx, err := lScope.Resolve(plan.ColumnRefOf(v.LeftCol))
 	if err != nil {
 		left.Close()
 		right.Close()
 		return nil, fmt.Errorf("exec: join left key: %w", err)
 	}
-	rIdx, err := rScope.Resolve(colRefFromName(v.RightCol))
+	rIdx, err := rScope.Resolve(plan.ColumnRefOf(v.RightCol))
 	if err != nil {
 		left.Close()
 		right.Close()

@@ -85,7 +85,7 @@ func estimateComparison(t *catalog.Table, alias string, v *sql.BinaryExpr) float
 		if !ok || !okLit {
 			return 1.0 / 3
 		}
-		v = &sql.BinaryExpr{Op: mirrorOp(v.Op), Left: v.Right, Right: v.Left}
+		v = &sql.BinaryExpr{Op: MirrorOp(v.Op), Left: v.Right, Right: v.Left}
 	}
 	const inf = int64(1) << 40
 	switch v.Op {
@@ -105,7 +105,8 @@ func estimateComparison(t *catalog.Table, alias string, v *sql.BinaryExpr) float
 	return 1.0 / 3
 }
 
-func mirrorOp(op string) string {
+// MirrorOp is the comparison that holds of (b, a) when op holds of (a, b).
+func MirrorOp(op string) string {
 	switch op {
 	case "<":
 		return ">"
@@ -227,13 +228,25 @@ func costRec(n Node, est CardinalityEstimator) (cost, rows float64) {
 
 func joinNDV(j *JoinNode) float64 {
 	ndv := func(n Node, col string) float64 {
-		sc, ok := n.(*ScanNode)
-		if !ok || sc.Table.Stats == nil {
+		// A filter placed on a join input narrows it but names the same
+		// key column; look through to the table's statistics.
+		for f, ok := n.(*FilterNode); ok; f, ok = n.(*FilterNode) {
+			n = f.Input
+		}
+		var t *catalog.Table
+		var alias string
+		switch sc := n.(type) {
+		case *ScanNode:
+			t, alias = sc.Table, sc.Alias
+		case *IndexScanNode:
+			t, alias = sc.Table, sc.Alias
+		}
+		if t == nil || t.Stats == nil {
 			return 0
 		}
-		for ci, c := range sc.Table.Schema.Columns {
-			if sc.Alias+"."+c.Name == col || c.Name == col {
-				if cs, ok := sc.Table.Stats.Cols[ci]; ok {
+		for ci, c := range t.Schema.Columns {
+			if alias+"."+c.Name == col || c.Name == col {
+				if cs, ok := t.Stats.Cols[ci]; ok {
 					return float64(cs.NDV)
 				}
 			}

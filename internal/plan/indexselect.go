@@ -22,42 +22,19 @@ type IndexLookup func(table string, column int) IndexFetch
 
 // UseIndexes rewrites eligible scans under filters throughout the plan.
 func UseIndexes(n Node, lookup IndexLookup) Node {
-	switch v := n.(type) {
-	case *FilterNode:
-		v.Input = UseIndexes(v.Input, lookup)
-		scan, ok := v.Input.(*ScanNode)
-		if !ok {
-			return v
+	var walk func(Node) Node
+	walk = func(n Node) Node {
+		rewriteChildren(n, walk)
+		if f, ok := n.(*FilterNode); ok {
+			if scan, ok := f.Input.(*ScanNode); ok {
+				if is := bestIndexRange(scan, f.Cond, lookup); is != nil {
+					f.Input = is
+				}
+			}
 		}
-		if is := bestIndexRange(scan, v.Cond, lookup); is != nil {
-			v.Input = is
-		}
-		return v
-	case *JoinNode:
-		v.Left = UseIndexes(v.Left, lookup)
-		v.Right = UseIndexes(v.Right, lookup)
-		return v
-	case *ProjectNode:
-		v.Input = UseIndexes(v.Input, lookup)
-		return v
-	case *AggregateNode:
-		v.Input = UseIndexes(v.Input, lookup)
-		return v
-	case *SortNode:
-		v.Input = UseIndexes(v.Input, lookup)
-		return v
-	case *LimitNode:
-		v.Input = UseIndexes(v.Input, lookup)
-		return v
-	case *DistinctNode:
-		v.Input = UseIndexes(v.Input, lookup)
-		return v
-	case *ModifyNode:
-		v.Input = UseIndexes(v.Input, lookup)
-		return v
-	default:
 		return n
 	}
+	return walk(n)
 }
 
 // keyRange collects the bounds a filter's top-level conjunction puts on
@@ -147,7 +124,7 @@ func bestIndexRange(scan *ScanNode, cond sql.Expr, lookup IndexLookup) *IndexSca
 				if !okc || !okb {
 					return
 				}
-				op = mirrorOp(op)
+				op = MirrorOp(op)
 			}
 			r := &ranges[c]
 			switch op {

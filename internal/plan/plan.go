@@ -36,6 +36,12 @@ type ScanNode struct {
 	// hidden trailing value (not part of Schema). Only UPDATE/DELETE
 	// plans set it; every other scan's rows stay exactly schema-wide.
 	RowIDs bool
+	// Needed marks, by column position, the columns some operator above
+	// the scan reads; the scan decodes only those and leaves the other
+	// slots unreadable (rows keep their full width, so no ordinal moves).
+	// Nil — what Build produces — decodes every column. OptimizeFilters
+	// fills it in.
+	Needed []bool
 }
 
 // Schema implements Node.
@@ -46,7 +52,17 @@ func (s *ScanNode) Children() []Node { return nil }
 
 // Describe implements Node.
 func (s *ScanNode) Describe() string {
-	return fmt.Sprintf("Scan %s AS %s (%d rows)", s.Table.Name, s.Alias, s.Table.NumRows())
+	cols := ""
+	if s.Needed != nil {
+		var names []string
+		for i, c := range s.Table.Schema.Columns {
+			if s.Needed[i] {
+				names = append(names, c.Name)
+			}
+		}
+		cols = " [" + strings.Join(names, ", ") + "]"
+	}
+	return fmt.Sprintf("Scan %s%s AS %s (%d rows)", s.Table.Name, cols, s.Alias, s.Table.NumRows())
 }
 
 func tableSchema(t *catalog.Table, alias string) []string {
@@ -538,14 +554,44 @@ func qualify(c *sql.ColumnRef) string {
 }
 
 // refersTo reports whether name resolves against schema (exact qualified
-// match or unique suffix match).
+// match or suffix match).
 func refersTo(schema []string, name string) bool {
-	for _, s := range schema {
-		if s == name || strings.HasSuffix(s, "."+name) {
-			return true
+	_, matches := ResolveColumn(schema, "", name)
+	return matches > 0
+}
+
+// ResolveColumn finds the schema name a column reference denotes: the
+// name itself ([table.]column) or any name ending in "."+that. It
+// returns the position of the first match and how many names matched, so
+// the caller tells unknown (0) from ambiguous (>1). It is the one name
+// resolver: the planner's column pass and the executor's binder both call
+// it, so they cannot disagree about which ordinal a reference reads.
+func ResolveColumn(schema []string, table, column string) (idx, matches int) {
+	for i, n := range schema {
+		if nameEndsIn(n, table, column) {
+			if matches == 0 {
+				idx = i
+			}
+			matches++
 		}
 	}
-	return false
+	return idx, matches
+}
+
+// nameEndsIn reports whether n is [table.]column or ends in "." plus
+// that, without building the string to compare with.
+func nameEndsIn(n, table, column string) bool {
+	if !strings.HasSuffix(n, column) {
+		return false
+	}
+	n = n[:len(n)-len(column)]
+	if table != "" {
+		if !strings.HasSuffix(n, ".") || !strings.HasSuffix(n[:len(n)-1], table) {
+			return false
+		}
+		n = n[:len(n)-1-len(table)]
+	}
+	return n == "" || n[len(n)-1] == '.'
 }
 
 func exprHasAggregate(e sql.Expr) bool {

@@ -354,7 +354,7 @@ func WalkExprs(s Statement, fn func(Expr)) {
 func CountParams(s Statement) int {
 	max := 0
 	WalkExprs(s, func(root Expr) {
-		walkExpr(root, func(e Expr) {
+		WalkExpr(root, func(e Expr) {
 			if p, ok := e.(*ParamRef); ok && p.Index > max {
 				max = p.Index
 			}
@@ -363,30 +363,30 @@ func CountParams(s Statement) int {
 	return max
 }
 
-// walkExpr visits e and every subexpression.
-func walkExpr(e Expr, fn func(Expr)) {
+// WalkExpr visits e and every subexpression, parents first.
+func WalkExpr(e Expr, fn func(Expr)) {
 	if e == nil {
 		return
 	}
 	fn(e)
 	switch v := e.(type) {
 	case *BinaryExpr:
-		walkExpr(v.Left, fn)
-		walkExpr(v.Right, fn)
+		WalkExpr(v.Left, fn)
+		WalkExpr(v.Right, fn)
 	case *NotExpr:
-		walkExpr(v.Inner, fn)
+		WalkExpr(v.Inner, fn)
 	case *BetweenExpr:
-		walkExpr(v.Subject, fn)
-		walkExpr(v.Lo, fn)
-		walkExpr(v.Hi, fn)
+		WalkExpr(v.Subject, fn)
+		WalkExpr(v.Lo, fn)
+		WalkExpr(v.Hi, fn)
 	case *InExpr:
-		walkExpr(v.Subject, fn)
+		WalkExpr(v.Subject, fn)
 		for _, item := range v.List {
-			walkExpr(item, fn)
+			WalkExpr(item, fn)
 		}
 	case *FuncCall:
 		for _, a := range v.Args {
-			walkExpr(a, fn)
+			WalkExpr(a, fn)
 		}
 	}
 }

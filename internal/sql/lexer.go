@@ -32,25 +32,76 @@ type Token struct {
 	Pos  int
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
-	"NOT": true, "INSERT": true, "INTO": true, "VALUES": true, "CREATE": true,
-	"TABLE": true, "INT": true, "FLOAT": true, "TEXT": true, "UPDATE": true,
-	"SET": true, "DELETE": true, "JOIN": true, "ON": true, "GROUP": true,
-	"BY": true, "ORDER": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"AS": true, "MODEL": true, "PREDICT": true, "FEATURES": true,
-	"WITH": true, "EVALUATE": true, "DROP": true, "INDEX": true,
-	"EXPLAIN": true, "ANALYZE": true, "SHOW": true, "MODELS": true,
-	"TABLES": true, "DISTINCT": true, "BETWEEN": true, "IN": true,
-	"NULL": true, "PRIMARY": true, "KEY": true,
-	"PREPARE": true, "EXECUTE": true, "DEALLOCATE": true,
-	"BEGIN": true, "COMMIT": true, "ROLLBACK": true,
+// keywords maps each reserved word to itself, so a token's text is the
+// map's string and recognising one allocates nothing.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, k := range []string{
+		"SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "INSERT", "INTO",
+		"VALUES", "CREATE", "TABLE", "INT", "FLOAT", "TEXT", "UPDATE", "SET",
+		"DELETE", "JOIN", "ON", "GROUP", "BY", "ORDER", "ASC", "DESC", "LIMIT",
+		"AS", "MODEL", "PREDICT", "FEATURES", "WITH", "EVALUATE", "DROP",
+		"INDEX", "EXPLAIN", "ANALYZE", "SHOW", "MODELS", "TABLES", "DISTINCT",
+		"BETWEEN", "IN", "NULL", "PRIMARY", "KEY", "PREPARE", "EXECUTE",
+		"DEALLOCATE", "BEGIN", "COMMIT", "ROLLBACK",
+	} {
+		m[k] = k
+	}
+	return m
+}()
+
+// keyword returns the reserved word that word spells in any letter case.
+func keyword(word string) (string, bool) {
+	var up [len("DEALLOCATE")]byte // the longest keyword
+	if len(word) > len(up) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	kw, ok := keywords[string(up[:len(word)])]
+	return kw, ok
+}
+
+// SplitStatement takes the first statement off a ';'-separated script:
+// stmt is its text, trimmed, and rest what follows its ';'. A ';' inside
+// a string literal or a -- comment does not end a statement (the lexer's
+// rules for where those begin and end), and empty statements are
+// skipped; stmt is "" when the script holds no further statement.
+func SplitStatement(script string) (stmt, rest string) {
+	for i := 0; i < len(script); i++ {
+		switch script[i] {
+		case ';':
+			if stmt = strings.TrimSpace(script[:i]); stmt != "" {
+				return stmt, script[i+1:]
+			}
+			script, i = script[i+1:], -1
+		case '\'':
+			// To the closing quote; the two halves of an escaped quote
+			// ('') read as one literal ending and the next beginning.
+			for i++; i < len(script) && script[i] != '\''; i++ {
+			}
+		case '-':
+			if i+1 < len(script) && script[i+1] == '-' {
+				for i < len(script) && script[i] != '\n' {
+					i++
+				}
+			}
+		}
+	}
+	return strings.TrimSpace(script), ""
 }
 
 // Lex tokenizes input, returning an error with position info on invalid
 // characters or unterminated strings.
 func Lex(input string) ([]Token, error) {
-	var toks []Token
+	// One allocation for the usual statement: a load script's VALUES
+	// list, the densest common input, runs at about two bytes a token.
+	toks := make([]Token, 0, len(input)/2+1)
 	i := 0
 	n := len(input)
 	for i < n {
@@ -68,9 +119,8 @@ func Lex(input string) ([]Token, error) {
 				i++
 			}
 			word := input[start:i]
-			up := strings.ToUpper(word)
-			if keywords[up] {
-				toks = append(toks, Token{Kind: TokKeyword, Text: up, Pos: start})
+			if kw, ok := keyword(word); ok {
+				toks = append(toks, Token{Kind: TokKeyword, Text: kw, Pos: start})
 			} else {
 				toks = append(toks, Token{Kind: TokIdent, Text: word, Pos: start})
 			}
@@ -94,24 +144,26 @@ func Lex(input string) ([]Token, error) {
 		case c == '\'':
 			i++
 			start := i
-			var sb strings.Builder
+			escaped := false
 			for {
 				if i >= n {
 					return nil, fmt.Errorf("sql: unterminated string at position %d", start-1)
 				}
 				if input[i] == '\'' {
-					if i+1 < n && input[i+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
-						i += 2
-						continue
+					if i+1 >= n || input[i+1] != '\'' {
+						break
 					}
+					escaped = true // '' is a quote inside the literal
 					i++
-					break
 				}
-				sb.WriteByte(input[i])
 				i++
 			}
-			toks = append(toks, Token{Kind: TokString, Text: sb.String(), Pos: start})
+			text := input[start:i]
+			if escaped {
+				text = strings.ReplaceAll(text, "''", "'")
+			}
+			i++
+			toks = append(toks, Token{Kind: TokString, Text: text, Pos: start})
 		case c == '$':
 			start := i
 			i++
@@ -124,7 +176,7 @@ func Lex(input string) ([]Token, error) {
 			}
 			toks = append(toks, Token{Kind: TokParam, Text: input[ds:i], Pos: start})
 		case strings.ContainsRune("(),.*=+-/;", rune(c)):
-			toks = append(toks, Token{Kind: TokSymbol, Text: string(c), Pos: i})
+			toks = append(toks, Token{Kind: TokSymbol, Text: input[i : i+1], Pos: i})
 			i++
 		case c == '<' || c == '>' || c == '!':
 			start := i

@@ -30,13 +30,12 @@ func Parse(input string) (Statement, error) {
 	return stmt, nil
 }
 
-// ParseAll parses a ';'-separated script.
+// ParseAll parses a ';'-separated script (see SplitStatement). It holds
+// every statement's AST at once; to run a long script, split and parse
+// one statement at a time.
 func ParseAll(input string) ([]Statement, error) {
 	var out []Statement
-	for _, part := range strings.Split(input, ";") {
-		if strings.TrimSpace(part) == "" {
-			continue
-		}
+	for part, rest := SplitStatement(input); part != ""; part, rest = SplitStatement(rest) {
 		s, err := Parse(part)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -257,6 +258,71 @@ func TestParseAllScript(t *testing.T) {
 	}
 	if len(stmts) != 3 {
 		t.Fatalf("got %d statements, want 3", len(stmts))
+	}
+}
+
+// TestScriptSplitsOnStatementSemicolons: a ';' inside a string literal
+// (also beside an escaped quote) or a comment belongs to its statement.
+func TestScriptSplitsOnStatementSemicolons(t *testing.T) {
+	stmts, err := ParseAll(`INSERT INTO t VALUES ('x;y'), ('it''s; fine');
+		-- a comment; with a semicolon
+		SELECT a FROM t WHERE s = ';' -- trailing; comment
+		;; SELECT 1 FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stmts) != 3 {
+		t.Fatalf("got %d statements, want 3", len(stmts))
+	}
+	ins := stmts[0].(*InsertStmt)
+	if got := ins.Rows[0][0].(*StringLit).Value + "|" + ins.Rows[1][0].(*StringLit).Value; got != "x;y|it's; fine" {
+		t.Errorf("inserted literals = %q", got)
+	}
+	if w := stmts[1].(*SelectStmt).Where.String(); w != "(s = ';')" {
+		t.Errorf("where = %s", w)
+	}
+	for _, tc := range []struct{ script, stmt, rest string }{
+		{"a;b", "a", "b"},
+		{"a", "a", ""},
+		{" ; ;b ", "b", ""},
+		{"a ;; ", "a", "; "},
+		{" ;\n", "", ""},
+		{"'a;b';c", "'a;b'", "c"},
+		{"'a'';';b", "'a'';'", "b"},
+		{"x -- c;d\n;y", "x -- c;d", "y"},
+		{"'open; never closed", "'open; never closed", ""},
+	} {
+		if stmt, rest := SplitStatement(tc.script); stmt != tc.stmt || rest != tc.rest {
+			t.Errorf("SplitStatement(%q) = %q, %q; want %q, %q", tc.script, stmt, rest, tc.stmt, tc.rest)
+		}
+	}
+	if _, err := ParseAll("SELECT a FROM t; SELECT 'open; FROM t"); err == nil || !strings.Contains(err.Error(), "unterminated string") {
+		t.Errorf("unterminated literal: err = %v", err)
+	}
+}
+
+// TestLexAllocatesOnce: the token slice is sized from the input, for a
+// short point read and for a load script's VALUES list alike, and
+// keywords, names, numbers and symbols are slices of the input or
+// shared strings.
+func TestLexAllocatesOnce(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO users VALUES ")
+	for i := 0; i < 500; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "(%d,%d,'city%d',%d.5,0)", 1000+i, 18+i%60, i%16, i%100)
+	}
+	for _, in := range []string{"SELECT id,age,city FROM users WHERE id = 4711", sb.String()} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := Lex(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("Lex of %d bytes: %.0f allocations, want 1", len(in), allocs)
+		}
 	}
 }
 
