@@ -34,8 +34,9 @@ bench:
 # bench-smoke is the CI-sized benchmark pass. First the micro pass: 10
 # iterations of the hot-path micro-benchmarks next to the code they
 # time (executor incl. serial vs parallel and obs on/off, obs substrate
-# incl. the statement store, LSM, the engine's indexed and prepared
-# point statements), one regeneration each of the observability/
+# incl. the statement store and a traced statement's span, LSM, the
+# statement key function, the reply renderer, the engine's indexed,
+# prepared and ad-hoc point statements), one regeneration each of the observability/
 # governance/plan-cache experiments, and the BenchmarkML*
 # kernel-vs-baseline suite. Then the socket-level harness on small
 # tables with 2 s windows: every workload against a real aidb-serve,
@@ -44,7 +45,8 @@ bench:
 # a vet-dirty tree.
 bench-smoke: vet
 	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem \
-		./internal/exec/ ./internal/obs/ ./internal/kv/ ./internal/aisql/
+		./internal/exec/ ./internal/obs/ ./internal/kv/ ./internal/sql/ \
+		./internal/core/ ./internal/aisql/
 	$(GO) test -run='^$$' -bench='BenchmarkE(2[5789]|3[023])' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkML' -benchtime=1x .
 	$(GO) run ./bench -quick -seconds 2

@@ -10,14 +10,15 @@ import (
 	"aidb/internal/exec"
 	"aidb/internal/obs"
 	"aidb/internal/plan"
-	"aidb/internal/sql"
+	"aidb/internal/plancache"
 )
 
 // explainAnalyze is the EXPLAIN ANALYZE <select|update|delete> path: it
-// plans the statement with the query path's own buildPlan, executes it
-// (an UPDATE or DELETE really changes the table) with a
-// per-operator QueryProfile attached, and returns one result row per
-// operator with the optimizer's estimate next to the measured truth.
+// executes the statement's own plan-cache entry (an UPDATE or DELETE
+// really changes the table), params bound as the statement would bind
+// them, with a per-operator QueryProfile attached, and returns one
+// result row per operator with the optimizer's estimate — for those
+// params — next to the measured truth.
 // Side effects beyond the result table:
 //
 //   - the profile tree is grafted under the exec span as op:* child
@@ -26,28 +27,23 @@ import (
 //     on e.Feedback, feeding the learned-estimator feedback loop;
 //   - the slow-query log entry carries the full profile summary and any
 //     chaos faults that fired during the run.
-func (e *Engine) explainAnalyze(ctx context.Context, s sql.Statement, sp *obs.Span, text string) (*exec.Result, error) {
+func (e *Engine) explainAnalyze(ctx context.Context, ent *plancache.Entry, kind string, sp *obs.Span, text string, params []catalog.Value) (*exec.Result, error) {
 	start := time.Now()
-	kind := "EXPLAIN ANALYZE " + sql.StatementKind(s)
+	kind = "EXPLAIN ANALYZE " + kind
 	chaosBefore := e.Chaos.FireCounts()
-	psp := sp.Child("plan")
-	p, err := e.buildPlan(s)
-	psp.Finish()
-	if err != nil {
-		return nil, err
-	}
-	prof := exec.NewQueryProfile(p, plan.HistogramEstimator{})
+	prof := exec.NewQueryProfile(ent.Plan, plan.HistogramEstimator{Params: params})
 	esp := sp.Child("exec")
-	ex := exec.New(e.funcs())
+	ex := exec.New(e.funcs)
 	ex.Chaos = e.Chaos
 	ex.Obs = e.execObs
 	ex.Parallelism = e.Parallelism
+	ex.Params = params
 	ex.Profile = prof
-	res, err := ex.RunContext(ctx, p)
+	res, err := ex.RunContext(ctx, ent.Plan)
 	prof.AttachSpans(esp)
 	esp.Finish()
 	if err != nil {
-		e.recordFailure(text, kind, plan.Fingerprint(p), time.Since(start), err)
+		e.record(text, kind, ent.Fingerprint, time.Since(start), nil, err, "", nil)
 		return nil, err
 	}
 	latency := time.Since(start)
@@ -73,6 +69,6 @@ func (e *Engine) explainAnalyze(ctx context.Context, s sql.Statement, sp *obs.Sp
 			op.PeakBytes(),
 		})
 	})
-	e.recordSlow(text, kind, plan.Fingerprint(p), latency, res, prof.Summary(), chaosBefore)
+	e.record(text, kind, ent.Fingerprint, latency, res, nil, prof.Summary(), chaosBefore)
 	return out, nil
 }

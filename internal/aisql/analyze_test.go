@@ -13,6 +13,7 @@ import (
 	"aidb/internal/ml"
 	"aidb/internal/obs"
 	"aidb/internal/plan"
+	"aidb/internal/plancache"
 	"aidb/internal/sql"
 )
 
@@ -341,11 +342,13 @@ func TestExplainShowsPlacementAndColumns(t *testing.T) {
 		}
 		return out
 	}
+	// The plan shown is the one the statement runs: its WHERE literals
+	// are parameters ($1, $2 in order of appearance), its LIMIT is not.
 	want := []string{
 		"HashJoin users.id = orders.user_id",
-		"Filter (users.age = 30)",
+		"Filter (users.age = $2)",
 		"Scan users [id, age] AS users (3000 rows)",
-		"Filter (orders.amount > 499)",
+		"Filter (orders.amount > $1)",
 		"Scan orders [user_id, amount] AS orders (6000 rows)",
 	}
 	for _, stmt := range []string{"EXPLAIN " + q, "EXPLAIN ANALYZE " + q} {
@@ -369,9 +372,10 @@ func TestExplainShowsPlacementAndColumns(t *testing.T) {
 			continue // EXPLAIN: the tree only
 		}
 		// est_rows: each filter is estimated against the table it reads,
-		// not with a default over the joined rows — users.age from its
-		// histogram (1/60 of 3000), orders.amount as the third of 6000
-		// that a FLOAT column, which ANALYZE builds no histogram for, gets.
+		// not with a default over the joined rows, and for the values this
+		// statement binds to its parameters — users.age from its histogram
+		// (1/60 of 3000), orders.amount as the third of 6000 that a FLOAT
+		// column, which ANALYZE builds no histogram for, gets.
 		for i, bound := range map[int][2]int64{1: {25, 100}, 3: {2000, 2000}} {
 			if est := got[i].row[1].(int64); est < bound[0] || est > bound[1] {
 				t.Errorf("%s: est_rows = %d, want within %v", got[i].text, est, bound)
@@ -388,7 +392,7 @@ func TestExplainShowsPlacementAndColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := e.buildPlan(stmt)
+		p, err := e.buildPlan(stmt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,5 +405,59 @@ func TestExplainShowsPlacementAndColumns(t *testing.T) {
 	other := strings.NewReplacer("499", "12.5", "30", "77", "SELECT users.id,", "SELECT users.city, users.score,").Replace(q)
 	if got := fingerprint(other); got != fp {
 		t.Errorf("fingerprint depends on literals or on the columns read:\n%s\n%s", fp, got)
+	}
+}
+
+// TestAdhocStatementIsObservableAsSent: an ad-hoc statement runs a plan
+// that is parameterised and shared, and every surface says so without
+// losing what the client sent. EXPLAIN shows the plan as it runs ($1 in
+// the index bounds); the query span carries stmt, plancache=hit|miss and
+// plan tags; the slow log and the statement store keep the client's text
+// — neither the cache key nor an EXECUTE.
+func TestAdhocStatementIsObservableAsSent(t *testing.T) {
+	tr := obs.NewTracer(8)
+	tr.EnableExport(8)
+	e := seedIndexed(t, 50)
+	e.Instrument(obs.NewRegistry(), tr)
+	e.Plans = plancache.New(0)
+
+	const first, second = "SELECT id, qty FROM items WHERE id = 5", "SELECT id, qty FROM items WHERE id = 17"
+	for _, c := range []struct{ text, cache string }{{first, "miss"}, {second, "hit"}} {
+		res, err := e.Execute(c.text)
+		if err != nil || len(res.Rows) != 1 {
+			t.Fatalf("%s: %v, %v", c.text, res, err)
+		}
+		exports := tr.Exports()
+		tags := exports[len(exports)-1].Tags
+		if tags["stmt"] != "SELECT" || tags["plancache"] != c.cache || tags["plan"] != "nodes=3,depth=3" {
+			t.Errorf("%s: span tags %v, want stmt=SELECT plancache=%s plan=nodes=3,depth=3", c.text, tags, c.cache)
+		}
+		if last := tr.Last(); c.cache == "hit" && (len(last.Children()) != 1 || last.Children()[0].Name != "exec") {
+			t.Errorf("a hit's span has children other than exec:\n%s", last.Dump())
+		}
+	}
+
+	res, err := e.Execute("EXPLAIN SELECT id, qty FROM items WHERE id = 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0].(string); !strings.Contains(got, "IndexScan items.id ∈ [$1, $1]") || !strings.Contains(got, "Filter (id = $1)") {
+		t.Errorf("EXPLAIN does not show the plan the statement runs:\n%s", got)
+	}
+	ents := e.Plans.Entries()
+	if len(ents) != 1 || ents[0].Key != "SELECT id, qty FROM items WHERE id = $1" || ents[0].Hits() != 2 || ents[0].NumParams != 1 {
+		t.Errorf("cache entries %+v, want the one shape, hit by the second statement and by EXPLAIN", ents)
+	}
+
+	var logged []string
+	for _, en := range e.SlowLog().Entries() {
+		logged = append(logged, en.Query)
+	}
+	if len(logged) != 1 || logged[0] != first {
+		t.Errorf("slow log (one entry per fingerprint, first text kept) holds %q, want the client's text %q", logged, first)
+	}
+	stats := e.Stmts().Snapshot()
+	if len(stats) != 1 || stats[0].Query != first || stats[0].Calls != 2 {
+		t.Errorf("statement store %+v, want one fingerprint, 2 calls, text %q", stats, first)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"aidb/internal/catalog"
+	"aidb/internal/obs"
 	"aidb/internal/plancache"
 )
 
@@ -131,5 +132,36 @@ func BenchmarkPreparedDeleteInsertByKey(b *testing.B) {
 		if _, err := e.ExecutePrepared(ctx, ins, []catalog.Value{id, int64(i), "n"}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEngineAdhocPoint is the load harness's point_adhoc point read
+// at the engine: ad-hoc text, a plan cache, an instrumented engine with
+// a tracer, as a served statement has. "distinct" sends a different key
+// every time — one cache entry serves them all; "repeated" sends one
+// text over and over, the only kind of ad-hoc statement that used to hit.
+func BenchmarkEngineAdhocPoint(b *testing.B) {
+	for _, mode := range []string{"distinct", "repeated"} {
+		b.Run(mode, func(b *testing.B) {
+			e := benchEngine(b, 20000, true)
+			e.Plans = plancache.New(0)
+			e.Instrument(obs.NewRegistry(), obs.NewTracer(16))
+			texts := make([]string, 1024)
+			for i := range texts {
+				k := 12345
+				if mode == "distinct" {
+					k = (i * 7919) % 20000
+				}
+				texts[i] = fmt.Sprintf("SELECT id,qty,name FROM items WHERE id = %d", k)
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.ExecuteContext(ctx, texts[i%len(texts)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -8,7 +8,11 @@ import (
 	"testing"
 
 	"aidb/internal/catalog"
+	"aidb/internal/exec"
+	"aidb/internal/obs"
+	"aidb/internal/plan"
 	"aidb/internal/plancache"
+	"aidb/internal/sql"
 )
 
 // Differential test for the access path (the first slice of ROADMAP item
@@ -17,7 +21,11 @@ import (
 // $N placeholders, on an engine without the index and one with it, ad
 // hoc and through PREPARE/EXECUTE (first execute and plan-cache hit),
 // at Parallelism 1 and 4 — and every run must give the same multiset of
-// rows, or fail alike. The same predicates then drive UPDATE and DELETE
+// rows, or fail alike. The literal text runs a third way too: parsed as
+// written, lowered by plan.Build and run on a serial executor — no
+// normalizing, no cache, no parameters — which is what the engine's
+// ad-hoc path (literals out, cached plan, literals back as parameters)
+// must be equivalent to. The same predicates then drive UPDATE and DELETE
 // on both engines, whose tables and index must agree afterwards.
 //
 // One restriction keeps "fail alike" exact. A comparison that cannot be
@@ -163,6 +171,29 @@ func outcomeDiff(got, want string) string {
 	return sb.String()
 }
 
+// rawLiteralPlan is the reference for ad-hoc text: the statement parsed
+// as written (every literal in place), lowered by plan.Build with no
+// rewrite, and run by a serial executor.
+func rawLiteralPlan(t *testing.T, e *Engine, text string) ([]string, []catalog.Row, error) {
+	t.Helper()
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		return nil, nil, err
+	}
+	rewritePredicts(stmt)
+	raw, err := plan.Build(e.Cat, stmt.(*sql.SelectStmt))
+	if err != nil {
+		return nil, nil, err
+	}
+	ex := exec.New(e.funcs)
+	ex.Parallelism = 1
+	res, err := ex.Run(raw)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Columns, res.Rows, nil
+}
+
 func TestAccessPathDifferential(t *testing.T) {
 	plain, indexed := diffEngine(t, false), diffEngine(t, true)
 	g := &diffGen{r: rand.New(rand.NewSource(20210620))}
@@ -204,6 +235,10 @@ func TestAccessPathDifferential(t *testing.T) {
 				}
 				check("literal, "+how, rows, err)
 			}
+		}
+		if p.lit != "" {
+			_, rows, err := rawLiteralPlan(t, e, head+" WHERE "+p.lit)
+			check("literal text, raw plan", rows, err)
 		}
 		return want, viaIndex
 	}
@@ -283,5 +318,145 @@ func TestAccessPathDifferential(t *testing.T) {
 	// The generator must actually reach the cases it is there for.
 	if errors == 0 || empties < 20 || 400-errors-empties < 100 || indexScans < 150 {
 		t.Errorf("weak coverage: %d errors, %d empty results, %d index-scan plans out of 400", errors, empties, indexScans)
+	}
+}
+
+// TestAdhocLiteralDifferential holds the ad-hoc path to the raw literal
+// plan over the literal spellings the generators above do not reach:
+// signs, floats, strings that look like SQL, BETWEEN, IN lists, a
+// literal in the select list, LIMIT, NULL. Every text runs twice with
+// different literals: the second run must be a plan-cache hit — nothing
+// parsed, nothing planned — and still answer for its own literals, with
+// its own column headers.
+func TestAdhocLiteralDifferential(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		e := diffEngine(t, indexed)
+		reg := obs.NewRegistry()
+		e.Instrument(reg, nil)
+		e.Plans.Instrument(reg)
+		if _, err := e.Execute("INSERT INTO t VALUES (100, 1, 'it''s'), (101, 2, 'a;b'), (102, 3, '$1'), (103, 4, 'x -- y'), (104, 5, '')"); err != nil {
+			t.Fatal(err)
+		}
+		counter := func(name string) uint64 { return reg.Counter(name).Value() }
+		answered, failed := 0, 0
+
+		// Each template's holes take the values of one row of fills; the
+		// first row plans the shape, every later one must hit.
+		for _, c := range []struct {
+			template string
+			fills    [][]any
+		}{
+			{"SELECT k, v, s FROM t WHERE k = %v", [][]any{{-7}, {12}, {-10}}},
+			{"SELECT k, v, s FROM t WHERE k > %v AND v < %v", [][]any{{-3, 9.5}, {40, 2.25}, {-1000, 100}}},
+			{"SELECT k, v FROM t WHERE v * %v > k - %v", [][]any{{2.5, 4}, {-1.5, 30}}},
+			{"SELECT k, s FROM t WHERE s = %v", [][]any{{"'it''s'"}, {"'a;b'"}, {"'$1'"}, {"'x -- y'"}, {"''"}, {"'s17'"}}},
+			{"SELECT k, v FROM t WHERE k BETWEEN %v AND %v", [][]any{{-5, 5}, {10, 3}, {-2.5, 2.5}}},
+			{"SELECT k FROM t WHERE k IN (%v)", [][]any{{7}, {-9}}},
+			{"SELECT k FROM t WHERE k IN (%v, %v)", [][]any{{7, 8}, {-9, 59}}},
+			{"SELECT k FROM t WHERE v NOT IN (%v, %v, %v)", [][]any{{1, 2, 3}, {0, 22, 11}}},
+			{"SELECT k FROM t WHERE k IN (%v, %v, %v, %v)", [][]any{{1, -2, 3, -4}, {50, 51, 52, 53}}},
+			{"SELECT k FROM t WHERE s IN (%v, %v, %v, %v, %v)", [][]any{{"'s1'", "'s2'", "'$1'", "';'", "'--'"}, {"'a;b'", "''", "'s399'", "'x'", "'it''s'"}}},
+			// The select list names the result: its literals stay put.
+			{"SELECT k, 7, 'x', v + 1 FROM t WHERE k = %v", [][]any{{3}, {4}}},
+			{"SELECT 0.5, k - 2 FROM t WHERE v >= %v AND k < 0.5", [][]any{{10}, {-1}}},
+			// A comparison with NULL does not parse, on either path.
+			{"SELECT k FROM t WHERE k = NULL OR v = %v", [][]any{{1}, {2}}},
+			{"SELECT k FROM t WHERE s != %v AND k < NULL", [][]any{{"'x'"}, {"'y'"}}},
+		} {
+			for i, fill := range c.fills {
+				text := fmt.Sprintf(c.template, fill...)
+				wantCols, wantRows, wantErr := rawLiteralPlan(t, e, text)
+				parses, builds, hits := counter("sql.parses"), counter("plan.builds"), counter("plancache.hits")
+				res, err := e.Execute(text)
+				var cols []string
+				var rows []catalog.Row
+				if err == nil {
+					cols, rows = res.Columns, res.Rows
+				}
+				if got, want := outcome(rows, err), outcome(wantRows, wantErr); got != want {
+					t.Fatalf("indexed=%v: %s\n%s", indexed, text, outcomeDiff(got, want))
+				}
+				switch {
+				case wantErr != nil:
+					failed++
+				case len(wantRows) > 0:
+					answered++
+				}
+				if fmt.Sprint(cols) != fmt.Sprint(wantCols) {
+					t.Errorf("indexed=%v: %s: columns %v, want %v", indexed, text, cols, wantCols)
+				}
+				if i > 0 && wantErr == nil {
+					if p, b, h := counter("sql.parses")-parses, counter("plan.builds")-builds, counter("plancache.hits")-hits; p != 0 || b != 0 || h != 1 {
+						t.Errorf("indexed=%v: %s: %d parses, %d plan builds, %d cache hits; want a hit and nothing else", indexed, text, p, b, h)
+					}
+				}
+			}
+		}
+
+		if answered < 25 || failed != 4 {
+			t.Errorf("weak coverage: %d statements with rows, %d failing (the four NULL comparisons)", answered, failed)
+		}
+
+		// LIMIT is part of the shape: two limits, two entries, and each
+		// answers with its own row count whatever the WHERE literal.
+		entries := e.Plans.Len()
+		for _, c := range []struct{ limit, from, want int }{{3, 0, 3}, {5, 0, 5}, {3, 58, 3}, {5, 59, 5}} {
+			text := fmt.Sprintf("SELECT k FROM t WHERE k >= %d ORDER BY k LIMIT %d", c.from, c.limit)
+			res, err := e.Execute(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, wantRows, _ := rawLiteralPlan(t, e, text)
+			if len(res.Rows) != c.want || sequence(res.Rows, nil) != sequence(wantRows, nil) {
+				t.Errorf("indexed=%v: %s: %d rows %v, want %v", indexed, text, len(res.Rows), res.Rows, wantRows)
+			}
+		}
+		if got := e.Plans.Len() - entries; got != 2 {
+			t.Errorf("indexed=%v: two LIMITs of one shape made %d cache entries, want 2", indexed, got)
+		}
+	}
+}
+
+// TestPlanningIsSingleFlight: when many sessions miss one key together —
+// the first statements after an invalidation — one of them plans and the
+// rest run its entry, for a prepared statement and for an ad-hoc shape
+// alike (ad-hoc statements have no handle to hang a lock on; the lock
+// belongs to the key).
+func TestPlanningIsSingleFlight(t *testing.T) {
+	e := diffEngine(t, true)
+	reg := obs.NewRegistry()
+	e.Instrument(reg, nil)
+	prep := prepare(t, e, "SELECT k, v FROM t WHERE k = $1")
+	if _, err := e.Execute("SELECT s FROM t WHERE k < 0"); err != nil {
+		t.Fatal(err)
+	}
+	builds := reg.Counter("plan.builds")
+	const sessions = 8
+	for round := 0; round < 25; round++ {
+		e.Plans.Invalidate()
+		before := builds.Value()
+		start := make(chan struct{})
+		errs := make(chan error, 2*sessions)
+		for g := 0; g < sessions; g++ {
+			go func() {
+				<-start
+				_, err := e.ExecutePrepared(context.Background(), prep, []catalog.Value{int64(g)})
+				errs <- err
+			}()
+			go func() {
+				<-start
+				_, err := e.Execute(fmt.Sprintf("SELECT s FROM t WHERE k < %d", g-round))
+				errs <- err
+			}()
+		}
+		close(start)
+		for i := 0; i < 2*sessions; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := builds.Value() - before; got != 2 {
+			t.Fatalf("round %d: %d plans built for 2 shapes after an invalidation, want 2", round, got)
+		}
 	}
 }

@@ -202,7 +202,8 @@ func TestExplainDML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "Update items SET qty = 0\n  Filter (id = 5)\n    IndexScan items.id ∈ [5, 5]\n"
+	// As it will run: SET and WHERE literals are parameters.
+	want := "Update items SET qty = $1\n  Filter (id = $2)\n    IndexScan items.id ∈ [$2, $2]\n"
 	if got := res.Rows[0][0].(string); got != want {
 		t.Errorf("EXPLAIN UPDATE:\n%s\nwant:\n%s", got, want)
 	}
@@ -225,8 +226,8 @@ func TestExplainDML(t *testing.T) {
 }
 
 // TestPreparedDMLUsesThePlanCache: a prepared UPDATE is planned once,
-// shared under its deparse like a prepared SELECT, and replanned — onto
-// a new index — after DDL invalidates the cache.
+// cached like a prepared SELECT, and replanned — onto a new index —
+// after DDL invalidates the cache.
 func TestPreparedDMLUsesThePlanCache(t *testing.T) {
 	e := NewEngine()
 	reg := obs.NewRegistry()
@@ -236,7 +237,7 @@ func TestPreparedDMLUsesThePlanCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	upd := prepare(t, e, "UPDATE items SET qty = $2 WHERE id = $1")
-	const key = "stmt:UPDATE items SET qty = $2 WHERE (id = $1)"
+	const key = "UPDATE items SET qty = $2 WHERE (id = $1)" // an AST handle is keyed by its deparse
 	ent := e.Plans.Lookup(key)
 	if ent == nil || ent.Fingerprint != "UPDATE(Filter(Scan(items)))" {
 		t.Fatalf("prepared UPDATE not cached under %q: %+v", key, ent)

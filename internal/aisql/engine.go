@@ -49,16 +49,17 @@ type Engine struct {
 	// disables per-query budgets. Set it between queries.
 	MemLimit int64
 
-	// Plans, when set, caches compiled SELECT plans so repeated
-	// statements skip parse/plan/optimize entirely: ad-hoc statements
-	// are keyed by raw text (hit = no parser call), prepared statements
-	// by canonical deparse (hit = shared plan across sessions). Nil
+	// Plans, when set, caches compiled SELECT, UPDATE and DELETE plans
+	// under sql.Normalize's key: a statement that differs from an earlier
+	// one — ad hoc or prepared, on any session — only in WHERE, ON and SET
+	// literals skips parser and planner and binds its own literals. Nil
 	// disables caching; invalidation on DDL/ANALYZE routes through it.
 	Plans *plancache.Cache
 
 	mu      sync.RWMutex
 	models  map[string]*Model
 	indexes map[string]*secondaryIndex
+	funcs   exec.FuncRegistry // PREDICT and PREDICT_PROBA, over models
 
 	// Observability plane, wired by Instrument. All fields are nil-safe
 	// when the engine is uninstrumented.
@@ -130,13 +131,13 @@ func (e *Engine) QueryRows(query string) ([]catalog.Row, error) {
 }
 
 // NewEngine creates an engine over an in-memory catalog.
-func NewEngine() *Engine {
-	return &Engine{Cat: catalog.NewMem(), models: map[string]*Model{}}
-}
+func NewEngine() *Engine { return NewEngineWith(catalog.NewMem()) }
 
 // NewEngineWith uses an existing catalog.
 func NewEngineWith(cat *catalog.Catalog) *Engine {
-	return &Engine{Cat: cat, models: map[string]*Model{}}
+	e := &Engine{Cat: cat, models: map[string]*Model{}}
+	e.funcs = e.predictFuncs()
+	return e
 }
 
 // RetrainModel refits a registered model on the current contents of its
@@ -186,11 +187,11 @@ func (e *Engine) Models() []string {
 	return names
 }
 
-// funcs builds the scalar-function registry, including PREDICT and
-// PREDICT_PROBA. The first argument of each is the model name (a column
-// reference lexically, so it arrives as a string via special handling in
-// Execute; here it is matched as a string value).
-func (e *Engine) funcs() exec.FuncRegistry {
+// predictFuncs builds the scalar-function registry every executor of
+// this engine shares: PREDICT and PREDICT_PROBA. The first argument of
+// each is the model name (a column reference lexically; rewritePredicts
+// makes it a string), looked up when the function runs.
+func (e *Engine) predictFuncs() exec.FuncRegistry {
 	predict := func(proba bool) exec.ScalarFunc {
 		return func(args []catalog.Value) (catalog.Value, error) {
 			if len(args) < 2 {
@@ -234,44 +235,78 @@ func (e *Engine) Execute(query string) (*exec.Result, error) {
 	return e.ExecuteContext(context.Background(), query)
 }
 
-// ExecuteContext parses and runs one statement, returning a result set
-// (possibly empty for DDL/DML). ctx cancellation or deadline expiry
-// aborts execution cooperatively — SELECTs stop within about one morsel
-// per worker and return no partial result. Each call is one root span
-// on the engine's tracer: parse -> plan -> optimize -> exec — unless
-// the plan cache recognizes the raw statement text, in which case the
-// parser and planner never run and the span goes straight to exec.
+// ExecuteContext runs one statement, returning a result set (possibly
+// empty for DDL/DML), as one root span on the engine's tracer. ctx
+// cancellation or deadline expiry aborts execution cooperatively, with
+// no partial result. A SELECT, UPDATE or DELETE runs the plan cached
+// under its key with its own literals as parameters — parser and planner
+// run only on a miss; anything else is parsed from the same tokens.
 func (e *Engine) ExecuteContext(ctx context.Context, query string) (*exec.Result, error) {
 	sp := e.tracer.Start("query")
 	defer sp.Finish()
-	if e.Plans != nil {
-		if ent := e.Plans.Lookup("text:" + query); ent != nil && ent.NumParams == 0 {
-			e.stmts.Inc()
-			sp.SetTag("stmt", "SELECT")
-			sp.SetTag("plancache", "hit")
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					e.execObs.CancelRequests.Inc()
-					return nil, err
-				}
-			}
-			return e.execPlan(ctx, ent.Plan, "SELECT", ent.Fingerprint, sp, query, nil)
-		}
-	}
-	psp := sp.Child("parse")
-	parseStart := time.Now()
-	stmt, err := sql.Parse(query)
-	parseNs := time.Since(parseStart).Nanoseconds()
-	psp.Finish()
 	e.stmts.Inc()
-	e.parses.Inc()
+	toks, key, params, err := e.lex(sp, query)
 	if err != nil {
-		e.parseErrors.Inc()
-		sp.SetTag("error", "parse")
+		return nil, err
+	}
+	parse := func() (sql.Statement, error) { return e.parse(sp, toks, query) }
+	if kind := toks[0].Text; kind == "SELECT" || kind == "UPDATE" || kind == "DELETE" {
+		sp.SetTag("stmt", kind)
+		if err := e.cancelled(ctx); err != nil {
+			return nil, err
+		}
+		ent, err := e.planFor(sp, key, params, parse)
+		if err != nil {
+			return nil, err
+		}
+		return e.execPlan(ctx, ent, kind, sp, query, params)
+	}
+	stmt, err := parse()
+	if err != nil {
 		return nil, err
 	}
 	sp.SetTag("stmt", sql.StatementKind(stmt))
-	return e.executeStmt(ctx, stmt, sp, query, parseNs)
+	return e.executeStmt(ctx, stmt, sp, query, key, params)
+}
+
+// lex is the front of every text path: the statement's tokens, key and
+// literals (sql.Normalize). A text the lexer rejects is a failed parse.
+func (e *Engine) lex(sp *obs.Span, query string) ([]sql.Token, string, []catalog.Value, error) {
+	toks, err := sql.Lex(query)
+	if err != nil {
+		e.parses.Inc()
+		e.parseErrors.Inc()
+		sp.SetTag("error", "parse")
+		return nil, "", nil, err
+	}
+	toks, key, params := sql.Normalize(toks)
+	return toks, key, params, nil
+}
+
+// parse builds the AST from normalized tokens under a "parse" span. An
+// error is reworded from the client's own text, so it quotes no $N.
+func (e *Engine) parse(sp *obs.Span, toks []sql.Token, query string) (sql.Statement, error) {
+	psp := sp.Child("parse")
+	stmt, err := sql.ParseTokens(toks)
+	psp.Finish()
+	e.parses.Inc()
+	if err != nil {
+		if _, rawErr := sql.Parse(query); rawErr != nil {
+			err = rawErr
+		}
+		e.parseErrors.Inc()
+		sp.SetTag("error", "parse")
+	}
+	return stmt, err
+}
+
+// cancelled reports (and counts, as the executor would) a dead ctx.
+func (e *Engine) cancelled(ctx context.Context) error {
+	if ctx == nil || ctx.Err() == nil {
+		return nil
+	}
+	e.execObs.CancelRequests.Inc()
+	return ctx.Err()
 }
 
 // EachStatement parses a ';'-separated script one statement at a time,
@@ -321,24 +356,20 @@ func (e *Engine) ExecuteStmtContext(ctx context.Context, stmt sql.Statement) (*e
 	defer sp.Finish()
 	sp.SetTag("stmt", sql.StatementKind(stmt))
 	e.stmts.Inc()
-	return e.executeStmt(ctx, stmt, sp, "", 0)
+	return e.executeStmt(ctx, stmt, sp, "", "", nil)
 }
 
 // executeStmt dispatches one parsed statement, attaching child spans to
-// sp (which may be nil when tracing is off). text is the raw query text
-// when the statement came in through Execute, "" for pre-parsed
-// statements — the slow-query log falls back to the statement kind.
-// parseNs is what parsing the statement cost (0 when pre-parsed); it
-// folds into the plan-cache entry's PlanNs so each hit's banked saving
-// covers the whole skipped pipeline.
-func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Span, text string, parseNs int64) (*exec.Result, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			// Cancelled before any work: count it on the same metric the
-			// executor uses so \metrics sees every cancelled statement.
-			e.execObs.CancelRequests.Inc()
-			return nil, err
-		}
+// sp (nil when tracing is off). text is the raw query text, "" for a
+// pre-parsed statement — the slow-query log falls back to the statement
+// kind. key and params are what sql.Normalize made of the text (EXPLAIN
+// plans under them); a pre-parsed statement is planned for this run only.
+func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Span, text, key string, params []catalog.Value) (*exec.Result, error) {
+	if err := e.cancelled(ctx); err != nil {
+		return nil, err
+	}
+	planned := func(s sql.Statement) (*plancache.Entry, error) {
+		return e.planFor(sp, key, params, func() (sql.Statement, error) { return s, nil })
 	}
 	switch s := stmt.(type) {
 	case *sql.CreateTableStmt:
@@ -347,7 +378,11 @@ func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Sp
 	case *sql.InsertStmt:
 		return e.insert(s, nil)
 	case *sql.SelectStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-		return e.query(ctx, s, sp, text, parseNs)
+		ent, err := planned(s)
+		if err != nil {
+			return nil, err
+		}
+		return e.execPlan(ctx, ent, sql.StatementKind(s), sp, text, params)
 	case *sql.CreateIndexStmt:
 		// New access path: cached full-scan plans must replan to use it.
 		e.invalidatePlans()
@@ -392,22 +427,22 @@ func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Sp
 			// Legacy spelling: `EXPLAIN ANALYZE t` (bare table name)
 			// parses as EXPLAIN over ANALYZE — run the statistics
 			// refresh rather than profiling.
-			return e.executeStmt(ctx, a, sp, text, parseNs)
+			return e.executeStmt(ctx, a, sp, text, "", nil)
 		}
 		switch s.Inner.(type) {
 		case *sql.SelectStmt, *sql.UpdateStmt, *sql.DeleteStmt:
 		default:
 			return nil, fmt.Errorf("aisql: EXPLAIN supports only SELECT, UPDATE and DELETE")
 		}
-		if s.Analyze {
-			return e.explainAnalyze(ctx, s.Inner, sp, text)
-		}
-		// The plan exactly as the query path would execute it.
-		p, err := e.buildPlan(s.Inner)
+		// The very entry the statement itself would run.
+		ent, err := planned(s.Inner)
 		if err != nil {
 			return nil, err
 		}
-		return &exec.Result{Columns: []string{"plan"}, Rows: []catalog.Row{{plan.Explain(p)}}}, nil
+		if s.Analyze {
+			return e.explainAnalyze(ctx, ent, sql.StatementKind(s.Inner), sp, text, params)
+		}
+		return &exec.Result{Columns: []string{"plan"}, Rows: []catalog.Row{{plan.Explain(ent.Plan)}}}, nil
 	case *sql.AnalyzeStmt:
 		t, err := e.Cat.Table(s.Table)
 		if err != nil {
@@ -483,46 +518,34 @@ func (e *Engine) insert(s *sql.InsertStmt, params []catalog.Value) (*exec.Result
 	return emptyResult(), nil
 }
 
-// rewritePredicts converts PREDICT(model, ...) calls whose first argument
-// parsed as a bare column reference into a string literal (the model
-// name), so evaluation sees the registry key. It edits the expression
-// trees in place and is idempotent.
-func rewritePredicts(s sql.Statement) { sql.WalkExprs(s, rewriteExpr) }
-
-// rewriteExpr writes only where it replaces a model name, so a second
-// pass over a rewritten tree writes nothing — which is what lets a
-// replan walk an AST that cached plans are evaluating concurrently.
-func rewriteExpr(ex sql.Expr) {
-	switch v := ex.(type) {
-	case *sql.FuncCall:
-		if (v.Name == "PREDICT" || v.Name == "PREDICT_PROBA") && len(v.Args) > 0 {
+// rewritePredicts makes the first argument of every PREDICT(model, ...)
+// call — a bare column reference to the parser — the string literal the
+// registry is keyed by. It edits the expression trees in place and
+// writes only where it replaces a name, so a second pass writes nothing:
+// that is what lets a replan walk an AST that cached plans are
+// evaluating concurrently.
+func rewritePredicts(s sql.Statement) {
+	sql.WalkExprs(s, func(root sql.Expr) {
+		sql.WalkExpr(root, func(ex sql.Expr) {
+			v, ok := ex.(*sql.FuncCall)
+			if !ok || (v.Name != "PREDICT" && v.Name != "PREDICT_PROBA") || len(v.Args) == 0 {
+				return
+			}
 			if c, ok := v.Args[0].(*sql.ColumnRef); ok && c.Table == "" {
 				v.Args[0] = &sql.StringLit{Value: c.Column}
 			}
-		}
-		for _, a := range v.Args {
-			rewriteExpr(a)
-		}
-	case *sql.BinaryExpr:
-		rewriteExpr(v.Left)
-		rewriteExpr(v.Right)
-	case *sql.NotExpr:
-		rewriteExpr(v.Inner)
-	case *sql.BetweenExpr:
-		rewriteExpr(v.Subject)
-		rewriteExpr(v.Lo)
-		rewriteExpr(v.Hi)
-	}
+		})
+	})
 }
 
-// buildPlan compiles one SELECT, UPDATE or DELETE: lower it to a
-// plan, reorder filters, choose index access paths, and freeze
+// buildPlan compiles one SELECT, UPDATE or DELETE for planFor: lower it
+// to a plan, reorder filters, choose index access paths, and freeze
 // cardinality decisions (join build sides) into the plan so executing a
-// cached copy never re-invokes an estimator. Every path that needs a
-// plan — ad hoc, prepared, EXPLAIN, EXPLAIN ANALYZE — gets it here. The
-// returned plan is immutable and safe to share across concurrent
-// executors.
-func (e *Engine) buildPlan(stmt sql.Statement) (plan.Node, error) {
+// cached copy never re-invokes an estimator. params are the values the
+// statement in hand binds to its $N (nil at PREPARE): what the estimator
+// reads where the text no longer has a literal. The returned plan is
+// immutable and safe to share across concurrent executors.
+func (e *Engine) buildPlan(stmt sql.Statement, params []catalog.Value) (plan.Node, error) {
 	e.planBuilds.Inc()
 	rewritePredicts(stmt)
 	var p plan.Node
@@ -548,49 +571,72 @@ func (e *Engine) buildPlan(stmt sql.Statement) (plan.Node, error) {
 	// Secondary-index access paths for filters over indexed columns.
 	p = plan.UseIndexes(p, e.indexLookup())
 	// Freeze build-side choices at plan time (estimator runs here, once).
-	plan.AnnotateBuildSides(p, plan.HistogramEstimator{})
+	plan.AnnotateBuildSides(p, plan.HistogramEstimator{Params: params})
 	return p, nil
 }
 
-// query plans and runs one ad-hoc SELECT, UPDATE or DELETE.
-func (e *Engine) query(ctx context.Context, s sql.Statement, sp *obs.Span, text string, parseNs int64) (*exec.Result, error) {
-	planStart := time.Now()
+// planFor returns the plan for key: the cached entry, or one built from
+// the statement parse yields, and cached. Ad-hoc statements,
+// PREPARE/EXECUTE, EXPLAIN and EXPLAIN ANALYZE all get their plan here,
+// so they run and show the same entry. Planning is single-flight per
+// key: a caller that missed takes the key's build lock and looks again,
+// so of the sessions that miss together after an invalidation one plans.
+// With no cache or no key (a pre-parsed statement) the plan is built for
+// this call alone. PlanNs covers parse and plan: what a hit skips.
+func (e *Engine) planFor(sp *obs.Span, key string, params []catalog.Value, parse func() (sql.Statement, error)) (*plancache.Entry, error) {
+	cache := e.Plans
+	if key == "" {
+		cache = nil
+	}
+	if cache != nil {
+		if ent := cache.Lookup(key); ent != nil {
+			sp.SetTag("plancache", "hit")
+			return ent, nil
+		}
+		sp.SetTag("plancache", "miss")
+		mu := cache.BuildLock(key)
+		mu.Lock()
+		defer mu.Unlock()
+		if ent := cache.Peek(key); ent != nil {
+			return ent, nil
+		}
+	}
+	start := time.Now()
+	stmt, err := parse()
+	if err != nil {
+		return nil, err
+	}
 	psp := sp.Child("plan")
-	p, err := e.buildPlan(s)
+	p, err := e.buildPlan(stmt, params)
 	psp.Finish()
 	if err != nil {
 		return nil, err
 	}
-	fp := plan.Fingerprint(p)
-	if _, ok := s.(*sql.SelectStmt); ok && e.Plans != nil && text != "" && sql.CountParams(s) == 0 {
-		// Cache under the raw text so the identical statement next time
-		// skips the parser too. Parameterized ad-hoc statements are not
-		// cacheable here (nothing binds their $N values on this path).
-		e.Plans.Put(&plancache.Entry{
-			Key:         "text:" + text,
-			Fingerprint: fp,
-			Plan:        p,
-			PlanNs:      parseNs + time.Since(planStart).Nanoseconds(),
-		})
+	nodes, depth := plan.Summary(p)
+	ent := &plancache.Entry{
+		Key:         key,
+		Fingerprint: plan.Fingerprint(p),
+		Plan:        p,
+		NumParams:   sql.CountParams(stmt),
+		Summary:     fmt.Sprintf("nodes=%d,depth=%d", nodes, depth),
+		PlanNs:      time.Since(start).Nanoseconds(),
 	}
-	return e.execPlan(ctx, p, sql.StatementKind(s), fp, sp, text, nil)
+	if cache != nil {
+		cache.Put(ent)
+	}
+	return ent, nil
 }
 
-// execPlan runs a compiled plan — the shared tail of the cold path and
-// the plan-cache hit path, for queries and DML alike. kind is the
-// statement kind the run is recorded under; params carries EXECUTE
-// bindings (nil for ad-hoc statements); the plan itself is treated as
-// read-only so one cached copy may execute on any number of sessions at
-// once.
-func (e *Engine) execPlan(ctx context.Context, p plan.Node, kind, fp string, sp *obs.Span, text string, params []catalog.Value) (*exec.Result, error) {
+// execPlan runs a compiled plan — the shared tail of every query and
+// DML path — recorded under kind and the client's text. params are the
+// values of the plan's $N: an EXECUTE's arguments or the literals
+// Normalize took out. The plan is read-only: sessions share one copy.
+func (e *Engine) execPlan(ctx context.Context, ent *plancache.Entry, kind string, sp *obs.Span, text string, params []catalog.Value) (*exec.Result, error) {
 	start := time.Now()
 	chaosBefore := e.Chaos.FireCounts()
-	if sp != nil {
-		nodes, depth := plan.Summary(p)
-		sp.SetTagf("plan", "nodes=%d,depth=%d", nodes, depth)
-	}
+	sp.SetTag("plan", ent.Summary)
 	esp := sp.Child("exec")
-	ex := exec.New(e.funcs())
+	ex := exec.New(e.funcs)
 	ex.Chaos = e.Chaos
 	ex.Obs = e.execObs
 	ex.Parallelism = e.Parallelism
@@ -598,82 +644,48 @@ func (e *Engine) execPlan(ctx context.Context, p plan.Node, kind, fp string, sp 
 	if e.MemLimit > 0 {
 		ex.Mem = governance.NewMemBudget(e.MemLimit, e.govObs)
 	}
-	res, err := ex.RunContext(ctx, p)
+	res, err := ex.RunContext(ctx, ent.Plan)
 	esp.Finish()
-	if err == nil {
-		e.recordSlow(text, kind, fp, time.Since(start), res, "", chaosBefore)
-	} else {
-		e.recordFailure(text, kind, fp, time.Since(start), err)
-	}
+	e.record(text, kind, ent.Fingerprint, time.Since(start), res, err, "", chaosBefore)
 	return res, err
 }
 
-// recordSlow files one slow-query log entry and folds the execution
-// into the statement-statistics store, attributing any chaos faults
-// that fired between the before snapshot and now to this query. No-op
-// when the engine is uninstrumented.
-func (e *Engine) recordSlow(text, kind, fp string, latency time.Duration, res *exec.Result, profile string, chaosBefore map[string]uint64) {
-	if e.slowlog == nil {
-		return
-	}
-	if text == "" {
-		text = kind
-	}
-	e.stmtstats.Record(obs.StmtObservation{
-		Fingerprint: fp,
-		Query:       text,
-		Outcome:     obs.StmtOK,
-		LatencyNs:   latency.Nanoseconds(),
-		Rows:        int64(len(res.Rows)),
-		Chunks:      res.Chunks,
-		PeakBytes:   res.PeakBytes,
-	})
-	rows := len(res.Rows)
-	var fires map[string]uint64
-	if after := e.Chaos.FireCounts(); after != nil {
-		for site, n := range after {
-			if d := n - chaosBefore[site]; d > 0 {
-				if fires == nil {
-					fires = make(map[string]uint64)
-				}
-				fires[site] = d
-			}
-		}
-	}
-	e.slowlog.Record(obs.SlowLogEntry{
-		Query:       text,
-		Fingerprint: fp,
-		LatencyNs:   latency.Nanoseconds(),
-		Rows:        int64(rows),
-		Profile:     profile,
-		ChaosFires:  fires,
-	})
-}
-
-// recordFailure folds a failed execution into the statement-statistics
-// store, classifying the outcome: cancellations (context cancel or
-// deadline), load-management rejections (memory budget), and plain
-// errors are counted separately per fingerprint. The slow-query log
-// keeps its successful-executions-only semantics.
-func (e *Engine) recordFailure(text, kind, fp string, latency time.Duration, err error) {
+// record folds one execution into the statement-statistics store, its
+// outcome classified — ok, cancelled (context cancel or deadline), shed
+// (memory budget, admission) or error — and files a successful one in
+// the slow-query log with the chaos faults that fired since chaosBefore.
+// No-op when the engine is uninstrumented.
+func (e *Engine) record(text, kind, fp string, latency time.Duration, res *exec.Result, err error, profile string, chaosBefore map[string]uint64) {
 	if e.stmtstats == nil {
 		return
 	}
 	if text == "" {
 		text = kind
 	}
-	outcome := obs.StmtError
+	o := obs.StmtObservation{Fingerprint: fp, Query: text, Outcome: obs.StmtError, LatencyNs: latency.Nanoseconds()}
 	switch {
+	case err == nil:
+		o.Outcome, o.Rows, o.Chunks, o.PeakBytes = obs.StmtOK, int64(len(res.Rows)), res.Chunks, res.PeakBytes
 	case exec.IsCancellation(err):
-		outcome = obs.StmtCancel
+		o.Outcome = obs.StmtCancel
 	case errors.Is(err, governance.ErrMemBudget), errors.Is(err, governance.ErrShed):
-		outcome = obs.StmtShed
+		o.Outcome = obs.StmtShed
 	}
-	e.stmtstats.Record(obs.StmtObservation{
-		Fingerprint: fp,
-		Query:       text,
-		Outcome:     outcome,
-		LatencyNs:   latency.Nanoseconds(),
+	e.stmtstats.Record(o)
+	if err != nil {
+		return // the slow-query log lists successful executions only
+	}
+	var fires map[string]uint64
+	for site, n := range e.Chaos.FireCounts() {
+		if d := n - chaosBefore[site]; d > 0 {
+			if fires == nil {
+				fires = make(map[string]uint64)
+			}
+			fires[site] = d
+		}
+	}
+	e.slowlog.Record(obs.SlowLogEntry{
+		Query: text, Fingerprint: fp, LatencyNs: o.LatencyNs, Rows: o.Rows, Profile: profile, ChaosFires: fires,
 	})
 }
 

@@ -17,7 +17,7 @@ func explainOptimized(t *testing.T, e *Engine, q string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := e.buildPlan(stmt)
+	p, err := e.buildPlan(stmt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,11 +298,15 @@ func TestPlanShapeDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", param, err)
 			}
-			ref := exec.New(e.funcs())
+			ref := exec.New(e.funcs)
 			ref.Parallelism = 1
 			ref.Params = q.params
 			res, err := ref.Run(raw)
 			check("raw plan", res, err)
+			if lit != "" {
+				cols, rows, err := rawLiteralPlan(t, e, lit)
+				check("literal text, raw plan", &exec.Result{Columns: cols, Rows: rows}, err)
+			}
 
 			for _, workers := range []int{1, 4} {
 				e.Parallelism = workers
@@ -377,12 +381,12 @@ func TestJoinFiltersRunBelowTheJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := e.buildPlan(stmt)
+	p, err := e.buildPlan(stmt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		ex := exec.New(e.funcs())
+		ex := exec.New(e.funcs)
 		ex.Parallelism = workers
 		res, err := ex.Run(p)
 		if err != nil {

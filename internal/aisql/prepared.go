@@ -3,75 +3,94 @@ package aisql
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
+	"sync/atomic"
 
 	"aidb/internal/catalog"
 	"aidb/internal/exec"
-	"aidb/internal/plan"
+	"aidb/internal/obs"
 	"aidb/internal/plancache"
 	"aidb/internal/sql"
 )
 
 // Prepared is one prepared statement: parsed once at PREPARE time,
 // planned once (SELECT, UPDATE, DELETE), then executed any number of
-// times with per-call parameter bindings. Plans live in the engine's
-// shared plan cache keyed by the statement's canonical deparse, so every
-// session that prepares the same statement executes the same compiled
-// plan, and invalidation (DDL, ANALYZE, estimator retrain) transparently
-// forces a replan from the retained AST on the next EXECUTE.
+// times with per-call parameter bindings. Its plan lives in the shared
+// plan cache under the key an ad-hoc statement of that text gets, so
+// every session that prepares or just sends the statement runs one plan,
+// and invalidation (DDL, ANALYZE, estimator retrain) forces a replan
+// from the retained AST on the next EXECUTE.
 type Prepared struct {
 	Name      string
 	Kind      string // SELECT, INSERT, UPDATE, DELETE
-	NumParams int
+	NumParams int    // the $N the client binds on EXECUTE
 
-	stmt sql.Statement // PREDICTs rewritten
-	key  string        // plan-cache key ("stmt:" + Deparse); "" for INSERT
-
-	// mu serializes replans so concurrent EXECUTEs after an invalidation
-	// plan once, not once per caller.
-	mu     sync.Mutex
-	fp     string
-	planNs int64
+	stmt sql.Statement // as planned; INSERT is evaluated from it
+	key  string        // plan-cache key; "" for INSERT
+	// consts are the literals sql.Normalize took out of a body that
+	// spells no $N of its own: the plan's parameters on every EXECUTE.
+	consts []catalog.Value
+	text   string // "EXECUTE <name>", what executions are logged as
+	last   atomic.Pointer[plancache.Entry]
 }
 
-// Fingerprint reports the plan fingerprint of the prepared statement
-// ("" for INSERT, which has no plan tree).
+// Fingerprint reports the fingerprint of the plan the statement last ran
+// or was prepared with ("" for INSERT, which has no plan tree).
 func (p *Prepared) Fingerprint() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fp
+	if ent := p.last.Load(); ent != nil {
+		return ent.Fingerprint
+	}
+	return ""
 }
 
-// PlanNs reports what the most recent planning of this statement cost —
-// the work every subsequent EXECUTE skips.
-func (p *Prepared) PlanNs() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.planNs
+// plan returns the statement's current plan. A replan walks the retained
+// AST while plans built from it may be executing: safe, since planning
+// only reads it (rewritePredicts writes nothing on a second pass).
+func (p *Prepared) plan(e *Engine, sp *obs.Span, params []catalog.Value) (*plancache.Entry, error) {
+	ent, err := e.planFor(sp, p.key, params, func() (sql.Statement, error) { return p.stmt, nil })
+	if err == nil && p.last.Load() != ent {
+		p.last.Store(ent)
+	}
+	return ent, err
 }
 
-// Prepare compiles a parsed statement into a Prepared handle. SELECT,
-// UPDATE and DELETE are planned immediately (surfacing unknown
-// table/column errors at PREPARE time, like PostgreSQL) and published
-// to the plan cache; INSERT is held as an AST and evaluated with bound
-// parameters at execute time. Other statement kinds are not preparable.
+// PrepareText compiles the client's PREPARE name AS <statement> into a
+// handle: one lexer pass, one key (sql.Normalize), and for SELECT, UPDATE
+// and DELETE the plan that key names — the cached one when any session
+// has sent the same text, ad hoc or prepared; otherwise built now, so
+// unknown tables and columns fail at PREPARE, like PostgreSQL. INSERT is
+// held as an AST and evaluated with bound parameters at execute time.
+func (e *Engine) PrepareText(query string) (*Prepared, error) {
+	toks, key, consts, err := e.lex(nil, query)
+	if err != nil {
+		return nil, err
+	}
+	stmt, err := e.parse(nil, toks, query)
+	if err != nil {
+		return nil, err
+	}
+	ps, ok := stmt.(*sql.PrepareStmt)
+	if !ok {
+		return nil, fmt.Errorf("aisql: not a PREPARE statement: %s", sql.StatementKind(stmt))
+	}
+	return e.prepare(ps.Name, ps.Stmt, key, consts)
+}
+
+// Prepare is PrepareText for a caller that holds the statement as an AST
+// and no text: the key is the AST's canonical text (sql.Deparse) and its
+// literals stay in the plan, so such a handle shares its entry with
+// other handles of the same AST but not with ad-hoc text.
 func (e *Engine) Prepare(name string, stmt sql.Statement) (*Prepared, error) {
-	prep := &Prepared{
-		Name:      name,
-		Kind:      sql.StatementKind(stmt),
-		NumParams: sql.CountParams(stmt),
-		stmt:      stmt,
+	return e.prepare(name, stmt, sql.Deparse(stmt), nil)
+}
+
+func (e *Engine) prepare(name string, stmt sql.Statement, key string, consts []catalog.Value) (*Prepared, error) {
+	prep := &Prepared{Name: name, Kind: sql.StatementKind(stmt), stmt: stmt, key: key, consts: consts, text: "EXECUTE " + name}
+	if consts == nil { // otherwise the $N in stmt are Normalize's, not the client's
+		prep.NumParams = sql.CountParams(stmt)
 	}
 	switch stmt.(type) {
 	case *sql.SelectStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-		// Rewrite PREDICT() model refs once, up front: the key is the
-		// rewritten text, and replans reuse the AST without further
-		// mutation, so a cached plan can execute concurrently with a
-		// replan of the same statement.
-		rewritePredicts(stmt)
-		prep.key = "stmt:" + sql.Deparse(stmt)
-		if _, _, err := e.preparedPlan(prep); err != nil {
+		if _, err := prep.plan(e, nil, consts); err != nil {
 			return nil, err
 		}
 	case *sql.InsertStmt:
@@ -80,37 +99,6 @@ func (e *Engine) Prepare(name string, stmt sql.Statement) (*Prepared, error) {
 		return nil, fmt.Errorf("aisql: cannot PREPARE %s (only SELECT, INSERT, UPDATE, DELETE)", prep.Kind)
 	}
 	return prep, nil
-}
-
-// preparedPlan returns prep's compiled plan, consulting the shared
-// cache first and replanning from the retained AST after an
-// invalidation or eviction. Cache-less engines replan on every
-// execute — still parse-free, and never stale.
-func (e *Engine) preparedPlan(prep *Prepared) (plan.Node, string, error) {
-	if e.Plans != nil {
-		if ent := e.Plans.Lookup(prep.key); ent != nil {
-			return ent.Plan, ent.Fingerprint, nil
-		}
-	}
-	prep.mu.Lock()
-	defer prep.mu.Unlock()
-	start := time.Now()
-	p, err := e.buildPlan(prep.stmt)
-	if err != nil {
-		return nil, "", err
-	}
-	prep.planNs = time.Since(start).Nanoseconds()
-	prep.fp = plan.Fingerprint(p)
-	if e.Plans != nil {
-		e.Plans.Put(&plancache.Entry{
-			Key:         prep.key,
-			Fingerprint: prep.fp,
-			Plan:        p,
-			NumParams:   prep.NumParams,
-			PlanNs:      prep.planNs,
-		})
-	}
-	return p, prep.fp, nil
 }
 
 // ExecutePrepared runs a prepared statement with args bound to its $N
@@ -122,11 +110,8 @@ func (e *Engine) ExecutePrepared(ctx context.Context, prep *Prepared, args []cat
 	defer sp.Finish()
 	sp.SetTag("stmt", "EXECUTE")
 	e.stmts.Inc()
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			e.execObs.CancelRequests.Inc()
-			return nil, err
-		}
+	if err := e.cancelled(ctx); err != nil {
+		return nil, err
 	}
 	if len(args) != prep.NumParams {
 		return nil, fmt.Errorf("aisql: prepared statement %q wants %d parameters, got %d", prep.Name, prep.NumParams, len(args))
@@ -134,9 +119,12 @@ func (e *Engine) ExecutePrepared(ctx context.Context, prep *Prepared, args []cat
 	if ins, ok := prep.stmt.(*sql.InsertStmt); ok {
 		return e.insert(ins, args)
 	}
-	p, fp, err := e.preparedPlan(prep)
+	if prep.consts != nil {
+		args = prep.consts
+	}
+	ent, err := prep.plan(e, sp, args)
 	if err != nil {
 		return nil, err
 	}
-	return e.execPlan(ctx, p, prep.Kind, fp, sp, "EXECUTE "+prep.Name, args)
+	return e.execPlan(ctx, ent, prep.Kind, sp, prep.text, args)
 }

@@ -38,8 +38,10 @@ func (t ColType) String() string {
 	}
 }
 
-// Value is a dynamically typed cell: int64, float64 or string.
-type Value any
+// Value is a dynamically typed cell: int64, float64 or string. It is an
+// alias, so the []any of literals sql.Normalize extracts is a []Value
+// as it stands.
+type Value = any
 
 // Row is one tuple.
 type Row []Value

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"aidb/internal/aisql"
@@ -399,50 +399,83 @@ func (db *DB) Catalog() *catalog.Catalog { return db.engine.Cat }
 func (db *DB) Engine() *aisql.Engine { return db.engine }
 
 // Format renders a result as an aligned text table.
-func Format(res *exec.Result) string {
+func Format(res *exec.Result) string { return string(AppendResult(nil, res)) }
+
+// AppendResult appends the aligned text table Format returns to dst: the
+// reply a server writes, rendered into a buffer it reuses. Two passes
+// over the rows — column widths, then cells — with no intermediate
+// strings; int64, float64 and string cells (all a table holds) are
+// written by strconv exactly as fmt's %v writes them, anything else by
+// fmt.
+func AppendResult(dst []byte, res *exec.Result) []byte {
 	if res == nil || len(res.Columns) == 0 {
-		return "OK\n"
+		return append(dst, "OK\n"...)
 	}
+	var scratch [32]byte
 	widths := make([]int, len(res.Columns))
-	cells := make([][]string, 0, len(res.Rows)+1)
-	header := make([]string, len(res.Columns))
 	for i, c := range res.Columns {
-		header[i] = c
 		widths[i] = len(c)
 	}
-	cells = append(cells, header)
 	for _, r := range res.Rows {
-		row := make([]string, len(r))
 		for i, v := range r {
-			row[i] = fmt.Sprintf("%v", v)
-			if len(row[i]) > widths[i] {
-				widths[i] = len(row[i])
+			n := 0
+			if str, ok := v.(string); ok {
+				n = len(str)
+			} else {
+				n = len(appendCell(scratch[:0], v))
 			}
+			widths[i] = max(widths[i], n)
 		}
-		cells = append(cells, row)
 	}
-	var sb strings.Builder
-	for ri, row := range cells {
-		for i, c := range row {
+	for i, c := range res.Columns {
+		if i > 0 {
+			dst = append(dst, "  "...)
+		}
+		dst = append(dst, c...)
+		dst = appendPad(dst, widths[i]-len(c), ' ')
+	}
+	dst = append(dst, '\n')
+	for i, w := range widths {
+		if i > 0 {
+			dst = append(dst, "  "...)
+		}
+		dst = appendPad(dst, w, '-')
+	}
+	dst = append(dst, '\n')
+	for _, r := range res.Rows {
+		for i, v := range r {
 			if i > 0 {
-				sb.WriteString("  ")
+				dst = append(dst, "  "...)
 			}
-			sb.WriteString(c)
-			sb.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+			start := len(dst)
+			dst = appendCell(dst, v)
+			dst = appendPad(dst, widths[i]-(len(dst)-start), ' ')
 		}
-		sb.WriteByte('\n')
-		if ri == 0 {
-			for i := range row {
-				if i > 0 {
-					sb.WriteString("  ")
-				}
-				sb.WriteString(strings.Repeat("-", widths[i]))
-			}
-			sb.WriteByte('\n')
-		}
+		dst = append(dst, '\n')
 	}
-	fmt.Fprintf(&sb, "(%d rows)\n", len(res.Rows))
-	return sb.String()
+	dst = append(dst, '(')
+	dst = strconv.AppendInt(dst, int64(len(res.Rows)), 10)
+	return append(dst, " rows)\n"...)
+}
+
+func appendPad(dst []byte, n int, c byte) []byte {
+	for ; n > 0; n-- {
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// appendCell appends v as fmt's %v renders it.
+func appendCell(dst []byte, v catalog.Value) []byte {
+	switch x := v.(type) {
+	case int64:
+		return strconv.AppendInt(dst, x, 10)
+	case float64:
+		return strconv.AppendFloat(dst, x, 'g', -1, 64)
+	case string:
+		return append(dst, x...)
+	}
+	return fmt.Append(dst, v)
 }
 
 // TuneReport summarizes one knob-tuning session.

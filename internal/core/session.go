@@ -83,12 +83,21 @@ func (s *Session) Exec(query string) (*exec.Result, error) {
 	return s.ExecContext(context.Background(), query)
 }
 
-// sessionKeywords are the statement heads the session handles itself;
-// everything else delegates to the engine's text path (and therefore
-// the plan cache's raw-text fast path).
-var sessionKeywords = map[string]bool{
-	"PREPARE": true, "EXECUTE": true, "DEALLOCATE": true,
-	"BEGIN": true, "COMMIT": true, "ROLLBACK": true,
+// sessionKeyword returns the first word of query, upper-cased, when it
+// is one of the six statement heads the session handles itself, and ""
+// for everything else — which goes to the engine's text path untouched.
+func sessionKeyword(query string) string {
+	query = strings.TrimLeft(query, " \t\r\n")
+	end := 0
+	for end < len(query) && query[end]|0x20 >= 'a' && query[end]|0x20 <= 'z' {
+		end++
+	}
+	for _, kw := range [...]string{"PREPARE", "EXECUTE", "DEALLOCATE", "BEGIN", "COMMIT", "ROLLBACK"} {
+		if strings.EqualFold(query[:end], kw) {
+			return kw
+		}
+	}
+	return ""
 }
 
 // ExecContext runs one statement under ctx. Session statements
@@ -112,16 +121,18 @@ func (s *Session) ExecContext(ctx context.Context, query string) (*exec.Result, 
 			defer cancel()
 		}
 	}
-	fields := strings.Fields(query)
-	if len(fields) > 0 && sessionKeywords[strings.ToUpper(fields[0])] {
-		stmt, err := sql.Parse(query)
-		if err != nil {
-			return nil, err
-		}
-		return s.execSessionStmt(ctx, query, stmt)
+	switch sessionKeyword(query) {
+	case "":
+		s.noteTxnWork()
+		return s.db.ExecContext(ctx, query)
+	case "PREPARE":
+		return s.handlePrepare(ctx, query)
 	}
-	s.noteTxnWork()
-	return s.db.ExecContext(ctx, query)
+	stmt, err := sql.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	return s.execSessionStmt(ctx, query, stmt)
 }
 
 // noteTxnWork counts one data statement inside an open transaction
@@ -153,8 +164,6 @@ func (s *Session) ExecScript(ctx context.Context, script string) (*exec.Result, 
 
 func (s *Session) execSessionStmt(ctx context.Context, query string, stmt sql.Statement) (*exec.Result, error) {
 	switch v := stmt.(type) {
-	case *sql.PrepareStmt:
-		return s.handlePrepare(ctx, query, v)
 	case *sql.ExecuteStmt:
 		return s.handleExecute(ctx, query, v)
 	case *sql.DeallocateStmt:
@@ -201,20 +210,14 @@ func (s *Session) execSessionStmt(ctx context.Context, query string, stmt sql.St
 	}
 }
 
-// handlePrepare plans the inner statement once (under governance — plan
-// construction is admitted work) and binds it into the session's
-// namespace.
-func (s *Session) handlePrepare(ctx context.Context, query string, v *sql.PrepareStmt) (*exec.Result, error) {
-	s.mu.Lock()
-	_, exists := s.prepared[v.Name]
-	s.mu.Unlock()
-	if exists {
-		return nil, fmt.Errorf("core: prepared statement %q already exists", v.Name)
-	}
+// handlePrepare hands the PREPARE text to the engine (under governance —
+// plan construction is admitted work) and binds the handle it returns
+// into the session's namespace.
+func (s *Session) handlePrepare(ctx context.Context, query string) (*exec.Result, error) {
 	var prep *aisql.Prepared
 	_, err := s.db.govern(ctx, query, func(context.Context) (*exec.Result, error) {
 		var perr error
-		prep, perr = s.db.engine.Prepare(v.Name, v.Stmt)
+		prep, perr = s.db.engine.PrepareText(query)
 		return &exec.Result{}, perr
 	})
 	if err != nil {
@@ -222,10 +225,10 @@ func (s *Session) handlePrepare(ctx context.Context, query string, v *sql.Prepar
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, raced := s.prepared[v.Name]; raced {
-		return nil, fmt.Errorf("core: prepared statement %q already exists", v.Name)
+	if _, exists := s.prepared[prep.Name]; exists {
+		return nil, fmt.Errorf("core: prepared statement %q already exists", prep.Name)
 	}
-	s.prepared[v.Name] = prep
+	s.prepared[prep.Name] = prep
 	return &exec.Result{}, nil
 }
 

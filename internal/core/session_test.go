@@ -287,6 +287,37 @@ func TestSystemPlanCacheTables(t *testing.T) {
 	if len(stats.Rows) != 1 || stats.Rows[0][0].(int64) < 1 {
 		t.Fatalf("system.plan_cache_stats = %v", stats.Rows)
 	}
+
+	// What the tables say of statements that differ only in a WHERE
+	// literal: system.plan_cache lists the one entry they share, under the
+	// normalized text, with their hits; system.statements and the slow log
+	// list what the client sent.
+	for _, age := range []int{3, 4, 5} {
+		if _, err := db.Exec(fmt.Sprintf("SELECT city FROM users WHERE age = %d", age)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err = db.Exec("SELECT cache_key, num_params, hits FROM system.plan_cache WHERE fingerprint = 'Project(Filter(Scan(users)))'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != "SELECT city FROM users WHERE age = $1" || res.Rows[0][1].(int64) != 1 || res.Rows[0][2].(int64) != 2 {
+		t.Errorf("system.plan_cache for three statements of one shape: %v, want one entry keyed by the normalized text with 2 hits", res.Rows)
+	}
+	res, err = db.Exec("SELECT query, calls FROM system.statements WHERE fingerprint = 'Project(Filter(Scan(users)))'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != "SELECT city FROM users WHERE age = 3" || res.Rows[0][1].(int64) != 3 {
+		t.Errorf("system.statements: %v, want the client's first text and 3 calls", res.Rows)
+	}
+	res, err = db.Exec("SELECT query FROM system.slow_queries WHERE fingerprint = 'Project(Filter(Scan(users)))'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != "SELECT city FROM users WHERE age = 3" {
+		t.Errorf("system.slow_queries: %v, want the client's text", res.Rows)
+	}
 }
 
 func TestSessionTxnBrackets(t *testing.T) {

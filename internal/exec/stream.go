@@ -1140,6 +1140,9 @@ func (ex *Executor) profiled(op BatchOperator, n plan.Node) BatchOperator {
 // entirely inside the scan workers.
 func (ex *Executor) compile(rc *runCtx, n plan.Node) (BatchOperator, error) {
 	switch v := n.(type) {
+	case *plan.BoundNode:
+		ex.Params = v.Params
+		return ex.compile(rc, v.Input)
 	case *plan.ScanNode:
 		return ex.compileScan(rc, v), nil
 	case *plan.IndexScanNode:

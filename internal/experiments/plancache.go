@@ -13,9 +13,9 @@ func init() {
 	register("E33", runE33PlanCache)
 }
 
-// e33Shapes is the repeated workload: a fixed set of statement texts so
-// the text-keyed fast path can fire, plus one prepared statement whose
-// plan is shared across sessions via the "stmt:" key. The three-way
+// e33Shapes is the repeated workload: a fixed set of ad-hoc statement
+// texts, plus one prepared statement; each has one plan, shared across
+// sessions under its normalized text. The three-way
 // join makes planning (parse, build, optimize, index selection, build
 // sides) the dominant per-statement cost, which is exactly the regime
 // the plan cache targets.

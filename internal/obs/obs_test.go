@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -208,6 +209,71 @@ func TestSpanTree(t *testing.T) {
 		if !strings.Contains(d, want) {
 			t.Fatalf("dump missing %q:\n%s", want, d)
 		}
+	}
+}
+
+// TestTracerOneRing: Roots and Exports are two views of one ring — the
+// last keep spans and the last EnableExport(n) of them — and an export
+// is the span's JSON-ready copy, built when asked for.
+func TestTracerOneRing(t *testing.T) {
+	tr := NewTracer(2)
+	finish := func(i int) {
+		sp := tr.Start("query")
+		sp.SetTag("i", strconv.Itoa(i))
+		sp.SetTag("i", strconv.Itoa(i)) // last write wins in the export's map
+		sp.Child("exec").Finish()
+		sp.Finish()
+	}
+	if tr.Exports() != nil {
+		t.Fatal("exports before EnableExport")
+	}
+	finish(0)
+	finish(1)
+	finish(2)
+	tr.EnableExport(4) // keeps what the ring held: spans 1 and 2
+	for i := 3; i < 9; i++ {
+		finish(i)
+	}
+	tagOf := func(e SpanExport) string { return e.Tags["i"] }
+	var got []string
+	for _, e := range tr.Exports() {
+		got = append(got, tagOf(e))
+		if e.Name != "query" || len(e.Children) != 1 || e.Children[0].Name != "exec" || e.DurationNs <= 0 {
+			t.Errorf("export %+v", e)
+		}
+	}
+	if strings.Join(got, ",") != "5,6,7,8" {
+		t.Errorf("exports hold spans %v, want the last four: 5,6,7,8", got)
+	}
+	roots := tr.Roots()
+	if len(roots) != 2 || tagOf(roots[0].Export()) != "7" || tagOf(roots[1].Export()) != "8" || tr.Last() != roots[1] {
+		t.Errorf("Roots = %d spans ending %v, want the last two: 7,8", len(roots), tagOf(tr.Last().Export()))
+	}
+
+	early := NewTracer(4)
+	early.EnableExport(2)
+	sp := early.Start("only")
+	sp.Finish()
+	if e := early.Exports(); len(e) != 1 || e[0].Name != "only" || e[0].Tags != nil {
+		t.Errorf("exports of a ring not yet full: %+v", e)
+	}
+}
+
+// BenchmarkSpanFinish is what tracing costs a statement: a root span
+// with three tags and two children, started and filed. No map, and no
+// copy for an export nobody has asked for.
+func BenchmarkSpanFinish(b *testing.B) {
+	tr := NewTracer(16)
+	tr.EnableExport(64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sp := tr.Start("query")
+		sp.SetTag("stmt", "SELECT")
+		sp.SetTag("plancache", "hit")
+		sp.Child("plan").Finish()
+		sp.SetTag("plan", "nodes=3,depth=3")
+		sp.Child("exec").Finish()
+		sp.Finish()
 	}
 }
 

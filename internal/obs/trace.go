@@ -8,21 +8,21 @@ import (
 	"time"
 )
 
-// Tracer collects finished root spans in a bounded ring (newest kept).
-// A nil *Tracer is a valid "tracing disabled" tracer: Start returns a
-// nil span whose whole API is a no-op, so instrumented paths pay one
-// nil check when tracing is off.
+// Tracer collects finished root spans in one bounded ring (newest kept).
+// A finished span is immutable, so the ring is all a reader needs:
+// Roots hands out the spans, Exports builds JSON-ready copies of them
+// when somebody asks — a statement pays for filing its span, never for
+// a copy nobody may read. A nil *Tracer is a valid "tracing disabled"
+// tracer: Start returns a nil span whose whole API is a no-op, so
+// instrumented paths pay one nil check when tracing is off.
 type Tracer struct {
-	mu    sync.Mutex
-	cap   int
-	roots []*Span
+	mu   sync.Mutex
+	ring []*Span // the last len(ring) finished roots, oldest at next once full
+	next int
+	n    int
 
-	// Export ring: when enabled, every finished root span is also
-	// frozen into an immutable SpanExport (newest kept) so HTTP
-	// consumers can serve span trees without touching live *Span
-	// structures.
-	expCap  int
-	exports []SpanExport
+	keep   int // how many of them Roots returns
+	expCap int // how many of them Exports returns; 0 until EnableExport
 }
 
 // NewTracer returns a tracer retaining the last keep root spans
@@ -31,7 +31,7 @@ func NewTracer(keep int) *Tracer {
 	if keep <= 0 {
 		keep = 16
 	}
-	return &Tracer{cap: keep}
+	return &Tracer{keep: keep, ring: make([]*Span, keep)}
 }
 
 // Start opens a root span. Nil-tracer safe.
@@ -39,28 +39,41 @@ func (t *Tracer) Start(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return &Span{tr: t, Name: name, start: time.Now()}
+	// A root and room for the few tags a statement sets, in one allocation.
+	r := &struct {
+		Span
+		tags [4]spanTag
+	}{Span: Span{tr: t, Name: name, start: time.Now()}}
+	r.Span.tags = r.tags[:0]
+	return &r.Span
 }
 
 // record files a finished root span. Called from Span.Finish.
 func (t *Tracer) record(s *Span) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.roots = append(t.roots, s)
-	if len(t.roots) > t.cap {
-		t.roots = t.roots[len(t.roots)-t.cap:]
+	t.ring[t.next] = s
+	t.next = (t.next + 1) % len(t.ring)
+	if t.n < len(t.ring) {
+		t.n++
 	}
-	if t.expCap > 0 {
-		t.exports = append(t.exports, s.Export())
-		if len(t.exports) > t.expCap {
-			t.exports = append(t.exports[:0], t.exports[len(t.exports)-t.expCap:]...)
-		}
-	}
+	t.mu.Unlock()
 }
 
-// EnableExport turns on the bounded trace-export ring, retaining the
-// last keep finished root spans as immutable SpanExport trees (default
-// 64 when keep <= 0). Nil-tracer safe.
+// last returns the newest min(k, retained) roots, oldest first.
+func (t *Tracer) last(k int) []*Span {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	k = min(k, t.n)
+	out := make([]*Span, k)
+	for i := range out {
+		out[i] = t.ring[(t.next-k+i+len(t.ring))%len(t.ring)]
+	}
+	return out
+}
+
+// EnableExport makes Exports return the last keep finished root spans
+// (default 64 when keep <= 0), growing the ring to hold them. Nil-tracer
+// safe.
 func (t *Tracer) EnableExport(keep int) {
 	if t == nil {
 		return
@@ -68,23 +81,34 @@ func (t *Tracer) EnableExport(keep int) {
 	if keep <= 0 {
 		keep = 64
 	}
+	held := t.last(len(t.ring))
 	t.mu.Lock()
 	t.expCap = keep
-	if len(t.exports) > keep {
-		t.exports = append([]SpanExport(nil), t.exports[len(t.exports)-keep:]...)
-	}
+	t.ring = make([]*Span, max(t.keep, keep))
+	t.n = copy(t.ring, held[max(0, len(held)-len(t.ring)):])
+	t.next = t.n % len(t.ring)
 	t.mu.Unlock()
 }
 
-// Exports returns the retained exported span trees, oldest first (nil
-// when export is disabled or nothing finished yet).
+// Exports returns the retained root spans as SpanExport trees, oldest
+// first (nil when export is disabled or nothing finished yet). The
+// copies are built here, on the reader's time.
 func (t *Tracer) Exports() []SpanExport {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]SpanExport(nil), t.exports...)
+	k := t.expCap
+	t.mu.Unlock()
+	roots := t.last(k)
+	if len(roots) == 0 {
+		return nil
+	}
+	out := make([]SpanExport, len(roots))
+	for i, s := range roots {
+		out[i] = s.Export()
+	}
+	return out
 }
 
 // Last returns the most recently finished root span (nil when none).
@@ -92,12 +116,10 @@ func (t *Tracer) Last() *Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.roots) == 0 {
-		return nil
+	if l := t.last(1); len(l) == 1 {
+		return l[0]
 	}
-	return t.roots[len(t.roots)-1]
+	return nil
 }
 
 // Roots returns the retained root spans, oldest first.
@@ -105,16 +127,15 @@ func (t *Tracer) Roots() []*Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*Span(nil), t.roots...)
+	return t.last(t.keep)
 }
 
 // Span is one timed region with tags and child spans. Spans are built
 // by one goroutine at a time (the query path is sequential per query);
 // the tracer's ring is what synchronizes cross-goroutine access, and a
-// span is published there only after Finish. All methods are no-ops on
-// a nil receiver.
+// span is published there only after Finish — from then on nothing
+// writes to it or to its children. All methods are no-ops on a nil
+// receiver.
 type Span struct {
 	tr   *Tracer
 	Name string
@@ -218,7 +239,8 @@ type SpanExport struct {
 }
 
 // Export freezes the span tree into a SpanExport. Call it only on
-// finished spans (the tracer does this when filing a root). Nil-safe.
+// finished spans (Tracer.Exports does, for the roots it retains).
+// Nil-safe.
 func (s *Span) Export() SpanExport {
 	if s == nil {
 		return SpanExport{}

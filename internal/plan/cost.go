@@ -19,32 +19,37 @@ type CardinalityEstimator interface {
 
 // HistogramEstimator is the traditional baseline: per-predicate histogram
 // selectivities multiplied together (independence assumption).
-type HistogramEstimator struct{}
-
-// EstimateFilter implements CardinalityEstimator.
-func (HistogramEstimator) EstimateFilter(t *catalog.Table, alias string, cond sql.Expr) float64 {
-	return estimateCond(t, alias, cond)
+type HistogramEstimator struct {
+	// Params, when set, are read where a predicate spells $N, so a
+	// parameterised plan is estimated for the values one statement binds
+	// rather than by the no-information default.
+	Params []catalog.Value
 }
 
-func estimateCond(t *catalog.Table, alias string, e sql.Expr) float64 {
+// EstimateFilter implements CardinalityEstimator.
+func (h HistogramEstimator) EstimateFilter(t *catalog.Table, alias string, cond sql.Expr) float64 {
+	return h.estimateCond(t, alias, cond)
+}
+
+func (h HistogramEstimator) estimateCond(t *catalog.Table, alias string, e sql.Expr) float64 {
 	switch v := e.(type) {
 	case *sql.BinaryExpr:
 		switch v.Op {
 		case "AND":
-			return estimateCond(t, alias, v.Left) * estimateCond(t, alias, v.Right)
+			return h.estimateCond(t, alias, v.Left) * h.estimateCond(t, alias, v.Right)
 		case "OR":
-			a, b := estimateCond(t, alias, v.Left), estimateCond(t, alias, v.Right)
+			a, b := h.estimateCond(t, alias, v.Left), h.estimateCond(t, alias, v.Right)
 			return a + b - a*b
 		case "=", "<", "<=", ">", ">=", "!=":
-			return estimateComparison(t, alias, v)
+			return h.estimateComparison(t, alias, v)
 		}
 	case *sql.BetweenExpr:
 		col, ok := columnIndexOf(t, alias, v.Subject)
 		if !ok {
 			return 1.0 / 3
 		}
-		lo, ok1 := intLitValue(v.Lo)
-		hi, ok2 := intLitValue(v.Hi)
+		lo, ok1 := h.intValue(v.Lo)
+		hi, ok2 := h.intValue(v.Hi)
 		if !ok1 || !ok2 {
 			return 1.0 / 3
 		}
@@ -56,7 +61,7 @@ func estimateCond(t *catalog.Table, alias string, e sql.Expr) float64 {
 		}
 		sel := 0.0
 		for _, item := range v.List {
-			lit, ok := intLitValue(item)
+			lit, ok := h.intValue(item)
 			if !ok {
 				return 1.0 / 3
 			}
@@ -70,18 +75,18 @@ func estimateCond(t *catalog.Table, alias string, e sql.Expr) float64 {
 		}
 		return sel
 	case *sql.NotExpr:
-		return 1 - estimateCond(t, alias, v.Inner)
+		return 1 - h.estimateCond(t, alias, v.Inner)
 	}
 	return 1.0 / 3
 }
 
-func estimateComparison(t *catalog.Table, alias string, v *sql.BinaryExpr) float64 {
+func (h HistogramEstimator) estimateComparison(t *catalog.Table, alias string, v *sql.BinaryExpr) float64 {
 	col, ok := columnIndexOf(t, alias, v.Left)
-	lit, okLit := intLitValue(v.Right)
+	lit, okLit := h.intValue(v.Right)
 	if !ok || !okLit {
 		// Try the mirrored form literal OP column.
 		col, ok = columnIndexOf(t, alias, v.Right)
-		lit, okLit = intLitValue(v.Left)
+		lit, okLit = h.intValue(v.Left)
 		if !ok || !okLit {
 			return 1.0 / 3
 		}
@@ -132,12 +137,23 @@ func columnIndexOf(t *catalog.Table, alias string, e sql.Expr) (int, bool) {
 	return idx, idx >= 0
 }
 
-func intLitValue(e sql.Expr) (int64, bool) {
+// intValue is the integer a predicate compares with: a numeric literal,
+// or the numeric value h.Params binds to a placeholder.
+func (h HistogramEstimator) intValue(e sql.Expr) (int64, bool) {
 	switch v := e.(type) {
 	case *sql.IntLit:
 		return v.Value, true
 	case *sql.FloatLit:
 		return int64(v.Value), true
+	case *sql.ParamRef:
+		if v.Index >= 1 && v.Index <= len(h.Params) {
+			switch p := h.Params[v.Index-1].(type) {
+			case int64:
+				return p, true
+			case float64:
+				return int64(p), true
+			}
+		}
 	}
 	return 0, false
 }

@@ -173,6 +173,7 @@ func bestIndexRange(scan *ScanNode, cond sql.Expr, lookup IndexLookup) *IndexSca
 			best = &IndexScanNode{
 				Table: scan.Table, Alias: scan.Alias, Column: c,
 				Lo: r.lo, Hi: r.hi, Fetch: fetch, RowIDs: scan.RowIDs,
+				schema: scan.Schema(),
 			}
 			bestWidth = w
 		}

@@ -42,10 +42,25 @@ type ScanNode struct {
 	// Nil — what Build produces — decodes every column. OptimizeFilters
 	// fills it in.
 	Needed []bool
+
+	schema []string
 }
 
-// Schema implements Node.
-func (s *ScanNode) Schema() []string { return tableSchema(s.Table, s.Alias) }
+// NewScanNode builds a scan of t under alias, fixing its qualified
+// schema once: Schema is called by every operator above the scan on
+// every execution of a cached plan.
+func NewScanNode(t *catalog.Table, alias string) *ScanNode {
+	return &ScanNode{Table: t, Alias: alias, schema: tableSchema(t, alias)}
+}
+
+// Schema implements Node. A node built as a literal rather than by
+// NewScanNode computes its names on each call.
+func (s *ScanNode) Schema() []string {
+	if s.schema == nil {
+		return tableSchema(s.Table, s.Alias)
+	}
+	return s.schema
+}
 
 // Children implements Node.
 func (s *ScanNode) Children() []Node { return nil }
@@ -136,6 +151,8 @@ type IndexScanNode struct {
 	Fetch  IndexFetch
 	// RowIDs is ScanNode.RowIDs for the index path.
 	RowIDs bool
+
+	schema []string // the replaced ScanNode's
 }
 
 // Range fixes the key range for one execution. ok is false when some
@@ -167,8 +184,13 @@ func (s *IndexScanNode) Range(params []catalog.Value) (lo, hi int64, ok bool) {
 	return lo, hi, true
 }
 
-// Schema implements Node.
-func (s *IndexScanNode) Schema() []string { return tableSchema(s.Table, s.Alias) }
+// Schema implements Node, like ScanNode.Schema.
+func (s *IndexScanNode) Schema() []string {
+	if s.schema == nil {
+		return tableSchema(s.Table, s.Alias)
+	}
+	return s.schema
+}
 
 // Children implements Node.
 func (s *IndexScanNode) Children() []Node { return nil }
@@ -191,6 +213,23 @@ func (s *IndexScanNode) Describe() string {
 	return fmt.Sprintf("IndexScan %s.%s ∈ [%s, %s]", s.Alias, s.Table.Schema.Columns[s.Column].Name,
 		side(s.Lo, "max", "-inf"), side(s.Hi, "min", "+inf"))
 }
+
+// BoundNode runs Input with Params bound to its $N placeholders, whatever
+// the executor was given. It exists for plancache's legacy-key shim (see
+// Cache.legacy) and goes with it; the engine never builds one.
+type BoundNode struct {
+	Input  Node
+	Params []catalog.Value
+}
+
+// Schema implements Node.
+func (b *BoundNode) Schema() []string { return b.Input.Schema() }
+
+// Children implements Node.
+func (b *BoundNode) Children() []Node { return []Node{b.Input} }
+
+// Describe implements Node.
+func (b *BoundNode) Describe() string { return fmt.Sprintf("Bound (%d parameters)", len(b.Params)) }
 
 // VirtualScanNode reads a virtual (computed) table such as
 // system.statements. The provider snapshots its rows when the scan
@@ -436,7 +475,9 @@ func BuildModify(cat *catalog.Catalog, stmt sql.Statement) (*ModifyNode, error) 
 	if err != nil {
 		return nil, err
 	}
-	m := &ModifyNode{Input: &ScanNode{Table: t, Alias: table, RowIDs: true}, Table: t}
+	scan := NewScanNode(t, table)
+	scan.RowIDs = true
+	m := &ModifyNode{Input: scan, Table: t}
 	if where != nil {
 		m.Input = &FilterNode{Input: m.Input, Cond: where}
 	}
@@ -538,7 +579,7 @@ func buildSource(cat *catalog.Catalog, name, alias string) (Node, error) {
 		alias = name
 	}
 	if t, err := cat.Table(name); err == nil {
-		return &ScanNode{Table: t, Alias: alias}, nil
+		return NewScanNode(t, alias), nil
 	} else if vt, verr := cat.Virtual(name); verr == nil {
 		return &VirtualScanNode{Table: vt, Alias: alias}, nil
 	} else {

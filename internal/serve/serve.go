@@ -17,10 +17,10 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -110,6 +110,10 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// maxKeptReply is the largest reply buffer a connection keeps between
+// statements.
+const maxKeptReply = 1 << 20
+
 func (s *Server) handleConn(c net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -124,9 +128,11 @@ func (s *Server) handleConn(c net.Conn) {
 	defer sess.Close()
 	sc := bufio.NewScanner(c)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	w := bufio.NewWriter(c)
+	// One buffer per connection takes each reply and its terminator and
+	// goes to the socket in one write.
+	var reply []byte
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+		line := string(bytes.TrimSpace(sc.Bytes()))
 		if line == "" {
 			continue
 		}
@@ -136,13 +142,18 @@ func (s *Server) handleConn(c net.Conn) {
 		s.stmtsC.Inc()
 		res, err := sess.ExecScript(context.Background(), line)
 		if err != nil {
-			fmt.Fprintf(w, "ERR %s\n", strings.ReplaceAll(err.Error(), "\n", " "))
+			reply = append(reply[:0], "ERR "...)
+			reply = append(reply, strings.ReplaceAll(err.Error(), "\n", " ")...)
+			reply = append(reply, '\n')
 		} else {
-			io.WriteString(w, core.Format(res))
+			reply = core.AppendResult(reply[:0], res)
 		}
-		io.WriteString(w, ".\n")
-		if err := w.Flush(); err != nil {
+		reply = append(reply, ".\n"...)
+		if _, err := c.Write(reply); err != nil {
 			return
+		}
+		if cap(reply) > maxKeptReply {
+			reply = nil // one huge answer should not pin its buffer for the connection's life
 		}
 	}
 	// A line over the scanner's limit ends the loop mid-line, so the
@@ -151,8 +162,7 @@ func (s *Server) handleConn(c net.Conn) {
 	// connection and could cost the client the reply, so send FIN and
 	// discard input until the client hangs up.
 	if errors.Is(sc.Err(), bufio.ErrTooLong) {
-		io.WriteString(w, "ERR line too long\n.\n")
-		if w.Flush() != nil {
+		if _, err := io.WriteString(c, "ERR line too long\n.\n"); err != nil {
 			return
 		}
 		if tc, ok := c.(*net.TCPConn); ok && tc.CloseWrite() == nil {

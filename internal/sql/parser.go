@@ -18,6 +18,12 @@ func Parse(input string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ParseTokens(toks)
+}
+
+// ParseTokens parses one statement from Lex's output, or from what
+// Normalize made of it.
+func ParseTokens(toks []Token) (Statement, error) {
 	p := &Parser{toks: toks}
 	stmt, err := p.parseStatement()
 	if err != nil {
