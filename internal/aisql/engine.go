@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aidb/internal/cardest"
@@ -56,8 +58,10 @@ type Engine struct {
 	// disables caching; invalidation on DDL/ANALYZE routes through it.
 	Plans *plancache.Cache
 
-	mu      sync.RWMutex
-	models  map[string]*Model
+	mu sync.RWMutex
+	// models is replaced, never changed, under mu: PREDICT looks its
+	// model up on every row, from every scan worker, without a lock.
+	models  atomic.Pointer[map[string]*Model]
 	indexes map[string]*secondaryIndex
 	funcs   exec.FuncRegistry // PREDICT and PREDICT_PROBA, over models
 
@@ -135,7 +139,8 @@ func NewEngine() *Engine { return NewEngineWith(catalog.NewMem()) }
 
 // NewEngineWith uses an existing catalog.
 func NewEngineWith(cat *catalog.Catalog) *Engine {
-	e := &Engine{Cat: cat, models: map[string]*Model{}}
+	e := &Engine{Cat: cat}
+	e.models.Store(&map[string]*Model{})
 	e.funcs = e.predictFuncs()
 	return e
 }
@@ -159,16 +164,14 @@ func (e *Engine) RetrainModel(name string) error {
 		return err
 	}
 	e.mu.Lock()
-	e.models[name] = fresh
+	e.setModel(name, fresh)
 	e.mu.Unlock()
 	return nil
 }
 
 // Model returns a registered model.
 func (e *Engine) Model(name string) (*Model, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	m, ok := e.models[name]
+	m, ok := (*e.models.Load())[name]
 	if !ok {
 		return nil, fmt.Errorf("aisql: model %q does not exist", name)
 	}
@@ -177,10 +180,9 @@ func (e *Engine) Model(name string) (*Model, error) {
 
 // Models lists registered model names in sorted order.
 func (e *Engine) Models() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	names := make([]string, 0, len(e.models))
-	for n := range e.models {
+	models := *e.models.Load()
+	names := make([]string, 0, len(models))
+	for n := range models {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -205,13 +207,14 @@ func (e *Engine) predictFuncs() exec.FuncRegistry {
 			if err != nil {
 				return nil, err
 			}
-			f := make([]float64, len(args)-1)
+			var buf [stackFeatures]float64
+			f := buf[:0]
 			for i, a := range args[1:] {
 				v, err := toF64(a)
 				if err != nil {
 					return nil, fmt.Errorf("aisql: PREDICT feature %d: %w", i, err)
 				}
-				f[i] = v
+				f = append(f, v)
 			}
 			if proba {
 				return m.PredictProba(f)
@@ -405,10 +408,10 @@ func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Sp
 	case *sql.DropModelStmt:
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		if _, ok := e.models[s.Name]; !ok {
+		if _, ok := (*e.models.Load())[s.Name]; !ok {
 			return nil, fmt.Errorf("aisql: model %q does not exist", s.Name)
 		}
-		delete(e.models, s.Name)
+		e.setModel(s.Name, nil)
 		return emptyResult(), nil
 	case *sql.ShowStmt:
 		res := &exec.Result{Columns: []string{strings.ToLower(s.What)}}
@@ -713,11 +716,23 @@ func (e *Engine) createModel(s *sql.CreateModelStmt) (*exec.Result, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.models[s.Name]; ok {
+	if _, ok := (*e.models.Load())[s.Name]; ok {
 		return nil, fmt.Errorf("aisql: model %q already exists", s.Name)
 	}
-	e.models[s.Name] = m
+	e.setModel(s.Name, m)
 	return emptyResult(), nil
+}
+
+// setModel publishes a copy of the model registry with name bound to m
+// (removed when m is nil). Caller holds mu.
+func (e *Engine) setModel(name string, m *Model) {
+	next := maps.Clone(*e.models.Load())
+	if m == nil {
+		delete(next, name)
+	} else {
+		next[name] = m
+	}
+	e.models.Store(&next)
 }
 
 func (e *Engine) evaluateModel(s *sql.EvaluateModelStmt) (*exec.Result, error) {

@@ -1,7 +1,6 @@
 package aisql
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -77,35 +76,21 @@ func (si *secondaryIndex) remove(value int64, rid storage.RecordID) {
 // cannot overflow int64.
 const maxIndexable = int64(1) << 42
 
-// fetch streams rows with lo <= column value <= hi in value order.
-func (si *secondaryIndex) fetch(t *catalog.Table) plan.IndexFetch {
-	return func(lo, hi int64, fn func(rid storage.RecordID, row catalog.Row) bool) error {
+// fetch appends the record ids of rows with lo <= column value <= hi, in
+// value order; the executor decodes them a page at a time.
+func (si *secondaryIndex) fetch() plan.IndexFetch {
+	return func(lo, hi int64, dst []storage.RecordID) ([]storage.RecordID, error) {
 		lo, hi = max(lo, -maxIndexable), min(hi, maxIndexable)
 		if lo > hi {
-			return nil
+			return dst, nil
 		}
 		si.mu.RLock()
-		var hits []storage.RecordID
+		defer si.mu.RUnlock()
 		si.tree.Range(lo<<dupBits, hi<<dupBits|seqMask, func(k int64, v uint64) bool {
-			hits = append(hits, storage.RecordID{Page: storage.PageID(v >> 16), Slot: int(v & 0xFFFF)})
+			dst = append(dst, storage.RecordID{Page: storage.PageID(v >> 16), Slot: int(v & 0xFFFF)})
 			return true
 		})
-		si.mu.RUnlock()
-		for _, rid := range hits {
-			row, err := t.Get(rid)
-			if errors.Is(err, storage.ErrRecordDeleted) {
-				// Deleted since the index was read: the row is gone, not
-				// the query.
-				continue
-			}
-			if err != nil {
-				return fmt.Errorf("aisql: index fetch: %w", err)
-			}
-			if !fn(rid, row) {
-				return nil
-			}
-		}
-		return nil
+		return dst, nil
 	}
 }
 
@@ -156,15 +141,10 @@ func (e *Engine) indexFor(table string, col int) *secondaryIndex {
 // indexLookup adapts the engine's indexes to the planner's interface.
 func (e *Engine) indexLookup() plan.IndexLookup {
 	return func(table string, col int) plan.IndexFetch {
-		si := e.indexFor(table, col)
-		if si == nil {
-			return nil
+		if si := e.indexFor(table, col); si != nil {
+			return si.fetch()
 		}
-		t, err := e.Cat.Table(table)
-		if err != nil {
-			return nil
-		}
-		return si.fetch(t)
+		return nil
 	}
 }
 

@@ -55,15 +55,21 @@ type Model struct {
 	means, stds []float64
 }
 
-func (m *Model) scale(f []float64) []float64 {
+// stackFeatures is how many features a caller of Predict can hold in a
+// stack buffer: PREDICT over that many allocates nothing per row.
+const stackFeatures = 8
+
+// scale applies the fitted feature scaler, writing into dst's storage
+// (a caller's stack buffer); without a scaler it returns f itself.
+func (m *Model) scale(dst, f []float64) []float64 {
 	if m.means == nil {
 		return f
 	}
-	out := make([]float64, len(f))
+	dst = dst[:0]
 	for i, v := range f {
-		out[i] = (v - m.means[i]) / m.stds[i]
+		dst = append(dst, (v-m.means[i])/m.stds[i])
 	}
-	return out
+	return dst
 }
 
 // trainingData extracts (features, labels) from a table.
@@ -176,7 +182,8 @@ func (m *Model) Predict(f []float64) (float64, error) {
 	}
 	switch m.Kind {
 	case Logistic:
-		return m.logistic.Predict(m.scale(f)), nil
+		var buf [stackFeatures]float64
+		return m.logistic.Predict(m.scale(buf[:], f)), nil
 	case Linear:
 		return m.linear.Predict(f), nil
 	default:
@@ -189,7 +196,8 @@ func (m *Model) PredictProba(f []float64) (float64, error) {
 	if m.Kind != Logistic {
 		return 0, fmt.Errorf("aisql: model %q is not probabilistic", m.Name)
 	}
-	return m.logistic.PredictProba(m.scale(f)), nil
+	var buf [stackFeatures]float64
+	return m.logistic.PredictProba(m.scale(buf[:], f)), nil
 }
 
 // PredictBatch applies the model to every row of x in one batched pass

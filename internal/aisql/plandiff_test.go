@@ -38,6 +38,15 @@ type genQuery struct {
 	lits    []string
 	params  []catalog.Value
 	ordered bool // ORDER BY on a unique key: compare as sequences
+	// ref, when set, is the statement whose raw plan is the reference in
+	// place of text's own (same holes).
+	ref string
+}
+
+// spellParam renders the statement with placeholders.
+func (q *genQuery) spellParam() string {
+	_, param := q.spell()
+	return param
 }
 
 // spell renders the statement with literal operands ("" when one has no
@@ -165,6 +174,30 @@ func (g *planGen) join() *genQuery {
 	return g.q
 }
 
+// mixedJoin emits an equi-join whose key columns differ in type (INT =
+// FLOAT) or hold both zeros (-0.0 and 0.0), or an INT = INT join over
+// values above 2^53, with the reference being the same pairs joined on a
+// constant key and the key predicate run as a filter: a hash join must
+// match exactly the pairs = matches.
+func (g *planGen) mixedJoin() *genQuery {
+	g.q = &genQuery{}
+	pairs := [][2]string{{"nums", "reals"}, {"reals", "nums"}, {"reals", "reals"}, {"nums", "nums"}}
+	p := pairs[g.r.Intn(len(pairs))]
+	key := map[string]string{"nums": "a.n", "reals": "a.x"}[p[0]] + " = " + map[string]string{"nums": "b.n", "reals": "b.x"}[p[1]]
+	from := " FROM " + p[0] + " a JOIN " + p[1] + " b ON "
+	sel := "SELECT a.id, b.id"
+	if g.r.Intn(3) == 0 {
+		sel = "SELECT COUNT(*)"
+	}
+	where := ""
+	if g.r.Intn(2) == 0 {
+		where = " AND b.id < " + g.intArg(2, 8)
+	}
+	g.q.text = sel + from + key + strings.Replace(where, " AND", " WHERE", 1)
+	g.q.ref = sel + from + "a.one = b.one WHERE " + key + where
+	return g.q
+}
+
 // single emits a statement over the five-column users table that reads
 // a strict subset of its columns.
 func (g *planGen) single() *genQuery {
@@ -235,6 +268,16 @@ func planDiffEngine(t *testing.T, indexed bool) *Engine {
 	})
 	sb.WriteString("CREATE TABLE items (id INT, order_id INT, qty INT);\n")
 	values("items", 800, func(i int) string { return fmt.Sprintf("(%d, %d, %d)", i, (i*11)%640, i%10) })
+	// Join keys of two types, both zeros, and integers 2^53 and 2^53+1,
+	// which are one value as floats and two as integers.
+	sb.WriteString("CREATE TABLE nums (id INT, n INT, one INT);\n")
+	values("nums", 8, func(i int) string {
+		return fmt.Sprintf("(%d, %s, 1)", i, []string{"-2", "0", "1", "2", "3", "9007199254740993", "9007199254740992", "1"}[i])
+	})
+	sb.WriteString("CREATE TABLE reals (id INT, x FLOAT, one INT);\n")
+	values("reals", 8, func(i int) string {
+		return fmt.Sprintf("(%d, %s, 1)", i, []string{"-0.0", "0.0", "1.0", "1.5", "2.0", "-2.0", "9007199254740992", "2.5"}[i])
+	})
 	sb.WriteString("CREATE MODEL churn PREDICT churned ON users FEATURES (age, score) WITH (kind = 'logistic', epochs = 20);\n")
 	if indexed {
 		sb.WriteString("CREATE INDEX users_age ON users (age); CREATE INDEX orders_user ON orders (user_id); CREATE INDEX items_qty ON items (qty)")
@@ -262,13 +305,14 @@ func TestPlanShapeDifferential(t *testing.T) {
 	g := &planGen{r: rand.New(rand.NewSource(20210621))}
 	ctx := context.Background()
 	errors, empties, sunk, indexed := 0, 0, 0, 0
-	const total = 320
-	for i := 0; i < total; i++ {
-		q := g.join()
-		if i%4 == 3 {
-			q = g.single()
-		}
+	// run checks one statement on every path against its reference and
+	// returns the reference answer.
+	run := func(q *genQuery) string {
 		lit, param := q.spell()
+		refText := param
+		if q.ref != "" {
+			refText = (&genQuery{text: q.ref, lits: q.lits}).spellParam()
+		}
 		render := outcome
 		if q.ordered {
 			render = sequence
@@ -285,18 +329,18 @@ func TestPlanShapeDifferential(t *testing.T) {
 					want = got
 				}
 				if got != want {
-					t.Fatalf("engine %d, %s: %s %v\n%s", ei, how, param, q.params, outcomeDiff(got, want))
+					t.Fatalf("engine %d, %s: %s %v (reference %s)\n%s", ei, how, param, q.params, refText, outcomeDiff(got, want))
 				}
 			}
 			// The reference: Build's plan as it stands, serial.
-			stmt, err := sql.Parse(param)
+			stmt, err := sql.Parse(refText)
 			if err != nil {
-				t.Fatalf("%s: %v", param, err)
+				t.Fatalf("%s: %v", refText, err)
 			}
 			rewritePredicts(stmt)
 			raw, err := plan.Build(e.Cat, stmt.(*sql.SelectStmt))
 			if err != nil {
-				t.Fatalf("%s: %v", param, err)
+				t.Fatalf("%s: %v", refText, err)
 			}
 			ref := exec.New(e.funcs)
 			ref.Parallelism = 1
@@ -331,12 +375,31 @@ func TestPlanShapeDifferential(t *testing.T) {
 				}
 			}
 		}
-		switch want {
+		return want
+	}
+	const total = 320
+	for i := 0; i < total; i++ {
+		q := g.join()
+		if i%4 == 3 {
+			q = g.single()
+		}
+		switch run(q) {
 		case "error":
 			errors++
 		case "":
 			empties++
 		}
+	}
+	// Key types: a generator of its own, so the stream above is unchanged.
+	mixed := &planGen{r: rand.New(rand.NewSource(20210624))}
+	matched := 0
+	for i := 0; i < 48; i++ {
+		if want := run(mixed.mixedJoin()); want != "" && want != "0" && want != "[0]" {
+			matched++
+		}
+	}
+	if matched < 24 {
+		t.Errorf("weak coverage: %d of 48 mixed-type joins matched any pair", matched)
 	}
 	// The generator must actually reach the cases it is there for.
 	if errors == 0 || errors > total/4 || empties < 20 || sunk < total/3 || indexed < total/8 {

@@ -227,72 +227,24 @@ func encodeRow(schema *Schema, row Row) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeRow deserializes a row against a schema.
-func decodeRow(schema *Schema, b []byte) (Row, error) {
-	row := make(Row, len(schema.Columns))
-	if err := decodeRowInto(schema, b, row, nil); err != nil {
-		return nil, err
+// stringLen reads the length of the string encoded at off and checks
+// that its bytes are all there.
+func stringLen(b []byte, off int) (int, error) {
+	if off+4 > len(b) {
+		return 0, errors.New("catalog: truncated string length")
 	}
-	return row, nil
+	l := int(binary.LittleEndian.Uint32(b[off : off+4]))
+	if off+4+l > len(b) {
+		return 0, errors.New("catalog: truncated string value")
+	}
+	return l, nil
 }
 
-// unread fills the slot of a column a scan was told not to decode. It is
-// an error value, so whatever does get hold of one rejects it: comparing
-// or computing with it fails with its message, storing it fails, and
-// printing it prints the message — a planner slip about which columns a
-// plan reads fails the statement instead of answering with a stale or
-// NULL value.
-type unread struct{}
-
-func (unread) Error() string {
-	return "catalog: read of a column the scan did not decode (planner bug)"
-}
-
-// decodeRowInto deserializes a row against a schema into caller-owned
-// storage; row must have exactly one slot per schema column. A non-nil
-// need selects the columns to decode, by position: the others are
-// stepped over, which allocates nothing, and their slots are set
-// unread.
-func decodeRowInto(schema *Schema, b []byte, row Row, need []bool) error {
-	off := 0
-	for i, col := range schema.Columns {
-		want := need == nil || need[i]
-		if !want {
-			row[i] = unread{}
-		}
-		switch col.Type {
-		case Int64:
-			if off+8 > len(b) {
-				return errors.New("catalog: truncated int64 value")
-			}
-			if want {
-				row[i] = int64(binary.LittleEndian.Uint64(b[off : off+8]))
-			}
-			off += 8
-		case Float64:
-			if off+8 > len(b) {
-				return errors.New("catalog: truncated float64 value")
-			}
-			if want {
-				row[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off : off+8]))
-			}
-			off += 8
-		case String:
-			if off+4 > len(b) {
-				return errors.New("catalog: truncated string length")
-			}
-			l := int(binary.LittleEndian.Uint32(b[off : off+4]))
-			off += 4
-			if off+l > len(b) {
-				return errors.New("catalog: truncated string value")
-			}
-			if want {
-				row[i] = string(b[off : off+l])
-			}
-			off += l
-		}
+func errTruncated(t ColType) error {
+	if t == Int64 {
+		return errors.New("catalog: truncated int64 value")
 	}
-	return nil
+	return errors.New("catalog: truncated float64 value")
 }
 
 // Insert stores a row and returns its record id: in the last page while
@@ -345,20 +297,15 @@ func (t *Table) Insert(row Row) (storage.RecordID, error) {
 
 // Get fetches the row at rid.
 func (t *Table) Get(rid storage.RecordID) (Row, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	p, err := t.pool.Fetch(rid.Page)
+	vs, cols := t.vectors()
+	n, err := t.DecodeRecords([]storage.RecordID{rid}, cols, nil)
 	if err != nil {
 		return nil, err
 	}
-	b, gerr := p.Get(rid.Slot)
-	if uerr := t.pool.Unpin(rid.Page, false); uerr != nil {
-		return nil, uerr
+	if n == 0 {
+		return nil, storage.ErrRecordDeleted
 	}
-	if gerr != nil {
-		return nil, gerr
-	}
-	return decodeRow(&t.Schema, b)
+	return t.row(vs, 0), nil
 }
 
 // Delete tombstones the row at rid.
@@ -430,62 +377,70 @@ func (t *Table) Scan(fn func(rid storage.RecordID, row Row) bool) error {
 }
 
 // ScanPages streams the live rows of just the given pages to fn in page
-// order; returning false stops the scan. It is safe to call concurrently
-// from multiple goroutines over disjoint page ranges — the buffer pool
-// and page decode path are shared-read safe — which is how the parallel
-// executor scans one morsel per worker.
+// order; returning false stops the scan. Each page is decoded under the
+// table's read lock and its rows handed to fn after it is released, so
+// fn may write to the table. It is safe to call concurrently over any
+// page ranges.
 func (t *Table) ScanPages(pages []storage.PageID, fn func(rid storage.RecordID, row Row) bool) error {
-	return t.ScanPagesInto(pages, nil, func(cols int) Row { return make(Row, cols) }, fn)
-}
-
-// ScanPagesInto is ScanPages with caller-owned row storage: each row is
-// decoded into a slice obtained from alloc, so a streaming executor can
-// carve rows out of a per-chunk arena instead of allocating one slice
-// per row. The row passed to fn is only valid until fn returns if the
-// allocator recycles storage; callers that retain rows must copy them.
-// A non-nil need, one entry per column, limits decoding to the columns
-// it marks; rows keep their full width and the other slots hold a value
-// that cannot be read (see unread).
-func (t *Table) ScanPagesInto(pages []storage.PageID, need []bool, alloc func(cols int) Row, fn func(rid storage.RecordID, row Row) bool) error {
-	cols := len(t.Schema.Columns)
-	if need != nil && len(need) != cols {
-		return fmt.Errorf("catalog: scan of %s asks for %d columns, table has %d", t.Name, len(need), cols)
-	}
+	vs, cols := t.vectors()
+	var rids []storage.RecordID
 	for _, id := range pages {
-		p, err := t.pool.Fetch(id)
-		if err != nil {
+		for i := range vs {
+			vs[i].Reset()
+		}
+		rids = rids[:0]
+		if _, err := t.DecodePage(id, cols, &rids); err != nil {
 			return err
 		}
-		stop := false
-		for s := 0; s < p.Slots(); s++ {
-			// A borrowed view is enough: decodeRowInto boxes every value
-			// (strings included) before the page is unpinned.
-			b, gerr := p.GetRef(s)
-			if errors.Is(gerr, storage.ErrRecordDeleted) {
-				continue
+		for i, rid := range rids {
+			if !fn(rid, t.row(vs, i)) {
+				return nil
 			}
-			if gerr != nil {
-				t.pool.Unpin(id, false)
-				return gerr
-			}
-			row := alloc(cols)
-			if derr := decodeRowInto(&t.Schema, b, row, need); derr != nil {
-				t.pool.Unpin(id, false)
-				return derr
-			}
-			if !fn(storage.RecordID{Page: id, Slot: s}, row) {
-				stop = true
-				break
-			}
-		}
-		if err := t.pool.Unpin(id, false); err != nil {
-			return err
-		}
-		if stop {
-			return nil
 		}
 	}
 	return nil
+}
+
+// vectors returns one vector per column, to decode every column into.
+func (t *Table) vectors() ([]Vector, []*Vector) {
+	vs := make([]Vector, len(t.Schema.Columns))
+	cols := make([]*Vector, len(vs))
+	for i := range vs {
+		cols[i] = &vs[i]
+	}
+	return vs, cols
+}
+
+// row boxes decoded row i.
+func (t *Table) row(vs []Vector, i int) Row {
+	row := make(Row, len(vs))
+	for j, c := range t.Schema.Columns {
+		switch c.Type {
+		case Int64:
+			row[j] = vs[j].I[i]
+		case Float64:
+			row[j] = vs[j].F[i]
+		default:
+			row[j] = vs[j].S[i]
+		}
+	}
+	return row
+}
+
+// onPage runs fn on page id, pinned, under the table's read lock: no
+// insert or delete changes the page while fn reads it.
+func (t *Table) onPage(id storage.PageID, fn func(p *storage.Page) error) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	p, err := t.pool.Fetch(id)
+	if err != nil {
+		return err
+	}
+	ferr := fn(p)
+	if err := t.pool.Unpin(id, false); err != nil && ferr == nil {
+		ferr = err
+	}
+	return ferr
 }
 
 // AllRows materializes every live row; convenient for small tables.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -217,10 +218,11 @@ func TestRowRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		row, err := decodeRow(&schema, b)
-		if err != nil {
+		var v [3]Vector
+		if err := decodeCells(&schema, b, []*Vector{&v[0], &v[1], &v[2]}); err != nil {
 			return false
 		}
+		row := Row{v[0].I[0], v[1].F[0], v[2].S[0]}
 		// NaN != NaN; compare bit patterns via equality only for non-NaN.
 		if score == score && row[1].(float64) != score {
 			return false
@@ -236,15 +238,19 @@ func TestDecodeTruncated(t *testing.T) {
 	schema := testSchema()
 	b, _ := encodeRow(&schema, Row{int64(1), 2.0, "hello"})
 	for cut := 0; cut < len(b); cut++ {
-		if _, err := decodeRow(&schema, b[:cut]); err == nil {
+		if err := decodeCells(&schema, b[:cut], []*Vector{{}, {}, {}}); err == nil {
 			t.Fatalf("decode of %d/%d bytes should fail", cut, len(b))
+		}
+		if err := decodeCells(&schema, b[:cut], make([]*Vector, 3)); err == nil {
+			t.Fatalf("decode of %d/%d bytes, reading no column, should fail", cut, len(b))
 		}
 	}
 }
 
-// TestScanDecodesOnlyNeededColumns: a scan given a column set decodes
-// exactly those, whatever types it steps over, allocates nothing for the
-// rest, and leaves in their slots a value nothing can use as data.
+// TestScanDecodesOnlyNeededColumns: the vector decoder fills exactly the
+// columns it is given vectors for, whatever types it steps over, and
+// allocates nothing per row once its vectors have room; by page or by
+// record id it reads the same rows.
 func TestScanDecodesOnlyNeededColumns(t *testing.T) {
 	c := NewMem()
 	tab, err := c.CreateTable("t", testSchema()) // id INT, score FLOAT, name TEXT
@@ -252,68 +258,193 @@ func TestScanDecodesOnlyNeededColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		if _, err := tab.Insert(Row{int64(1000 + i), float64(i) + 0.5, "name-of-row"}); err != nil {
+		if _, err := tab.Insert(Row{int64(1000 + i), float64(i) + 0.5, fmt.Sprintf("name-%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	alloc := func(cols int) Row { return make(Row, cols) }
+	decode := func(need []bool, byRecord bool) ([]Vector, []storage.RecordID) {
+		vs := make([]Vector, 3)
+		cols := make([]*Vector, 3)
+		for i := range cols {
+			if need[i] {
+				cols[i] = &vs[i]
+			}
+		}
+		var rids []storage.RecordID
+		if byRecord {
+			if err := tab.Scan(func(rid storage.RecordID, _ Row) bool { rids = append(rids, rid); return true }); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := tab.DecodeRecords(rids, cols, nil); err != nil || n != 300 {
+				t.Fatalf("DecodeRecords: %d rows, %v", n, err)
+			}
+			return vs, rids
+		}
+		for _, id := range tab.PageIDs() {
+			if _, err := tab.DecodePage(id, cols, &rids); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return vs, rids
+	}
 	for mask := 0; mask < 8; mask++ {
 		need := []bool{mask&1 != 0, mask&2 != 0, mask&4 != 0}
-		i := 0
-		err := tab.ScanPagesInto(tab.PageIDs(), need, alloc, func(_ storage.RecordID, r Row) bool {
-			want := Row{int64(1000 + i), float64(i) + 0.5, "name-of-row"}
-			for col := range r {
-				if need[col] && r[col] != want[col] {
-					t.Fatalf("need %v, row %d column %d = %v, want %v", need, i, col, r[col], want[col])
-				}
-				if _, unread := r[col].(error); unread == need[col] {
-					t.Fatalf("need %v, row %d column %d = %#v", need, i, col, r[col])
+		for _, byRecord := range []bool{false, true} {
+			vs, rids := decode(need, byRecord)
+			if len(rids) != 300 {
+				t.Fatalf("need %v: %d record ids", need, len(rids))
+			}
+			lens := []int{len(vs[0].I), len(vs[1].F), len(vs[2].S)}
+			for col := range need {
+				if want := map[bool]int{true: 300, false: 0}[need[col]]; lens[col] != want {
+					t.Fatalf("need %v by record %v: column %d has %d cells, want %d", need, byRecord, col, lens[col], want)
 				}
 			}
-			i++
-			return true
-		})
-		if err != nil || i != 300 {
-			t.Fatalf("need %v: %d rows, err %v", need, i, err)
+			for i := 0; i < 300; i++ {
+				if (need[0] && vs[0].I[i] != int64(1000+i)) || (need[1] && vs[1].F[i] != float64(i)+0.5) ||
+					(need[2] && vs[2].S[i] != fmt.Sprintf("name-%d", i)) {
+					t.Fatalf("need %v by record %v: row %d = %v %v %v", need, byRecord, i, vs[0].I, vs[1].F, vs[2].S)
+				}
+			}
 		}
 	}
 
-	// Reading one small INT column of a row allocates nothing per row:
-	// the row slice below is reused and the float and the string are
-	// stepped over.
-	row := make(Row, 3)
-	reuse := func(int) Row { return row }
-	if _, err := tab.Insert(Row{int64(7), 1.5, "x"}); err != nil {
-		t.Fatal(err)
-	}
-	perScan := func(need []bool) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if err := tab.ScanPagesInto(tab.PageIDs(), need, reuse, func(storage.RecordID, Row) bool { return true }); err != nil {
+	// Refilling vectors that have room allocates only whole string
+	// buffers, never per row: stepping over every column allocates nothing.
+	var v [3]Vector
+	cols := []*Vector{&v[0], &v[1], &v[2]}
+	pages := tab.PageIDs()
+	scan := func(cols []*Vector) {
+		for i := range v {
+			v[i].Reset()
+		}
+		for _, id := range pages {
+			if _, err := tab.DecodePage(id, cols, nil); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
 	}
-	if all, none := perScan(nil), perScan([]bool{false, false, false}); all < 900 || none > 10 {
-		t.Errorf("allocations per 301-row scan: %v decoding every column, %v decoding none; want ~903 and ~0", all, none)
+	perScan := func(cols []*Vector) float64 { return testing.AllocsPerRun(5, func() { scan(cols) }) }
+	if none, all := perScan(make([]*Vector, 3)), perScan(cols); all > 5 || none != 0 {
+		t.Errorf("allocations per 300-row scan: %v decoding every column, %v decoding none; want a few and 0", all, none)
 	}
+	// Strings outlive the vector they were decoded into.
+	kept := v[2].S[7]
+	scan(cols)
+	if kept != "name-7" {
+		t.Errorf("a string kept from a reset vector reads %q", kept)
+	}
+	if _, err := tab.DecodePage(tab.PageIDs()[0], cols[:1], nil); err == nil {
+		t.Error("a column set of the wrong width must be rejected")
+	}
+}
 
-	// The placeholder is an error value: it prints as its message, and
-	// it cannot be stored.
-	var last Row
-	if err := tab.ScanPagesInto(tab.PageIDs(), []bool{true, false, true}, alloc, func(_ storage.RecordID, r Row) bool { last = r; return true }); err != nil {
+// TestConcurrentScansAndChurn: scans by page and by record id run
+// against inserts, deletes and FlushAll on a pool far smaller than the
+// table, so every scan misses and evicted page memory is reused under
+// it; every row any scan sees must be a row some insert wrote, whole.
+func TestConcurrentScansAndChurn(t *testing.T) {
+	pool, err := storage.NewBufferPool(storage.NewMemDisk(), 16)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if msg := fmt.Sprint(last[1]); !strings.Contains(msg, "did not decode") {
-		t.Errorf("an undecoded slot prints as %q", msg)
+	tab, err := New(pool).CreateTable("t", testSchema())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Coerce(last[1], Float64); err == nil {
-		t.Error("Coerce accepted an undecoded slot")
+	row := func(i int) Row {
+		return Row{int64(i), float64(i) * 0.5, fmt.Sprintf("row-%d-%s", i, strings.Repeat("x", i%40))}
 	}
-	if _, err := tab.Insert(last); err == nil {
-		t.Error("Insert accepted a row with an undecoded slot")
+	check := func(id int64, score float64, name string) error {
+		if want := row(int(id)); score != want[1] || name != want[2] {
+			return fmt.Errorf("row %d read as (%v, %q)", id, score, name)
+		}
+		return nil
 	}
-	if err := tab.ScanPagesInto(tab.PageIDs(), []bool{true}, alloc, func(storage.RecordID, Row) bool { return true }); err == nil {
-		t.Error("a column set of the wrong width must be rejected")
+	var initial []storage.RecordID
+	for i := 0; i < 2000; i++ {
+		rid, err := tab.Insert(row(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		initial = append(initial, rid)
+	}
+	// A fixed amount of churn, so the test's length does not depend on
+	// how the scheduler shares the CPU out; scans run until it is done.
+	const churns = 1500
+	errs := make(chan error, 3)
+	var wg sync.WaitGroup
+	var churning sync.WaitGroup
+	churn := func(fn func(i int) error) {
+		defer churning.Done()
+		for i := 0; i < churns; i++ {
+			if err := fn(i); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}
+	churning.Add(2)
+	go churn(func(i int) error { _, err := tab.Insert(row(2000 + i)); return err })
+	go churn(func(i int) error { return tab.Delete(initial[i]) })
+	churned := make(chan struct{})
+	go func() { churning.Wait(); close(churned) }()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-churned:
+				return
+			default:
+			}
+			if err := pool.FlushAll(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for round := 0; ; round++ {
+		var v [3]Vector
+		cols := []*Vector{&v[0], &v[1], &v[2]}
+		var rids []storage.RecordID
+		for _, id := range tab.PageIDs() {
+			if _, err := tab.DecodePage(id, cols, &rids); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, id := range v[0].I {
+			if err := check(id, v[1].F[i], v[2].S[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range v {
+			v[i].Reset()
+		}
+		if _, err := tab.DecodeRecords(rids, cols, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range v[0].I {
+			if err := check(id, v[1].F[i], v[2].S[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		select {
+		case <-churned:
+		default:
+			continue
+		}
+		if round >= 2 {
+			break
+		}
+	}
+	wg.Wait()
+	if n := tab.NumRows(); n != 2000 {
+		t.Errorf("%d rows after %d inserts and deletes each, want 2000", n, churns)
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 

@@ -7,12 +7,12 @@ import (
 )
 
 // scanFilterAllocCeiling caps the streaming executor's allocs/op on a
-// 100k-row scan-filter. One boxed int64 per wide value is the floor
-// (catalog.Value is an interface; ids box, ages under 256 do not), and
-// chunk machinery adds a few hundred on top: measured ~100k on this
-// fixture, plus ~30% headroom. A breach means per-row allocation crept
-// back into the pipeline.
-const scanFilterAllocCeiling = 130000
+// 100k-row scan-filter whose result holds ~50k ids. Pages decode into
+// typed vectors, the filter narrows a selection, and the result boxes a
+// chunk's ids into one slab, so what is left is per-morsel and per-chunk
+// machinery: measured 776 on this fixture, about half again as headroom.
+// A breach means per-row allocation crept back into the pipeline.
+const scanFilterAllocCeiling = 1500
 
 func TestScanFilterAllocCeiling(t *testing.T) {
 	if raceEnabled {
@@ -34,10 +34,10 @@ func TestScanFilterAllocCeiling(t *testing.T) {
 
 // wideFilterAllocCeiling caps allocs/op for a filtered count over 100k
 // rows of the five-column wide table. The plan reads one narrow column,
-// so nothing per row may allocate: not the four columns it does not read
-// (decoding them all costs ~400k allocations), not the bound predicate.
-// What is left is per-page and per-chunk machinery, a few thousand.
-const wideFilterAllocCeiling = 10000
+// so nothing per row may allocate: not the four columns it does not read,
+// not the bound predicate. What is left is per-morsel and per-chunk
+// machinery: measured 874, under twice that.
+const wideFilterAllocCeiling = 1700
 
 func TestWideFilterAllocCeiling(t *testing.T) {
 	if raceEnabled {

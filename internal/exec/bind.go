@@ -2,44 +2,201 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 
 	"aidb/internal/catalog"
-	"aidb/internal/plan"
 	"aidb/internal/sql"
 )
 
 // Expressions are bound once per operator, when the plan is compiled:
-// every column reference becomes a row position, every operator a
-// closure, every $N the value the run binds to it. What depends only on
-// the plan is decided here and never again in the row loop, and a name
-// that does not resolve fails the statement before a page is read —
-// whatever the table holds and wherever in the expression it stands.
-// Bound expressions live for one run; they hold no mutable state, so
-// morsel workers share them.
+// every column reference becomes a vector position of a known kind, every
+// operator a closure chosen for its operands' kinds, every $N the value
+// the run binds to it. What depends only on the plan is decided here and
+// never again in the row loop, and a name that does not resolve — or a
+// column the scan below does not decode — fails the statement before a
+// page is read, whatever the table holds and wherever in the expression
+// it stands. Bound expressions live for one run; they hold no mutable
+// state, so morsel workers share them.
 
-// bound is an expression ready to evaluate against rows of the schema
-// it was bound to: a row position, a constant, or a closure over bound
-// operands.
+// bound is an expression ready to evaluate on the rows of chunks laid out
+// like the scope it was bound to: a column, a constant, or a computation
+// over bound operands. k is the kind it yields; the accessor of that kind
+// (int, float, str, value) reads one row without boxing unless k is kAny.
 type bound struct {
-	fn  func(catalog.Row) (catalog.Value, error)
-	col int           // row position, when fn is nil and col >= 0
-	k   catalog.Value // the constant otherwise
+	k   kind
+	col int // the column read, when >= 0
+
+	// The constant, when col < 0 and no function is set.
+	kv catalog.Value
+
+	// A computation: the function of its kind.
+	fi func(c *Chunk, r int32) (int64, error)
+	ff func(c *Chunk, r int32) (float64, error)
+	fv func(c *Chunk, r int32) (catalog.Value, error)
 }
 
-func constant(v catalog.Value) bound { return bound{col: -1, k: v} }
-
-func (b bound) eval(row catalog.Row) (catalog.Value, error) {
-	if b.fn != nil {
-		return b.fn(row)
+func constant(v catalog.Value) bound {
+	b := bound{k: kAny, col: -1, kv: v}
+	switch v.(type) {
+	case int64:
+		b.k = kInt
+	case float64:
+		b.k = kFloat
+	case string:
+		b.k = kString
 	}
+	return b
+}
+
+func (k kind) numeric() bool { return k == kInt || k == kFloat }
+
+// int reads row r of a kInt expression.
+func (b *bound) int(c *Chunk, r int32) (int64, error) {
+	switch {
+	case b.fi != nil:
+		return b.fi(c, r)
+	case b.col >= 0:
+		return c.cols[b.col].I[r], nil
+	}
+	return b.kv.(int64), nil
+}
+
+// float reads row r of a numeric expression as a float64.
+func (b *bound) float(c *Chunk, r int32) (float64, error) {
+	switch {
+	case b.k == kInt:
+		x, err := b.int(c, r)
+		return float64(x), err
+	case b.ff != nil:
+		return b.ff(c, r)
+	case b.col >= 0:
+		return c.cols[b.col].F[r], nil
+	}
+	return b.kv.(float64), nil
+}
+
+// str reads row r of a kString expression (a column or a constant).
+func (b *bound) str(c *Chunk, r int32) string {
 	if b.col >= 0 {
-		return row[b.col], nil
+		return c.cols[b.col].S[r]
 	}
-	return b.k, nil
+	return b.kv.(string)
 }
 
-// pred is a bound condition.
-type pred func(catalog.Row) (bool, error)
+// value reads row r of any expression, boxed.
+func (b *bound) value(c *Chunk, r int32) (catalog.Value, error) {
+	switch {
+	case b.fv != nil:
+		return b.fv(c, r)
+	case b.fi != nil:
+		x, err := b.fi(c, r)
+		if err != nil {
+			return nil, err
+		}
+		return x, nil
+	case b.ff != nil:
+		x, err := b.ff(c, r)
+		if err != nil {
+			return nil, err
+		}
+		return x, nil
+	case b.col >= 0:
+		return c.cols[b.col].value(r), nil
+	}
+	return b.kv, nil
+}
+
+// fill writes the expression's value at every row of sel into dst, an
+// empty vector of its kind, sized to c.
+func (b *bound) fill(dst *vec, c *Chunk, sel []int32) error {
+	dst.extend(c.n)
+	var err error
+	for _, r := range sel {
+		switch b.k {
+		case kInt:
+			dst.I[r], err = b.int(c, r)
+		case kFloat:
+			dst.F[r], err = b.float(c, r)
+		case kString:
+			dst.S[r] = b.str(c, r)
+		default:
+			dst.V[r], err = b.value(c, r)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// appendTo appends the expression's value at row r to dst, a vector of
+// its kind.
+func (b *bound) appendTo(dst *vec, c *Chunk, r int32) (err error) {
+	var x int64
+	var f float64
+	var v catalog.Value
+	switch b.k {
+	case kInt:
+		x, err = b.int(c, r)
+		dst.I = append(dst.I, x)
+	case kFloat:
+		f, err = b.float(c, r)
+		dst.F = append(dst.F, f)
+	case kString:
+		dst.S = append(dst.S, b.str(c, r))
+	default:
+		v, err = b.value(c, r)
+		dst.V = append(dst.V, v)
+	}
+	return err
+}
+
+// pred is a bound condition. test decides one row; apply narrows a
+// selection, in place, to the rows that satisfy it — a typed loop over a
+// vector where the condition has one, test row by row otherwise.
+type pred interface {
+	test(c *Chunk, r int32) (bool, error)
+	apply(c *Chunk, sel []int32) ([]int32, error)
+}
+
+// rowPred is a condition decided row by row.
+type rowPred func(c *Chunk, r int32) (bool, error)
+
+func (p rowPred) test(c *Chunk, r int32) (bool, error) { return p(c, r) }
+
+func (p rowPred) apply(c *Chunk, sel []int32) ([]int32, error) {
+	out := sel[:0]
+	for _, r := range sel {
+		ok, err := p(c, r)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
+// andPred narrows by its left arm, then the right arm narrows what is
+// left: the right arm is evaluated only on rows the left holds for.
+type andPred struct{ l, r pred }
+
+func (p andPred) test(c *Chunk, r int32) (bool, error) {
+	ok, err := p.l.test(c, r)
+	if !ok || err != nil {
+		return false, err
+	}
+	return p.r.test(c, r)
+}
+
+func (p andPred) apply(c *Chunk, sel []int32) ([]int32, error) {
+	sel, err := p.l.apply(c, sel)
+	if err != nil || len(sel) == 0 {
+		return sel, err
+	}
+	return p.r.apply(c, sel)
+}
 
 // isCondition reports whether e yields a truth value by construction;
 // bindBool binds those directly, bind everything else.
@@ -48,12 +205,12 @@ func isCondition(e sql.Expr) bool {
 	case *sql.NotExpr, *sql.InExpr, *sql.BetweenExpr:
 		return true
 	case *sql.BinaryExpr:
-		return v.Op == "AND" || v.Op == "OR" || cmpTest(v.Op) != nil
+		return v.Op == "AND" || v.Op == "OR" || cmpOpOf(v.Op) != opNone
 	}
 	return false
 }
 
-// bind resolves e against scope: names to positions, $N to scope's
+// bind resolves e against scope: names to columns, $N to scope's
 // parameters, function names to funcs.
 func bind(e sql.Expr, scope *Scope, funcs FuncRegistry) (bound, error) {
 	if isCondition(e) {
@@ -61,12 +218,12 @@ func bind(e sql.Expr, scope *Scope, funcs FuncRegistry) (bound, error) {
 		if err != nil {
 			return bound{}, err
 		}
-		return bound{fn: func(row catalog.Row) (catalog.Value, error) {
-			ok, err := p(row)
-			if err != nil {
-				return nil, err
+		return bound{k: kInt, col: -1, fi: func(c *Chunk, r int32) (int64, error) {
+			ok, err := p.test(c, r)
+			if ok {
+				return 1, err
 			}
-			return boolVal(ok), nil
+			return 0, err
 		}}, nil
 	}
 	switch v := e.(type) {
@@ -77,8 +234,7 @@ func bind(e sql.Expr, scope *Scope, funcs FuncRegistry) (bound, error) {
 	case *sql.StringLit:
 		return constant(v.Value), nil
 	case *sql.ColumnRef:
-		idx, err := scope.Resolve(v)
-		return bound{col: idx}, err
+		return scope.column(v)
 	case *sql.ParamRef:
 		if v.Index < 1 || v.Index > len(scope.Params) {
 			return bound{}, fmt.Errorf("exec: parameter $%d is not bound (%d bound)", v.Index, len(scope.Params))
@@ -94,18 +250,7 @@ func bind(e sql.Expr, scope *Scope, funcs FuncRegistry) (bound, error) {
 		if err != nil {
 			return bound{}, err
 		}
-		op := v.Op
-		return bound{fn: func(row catalog.Row) (catalog.Value, error) {
-			a, err := l.eval(row)
-			if err != nil {
-				return nil, err
-			}
-			b, err := r.eval(row)
-			if err != nil {
-				return nil, err
-			}
-			return arith(op, a, b)
-		}}, nil
+		return bindArith(v.Op, l, r), nil
 	case *sql.FuncCall:
 		fn, ok := funcs[v.Name]
 		if !ok {
@@ -115,24 +260,69 @@ func bind(e sql.Expr, scope *Scope, funcs FuncRegistry) (bound, error) {
 		if err != nil {
 			return bound{}, err
 		}
-		return bound{fn: func(row catalog.Row) (catalog.Value, error) {
-			// A fresh slice per call: fn may keep it, and workers share
-			// this closure.
-			vals := make([]catalog.Value, len(args))
+		return bound{k: kAny, col: -1, fv: func(c *Chunk, r int32) (catalog.Value, error) {
+			// The arguments go on the chunk's stacks: the chunk belongs to
+			// one worker, and a nested call pushes above them.
+			base, cells := len(c.args), len(c.cells)
+			defer func() { c.args, c.cells = c.args[:base], c.cells[:cells] }()
 			for i := range args {
-				v, err := args[i].eval(row)
+				v, err := c.arg(&args[i], r)
 				if err != nil {
 					return nil, err
 				}
-				vals[i] = v
+				c.args = append(c.args, v)
 			}
-			return fn(vals)
+			v, err := fn(c.args[base:len(c.args):len(c.args)])
+			return c.keepArg(v, cells), err
 		}}, nil
 	case *sql.Star:
 		return bound{}, fmt.Errorf("exec: '*' is only valid as a projection or COUNT argument")
 	default:
 		return bound{}, fmt.Errorf("exec: cannot evaluate %T", e)
 	}
+}
+
+// bindArith picks the arithmetic for its operands' kinds: int64 for two
+// integers, float64 for any other two numbers, and for anything else
+// arith over boxed values, which fails as the values dictate.
+func bindArith(op string, l, r bound) bound {
+	switch {
+	case l.k == kInt && r.k == kInt:
+		return bound{k: kInt, col: -1, fi: func(c *Chunk, row int32) (int64, error) {
+			a, err := l.int(c, row)
+			if err != nil {
+				return 0, err
+			}
+			b, err := r.int(c, row)
+			if err != nil {
+				return 0, err
+			}
+			return intArith(op, a, b)
+		}}
+	case l.k.numeric() && r.k.numeric():
+		return bound{k: kFloat, col: -1, ff: func(c *Chunk, row int32) (float64, error) {
+			a, err := l.float(c, row)
+			if err != nil {
+				return 0, err
+			}
+			b, err := r.float(c, row)
+			if err != nil {
+				return 0, err
+			}
+			return floatArith(op, a, b)
+		}}
+	}
+	return bound{k: kAny, col: -1, fv: func(c *Chunk, row int32) (catalog.Value, error) {
+		a, err := l.value(c, row)
+		if err != nil {
+			return nil, err
+		}
+		b, err := r.value(c, row)
+		if err != nil {
+			return nil, err
+		}
+		return arith(op, a, b)
+	}}
 }
 
 func bindPair(l, r sql.Expr, scope *Scope, funcs FuncRegistry) (bound, bound, error) {
@@ -157,20 +347,30 @@ func bindList(es []sql.Expr, scope *Scope, funcs FuncRegistry) ([]bound, error) 
 }
 
 // bindBool binds e as a condition. AND and OR evaluate their right arm
-// only when the left does not decide — but both arms are bound.
+// only on rows the left does not decide — but both arms are bound.
 func bindBool(e sql.Expr, scope *Scope, funcs FuncRegistry) (pred, error) {
 	if !isCondition(e) {
 		b, err := bind(e, scope, funcs)
 		if err != nil {
 			return nil, err
 		}
-		return func(row catalog.Row) (bool, error) {
-			v, err := b.eval(row)
+		return rowPred(func(c *Chunk, r int32) (bool, error) {
+			switch b.k {
+			case kInt:
+				x, err := b.int(c, r)
+				return x != 0, err
+			case kFloat:
+				x, err := b.float(c, r)
+				return x != 0, err
+			case kString:
+				return b.str(c, r) != "", nil
+			}
+			v, err := b.value(c, r)
 			if err != nil {
 				return false, err
 			}
 			return truthy(v)
-		}, nil
+		}), nil
 	}
 	switch v := e.(type) {
 	case *sql.NotExpr:
@@ -178,13 +378,10 @@ func bindBool(e sql.Expr, scope *Scope, funcs FuncRegistry) (pred, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row catalog.Row) (bool, error) {
-			ok, err := inner(row)
-			if err != nil {
-				return false, err
-			}
-			return !ok, nil
-		}, nil
+		return rowPred(func(c *Chunk, r int32) (bool, error) {
+			ok, err := inner.test(c, r)
+			return !ok, err
+		}), nil
 	case *sql.InExpr:
 		sub, err := bind(v.Subject, scope, funcs)
 		if err != nil {
@@ -195,26 +392,26 @@ func bindBool(e sql.Expr, scope *Scope, funcs FuncRegistry) (pred, error) {
 			return nil, err
 		}
 		negated := v.Negated
-		return func(row catalog.Row) (bool, error) {
-			s, err := sub.eval(row)
+		return rowPred(func(c *Chunk, r int32) (bool, error) {
+			s, err := sub.value(c, r)
 			if err != nil {
 				return false, err
 			}
 			for i := range list {
-				iv, err := list[i].eval(row)
+				iv, err := list[i].value(c, r)
 				if err != nil {
 					return false, err
 				}
-				c, err := compare(s, iv)
+				x, err := compare(s, iv)
 				if err != nil {
 					return false, err
 				}
-				if c == 0 {
+				if x == 0 {
 					return !negated, nil
 				}
 			}
 			return negated, nil
-		}, nil
+		}), nil
 	case *sql.BetweenExpr:
 		sub, lo, err := bindPair(v.Subject, v.Lo, scope, funcs)
 		if err != nil {
@@ -224,29 +421,15 @@ func bindBool(e sql.Expr, scope *Scope, funcs FuncRegistry) (pred, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row catalog.Row) (bool, error) {
-			s, err := sub.eval(row)
+		geLo, leHi := cmpTest(opGE, bindComparer(sub, lo)), cmpTest(opLE, bindComparer(sub, hi))
+		return rowPred(func(c *Chunk, r int32) (bool, error) {
+			okLo, err := geLo(c, r)
 			if err != nil {
 				return false, err
 			}
-			l, err := lo.eval(row)
-			if err != nil {
-				return false, err
-			}
-			h, err := hi.eval(row)
-			if err != nil {
-				return false, err
-			}
-			geLo, err := compare(s, l)
-			if err != nil {
-				return false, nullIsFalse(err, s, l)
-			}
-			leHi, err := compare(s, h)
-			if err != nil {
-				return false, nullIsFalse(err, s, h)
-			}
-			return geLo >= 0 && leHi <= 0, nil
-		}, nil
+			okHi, err := leHi(c, r)
+			return okLo && okHi, err
+		}), nil
 	}
 	v := e.(*sql.BinaryExpr)
 	if v.Op == "AND" || v.Op == "OR" {
@@ -258,121 +441,219 @@ func bindBool(e sql.Expr, scope *Scope, funcs FuncRegistry) (pred, error) {
 		if err != nil {
 			return nil, err
 		}
-		decides := v.Op == "OR" // the left value that settles the result
-		return func(row catalog.Row) (bool, error) {
-			ok, err := l(row)
-			if err != nil || ok == decides {
-				return ok, err
-			}
-			return r(row)
-		}, nil
-	}
-	if p, ok, err := bindColumnVsNumber(v, scope); ok {
-		return p, err
+		if v.Op == "OR" {
+			return rowPred(func(c *Chunk, row int32) (bool, error) {
+				ok, err := l.test(c, row)
+				if ok || err != nil {
+					return ok, err
+				}
+				return r.test(c, row)
+			}), nil
+		}
+		return andPred{l, r}, nil
 	}
 	l, r, err := bindPair(v.Left, v.Right, scope, funcs)
 	if err != nil {
 		return nil, err
 	}
-	test := cmpTest(v.Op)
-	return func(row catalog.Row) (bool, error) {
-		a, err := l.eval(row)
-		if err != nil {
-			return false, err
-		}
-		b, err := r.eval(row)
-		if err != nil {
-			return false, err
-		}
-		return compareAnd(test, a, b)
-	}, nil
+	op := cmpOpOf(v.Op)
+	if p, ok := columnVsNumber(l, r, op); ok {
+		return p, nil
+	}
+	return cmpTest(op, bindComparer(l, r)), nil
 }
 
-// compareAnd applies a comparison operator's test to two values.
-func compareAnd(test func(int) bool, a, b catalog.Value) (bool, error) {
-	c, err := compare(a, b)
-	if err != nil {
-		return false, nullIsFalse(err, a, b)
-	}
-	return test(c), nil
-}
+// comparer compares two bound operands on one row as compare orders
+// them; null reports that a failure is a NULL operand's.
+type comparer func(c *Chunk, r int32) (x int, null bool, err error)
 
-// bindColumnVsNumber binds the predicate most filters are made of — a
-// column compared with a numeric literal or parameter, either way round
-// — to a closure that holds the number unboxed and reads the column in
-// place: no operand calls, no allocation to bind the number, and for the
-// numeric column types no trip through compare. ok is false for every
-// other shape, which the general path binds.
-func bindColumnVsNumber(v *sql.BinaryExpr, scope *Scope) (p pred, ok bool, err error) {
-	ref, number, op := v.Left, v.Right, v.Op
-	if _, isRef := ref.(*sql.ColumnRef); !isRef {
-		ref, number, op = v.Right, v.Left, plan.MirrorOp(v.Op)
-	}
-	cr, isRef := ref.(*sql.ColumnRef)
-	if !isRef {
-		return nil, false, nil
-	}
-	var k catalog.Value
-	if pr, isParam := number.(*sql.ParamRef); isParam && pr.Index >= 1 && pr.Index <= len(scope.Params) {
-		k = scope.Params[pr.Index-1]
-	}
-	// The number as an int64 when it is one, and as a float64 always.
-	var ki int64
-	var kf float64
-	isInt := false
-	switch n := number.(type) {
-	case *sql.IntLit:
-		ki, kf, isInt = n.Value, float64(n.Value), true
-	case *sql.FloatLit:
-		kf = n.Value
-	default:
-		switch n := k.(type) {
-		case int64:
-			ki, kf, isInt = n, float64(n), true
-		case float64:
-			kf = n
-		default:
-			return nil, false, nil
-		}
-	}
-	col, err := scope.Resolve(cr)
-	test := cmpTest(op)
-	return func(row catalog.Row) (bool, error) {
-		switch x := row[col].(type) {
-		case int64:
-			if isInt {
-				return test(cmpI(x, ki)), nil
+// bindComparer picks the comparison for its operands' kinds: typed for
+// two integers, two numbers or two strings, compare over boxed values
+// for the rest, which fails as the values dictate.
+func bindComparer(l, r bound) comparer {
+	switch {
+	case l.k == kInt && r.k == kInt:
+		return func(c *Chunk, row int32) (int, bool, error) {
+			a, err := l.int(c, row)
+			if err != nil {
+				return 0, false, err
 			}
-			return test(cmpF(float64(x), kf)), nil
-		case float64:
-			return test(cmpF(x, kf)), nil
+			b, err := r.int(c, row)
+			return cmpOrd(a, b), false, err
 		}
-		if isInt {
-			return compareAnd(test, row[col], ki)
+	case l.k.numeric() && r.k.numeric():
+		return func(c *Chunk, row int32) (int, bool, error) {
+			a, err := l.float(c, row)
+			if err != nil {
+				return 0, false, err
+			}
+			b, err := r.float(c, row)
+			return cmpOrd(a, b), false, err
 		}
-		return compareAnd(test, row[col], kf)
-	}, true, err
+	case l.k == kString && r.k == kString:
+		return func(c *Chunk, row int32) (int, bool, error) {
+			return strings.Compare(l.str(c, row), r.str(c, row)), false, nil
+		}
+	}
+	return func(c *Chunk, row int32) (int, bool, error) {
+		a, err := l.value(c, row)
+		if err != nil {
+			return 0, false, err
+		}
+		b, err := r.value(c, row)
+		if err != nil {
+			return 0, false, err
+		}
+		x, err := compare(a, b)
+		return x, err != nil && (a == nil || b == nil), err
+	}
 }
 
-// cmpTest turns a comparison operator into the test it makes of
-// compare's result; nil for any other operator.
-func cmpTest(op string) func(c int) bool {
+// cmpTest is the row test a comparison operator makes of cmp's result: a
+// comparison with NULL is not true of any row, as in SQL (tables hold no
+// NULL; a parameter can); any other failure stays the error it was.
+func cmpTest(op cmpOp, cmp comparer) rowPred {
+	return func(c *Chunk, r int32) (bool, error) {
+		x, null, err := cmp(c, r)
+		if err != nil {
+			if null {
+				err = nil
+			}
+			return false, err
+		}
+		return op.holds(x), nil
+	}
+}
+
+// columnVsNumber binds the predicate most filters are made of — a
+// numeric column compared with a numeric literal or parameter, either
+// way round — to a loop over the column's vector with the number held
+// unboxed. ok is false for every other shape, which the general path
+// binds.
+func columnVsNumber(l, r bound, op cmpOp) (p pred, ok bool) {
+	if l.col < 0 {
+		l, r, op = r, l, op&opEQ|(op&opLT)<<2|(op&opGT)>>2 // k op column: mirrored
+	}
+	if l.col < 0 || r.col >= 0 || r.fi != nil || r.ff != nil || r.fv != nil {
+		return nil, false
+	}
+	ints := func(v *vec) []int64 { return v.I }
+	switch {
+	case l.k == kInt && r.k == kInt:
+		return colPred[int64, int64]{l.col, ints, r.kv.(int64), op}, true
+	case l.k == kInt && r.k == kFloat:
+		return colPred[int64, float64]{l.col, ints, r.kv.(float64), op}, true
+	case l.k == kFloat && r.k.numeric():
+		kf, _ := r.float(nil, 0)
+		return colPred[float64, float64]{l.col, func(v *vec) []float64 { return v.F }, kf, op}, true
+	}
+	return nil, false
+}
+
+// colPred is `column op k` over the numeric vector cells picks out of
+// column col, compared in K's type.
+type colPred[T, K int64 | float64] struct {
+	col   int
+	cells func(*vec) []T
+	k     K
+	op    cmpOp
+}
+
+func (p colPred[T, K]) test(c *Chunk, r int32) (bool, error) {
+	return p.op.holds(cmpOrd(K(p.cells(c.cols[p.col])[r]), p.k)), nil
+}
+
+func (p colPred[T, K]) apply(c *Chunk, sel []int32) ([]int32, error) {
+	return selectCmp(p.cells(c.cols[p.col]), p.k, p.op, sel), nil
+}
+
+// selectCmp narrows sel to the rows whose cell x satisfies `x op k`,
+// ordered as compare orders them (a NaN is neither below nor above k, so
+// it compares equal). One loop per operator keeps the test in the loop
+// a single comparison.
+func selectCmp[T, K int64 | float64](cells []T, k K, op cmpOp, sel []int32) []int32 {
+	j := 0
+	switch op {
+	case opEQ:
+		for _, r := range sel {
+			sel[j] = r
+			if x := K(cells[r]); !(x < k || x > k) {
+				j++
+			}
+		}
+	case opNE:
+		for _, r := range sel {
+			sel[j] = r
+			if x := K(cells[r]); x < k || x > k {
+				j++
+			}
+		}
+	case opLT:
+		for _, r := range sel {
+			sel[j] = r
+			if K(cells[r]) < k {
+				j++
+			}
+		}
+	case opLE:
+		for _, r := range sel {
+			sel[j] = r
+			if !(K(cells[r]) > k) {
+				j++
+			}
+		}
+	case opGT:
+		for _, r := range sel {
+			sel[j] = r
+			if K(cells[r]) > k {
+				j++
+			}
+		}
+	case opGE:
+		for _, r := range sel {
+			sel[j] = r
+			if !(K(cells[r]) < k) {
+				j++
+			}
+		}
+	}
+	return sel[:j]
+}
+
+// cmpOp is a comparison operator as the set of compare results it
+// accepts: bit x+1 for result x.
+type cmpOp uint8
+
+const (
+	opNone cmpOp = 0
+	opLT   cmpOp = 1 << 0
+	opEQ   cmpOp = 1 << 1
+	opGT   cmpOp = 1 << 2
+	opNE         = opLT | opGT
+	opLE         = opLT | opEQ
+	opGE         = opEQ | opGT
+)
+
+func cmpOpOf(op string) cmpOp {
 	switch op {
 	case "=":
-		return func(c int) bool { return c == 0 }
+		return opEQ
 	case "!=":
-		return func(c int) bool { return c != 0 }
+		return opNE
 	case "<":
-		return func(c int) bool { return c < 0 }
+		return opLT
 	case "<=":
-		return func(c int) bool { return c <= 0 }
+		return opLE
 	case ">":
-		return func(c int) bool { return c > 0 }
+		return opGT
 	case ">=":
-		return func(c int) bool { return c >= 0 }
+		return opGE
 	}
-	return nil
+	return opNone
 }
+
+// holds reports whether the operator accepts compare's result x.
+func (op cmpOp) holds(x int) bool { return op>>(x+1)&1 != 0 }
 
 // truthy coerces a value used as a condition.
 func truthy(v catalog.Value) (bool, error) {
@@ -386,15 +667,4 @@ func truthy(v catalog.Value) (bool, error) {
 	default:
 		return false, fmt.Errorf("exec: non-boolean condition value %T", v)
 	}
-}
-
-// nullIsFalse settles a failed comparison: when an operand is NULL (a
-// nil parameter — tables hold none) the comparison is not true of any
-// row, as in SQL; any other mismatch stays the error it was. Only the
-// failure path pays for the check.
-func nullIsFalse(err error, a, b catalog.Value) error {
-	if a == nil || b == nil {
-		return nil
-	}
-	return err
 }

@@ -40,8 +40,8 @@ func oneTableSetup(t testing.TB, n int) *catalog.Catalog {
 // a query cancelled mid-execution stops within about one morsel per
 // worker. A scalar function cancels the context on its trigger-th call
 // and counts every call after the cancel; the overshoot must be bounded
-// by the in-flight work — one morsel per worker plus one serial
-// check stride — at parallelism 1, 2 and NumCPU. Run under -race this
+// by the in-flight work — one chunk per worker — at parallelism 1, 2 and
+// NumCPU. Run under -race this
 // also shakes out unsynchronized teardown.
 func TestCancelMidFilterStopsWithinMorselBudget(t *testing.T) {
 	const rows = 100_000
@@ -77,12 +77,13 @@ func TestCancelMidFilterStopsWithinMorselBudget(t *testing.T) {
 				t.Fatalf("cancelled query returned a partial result (%d rows)", len(res.Rows))
 			}
 			// Overshoot budget: every worker may finish its in-flight
-			// morsel, and the serial path re-checks every ctxCheckRows.
+			// chunk — MorselSize rows, rounded up to a whole page.
 			w := workers
 			if w == 0 {
 				w = runtime.NumCPU()
 			}
-			budget := int64(w*ex.MorselSize + ctxCheckRows)
+			tab, _ := c.Table("big")
+			budget := int64(w * (ex.MorselSize + rows/len(tab.PageIDs()) + 1))
 			if got := after.Load(); got > budget {
 				t.Fatalf("%d evaluations after cancel, budget %d (workers=%d)", got, budget, w)
 			}

@@ -1,20 +1,21 @@
 // Package exec executes logical plans from internal/plan against catalog
 // tables with a streaming, morsel-driven parallel executor: plans
 // compile into pull-based BatchOperator pipelines through which pooled
-// row chunks (~MorselSize rows, arena-backed) flow scan → filter →
-// project → limit without materializing intermediate results. Scans
-// split page/key ranges into fixed-size morsels pulled by a
-// runtime.NumCPU()-bounded worker set; filters and projections fuse
-// into the scan workers as row-wise transforms; hash joins build
-// hash(key)-partitioned tables from their (escaped) build side and
-// stream the probe side; aggregation folds chunks into one partial
-// state as they arrive. Chunks hand off through small bounded channels
-// drained in morsel order, so parallel results are row-for-row
-// identical to serial ones (Executor.Parallelism = 1 pins the serial
-// baseline). The expression evaluator has a pluggable scalar-function
-// registry (which is how AISQL's PREDICT() reaches trained models
-// without an import cycle); registered functions must be safe for
-// concurrent use under parallelism.
+// chunks — typed column vectors ([]int64, []float64, []string) under a
+// selection vector — flow scan → filter → project → limit without
+// materializing intermediate results. Scans decode pages straight into
+// vectors, split page/key ranges into fixed-size morsels pulled by a
+// runtime.NumCPU()-bounded worker set; filters narrow the selection
+// with typed loops and projections reference or compute vectors, fused
+// into the scan workers; hash joins key on typed values and stream the
+// probe side; aggregation folds typed columns into one partial state as
+// chunks arrive. Values are boxed into rows once, for the result.
+// Chunks hand off through small bounded channels drained in morsel
+// order, so parallel results are row-for-row identical to serial ones
+// (Executor.Parallelism = 1 pins the serial baseline). The evaluator has
+// a pluggable scalar-function registry (which is how AISQL's PREDICT()
+// reaches trained models without an import cycle); registered functions
+// must be safe for concurrent use under parallelism.
 package exec
 
 import (
@@ -26,18 +27,23 @@ import (
 	"aidb/internal/sql"
 )
 
-// ScalarFunc is a user-registered scalar function (e.g. PREDICT).
+// ScalarFunc is a user-registered scalar function (e.g. PREDICT). args
+// are valid only during the call: the executor reuses the slice for the
+// next row.
 type ScalarFunc func(args []catalog.Value) (catalog.Value, error)
 
 // FuncRegistry resolves scalar function names to implementations.
 type FuncRegistry map[string]ScalarFunc
 
-// Scope maps qualified column names to row positions for evaluation.
+// Scope maps qualified column names to chunk columns for binding.
 // Params, when set, carries the positional bindings for $N parameter
 // placeholders (1-based; Params[0] binds $1), so one cached
 // parameterized plan evaluates against per-execution values.
 type Scope struct {
-	names  []string
+	names []string
+	// kinds is each column's vector kind; nil means every column is
+	// boxed (a row handed to Eval).
+	kinds  []kind
 	Params []catalog.Value
 }
 
@@ -50,10 +56,11 @@ func NewScopeParams(names []string, params []catalog.Value) *Scope {
 	return &Scope{names: names, Params: params}
 }
 
-// newScope builds a scope carrying this executor's parameter bindings,
-// so $N placeholders in cached plans resolve against the current run.
-func (ex *Executor) newScope(names []string) *Scope {
-	return &Scope{names: names, Params: ex.Params}
+// newScope builds a scope over columns of the given kinds carrying this
+// executor's parameter bindings, so $N placeholders in cached plans
+// resolve against the current run.
+func (ex *Executor) newScope(names []string, kinds []kind) *Scope {
+	return &Scope{names: names, kinds: kinds, Params: ex.Params}
 }
 
 // Resolve finds the position of a column reference; it accepts exact
@@ -74,10 +81,28 @@ func (s *Scope) Resolve(ref *sql.ColumnRef) (int, error) {
 	return 0, fmt.Errorf("exec: unknown column %q (schema: %v)", want, s.names)
 }
 
+// column binds a column reference. A column the chunks will carry no
+// vector for — one the planner did not mark as read — fails here, before
+// anything runs.
+func (s *Scope) column(ref *sql.ColumnRef) (bound, error) {
+	idx, err := s.Resolve(ref)
+	if err != nil {
+		return bound{}, err
+	}
+	k := kAny
+	if s.kinds != nil {
+		k = s.kinds[idx]
+	}
+	if k == kNone {
+		return bound{}, fmt.Errorf("exec: column %q is read but the scan did not decode it (planner bug)", s.names[idx])
+	}
+	return bound{k: k, col: idx}, nil
+}
+
 // Eval binds e in scope and evaluates it against row. It is for callers
 // with one expression and at most one row (INSERT values, EXECUTE
-// arguments); operators bind once and evaluate per row. A nil scope has
-// no columns and no parameters.
+// arguments); operators bind once and evaluate per chunk. A nil scope
+// has no columns and no parameters.
 func Eval(e sql.Expr, scope *Scope, row catalog.Row, funcs FuncRegistry) (catalog.Value, error) {
 	if scope == nil {
 		scope = &Scope{}
@@ -86,7 +111,10 @@ func Eval(e sql.Expr, scope *Scope, row catalog.Row, funcs FuncRegistry) (catalo
 	if err != nil {
 		return nil, err
 	}
-	return b.eval(row)
+	if b.col < 0 && b.fi == nil && b.ff == nil && b.fv == nil {
+		return b.kv, nil // a literal or a parameter: no row to read
+	}
+	return b.value(rowChunk(row), 0)
 }
 
 // EvalBool is Eval for a condition.
@@ -98,14 +126,16 @@ func EvalBool(e sql.Expr, scope *Scope, row catalog.Row, funcs FuncRegistry) (bo
 	if err != nil {
 		return false, err
 	}
-	return p(row)
+	return p.test(rowChunk(row), 0)
 }
 
-func boolVal(b bool) catalog.Value {
-	if b {
-		return int64(1)
+// rowChunk is a one-row chunk of boxed columns holding row.
+func rowChunk(row catalog.Row) *Chunk {
+	c := &Chunk{n: 1, sel: []int32{0}}
+	for _, v := range row {
+		c.cols = append(c.cols, &vec{k: kAny, V: []catalog.Value{v}})
 	}
-	return int64(0)
+	return c
 }
 
 // compare returns -1, 0 or 1 ordering a and b, promoting ints to floats.
@@ -114,38 +144,28 @@ func compare(a, b catalog.Value) (int, error) {
 	case int64:
 		switch bv := b.(type) {
 		case int64:
-			return cmpI(av, bv), nil
+			return cmpOrd(av, bv), nil
 		case float64:
-			return cmpF(float64(av), bv), nil
+			return cmpOrd(float64(av), bv), nil
 		}
 	case float64:
 		switch bv := b.(type) {
 		case int64:
-			return cmpF(av, float64(bv)), nil
+			return cmpOrd(av, float64(bv)), nil
 		case float64:
-			return cmpF(av, bv), nil
+			return cmpOrd(av, bv), nil
 		}
 	case string:
 		if bv, ok := b.(string); ok {
 			return strings.Compare(av, bv), nil
 		}
 	}
-	return 0, notComparable(a, b)
+	return 0, fmt.Errorf("exec: cannot compare %T with %T", a, b)
 }
 
-// notComparable is the error for a pair compare has no ordering for. A
-// slot a scan left undecoded is itself an error value and reports
-// itself, so a wrong needed-column set reads as what it is.
-func notComparable(a, b catalog.Value) error {
-	for _, v := range [2]catalog.Value{a, b} {
-		if err, ok := v.(error); ok {
-			return err
-		}
-	}
-	return fmt.Errorf("exec: cannot compare %T with %T", a, b)
-}
-
-func cmpI(a, b int64) int {
+// cmpOrd orders two numbers; a NaN is neither below nor above anything,
+// so it compares equal.
+func cmpOrd[T int64 | float64](a, b T) int {
 	switch {
 	case a < b:
 		return -1
@@ -156,34 +176,17 @@ func cmpI(a, b int64) int {
 	}
 }
 
-func cmpF(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
+// arith applies op to two boxed values: int64 arithmetic for two
+// integers, float64 for any other two numbers.
 func arith(op string, a, b catalog.Value) (catalog.Value, error) {
 	ai, aok := a.(int64)
 	bi, bok := b.(int64)
 	if aok && bok {
-		switch op {
-		case "+":
-			return ai + bi, nil
-		case "-":
-			return ai - bi, nil
-		case "*":
-			return ai * bi, nil
-		case "/":
-			if bi == 0 {
-				return nil, fmt.Errorf("exec: division by zero")
-			}
-			return ai / bi, nil
+		x, err := intArith(op, ai, bi)
+		if err != nil {
+			return nil, err
 		}
+		return x, nil
 	}
 	af, err := toFloat(a)
 	if err != nil {
@@ -193,20 +196,45 @@ func arith(op string, a, b catalog.Value) (catalog.Value, error) {
 	if err != nil {
 		return nil, err
 	}
+	x, err := floatArith(op, af, bf)
+	if err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+func intArith(op string, a, b int64) (int64, error) {
 	switch op {
 	case "+":
-		return af + bf, nil
+		return a + b, nil
 	case "-":
-		return af - bf, nil
+		return a - b, nil
 	case "*":
-		return af * bf, nil
+		return a * b, nil
 	case "/":
-		if bf == 0 {
-			return nil, fmt.Errorf("exec: division by zero")
+		if b == 0 {
+			return 0, fmt.Errorf("exec: division by zero")
 		}
-		return af / bf, nil
+		return a / b, nil
 	}
-	return nil, fmt.Errorf("exec: unsupported arithmetic operator %q", op)
+	return 0, fmt.Errorf("exec: unsupported arithmetic operator %q", op)
+}
+
+func floatArith(op string, a, b float64) (float64, error) {
+	switch op {
+	case "+":
+		return a + b, nil
+	case "-":
+		return a - b, nil
+	case "*":
+		return a * b, nil
+	case "/":
+		if b == 0 {
+			return 0, fmt.Errorf("exec: division by zero")
+		}
+		return a / b, nil
+	}
+	return 0, fmt.Errorf("exec: unsupported arithmetic operator %q", op)
 }
 
 func toFloat(v catalog.Value) (float64, error) {
@@ -215,8 +243,6 @@ func toFloat(v catalog.Value) (float64, error) {
 		return float64(x), nil
 	case float64:
 		return x, nil
-	case error:
-		return 0, x // an undecoded slot: see notComparable
 	default:
 		return 0, fmt.Errorf("exec: non-numeric value %T in arithmetic", v)
 	}

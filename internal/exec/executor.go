@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -40,7 +41,7 @@ type Result struct {
 
 // Executor runs logical plans through a streaming batch-at-a-time
 // pipeline: the plan compiles into a tree of BatchOperators (see
-// stream.go) pulling pooled row chunks from their children, so only
+// stream.go) pulling pooled column chunks from their children, so only
 // pipeline breakers (join build, aggregation, sort) ever materialize
 // an input. One executor may serve concurrent Run calls (stats are
 // atomic); scalar functions in Funcs must be safe for concurrent use
@@ -66,10 +67,11 @@ type Executor struct {
 	Profile *QueryProfile
 
 	// Mem, when set, is the per-query memory budget. The streaming
-	// executor charges each chunk as it enters the pipeline and refunds
-	// it when the chunk is recycled, so the budget bounds *live* bytes
-	// (chunks in flight plus escaped rows: results, sort buffers, join
-	// build tables) — peak, not cumulative, materialization. Exceeding
+	// executor charges each chunk its exact vector bytes as it enters the
+	// pipeline and refunds them when the chunk is recycled, so the budget
+	// bounds *live* bytes (chunks in flight plus what breakers hold and
+	// the result: sort buffers, join build sides, boxed rows) — peak, not
+	// cumulative, materialization. Exceeding
 	// it aborts the query with an error wrapping governance.ErrMemBudget.
 	// Like Profile it applies to exactly one Run; nil (the default)
 	// disables accounting.
@@ -147,10 +149,9 @@ func IsCancellation(err error) bool {
 }
 
 // RunContext streams the plan's output into a materialized Result,
-// checking ctx cooperatively at every chunk boundary (and every
-// ctxCheckRows rows inside row loops), so a cancelled query stops
-// within about one morsel of work per worker and never returns a
-// partial result. The returned error wraps ctx.Err() when the run was
+// checking ctx cooperatively at every page and chunk boundary, so a
+// cancelled query stops within about one chunk of work per worker and
+// never returns a partial result. The returned error wraps ctx.Err() when the run was
 // cancelled; cancel.requests counts such runs and cancel.latency_ns
 // observes the cancellation-observed-to-return teardown latency. On
 // any error every outstanding memory charge is refunded, so a shared
@@ -171,8 +172,8 @@ func (ex *Executor) RunContext(ctx context.Context, n plan.Node) (*Result, error
 	}
 	if err != nil {
 		// The pipeline is already torn down (in-flight chunks were
-		// recycled and refunded); what is left in live is escaped rows
-		// the query no longer returns — give them back.
+		// recycled and refunded); what is left in live is rows breakers
+		// held and the result so far — give them back.
 		if live := rc.live.Load(); live > 0 {
 			rc.mem.Refund(live)
 			rc.live.Store(0)
@@ -196,9 +197,9 @@ func (ex *Executor) RunContext(ctx context.Context, n plan.Node) (*Result, error
 	}, nil
 }
 
-// execNode compiles the plan into a streaming pipeline and drains it,
-// escaping every chunk whose rows end up in the result. A nil rc runs
-// uninstrumented with background-context semantics.
+// execNode compiles the plan into a streaming pipeline, drains it and
+// boxes the output — the one place cells become catalog.Values. A nil rc
+// runs uninstrumented with background-context semantics.
 func (ex *Executor) execNode(rc *runCtx, n plan.Node) ([]catalog.Row, error) {
 	if rc == nil {
 		rc = &runCtx{}
@@ -206,15 +207,16 @@ func (ex *Executor) execNode(rc *runCtx, n plan.Node) ([]catalog.Row, error) {
 	if rc.pool.m == nil {
 		rc.pool.m = &ex.Obs
 	}
-	op, err := ex.compile(rc, n)
+	op, kinds, err := ex.compile(rc, n)
 	if err != nil {
 		return nil, err
 	}
 	defer op.Close()
-	// Collect output chunks and flatten once at the end: one exact
-	// result allocation instead of append-growth churn proportional to
-	// the result size.
-	var chunks [][]catalog.Row
+	if i := slices.Index(kinds, kNone); i >= 0 {
+		return nil, fmt.Errorf("exec: result column %q is not decoded (planner bug)", n.Schema()[i])
+	}
+	// Box chunk by chunk, recycling each, and flatten once at the end.
+	var parts [][]catalog.Row
 	total := 0
 	for {
 		c, ok, nerr := op.Next(rc.ctx)
@@ -224,16 +226,20 @@ func (ex *Executor) execNode(rc *runCtx, n plan.Node) ([]catalog.Row, error) {
 		if !ok {
 			break
 		}
-		kept, kerr := rc.keep(c)
-		if kerr != nil {
-			return nil, kerr
+		rows := c.box()
+		rc.recycle(c)
+		if err := rc.charge(int64(len(rows)) * (24 + 16*int64(len(kinds)))); err != nil {
+			return nil, err
 		}
-		chunks = append(chunks, kept)
-		total += len(kept)
+		parts = append(parts, rows)
+		total += len(rows)
+	}
+	if len(parts) == 1 {
+		return parts[0], nil
 	}
 	rows := make([]catalog.Row, 0, total)
-	for _, c := range chunks {
-		rows = append(rows, c...)
+	for _, p := range parts {
+		rows = append(rows, p...)
 	}
 	return rows, nil
 }
@@ -252,21 +258,16 @@ type runCtx struct {
 
 	// pool recycles chunks within this run; all operators share it.
 	pool chunkPool
-	// live is the run's currently charged bytes (chunks in flight plus
-	// escaped rows); peak is its high-water mark, observed into the
-	// exec.peak_bytes histogram when the run finishes.
+	// live is the run's currently charged bytes (chunks in flight, the
+	// rows breakers hold, the result so far); peak is its high-water
+	// mark, observed into the exec.peak_bytes histogram when the run
+	// finishes.
 	live atomic.Int64
 	peak atomic.Int64
 	// chunks counts chunks charged through chargeEmit — one per pooled
 	// chunk that entered the pipeline, reported on the Result.
 	chunks atomic.Int64
 }
-
-// ctxCheckRows is the cooperative-cancellation stride inside row loops
-// (scan decode, fused filter/project stages, join probe): one context
-// check per this many rows keeps cancellation latency at sub-morsel
-// granularity for about one predictable branch per row of overhead.
-const ctxCheckRows = 1024
 
 // err checks the run's context, stamping the first cancellation
 // observation for latency accounting. Nil-receiver and nil-context
@@ -292,17 +293,31 @@ func (rc *runCtx) stamp(err error) error {
 	return err
 }
 
-// chargeEmit bills a chunk entering the pipeline against the run's
-// live-byte accounting and memory budget. Idempotent per chunk (a
-// chunk passing through several stages is charged once); the charge
-// travels with the chunk until recycle refunds it.
+// chargeEmit bills a chunk entering the pipeline, by its exact vector
+// footprint, against the run's live-byte accounting and memory budget.
+// Idempotent per chunk (a chunk passing through several stages is
+// charged once); the charge travels with the chunk until recycle
+// refunds it.
 func (rc *runCtx) chargeEmit(c *Chunk) error {
-	if c == nil || len(c.rows) == 0 || c.charged != 0 {
+	if c == nil || c.Len() == 0 || c.charged != 0 {
 		return nil
 	}
-	c.charged = approxRowsBytes(c.rows)
 	rc.chunks.Add(1)
-	return rc.charge(c.charged)
+	return rc.recharge(c)
+}
+
+// recharge bills what c has grown by since it was last charged (a
+// projection's computed vectors, a breaker's gathered rows) and refunds
+// what it shrank by.
+func (rc *runCtx) recharge(c *Chunk) error {
+	d := c.bytes() - c.charged
+	c.charged += d
+	if d < 0 {
+		rc.live.Add(d)
+		rc.mem.Refund(-d)
+		return nil
+	}
+	return rc.charge(d)
 }
 
 // charge adds n bytes to the run's live accounting and memory budget.
@@ -336,62 +351,6 @@ func (rc *runCtx) recycle(c *Chunk) {
 	}
 }
 
-// escape removes a chunk from the pool without refunding it: its rows
-// outlive the pipeline (result rows, sort buffers, join build tables),
-// so its bytes stay live until the run ends.
-func (rc *runCtx) escape(c *Chunk) {
-	if c == nil || c.src == nil {
-		return
-	}
-	c.src.escape(c)
-}
-
-// keep hands over c's rows to a consumer that holds them past the
-// pipeline (result, sort buffer, join build table, pending DML). A full
-// chunk simply escapes. A chunk a fused filter left nearly empty would
-// pin its whole arena for a few rows and cost the pool a fresh one, so
-// its survivors are copied out, charged for what they are, and the chunk
-// goes back to the pool.
-func (rc *runCtx) keep(c *Chunk) ([]catalog.Row, error) {
-	kept := 0
-	for _, r := range c.rows {
-		kept += len(r)
-	}
-	if c.src == nil || cap(c.vals) <= sparseChunkFactor*kept {
-		rc.escape(c)
-		return c.rows, nil
-	}
-	vals := make([]catalog.Value, kept)
-	rows := make([]catalog.Row, len(c.rows))
-	for i, r := range c.rows {
-		n := copy(vals, r)
-		rows[i], vals = vals[:n:n], vals[n:]
-	}
-	rc.recycle(c)
-	return rows, rc.charge(approxRowsBytes(rows))
-}
-
-// sparseChunkFactor is how many times larger than its surviving rows a
-// chunk's arena must be before keep copies the rows out instead.
-const sparseChunkFactor = 4
-
-// approxRowsBytes estimates the materialized size of rows: slice
-// headers plus a boxed-word cost per value plus string payloads. The
-// point is a stable, cheap proxy for allocation appetite, not exact
-// accounting.
-func approxRowsBytes(rows []catalog.Row) int64 {
-	var n int64
-	for _, r := range rows {
-		n += 24 + 16*int64(len(r))
-		for _, v := range r {
-			if s, ok := v.(string); ok {
-				n += int64(len(s))
-			}
-		}
-	}
-	return n
-}
-
 // aggKind is what one output of an aggregation computes.
 type aggKind uint8
 
@@ -420,30 +379,18 @@ type boundAgg struct {
 	items   []aggItem
 }
 
-// aggCell is one output's running state within one group: count is the
-// rows folded so far, sum serves SUM and AVG, ext is the running MIN or
-// MAX.
-type aggCell struct {
-	count int64
-	sum   float64
-	ext   catalog.Value
-}
-
-// aggState is one group: its key and one cell per output.
-type aggState struct {
-	groupKey catalog.Row
-	cells    []aggCell
-}
-
-// bindAggregate binds an aggregation. An output that is not an aggregate
-// call must repeat a grouping expression.
-func (ex *Executor) bindAggregate(v *plan.AggregateNode) (*boundAgg, error) {
-	scope := ex.newScope(v.Input.Schema())
+// bindAggregate binds an aggregation and returns its output layout:
+// grouping values keep their kind, COUNT is an integer, SUM and AVG
+// floats, and MIN and MAX are boxed (over no rows they are NULL). An
+// output that is not an aggregate call must repeat a grouping
+// expression.
+func (ex *Executor) bindAggregate(v *plan.AggregateNode, scope *Scope) (*boundAgg, []kind, error) {
 	groupBy, err := bindList(v.GroupBy, scope, ex.Funcs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	a := &boundAgg{groupBy: groupBy, items: make([]aggItem, len(v.Items))}
+	kinds := make([]kind, len(v.Items))
 	for i, it := range v.Items {
 		item := &a.items[i]
 		fc, _ := it.Expr.(*sql.FuncCall)
@@ -454,9 +401,11 @@ func (ex *Executor) bindAggregate(v *plan.AggregateNode) (*boundAgg, error) {
 		case item.kind == aggGroupKey:
 			item.key = slices.IndexFunc(v.GroupBy, func(g sql.Expr) bool { return g.String() == it.Expr.String() })
 			if item.key < 0 {
-				return nil, fmt.Errorf("exec: %s is neither aggregated nor grouped", it.Expr.String())
+				return nil, nil, fmt.Errorf("exec: %s is neither aggregated nor grouped", it.Expr.String())
 			}
+			kinds[i] = groupBy[item.key].k
 		case item.kind == aggCount:
+			kinds[i] = kInt
 			// COUNT counts rows whatever it is given; bind a named
 			// argument anyway so a wrong name is an error here too.
 			if len(fc.Args) == 1 {
@@ -465,112 +414,254 @@ func (ex *Executor) bindAggregate(v *plan.AggregateNode) (*boundAgg, error) {
 				}
 			}
 			if _, err := bindList(fc.Args, scope, ex.Funcs); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		case len(fc.Args) != 1:
-			return nil, fmt.Errorf("exec: %s takes one argument", fc.Name)
+			return nil, nil, fmt.Errorf("exec: %s takes one argument", fc.Name)
 		default:
 			if item.arg, err = bind(fc.Args[0], scope, ex.Funcs); err != nil {
-				return nil, err
+				return nil, nil, err
+			}
+			kinds[i] = kFloat
+			if item.kind == aggMin || item.kind == aggMax {
+				kinds[i] = kAny
 			}
 		}
 	}
-	return a, nil
+	return a, kinds, nil
 }
 
-// fold folds one batch of rows into part. Rows are consumed: every
-// value the state keeps (group keys, min/max) is an evaluated Value,
-// never a slice into the caller's chunk, so the chunk may be recycled
-// as soon as this returns.
-func (a *boundAgg) fold(rc *runCtx, part *aggPartial, rows []catalog.Row) error {
-	keyBuf := make([]byte, 0, 64)
-	key := make(catalog.Row, len(a.groupBy))
-	for i, r := range rows {
-		if i%ctxCheckRows == 0 {
-			if err := rc.err(); err != nil {
-				return err
-			}
+// aggPartial is the running state of an aggregation, a slot per group,
+// groups numbered in first-seen order: chunks fold into it in arrival
+// (morsel) order, so group output order is global first-occurrence
+// order at any parallelism.
+type aggPartial struct {
+	keys   *keyMap // nil without GROUP BY: one group
+	groups *Chunk  // each group's grouping values, a row per group
+	rows   []int64 // per group: rows folded
+	// per item: SUM and AVG's running sum, MIN and MAX's extreme so far
+	// (typed like the argument) and whether there is one yet
+	sums []([]float64)
+	ext  []*vec
+	has  [][]bool
+	ids  []int32 // scratch: the group of each row of a chunk
+}
+
+func (a *boundAgg) newPartial() *aggPartial {
+	p := &aggPartial{groups: &Chunk{}, sums: make([][]float64, len(a.items)), ext: make([]*vec, len(a.items)), has: make([][]bool, len(a.items))}
+	kinds := make([]kind, len(a.groupBy))
+	for i := range a.groupBy {
+		kinds[i] = a.groupBy[i].k
+	}
+	p.groups.layout(kinds)
+	if len(a.groupBy) > 0 {
+		p.keys = newKeyMap(groupKeyMode(a.groupBy), false)
+	}
+	for i := range a.items {
+		if k := a.items[i].kind; k == aggMin || k == aggMax {
+			p.ext[i] = &vec{k: a.items[i].arg.k}
 		}
-		for gi := range a.groupBy {
-			v, err := a.groupBy[gi].eval(r)
-			if err != nil {
-				return err
-			}
-			key[gi] = v
+	}
+	return p
+}
+
+// fold folds the live rows of c into p. Nothing p keeps refers to c's
+// vectors (strings refer only to immutable text), so c may be recycled
+// as soon as fold returns.
+func (a *boundAgg) fold(p *aggPartial, c *Chunk) error {
+	sel := c.sel
+	var err error
+	if p.keys == nil {
+		p.ids = extend(p.ids[:0], len(sel))
+		p.grow(a, 1)
+	} else {
+		seen := p.keys.n
+		if p.ids, err = p.keys.ids(c, sel, a.groupBy, true, p.ids); err != nil {
+			return err
 		}
-		keyBuf = appendRowKey(keyBuf[:0], key)
-		st, ok := part.groups[string(keyBuf)]
-		if !ok {
-			st = &aggState{groupKey: slices.Clone(key), cells: make([]aggCell, len(a.items))}
-			part.groups[string(keyBuf)] = st
-			part.order = append(part.order, st)
-		}
-		for ii := range a.items {
-			it, cell := &a.items[ii], &st.cells[ii]
-			if it.kind == aggGroupKey {
-				continue
-			}
-			cell.count++
-			if it.kind == aggCount {
-				continue
-			}
-			v, err := it.arg.eval(r)
-			if err != nil {
-				return err
-			}
-			if it.kind == aggSum || it.kind == aggAvg {
-				f, err := toFloat(v)
-				if err != nil {
+		for i, r := range sel {
+			if p.ids[i] == int32(p.groups.n) {
+				if err := p.addGroup(a, c, r); err != nil {
 					return err
 				}
-				cell.sum += f
-				continue
 			}
-			if cell.count == 1 {
-				cell.ext = v
-				continue
-			}
-			c, err := compare(v, cell.ext)
-			if err != nil {
-				return err
-			}
-			if (it.kind == aggMin && c < 0) || (it.kind == aggMax && c > 0) {
-				cell.ext = v
-			}
+		}
+		if p.keys.n > seen {
+			p.grow(a, int(p.keys.n))
+		}
+	}
+	for _, g := range p.ids {
+		p.rows[g]++
+	}
+	for ii := range a.items {
+		it := &a.items[ii]
+		switch it.kind {
+		case aggSum, aggAvg:
+			err = foldSum(p.sums[ii], p.ids, &it.arg, c, sel)
+		case aggMin, aggMax:
+			err = foldExt(p.ext[ii], p.has[ii], p.ids, it, c, sel)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// finalize renders the folded partial into output rows, groups in
-// first-seen order.
-func (a *boundAgg) finalize(part *aggPartial) []catalog.Row {
-	if len(a.groupBy) == 0 && len(part.order) == 0 {
-		// Aggregates over an empty input still produce one row.
-		part.order = append(part.order, &aggState{cells: make([]aggCell, len(a.items))})
+// addGroup appends row r's grouping values as the next group.
+func (p *aggPartial) addGroup(a *boundAgg, c *Chunk, r int32) error {
+	for gi := range a.groupBy {
+		if err := a.groupBy[gi].appendTo(p.groups.cols[gi], c, r); err != nil {
+			return err
+		}
 	}
-	out := make([]catalog.Row, len(part.order))
-	for gi, st := range part.order {
-		row := make(catalog.Row, len(a.items))
-		for i := range a.items {
-			it, cell := &a.items[i], &st.cells[i]
-			switch it.kind {
-			case aggGroupKey:
-				row[i] = st.groupKey[it.key]
-			case aggCount:
-				row[i] = cell.count
-			case aggSum:
-				row[i] = cell.sum
-			case aggAvg:
-				row[i] = float64(0)
-				if cell.count > 0 {
-					row[i] = cell.sum / float64(cell.count)
-				}
-			default:
-				row[i] = cell.ext
+	p.groups.n++
+	return nil
+}
+
+// grow gives every per-group slot room for n groups.
+func (p *aggPartial) grow(a *boundAgg, n int) {
+	p.rows = extend(p.rows, n)
+	for i := range a.items {
+		switch a.items[i].kind {
+		case aggSum, aggAvg:
+			p.sums[i] = extend(p.sums[i], n)
+		case aggMin, aggMax:
+			p.has[i] = extend(p.has[i], n)
+			p.ext[i].extend(n)
+		}
+	}
+}
+
+// foldSum adds arg over the rows of sel into their groups' sums,
+// converting integers to float64 row by row, as SUM always has.
+func foldSum(sum []float64, ids []int32, arg *bound, c *Chunk, sel []int32) error {
+	switch {
+	case arg.col >= 0 && arg.k == kInt:
+		cells := c.cols[arg.col].I
+		for i, r := range sel {
+			sum[ids[i]] += float64(cells[r])
+		}
+	case arg.col >= 0 && arg.k == kFloat:
+		cells := c.cols[arg.col].F
+		for i, r := range sel {
+			sum[ids[i]] += cells[r]
+		}
+	case arg.k.numeric():
+		for i, r := range sel {
+			x, err := arg.float(c, r)
+			if err != nil {
+				return err
+			}
+			sum[ids[i]] += x
+		}
+	default:
+		for i, r := range sel {
+			v, err := arg.value(c, r)
+			if err != nil {
+				return err
+			}
+			x, err := toFloat(v)
+			if err != nil {
+				return err
+			}
+			sum[ids[i]] += x
+		}
+	}
+	return nil
+}
+
+// foldExt folds the rows of sel into their groups' MIN or MAX.
+func foldExt(ext *vec, has []bool, ids []int32, it *aggItem, c *Chunk, sel []int32) error {
+	arg := &it.arg
+	// wins reports whether a value comparing x with the extreme replaces it.
+	wins := func(x int) bool { return x < 0 }
+	if it.kind == aggMax {
+		wins = func(x int) bool { return x > 0 }
+	}
+	for i, r := range sel {
+		g := ids[i]
+		switch arg.k {
+		case kInt:
+			v, err := arg.int(c, r)
+			if err != nil {
+				return err
+			}
+			if !has[g] || wins(cmpOrd(v, ext.I[g])) {
+				ext.I[g] = v
+			}
+		case kFloat:
+			v, err := arg.float(c, r)
+			if err != nil {
+				return err
+			}
+			if !has[g] || wins(cmpOrd(v, ext.F[g])) {
+				ext.F[g] = v
+			}
+		case kString:
+			if v := arg.str(c, r); !has[g] || wins(strings.Compare(v, ext.S[g])) {
+				ext.S[g] = v
+			}
+		default:
+			v, err := arg.value(c, r)
+			if err != nil {
+				return err
+			}
+			if !has[g] {
+				ext.V[g] = v
+				break
+			}
+			x, err := compare(v, ext.V[g])
+			if err != nil {
+				return err
+			}
+			if wins(x) {
+				ext.V[g] = v
 			}
 		}
-		out[gi] = row
+		has[g] = true
 	}
+	return nil
+}
+
+// finalize renders the partial as a static chunk, a row per group in
+// first-seen order.
+func (a *boundAgg) finalize(p *aggPartial) *Chunk {
+	if p.keys == nil && len(p.rows) == 0 {
+		p.grow(a, 1) // aggregates over an empty input still produce one row
+	}
+	n := len(p.rows)
+	out := &Chunk{n: n}
+	for i := range a.items {
+		it := &a.items[i]
+		var v *vec
+		switch it.kind {
+		case aggGroupKey:
+			v = p.groups.cols[it.key]
+		case aggCount:
+			v = &vec{k: kInt}
+			v.I = p.rows
+		case aggSum:
+			v = &vec{k: kFloat}
+			v.F = p.sums[i]
+		case aggAvg:
+			v = &vec{k: kFloat}
+			v.F = p.sums[i]
+			for g := range v.F {
+				if p.rows[g] > 0 {
+					v.F[g] /= float64(p.rows[g])
+				}
+			}
+		default:
+			v = &vec{k: kAny, V: make([]catalog.Value, n)}
+			for g := range v.V {
+				if p.has[i][g] {
+					v.V[g] = p.ext[i].value(int32(g))
+				}
+			}
+		}
+		out.cols = append(out.cols, v)
+	}
+	out.selectAll()
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"aidb/internal/catalog"
@@ -12,11 +13,12 @@ import (
 )
 
 // modifyOp is the sink of an UPDATE or DELETE plan. It drains its input
-// — rows carrying their record id as a trailing value — and computes
-// every new row first; only when the input is exhausted and nothing
-// failed does it touch the table. An error in a WHERE or SET expression,
-// a value that does not fit its column, a cancellation or a blown memory
-// budget therefore leaves the table exactly as it was. It emits no rows.
+// — chunks of every table column, with each row's record id — and
+// computes every new row first; only when the input is exhausted and
+// nothing failed does it touch the table. An error in a WHERE or SET
+// expression, a value that does not fit its column, a cancellation or a
+// blown memory budget therefore leaves the table exactly as it was. It
+// emits no rows.
 type modifyOp struct {
 	rc   *runCtx
 	node *plan.ModifyNode
@@ -27,10 +29,9 @@ type modifyOp struct {
 	done bool
 }
 
-// bindSet binds an UPDATE's SET expressions against the rows its input
-// yields (nil for DELETE).
-func (ex *Executor) bindSet(v *plan.ModifyNode) ([]bound, error) {
-	scope := ex.newScope(v.Input.Schema())
+// bindSet binds an UPDATE's SET expressions against its input (nil for
+// DELETE).
+func (ex *Executor) bindSet(v *plan.ModifyNode, scope *Scope) ([]bound, error) {
 	set := make([]bound, len(v.Set))
 	for i, a := range v.Set {
 		b, err := bind(a.Expr, scope, ex.Funcs)
@@ -66,8 +67,8 @@ func (m *modifyOp) Next(ctx context.Context) (*Chunk, bool, error) {
 	return nil, false, m.apply(changes)
 }
 
-// collect drains the input. The old rows are kept until apply, so they
-// stay charged to the memory budget.
+// collect drains the input, boxing each row read and the row to write
+// in its place. They are kept until apply, charged to the memory budget.
 func (m *modifyOp) collect(ctx context.Context) ([]rowChange, error) {
 	cols := m.node.Table.Schema.Columns
 	var changes []rowChange
@@ -76,26 +77,32 @@ func (m *modifyOp) collect(ctx context.Context) ([]rowChange, error) {
 		if err != nil || !ok {
 			return changes, err
 		}
-		rows, err := m.rc.keep(c)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range rows {
-			ch := rowChange{rid: r[len(cols)].(storage.RecordID), old: r[:len(cols)]}
+		rows := c.box()
+		for i, r := range c.sel {
+			ch := rowChange{rid: c.rids[r], old: rows[i]}
 			if m.node.Set != nil {
-				ch.new = append(catalog.Row(nil), ch.old...)
-				for i, a := range m.node.Set {
-					v, err := m.set[i].eval(ch.old)
+				ch.new = slices.Clone(ch.old)
+				for si, a := range m.node.Set {
+					v, err := m.set[si].value(c, r)
 					if err == nil {
 						v, err = catalog.Coerce(v, cols[a.Column].Type)
 					}
 					if err != nil {
+						m.rc.recycle(c)
 						return nil, fmt.Errorf("exec: UPDATE %s SET %s: %w", m.node.Table.Name, cols[a.Column].Name, err)
 					}
 					ch.new[a.Column] = v
 				}
 			}
 			changes = append(changes, ch)
+		}
+		m.rc.recycle(c)
+		per := 24 + 16*int64(len(cols))
+		if m.node.Set != nil {
+			per *= 2
+		}
+		if err := m.rc.charge(int64(len(rows)) * per); err != nil {
+			return nil, err
 		}
 	}
 }

@@ -34,7 +34,7 @@ type Metrics struct {
 	// and miss counts (hits mean steady-state scans run allocation-
 	// free), and the per-query peak of live charged bytes — the
 	// streaming executor's headline number, bounded by chunks in flight
-	// plus escaped rows instead of every intermediate result.
+	// plus what breakers hold instead of every intermediate result.
 	ChunksEmitted   *obs.Counter
 	ChunkPoolHits   *obs.Counter
 	ChunkPoolMisses *obs.Counter

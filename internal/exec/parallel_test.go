@@ -61,6 +61,16 @@ func mustPlan(t testing.TB, c *catalog.Catalog, q string) plan.Node {
 	return p
 }
 
+// rowKey renders a row with each value's type, so int64(1) and
+// float64(1) differ.
+func rowKey(r catalog.Row) string {
+	var sb strings.Builder
+	for _, v := range r {
+		fmt.Fprintf(&sb, "%T:%v|", v, v)
+	}
+	return sb.String()
+}
+
 // normRows renders rows order-insensitively for cross-mode comparison.
 func normRows(rows []catalog.Row) []string {
 	out := make([]string, len(rows))
@@ -161,47 +171,48 @@ func TestConcurrentRunsSharedExecutor(t *testing.T) {
 	}
 }
 
-// TestChunkArenaRows pins the arena-carving contract: rows are
-// capacity-capped sub-slices (appending to one cannot clobber its
-// neighbor), slab growth leaves previously carved rows intact, and
-// reset reuses storage without reallocating the slab.
-func TestChunkArenaRows(t *testing.T) {
-	c := &Chunk{}
-	const n = 3 * DefaultMorselRows // forces at least one slab growth at width 4
-	rows := make([]catalog.Row, 0, n)
-	for i := 0; i < n; i++ {
-		r := c.newRow(4)
-		for j := range r {
-			r[j] = int64(i*10 + j)
-		}
-		c.rows = append(c.rows, r)
-		rows = append(rows, r)
+// TestChunkVectors pins the chunk contract: a filter narrows sel without
+// moving a cell, gather copies the live rows of one vector into another,
+// a recycled chunk reuses its vectors, and strings gathered or boxed out
+// of a chunk stay valid after it is recycled and refilled.
+func TestChunkVectors(t *testing.T) {
+	p := &chunkPool{}
+	c := p.get()
+	c.layout([]kind{kInt, kString})
+	for i := 0; i < 10; i++ {
+		c.cols[0].I = append(c.cols[0].I, int64(i*10))
+		c.cols[1].S = append(c.cols[1].S, fmt.Sprint("s", i))
 	}
-	for i, r := range rows {
-		if cap(r) != 4 {
-			t.Fatalf("row %d: cap = %d, want 4 (capacity-capped carve)", i, cap(r))
-		}
-		for j := range r {
-			if r[j].(int64) != int64(i*10+j) {
-				t.Fatalf("row %d col %d corrupted after slab growth: %v", i, j, r[j])
-			}
-		}
+	c.n = 10
+	c.selectAll()
+	c.sel = selectCmp(c.cols[0].I, int64(45), opGT, c.sel)
+	if c.Len() != 5 || c.sel[0] != 5 || c.cols[0].I[5] != 50 {
+		t.Fatalf("after the filter: sel %v, cells %v", c.sel, c.cols[0].I)
 	}
-	c.reset()
-	if c.Len() != 0 {
-		t.Fatalf("reset left %d rows", c.Len())
+	kept := &vec{k: kString}
+	kept.gather(c.cols[1], c.sel)
+	rows := c.box()
+	if len(rows) != 5 || rows[0][0] != int64(50) || rows[0][1] != "s5" || rows[4][1] != "s9" {
+		t.Fatalf("boxed rows %v", rows)
 	}
-	// Old rows must still be readable: reset only truncates the CURRENT
-	// slab, and recycled chunks are only reused once their rows are dead
-	// — but the earlier, abandoned slabs are untouched either way.
-	if rows[0][0].(int64) != 0 {
-		t.Fatalf("abandoned-slab row corrupted by reset: %v", rows[0])
+	own := c.own[0]
+	p.put(c)
+	if c2 := p.get(); c2 != c || c2.Len() != 0 || len(c2.cols) != 0 {
+		t.Fatalf("recycled chunk not reused empty")
+	}
+	c.layout([]kind{kString})
+	if c.cols[0] != own || len(c.cols[0].S) != 0 {
+		t.Fatal("a recycled chunk did not reuse its vector")
+	}
+	c.cols[0].S = append(c.cols[0].S, "overwrite", "overwrite", "overwrite")
+	if kept.S[0] != "s5" || rows[4][1] != "s9" {
+		t.Fatalf("gathered %v and boxed %v changed when the chunk was refilled", kept.S, rows)
 	}
 }
 
 // TestChunkPoolBalance pins the pool accounting the leak tests build
-// on: get/put round-trips hit the free list, escape removes a chunk
-// permanently, double puts are no-ops, and outstanding() nets to the
+// on: get/put round-trips hit the free list, double puts and puts of
+// chunks the pool does not own are no-ops, and outstanding() nets to the
 // chunks still held.
 func TestChunkPoolBalance(t *testing.T) {
 	p := &chunkPool{}
@@ -214,11 +225,11 @@ func TestChunkPoolBalance(t *testing.T) {
 	if got := p.get(); got != a {
 		t.Error("pool did not reuse the recycled chunk")
 	}
-	p.escape(b)
-	p.put(b)                              // put after escape must be a no-op
-	if out := p.outstanding(); out != 1 { // a is held again, b escaped
-		t.Errorf("outstanding = %d, want 1", out)
+	p.put(&Chunk{})                       // a static chunk is not the pool's
+	if out := p.outstanding(); out != 2 { // a is held again, b still out
+		t.Errorf("outstanding = %d, want 2", out)
 	}
+	p.put(b)
 	p.put(a)
 	if out := p.outstanding(); out != 0 {
 		t.Errorf("outstanding after final put = %d, want 0", out)
@@ -302,23 +313,31 @@ func TestParallelIndexScanMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Skewed sorted key set: dense low band plus sparse high outliers.
-	var keys []int64
-	for i := int64(0); i < 4000; i++ {
-		keys = append(keys, i%700)
+	// Skewed key set: dense low band plus sparse high outliers, stored
+	// unsorted and indexed by (key, record id).
+	type entry struct {
+		key int64
+		rid storage.RecordID
 	}
-	for i := int64(0); i < 50; i++ {
-		keys = append(keys, 100000+i*31)
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	fetch := func(lo, hi int64, fn func(rid storage.RecordID, row catalog.Row) bool) error {
-		from := sort.Search(len(keys), func(i int) bool { return keys[i] >= lo })
-		for i := from; i < len(keys) && keys[i] <= hi; i++ {
-			if !fn(storage.RecordID{}, catalog.Row{keys[i]}) {
-				return nil
-			}
+	var index []entry
+	for i := int64(0); i < 4050; i++ {
+		k := i % 700
+		if i >= 4000 {
+			k = 100000 + (i-4000)*31
 		}
-		return nil
+		rid, err := tab.Insert(catalog.Row{k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		index = append(index, entry{k, rid})
+	}
+	sort.SliceStable(index, func(a, b int) bool { return index[a].key < index[b].key })
+	fetch := func(lo, hi int64, dst []storage.RecordID) ([]storage.RecordID, error) {
+		from := sort.Search(len(index), func(i int) bool { return index[i].key >= lo })
+		for i := from; i < len(index) && index[i].key <= hi; i++ {
+			dst = append(dst, index[i].rid)
+		}
+		return dst, nil
 	}
 	for _, bounds := range [][2]int64{{0, 699}, {-50, 200000}, {math.MinInt64, math.MaxInt64}, {650, 650}} {
 		node := &plan.IndexScanNode{Table: tab, Alias: "t", Column: 0, Lo: []plan.Bound{{N: bounds[0]}}, Hi: []plan.Bound{{N: bounds[1]}}, Fetch: fetch}
@@ -475,20 +494,21 @@ func TestIndexScanBoundsResolveAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rids []storage.RecordID
 	for k := int64(0); k < 100; k++ {
-		if _, err := tab.Insert(catalog.Row{k}); err != nil {
+		rid, err := tab.Insert(catalog.Row{k})
+		if err != nil {
 			t.Fatal(err)
 		}
+		rids = append(rids, rid)
 	}
 	var fetched atomic.Int64
-	fetch := func(lo, hi int64, fn func(storage.RecordID, catalog.Row) bool) error {
+	fetch := func(lo, hi int64, dst []storage.RecordID) ([]storage.RecordID, error) {
 		for k := max(lo, 0); k <= min(hi, 99); k++ {
 			fetched.Add(1)
-			if !fn(storage.RecordID{}, catalog.Row{k}) {
-				break
-			}
+			dst = append(dst, rids[k])
 		}
-		return nil
+		return dst, nil
 	}
 	node := &plan.IndexScanNode{Table: tab, Alias: "t", Column: 0,
 		Lo: []plan.Bound{{Param: 1}}, Hi: []plan.Bound{{Param: 2, N: -1}}, Fetch: fetch}

@@ -64,9 +64,9 @@ func (p *OpProfile) Utilization() float64 {
 // Chunks is how many batches the operator emitted downstream.
 func (p *OpProfile) Chunks() int64 { return p.chunks.Load() }
 
-// PeakBytes is the largest single batch (by the executor's byte
-// estimate) the operator emitted — the streaming pipeline's per-
-// operator memory footprint indicator.
+// PeakBytes is the largest single batch (by its vector bytes) the
+// operator emitted — the streaming pipeline's per-operator memory
+// footprint indicator.
 func (p *OpProfile) PeakBytes() int64 { return p.peakBytes.Load() }
 
 // notePeak raises the peak-batch-bytes high-water mark.

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,16 +20,15 @@ import (
 // a tree of BatchOperators pulling pooled Chunks from their children.
 // Rows flow scan → filter → project → limit one batch at a time, so a
 // query's live memory is bounded by chunks in flight — not by the size
-// of every intermediate result, as in the old materialize-and-concat
-// design. Filters and projections compile to transforms fused into
-// their source's morsel loop (they run inside scan workers); pipeline
-// breakers (join build, aggregation, sort) drain their input and then
-// stream or emit their output.
+// of every intermediate result. Filters and projections compile to
+// transforms fused into their source's morsel loop (they run inside scan
+// workers); pipeline breakers (join build, aggregation, sort) drain their
+// input and then stream or emit their output.
 
 // BatchOperator is the pull-based iterator every compiled operator
 // implements. Next returns the next non-empty chunk, ok=false on
-// exhaustion; the caller owns the returned chunk and must recycle or
-// escape it. Close tears the operator down (idempotent, safe after an
+// exhaustion; the caller owns the returned chunk and must recycle it or
+// hand it on. Close tears the operator down (idempotent, safe after an
 // error) and recycles any chunks still in flight.
 type BatchOperator interface {
 	Next(ctx context.Context) (*Chunk, bool, error)
@@ -46,19 +45,19 @@ var errStreamClosed = errors.New("exec: stream closed")
 type emitFn func(*Chunk) error
 
 // ---------------------------------------------------------------------
-// Transforms: fused row-wise stages (filter, project).
+// Transforms: fused stages (filter, project).
 
 // transform is one fused pipeline stage. apply takes ownership of c
-// and returns the surviving chunk (possibly c itself, compacted);
-// every chunk it consumes or abandons on error is recycled by apply
-// itself. Transforms run concurrently from morsel workers and must
-// only touch shared state that is read-only or atomic.
+// and returns the surviving chunk (c itself, narrowed or re-columned);
+// a chunk it abandons on error it recycles itself. Transforms run
+// concurrently from morsel workers and must only touch shared state
+// that is read-only or atomic.
 type transform interface {
 	apply(c *Chunk) (*Chunk, error)
 }
 
 // fusable is implemented by operators that can absorb a downstream
-// row-wise transform into their own loop (sources and transformOp).
+// transform into their own loop (sources and transformOp).
 type fusable interface {
 	fuse(t transform)
 }
@@ -89,8 +88,8 @@ func applyTransforms(rc *runCtx, ts []transform, c *Chunk) (*Chunk, error) {
 	return c, nil
 }
 
-// filterTransform drops rows failing cond, compacting the chunk in
-// place — the chunk is exclusively owned, so no copy is needed.
+// filterTransform narrows the chunk's selection to the rows cond holds
+// for; no cell moves.
 type filterTransform struct {
 	rc   *runCtx
 	cond pred
@@ -106,68 +105,54 @@ func (t *filterTransform) apply(c *Chunk) (*Chunk, error) {
 	if t.prof != nil {
 		start = time.Now()
 	}
-	out := c.rows[:0]
-	for i, r := range c.rows {
-		if i > 0 && i%ctxCheckRows == 0 {
-			if err := t.rc.err(); err != nil {
-				t.rc.recycle(c)
-				return nil, err
-			}
-		}
-		ok, err := t.cond(r)
-		if err != nil {
-			t.rc.recycle(c)
-			return nil, err
-		}
-		if ok {
-			out = append(out, r)
-		}
+	sel, err := t.cond.apply(c, c.sel)
+	if err != nil {
+		t.rc.recycle(c)
+		return nil, err
 	}
-	c.rows = out
+	c.sel = sel
 	if t.prof != nil {
 		t.prof.wallNs.Add(time.Since(start).Nanoseconds())
-		t.prof.actualRows.Add(int64(len(out)))
+		t.prof.actualRows.Add(int64(len(sel)))
 		t.prof.chunks.Add(1)
 	}
 	return c, nil
 }
 
-// projectTransform evaluates the projection items into a fresh pooled
-// chunk (rows carved from its arena) and recycles the input, so a
-// scan→project pipeline cycles two pooled chunks instead of
-// allocating one slice per output row.
+// projectTransform re-columns the chunk in place: a column item
+// references its input vector, a computed item fills a fresh vector of
+// the chunk for the selected rows.
 type projectTransform struct {
 	rc    *runCtx
 	items []projItem
-	width int // output row width, every `*` expanded
 	prof  *OpProfile
 }
 
-// projItem is one bound projection item; star copies the whole input row.
+// projItem is one bound projection item; star passes every input column.
 type projItem struct {
 	star bool
 	expr bound
 }
 
-// bindProject binds a projection's items against its input schema.
-func (ex *Executor) bindProject(rc *runCtx, v *plan.ProjectNode) (*projectTransform, error) {
-	names := v.Input.Schema()
-	scope := ex.newScope(names)
+// bindProject binds a projection's items against its input and returns
+// the output layout.
+func (ex *Executor) bindProject(rc *runCtx, v *plan.ProjectNode, scope *Scope) (*projectTransform, []kind, error) {
 	t := &projectTransform{rc: rc, items: make([]projItem, len(v.Items)), prof: ex.Profile.of(v)}
+	out := make([]kind, 0, len(v.Items))
 	for i, it := range v.Items {
 		if _, ok := it.Expr.(*sql.Star); ok {
 			t.items[i].star = true
-			t.width += len(names)
+			out = append(out, scope.kinds...)
 			continue
 		}
 		b, err := bind(it.Expr, scope, ex.Funcs)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		t.items[i].expr = b
-		t.width++
+		out = append(out, b.k)
 	}
-	return t, nil
+	return t, out, nil
 }
 
 func (t *projectTransform) apply(c *Chunk) (*Chunk, error) {
@@ -180,47 +165,36 @@ func (t *projectTransform) apply(c *Chunk) (*Chunk, error) {
 	if t.prof != nil {
 		start = time.Now()
 	}
-	out := rc.pool.get()
-	out.reserve(len(c.rows), t.width)
-	for i, r := range c.rows {
-		if i > 0 && i%ctxCheckRows == 0 {
-			if err := rc.err(); err != nil {
-				rc.recycle(out)
+	out := slices.Grow(c.spare[:0], len(t.items))
+	for i := range t.items {
+		it := &t.items[i]
+		switch {
+		case it.star:
+			out = append(out, c.cols...)
+		case it.expr.col >= 0:
+			out = append(out, c.cols[it.expr.col])
+		default:
+			v := c.newVec(it.expr.k)
+			if err := it.expr.fill(v, c, c.sel); err != nil {
+				c.spare = out
 				rc.recycle(c)
 				return nil, err
 			}
+			out = append(out, v)
 		}
-		row := out.newRow(t.width)
-		j := 0
-		for k := range t.items {
-			it := &t.items[k]
-			if it.star {
-				j += copy(row[j:], r)
-				continue
-			}
-			v, err := it.expr.eval(r)
-			if err != nil {
-				rc.recycle(out)
-				rc.recycle(c)
-				return nil, err
-			}
-			row[j] = v
-			j++
-		}
-		out.rows = append(out.rows, row)
 	}
-	rc.recycle(c)
-	if err := rc.chargeEmit(out); err != nil {
-		rc.recycle(out)
+	c.spare, c.cols = c.cols, out
+	if err := rc.recharge(c); err != nil {
+		rc.recycle(c)
 		return nil, err
 	}
 	if t.prof != nil {
 		t.prof.wallNs.Add(time.Since(start).Nanoseconds())
-		t.prof.actualRows.Add(int64(len(out.rows)))
+		t.prof.actualRows.Add(int64(c.Len()))
 		t.prof.chunks.Add(1)
-		t.prof.notePeak(out.charged)
+		t.prof.notePeak(c.charged)
 	}
-	return out, nil
+	return c, nil
 }
 
 // transformOp applies fused transforms above a pipeline breaker (e.g.
@@ -256,48 +230,91 @@ func (t *transformOp) Close() { t.in.Close() }
 // ---------------------------------------------------------------------
 // Sources: morsel-parallel scan pipelines.
 
-// chunkSink accumulates source rows into pooled chunks and flushes a
-// chunk downstream every `limit` rows: rows are counted as scanned,
+// chunkSink fills pooled chunks laid out as kinds and flushes one
+// downstream once it holds limit rows: rows are counted as scanned,
 // charged against the memory budget, run through the fused transforms,
 // and emitted. One sink per produce call, owned by one worker.
 type chunkSink struct {
-	s     *morselStream
-	emit  emitFn
-	cur   *Chunk
-	limit int
-	err   error // first failure seen by visitor
+	s      *morselStream
+	emit   emitFn
+	kinds  []kind
+	rowIDs bool
+	limit  int
+	cur    *Chunk
+	// dst is cur's vectors as a decoder takes them, nil where the plan
+	// reads nothing.
+	dst []*catalog.Vector
 }
 
-// row carves the next arena row for the decoder to fill.
-func (k *chunkSink) row(width int) catalog.Row {
-	if k.cur == nil {
-		k.cur = k.s.rc.pool.get()
-		k.cur.reserve(k.limit, width)
-	}
-	return k.cur.newRow(width)
+func (s *morselStream) sink(emit emitFn, kinds []kind, rowIDs bool) chunkSink {
+	return chunkSink{s: s, emit: emit, kinds: kinds, rowIDs: rowIDs, limit: s.ex.morselRows()}
 }
 
-// push appends a finished row, flushing at the chunk boundary.
-func (k *chunkSink) push(r catalog.Row) error {
+// chunk returns the chunk being filled, starting one when there is none.
+func (k *chunkSink) chunk() *Chunk {
 	if k.cur == nil {
-		k.cur = k.s.rc.pool.get()
+		c := k.s.rc.pool.get()
+		c.layout(k.kinds)
+		k.dst = slices.Grow(k.dst[:0], len(c.cols))
+		for _, v := range c.cols {
+			if v == nil {
+				k.dst = append(k.dst, nil)
+			} else {
+				k.dst = append(k.dst, &v.Vector)
+			}
+		}
+		k.cur = c
 	}
-	k.cur.rows = append(k.cur.rows, r)
-	if len(k.cur.rows) >= k.limit {
-		return k.flush()
+	return k.cur
+}
+
+// rids is where a decoder appends record ids: the current chunk's, for
+// a DML plan, else nowhere.
+func (k *chunkSink) rids() *[]storage.RecordID {
+	if !k.rowIDs {
+		return nil
 	}
-	return nil
+	return &k.chunk().rids
+}
+
+// fill runs a source's morsel: decode(i) appends the rows of unit i (a
+// page, a batch of record ids) to the current chunk, which is flushed
+// whenever it holds limit rows, and at the end. The run's context is
+// checked before every unit.
+func (k *chunkSink) fill(units int, decode func(i int) (int, error)) error {
+	for i := 0; i < units; i++ {
+		err := k.s.rc.err()
+		if err == nil {
+			k.chunk()
+			var n int
+			if n, err = decode(i); err == nil {
+				if k.cur.n += n; k.cur.n >= k.limit {
+					err = k.flush()
+				}
+			}
+		}
+		if err != nil {
+			k.abandon()
+			return err
+		}
+	}
+	return k.flush()
 }
 
 // flush accounts, transforms and emits the current chunk.
 func (k *chunkSink) flush() error {
 	c := k.cur
-	if c == nil || len(c.rows) == 0 {
+	if c == nil {
 		return nil
 	}
 	k.cur = nil
 	s := k.s
-	n := uint64(len(c.rows))
+	if c.n == 0 {
+		s.rc.recycle(c)
+		return nil
+	}
+	c.selectAll()
+	n := uint64(c.n)
 	s.ex.Stats.RowsScanned.Add(n)
 	s.ex.Obs.RowsScanned.Add(n)
 	if s.prof != nil {
@@ -312,11 +329,8 @@ func (k *chunkSink) flush() error {
 		s.prof.notePeak(c.charged)
 	}
 	out, err := applyTransforms(s.rc, s.ts, c)
-	if err != nil {
+	if err != nil || out == nil {
 		return err
-	}
-	if out == nil {
-		return nil
 	}
 	s.ex.Obs.ChunksEmitted.Inc()
 	return k.emit(out)
@@ -328,37 +342,6 @@ func (k *chunkSink) abandon() {
 		k.s.rc.recycle(k.cur)
 		k.cur = nil
 	}
-}
-
-// visitor returns the per-row callback a source hands its reader: it
-// checks for cancellation every ctxCheckRows rows and pushes the row.
-// The first failure stops the read and is reported by finish.
-func (k *chunkSink) visitor() func(storage.RecordID, catalog.Row) bool {
-	i := 0
-	return func(_ storage.RecordID, r catalog.Row) bool {
-		if i%ctxCheckRows == 0 {
-			if k.err = k.s.rc.err(); k.err != nil {
-				return false
-			}
-		}
-		i++
-		k.err = k.push(r)
-		return k.err == nil
-	}
-}
-
-// finish ends one morsel's read: readErr is what the reader returned; a
-// failure seen by the visitor takes precedence. On success the partial
-// chunk is flushed, otherwise it is abandoned.
-func (k *chunkSink) finish(readErr error) error {
-	if k.err == nil {
-		k.err = readErr
-	}
-	if k.err != nil {
-		k.abandon()
-		return k.err
-	}
-	return k.flush()
 }
 
 // morselOut is one parallel hand-off: a chunk plus the producing
@@ -410,7 +393,12 @@ type morselStream struct {
 	closed bool
 }
 
-func (s *morselStream) fuse(t transform) { s.ts = append(s.ts, t) }
+func (s *morselStream) fuse(t transform) {
+	if s.ts == nil {
+		s.ts = make([]transform, 0, 2) // a filter and a projection
+	}
+	s.ts = append(s.ts, t)
+}
 
 // open dispatches the stream: chaos, morsel accounting, and — when
 // both the morsel count and the worker budget allow — the worker pool.
@@ -613,12 +601,23 @@ func (s *morselStream) Close() {
 	s.buf = nil
 }
 
+// tableKinds is the layout a scan of t yields: one vector per column
+// needed marks (every column when needed is nil).
+func tableKinds(t *catalog.Table, needed []bool) []kind {
+	kinds := make([]kind, len(t.Schema.Columns))
+	for i, c := range t.Schema.Columns {
+		if needed == nil || needed[i] {
+			kinds[i] = kindOf(c.Type)
+		}
+	}
+	return kinds
+}
+
 // compileScan builds the streaming source for a heap scan. The chaos
 // site is consulted at open (first Next), serially, once per morsel —
-// the schedule depends only on table size and morsel configuration,
-// exactly as in the materializing executor — and a failed scan reads
-// and charges nothing.
-func (ex *Executor) compileScan(rc *runCtx, v *plan.ScanNode) *morselStream {
+// the schedule depends only on table size and morsel configuration —
+// and a failed scan reads and charges nothing.
+func (ex *Executor) compileScan(rc *runCtx, v *plan.ScanNode) (*morselStream, []kind) {
 	morsels := storage.PartitionPages(v.Table.PageIDs(), ex.scanMorselPages())
 	s := &morselStream{ex: ex, rc: rc, prof: ex.Profile.of(v), n: len(morsels)}
 	s.preOpen = func() error {
@@ -642,73 +641,69 @@ func (ex *Executor) compileScan(rc *runCtx, v *plan.ScanNode) *morselStream {
 		}
 		return nil
 	}
-	s.produce = s.heapProduce(v.Table, morsels, v.Needed, v.RowIDs)
-	return s
+	kinds := tableKinds(v.Table, v.Needed)
+	s.produce = s.heapProduce(v.Table, morsels, kinds, v.RowIDs)
+	return s, kinds
 }
 
-// heapProduce is the produce function of a heap scan over morsels,
-// decoding the needed columns (nil: all). With rowIDs each row gets one
-// extra arena slot holding its record id; the plain scan's row loop is
-// the same code either way.
-func (s *morselStream) heapProduce(t *catalog.Table, morsels [][]storage.PageID, needed []bool, rowIDs bool) func(m int, emit emitFn) error {
+// heapProduce is the produce function of a heap scan over morsels: each
+// page decodes straight into the current chunk's vectors.
+func (s *morselStream) heapProduce(t *catalog.Table, morsels [][]storage.PageID, kinds []kind, rowIDs bool) func(m int, emit emitFn) error {
 	return func(m int, emit emitFn) error {
-		sink := &chunkSink{s: s, emit: emit, limit: s.ex.morselRows()}
-		alloc := func(cols int) catalog.Row { return sink.row(cols) }
-		visit := sink.visitor()
-		if rowIDs {
-			alloc = func(cols int) catalog.Row { return sink.row(cols + 1)[:cols] }
-			visit = withRowID(visit)
-		}
-		serr := t.ScanPagesInto(morsels[m], needed, alloc, visit)
-		return sink.finish(serr)
+		k := s.sink(emit, kinds, rowIDs)
+		pages := morsels[m]
+		return k.fill(len(pages), func(i int) (int, error) { return t.DecodePage(pages[i], k.dst, k.rids()) })
 	}
-}
-
-// withRowID wraps a row visitor so each row carries its record id as a
-// trailing value (appended in place when the row has the spare slot).
-func withRowID(visit func(storage.RecordID, catalog.Row) bool) func(storage.RecordID, catalog.Row) bool {
-	return func(rid storage.RecordID, r catalog.Row) bool { return visit(rid, append(r, rid)) }
 }
 
 // compileIndexScan builds the streaming source for an index range
 // scan. The key range is fixed at open from the run's parameters, so
 // one cached plan serves every binding, then split into key subranges;
-// fetched rows are appended as-is (the fetch closure allocates them)
-// and subranges emit in ascending key order, matching the serial scan
-// exactly. When a bound has no int64 value the scan reads the heap
-// instead and leaves the decision to the filter above it.
-func (ex *Executor) compileIndexScan(rc *runCtx, v *plan.IndexScanNode) *morselStream {
+// each subrange's record ids, in key order, are decoded a chunk at a
+// time, one pin per page, and subranges emit in ascending key order,
+// matching the serial scan exactly. When a bound has no int64 value the
+// scan reads the heap instead and leaves the decision to the filter
+// above it.
+func (ex *Executor) compileIndexScan(rc *runCtx, v *plan.IndexScanNode) (*morselStream, []kind) {
 	s := &morselStream{ex: ex, rc: rc, prof: ex.Profile.of(v)}
+	kinds := tableKinds(v.Table, v.Needed)
 	s.preOpen = func() error {
 		lo, hi, ok := v.Range(ex.Params)
 		if !ok {
 			morsels := storage.PartitionPages(v.Table.PageIDs(), ex.scanMorselPages())
-			s.n, s.produce = len(morsels), s.heapProduce(v.Table, morsels, nil, v.RowIDs)
+			s.n, s.produce = len(morsels), s.heapProduce(v.Table, morsels, kinds, v.RowIDs)
 			return nil
 		}
 		subs := splitKeyRange(lo, hi, ex.workers()*2, minIndexMorselWidth)
 		s.n = len(subs)
 		s.produce = func(m int, emit emitFn) error {
-			sink := &chunkSink{s: s, emit: emit, limit: ex.morselRows()}
-			visit := sink.visitor()
-			if v.RowIDs {
-				visit = withRowID(visit)
+			rids, err := v.Fetch(subs[m][0], subs[m][1], nil)
+			if err != nil {
+				return err
 			}
-			return sink.finish(v.Fetch(subs[m][0], subs[m][1], visit))
+			k := s.sink(emit, kinds, v.RowIDs)
+			return k.fill((len(rids)+k.limit-1)/k.limit, func(i int) (int, error) {
+				batch := rids[i*k.limit : min((i+1)*k.limit, len(rids))]
+				return v.Table.DecodeRecords(batch, k.dst, k.rids())
+			})
 		}
 		return nil
 	}
-	return s
+	return s, kinds
 }
 
 // compileVirtualScan builds the streaming source for a virtual table
-// (system.*). The provider's rows are snapshotted once in preOpen — at
-// execution, not at plan time, so EXPLAIN never touches the provider —
-// then partitioned into morsel ranges and pushed through the same
-// chunkSink as heap scans, so parallel delivery order, cancellation
-// strides, MemBudget charging and profiling all behave identically.
-func (ex *Executor) compileVirtualScan(rc *runCtx, v *plan.VirtualScanNode) *morselStream {
+// (system.*), whose cells are boxed. The provider's rows are snapshotted
+// once in preOpen — at execution, not at plan time, so EXPLAIN never
+// touches the provider — then partitioned into morsel ranges and pushed
+// through the same chunkSink as heap scans, so parallel delivery order,
+// cancellation, MemBudget charging and profiling all behave identically.
+func (ex *Executor) compileVirtualScan(rc *runCtx, v *plan.VirtualScanNode) (*morselStream, []kind) {
 	s := &morselStream{ex: ex, rc: rc, prof: ex.Profile.of(v)}
+	kinds := make([]kind, len(v.Table.Columns().Columns))
+	for i := range kinds {
+		kinds[i] = kAny
+	}
 	var rows []catalog.Row
 	var bounds [][2]int
 	s.preOpen = func() error {
@@ -722,83 +717,105 @@ func (ex *Executor) compileVirtualScan(rc *runCtx, v *plan.VirtualScanNode) *mor
 		return nil
 	}
 	s.produce = func(m int, emit emitFn) error {
-		sink := &chunkSink{s: s, emit: emit, limit: ex.morselRows()}
-		lo, hi := bounds[m][0], bounds[m][1]
-		for i := lo; i < hi; i++ {
-			if (i-lo)%ctxCheckRows == 0 {
-				if err := rc.err(); err != nil {
-					sink.abandon()
-					return err
+		k := s.sink(emit, kinds, false)
+		return k.fill(1, func(int) (int, error) {
+			morsel := rows[bounds[m][0]:bounds[m][1]]
+			for _, row := range morsel {
+				for j, v := range k.cur.cols {
+					v.V = append(v.V, row[j])
 				}
 			}
-			if err := sink.push(rows[i]); err != nil {
-				sink.abandon()
-				return err
-			}
-		}
-		return sink.flush()
+			return len(morsel), nil
+		})
 	}
-	return s
+	return s, kinds
 }
 
 // ---------------------------------------------------------------------
 // Pipeline breakers.
 
-// joinOp is a partitioned hash join that drains and escapes its build
-// side (rows are retained in the hash tables) and then streams the
-// probe side: each probe chunk is matched and rewritten into an output
-// chunk whose rows are carved from its arena. The probe child's scan
-// still parallelizes internally; probing itself runs on the consumer
-// goroutine, preserving probe order exactly.
+// gatherAll appends every live row of src to c, a static chunk of the
+// same layout: the copy a breaker keeps, so src can be recycled.
+func (c *Chunk) gatherAll(src *Chunk) {
+	for j, v := range c.cols {
+		if v != nil {
+			v.gather(src.cols[j], src.sel)
+		}
+	}
+	c.n += len(src.sel)
+}
+
+// drain gathers every chunk in yields into one static chunk laid out as
+// kinds, charging it as it grows and recycling the input.
+func drain(ctx context.Context, rc *runCtx, in BatchOperator, kinds []kind) (*Chunk, error) {
+	all := &Chunk{}
+	all.layout(kinds)
+	for {
+		c, ok, err := in.Next(ctx)
+		if err != nil || !ok {
+			all.selectAll()
+			return all, err
+		}
+		all.gatherAll(c)
+		rc.recycle(c)
+		if err := rc.recharge(all); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// joinOp is a hash join. It drains its build side into one static chunk
+// and hashes the build keys (typed: see keyMap), then streams the probe
+// side: each probe chunk's matches are gathered, column by column, into
+// one output chunk. The probe child's scan still parallelizes
+// internally; probing itself runs on the consumer goroutine, preserving
+// probe order exactly.
 type joinOp struct {
 	ex          *Executor
 	rc          *runCtx
-	node        *plan.JoinNode
 	prof        *OpProfile
 	build       BatchOperator
 	probe       BatchOperator
-	buildIdx    int
-	probeIdx    int
+	buildKinds  []kind
+	outKinds    []kind // the left input's columns, then the right's
+	buildKey    []bound
+	probeKey    []bound
 	buildIsLeft bool
-	// outWidth is the joined row width (left cols + right cols), used to
-	// right-size output chunk arenas.
-	outWidth int
 
 	opened bool
 	err    error
-	tables []map[string]*joinBucket
-	nparts uint64
-	keyBuf []byte
+	keys   *keyMap
+	side   *Chunk  // the build rows
+	head   []int32 // per key id: its first build row
+	next   []int32 // per build row: the next with its key, -1 after the last
+	// Probe scratch: key ids, then the matched (probe, build) row pairs.
+	ids, pr, br []int32
 }
 
 func (j *joinOp) open(ctx context.Context) error {
 	j.opened = true
-	// Keep each escaped chunk's row slice as-is: the hash tables
-	// reference the rows in place, so flattening them into one big
-	// buildRows copy would only add allocation churn.
-	var rowsets [][]catalog.Row
-	for {
-		c, ok, err := j.build.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		rows, err := j.rc.keep(c)
-		if err != nil {
-			return err
-		}
-		rowsets = append(rowsets, rows)
-	}
+	side, err := drain(ctx, j.rc, j.build, j.buildKinds)
 	j.build.Close()
-	w := j.ex.workers()
-	tables, err := j.ex.buildPartitioned(j.rc, j.prof, rowsets, j.buildIdx, w)
 	if err != nil {
 		return err
 	}
-	j.tables = tables
-	j.nparts = uint64(len(tables))
+	j.side = side
+	ids, err := j.keys.ids(side, side.sel, j.buildKey, true, nil)
+	if err != nil {
+		return err
+	}
+	// Chains are built back to front, so each lists its rows in build
+	// order and the probe emits them in that order.
+	j.head = make([]int32, j.keys.n)
+	for i := range j.head {
+		j.head[i] = -1
+	}
+	j.next = make([]int32, side.n)
+	for r := side.n - 1; r >= 0; r-- {
+		if id := ids[r]; id >= 0 {
+			j.next[r], j.head[id] = j.head[id], int32(r)
+		}
+	}
 	return nil
 }
 
@@ -817,38 +834,47 @@ func (j *joinOp) Next(ctx context.Context) (*Chunk, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		out := j.rc.pool.get()
-		out.reserve(len(pc.rows), j.outWidth)
-		for i, pr := range pc.rows {
-			if i > 0 && i%ctxCheckRows == 0 {
-				if err := j.rc.err(); err != nil {
-					j.rc.recycle(out)
-					j.rc.recycle(pc)
-					j.err = err
-					return nil, false, err
-				}
-			}
-			j.keyBuf = appendValKey(j.keyBuf[:0], pr[j.probeIdx])
-			if b := j.tables[hashBytes(j.keyBuf)%j.nparts][string(j.keyBuf)]; b != nil {
-				for _, br := range b.rows {
-					row := out.newRow(len(br) + len(pr))
-					if j.buildIsLeft {
-						copy(row, br)
-						copy(row[len(br):], pr)
-					} else {
-						copy(row, pr)
-						copy(row[len(pr):], br)
-					}
-					out.rows = append(out.rows, row)
+		if err := j.rc.err(); err != nil {
+			j.rc.recycle(pc)
+			j.err = err
+			return nil, false, err
+		}
+		if j.ids, err = j.keys.ids(pc, pc.sel, j.probeKey, false, j.ids); err != nil {
+			j.rc.recycle(pc)
+			j.err = err
+			return nil, false, err
+		}
+		j.pr, j.br = j.pr[:0], j.br[:0]
+		for i, r := range pc.sel {
+			if id := j.ids[i]; id >= 0 {
+				for b := j.head[id]; b >= 0; b = j.next[b] {
+					j.pr, j.br = append(j.pr, r), append(j.br, b)
 				}
 			}
 		}
-		j.rc.recycle(pc)
-		if len(out.rows) == 0 {
-			j.rc.recycle(out)
+		if len(j.pr) == 0 {
+			j.rc.recycle(pc)
 			continue
 		}
-		n := uint64(len(out.rows))
+		out := j.rc.pool.get()
+		out.layout(j.outKinds)
+		left, lrows, right, rrows := j.side, j.br, pc, j.pr
+		if !j.buildIsLeft {
+			left, lrows, right, rrows = pc, j.pr, j.side, j.br
+		}
+		for col, v := range out.cols {
+			switch {
+			case v == nil:
+			case col < len(left.cols):
+				v.gather(left.cols[col], lrows)
+			default:
+				v.gather(right.cols[col-len(left.cols)], rrows)
+			}
+		}
+		out.n = len(j.pr)
+		out.selectAll()
+		j.rc.recycle(pc)
+		n := uint64(out.n)
 		j.ex.Stats.RowsJoined.Add(n)
 		j.ex.Obs.RowsJoined.Add(n)
 		j.ex.Obs.ChunksEmitted.Inc()
@@ -866,13 +892,12 @@ func (j *joinOp) Close() {
 	j.probe.Close()
 }
 
-// aggOp drains its input, folding every chunk's rows — serially, in
-// arrival (morsel) order — into one partial state, and emits the
-// finalized groups as a single static chunk. Folding on the consumer
-// goroutine makes grouped output bitwise identical at any parallelism;
-// the scan below still fans out. Input chunks are recycled as they are
-// folded (aggregation state copies the values it keeps), so a
-// full-table aggregate holds only its groups, never its input.
+// aggOp drains its input, folding every chunk — serially, in arrival
+// (morsel) order — into one partial state, and emits the finalized
+// groups as a single static chunk. Folding on the consumer goroutine
+// makes grouped output bitwise identical at any parallelism; the scan
+// below still fans out. Input chunks are recycled as they are folded,
+// so a full-table aggregate holds only its groups, never its input.
 type aggOp struct {
 	ex  *Executor
 	rc  *runCtx
@@ -888,7 +913,7 @@ func (a *aggOp) Next(ctx context.Context) (*Chunk, bool, error) {
 		return nil, false, a.err
 	}
 	a.done = true
-	part := newAggPartial()
+	part := a.agg.newPartial()
 	for {
 		c, ok, err := a.in.Next(ctx)
 		if err != nil {
@@ -898,28 +923,33 @@ func (a *aggOp) Next(ctx context.Context) (*Chunk, bool, error) {
 		if !ok {
 			break
 		}
-		if err := a.agg.fold(a.rc, part, c.rows); err != nil {
-			a.rc.recycle(c)
+		err = a.rc.err()
+		if err == nil {
+			err = a.agg.fold(part, c)
+		}
+		a.rc.recycle(c)
+		if err != nil {
 			a.err = err
 			return nil, false, err
 		}
-		a.rc.recycle(c)
 	}
-	rows := a.agg.finalize(part)
-	if len(rows) == 0 {
+	out := a.agg.finalize(part)
+	if out.Len() == 0 {
 		return nil, false, nil
 	}
 	a.ex.Obs.ChunksEmitted.Inc()
-	return &Chunk{rows: rows}, true, nil
+	return out, true, nil
 }
 
 func (a *aggOp) Close() { a.in.Close() }
 
-// sortOp drains and escapes its input (sorting needs everything), then
-// emits the ordered rows as one static chunk.
+// sortOp drains its input into one static chunk, computes each key's
+// vector once, and emits the chunk with its selection permuted into
+// order.
 type sortOp struct {
-	rc   *runCtx
-	keys []sortKey
+	rc    *runCtx
+	keys  []sortKey
+	kinds []kind
 
 	in   BatchOperator
 	done bool
@@ -931,36 +961,22 @@ func (s *sortOp) Next(ctx context.Context) (*Chunk, bool, error) {
 		return nil, false, s.err
 	}
 	s.done = true
-	var rows []catalog.Row
-	for {
-		c, ok, err := s.in.Next(ctx)
-		if err != nil {
-			s.err = err
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		kept, err := s.rc.keep(c)
-		if err != nil {
-			s.err = err
-			return nil, false, err
-		}
-		rows = append(rows, kept...)
+	all, err := drain(ctx, s.rc, s.in, s.kinds)
+	if err == nil {
+		err = s.rc.err()
 	}
-	if err := s.rc.err(); err != nil {
-		s.err = err
-		return nil, false, err
+	if err == nil {
+		err = sortRows(s.keys, all)
 	}
-	rows, err := sortRows(s.keys, rows)
 	if err != nil {
 		s.err = err
 		return nil, false, err
 	}
-	if len(rows) == 0 {
+	if all.Len() == 0 {
+		s.rc.recycle(all)
 		return nil, false, nil
 	}
-	return &Chunk{rows: rows}, true, nil
+	return all, true, nil
 }
 
 func (s *sortOp) Close() { s.in.Close() }
@@ -971,18 +987,16 @@ type sortKey struct {
 	desc bool
 }
 
-// bindSortKeys binds a sort's keys against its input schema. A key that
+// bindSortKeys binds a sort's keys against its input. A key that
 // textually matches an input column (e.g. an aggregate or PREDICT
 // output) sorts by that column directly instead of re-evaluating the
 // expression.
-func (ex *Executor) bindSortKeys(v *plan.SortNode) ([]sortKey, error) {
-	schema := v.Input.Schema()
-	scope := ex.newScope(schema)
+func (ex *Executor) bindSortKeys(v *plan.SortNode, scope *Scope) ([]sortKey, error) {
 	keys := make([]sortKey, len(v.Keys))
 	for ki, k := range v.Keys {
 		keys[ki].desc = k.Desc
-		if ci := slices.Index(schema, k.Expr.String()); ci >= 0 {
-			keys[ki].expr = bound{col: ci}
+		if ci := slices.Index(scope.names, k.Expr.String()); ci >= 0 && scope.kinds[ci] != kNone {
+			keys[ki].expr = bound{k: scope.kinds[ci], col: ci}
 			continue
 		}
 		b, err := bind(k.Expr, scope, ex.Funcs)
@@ -994,42 +1008,52 @@ func (ex *Executor) bindSortKeys(v *plan.SortNode) ([]sortKey, error) {
 	return keys, nil
 }
 
-// sortRows stable-sorts rows by keys.
-func sortRows(keys []sortKey, in []catalog.Row) ([]catalog.Row, error) {
-	var sortErr error
-	sort.SliceStable(in, func(i, j int) bool {
-		for ki := range keys {
-			k := &keys[ki]
-			a, err := k.expr.eval(in[i])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			b, err := k.expr.eval(in[j])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			c, err := compare(a, b)
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if c != 0 {
-				if k.desc {
-					return c > 0
-				}
-				return c < 0
+// sortRows stable-sorts c's selection by keys, each evaluated once per
+// row into a vector first.
+func sortRows(keys []sortKey, c *Chunk) error {
+	cols := make([]*vec, len(keys))
+	for i := range keys {
+		if b := &keys[i].expr; b.col >= 0 {
+			cols[i] = c.cols[b.col]
+		} else {
+			cols[i] = c.newVec(b.k)
+			if err := b.fill(cols[i], c, c.sel); err != nil {
+				return err
 			}
 		}
-		return false
+	}
+	var sortErr error
+	slices.SortStableFunc(c.sel, func(a, b int32) int {
+		for i, v := range cols {
+			var x int
+			switch v.k {
+			case kInt:
+				x = cmpOrd(v.I[a], v.I[b])
+			case kFloat:
+				x = cmpOrd(v.F[a], v.F[b])
+			case kString:
+				x = strings.Compare(v.S[a], v.S[b])
+			default:
+				var err error
+				if x, err = compare(v.V[a], v.V[b]); err != nil && sortErr == nil {
+					sortErr = err
+				}
+			}
+			if x != 0 {
+				if keys[i].desc {
+					return -x
+				}
+				return x
+			}
+		}
+		return 0
 	})
-	return in, sortErr
+	return sortErr
 }
 
 // limitOp passes chunks through until N rows have flowed, truncating
-// the boundary chunk and closing its upstream early — a LIMIT query
-// stops scanning as soon as it has enough rows.
+// the boundary chunk's selection and closing its upstream early — a
+// LIMIT query stops scanning as soon as it has enough rows.
 type limitOp struct {
 	rc   *runCtx
 	n    int
@@ -1052,10 +1076,10 @@ func (l *limitOp) Next(ctx context.Context) (*Chunk, bool, error) {
 		l.done = true
 		return nil, false, err
 	}
-	if rem := l.n - l.got; len(c.rows) > rem {
-		c.rows = c.rows[:rem]
+	if rem := l.n - l.got; len(c.sel) > rem {
+		c.sel = c.sel[:rem]
 	}
-	l.got += len(c.rows)
+	l.got += len(c.sel)
 	if l.got >= l.n {
 		l.done = true
 		l.in.Close()
@@ -1065,14 +1089,14 @@ func (l *limitOp) Next(ctx context.Context) (*Chunk, bool, error) {
 
 func (l *limitOp) Close() { l.in.Close() }
 
-// distinctOp streams its input, compacting each chunk down to rows
-// whose key has not been seen before — first-occurrence order, exactly
-// like the materializing dedup.
+// distinctOp streams its input, narrowing each chunk's selection to
+// rows whose key has not been seen before — first-occurrence order.
 type distinctOp struct {
-	rc     *runCtx
-	in     BatchOperator
-	seen   map[string]bool
-	keyBuf []byte
+	rc   *runCtx
+	in   BatchOperator
+	key  []bound // every column
+	seen *keyMap
+	ids  []int32
 }
 
 func (d *distinctOp) Next(ctx context.Context) (*Chunk, bool, error) {
@@ -1081,15 +1105,21 @@ func (d *distinctOp) Next(ctx context.Context) (*Chunk, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		out := c.rows[:0]
-		for _, r := range c.rows {
-			d.keyBuf = appendRowKey(d.keyBuf[:0], r)
-			if !d.seen[string(d.keyBuf)] {
-				d.seen[string(d.keyBuf)] = true
+		// Key ids are handed out in row order, so a row is the first of
+		// its key exactly when its id is the next one unseen.
+		first := d.seen.n
+		if d.ids, err = d.seen.ids(c, c.sel, d.key, true, d.ids); err != nil {
+			d.rc.recycle(c)
+			return nil, false, err
+		}
+		out := c.sel[:0]
+		for i, r := range c.sel {
+			if d.ids[i] == first {
 				out = append(out, r)
+				first++
 			}
 		}
-		c.rows = out
+		c.sel = out
 		if len(out) == 0 {
 			d.rc.recycle(c)
 			continue
@@ -1113,13 +1143,9 @@ func (p *profiledOp) Next(ctx context.Context) (*Chunk, bool, error) {
 	c, ok, err := p.in.Next(ctx)
 	p.prof.wallNs.Add(time.Since(start).Nanoseconds())
 	if ok && c != nil {
-		p.prof.actualRows.Add(int64(len(c.rows)))
+		p.prof.actualRows.Add(int64(c.Len()))
 		p.prof.chunks.Add(1)
-		if c.charged > 0 {
-			p.prof.notePeak(c.charged)
-		} else {
-			p.prof.notePeak(approxRowsBytes(c.rows))
-		}
+		p.prof.notePeak(c.bytes())
 	}
 	return c, ok, err
 }
@@ -1134,121 +1160,146 @@ func (ex *Executor) profiled(op BatchOperator, n plan.Node) BatchOperator {
 	return op
 }
 
-// compile lowers a plan tree into a BatchOperator pipeline. Filters
+// compile lowers a plan tree into a BatchOperator pipeline and returns
+// the layout of its chunks: one vector kind per schema column. Filters
 // and projections become transforms fused into their input when it can
-// absorb them (sources and transform chains), so the hot row loop runs
-// entirely inside the scan workers.
-func (ex *Executor) compile(rc *runCtx, n plan.Node) (BatchOperator, error) {
+// absorb them (sources and transform chains), so the hot loops run
+// entirely inside the scan workers. An input is compiled before the
+// expressions over it are bound (binding needs its layout); a bind
+// error closes it before anything ran.
+func (ex *Executor) compile(rc *runCtx, n plan.Node) (BatchOperator, []kind, error) {
 	switch v := n.(type) {
 	case *plan.BoundNode:
 		ex.Params = v.Params
 		return ex.compile(rc, v.Input)
 	case *plan.ScanNode:
-		return ex.compileScan(rc, v), nil
+		s, kinds := ex.compileScan(rc, v)
+		return s, kinds, nil
 	case *plan.IndexScanNode:
-		return ex.compileIndexScan(rc, v), nil
+		s, kinds := ex.compileIndexScan(rc, v)
+		return s, kinds, nil
 	case *plan.VirtualScanNode:
-		return ex.compileVirtualScan(rc, v), nil
-	case *plan.FilterNode:
-		cond, err := bindBool(v.Cond, ex.newScope(v.Input.Schema()), ex.Funcs)
-		if err != nil {
-			return nil, err
-		}
-		in, err := ex.compile(rc, v.Input)
-		if err != nil {
-			return nil, err
-		}
-		return fused(rc, in, &filterTransform{rc: rc, cond: cond, prof: ex.Profile.of(v)}), nil
-	case *plan.ProjectNode:
-		t, err := ex.bindProject(rc, v)
-		if err != nil {
-			return nil, err
-		}
-		in, err := ex.compile(rc, v.Input)
-		if err != nil {
-			return nil, err
-		}
-		return fused(rc, in, t), nil
+		s, kinds := ex.compileVirtualScan(rc, v)
+		return s, kinds, nil
 	case *plan.JoinNode:
 		return ex.compileJoin(rc, v)
-	case *plan.AggregateNode:
-		agg, err := ex.bindAggregate(v)
-		if err != nil {
-			return nil, err
-		}
-		in, err := ex.compile(rc, v.Input)
-		if err != nil {
-			return nil, err
-		}
-		return ex.profiled(&aggOp{ex: ex, rc: rc, agg: agg, in: in}, v), nil
-	case *plan.SortNode:
-		keys, err := ex.bindSortKeys(v)
-		if err != nil {
-			return nil, err
-		}
-		in, err := ex.compile(rc, v.Input)
-		if err != nil {
-			return nil, err
-		}
-		return ex.profiled(&sortOp{rc: rc, keys: keys, in: in}, v), nil
-	case *plan.LimitNode:
-		in, err := ex.compile(rc, v.Input)
-		if err != nil {
-			return nil, err
-		}
-		return ex.profiled(&limitOp{rc: rc, n: v.N, in: in}, v), nil
-	case *plan.DistinctNode:
-		in, err := ex.compile(rc, v.Input)
-		if err != nil {
-			return nil, err
-		}
-		return ex.profiled(&distinctOp{rc: rc, in: in, seen: map[string]bool{}}, v), nil
-	case *plan.ModifyNode:
-		set, err := ex.bindSet(v)
-		if err != nil {
-			return nil, err
-		}
-		in, err := ex.compile(rc, v.Input)
-		if err != nil {
-			return nil, err
-		}
-		return &modifyOp{rc: rc, node: v, set: set, prof: ex.Profile.of(v), in: in}, nil
-	default:
-		return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 	}
+	input := inputOf(n)
+	if input == nil {
+		return nil, nil, fmt.Errorf("exec: unsupported plan node %T", n)
+	}
+	in, kinds, err := ex.compile(rc, input)
+	if err != nil {
+		return nil, nil, err
+	}
+	op, kinds, err := ex.compileOver(rc, n, in, ex.newScope(input.Schema(), kinds))
+	if err != nil {
+		in.Close()
+		return nil, nil, err
+	}
+	return op, kinds, nil
+}
+
+// compileOver compiles the one-input node n over its compiled input in,
+// whose chunks are laid out as scope says.
+func (ex *Executor) compileOver(rc *runCtx, n plan.Node, in BatchOperator, scope *Scope) (BatchOperator, []kind, error) {
+	kinds := scope.kinds
+	switch v := n.(type) {
+	case *plan.FilterNode:
+		cond, err := bindBool(v.Cond, scope, ex.Funcs)
+		if err != nil {
+			return nil, nil, err
+		}
+		return fused(rc, in, &filterTransform{rc: rc, cond: cond, prof: ex.Profile.of(v)}), kinds, nil
+	case *plan.ProjectNode:
+		t, out, err := ex.bindProject(rc, v, scope)
+		if err != nil {
+			return nil, nil, err
+		}
+		return fused(rc, in, t), out, nil
+	case *plan.AggregateNode:
+		agg, out, err := ex.bindAggregate(v, scope)
+		if err != nil {
+			return nil, nil, err
+		}
+		return ex.profiled(&aggOp{ex: ex, rc: rc, agg: agg, in: in}, v), out, nil
+	case *plan.SortNode:
+		keys, err := ex.bindSortKeys(v, scope)
+		if err != nil {
+			return nil, nil, err
+		}
+		return ex.profiled(&sortOp{rc: rc, keys: keys, kinds: kinds, in: in}, v), kinds, nil
+	case *plan.LimitNode:
+		return ex.profiled(&limitOp{rc: rc, n: v.N, in: in}, v), kinds, nil
+	case *plan.DistinctNode:
+		key := make([]bound, len(kinds))
+		for i, k := range kinds {
+			key[i] = bound{k: k, col: i}
+		}
+		d := &distinctOp{rc: rc, in: in, key: key, seen: newKeyMap(groupKeyMode(key), false)}
+		return ex.profiled(d, v), kinds, nil
+	case *plan.ModifyNode:
+		set, err := ex.bindSet(v, scope)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &modifyOp{rc: rc, node: v, set: set, prof: ex.Profile.of(v), in: in}, nil, nil
+	}
+	return nil, nil, fmt.Errorf("exec: unsupported plan node %T", n)
+}
+
+// inputOf is the input of a one-input plan node (nil for any other
+// node), read without the allocation Children makes.
+func inputOf(n plan.Node) plan.Node {
+	switch v := n.(type) {
+	case *plan.FilterNode:
+		return v.Input
+	case *plan.ProjectNode:
+		return v.Input
+	case *plan.AggregateNode:
+		return v.Input
+	case *plan.SortNode:
+		return v.Input
+	case *plan.LimitNode:
+		return v.Input
+	case *plan.DistinctNode:
+		return v.Input
+	case *plan.ModifyNode:
+		return v.Input
+	}
+	return nil
 }
 
 // compileJoin resolves the join keys, picks the build side from the
 // planner's cardinality estimates (for plain scans the estimate is the
-// exact row count, matching the old measured choice; ties build left),
-// and assembles the streaming joinOp.
-func (ex *Executor) compileJoin(rc *runCtx, v *plan.JoinNode) (BatchOperator, error) {
-	left, err := ex.compile(rc, v.Left)
+// exact row count; ties build left), picks the key strategy from the two
+// key columns' kinds, and assembles the streaming joinOp.
+func (ex *Executor) compileJoin(rc *runCtx, v *plan.JoinNode) (BatchOperator, []kind, error) {
+	left, lKinds, err := ex.compile(rc, v.Left)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	right, err := ex.compile(rc, v.Right)
+	right, rKinds, err := ex.compile(rc, v.Right)
 	if err != nil {
 		left.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	lScope := NewScope(v.Left.Schema())
-	rScope := NewScope(v.Right.Schema())
-	lIdx, err := lScope.Resolve(plan.ColumnRefOf(v.LeftCol))
+	lKey, err := ex.newScope(v.Left.Schema(), lKinds).column(plan.ColumnRefOf(v.LeftCol))
 	if err != nil {
 		left.Close()
 		right.Close()
-		return nil, fmt.Errorf("exec: join left key: %w", err)
+		return nil, nil, fmt.Errorf("exec: join left key: %w", err)
 	}
-	rIdx, err := rScope.Resolve(plan.ColumnRefOf(v.RightCol))
+	rKey, err := ex.newScope(v.Right.Schema(), rKinds).column(plan.ColumnRefOf(v.RightCol))
 	if err != nil {
 		left.Close()
 		right.Close()
-		return nil, fmt.Errorf("exec: join right key: %w", err)
+		return nil, nil, fmt.Errorf("exec: join right key: %w", err)
 	}
 	j := &joinOp{
-		ex: ex, rc: rc, node: v, prof: ex.Profile.of(v),
-		outWidth: len(v.Left.Schema()) + len(v.Right.Schema()),
+		ex: ex, rc: rc, prof: ex.Profile.of(v),
+		outKinds: append(slices.Clip(lKinds), rKinds...),
+		keys:     newKeyMap(joinKeyMode(lKey.k, rKey.k), true),
 	}
 	// A plan-time annotation (cached plans) freezes the build side; only
 	// un-annotated plans consult the estimator here, per run.
@@ -1263,13 +1314,12 @@ func (ex *Executor) compileJoin(rc *runCtx, v *plan.JoinNode) (BatchOperator, er
 		buildRight = plan.EstimateRows(v.Right, est) < plan.EstimateRows(v.Left, est)
 	}
 	if buildRight {
-		j.build, j.probe = right, left
-		j.buildIdx, j.probeIdx = rIdx, lIdx
-		j.buildIsLeft = false
+		j.build, j.probe, j.buildKinds = right, left, rKinds
+		j.buildKey, j.probeKey = []bound{rKey}, []bound{lKey}
 	} else {
-		j.build, j.probe = left, right
-		j.buildIdx, j.probeIdx = lIdx, rIdx
+		j.build, j.probe, j.buildKinds = left, right, lKinds
+		j.buildKey, j.probeKey = []bound{lKey}, []bound{rKey}
 		j.buildIsLeft = true
 	}
-	return ex.profiled(j, v), nil
+	return ex.profiled(j, v), j.outKinds, nil
 }

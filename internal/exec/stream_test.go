@@ -15,9 +15,8 @@ import (
 
 // poolBalance installs the executor's leak-detection seam and returns a
 // pointer to the balance observed after each run's pipeline teardown:
-// gets - puts - escapes over the run's chunk pool. Zero means every
-// pooled chunk was either recycled or deliberately escaped — nothing
-// leaked, nothing was double-freed.
+// gets - puts over the run's chunk pool. Zero means every pooled chunk
+// was recycled — nothing leaked, nothing was double-freed.
 func poolBalance(ex *Executor) *atomic.Int64 {
 	var bal atomic.Int64
 	ex.poolHook = func(p *chunkPool) { bal.Store(p.outstanding()) }
@@ -25,7 +24,7 @@ func poolBalance(ex *Executor) *atomic.Int64 {
 }
 
 // TestStreamPoolBalancedOnSuccess: a completed query accounts for every
-// pooled chunk — result chunks escape, intermediate chunks recycle —
+// pooled chunk — result chunks are boxed and recycled like the rest —
 // across serial and parallel pipelines and every operator shape.
 func TestStreamPoolBalancedOnSuccess(t *testing.T) {
 	c := bigSetup(t, 4000)
@@ -78,7 +77,7 @@ func TestStreamPoolBalancedOnLimitEarlyClose(t *testing.T) {
 
 // TestCancelLeaksNoPooledChunks is the mid-pipeline cancellation leak
 // check: a scalar function cancels the context partway through a
-// parallel scan-filter, and the pool's get/put/escape balance must
+// parallel scan-filter, and the pool's get/put balance must
 // still be zero after teardown — cancelled workers hand nothing to
 // anyone, so Close must sweep every chunk parked in the hand-off
 // channels. Run under -race this also shakes the teardown ordering.
@@ -116,7 +115,7 @@ func TestCancelLeaksNoPooledChunks(t *testing.T) {
 }
 
 // TestMemBudgetAbortRefundsCharges: when a query dies on ErrMemBudget,
-// every outstanding chunk charge — in-flight and escaped alike — must
+// every outstanding charge — chunks in flight and rows breakers hold — must
 // be refunded, so a shared budget is immediately whole for the next
 // query. Covers the scan-materialize abort and the parallel join-build
 // abort, at several parallelism levels.

@@ -6,9 +6,8 @@ import (
 	"aidb/internal/sql"
 )
 
-// Needed columns: a heap row is decoded value by value, and every wide
-// value costs an allocation, so a scan should decode only what the plan
-// above it reads. needColumns walks the plan top-down carrying, for each
+// Needed columns: a scan decodes every column it is given a vector for,
+// so it should decode only what the plan above it reads. needColumns walks the plan top-down carrying, for each
 // node, which of its output columns its parent reads, and leaves the
 // answer on every ScanNode. References are resolved with ResolveColumn,
 // the resolver the executor binds expressions with, so a column the
@@ -21,6 +20,8 @@ import (
 func needColumns(n Node, need []bool, schema []string) {
 	switch v := n.(type) {
 	case *ScanNode:
+		v.Needed = need
+	case *IndexScanNode:
 		v.Needed = need
 	case *FilterNode:
 		if need != nil {

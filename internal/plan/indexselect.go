@@ -172,7 +172,7 @@ func bestIndexRange(scan *ScanNode, cond sql.Expr, lookup IndexLookup) *IndexSca
 		if w := r.width(); best == nil || w < bestWidth {
 			best = &IndexScanNode{
 				Table: scan.Table, Alias: scan.Alias, Column: c,
-				Lo: r.lo, Hi: r.hi, Fetch: fetch, RowIDs: scan.RowIDs,
+				Lo: r.lo, Hi: r.hi, Fetch: fetch, RowIDs: scan.RowIDs, Needed: scan.Needed,
 				schema: scan.Schema(),
 			}
 			bestWidth = w

@@ -22,7 +22,7 @@ func indexedPlan(t *testing.T, q string, indexed ...string) Node {
 		}
 		for _, name := range indexed {
 			if name == table+"."+tab.Schema.Columns[col].Name {
-				return func(lo, hi int64, fn func(storage.RecordID, catalog.Row) bool) error { return nil }
+				return func(lo, hi int64, dst []storage.RecordID) ([]storage.RecordID, error) { return dst, nil }
 			}
 		}
 		return nil

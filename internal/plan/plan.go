@@ -37,10 +37,9 @@ type ScanNode struct {
 	// plans set it; every other scan's rows stay exactly schema-wide.
 	RowIDs bool
 	// Needed marks, by column position, the columns some operator above
-	// the scan reads; the scan decodes only those and leaves the other
-	// slots unreadable (rows keep their full width, so no ordinal moves).
-	// Nil — what Build produces — decodes every column. OptimizeFilters
-	// fills it in.
+	// the scan reads; the scan decodes only those, and the others have no
+	// vector (no ordinal moves; reading one fails to bind). Nil — what
+	// Build produces — decodes every column. OptimizeFilters fills it in.
 	Needed []bool
 
 	schema []string
@@ -133,10 +132,11 @@ func (b Bound) value(params []catalog.Value) (v int64, null, ok bool) {
 	return 0, false, false
 }
 
-// IndexFetch streams the rows whose indexed value lies in [lo, hi], in
-// key order, with their record ids. It is an opaque closure so plan does
-// not depend on a concrete index type.
-type IndexFetch func(lo, hi int64, fn func(rid storage.RecordID, row catalog.Row) bool) error
+// IndexFetch appends to dst the record ids of the rows whose indexed
+// value lies in [lo, hi], in key order; the executor decodes the rows.
+// It is an opaque closure so plan does not depend on a concrete index
+// type.
+type IndexFetch func(lo, hi int64, dst []storage.RecordID) ([]storage.RecordID, error)
 
 // IndexScanNode reads a base table through a secondary index on one
 // Int64 column, returning only rows with max(Lo) <= col <= min(Hi); a
@@ -149,8 +149,9 @@ type IndexScanNode struct {
 	Column int
 	Lo, Hi []Bound
 	Fetch  IndexFetch
-	// RowIDs is ScanNode.RowIDs for the index path.
+	// RowIDs and Needed are the replaced ScanNode's.
 	RowIDs bool
+	Needed []bool
 
 	schema []string // the replaced ScanNode's
 }

@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -39,14 +40,24 @@ func (l *IntLit) String() string { return fmt.Sprintf("%d", l.Value) }
 // FloatLit is a floating-point literal.
 type FloatLit struct{ Value float64 }
 
-func (*FloatLit) expr()            {}
-func (l *FloatLit) String() string { return fmt.Sprintf("%g", l.Value) }
+func (*FloatLit) expr() {}
+
+// String spells the value in plain decimal with a point, so it lexes
+// back as the same float: %g would print 2.0 as the integer 2, 1e8 with
+// an exponent the lexer does not read, and -0.0 as the integer 0.
+func (l *FloatLit) String() string {
+	s := strconv.FormatFloat(l.Value, 'f', -1, 64)
+	if !strings.Contains(s, ".") {
+		s += ".0"
+	}
+	return s
+}
 
 // StringLit is a string literal.
 type StringLit struct{ Value string }
 
 func (*StringLit) expr()            {}
-func (l *StringLit) String() string { return "'" + l.Value + "'" }
+func (l *StringLit) String() string { return "'" + strings.ReplaceAll(l.Value, "'", "''") + "'" }
 
 // Star is the * projection.
 type Star struct{}

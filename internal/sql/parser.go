@@ -835,7 +835,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		p.pos++
 		name := t.Text
 		if p.accept(TokSymbol, "(") { // function call
-			fc := &FuncCall{Name: strings.ToUpper(name)}
+			fc := &FuncCall{Name: asciiUpper(name)}
 			if !p.at(TokSymbol, ")") {
 				for {
 					a, err := p.parseExpr()
@@ -868,4 +868,18 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	default:
 		return nil, fmt.Errorf("sql: unexpected token %q in expression at position %d", t.Text, t.Pos)
 	}
+}
+
+// asciiUpper upper-cases the ASCII letters of an identifier and leaves
+// every other byte alone, as the lexer reads identifiers byte by byte:
+// strings.ToUpper would rewrite a byte that is not UTF-8 into one the
+// lexer does not take for a letter.
+func asciiUpper(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'a' <= c && c <= 'z' {
+			b[i] = c - ('a' - 'A')
+		}
+	}
+	return string(b)
 }

@@ -17,8 +17,7 @@ type BufferPool struct {
 	disk     DiskManager
 	capacity int
 	frames   map[PageID]*Page
-	lru      *list.List // front = most recently used; holds PageID
-	lruPos   map[PageID]*list.Element
+	lru      *list.List // front = most recently used; holds *Page
 
 	// Stats counts pool activity for the monitoring experiments.
 	Stats PoolStats
@@ -63,7 +62,6 @@ func NewBufferPool(disk DiskManager, capacity int) (*BufferPool, error) {
 		capacity: capacity,
 		frames:   make(map[PageID]*Page),
 		lru:      list.New(),
-		lruPos:   make(map[PageID]*list.Element),
 	}, nil
 }
 
@@ -75,13 +73,12 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if err := bp.ensureFrame(); err != nil {
+	p, err := bp.frame(id)
+	if err != nil {
 		return nil, err
 	}
-	p := &Page{ID: id, pinCount: 1, dirty: true}
+	p.dirty = true
 	p.InitPage()
-	bp.frames[id] = p
-	bp.touch(id)
 	return p, nil
 }
 
@@ -92,19 +89,19 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	if p, ok := bp.frames[id]; ok {
 		bp.Stats.Hits.Add(1)
 		p.pinCount++
-		bp.touch(id)
+		bp.lru.MoveToFront(p.lru)
 		return p, nil
 	}
 	bp.Stats.Misses.Add(1)
-	if err := bp.ensureFrame(); err != nil {
+	p, err := bp.frame(id)
+	if err != nil {
 		return nil, err
 	}
-	p := &Page{ID: id, pinCount: 1}
 	if err := bp.disk.Read(id, p.Data[:]); err != nil {
+		delete(bp.frames, id)
+		bp.lru.Remove(p.lru)
 		return nil, err
 	}
-	bp.frames[id] = p
-	bp.touch(id)
 	return p, nil
 }
 
@@ -126,12 +123,14 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
 	return nil
 }
 
-// FlushAll writes every dirty resident page to disk.
+// FlushAll writes every dirty unpinned page to disk. A pinned page may be
+// changing under its pin; it is written by a later flush or when it is
+// evicted.
 func (bp *BufferPool) FlushAll() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	for id, p := range bp.frames {
-		if p.dirty {
+		if p.pinCount == 0 && p.dirty {
 			if err := bp.disk.Write(id, p.Data[:]); err != nil {
 				return err
 			}
@@ -175,38 +174,40 @@ func (bp *BufferPool) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("storage.bufferpool.resident", func() float64 { return float64(bp.Resident()) })
 }
 
-// touch moves id to the MRU position. Caller holds mu.
-func (bp *BufferPool) touch(id PageID) {
-	if el, ok := bp.lruPos[id]; ok {
-		bp.lru.MoveToFront(el)
-		return
-	}
-	bp.lruPos[id] = bp.lru.PushFront(id)
-}
-
-// ensureFrame evicts the LRU unpinned page if the pool is at capacity.
-// Caller holds mu.
-func (bp *BufferPool) ensureFrame() error {
+// frame makes id resident and pinned once, at the front of the LRU list,
+// and returns its page for the caller to fill: a new page while the pool
+// is below capacity, else the memory and list element of the least
+// recently used unpinned page, evicted (and written back when dirty). A
+// miss therefore allocates nothing once the pool is full. Reuse is safe
+// because a page is read only while pinned, and the caller overwrites
+// every byte (disk.Read fills the page, InitPage zeroes it). Caller
+// holds mu.
+func (bp *BufferPool) frame(id PageID) (*Page, error) {
+	var p *Page
 	if len(bp.frames) < bp.capacity {
-		return nil
-	}
-	for el := bp.lru.Back(); el != nil; el = el.Prev() {
-		id := el.Value.(PageID)
-		p := bp.frames[id]
-		if p.pinCount > 0 {
-			continue
+		p = &Page{}
+		p.lru = bp.lru.PushFront(p)
+	} else {
+		for el := bp.lru.Back(); el != nil; el = el.Prev() {
+			if victim := el.Value.(*Page); victim.pinCount == 0 {
+				p = victim
+				break
+			}
+		}
+		if p == nil {
+			return nil, ErrPoolFull
 		}
 		if p.dirty {
-			if err := bp.disk.Write(id, p.Data[:]); err != nil {
-				return err
+			if err := bp.disk.Write(p.ID, p.Data[:]); err != nil {
+				return nil, err
 			}
 			bp.Stats.Flushes.Add(1)
 		}
-		delete(bp.frames, id)
-		bp.lru.Remove(el)
-		delete(bp.lruPos, id)
+		delete(bp.frames, p.ID)
 		bp.Stats.Evictions.Add(1)
-		return nil
+		bp.lru.MoveToFront(p.lru)
 	}
-	return ErrPoolFull
+	p.ID, p.pinCount, p.dirty = id, 1, false
+	bp.frames[id] = p
+	return p, nil
 }

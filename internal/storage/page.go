@@ -5,6 +5,7 @@
 package storage
 
 import (
+	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -48,6 +49,7 @@ type Page struct {
 
 	pinCount int
 	dirty    bool
+	lru      *list.Element // the page's place in its pool's LRU list
 }
 
 // InitPage resets the page to an empty slotted layout.

@@ -312,6 +312,53 @@ func TestBufferPoolEvictionWritesBack(t *testing.T) {
 	}
 }
 
+// TestBufferPoolMissAllocatesNothing: a scan over twice the pool's pages
+// misses on every page, and each miss reuses the evicted page's memory
+// and list element instead of allocating fresh ones; what it reads is
+// the page asked for, never the one whose memory it took over.
+func TestBufferPoolMissAllocatesNothing(t *testing.T) {
+	const frames = 16
+	bp := mustPool(t, NewMemDisk(), frames)
+	var ids []PageID
+	for i := 0; i < 2*frames; i++ {
+		p, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Insert([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, p.ID)
+		if err := bp.Unpin(p.ID, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func() {
+		for i, id := range ids {
+			p, err := bp.Fetch(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b, err := p.GetRef(0); err != nil || len(b) != 1 || b[0] != byte(i) {
+				t.Fatalf("page %d holds %v (%v)", id, b, err)
+			}
+			if err := bp.Unpin(id, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	scan() // write the dirty pages back once
+	misses := bp.Stats.Misses.Load()
+	allocs := testing.AllocsPerRun(10, scan)
+	perScan := (bp.Stats.Misses.Load() - misses) / 11
+	if perScan != 2*frames {
+		t.Fatalf("%d misses per scan, want %d (every page)", perScan, 2*frames)
+	}
+	if allocs > 1 {
+		t.Errorf("%.1f allocations per %d-miss scan, want ~0", allocs, perScan)
+	}
+}
+
 func TestBufferPoolAllPinned(t *testing.T) {
 	bp := mustPool(t, NewMemDisk(), 2)
 	if _, err := bp.NewPage(); err != nil {
