@@ -149,7 +149,7 @@ func main() {
 		if rest, ok := strings.CutPrefix(trimmed, `\parallel`); ok {
 			rest = strings.TrimSpace(rest)
 			if rest == "" {
-				fmt.Printf("parallelism: %d (0 = auto/NumCPU, 1 = serial)\n", db.Parallelism())
+				fmt.Printf("parallelism: %d (0 = auto: up to NumCPU, idle cores only; 1 = serial)\n", db.Parallelism())
 			} else if n, err := strconv.Atoi(rest); err != nil || n < 0 {
 				fmt.Println("usage: \\parallel [n]  (n >= 0; 0 auto, 1 serial)")
 			} else {

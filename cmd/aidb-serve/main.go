@@ -30,7 +30,7 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "seed for the database's learned components")
 		maxConc = flag.Int("max-concurrent", 0, "admission-gate concurrency bound (0 = unlimited)")
 		timeout = flag.Duration("timeout", 0, "default per-statement timeout (0 = none)")
-		par     = flag.Int("parallelism", 0, "morsel worker budget (0 = NumCPU, 1 = serial)")
+		par     = flag.Int("parallelism", 0, "morsel worker budget (0 = auto: up to NumCPU, idle cores only; 1 = serial)")
 		init    = flag.String("init", "", "SQL script file to run before serving")
 	)
 	flag.Parse()

@@ -35,8 +35,9 @@ type Engine struct {
 	Chaos *chaos.Injector
 
 	// Parallelism is handed to every executor this engine creates (see
-	// exec.Executor.Parallelism: 0 = auto/NumCPU, 1 = serial). Set it
-	// between queries, not concurrently with them.
+	// exec.Executor.Parallelism: 0 = auto, up to NumCPU, idle cores
+	// only; 1 = serial). Set it between queries, not concurrently with
+	// them.
 	Parallelism int
 
 	// Feedback, when set, receives one (estimated, actual) cardinality

@@ -339,10 +339,101 @@ func TestScanDecodesOnlyNeededColumns(t *testing.T) {
 	}
 }
 
+// TestDecodePageMatchesFetch: DecodePage pins a resident page and reads
+// any other past the pool; either way it must see what Get sees through
+// Fetch, and what was written: with the page dirty and resident, written
+// back and evicted, dirtied again after being fetched back, and evicted
+// once more.
+func TestDecodePageMatchesFetch(t *testing.T) {
+	pool, err := storage.NewBufferPool(storage.NewMemDisk(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(pool)
+	tab, err := c.CreateTable("t", testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := c.CreateTable("u", testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[storage.RecordID]Row{}
+	insert := func(i int) {
+		row := Row{int64(i), float64(i) / 4, fmt.Sprintf("name-%d", i)}
+		rid, err := tab.Insert(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[rid] = row
+	}
+	// evict fills the two frames with pages of another table.
+	evict := func() {
+		before := pool.Stats.Evictions.Load()
+		for pool.Stats.Evictions.Load() < before+2 {
+			if _, err := other.Insert(Row{int64(0), 0.0, strings.Repeat("x", 1500)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 10; i++ {
+		insert(i)
+	}
+	page := tab.PageIDs()[0]
+	check := func(state string, resident bool) {
+		t.Helper()
+		before := pool.Stats.Snapshot()
+		var v [3]Vector
+		var rids []storage.RecordID
+		n, err := tab.DecodePage(page, []*Vector{&v[0], &v[1], &v[2]}, &rids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := pool.Stats.Snapshot()
+		if hit := after.Hits > before.Hits; hit != resident || after.Evictions != before.Evictions {
+			t.Fatalf("%s: DecodePage hit %v, evicted %d; want hit %v, evicted 0", state, hit, after.Evictions-before.Evictions, resident)
+		}
+		if n != len(want) || len(rids) != n {
+			t.Fatalf("%s: DecodePage read %d rows (%d ids), want %d", state, n, len(rids), len(want))
+		}
+		for i, rid := range rids {
+			decoded := Row{v[0].I[i], v[1].F[i], v[2].S[i]}
+			fetched, err := tab.Get(rid)
+			if err != nil {
+				t.Fatalf("%s: Get(%v): %v", state, rid, err)
+			}
+			if fmt.Sprint(decoded) != fmt.Sprint(want[rid]) || fmt.Sprint(fetched) != fmt.Sprint(want[rid]) {
+				t.Fatalf("%s: %v decoded as %v, fetched as %v, written as %v", state, rid, decoded, fetched, want[rid])
+			}
+		}
+	}
+	check("dirty and resident", true)
+	flushes := pool.Stats.Flushes.Load()
+	evict()
+	if pool.Stats.Flushes.Load() == flushes {
+		t.Fatal("the dirty page was evicted without being written back")
+	}
+	check("written back and evicted", false) // Get fetched it back, clean
+	var first storage.RecordID
+	for rid := range want {
+		first = rid
+		break
+	}
+	if err := tab.Delete(first); err != nil {
+		t.Fatal(err)
+	}
+	delete(want, first)
+	insert(10)
+	check("dirtied again after the fetch", true)
+	evict()
+	check("dirtied again and evicted", false)
+}
+
 // TestConcurrentScansAndChurn: scans by page and by record id run
 // against inserts, deletes and FlushAll on a pool far smaller than the
-// table, so every scan misses and evicted page memory is reused under
-// it; every row any scan sees must be a row some insert wrote, whole.
+// table, so page scans read most pages from disk past the pool while
+// churn writes pages back and index-style reads reuse evicted page
+// memory; every row any scan sees must be a row some insert wrote, whole.
 func TestConcurrentScansAndChurn(t *testing.T) {
 	pool, err := storage.NewBufferPool(storage.NewMemDisk(), 16)
 	if err != nil {

@@ -53,15 +53,19 @@ func (v *Vector) appendString(b []byte) {
 // DecodePage appends the live rows of page id, in slot order, to cols —
 // one entry per table column; a nil entry is a column the caller does
 // not read, which is stepped over — and, when rids is non-nil, each
-// row's record id to *rids. The page is pinned once, under the table's
-// read lock. It returns how many rows it appended; on error the vectors
-// may hold part of a row and must be discarded.
+// row's record id to *rids. It reads the page through the buffer pool's
+// View, under the table's read lock: a resident page is pinned once, any
+// other is read past the pool, so a scan evicts nothing. It returns how
+// many rows it appended; on error the vectors may hold part of a row and
+// must be discarded.
 func (t *Table) DecodePage(id storage.PageID, cols []*Vector, rids *[]storage.RecordID) (int, error) {
 	if err := t.checkCols(cols); err != nil {
 		return 0, err
 	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	n := 0
-	err := t.onPage(id, func(p *storage.Page) error {
+	err := t.pool.View(id, func(p *storage.Page) error {
 		t.grow(cols, rids, p.Slots())
 		for s := 0; s < p.Slots(); s++ {
 			ok, err := t.decodeSlot(p, s, cols, rids)

@@ -208,7 +208,8 @@ func (db *DB) Close() error {
 func (db *DB) Metrics() *obs.Registry { return db.reg }
 
 // SetParallelism sets the morsel worker budget for subsequent queries:
-// 0 selects runtime.NumCPU() (auto), 1 pins the serial baseline, larger
+// 0 = auto: up to NumCPU, idle cores only (a scan fans out only over
+// cores no other statement occupies); 1 pins the serial baseline, larger
 // values an explicit worker count. Not safe to call concurrently with
 // in-flight queries.
 func (db *DB) SetParallelism(workers int) { db.engine.Parallelism = workers }

@@ -76,6 +76,7 @@ func TestCancelMidFilterStopsWithinMorselBudget(t *testing.T) {
 			if res != nil {
 				t.Fatalf("cancelled query returned a partial result (%d rows)", len(res.Rows))
 			}
+			checkCoresReleased(t)
 			// Overshoot budget: every worker may finish its in-flight
 			// chunk — MorselSize rows, rounded up to a whole page.
 			w := workers
@@ -119,6 +120,7 @@ func TestCancelMidScanStopsWithinMorsel(t *testing.T) {
 	if res != nil {
 		t.Fatal("cancelled scan returned a result")
 	}
+	checkCoresReleased(t)
 	tab, terr := c.Table("big")
 	if terr != nil {
 		t.Fatal(terr)
@@ -161,6 +163,7 @@ func TestCancelNoGoroutineLeaks(t *testing.T) {
 		}
 		cancel()
 	}
+	checkCoresReleased(t)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
@@ -187,6 +190,7 @@ func TestCancelMetricsRecorded(t *testing.T) {
 	if _, err := ex.RunContext(ctx, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	checkCoresReleased(t)
 	if got := ex.Obs.CancelRequests.Value(); got != 1 {
 		t.Fatalf("cancel.requests = %d, want 1", got)
 	}
@@ -215,6 +219,7 @@ func TestDeadlineExceededPropagates(t *testing.T) {
 	if res != nil {
 		t.Fatal("timed-out query returned a result")
 	}
+	checkCoresReleased(t)
 }
 
 // TestMemBudgetAbortsQuery: a query whose materialized rows blow the
@@ -236,6 +241,7 @@ func TestMemBudgetAbortsQuery(t *testing.T) {
 	if res != nil {
 		t.Fatal("budget-aborted query returned a result")
 	}
+	checkCoresReleased(t)
 	if m.MemAborts.Value() != 1 {
 		t.Fatalf("mem.aborts = %d, want 1", m.MemAborts.Value())
 	}
@@ -272,6 +278,7 @@ func TestMemBudgetParallelJoinAborts(t *testing.T) {
 	if res != nil {
 		t.Fatal("budget-aborted join returned a result")
 	}
+	checkCoresReleased(t)
 }
 
 // TestRunContextNilAndBackground: Run and a background RunContext are

@@ -5,7 +5,7 @@
 // selection vector — flow scan → filter → project → limit without
 // materializing intermediate results. Scans decode pages straight into
 // vectors, split page/key ranges into fixed-size morsels pulled by a
-// runtime.NumCPU()-bounded worker set; filters narrow the selection
+// worker set drawn from idle cores; filters narrow the selection
 // with typed loops and projections reference or compute vectors, fused
 // into the scan workers; hash joins key on typed values and stream the
 // probe side; aggregation folds typed columns into one partial state as

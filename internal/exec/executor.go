@@ -77,10 +77,12 @@ type Executor struct {
 	// disables accounting.
 	Mem *governance.MemBudget
 
-	// Parallelism is the morsel worker budget: 0 selects
-	// runtime.NumCPU() (auto), 1 pins the serial path (the comparison
-	// baseline and the guard-degradation fallback), larger values set
-	// an explicit worker count.
+	// Parallelism is the morsel worker budget: 0 = auto, up to
+	// GOMAXPROCS (NumCPU unless set) workers from idle cores only, so a
+	// scan runs serially while other statements occupy the machine; 1
+	// pins the serial path (the comparison baseline and the
+	// guard-degradation fallback); larger values set an explicit worker
+	// count.
 	Parallelism int
 	// MorselSize is the rows-per-morsel for row-partitioned operators,
 	// and thereby the target chunk size flowing through the pipeline;
@@ -157,6 +159,8 @@ func IsCancellation(err error) bool {
 // any error every outstanding memory charge is refunded, so a shared
 // budget sees only the bytes a query actually holds.
 func (ex *Executor) RunContext(ctx context.Context, n plan.Node) (*Result, error) {
+	cores.Add(1)
+	defer cores.Add(-1)
 	ex.Obs.Queries.Inc()
 	if done := ex.Obs.timeQuery(); done != nil {
 		defer done()

@@ -1,17 +1,60 @@
 package exec
 
-import "runtime"
+import (
+	"runtime"
+	"sync/atomic"
+)
 
 // Morsel-driven parallel execution (Leis et al., "Morsel-Driven
 // Parallelism", adapted to this streaming executor): every source
 // splits its input into fixed-size morsels — page ranges for heap
-// scans, key subranges for index scans — and a NumCPU()-bounded worker
-// set pulls morsels from a shared cursor (work stealing, no per-morsel
-// goroutine). Workers run the fused filter/project transforms inline
-// and hand finished chunks through small bounded per-morsel channels;
-// the consumer drains morsels in order, so parallel output is
-// row-for-row identical to the serial order (see morselStream in
-// stream.go).
+// scans, key subranges for index scans — and a worker set pulls morsels
+// from a shared cursor (work stealing, no per-morsel goroutine). In auto
+// mode the set is as large as GOMAXPROCS (NumCPU unless set) allows,
+// counting only the cores no other statement occupies (see cores).
+// Workers run the fused filter/project transforms inline and hand
+// finished chunks through small bounded per-morsel channels; the
+// consumer drains morsels in order, so parallel output is row-for-row
+// identical to the serial order (see morselStream in stream.go).
+
+// cores counts the cores this process's statements occupy: one per
+// running RunContext, for the goroutine that drains its pipeline, plus
+// one per live morsel worker beyond its stream's first — that consumer
+// only waits on its workers, so the first runs on the consumer's core.
+// It is process-wide because the cores are: two sessions each fanning
+// out over every core only make their workers compete with each other.
+var cores atomic.Int64
+
+// claimWorkers decides how many workers a stream of n morsels runs and
+// claims a core for each beyond the first; each of those workers
+// gives its core back when it exits. An explicit Parallelism gets its
+// count whatever else runs. Auto mode adds workers only while cores are
+// idle and never waits for one: with none idle it returns 1, the serial
+// path on the consumer's goroutine.
+func (ex *Executor) claimWorkers(n int) int {
+	if n <= 1 {
+		return 1 // one morsel, e.g. a point read: skip the GOMAXPROCS lookup
+	}
+	most := ex.workers()
+	w := min(most, n)
+	if w <= 1 {
+		return 1
+	}
+	if ex.Parallelism != 0 {
+		cores.Add(int64(w - 1))
+		return w
+	}
+	for {
+		used := cores.Load()
+		extra := min(int64(w-1), int64(most)-used)
+		if extra <= 0 {
+			return 1
+		}
+		if cores.CompareAndSwap(used, used+extra) {
+			return int(extra) + 1
+		}
+	}
+}
 
 // DefaultMorselRows is the default morsel size, in rows, for
 // row-partitioned work and the target chunk size of the streaming
@@ -24,13 +67,14 @@ const DefaultMorselRows = 1024
 // rows, so this is roughly DefaultMorselRows worth of decode work).
 const DefaultScanMorselPages = 4
 
-// workers resolves the Parallelism knob: 1 (or any negative value)
-// pins the serial path, 0 selects runtime.NumCPU(), larger values are
-// an explicit worker budget.
+// workers resolves the Parallelism knob to a stream's most workers: 1
+// (or any negative value) pins the serial path, 0 (auto) is GOMAXPROCS,
+// of which claimWorkers takes only the idle cores, larger values are an
+// explicit worker count.
 func (ex *Executor) workers() int {
 	switch {
 	case ex.Parallelism == 0:
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	case ex.Parallelism < 1:
 		return 1
 	default:

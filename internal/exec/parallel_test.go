@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -162,6 +163,7 @@ func TestConcurrentRunsSharedExecutor(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	checkCoresReleased(t)
 	snap := ex.Stats.Snapshot()
 	if want := uint64(goroutines * runs * 2000); snap.RowsScanned != want {
 		t.Errorf("RowsScanned = %d, want %d", snap.RowsScanned, want)
@@ -458,6 +460,120 @@ func TestParallelErrorPropagation(t *testing.T) {
 	ex := parallelExec(runtime.NumCPU())
 	if _, err := ex.Run(p); err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("err = %v, want division by zero", err)
+	}
+	checkCoresReleased(t)
+}
+
+// checkCoresReleased fails the test unless every core a statement or a
+// morsel worker claimed has been given back. The tests of this package
+// do not run in parallel, so between statements the count is exactly 0.
+func checkCoresReleased(t testing.TB) {
+	t.Helper()
+	if n := cores.Load(); n != 0 {
+		t.Fatalf("%d cores still claimed after the statements returned", n)
+	}
+}
+
+// TestAutoParallelismTakesOnlyIdleCores pins the idle-core rule on a
+// two-core budget: while one statement is running (its scan workers
+// blocked in a function of its filter), an auto-mode scan spawns no
+// workers; once it has finished, the same scan spawns workers again; an
+// explicit worker count spawns its workers either way.
+func TestAutoParallelismTakesOnlyIdleCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c := bigSetup(t, 3000)
+	heldPlan := mustPlan(t, c, "SELECT id FROM users WHERE HOLD(age) >= 0")
+	p := mustPlan(t, c, "SELECT id FROM users WHERE age > 40")
+	// scan runs p and reports its scan's worker spawns and the
+	// parallel_ops counter.
+	scan := func(workers int) (int64, float64) {
+		reg := obs.NewRegistry()
+		ex := parallelExec(workers)
+		ex.Obs = NewMetrics(reg)
+		prof := NewQueryProfile(p, nil)
+		ex.Profile = prof
+		if _, err := ex.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		var spawns int64
+		prof.Walk(func(op *OpProfile, _ int) {
+			if op.Kind == "Scan" {
+				spawns = op.WorkerSpawns()
+			}
+		})
+		return spawns, reg.Snapshot()["exec.parallel_ops"]
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	held := parallelExec(0)
+	held.Funcs = FuncRegistry{"HOLD": func(args []catalog.Value) (catalog.Value, error) {
+		once.Do(func() { close(entered) })
+		<-release
+		return args[0], nil
+	}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := held.Run(heldPlan)
+		done <- err
+	}()
+	<-entered
+	if spawns, ops := scan(0); spawns != 0 || ops != 0 {
+		t.Errorf("auto scan beside a running statement: %d worker spawns, %v parallel ops; want 0, 0", spawns, ops)
+	}
+	if spawns, _ := scan(4); spawns != 4 {
+		t.Errorf("Parallelism 4 beside a running statement: %d worker spawns, want 4", spawns)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	checkCoresReleased(t)
+	if spawns, ops := scan(0); spawns != 2 || ops != 1 {
+		t.Errorf("auto scan on an idle machine: %d worker spawns, %v parallel ops; want 2, 1", spawns, ops)
+	}
+	if spawns, _ := scan(4); spawns != 4 {
+		t.Errorf("Parallelism 4 on an idle machine: %d worker spawns, want 4", spawns)
+	}
+	checkCoresReleased(t)
+}
+
+// TestCoresReleasedOnEveryExit: success, an evaluation error, a
+// cancellation mid-scan and a LIMIT that closes its scan while workers
+// are still producing each give back every core, in auto mode and at an
+// explicit worker count.
+func TestCoresReleasedOnEveryExit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c := bigSetup(t, 3000)
+	for _, tc := range []struct {
+		name, query string
+		cancelAt    int64 // cancel the run on this TRIP call; 0 = never
+		wantErr     bool
+	}{
+		{"success", "SELECT id FROM users WHERE age > 40", 0, false},
+		{"error", "SELECT id / (age - 40) FROM users", 0, true},
+		{"cancel", "SELECT id FROM users WHERE TRIP(age) >= 0", 500, true},
+		{"limit", "SELECT id FROM users LIMIT 5", 0, false},
+	} {
+		for _, workers := range []int{0, 4} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var calls atomic.Int64
+			ex := parallelExec(workers)
+			ex.Funcs = FuncRegistry{"TRIP": func(args []catalog.Value) (catalog.Value, error) {
+				if calls.Add(1) == tc.cancelAt {
+					cancel()
+				}
+				return args[0], nil
+			}}
+			_, err := ex.RunContext(ctx, mustPlan(t, c, tc.query))
+			cancel()
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("%s @%d workers: err = %v", tc.name, workers, err)
+			}
+			if n := cores.Load(); n != 0 {
+				t.Fatalf("%s @%d workers: %d cores still claimed", tc.name, workers, n)
+			}
+		}
 	}
 }
 

@@ -400,8 +400,9 @@ func (s *morselStream) fuse(t transform) {
 	s.ts = append(s.ts, t)
 }
 
-// open dispatches the stream: chaos, morsel accounting, and — when
-// both the morsel count and the worker budget allow — the worker pool.
+// open dispatches the stream: chaos, morsel accounting, and — when the
+// morsel count, the worker budget and the idle cores allow — the worker
+// pool.
 func (s *morselStream) open() error {
 	s.opened = true
 	if s.preOpen != nil {
@@ -417,10 +418,7 @@ func (s *morselStream) open() error {
 	if s.prof != nil {
 		s.prof.morsels.Add(int64(s.n))
 	}
-	workers := s.ex.workers()
-	if workers > s.n {
-		workers = s.n
-	}
+	workers := s.ex.claimWorkers(s.n)
 	if workers <= 1 {
 		return nil
 	}
@@ -441,6 +439,9 @@ func (s *morselStream) open() error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer s.wg.Done()
+			if w > 0 {
+				defer cores.Add(-1) // before Done: Close returns with every core given back
+			}
 			// Each worker's credits cap its in-flight chunks; the
 			// consumer returns a credit per chunk received. The lowest
 			// undrained morsel's worker therefore always either holds a

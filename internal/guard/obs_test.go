@@ -16,43 +16,47 @@ import (
 // drops).
 func TestTransitionEventsExactlyOnce(t *testing.T) {
 	reg := obs.NewRegistry()
-	b := NewBreaker(Config{
+	cfg := Config{
 		WindowSize:       8,
 		TripQError:       4,
 		TripFailures:     3,
 		CooldownCalls:    5,
 		ProbeCalls:       4,
 		MaxCooldownCalls: 20,
-	})
+	}
+	b := NewBreaker(cfg)
 	InstrumentBreaker(b, reg, "test")
 
+	// One goroutine's cycle walks all four edges on its own: failures
+	// trip, a cooldown half-opens, a failed probe round re-trips, a
+	// healthy one re-admits, a drifted window trips. Each cooldown wait
+	// covers the longest backed-off cooldown. However the scheduler
+	// interleaves the goroutines, failures outnumber successes four to
+	// one, so three arrive in a row somewhere: the history is never empty.
+	repeat := func(n int, f func()) {
+		for i := 0; i < n; i++ {
+			f()
+		}
+	}
+	cycle := func() {
+		b.ObserveSuccess()
+		repeat(cfg.TripFailures, b.ObserveFailure)                             // closed -> open: failures
+		repeat(cfg.MaxCooldownCalls, func() { b.UseModel() })                  // open -> half-open
+		b.ObserveFailure()                                                     // a failed probe round:
+		repeat(cfg.ProbeCalls-1, func() { b.ObserveQError(1) })                // half-open -> open
+		repeat(cfg.MaxCooldownCalls, func() { b.UseModel() })                  // open -> half-open
+		repeat(cfg.ProbeCalls, func() { b.ObserveQError(1) })                  // half-open -> closed
+		repeat(cfg.WindowSize, func() { b.ObserveQError(9) })                  // closed -> open: drift
+		repeat(cfg.MaxCooldownCalls, func() { b.UseModel() })                  // open -> half-open
+		repeat(cfg.ProbeCalls, func() { b.ObserveQError(cfg.TripQError / 2) }) // half-open -> closed
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 4000; i++ {
-				// A mix that keeps the breaker cycling through all four
-				// edges: drift trips, hard-failure trips, cooldown
-				// half-opens, and probe rounds that sometimes recover
-				// (low q-error runs) and sometimes re-trip (failures).
-				switch (i + g) % 7 {
-				case 0, 1:
-					b.UseModel()
-				case 2:
-					b.ObserveQError(9) // above TripQError
-				case 3:
-					b.ObserveQError(1)
-				case 4:
-					b.ObserveFailure()
-				case 5:
-					b.ObserveSuccess()
-				default:
-					b.UseModel()
-					b.ObserveQError(2)
-				}
-			}
-		}(g)
+			repeat(50, cycle)
+		}()
 	}
 	wg.Wait()
 

@@ -11,6 +11,10 @@ import (
 )
 
 // BufferPool caches pages in memory with LRU eviction of unpinned frames.
+// Point reads and writes go through Fetch and stay cached; heap scans go
+// through View and do not enter the pool: a scan larger than the pool
+// would otherwise evict every page the point traffic keeps hot, and pay
+// an eviction and a copy under the pool mutex for each page it reads.
 // All methods are safe for concurrent use.
 type BufferPool struct {
 	mu       sync.Mutex
@@ -103,6 +107,41 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 		return nil, err
 	}
 	return p, nil
+}
+
+// scanPages recycles the pages View reads non-resident pages into.
+var scanPages = sync.Pool{New: func() any { return new(Page) }}
+
+// View runs fn on page id, read-only, without making it resident. A
+// resident page is pinned for fn as Fetch pins it (a hit); any other is
+// read from disk into a scan buffer outside the pool mutex and never
+// installed (a miss): the frames, their LRU order and the eviction count
+// are as they were. fn must not keep p. The caller must keep writers of
+// id out until View returns (catalog holds the table's read lock, which
+// every heap-page write excludes): then a non-resident page's disk copy
+// is current, because frame writes a dirty page back before dropping it.
+func (bp *BufferPool) View(id PageID, fn func(p *Page) error) error {
+	bp.mu.Lock()
+	if p, ok := bp.frames[id]; ok {
+		bp.Stats.Hits.Add(1)
+		p.pinCount++
+		bp.lru.MoveToFront(p.lru)
+		bp.mu.Unlock()
+		err := fn(p)
+		bp.mu.Lock()
+		p.pinCount--
+		bp.mu.Unlock()
+		return err
+	}
+	bp.Stats.Misses.Add(1)
+	bp.mu.Unlock()
+	p := scanPages.Get().(*Page)
+	defer scanPages.Put(p)
+	if err := bp.disk.Read(id, p.Data[:]); err != nil {
+		return err
+	}
+	p.ID = id
+	return fn(p)
 }
 
 // Unpin releases one pin; dirty marks the page modified.

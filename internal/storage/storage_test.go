@@ -359,6 +359,83 @@ func TestBufferPoolMissAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestViewReadsPastThePool: with a hot set resident, a View scan over
+// twice the pool's pages reads every page it asks for, evicts nothing —
+// the resident count, the hot pages and the eviction count are as they
+// were — counts a miss per page it read from disk, and allocates
+// nothing per miss.
+func TestViewReadsPastThePool(t *testing.T) {
+	const frames = 8
+	bp := mustPool(t, NewMemDisk(), frames)
+	var ids []PageID
+	for i := 0; i < 2*frames+frames/2; i++ {
+		p, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Insert([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, p.ID)
+		if err := bp.Unpin(p.ID, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The scanned pages are the first 2*frames; the hot set is the rest,
+	// fetched last so it is resident, dirty pages among it.
+	scanned, hot := ids[:2*frames], ids[2*frames:]
+	fetchHot := func() {
+		for _, id := range hot {
+			if _, err := bp.Fetch(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := bp.Unpin(id, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fetchHot()
+	resident, before := bp.Resident(), bp.Stats.Snapshot()
+	scan := func() {
+		for i, id := range scanned {
+			err := bp.View(id, func(p *Page) error {
+				if b, err := p.GetRef(0); err != nil || len(b) != 1 || b[0] != byte(i) || p.ID != id {
+					t.Fatalf("page %d read as page %d holding %v (%v)", id, p.ID, b, err)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	scan()
+	after := bp.Stats.Snapshot()
+	if got := bp.Resident(); got != resident {
+		t.Errorf("resident pages %d after the scan, %d before", got, resident)
+	}
+	if after.Evictions != before.Evictions || after.Flushes != before.Flushes {
+		t.Errorf("the scan evicted %d pages and flushed %d", after.Evictions-before.Evictions, after.Flushes-before.Flushes)
+	}
+	// The scanned pages still resident from loading are hits; the rest miss.
+	stillResident := frames - len(hot)
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != uint64(stillResident) || misses != uint64(2*frames-stillResident) {
+		t.Errorf("scan: %d hits, %d misses; want %d, %d", hits, misses, stillResident, 2*frames-stillResident)
+	}
+	before = after
+	fetchHot()
+	if after := bp.Stats.Snapshot(); after.Hits-before.Hits != uint64(len(hot)) || after.Misses != before.Misses {
+		t.Errorf("a hot page left the pool during the scan: %d hits, %d misses refetching %d pages",
+			after.Hits-before.Hits, after.Misses-before.Misses, len(hot))
+	}
+	if raceEnabled {
+		return // the race detector drops sync.Pool entries on purpose
+	}
+	if allocs := testing.AllocsPerRun(10, scan); allocs > 1 {
+		t.Errorf("%.1f allocations per %d-page scan, want ~0", allocs, 2*frames)
+	}
+}
+
 func TestBufferPoolAllPinned(t *testing.T) {
 	bp := mustPool(t, NewMemDisk(), 2)
 	if _, err := bp.NewPage(); err != nil {
