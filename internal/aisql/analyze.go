@@ -33,11 +33,7 @@ func (e *Engine) explainAnalyze(ctx context.Context, ent *plancache.Entry, kind 
 	chaosBefore := e.Chaos.FireCounts()
 	prof := exec.NewQueryProfile(ent.Plan, plan.HistogramEstimator{Params: params})
 	esp := sp.Child("exec")
-	ex := exec.New(e.funcs)
-	ex.Chaos = e.Chaos
-	ex.Obs = e.execObs
-	ex.Parallelism = e.Parallelism
-	ex.Params = params
+	ex := e.executor(params)
 	ex.Profile = prof
 	res, err := ex.RunContext(ctx, ent.Plan)
 	prof.AttachSpans(esp)

@@ -3,6 +3,7 @@ package aisql
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"aidb/internal/catalog"
@@ -62,24 +63,44 @@ func BenchmarkRangeQueryIndexed(b *testing.B) {
 	}
 }
 
-func BenchmarkPredictInSQL(b *testing.B) {
+// predictEngine loads n rows into c (age INT, spend FLOAT, label INT),
+// label 1 on about a third of them, and trains the model m of the given
+// kind on them.
+func predictEngine(b testing.TB, n int, kind string) *Engine {
+	b.Helper()
 	e := NewEngine()
-	e.Execute("CREATE TABLE c (age INT, spend FLOAT, label INT)")
-	for i := 0; i < 1000; i++ {
+	var sb strings.Builder
+	sb.WriteString("CREATE TABLE c (age INT, spend FLOAT, label INT); INSERT INTO c VALUES ")
+	for i := 0; i < n; i++ {
+		age, spend := 20+i%60, i%100
 		lbl := 0
-		if i%3 == 0 {
+		if age+spend > 110 {
 			lbl = 1
 		}
-		e.Execute(fmt.Sprintf("INSERT INTO c VALUES (%d, %d.5, %d)", 20+i%60, i%100, lbl))
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d.5, %d)", age, spend, lbl)
 	}
-	if _, err := e.Execute("CREATE MODEL m PREDICT label ON c WITH (kind = 'tree')"); err != nil {
+	sb.WriteString("; CREATE MODEL m PREDICT label ON c WITH (kind = '" + kind + "', epochs = 20)")
+	if _, err := e.ExecuteScript(sb.String()); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute("SELECT COUNT(*) FROM c WHERE PREDICT(m, age, spend) = 1"); err != nil {
-			b.Fatal(err)
-		}
+	return e
+}
+
+func BenchmarkPredictInSQL(b *testing.B) {
+	for _, kind := range []string{"tree", "logistic"} {
+		b.Run(kind, func(b *testing.B) {
+			e := predictEngine(b, 1000, kind)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Execute("SELECT COUNT(*) FROM c WHERE PREDICT(m, age, spend) = 1"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

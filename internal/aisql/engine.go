@@ -61,10 +61,12 @@ type Engine struct {
 
 	mu sync.RWMutex
 	// models is replaced, never changed, under mu: PREDICT looks its
-	// model up on every row, from every scan worker, without a lock.
+	// model up on every chunk, from every scan worker, without a lock.
 	models  atomic.Pointer[map[string]*Model]
 	indexes map[string]*secondaryIndex
-	funcs   exec.FuncRegistry // PREDICT and PREDICT_PROBA, over models
+	// PREDICT and PREDICT_PROBA, over models: row by row, and per chunk.
+	funcs   exec.FuncRegistry
+	vectors map[string]exec.VectorFunc
 
 	// Observability plane, wired by Instrument. All fields are nil-safe
 	// when the engine is uninstrumented.
@@ -142,7 +144,7 @@ func NewEngine() *Engine { return NewEngineWith(catalog.NewMem()) }
 func NewEngineWith(cat *catalog.Catalog) *Engine {
 	e := &Engine{Cat: cat}
 	e.models.Store(&map[string]*Model{})
-	e.funcs = e.predictFuncs()
+	e.funcs, e.vectors = e.predictFuncs()
 	return e
 }
 
@@ -190,21 +192,20 @@ func (e *Engine) Models() []string {
 	return names
 }
 
-// predictFuncs builds the scalar-function registry every executor of
-// this engine shares: PREDICT and PREDICT_PROBA. The first argument of
-// each is the model name (a column reference lexically; rewritePredicts
-// makes it a string), looked up when the function runs.
-func (e *Engine) predictFuncs() exec.FuncRegistry {
+// predictFuncs builds the functions every executor of this engine
+// shares: PREDICT and PREDICT_PROBA, row by row and in chunk form. The
+// first argument of each is the model name (a column reference
+// lexically; rewritePredicts makes it a string), looked up when the
+// function runs — once per chunk in chunk form, which takes the features
+// as float64 columns and fails as the per-row form does.
+func (e *Engine) predictFuncs() (exec.FuncRegistry, map[string]exec.VectorFunc) {
 	predict := func(proba bool) exec.ScalarFunc {
 		return func(args []catalog.Value) (catalog.Value, error) {
-			if len(args) < 2 {
-				return nil, fmt.Errorf("aisql: PREDICT needs a model and at least one feature")
+			var name catalog.Value
+			if len(args) > 0 {
+				name = args[0]
 			}
-			name, ok := args[0].(string)
-			if !ok {
-				return nil, fmt.Errorf("aisql: PREDICT's first argument must be a model name")
-			}
-			m, err := e.Model(name)
+			m, err := e.predictModel(name, len(args)-1)
 			if err != nil {
 				return nil, err
 			}
@@ -227,10 +228,47 @@ func (e *Engine) predictFuncs() exec.FuncRegistry {
 			return v, nil
 		}
 	}
-	return exec.FuncRegistry{
-		"PREDICT":       predict(false),
-		"PREDICT_PROBA": predict(true),
+	predictColumns := func(proba bool) exec.VectorFunc {
+		return func(name catalog.Value, features [][]float64, out []float64) error {
+			m, err := e.predictModel(name, len(features))
+			if err != nil {
+				return err
+			}
+			return m.PredictColumns(features, out, proba)
+		}
 	}
+	return exec.FuncRegistry{
+			"PREDICT":       predict(false),
+			"PREDICT_PROBA": predict(true),
+		}, map[string]exec.VectorFunc{
+			"PREDICT":       predictColumns(false),
+			"PREDICT_PROBA": predictColumns(true),
+		}
+}
+
+// predictModel is the model a PREDICT call names by its first argument,
+// or the error the call fails with before any feature is read.
+func (e *Engine) predictModel(name catalog.Value, features int) (*Model, error) {
+	if features < 1 {
+		return nil, fmt.Errorf("aisql: PREDICT needs a model and at least one feature")
+	}
+	s, ok := name.(string)
+	if !ok {
+		return nil, fmt.Errorf("aisql: PREDICT's first argument must be a model name")
+	}
+	return e.Model(s)
+}
+
+// executor returns an executor for one run of this engine's plans, with
+// params bound to their $N.
+func (e *Engine) executor(params []catalog.Value) *exec.Executor {
+	ex := exec.New(e.funcs)
+	ex.VectorFuncs = e.vectors
+	ex.Chaos = e.Chaos
+	ex.Obs = e.execObs
+	ex.Parallelism = e.Parallelism
+	ex.Params = params
+	return ex
 }
 
 // Execute parses and runs one statement without a cancellation context
@@ -640,11 +678,7 @@ func (e *Engine) execPlan(ctx context.Context, ent *plancache.Entry, kind string
 	chaosBefore := e.Chaos.FireCounts()
 	sp.SetTag("plan", ent.Summary)
 	esp := sp.Child("exec")
-	ex := exec.New(e.funcs)
-	ex.Chaos = e.Chaos
-	ex.Obs = e.execObs
-	ex.Parallelism = e.Parallelism
-	ex.Params = params
+	ex := e.executor(params)
 	if e.MemLimit > 0 {
 		ex.Mem = governance.NewMemBudget(e.MemLimit, e.govObs)
 	}

@@ -177,27 +177,71 @@ func TrainModel(name string, kind ModelKind, t *catalog.Table, features []string
 
 // Predict applies the model to one feature vector.
 func (m *Model) Predict(f []float64) (float64, error) {
-	if len(f) != len(m.Features) {
-		return 0, fmt.Errorf("aisql: model %q expects %d features, got %d", m.Name, len(m.Features), len(f))
+	if err := m.check(len(f), false); err != nil {
+		return 0, err
 	}
-	switch m.Kind {
-	case Logistic:
-		var buf [stackFeatures]float64
-		return m.logistic.Predict(m.scale(buf[:], f)), nil
-	case Linear:
-		return m.linear.Predict(f), nil
-	default:
-		return float64(m.tree.Predict(f)), nil
-	}
+	return m.predict(f, false), nil
 }
 
 // PredictProba returns P(y=1) for logistic models and an error otherwise.
 func (m *Model) PredictProba(f []float64) (float64, error) {
-	if m.Kind != Logistic {
-		return 0, fmt.Errorf("aisql: model %q is not probabilistic", m.Name)
+	if err := m.check(len(f), true); err != nil {
+		return 0, err
+	}
+	return m.predict(f, true), nil
+}
+
+// PredictColumns writes one prediction per row of the feature columns
+// cols into out: out[i] is Predict — PredictProba when proba is set — of
+// (cols[0][i], cols[1][i], ...), bit for bit, and the error is theirs. It
+// allocates nothing for up to stackFeatures features.
+func (m *Model) PredictColumns(cols [][]float64, out []float64, proba bool) error {
+	if err := m.check(len(cols), proba); err != nil {
+		return err
 	}
 	var buf [stackFeatures]float64
-	return m.logistic.PredictProba(m.scale(buf[:], f)), nil
+	f := buf[:]
+	if len(cols) > stackFeatures {
+		f = make([]float64, len(cols))
+	}
+	f = f[:len(cols)]
+	for i := range out {
+		for j, col := range cols {
+			f[j] = col[i]
+		}
+		out[i] = m.predict(f, proba)
+	}
+	return nil
+}
+
+// check is the error a prediction over n features fails with: a
+// probability from a model that has none, or the wrong feature count.
+func (m *Model) check(n int, proba bool) error {
+	if proba && m.Kind != Logistic {
+		return fmt.Errorf("aisql: model %q is not probabilistic", m.Name)
+	}
+	if n != len(m.Features) {
+		return fmt.Errorf("aisql: model %q expects %d features, got %d", m.Name, len(m.Features), n)
+	}
+	return nil
+}
+
+// predict is the one per-row kernel under every prediction path, on
+// features check has accepted.
+func (m *Model) predict(f []float64, proba bool) float64 {
+	switch m.Kind {
+	case Logistic:
+		var buf [stackFeatures]float64
+		x := m.scale(buf[:], f)
+		if proba {
+			return m.logistic.PredictProba(x)
+		}
+		return m.logistic.Predict(x)
+	case Linear:
+		return m.linear.Predict(f)
+	default:
+		return float64(m.tree.Predict(f))
+	}
 }
 
 // PredictBatch applies the model to every row of x in one batched pass

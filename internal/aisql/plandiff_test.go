@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"aidb/internal/catalog"
@@ -29,7 +30,9 @@ import (
 // PREPARE/EXECUTE (first run and hit), at Parallelism 1 and 4, on an
 // engine without secondary indexes and on one with an index on a
 // filtered column of each join side — and all must give the same rows
-// (as multisets; as sequences under ORDER BY), or fail alike.
+// (as multisets; as sequences under ORDER BY), or fail alike. The
+// reference's executor has no chunk-form functions, so it is also the
+// per-row PREDICT the engine's chunk form is checked against.
 
 // genQuery is one generated statement: a template whose operands are
 // spelled as literals or as $N.
@@ -41,6 +44,8 @@ type genQuery struct {
 	// ref, when set, is the statement whose raw plan is the reference in
 	// place of text's own (same holes).
 	ref string
+	// fails, when set, is what the error of every path that fails says.
+	fails string
 }
 
 // spellParam renders the statement with placeholders.
@@ -236,8 +241,84 @@ func (g *planGen) single() *genQuery {
 	return g.q
 }
 
+// predict emits a statement whose PREDICT or PREDICT_PROBA call — over
+// a logistic, a linear or a tree model — stands where the engine runs
+// its chunk form: a WHERE comparison, under OR, NOT, BETWEEN and IN,
+// inside arithmetic and inside another call, as a GROUP BY or ORDER BY
+// key, as an aggregate's argument, as a projection and on a join's side.
+// The reference runs the per-row form, and rows print floats in their
+// shortest exact form, so results must agree bit for bit. About one call
+// in four cannot run — an unknown model, too few or too many features, a
+// TEXT feature (which the engine leaves on the per-row form), a
+// probability from a model that has none — and must fail alike, with
+// the error the per-row form meets first even where a feature fails on
+// a later row; a feature that divides by zero on some rows fails alike
+// where those rows are reached.
+func (g *planGen) predict() *genQuery {
+	g.q = &genQuery{}
+	fn, model, args := "PREDICT", []string{"churn", "lin", "tr"}[g.r.Intn(3)], "age, score"
+	if g.r.Intn(3) == 0 {
+		fn, model = "PREDICT_PROBA", "churn"
+	}
+	switch p := g.r.Intn(24); {
+	case p < 3:
+		args = "age + " + g.intArg(0, 5) + ", score * 0.5"
+	case p < 5:
+		args = "age, " + g.floatArg(100) // a constant feature
+	case p < 7:
+		args = "PREDICT(tr, age, score) * 40, score"
+	case p == 7:
+		model, g.q.fails = "ghost", `model "ghost" does not exist`
+	case p == 8:
+		args, g.q.fails = []string{"age", "age, score, age"}[g.r.Intn(2)], "expects 2 features"
+	case p == 9:
+		args, g.q.fails = "age, city", "non-numeric string"
+	case p == 10:
+		fn, model, g.q.fails = "PREDICT_PROBA", []string{"lin", "tr"}[g.r.Intn(2)], "not probabilistic"
+	case p == 11:
+		args = "100 / (age - 30), score" // fails on a row with age 30, if one is reached
+	case p == 12: // a call that fails on every row, beside a feature that fails on some
+		model, args, g.q.fails = "ghost", "age, 100 / (age - 30)", `model "ghost" does not exist`
+	case p == 13:
+		args, g.q.fails = "age, 1 / (age - 30), score", "expects 2 features"
+	}
+	call := fn + "(" + model + ", " + args + ")"
+	// cut is a constant in the range predictions take.
+	cut := func() string {
+		if g.r.Intn(2) == 0 {
+			return g.intArg(0, 2)
+		}
+		v := float64(g.r.Intn(100)) / 100
+		return g.arg(fmt.Sprintf("%.2f", v), v)
+	}
+	switch g.r.Intn(10) {
+	case 0:
+		g.q.text = "SELECT id, " + call + " FROM users WHERE " + call + " " + g.op() + " " + cut()
+	case 1:
+		g.q.text = "SELECT COUNT(*) FROM users WHERE (age < " + g.intArg(15, 40) + " OR " + cut() + " <= " + call + ")"
+	case 2:
+		g.q.text = "SELECT id FROM users WHERE NOT " + call + " " + g.op() + " " + cut()
+	case 3:
+		g.q.text = "SELECT COUNT(*), SUM(score) FROM users WHERE " + call + " BETWEEN " + cut() + " AND " + cut()
+	case 4:
+		g.q.text = "SELECT id, age FROM users WHERE " + call + " IN (" + g.intArg(0, 2) + ", " + cut() + ")"
+	case 5:
+		g.q.text = "SELECT id, " + call + " * 2 + age FROM users WHERE id < " + g.intArg(0, 200)
+	case 6:
+		g.q.text = "SELECT " + call + ", COUNT(*), AVG(score) FROM users GROUP BY " + call
+	case 7:
+		g.q.ordered = true
+		g.q.text = "SELECT id, " + call + " FROM users ORDER BY " + call + " DESC, id" + fmt.Sprintf(" LIMIT %d", 1+g.r.Intn(12))
+	case 8: // score has no index: every path sums in heap order
+		g.q.text = "SELECT SUM(" + call + "), MIN(" + call + "), MAX(" + call + "), AVG(" + call + ") FROM users WHERE score > " + g.floatArg(80)
+	default:
+		g.q.text = "SELECT u.id, o.amount FROM users u JOIN orders o ON u.id = o.user_id WHERE " + call + " " + g.op() + " " + cut() + " AND o.amount > " + g.floatArg(500)
+	}
+	return g.q
+}
+
 // planDiffEngine loads users (five columns), orders and items, and
-// trains the model PREDICT conjuncts call.
+// trains the models PREDICT calls: churn (logistic), lin and tr.
 func planDiffEngine(t *testing.T, indexed bool) *Engine {
 	t.Helper()
 	e := NewEngine()
@@ -279,6 +360,8 @@ func planDiffEngine(t *testing.T, indexed bool) *Engine {
 		return fmt.Sprintf("(%d, %s, 1)", i, []string{"-0.0", "0.0", "1.0", "1.5", "2.0", "-2.0", "9007199254740992", "2.5"}[i])
 	})
 	sb.WriteString("CREATE MODEL churn PREDICT churned ON users FEATURES (age, score) WITH (kind = 'logistic', epochs = 20);\n")
+	sb.WriteString("CREATE MODEL lin PREDICT churned ON users FEATURES (age, score) WITH (kind = 'linear');\n")
+	sb.WriteString("CREATE MODEL tr PREDICT churned ON users FEATURES (age, score) WITH (kind = 'tree');\n")
 	if indexed {
 		sb.WriteString("CREATE INDEX users_age ON users (age); CREATE INDEX orders_user ON orders (user_id); CREATE INDEX items_qty ON items (qty)")
 	}
@@ -302,6 +385,19 @@ func sequence(rows []catalog.Row, err error) string {
 
 func TestPlanShapeDifferential(t *testing.T) {
 	engines := []*Engine{planDiffEngine(t, false), planDiffEngine(t, true)}
+	// Count the rows PREDICT's chunk form is handed, which only the
+	// engine's paths call: the reference's executor has no chunk forms.
+	var chunkRows atomic.Int64
+	for _, e := range engines {
+		counted := map[string]exec.VectorFunc{}
+		for name, fn := range e.vectors {
+			counted[name] = func(first catalog.Value, args [][]float64, out []float64) error {
+				chunkRows.Add(int64(len(out)))
+				return fn(first, args, out)
+			}
+		}
+		e.vectors = counted
+	}
 	g := &planGen{r: rand.New(rand.NewSource(20210621))}
 	ctx := context.Background()
 	errors, empties, sunk, indexed := 0, 0, 0, 0
@@ -330,6 +426,9 @@ func TestPlanShapeDifferential(t *testing.T) {
 				}
 				if got != want {
 					t.Fatalf("engine %d, %s: %s %v (reference %s)\n%s", ei, how, param, q.params, refText, outcomeDiff(got, want))
+				}
+				if err != nil && q.fails != "" && !strings.Contains(err.Error(), q.fails) {
+					t.Fatalf("engine %d, %s: %s %v failed with %v, want %q", ei, how, param, q.params, err, q.fails)
 				}
 			}
 			// The reference: Build's plan as it stands, serial.
@@ -400,6 +499,24 @@ func TestPlanShapeDifferential(t *testing.T) {
 	}
 	if matched < 24 {
 		t.Errorf("weak coverage: %d of 48 mixed-type joins matched any pair", matched)
+	}
+	// PREDICT in every position, chunk form against per-row form: also
+	// a generator of its own.
+	pg := &planGen{r: rand.New(rand.NewSource(20210625))}
+	predictErrors, predictRows := 0, 0
+	for i := 0; i < 160; i++ {
+		switch q := pg.predict(); run(q) {
+		case "error":
+			predictErrors++
+		case "":
+		default:
+			predictRows++
+		}
+	}
+	t.Logf("of 160 PREDICT statements %d fail and %d return rows; the chunk form saw %d rows", predictErrors, predictRows, chunkRows.Load())
+	if predictErrors < 16 || predictRows < 80 || chunkRows.Load() < 100_000 {
+		t.Errorf("weak coverage: of 160 PREDICT statements %d fail and %d return rows; the chunk form saw %d rows",
+			predictErrors, predictRows, chunkRows.Load())
 	}
 	// The generator must actually reach the cases it is there for.
 	if errors == 0 || errors > total/4 || empties < 20 || sunk < total/3 || indexed < total/8 {

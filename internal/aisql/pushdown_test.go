@@ -78,14 +78,28 @@ func TestPredictPushdownCutsInvocations(t *testing.T) {
 	if optCalls*5 >= naiveCalls {
 		t.Errorf("optimized plan invocations %d should be <20%% of naive %d", optCalls, naiveCalls)
 	}
-	// And the engine's own Execute path must use the optimized plan: it
-	// should produce the same answer.
-	res, err := e.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0].(int64) != optAnswer {
-		t.Errorf("engine answer %v != %v", res.Rows[0][0], optAnswer)
+	// And the engine's own Execute path must use the optimized plan: the
+	// same answer, with PREDICT's chunk form — what the engine runs —
+	// handed only the rows age = 20 kept, at any parallelism.
+	var rows atomic.Int64
+	chunkForm := e.vectors["PREDICT"]
+	e.vectors = map[string]exec.VectorFunc{"PREDICT": func(name catalog.Value, args [][]float64, out []float64) error {
+		rows.Add(int64(len(out)))
+		return chunkForm(name, args, out)
+	}}
+	for _, workers := range []int{1, 4} {
+		e.Parallelism = workers
+		rows.Store(0)
+		res, err := e.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows[0][0].(int64) != optAnswer {
+			t.Errorf("parallelism %d: engine answer %v != %v", workers, res.Rows[0][0], optAnswer)
+		}
+		if got := rows.Load(); got != optCalls {
+			t.Errorf("parallelism %d: the chunk form saw %d rows, want the %d that pass age = 20", workers, got, optCalls)
+		}
 	}
 }
 

@@ -76,6 +76,54 @@ func TestSessionPrepareExecuteSelect(t *testing.T) {
 	}
 }
 
+// TestSessionPredictFeatureCount sends PREDICT and PREDICT_PROBA calls
+// with too few and too many features through a session, ad hoc and
+// prepared: each fails with the model's feature count, and the session
+// keeps answering (PREDICT_PROBA used to panic the serving process).
+func TestSessionPredictFeatureCount(t *testing.T) {
+	db := OpenSeeded(7)
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO cust VALUES ")
+	for i := 0; i < 60; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d.5, %d)", 18+i%50, i%40, i%50/25)
+	}
+	for _, stmt := range []string{
+		"CREATE TABLE cust (age INT, spend FLOAT, label INT)",
+		sb.String(),
+		"CREATE MODEL p PREDICT label ON cust FEATURES (age, spend) WITH (kind = 'logistic', epochs = 5)",
+	} {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := db.NewSession()
+	defer s.Close()
+	for _, fn := range []string{"PREDICT", "PREDICT_PROBA"} {
+		for _, args := range []string{"age", "age, spend, $1"} {
+			q := "SELECT " + fn + "(p, " + args + ") FROM cust WHERE age > $1"
+			if _, err := s.Exec("PREPARE q AS " + q); err != nil {
+				t.Fatal(err)
+			}
+			for _, stmt := range []string{"EXECUTE q (20)", strings.ReplaceAll(q, "$1", "20")} {
+				_, err := s.Exec(stmt)
+				if err == nil || !strings.Contains(err.Error(), `model "p" expects 2 features`) {
+					t.Errorf("%s (%s): error %v, want the feature count", stmt, q, err)
+				}
+			}
+			if _, err := s.Exec("DEALLOCATE q"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	res, err := s.Exec("SELECT COUNT(*) FROM cust WHERE PREDICT_PROBA(p, age, spend) >= 0")
+	if err != nil || res.Rows[0][0] != int64(60) {
+		t.Fatalf("after the failures: %v, %v", res, err)
+	}
+}
+
 func TestExecuteSkipsParserPlannerEstimator(t *testing.T) {
 	db := seededDB(t, 300)
 	s := db.NewSession()

@@ -33,6 +33,15 @@ type bound struct {
 	fi func(c *Chunk, r int32) (int64, error)
 	ff func(c *Chunk, r int32) (float64, error)
 	fv func(c *Chunk, r int32) (catalog.Value, error)
+
+	// vc, when set, is the chunk-form call a kFloat computation is; ff is
+	// then the call on one row.
+	vc *vecCall
+}
+
+// isConst reports whether b is a literal or a parameter: kv, no row read.
+func (b *bound) isConst() bool {
+	return b.col < 0 && b.fi == nil && b.ff == nil && b.fv == nil
 }
 
 func constant(v catalog.Value) bound {
@@ -110,6 +119,9 @@ func (b *bound) value(c *Chunk, r int32) (catalog.Value, error) {
 // empty vector of its kind, sized to c.
 func (b *bound) fill(dst *vec, c *Chunk, sel []int32) error {
 	dst.extend(c.n)
+	if b.vc != nil {
+		return b.vc.fill(dst.F, c, sel)
+	}
 	var err error
 	for _, r := range sel {
 		switch b.k {
@@ -124,6 +136,35 @@ func (b *bound) fill(dst *vec, c *Chunk, sel []int32) error {
 		}
 		if err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// floats writes the numeric expression's value at each row of sel into
+// out[i]: a chunk-form call once for the selection, a column by a typed
+// loop, anything else row by row.
+func (b *bound) floats(c *Chunk, sel []int32, out []float64) error {
+	switch {
+	case b.vc != nil:
+		return b.vc.call(c, sel, out)
+	case b.col >= 0 && b.k == kFloat:
+		cells := c.cols[b.col].F
+		for i, r := range sel {
+			out[i] = cells[r]
+		}
+	case b.col >= 0 && b.k == kInt:
+		cells := c.cols[b.col].I
+		for i, r := range sel {
+			out[i] = float64(cells[r])
+		}
+	default:
+		for i, r := range sel {
+			x, err := b.float(c, r)
+			if err != nil {
+				return err
+			}
+			out[i] = x
 		}
 	}
 	return nil
@@ -260,7 +301,7 @@ func bind(e sql.Expr, scope *Scope, funcs FuncRegistry) (bound, error) {
 		if err != nil {
 			return bound{}, err
 		}
-		return bound{k: kAny, col: -1, fv: func(c *Chunk, r int32) (catalog.Value, error) {
+		perRow := func(c *Chunk, r int32) (catalog.Value, error) {
 			// The arguments go on the chunk's stacks: the chunk belongs to
 			// one worker, and a nested call pushes above them.
 			base, cells := len(c.args), len(c.cells)
@@ -274,12 +315,111 @@ func bind(e sql.Expr, scope *Scope, funcs FuncRegistry) (bound, error) {
 			}
 			v, err := fn(c.args[base:len(c.args):len(c.args)])
 			return c.keepArg(v, cells), err
-		}}, nil
+		}
+		if vf, ok := scope.vectors[v.Name]; ok {
+			if b, ok := bindVectorCall(vf, args, perRow); ok {
+				return b, nil
+			}
+		}
+		return bound{k: kAny, col: -1, fv: perRow}, nil
 	case *sql.Star:
 		return bound{}, fmt.Errorf("exec: '*' is only valid as a projection or COUNT argument")
 	default:
 		return bound{}, fmt.Errorf("exec: cannot evaluate %T", e)
 	}
+}
+
+// vecCall is a function call bound to its chunk form: the constant first
+// argument it is passed once, and the numeric rest it is passed as
+// columns. perRow is the same call through the ScalarFunc, on one row.
+type vecCall struct {
+	fn     VectorFunc
+	first  catalog.Value
+	args   []bound
+	perRow func(c *Chunk, r int32) (catalog.Value, error)
+}
+
+// bindVectorCall binds a call to fn when its arguments allow one — the
+// first a constant, the rest numbers — as a kFloat computation.
+func bindVectorCall(fn VectorFunc, args []bound, perRow func(*Chunk, int32) (catalog.Value, error)) (bound, bool) {
+	if len(args) == 0 || !args[0].isConst() {
+		return bound{}, false
+	}
+	for _, a := range args[1:] {
+		if !a.k.numeric() {
+			return bound{}, false
+		}
+	}
+	call := &vecCall{fn: fn, first: args[0].kv, args: args[1:], perRow: perRow}
+	return bound{k: kFloat, col: -1, ff: call.row, vc: call}, true
+}
+
+// call writes the function's value at each row of sel into out[i]. Each
+// argument is gathered into a column on the chunk's float stack — a
+// nested call stacks above it — so a worker allocates nothing once its
+// chunks' stacks have grown. An empty selection calls nothing, as no row
+// calls the per-row form.
+//
+// Gathering evaluates one argument for every row before the next, and
+// the function's own checks come last, so a failure can be a different
+// row's or argument's than the per-row form meets first. On failure the
+// selection is run again row by row through the ScalarFunc, and the
+// first error that gives is the call's.
+func (v *vecCall) call(c *Chunk, sel []int32, out []float64) error {
+	if len(sel) == 0 {
+		return nil
+	}
+	floats, vargs := len(c.floats), len(c.vargs)
+	err := v.gather(c, sel)
+	if err == nil {
+		err = v.fn(v.first, c.vargs[vargs:len(c.vargs):len(c.vargs)], out)
+	}
+	c.floats, c.vargs = c.floats[:floats], c.vargs[:vargs]
+	if err != nil {
+		for _, r := range sel {
+			if _, rowErr := v.perRow(c, r); rowErr != nil {
+				return rowErr
+			}
+		}
+	}
+	return err
+}
+
+func (v *vecCall) gather(c *Chunk, sel []int32) error {
+	for i := range v.args {
+		col := c.pushFloats(len(sel))
+		if err := v.args[i].floats(c, sel, col); err != nil {
+			return err
+		}
+		c.vargs = append(c.vargs, col)
+	}
+	return nil
+}
+
+// fill writes the function's value at each row r of sel into cells[r].
+func (v *vecCall) fill(cells []float64, c *Chunk, sel []int32) error {
+	mark := len(c.floats)
+	out := c.pushFloats(len(sel))
+	err := v.call(c, sel, out)
+	if err == nil {
+		for i, r := range sel {
+			cells[r] = out[i]
+		}
+	}
+	c.floats = c.floats[:mark]
+	return err
+}
+
+// row is the call on row r alone, for a caller working row by row. Every
+// call nested in it is on the same row, so they share c.one.
+func (v *vecCall) row(c *Chunk, r int32) (float64, error) {
+	mark := len(c.floats)
+	out := c.pushFloats(1)
+	c.one[0] = r
+	err := v.call(c, c.one[:], out)
+	x := out[0]
+	c.floats = c.floats[:mark]
+	return x, err
 }
 
 // bindArith picks the arithmetic for its operands' kinds: int64 for two
@@ -460,6 +600,9 @@ func bindBool(e sql.Expr, scope *Scope, funcs FuncRegistry) (pred, error) {
 	if p, ok := columnVsNumber(l, r, op); ok {
 		return p, nil
 	}
+	if p, ok := callVsNumber(l, r, op); ok {
+		return p, nil
+	}
 	return cmpTest(op, bindComparer(l, r)), nil
 }
 
@@ -532,9 +675,9 @@ func cmpTest(op cmpOp, cmp comparer) rowPred {
 // binds.
 func columnVsNumber(l, r bound, op cmpOp) (p pred, ok bool) {
 	if l.col < 0 {
-		l, r, op = r, l, op&opEQ|(op&opLT)<<2|(op&opGT)>>2 // k op column: mirrored
+		l, r, op = r, l, op.mirrored() // k op column
 	}
-	if l.col < 0 || r.col >= 0 || r.fi != nil || r.ff != nil || r.fv != nil {
+	if l.col < 0 || !r.isConst() {
 		return nil, false
 	}
 	ints := func(v *vec) []int64 { return v.I }
@@ -565,6 +708,44 @@ func (p colPred[T, K]) test(c *Chunk, r int32) (bool, error) {
 
 func (p colPred[T, K]) apply(c *Chunk, sel []int32) ([]int32, error) {
 	return selectCmp(p.cells(c.cols[p.col]), p.k, p.op, sel), nil
+}
+
+// callVsNumber binds a chunk-form call compared with a numeric literal
+// or parameter, either way round, to a callPred. ok is false for every
+// other shape.
+func callVsNumber(l, r bound, op cmpOp) (p pred, ok bool) {
+	if l.vc == nil {
+		l, r, op = r, l, op.mirrored()
+	}
+	if l.vc == nil || !r.isConst() || !r.k.numeric() {
+		return nil, false
+	}
+	k, _ := r.float(nil, 0)
+	return callPred{l.vc, k, op}, true
+}
+
+// callPred is `call op k`: the call runs once for the rows of the
+// selection, into a float vector selectCmp narrows the selection over.
+type callPred struct {
+	call *vecCall
+	k    float64
+	op   cmpOp
+}
+
+func (p callPred) test(c *Chunk, r int32) (bool, error) {
+	x, err := p.call.row(c, r)
+	return err == nil && p.op.holds(cmpOrd(x, p.k)), err
+}
+
+func (p callPred) apply(c *Chunk, sel []int32) ([]int32, error) {
+	mark := len(c.floats)
+	cells := c.pushFloats(c.n)
+	err := p.call.fill(cells, c, sel)
+	if err == nil {
+		sel = selectCmp(cells, p.k, p.op, sel)
+	}
+	c.floats = c.floats[:mark]
+	return sel, err
 }
 
 // selectCmp narrows sel to the rows whose cell x satisfies `x op k`,
@@ -654,6 +835,9 @@ func cmpOpOf(op string) cmpOp {
 
 // holds reports whether the operator accepts compare's result x.
 func (op cmpOp) holds(x int) bool { return op>>(x+1)&1 != 0 }
+
+// mirrored is the operator with its operands swapped: k < x is x > k.
+func (op cmpOp) mirrored() cmpOp { return op&opEQ | (op&opLT)<<2 | (op&opGT)>>2 }
 
 // truthy coerces a value used as a condition.
 func truthy(v catalog.Value) (bool, error) {

@@ -23,7 +23,8 @@ const (
 	kFloat       // float64, in vec.F
 	kString      // string, in vec.S
 	// kAny holds boxed values whose type is not fixed until they exist:
-	// scalar-function results, virtual-table cells, arithmetic over them.
+	// per-row scalar-function results, virtual-table cells, arithmetic
+	// over them.
 	kAny
 )
 
@@ -152,6 +153,13 @@ type Chunk struct {
 	// cells holds the numbers among them, which are boxed in place.
 	args  []catalog.Value
 	cells []uint64
+	// floats is the stack of the chunk-form calls evaluated over the
+	// chunk: their arguments gathered as float64 columns, headed in vargs,
+	// and their results. one is the selection of a call made for a single
+	// row.
+	floats []float64
+	vargs  [][]float64
+	one    [1]int32
 
 	// charged is the byte count this chunk currently holds against the
 	// run's memory budget (0 = uncharged). Set by runCtx.chargeEmit,
@@ -231,6 +239,16 @@ func (c *Chunk) bytes() int64 {
 func (c *Chunk) reset() {
 	c.n, c.used, c.charged = 0, 0, 0
 	c.sel, c.cols, c.rids, c.args, c.cells = c.sel[:0], c.cols[:0], c.rids[:0], c.args[:0], c.cells[:0]
+	c.floats, c.vargs = c.floats[:0], c.vargs[:0]
+}
+
+// pushFloats returns n cells from the top of the chunk's float stack. The
+// caller pops them, and anything pushed above them, by truncating floats
+// to the length it found.
+func (c *Chunk) pushFloats(n int) []float64 {
+	base := len(c.floats)
+	c.floats = slices.Grow(c.floats, n)[:base+n]
+	return c.floats[base : base+n : base+n]
 }
 
 // maxPoolChunks bounds the free list; beyond it returned chunks are

@@ -14,8 +14,10 @@
 // order, so parallel results are row-for-row identical to serial ones
 // (Executor.Parallelism = 1 pins the serial baseline). The evaluator has
 // a pluggable scalar-function registry (which is how AISQL's PREDICT()
-// reaches trained models without an import cycle); registered functions
-// must be safe for concurrent use under parallelism.
+// reaches trained models without an import cycle), where a function may
+// also have a chunk form that runs once per chunk over float64 vectors;
+// registered functions must be safe for concurrent use under
+// parallelism.
 package exec
 
 import (
@@ -35,6 +37,19 @@ type ScalarFunc func(args []catalog.Value) (catalog.Value, error)
 // FuncRegistry resolves scalar function names to implementations.
 type FuncRegistry map[string]ScalarFunc
 
+// VectorFunc is the chunk form of the ScalarFunc registered under the
+// same name, for a function whose results are float64: it evaluates the
+// function for every row of a selection in one call, writing row i's
+// result into out[i]. A call binds to it when its first argument is a
+// constant (a literal or a parameter), which arrives once as first, and
+// every other argument is a number: args[j][i] is row i's argument j+1
+// as a float64. Any other call runs the ScalarFunc row by row. A
+// VectorFunc must give each row the ScalarFunc's result, and fail when
+// the ScalarFunc fails on some row — the selection is then run again
+// through the ScalarFunc, whose first error is the call's. It may use
+// args only during the call.
+type VectorFunc func(first catalog.Value, args [][]float64, out []float64) error
+
 // Scope maps qualified column names to chunk columns for binding.
 // Params, when set, carries the positional bindings for $N parameter
 // placeholders (1-based; Params[0] binds $1), so one cached
@@ -45,6 +60,8 @@ type Scope struct {
 	// boxed (a row handed to Eval).
 	kinds  []kind
 	Params []catalog.Value
+	// vectors are the chunk forms of the executor's functions.
+	vectors map[string]VectorFunc
 }
 
 // NewScope builds a scope from a plan schema.
@@ -60,7 +77,7 @@ func NewScopeParams(names []string, params []catalog.Value) *Scope {
 // executor's parameter bindings, so $N placeholders in cached plans
 // resolve against the current run.
 func (ex *Executor) newScope(names []string, kinds []kind) *Scope {
-	return &Scope{names: names, kinds: kinds, Params: ex.Params}
+	return &Scope{names: names, kinds: kinds, Params: ex.Params, vectors: ex.VectorFuncs}
 }
 
 // Resolve finds the position of a column reference; it accepts exact
@@ -111,7 +128,7 @@ func Eval(e sql.Expr, scope *Scope, row catalog.Row, funcs FuncRegistry) (catalo
 	if err != nil {
 		return nil, err
 	}
-	if b.col < 0 && b.fi == nil && b.ff == nil && b.fv == nil {
+	if b.isConst() {
 		return b.kv, nil // a literal or a parameter: no row to read
 	}
 	return b.value(rowChunk(row), 0)

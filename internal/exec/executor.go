@@ -49,6 +49,10 @@ type Result struct {
 // stages evaluate expressions from multiple scan workers.
 type Executor struct {
 	Funcs FuncRegistry
+	// VectorFuncs holds chunk forms of functions in Funcs, under the same
+	// names: a call bound to one runs once per chunk instead of once per
+	// row. Like Funcs they must be safe for concurrent use.
+	VectorFuncs map[string]VectorFunc
 	// Stats counts rows produced per operator type, for the monitoring
 	// and performance-prediction experiments.
 	Stats ExecStats

@@ -139,12 +139,35 @@ func (m *LogisticRegression) PartialFit(f []float64, y float64) {
 
 // PredictProba returns P(y=1 | f).
 func (m *LogisticRegression) PredictProba(f []float64) float64 {
-	return Sigmoid(Dot(m.Weights, f) + m.Intercept)
+	return Sigmoid(m.logit(f))
 }
 
 // Predict returns the hard 0/1 label at threshold 0.5.
 func (m *LogisticRegression) Predict(f []float64) float64 {
-	if m.PredictProba(f) >= 0.5 {
+	return label(m.logit(f))
+}
+
+// logit is z for one feature row, the one sum every label and
+// probability path takes.
+func (m *LogisticRegression) logit(f []float64) float64 {
+	return Dot(m.Weights, f) + m.Intercept
+}
+
+// labelBand is the width below zero inside which Sigmoid rounds to 0.5
+// or above: exp(z) is within an ulp or two of 1 there. Below it the
+// probability is under 0.5 by far more than rounding can reach.
+const labelBand = 1e-9
+
+// label is Sigmoid(z) >= 0.5 as 1 or 0, decided by z's sign without an
+// exponential except inside the band where rounding decides: z >= 0 is
+// 1 (1+exp(-z) <= 2), z < -labelBand or NaN is 0.
+func label(z float64) float64 {
+	switch {
+	case z >= 0:
+		return 1
+	case z < -labelBand || z != z:
+		return 0
+	case Sigmoid(z) >= 0.5:
 		return 1
 	}
 	return 0

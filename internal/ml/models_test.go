@@ -106,6 +106,66 @@ func TestSigmoidProperties(t *testing.T) {
 	}
 }
 
+// TestLabelMatchesSigmoidThreshold pins the exponential-free logistic
+// label to the definition it replaces, Sigmoid(z) >= 0.5, at the values
+// where they could part — the zeros, the smallest subnormal, the band's
+// edge and its neighbours, the infinities, NaN — and at a million seeded
+// logits spread over every magnitude; Predict and PredictBatch must give
+// the same label for each.
+func TestLabelMatchesSigmoidThreshold(t *testing.T) {
+	want := func(z float64) float64 {
+		if Sigmoid(z) >= 0.5 {
+			return 1
+		}
+		return 0
+	}
+	var zs []float64
+	for _, z := range []float64{0, 5e-324, 0x1p-54, 1e-17, 1e-9, 1, math.Inf(1)} {
+		zs = append(zs, z, -z, math.Nextafter(z, 0), -math.Nextafter(z, 0), math.Nextafter(z, 2), -math.Nextafter(z, 2))
+	}
+	zs = append(zs, math.NaN(), math.Copysign(0, -1))
+	rng := NewRNG(7)
+	for i := 0; i < 1_000_000; i++ {
+		var z float64
+		switch i % 3 {
+		case 0: // every binary exponent, subnormals included
+			z = math.Ldexp(rng.Float64(), -rng.Intn(1075))
+		case 1: // the band and its surroundings
+			z = rng.Float64() * 4e-9
+		default:
+			z = rng.Float64() * 80
+		}
+		if rng.Intn(2) == 0 {
+			z = -z
+		}
+		zs = append(zs, z)
+	}
+	inBand := 0
+	for _, z := range zs {
+		if got := label(z); math.Float64bits(got) != math.Float64bits(want(z)) {
+			t.Fatalf("label(%v) = %v, Sigmoid(z) >= 0.5 says %v", z, got, want(z))
+		}
+		if z < 0 && z >= -labelBand {
+			inBand++
+		}
+	}
+	if inBand < 100_000 {
+		t.Fatalf("only %d logits inside the band", inBand)
+	}
+	// One feature, weight 1, intercept 0: the logit is the feature.
+	m := &LogisticRegression{Weights: []float64{1}}
+	x := NewMatrix(len(zs), 1)
+	for i, z := range zs {
+		x.Set(i, 0, z)
+	}
+	batch := m.PredictBatch(x)
+	for i, z := range zs {
+		if got := m.Predict(x.Row(i)); got != want(z) || batch[i] != got {
+			t.Fatalf("z = %v: Predict %v, PredictBatch %v, want %v", z, got, batch[i], want(z))
+		}
+	}
+}
+
 func TestMLPLearnsXOR(t *testing.T) {
 	rng := NewRNG(4)
 	net := NewMLP(rng, Tanh, 2, 8, 1)

@@ -33,15 +33,8 @@ func (lr *LinearRegression) PredictBatch(x *Matrix) []float64 {
 // growing it when needed, and returns it.
 func (m *LogisticRegression) PredictProbaBatchInto(dst []float64, x *Matrix) []float64 {
 	dst = growFloats(dst, x.Rows)
-	w := m.Weights
-	b := m.Intercept
 	for i := range dst {
-		row := x.Row(i)
-		s := 0.0
-		for j, v := range w {
-			s += v * row[j]
-		}
-		dst[i] = Sigmoid(s + b)
+		dst[i] = Sigmoid(m.logit(x.Row(i)))
 	}
 	return dst
 }
@@ -53,13 +46,9 @@ func (m *LogisticRegression) PredictProbaBatch(x *Matrix) []float64 {
 
 // PredictBatch returns the hard 0/1 label for every row of x.
 func (m *LogisticRegression) PredictBatch(x *Matrix) []float64 {
-	dst := m.PredictProbaBatch(x)
-	for i, p := range dst {
-		if p >= 0.5 {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
+	dst := make([]float64, x.Rows)
+	for i := range dst {
+		dst[i] = label(m.logit(x.Row(i)))
 	}
 	return dst
 }
