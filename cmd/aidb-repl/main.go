@@ -6,9 +6,9 @@
 //	SELECT a, PREDICT(m, a, b) FROM t;
 //	EVALUATE MODEL m ON t;
 //
-// Type \q to quit, \h for help. With -serve ADDR the shell also exposes
-// live telemetry (metrics, time series, slow log, traces, alerts,
-// pprof) over HTTP while it runs.
+// Type \q to quit, \h for help. With -serve ADDR the shell also runs
+// the telemetry sampler and serves aidb-serve's HTTP front end (POST
+// /query, metrics, time series, traces, pprof) while it runs.
 package main
 
 import (
@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"aidb/internal/core"
+	"aidb/internal/serve"
 )
 
 const help = `Statements end with ';'. Supported:
@@ -34,32 +35,33 @@ const help = `Statements end with ';'. Supported:
   SELECT PREDICT(m, f1, f2) FROM t;  EVALUATE MODEL m ON t;  SHOW MODELS;  DROP MODEL m;
   EXPLAIN ANALYZE SELECT ...;   per-operator est vs actual rows, time, morsel/worker counts
 Meta: \q quit, \h help, \prepared list prepared statements,
-      \metrics live metric counters, \trace last query's span tree,
-      \slowlog captured query log (latency, fingerprint, profile, chaos fires),
-      \alerts KPI anomaly alerts (telemetry sampler runs when -serve is set),
-      \sys list system.* tables; \sys NAME shorthand for SELECT * FROM system.NAME,
-      \sys statements top fingerprints by total latency (the statement statistics store),
+      \trace last query's span tree,
+      \sys list system.* tables; \sys NAME shorthand for SELECT * FROM system.NAME
+      (\sys metrics live metrics, \sys alerts KPI anomaly alerts: the sampler runs when -serve is set),
+      \sys statements top statements by total latency (the statement statistics store),
       \parallel [n] show or set the morsel worker budget (0 auto, 1 serial),
       \timeout [dur] show or set the default statement timeout (e.g. 500ms; 0 none),
       \maxconcurrent [n] show or set the admission-gate concurrency bound (0 unlimited),
       \maxmem [bytes] show or set the per-query memory budget (0 unlimited).`
 
 func main() {
-	serve := flag.String("serve", "", "expose live telemetry over HTTP on this address (e.g. :8080)")
+	httpAddr := flag.String("serve", "", "serve the HTTP front end (POST /query, telemetry) on this address (e.g. :8080)")
 	flag.Parse()
 	db := core.Open()
 	// The shell is one session: prepared statements and transaction
 	// brackets live here, everything else flows through to the engine.
 	sess := db.NewSession()
 	defer sess.Close()
-	if *serve != "" {
-		srv, err := db.Serve(*serve)
+	if *httpAddr != "" {
+		ln, err := serve.ListenHTTP(db, *httpAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "serve:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("telemetry: http://%s/\n", srv.Addr())
+		defer ln.Close()
+		db.StartTelemetry(0)
 		defer db.Close()
+		fmt.Printf("telemetry: http://%s/\n", ln.Addr())
 	}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -83,23 +85,11 @@ func main() {
 			fmt.Println(help)
 			prompt()
 			continue
-		case `\metrics`:
-			db.WriteMetrics(os.Stdout)
-			prompt()
-			continue
 		case `\trace`:
 			if tr := db.LastTrace(); tr != "" {
 				fmt.Print(tr)
 			} else {
 				fmt.Println("no query traced yet")
-			}
-			prompt()
-			continue
-		case `\slowlog`:
-			if dump := db.SlowLog().Dump(); dump != "" {
-				fmt.Print(dump)
-			} else {
-				fmt.Println("slow-query log is empty")
 			}
 			prompt()
 			continue
@@ -110,14 +100,6 @@ func main() {
 			}
 			for _, n := range names {
 				fmt.Println("  " + n)
-			}
-			prompt()
-			continue
-		case `\alerts`:
-			if dump := db.Alerts().Dump(); dump != "" {
-				fmt.Print(dump)
-			} else {
-				fmt.Println("no anomaly alerts")
 			}
 			prompt()
 			continue
@@ -134,7 +116,7 @@ func main() {
 				prompt()
 				continue
 			case "statements":
-				query = "SELECT fingerprint, calls, rows, total_ns, p95_ns, max_ns FROM system.statements ORDER BY total_ns DESC LIMIT 20"
+				query = "SELECT query, calls, rows, total_ns, p95_ns, max_ns, chaos_fires FROM system.statements ORDER BY total_ns DESC LIMIT 20"
 			default:
 				query = "SELECT * FROM system." + rest + " LIMIT 50"
 			}
@@ -219,6 +201,11 @@ func main() {
 					fmt.Println("per-query memory budget removed")
 				}
 			}
+			prompt()
+			continue
+		}
+		if strings.HasPrefix(trimmed, `\`) {
+			fmt.Printf("unknown command %s (\\h for help; statements, metrics and alerts are \\sys tables)\n", trimmed)
 			prompt()
 			continue
 		}

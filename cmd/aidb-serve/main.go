@@ -1,9 +1,13 @@
 // Command aidb-serve runs aidb as a multi-session server: a
 // line-oriented TCP protocol (one session per connection, with
-// PREPARE/EXECUTE support) and an HTTP endpoint (POST /query plus the
-// telemetry surface). All sessions share one plan cache and pass the
-// admission gate, so repeated statements from any client skip
+// PREPARE/EXECUTE support) and an HTTP endpoint (POST /query plus
+// /metrics, /timeseries, /traces and pprof). All sessions share one plan cache and
+// pass the admission gate, so repeated statements from any client skip
 // parse/plan/optimize entirely.
+//
+// The server does not run the telemetry sampler: /timeseries (what
+// aidb-top polls), the anomaly detector and system.alerts stay empty
+// here. aidb-repl -serve runs it.
 //
 //	aidb-serve -listen :7070 -http :8080 -max-concurrent 16 -timeout 5s
 //
@@ -72,5 +76,4 @@ func main() {
 	<-sig
 	fmt.Println("aidb-serve: shutting down")
 	srv.Close()
-	db.StopTelemetry()
 }

@@ -1,5 +1,6 @@
 // Command aidb-top is a live terminal dashboard over an aidb telemetry
-// endpoint (aidb-repl -serve / aidb-serve -http / db.Serve). It polls
+// endpoint whose process runs the sampler (aidb-repl -serve; aidb-serve
+// -http does not run it, so its /timeseries stays empty). It polls
 // /timeseries and renders one sparkline row per metric — the operator's
 // at-a-glance view of the monitoring plane.
 //

@@ -25,12 +25,10 @@ import (
 //     spans, so \trace shows per-operator timings;
 //   - every operator's (estimated, actual) cardinality pair is recorded
 //     on e.Feedback, feeding the learned-estimator feedback loop;
-//   - the slow-query log entry carries the full profile summary and any
-//     chaos faults that fired during the run.
+//   - the run is recorded as a call of the statement it profiles.
 func (e *Engine) explainAnalyze(ctx context.Context, ent *plancache.Entry, kind string, sp *obs.Span, text string, params []catalog.Value) (*exec.Result, error) {
 	start := time.Now()
 	kind = "EXPLAIN ANALYZE " + kind
-	chaosBefore := e.Chaos.FireCounts()
 	prof := exec.NewQueryProfile(ent.Plan, plan.HistogramEstimator{Params: params})
 	esp := sp.Child("exec")
 	ex := e.executor(params)
@@ -39,7 +37,7 @@ func (e *Engine) explainAnalyze(ctx context.Context, ent *plancache.Entry, kind 
 	prof.AttachSpans(esp)
 	esp.Finish()
 	if err != nil {
-		e.record(text, kind, ent.Fingerprint, time.Since(start), nil, err, "", nil)
+		e.record(ent, text, kind, time.Since(start), nil, err)
 		return nil, err
 	}
 	latency := time.Since(start)
@@ -65,6 +63,6 @@ func (e *Engine) explainAnalyze(ctx context.Context, ent *plancache.Entry, kind 
 			op.PeakBytes(),
 		})
 	})
-	e.record(text, kind, ent.Fingerprint, latency, res, nil, prof.Summary(), chaosBefore)
+	e.record(ent, text, kind, latency, res, nil)
 	return out, nil
 }

@@ -200,53 +200,45 @@ func TestExplainAnalyzeFeedback(t *testing.T) {
 	}
 }
 
-// TestSlowLogCapturesQueries checks plain and profiled SELECTs land in
-// the slow-query log with fingerprint and latency, and that a repeated
-// plan shape folds into one entry (occurrence count, first-seen text)
-// that the EXPLAIN ANALYZE run enriches with the profile summary.
-func TestSlowLogCapturesQueries(t *testing.T) {
+// TestStatementsCaptureQueries checks a plain SELECT and an EXPLAIN
+// ANALYZE of it land in the statement store as two calls of one entry:
+// the plan shape's fingerprint, the first text seen, latency tracked.
+func TestStatementsCaptureQueries(t *testing.T) {
 	e, _ := analyzeEngine(t, 500)
-	start := e.SlowLog().Len()
 	if _, err := e.Execute("SELECT a FROM big WHERE b < 10"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Execute("EXPLAIN ANALYZE SELECT a FROM big WHERE b < 10"); err != nil {
 		t.Fatal(err)
 	}
-	es := e.SlowLog().Entries()
-	if len(es)-start != 1 {
-		t.Fatalf("slowlog grew by %d entries, want 1 (same fingerprint folds)", len(es)-start)
+	stats := e.Stmts().Snapshot()
+	if len(stats) != 1 {
+		t.Fatalf("statement store holds %d entries, want 1 (one statement, profiled or not): %+v", len(stats), stats)
 	}
-	entry := es[len(es)-1]
-	if entry.Count != 2 {
-		t.Errorf("occurrence count = %d, want 2", entry.Count)
+	s := stats[0]
+	if s.Calls != 2 || s.Errors != 0 {
+		t.Errorf("calls = %d, errors = %d, want 2 and 0", s.Calls, s.Errors)
 	}
-	if entry.LastSeq != entry.Seq+1 {
-		t.Errorf("first/last seen = #%d/#%d, want consecutive seqs", entry.Seq, entry.LastSeq)
+	if !strings.Contains(s.Fingerprint, "Scan(big)") {
+		t.Errorf("fingerprint %q missing Scan(big)", s.Fingerprint)
 	}
-	if !strings.Contains(entry.Fingerprint, "Scan(big)") {
-		t.Errorf("fingerprint %q missing Scan(big)", entry.Fingerprint)
+	if s.MinNs <= 0 || s.MaxNs < s.MinNs || s.LastSeenNs < s.FirstSeenNs {
+		t.Errorf("latency/recency not tracked: %+v", s)
 	}
-	if !strings.Contains(entry.Profile, "Scan big") {
-		t.Errorf("EXPLAIN ANALYZE fold missing profile:\n%q", entry.Profile)
-	}
-	if entry.LatencyNs <= 0 || entry.MaxLatencyNs < entry.LatencyNs {
-		t.Errorf("latency not tracked: last=%d max=%d", entry.LatencyNs, entry.MaxLatencyNs)
-	}
-	if !strings.HasPrefix(entry.Query, "SELECT") {
-		t.Errorf("canonical query text = %q, want first-seen SELECT", entry.Query)
+	if s.Query != "SELECT a FROM big WHERE b < 10" {
+		t.Errorf("kept text = %q, want the first-seen SELECT", s.Query)
 	}
 }
 
-// TestSlowLogChaosAttribution is the chaos-interplay check: when a
-// fault fires during a query, the slow-query entry names the site and
-// fire count; quiet queries carry no chaos annotation.
-func TestSlowLogChaosAttribution(t *testing.T) {
+// TestStatementsChaosAttribution is the chaos-interplay check: a fault
+// that fires during a run is charged to that run's statement, once;
+// quiet runs add nothing.
+func TestStatementsChaosAttribution(t *testing.T) {
 	tr := obs.NewTracer(4)
 	e := NewEngine()
 	e.Instrument(obs.NewRegistry(), tr)
 	// Latency faults on every other scan consult: alternating queries
-	// absorb a fault, so attribution must be per-query, not cumulative.
+	// absorb a fault, so attribution must be per-run, not cumulative.
 	e.Chaos = chaos.New(3).Add(chaos.Rule{
 		Site: exec.SiteExecScan, Kind: chaos.Latency, Every: 2, Delay: 5,
 	})
@@ -257,31 +249,33 @@ func TestSlowLogChaosAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	var withFault, without int
+	var charged int64
 	for i := 0; i < 6; i++ {
 		if _, err := e.Execute("SELECT a FROM t WHERE a > 0"); err != nil {
 			t.Fatal(err)
 		}
-		es := e.SlowLog().Entries()
-		last := es[len(es)-1]
-		if n := last.ChaosFires[exec.SiteExecScan]; n > 0 {
-			withFault++
-			if n != 1 {
-				t.Errorf("query %d attributed %d fires, want 1", i, n)
-			}
-		} else {
-			if len(last.ChaosFires) != 0 {
-				t.Errorf("query %d has spurious chaos annotation %v", i, last.ChaosFires)
-			}
-			without++
+		stats := e.Stmts().Snapshot()
+		if len(stats) != 1 {
+			t.Fatalf("statement store = %+v, want one entry", stats)
 		}
+		switch n := stats[0].ChaosFires - charged; n {
+		case 1:
+			withFault++
+		case 0:
+			without++
+		default:
+			t.Errorf("query %d charged %d fires, want 0 or 1", i, n)
+		}
+		charged = stats[0].ChaosFires
 	}
 	if withFault != 3 || without != 3 {
 		t.Errorf("fault attribution split %d/%d, want 3/3 (Every:2 over 6 queries)", withFault, without)
 	}
 }
 
-// TestExplainAnalyzeLegacyTableForm keeps the old `EXPLAIN ANALYZE t`
-// spelling (statistics refresh) working.
+// TestExplainAnalyzeLegacyTableForm: the old `EXPLAIN ANALYZE t`
+// spelling is a parse error that refreshes nothing; `ANALYZE t` is the
+// one statistics refresh.
 func TestExplainAnalyzeLegacyTableForm(t *testing.T) {
 	e := NewEngine()
 	if _, err := e.Execute("CREATE TABLE t (a INT)"); err != nil {
@@ -290,8 +284,15 @@ func TestExplainAnalyzeLegacyTableForm(t *testing.T) {
 	if _, err := e.Execute("INSERT INTO t VALUES (1), (2)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute("EXPLAIN ANALYZE t"); err != nil {
-		t.Fatalf("legacy EXPLAIN ANALYZE <table>: %v", err)
+	tab, err := e.Cat.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Execute("EXPLAIN ANALYZE t"); err == nil || tab.Stats != nil {
+		t.Fatalf("EXPLAIN ANALYZE <table>: err = %v, stats = %v; want a parse error and no refresh", err, tab.Stats)
+	}
+	if _, err := e.Execute("ANALYZE t"); err != nil || tab.Stats == nil {
+		t.Fatalf("ANALYZE t: err = %v, stats = %v", err, tab.Stats)
 	}
 }
 
@@ -412,8 +413,8 @@ func TestExplainShowsPlacementAndColumns(t *testing.T) {
 // that is parameterised and shared, and every surface says so without
 // losing what the client sent. EXPLAIN shows the plan as it runs ($1 in
 // the index bounds); the query span carries stmt, plancache=hit|miss and
-// plan tags; the slow log and the statement store keep the client's text
-// — neither the cache key nor an EXECUTE.
+// plan tags; the statement store keeps the client's text — neither the
+// cache key nor an EXECUTE.
 func TestAdhocStatementIsObservableAsSent(t *testing.T) {
 	tr := obs.NewTracer(8)
 	tr.EnableExport(8)
@@ -449,15 +450,8 @@ func TestAdhocStatementIsObservableAsSent(t *testing.T) {
 		t.Errorf("cache entries %+v, want the one shape, hit by the second statement and by EXPLAIN", ents)
 	}
 
-	var logged []string
-	for _, en := range e.SlowLog().Entries() {
-		logged = append(logged, en.Query)
-	}
-	if len(logged) != 1 || logged[0] != first {
-		t.Errorf("slow log (one entry per fingerprint, first text kept) holds %q, want the client's text %q", logged, first)
-	}
 	stats := e.Stmts().Snapshot()
 	if len(stats) != 1 || stats[0].Query != first || stats[0].Calls != 2 {
-		t.Errorf("statement store %+v, want one fingerprint, 2 calls, text %q", stats, first)
+		t.Errorf("statement store %+v, want one statement, 2 calls, the first text %q", stats, first)
 	}
 }

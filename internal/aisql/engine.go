@@ -77,14 +77,13 @@ type Engine struct {
 	parseErrors *obs.Counter
 	parses      *obs.Counter
 	planBuilds  *obs.Counter
-	slowlog     *obs.SlowQueryLog
 	stmtstats   *obs.StatementStats
 }
 
 // Instrument wires the engine — and every executor it creates — to the
-// observability registry and tracer, and attaches a slow-query log
-// (capture-everything by default; raise its Threshold to filter). Either
-// argument may be nil to disable that half; call before serving queries.
+// observability registry and tracer, and attaches the statement store
+// every executed statement is recorded in. Either argument may be nil to
+// disable that half; call before serving queries.
 func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	e.tracer = tr
 	e.execObs = exec.NewMetrics(reg)
@@ -96,17 +95,12 @@ func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	// cache's "no parser, no planner on the hot path" claim is asserted.
 	e.parses = reg.Counter("sql.parses")
 	e.planBuilds = reg.Counter("plan.builds")
-	e.slowlog = obs.NewSlowQueryLog(0, 0)
 	e.stmtstats = obs.NewStatementStats(0)
 }
 
-// SlowLog returns the engine's slow-query log (nil when the engine is
-// uninstrumented).
-func (e *Engine) SlowLog() *obs.SlowQueryLog { return e.slowlog }
-
-// Stmts returns the engine's per-fingerprint statement statistics store
+// Stmts returns the engine's per-statement statistics store
 // (nil when the engine is uninstrumented). It is the source behind
-// system.statements and the /statements endpoint.
+// system.statements.
 func (e *Engine) Stmts() *obs.StatementStats { return e.stmtstats }
 
 // RecordShed folds one admission-gate rejection into the statement
@@ -403,7 +397,7 @@ func (e *Engine) ExecuteStmtContext(ctx context.Context, stmt sql.Statement) (*e
 
 // executeStmt dispatches one parsed statement, attaching child spans to
 // sp (nil when tracing is off). text is the raw query text, "" for a
-// pre-parsed statement — the slow-query log falls back to the statement
+// pre-parsed statement — the statement store falls back to the statement
 // kind. key and params are what sql.Normalize made of the text (EXPLAIN
 // plans under them); a pre-parsed statement is planned for this run only.
 func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Span, text, key string, params []catalog.Value) (*exec.Result, error) {
@@ -465,12 +459,6 @@ func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Sp
 		}
 		return res, nil
 	case *sql.ExplainStmt:
-		if a, ok := s.Inner.(*sql.AnalyzeStmt); ok {
-			// Legacy spelling: `EXPLAIN ANALYZE t` (bare table name)
-			// parses as EXPLAIN over ANALYZE — run the statistics
-			// refresh rather than profiling.
-			return e.executeStmt(ctx, a, sp, text, "", nil)
-		}
 		switch s.Inner.(type) {
 		case *sql.SelectStmt, *sql.UpdateStmt, *sql.DeleteStmt:
 		default:
@@ -675,7 +663,6 @@ func (e *Engine) planFor(sp *obs.Span, key string, params []catalog.Value, parse
 // Normalize took out. The plan is read-only: sessions share one copy.
 func (e *Engine) execPlan(ctx context.Context, ent *plancache.Entry, kind string, sp *obs.Span, text string, params []catalog.Value) (*exec.Result, error) {
 	start := time.Now()
-	chaosBefore := e.Chaos.FireCounts()
 	sp.SetTag("plan", ent.Summary)
 	esp := sp.Child("exec")
 	ex := e.executor(params)
@@ -684,47 +671,31 @@ func (e *Engine) execPlan(ctx context.Context, ent *plancache.Entry, kind string
 	}
 	res, err := ex.RunContext(ctx, ent.Plan)
 	esp.Finish()
-	e.record(text, kind, ent.Fingerprint, time.Since(start), res, err, "", chaosBefore)
+	e.record(ent, text, kind, time.Since(start), res, err)
 	return res, err
 }
 
-// record folds one execution into the statement-statistics store, its
-// outcome classified — ok, cancelled (context cancel or deadline), shed
-// (memory budget, admission) or error — and files a successful one in
-// the slow-query log with the chaos faults that fired since chaosBefore.
-// No-op when the engine is uninstrumented.
-func (e *Engine) record(text, kind, fp string, latency time.Duration, res *exec.Result, err error, profile string, chaosBefore map[string]uint64) {
+// record folds one run of ent into the statement-statistics store under
+// the entry's fingerprint and key, its outcome classified — ok,
+// cancelled (context cancel or deadline), shed (memory budget,
+// admission) or error. No-op when the engine is uninstrumented.
+func (e *Engine) record(ent *plancache.Entry, text, kind string, latency time.Duration, res *exec.Result, err error) {
 	if e.stmtstats == nil {
 		return
 	}
 	if text == "" {
 		text = kind
 	}
-	o := obs.StmtObservation{Fingerprint: fp, Query: text, Outcome: obs.StmtError, LatencyNs: latency.Nanoseconds()}
+	o := obs.StmtObservation{Fingerprint: ent.Fingerprint, Key: ent.Key, Query: text, Outcome: obs.StmtError, LatencyNs: latency.Nanoseconds()}
 	switch {
 	case err == nil:
-		o.Outcome, o.Rows, o.Chunks, o.PeakBytes = obs.StmtOK, int64(len(res.Rows)), res.Chunks, res.PeakBytes
+		o.Outcome, o.Rows, o.Chunks, o.PeakBytes, o.ChaosFires = obs.StmtOK, int64(len(res.Rows)), res.Chunks, res.PeakBytes, res.ChaosFires
 	case exec.IsCancellation(err):
 		o.Outcome = obs.StmtCancel
 	case errors.Is(err, governance.ErrMemBudget), errors.Is(err, governance.ErrShed):
 		o.Outcome = obs.StmtShed
 	}
 	e.stmtstats.Record(o)
-	if err != nil {
-		return // the slow-query log lists successful executions only
-	}
-	var fires map[string]uint64
-	for site, n := range e.Chaos.FireCounts() {
-		if d := n - chaosBefore[site]; d > 0 {
-			if fires == nil {
-				fires = make(map[string]uint64)
-			}
-			fires[site] = d
-		}
-	}
-	e.slowlog.Record(obs.SlowLogEntry{
-		Query: text, Fingerprint: fp, LatencyNs: o.LatencyNs, Rows: o.Rows, Profile: profile, ChaosFires: fires,
-	})
 }
 
 func (e *Engine) createModel(s *sql.CreateModelStmt) (*exec.Result, error) {

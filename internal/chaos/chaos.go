@@ -394,23 +394,6 @@ func (in *Injector) Fires(site string) uint64 {
 	return n
 }
 
-// FireCounts returns per-site totals of fired faults (sites that never
-// fired are absent). The slow-query log diffs two snapshots taken
-// around a query to attribute chaos-injected latency to the statement
-// that absorbed it. Nil map on a nil injector.
-func (in *Injector) FireCounts() map[string]uint64 {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[string]uint64, len(in.bySite))
-	for _, e := range in.events {
-		out[e.Site]++
-	}
-	return out
-}
-
 // Events returns a copy of the fired-fault trace in firing order.
 func (in *Injector) Events() []Event {
 	if in == nil {

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"time"
@@ -61,12 +60,11 @@ type DB struct {
 	retry   governance.RetryPolicy
 
 	// Telemetry plane: a background sampler turns registry snapshots
-	// into bounded time series, the anomaly detector watches each
-	// window, and Serve exposes the whole monitoring surface over HTTP.
+	// into bounded time series and the anomaly detector watches each
+	// window; Telemetry is the HTTP view of what SQL cannot serve.
 	series   *obs.TimeSeries
 	alerts   *monitor.AlertLog
 	detector *monitor.AnomalyDetector
-	httpSrv  *obs.Server
 
 	// sqlRules are KPI rules expressed as SQL over system.metrics,
 	// evaluated through the engine itself (see monitor.SQLRuleSet).
@@ -158,49 +156,22 @@ func (db *DB) Alerts() *monitor.AlertLog { return db.alerts }
 // StartTelemetry starts the background metric sampler: every interval
 // (default 1s when <= 0) the registry is snapshotted into the
 // time-series store and the anomaly detector inspects the new window.
-// Idempotent while running.
+// Idempotent while running; Close stops it.
 func (db *DB) StartTelemetry(interval time.Duration) { db.series.Start(interval) }
 
-// StopTelemetry stops the background sampler, waiting for the
-// in-flight tick (if any) to finish. Safe when not running.
-func (db *DB) StopTelemetry() { db.series.Stop() }
-
-// Telemetry bundles this database's observability surfaces into an
-// http.Handler (see obs.Telemetry for the endpoint map).
+// Telemetry bundles what this database shows only over HTTP — metrics,
+// sampled series, traces, pprof — into an http.Handler (see
+// obs.Telemetry for the endpoint map). Statements, metrics and alerts
+// are system.* tables.
 func (db *DB) Telemetry() *obs.Telemetry {
-	return &obs.Telemetry{
-		Registry:   db.reg,
-		Series:     db.series,
-		SlowLog:    db.engine.SlowLog(),
-		Tracer:     db.tracer,
-		Alerts:     db.alerts,
-		Statements: db.engine.Stmts(),
-	}
+	return &obs.Telemetry{Registry: db.reg, Series: db.series, Tracer: db.tracer}
 }
 
-// Serve starts the telemetry HTTP server on addr (":0" picks a free
-// port) and the background sampler if it is not already running. The
-// returned server's Addr reports the bound address; Close it (or call
-// db.Close) when done.
-func (db *DB) Serve(addr string) (*obs.Server, error) {
-	srv, err := obs.Serve(addr, db.Telemetry())
-	if err != nil {
-		return nil, err
-	}
-	if !db.series.Running() {
-		db.series.Start(0)
-	}
-	db.httpSrv = srv
-	return srv, nil
-}
-
-// Close stops the telemetry sampler and HTTP server (if started).
-// Callers that never used telemetry need not call it.
+// Close stops the telemetry sampler, waiting for the in-flight tick (if
+// any) to finish. Callers that never started it need not call it.
 func (db *DB) Close() error {
 	db.series.Stop()
-	err := db.httpSrv.Close()
-	db.httpSrv = nil
-	return err
+	return nil
 }
 
 // Metrics exposes the live observability registry every query and
@@ -217,22 +188,13 @@ func (db *DB) SetParallelism(workers int) { db.engine.Parallelism = workers }
 // Parallelism reports the current morsel worker budget setting.
 func (db *DB) Parallelism() int { return db.engine.Parallelism }
 
-// WriteMetrics writes the text exposition of every registered metric.
-func (db *DB) WriteMetrics(w io.Writer) error {
-	_, err := db.reg.WriteTo(w)
-	return err
-}
-
-// SlowLog exposes the engine's slow-query log.
-func (db *DB) SlowLog() *obs.SlowQueryLog { return db.engine.SlowLog() }
-
 // Feedback exposes the cardinality-feedback log profiled executions
 // report into.
 func (db *DB) Feedback() *cardest.FeedbackLog { return db.feedback }
 
 // NewEstimatorCache wraps base in a bounded estimate cache whose
 // hit/miss/invalidation counters report into this database's metrics
-// registry (visible in the REPL's \metrics). When base is a
+// registry (visible in system.metrics). When base is a
 // FeedbackEstimator, feedback fine-tuning invalidates the cache
 // automatically.
 func (db *DB) NewEstimatorCache(base cardest.Estimator, capacity int) *cardest.EstimateCache {

@@ -154,24 +154,20 @@ func TestEstimatorCacheCountersInMetrics(t *testing.T) {
 	q := g.Next()
 	cache.Estimate(q)
 	cache.Estimate(q)
-	var sb strings.Builder
-	if err := db.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	m := sysMetrics(t, db)
 	for _, name := range []string{"cardest.cache.hits", "cardest.cache.misses", "cardest.cache.invalidations"} {
-		if !strings.Contains(out, name) {
-			t.Fatalf("metrics exposition missing %s:\n%s", name, out)
+		if _, ok := m[name]; !ok {
+			t.Fatalf("system.metrics missing %s: %v", name, m)
 		}
 	}
-	if !strings.Contains(out, "cardest.cache.hits 1") || !strings.Contains(out, "cardest.cache.misses 1") {
-		t.Fatalf("unexpected cache counter values:\n%s", out)
+	if m["cardest.cache.hits"] != 1 || m["cardest.cache.misses"] != 1 {
+		t.Fatalf("cache counters hits=%v misses=%v, want 1 and 1", m["cardest.cache.hits"], m["cardest.cache.misses"])
 	}
 }
 
 // TestStreamingCountersInMetrics: the streaming executor's chunk
-// counters and peak-bytes histogram surface through \metrics (the
-// WriteMetrics exposition) after a multi-chunk query.
+// counters and peak-bytes histogram surface through system.metrics
+// after a multi-chunk query.
 func TestStreamingCountersInMetrics(t *testing.T) {
 	db := OpenSeeded(12)
 	if _, err := db.Exec("CREATE TABLE s (a INT, b INT)"); err != nil {
@@ -191,25 +187,22 @@ func TestStreamingCountersInMetrics(t *testing.T) {
 	if _, err := db.Exec("SELECT a FROM s WHERE b < 25"); err != nil {
 		t.Fatal(err)
 	}
-	var out strings.Builder
-	if err := db.WriteMetrics(&out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
+	m := sysMetrics(t, db)
 	for _, name := range []string{
 		"exec.chunks_emitted",
 		"exec.chunk_pool.hits",
 		"exec.chunk_pool.misses",
-		"exec.peak_bytes",
+		"exec.peak_bytes.count",
+		"exec.peak_bytes.p99",
 	} {
-		if !strings.Contains(got, name) {
-			t.Errorf("metrics exposition missing %s", name)
+		if _, ok := m[name]; !ok {
+			t.Errorf("system.metrics missing %s", name)
 		}
 	}
-	if strings.Contains(got, "exec.chunks_emitted 0") {
+	if m["exec.chunks_emitted"] == 0 {
 		t.Error("exec.chunks_emitted stayed 0 after a 3000-row query")
 	}
-	if strings.Contains(got, "exec.chunk_pool.misses 0") {
+	if m["exec.chunk_pool.misses"] == 0 {
 		t.Error("exec.chunk_pool.misses stayed 0 (first gets always miss)")
 	}
 }

@@ -32,7 +32,7 @@ func (db *DB) registerSystemTables() {
 			intCol("calls"), intCol("errors"), intCol("cancels"), intCol("sheds"),
 			intCol("rows"), intCol("total_ns"), intCol("min_ns"), intCol("max_ns"),
 			intCol("p50_ns"), intCol("p95_ns"), intCol("p99_ns"),
-			intCol("chunks"), intCol("peak_bytes"),
+			intCol("chunks"), intCol("peak_bytes"), intCol("chaos_fires"),
 			intCol("first_seen_ns"), intCol("last_seen_ns"),
 		}},
 		Est: func() int { return db.engine.Stmts().Len() },
@@ -45,7 +45,7 @@ func (db *DB) registerSystemTables() {
 					int64(s.Calls), int64(s.Errors), int64(s.Cancels), int64(s.Sheds),
 					s.Rows, s.TotalNs, s.MinNs, s.MaxNs,
 					s.P50Ns, s.P95Ns, s.P99Ns,
-					s.Chunks, s.PeakBytes,
+					s.Chunks, s.PeakBytes, s.ChaosFires,
 					s.FirstSeenNs, s.LastSeenNs,
 				}
 			}
@@ -68,28 +68,6 @@ func (db *DB) registerSystemTables() {
 			rows := make([]catalog.Row, len(names))
 			for i, n := range names {
 				rows[i] = catalog.Row{n, snap[n]}
-			}
-			return rows, nil
-		},
-	})
-
-	register(&catalog.FuncTable{
-		QName: "system.slow_queries",
-		Cols: catalog.Schema{Columns: []catalog.Column{
-			intCol("seq"), intCol("last_seq"), intCol("count"),
-			txtCol("query"), txtCol("fingerprint"),
-			intCol("latency_ns"), intCol("max_latency_ns"), intCol("rows"),
-		}},
-		Est: func() int { return db.engine.SlowLog().Len() },
-		Fetch: func() ([]catalog.Row, error) {
-			entries := db.engine.SlowLog().Entries()
-			rows := make([]catalog.Row, len(entries))
-			for i, e := range entries {
-				rows[i] = catalog.Row{
-					int64(e.Seq), int64(e.LastSeq), int64(e.Count),
-					e.Query, e.Fingerprint,
-					e.LatencyNs, e.MaxLatencyNs, e.Rows,
-				}
 			}
 			return rows, nil
 		},

@@ -4,8 +4,12 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"aidb/internal/chaos"
+	"aidb/internal/exec"
 )
 
 // sysWorkloadDB builds a DB with two heap tables and a repeated SELECT
@@ -38,7 +42,7 @@ func TestSystemTablesRegistered(t *testing.T) {
 	db := Open()
 	want := []string{"system.alerts", "system.metrics",
 		"system.plan_cache", "system.plan_cache_stats", "system.settings",
-		"system.slow_queries", "system.statements", "system.tables"}
+		"system.statements", "system.tables"}
 	got := db.SystemTables()
 	if len(got) != len(want) {
 		t.Fatalf("SystemTables() = %v, want %v", got, want)
@@ -64,7 +68,7 @@ func TestSystemStatementsMatchesStore(t *testing.T) {
 	if len(snap) == 0 {
 		t.Fatal("workload recorded no statement statistics")
 	}
-	res, err := db.Exec("SELECT fingerprint, calls, rows, total_ns, chunks, peak_bytes FROM system.statements WHERE calls > 0 ORDER BY fingerprint")
+	res, err := db.Exec("SELECT fingerprint, calls, rows, total_ns, chunks, peak_bytes FROM system.statements WHERE calls > 0 ORDER BY fingerprint, query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,22 +127,190 @@ func TestSystemTablesFiltersAggregatesJoin(t *testing.T) {
 		t.Fatalf("settings filter = %v, want [[3]]", res.Rows)
 	}
 
-	// Join system.statements to system.slow_queries on fingerprint: both
-	// stores observe the same executions, so every slow-log fingerprint
-	// must find its statistics row with call counts agreeing. (Snapshot
-	// the expectation first — the join query itself is only recorded
-	// after it finishes, so its own scans won't see it.)
-	slowEntries := db.SlowLog().Entries()
-	res, err = db.Exec("SELECT s.fingerprint, s.calls, q.count FROM system.statements s JOIN system.slow_queries q ON s.fingerprint = q.fingerprint")
+	// Join system.statements to system.plan_cache on fingerprint: each of
+	// the workload's two repeated statements ran from one cached plan,
+	// missed the cache once and hit it on every later call. (The join
+	// query itself is only recorded after it finishes, so its own scans
+	// won't see it.)
+	res, err = db.Exec("SELECT s.query, s.calls, p.hits FROM system.statements s JOIN system.plan_cache p ON s.fingerprint = p.fingerprint WHERE s.calls > 1 ORDER BY s.calls DESC")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(slowEntries) {
-		t.Fatalf("join returned %d rows, slowlog has %d entries", len(res.Rows), len(slowEntries))
+	want := "[[SELECT id FROM users WHERE age > 30 5 4] [SELECT u.id, o.amount FROM users u JOIN orders o ON u.id = o.user_id 3 2]]"
+	if got := fmt.Sprint(res.Rows); got != want {
+		t.Fatalf("statements JOIN plan_cache = %s\nwant %s", got, want)
+	}
+}
+
+// sysMetrics reads system.metrics into a name -> value map.
+func sysMetrics(t *testing.T, db *DB) map[string]float64 {
+	t.Helper()
+	res, err := db.Exec("SELECT name, value FROM system.metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := make(map[string]float64, len(res.Rows))
+	for _, r := range res.Rows {
+		m[r[0].(string)] = r[1].(float64)
+	}
+	return m
+}
+
+// TestSystemMetricsCoversExposition: every number the registry's text
+// exposition prints — a histogram's count, sum and quantiles included —
+// is a row of system.metrics, so SQL loses nothing a dump showed.
+func TestSystemMetricsCoversExposition(t *testing.T) {
+	db := sysWorkloadDB(t)
+	if _, err := db.Exec("EXPLAIN ANALYZE SELECT id FROM users WHERE age > 40"); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if _, err := db.Metrics().WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 {
+			t.Fatalf("exposition line %q", line)
+		}
+		if f[0] != "histogram" {
+			names = append(names, f[1])
+			continue
+		}
+		for _, kv := range f[2:] {
+			stat, _, _ := strings.Cut(kv, "=")
+			names = append(names, f[1]+"."+stat)
+		}
+	}
+	m := sysMetrics(t, db)
+	for _, n := range names {
+		if _, ok := m[n]; !ok {
+			t.Errorf("system.metrics has no row %s", n)
+		}
+	}
+	if m["exec.peak_bytes.count"] == 0 || m["exec.peak_bytes.p50"] == 0 || m["exec.peak_bytes.p99"] < m["exec.peak_bytes.p50"] {
+		t.Errorf("exec.peak_bytes quantiles: count=%v p50=%v p99=%v", m["exec.peak_bytes.count"], m["exec.peak_bytes.p50"], m["exec.peak_bytes.p99"])
+	}
+}
+
+// TestSystemStatementsFoldsCalls: the calls of one statement — the same
+// text with other literals, and an EXPLAIN ANALYZE of it — fold into one
+// row of system.statements that keeps the first text seen; a statement
+// of the same plan shape but other text keeps a row of its own.
+func TestSystemStatementsFoldsCalls(t *testing.T) {
+	db := sysWorkloadDB(t)
+	for _, q := range []string{
+		"EXPLAIN ANALYZE SELECT id FROM users WHERE age > 50",
+		"SELECT age FROM users WHERE id = 2",
+	} {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := db.Exec("SELECT query, calls, errors, cancels, sheds, rows, min_ns, max_ns, p50_ns, first_seen_ns, last_seen_ns FROM system.statements WHERE fingerprint = 'Project(Filter(Scan(users)))' ORDER BY query")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 {
+		t.Fatalf("rows for Project(Filter(Scan(users))) = %v, want two statements", res.Rows)
+	}
+	point, age := res.Rows[0], res.Rows[1]
+	if point[0] != "SELECT age FROM users WHERE id = 2" || point[1] != int64(1) || point[5] != int64(1) {
+		t.Errorf("point statement row = %v, want 1 call, 1 row", point)
+	}
+	// 5 plain calls plus the EXPLAIN ANALYZE; rows sums what each run
+	// returned (3 users older than 30..34 each, 1 older than 50).
+	if age[0] != "SELECT id FROM users WHERE age > 30" || age[1] != int64(6) || age[5] != int64(16) {
+		t.Errorf("folded row = %v, want the first text seen, 6 calls, 16 rows", age)
+	}
+	if age[2] != int64(0) || age[3] != int64(0) || age[4] != int64(0) {
+		t.Errorf("folded row = %v, want no failed calls", age)
+	}
+	minNs, maxNs, p50 := age[6].(int64), age[7].(int64), age[8].(int64)
+	if minNs <= 0 || maxNs < minNs || p50 <= 0 {
+		t.Errorf("latency min/max/p50 = %d/%d/%d", minNs, maxNs, p50)
+	}
+	if first, last := age[9].(int64), age[10].(int64); first <= 0 || last < first {
+		t.Errorf("first/last seen = %d/%d", first, last)
+	}
+}
+
+// TestChaosFiresExactlyOnce: under a latency rule firing at every scan
+// consultation, concurrent sessions mixing one-morsel and multi-morsel
+// statements each charge system.statements with exactly the faults their
+// own scans drew — none lost, none charged to a neighbour — and a
+// statement that scans no heap table carries none.
+func TestChaosFiresExactlyOnce(t *testing.T) {
+	db := Open()
+	seedTable(t, db, 5000)
+	if _, err := db.ExecScript("CREATE TABLE one (a INT); INSERT INTO one VALUES (1), (2), (3)"); err != nil {
+		t.Fatal(err)
+	}
+	in := chaos.New(5).Add(chaos.Rule{Site: exec.SiteExecScan, Kind: chaos.Latency, Every: 1})
+	db.Engine().Chaos = in
+	const sessions, rounds = 4, 20
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for w := 0; w < sessions; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := db.NewSession()
+			defer s.Close()
+			for i := 0; i < rounds; i++ {
+				for _, q := range []string{
+					"SELECT a FROM one WHERE a > 1",
+					"SELECT COUNT(*) FROM t WHERE b < 50",
+					"SELECT COUNT(*) FROM system.tables",
+				} {
+					if _, err := s.Exec(q); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	db.Engine().Chaos = nil
+
+	res, err := db.Exec("SELECT SUM(chaos_fires) FROM system.statements")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum, fires := res.Rows[0][0].(float64), in.Fires(exec.SiteExecScan); sum != float64(fires) {
+		t.Errorf("system.statements charges %v faults, the injector fired %d", sum, fires)
+	}
+	res, err = db.Exec("SELECT fingerprint, calls, chaos_fires FROM system.statements WHERE calls > 1 ORDER BY fingerprint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 3 {
+		t.Fatalf("system.statements = %v, want the three statements", res.Rows)
 	}
 	for _, r := range res.Rows {
-		if r[1].(int64) < r[2].(int64) {
-			t.Fatalf("join row %v: statement calls below slowlog count", r)
+		fp, calls, fires := r[0].(string), r[1].(int64), r[2].(int64)
+		if calls != sessions*rounds {
+			t.Errorf("%s: %d calls, want %d", fp, calls, sessions*rounds)
+		}
+		switch {
+		case strings.Contains(fp, "Scan(one)"):
+			if fires != calls {
+				t.Errorf("%s: one morsel per call but %d faults over %d calls", fp, fires, calls)
+			}
+		case strings.Contains(fp, "Scan(t)"):
+			if fires%calls != 0 || fires/calls < 2 {
+				t.Errorf("%s: %d faults over %d calls, want the same morsel count (> 1) per call", fp, fires, calls)
+			}
+		default:
+			if fires != 0 {
+				t.Errorf("%s: scans no heap table but was charged %d faults", fp, fires)
+			}
 		}
 	}
 }

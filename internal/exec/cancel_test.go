@@ -178,7 +178,7 @@ func TestCancelNoGoroutineLeaks(t *testing.T) {
 }
 
 // TestCancelMetricsRecorded: a cancelled run shows up in cancel.requests
-// and cancel.latency_ns on the registry (the `\metrics` surface).
+// and cancel.latency_ns on the registry (the system.metrics surface).
 func TestCancelMetricsRecorded(t *testing.T) {
 	c := oneTableSetup(t, 20_000)
 	reg := obs.NewRegistry()

@@ -33,10 +33,12 @@ type Result struct {
 	Columns []string
 	Rows    []catalog.Row
 	// Chunks is the number of pooled chunks charged through the run's
-	// pipeline and PeakBytes its high-water byte mark — the per-query
+	// pipeline, PeakBytes its high-water byte mark and ChaosFires the
+	// injected latency faults its own scans absorbed — the per-query
 	// figures the statement-statistics store aggregates.
-	Chunks    int64
-	PeakBytes int64
+	Chunks     int64
+	PeakBytes  int64
+	ChaosFires int64
 }
 
 // Executor runs logical plans through a streaming batch-at-a-time
@@ -198,10 +200,11 @@ func (ex *Executor) RunContext(ctx context.Context, n plan.Node) (*Result, error
 	ex.Stats.RowsOutput.Add(uint64(len(rows)))
 	ex.Obs.RowsOutput.Add(uint64(len(rows)))
 	return &Result{
-		Columns:   n.Schema(),
-		Rows:      rows,
-		Chunks:    rc.chunks.Load(),
-		PeakBytes: rc.peak.Load(),
+		Columns:    n.Schema(),
+		Rows:       rows,
+		Chunks:     rc.chunks.Load(),
+		PeakBytes:  rc.peak.Load(),
+		ChaosFires: rc.chaosFires.Load(),
 	}, nil
 }
 
@@ -275,6 +278,9 @@ type runCtx struct {
 	// chunks counts chunks charged through chargeEmit — one per pooled
 	// chunk that entered the pipeline, reported on the Result.
 	chunks atomic.Int64
+	// chaosFires counts the latency faults this run's scans drew at
+	// SiteExecScan, reported on the Result.
+	chaosFires atomic.Int64
 }
 
 // err checks the run's context, stamping the first cancellation

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -165,20 +164,6 @@ func (qp *QueryProfile) Walk(fn func(op *OpProfile, depth int)) {
 		}
 	}
 	rec(qp.Root, 0)
-}
-
-// Summary renders the profile as indented text, one operator per line:
-//
-//	Project id (est=6666 act=9750 rows, 1.2ms, morsels=10, workers=4, util=1.00, chunks=10, peak=56KB)
-func (qp *QueryProfile) Summary() string {
-	var sb strings.Builder
-	qp.Walk(func(op *OpProfile, depth int) {
-		sb.WriteString(strings.Repeat("  ", depth))
-		fmt.Fprintf(&sb, "%s (est=%.0f act=%d rows, %s, morsels=%d, workers=%d, util=%.2f, chunks=%d, peak=%dB)\n",
-			op.Op, op.EstRows, op.ActualRows(), op.Wall().Round(time.Microsecond),
-			op.Morsels(), op.WorkerSpawns(), op.Utilization(), op.Chunks(), op.PeakBytes())
-	})
-	return sb.String()
 }
 
 // AttachSpans grafts the operator tree under sp as child spans (one

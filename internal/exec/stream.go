@@ -631,6 +631,9 @@ func (ex *Executor) compileScan(rc *runCtx, v *plan.ScanNode) (*morselStream, []
 		}
 		for m := 0; m < consult; m++ {
 			delay, cerr := ex.Chaos.SleepLatency(rc.ctx, SiteExecScan)
+			if delay > 0 {
+				rc.chaosFires.Add(1)
+			}
 			ex.Stats.InjectedDelayUnits.Add(uint64(delay))
 			ex.Obs.InjectedDelay.Add(uint64(delay))
 			if cerr != nil {

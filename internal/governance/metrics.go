@@ -25,7 +25,7 @@ type Metrics struct {
 
 // NewMetrics resolves the governance metrics against reg. A nil
 // registry yields the zero (disabled) Metrics. Counters are created
-// eagerly so they appear in the exposition (\metrics) even at zero.
+// eagerly so they appear in the exposition (system.metrics) even at zero.
 func NewMetrics(reg *obs.Registry) Metrics {
 	if reg == nil {
 		return Metrics{}

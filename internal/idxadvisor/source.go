@@ -6,18 +6,14 @@ import (
 	"strings"
 
 	"aidb/internal/catalog"
-	"aidb/internal/obs"
 	"aidb/internal/sql"
 )
 
 // This file is the advisor's workload-capture source: instead of being
-// handed a synthetic workload.Query list, the advisor can mine the
-// queries the engine actually ran — either read directly from the
-// slow-query log (the legacy pointer wiring) or, closing the loop
-// through the engine itself, via SQL over the system.statements /
-// system.slow_queries virtual tables. Both feeds normalize to
-// StatementRecord, so candidate extraction is source-agnostic and the
-// two paths provably agree (experiment E32).
+// handed a synthetic workload.Query list, the advisor mines the queries
+// the engine actually ran, through the engine itself, via SQL over the
+// system.statements virtual table (experiment E32 checks it against the
+// texts the workload executed).
 
 // StatementRecord is one captured workload statement with its observed
 // execution weight.
@@ -45,20 +41,6 @@ type RowQuerier interface {
 	QueryRows(query string) ([]catalog.Row, error)
 }
 
-// FromSlowLog adapts slow-query log entries to statement records (the
-// direct wiring: caller holds the *obs.SlowQueryLog).
-func FromSlowLog(entries []obs.SlowLogEntry) []StatementRecord {
-	out := make([]StatementRecord, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, StatementRecord{
-			Query:   e.Query,
-			Calls:   e.Count,
-			TotalNs: e.LatencyNs * int64(e.Count),
-		})
-	}
-	return out
-}
-
 // StatementsViaSQL reads the workload from system.statements through
 // the engine. Only successful executions count toward index benefit.
 func StatementsViaSQL(q RowQuerier) ([]StatementRecord, error) {
@@ -82,26 +64,6 @@ func StatementsViaSQL(q RowQuerier) ([]StatementRecord, error) {
 		}
 		text, _ := r[0].(string)
 		out = append(out, StatementRecord{Query: text, Calls: uint64(ok), TotalNs: total})
-	}
-	return out, nil
-}
-
-// SlowQueriesViaSQL reads the workload from system.slow_queries through
-// the engine (same shape as FromSlowLog, but over SQL).
-func SlowQueriesViaSQL(q RowQuerier) ([]StatementRecord, error) {
-	rows, err := q.QueryRows("SELECT query, count, latency_ns FROM system.slow_queries")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]StatementRecord, 0, len(rows))
-	for _, r := range rows {
-		if len(r) != 3 {
-			return nil, fmt.Errorf("idxadvisor: system.slow_queries row has %d cells, want 3", len(r))
-		}
-		text, _ := r[0].(string)
-		count, _ := r[1].(int64)
-		lat, _ := r[2].(int64)
-		out = append(out, StatementRecord{Query: text, Calls: uint64(count), TotalNs: lat * count})
 	}
 	return out, nil
 }

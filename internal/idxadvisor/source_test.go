@@ -5,21 +5,7 @@ import (
 	"testing"
 
 	"aidb/internal/catalog"
-	"aidb/internal/obs"
 )
-
-func TestFromSlowLog(t *testing.T) {
-	recs := FromSlowLog([]obs.SlowLogEntry{
-		{Query: "SELECT a FROM t WHERE b < 5", Count: 3, LatencyNs: 100},
-		{Query: "SELECT a FROM t", Count: 1, LatencyNs: 40},
-	})
-	if len(recs) != 2 {
-		t.Fatalf("got %d records", len(recs))
-	}
-	if recs[0].Calls != 3 || recs[0].TotalNs != 300 {
-		t.Fatalf("rec 0 = %+v (TotalNs should be latency x count)", recs[0])
-	}
-}
 
 func TestCandidatesMiningAndWeights(t *testing.T) {
 	recs := []StatementRecord{
@@ -91,23 +77,6 @@ func TestStatementsViaSQL(t *testing.T) {
 	q.err = nil
 	q.rows = []catalog.Row{{"short row"}}
 	if _, err := StatementsViaSQL(q); err == nil {
-		t.Fatal("malformed row accepted")
-	}
-}
-
-func TestSlowQueriesViaSQL(t *testing.T) {
-	q := &scriptedQuerier{rows: []catalog.Row{
-		{"SELECT a FROM t WHERE b < 1", int64(6), int64(250)},
-	}}
-	recs, err := SlowQueriesViaSQL(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Calls != 6 || recs[0].TotalNs != 1500 {
-		t.Fatalf("recs = %+v", recs)
-	}
-	q.rows = []catalog.Row{{"x", int64(1)}}
-	if _, err := SlowQueriesViaSQL(q); err == nil {
 		t.Fatal("malformed row accepted")
 	}
 }

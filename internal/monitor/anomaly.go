@@ -1,9 +1,7 @@
 package monitor
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -15,21 +13,21 @@ import (
 // Alert is one KPI anomaly the detector flagged.
 type Alert struct {
 	// Seq is the alert's 1-based sequence in its log.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Window is the sampling window (TimeSeries.Windows at detection
 	// time) in which the anomaly was observed.
-	Window uint64 `json:"window"`
+	Window uint64
 	// Metric is the time-series name that tripped.
-	Metric string `json:"metric"`
+	Metric string
 	// Kind classifies the trigger: "zscore" for the robust-statistics
 	// detector, "rule" for hard KPI rules (breaker open, load shedding).
-	Kind string `json:"kind"`
+	Kind string
 	// Value is the observed sample; Score its robust z-score (0 for
 	// rule alerts).
-	Value float64 `json:"value"`
-	Score float64 `json:"score"`
+	Value float64
+	Score float64
 	// Detail is a human-readable one-liner.
-	Detail string `json:"detail"`
+	Detail string
 }
 
 // AlertLog is a bounded ring of alerts, newest kept. Safe for
@@ -97,39 +95,6 @@ func (l *AlertLog) Dropped() uint64 {
 	defer l.mu.Unlock()
 	return l.dropped
 }
-
-// WriteJSONTo renders the retained alerts as an indented JSON array,
-// oldest first (an empty array when nil or empty) — the obs.JSONDumper
-// contract, so the log plugs into the /alerts telemetry endpoint.
-func (l *AlertLog) WriteJSONTo(w io.Writer) (int64, error) {
-	alerts := l.Alerts()
-	if alerts == nil {
-		alerts = []Alert{}
-	}
-	buf, err := json.MarshalIndent(alerts, "", "  ")
-	if err != nil {
-		return 0, err
-	}
-	buf = append(buf, '\n')
-	n, err := w.Write(buf)
-	return int64(n), err
-}
-
-// Dump renders the log as text, one alert per line, oldest first.
-// "" when empty.
-func (l *AlertLog) Dump() string {
-	alerts := l.Alerts()
-	if len(alerts) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	for _, a := range alerts {
-		fmt.Fprintf(&sb, "#%d w%d [%s] %s %s\n", a.Seq, a.Window, a.Kind, a.Metric, a.Detail)
-	}
-	return sb.String()
-}
-
-var _ = obs.JSONDumper(nil) // AlertLog is consumed via obs.JSONDumper
 
 // DetectorConfig tunes the anomaly detector. The zero value is usable:
 // every field has a working default applied by NewAnomalyDetector.

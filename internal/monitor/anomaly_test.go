@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -29,13 +28,13 @@ func TestAnomalyDetectorFlagsBurst(t *testing.T) {
 		ts.SampleOnce()
 	}
 	if log.Len() != 0 {
-		t.Fatalf("%d alerts on steady workload, want 0:\n%s", log.Len(), log.Dump())
+		t.Fatalf("%d alerts on steady workload, want 0:\n%+v", log.Len(), log.Alerts())
 	}
 	// Burst: 500 units in one window.
 	c.Add(500)
 	ts.SampleOnce()
 	if log.Len() != 1 {
-		t.Fatalf("%d alerts after burst, want exactly 1:\n%s", log.Len(), log.Dump())
+		t.Fatalf("%d alerts after burst, want exactly 1:\n%+v", log.Len(), log.Alerts())
 	}
 	a := log.Alerts()[0]
 	if a.Metric != "work.units" || a.Kind != "zscore" || a.Value != 500 {
@@ -65,7 +64,7 @@ func TestAnomalyDetectorLatch(t *testing.T) {
 		ts.SampleOnce()
 	}
 	if log.Len() != 1 {
-		t.Fatalf("%d alerts during sustained fault, want 1 (latched):\n%s", log.Len(), log.Dump())
+		t.Fatalf("%d alerts during sustained fault, want 1 (latched):\n%+v", log.Len(), log.Alerts())
 	}
 	// Recovery long enough for the rolling baseline to re-center, then a
 	// second burst must alert again.
@@ -74,12 +73,12 @@ func TestAnomalyDetectorLatch(t *testing.T) {
 		ts.SampleOnce()
 	}
 	if log.Len() != 1 {
-		t.Fatalf("%d alerts after recovery, want still 1:\n%s", log.Len(), log.Dump())
+		t.Fatalf("%d alerts after recovery, want still 1:\n%+v", log.Len(), log.Alerts())
 	}
 	c.Add(500)
 	ts.SampleOnce()
 	if log.Len() != 2 {
-		t.Fatalf("%d alerts after second burst, want 2 (re-armed):\n%s", log.Len(), log.Dump())
+		t.Fatalf("%d alerts after second burst, want 2 (re-armed):\n%+v", log.Len(), log.Alerts())
 	}
 }
 
@@ -92,7 +91,7 @@ func TestAnomalyDetectorWarmup(t *testing.T) {
 		ts.SampleOnce()
 	}
 	if log.Len() != 0 {
-		t.Fatalf("%d alerts during warmup, want 0:\n%s", log.Len(), log.Dump())
+		t.Fatalf("%d alerts during warmup, want 0:\n%+v", log.Len(), log.Alerts())
 	}
 }
 
@@ -110,7 +109,7 @@ func TestAnomalyDetectorScaleFloor(t *testing.T) {
 	c.Add(1030) // 3% above a perfectly flat baseline
 	ts.SampleOnce()
 	if log.Len() != 0 {
-		t.Fatalf("3%% wiggle alerted:\n%s", log.Dump())
+		t.Fatalf("3%% wiggle alerted:\n%+v", log.Alerts())
 	}
 	c.Add(3000) // 3x is a real anomaly
 	ts.SampleOnce()
@@ -155,7 +154,7 @@ func TestAnomalyDetectorRules(t *testing.T) {
 	ts.SampleOnce()
 	ts.SampleOnce()
 	if log.Len() != 0 {
-		t.Fatalf("alerts on healthy state:\n%s", log.Dump())
+		t.Fatalf("alerts on healthy state:\n%+v", log.Alerts())
 	}
 	// Shed storm across two windows: one alert at onset.
 	shed.Add(5)
@@ -163,7 +162,7 @@ func TestAnomalyDetectorRules(t *testing.T) {
 	shed.Add(3)
 	ts.SampleOnce()
 	if log.Len() != 1 {
-		t.Fatalf("%d shed alerts, want 1:\n%s", log.Len(), log.Dump())
+		t.Fatalf("%d shed alerts, want 1:\n%+v", log.Len(), log.Alerts())
 	}
 	if a := log.Alerts()[0]; a.Kind != "rule" || a.Metric != "admission.shed" {
 		t.Errorf("alert = %+v", a)
@@ -173,7 +172,7 @@ func TestAnomalyDetectorRules(t *testing.T) {
 	shed.Add(1)
 	ts.SampleOnce()
 	if log.Len() != 2 {
-		t.Fatalf("%d shed alerts after re-arm, want 2:\n%s", log.Len(), log.Dump())
+		t.Fatalf("%d shed alerts after re-arm, want 2:\n%+v", log.Len(), log.Alerts())
 	}
 	// Breaker opens (1), stays open, half-opens (2), closes (0), opens
 	// again: alerts at each closed->not-closed edge only.
@@ -183,7 +182,7 @@ func TestAnomalyDetectorRules(t *testing.T) {
 	state.Set(2)
 	ts.SampleOnce()
 	if got := log.Len(); got != 3 {
-		t.Fatalf("%d alerts while breaker open/half-open, want 3:\n%s", got, log.Dump())
+		t.Fatalf("%d alerts while breaker open/half-open, want 3:\n%+v", got, log.Alerts())
 	}
 	if a := log.Alerts()[2]; a.Metric != "guard.kv.state" || !strings.Contains(a.Detail, "open") {
 		t.Errorf("breaker alert = %+v", a)
@@ -193,11 +192,11 @@ func TestAnomalyDetectorRules(t *testing.T) {
 	state.Set(1)
 	ts.SampleOnce()
 	if got := log.Len(); got != 4 {
-		t.Fatalf("%d alerts after breaker reopens, want 4:\n%s", got, log.Dump())
+		t.Fatalf("%d alerts after breaker reopens, want 4:\n%+v", got, log.Alerts())
 	}
 }
 
-func TestAlertLogRingAndJSON(t *testing.T) {
+func TestAlertLogRing(t *testing.T) {
 	log := NewAlertLog(3)
 	for i := 0; i < 5; i++ {
 		log.Record(Alert{Window: uint64(i), Metric: "m", Kind: "zscore"})
@@ -209,31 +208,13 @@ func TestAlertLogRingAndJSON(t *testing.T) {
 	if as[0].Seq != 3 || as[2].Seq != 5 {
 		t.Errorf("ring kept seqs %d..%d, want 3..5", as[0].Seq, as[2].Seq)
 	}
-	var sb strings.Builder
-	if _, err := log.WriteJSONTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []Alert
-	if err := json.Unmarshal([]byte(sb.String()), &decoded); err != nil {
-		t.Fatalf("JSON does not round-trip: %v", err)
-	}
-	if len(decoded) != 3 || decoded[0].Seq != 3 {
-		t.Errorf("round-trip = %+v", decoded)
-	}
-	if !strings.Contains(log.Dump(), "#3 w2 [zscore] m") {
-		t.Errorf("dump format:\n%s", log.Dump())
-	}
 }
 
 func TestAlertLogNilSafe(t *testing.T) {
 	var l *AlertLog
 	l.Record(Alert{})
-	if l.Alerts() != nil || l.Len() != 0 || l.Dropped() != 0 || l.Dump() != "" {
+	if l.Alerts() != nil || l.Len() != 0 || l.Dropped() != 0 {
 		t.Error("nil AlertLog not inert")
-	}
-	var sb strings.Builder
-	if _, err := l.WriteJSONTo(&sb); err != nil || strings.TrimSpace(sb.String()) != "[]" {
-		t.Errorf("nil WriteJSONTo = %q, %v", sb.String(), err)
 	}
 	var d *AnomalyDetector
 	d.Observe()

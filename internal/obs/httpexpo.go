@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -12,8 +11,10 @@ import (
 	"sync"
 )
 
-// Telemetry bundles one process's observability surfaces behind a
-// single HTTP handler — the monitoring plane lives entirely off the
+// Telemetry bundles what one process can only show over HTTP behind a
+// single handler — the metric exposition a scraper reads, the sampled
+// time series, exported traces and pprof; everything SQL can answer is
+// a system.* table instead. The monitoring plane lives entirely off the
 // request hot path (Baihe's separation-of-concerns rule): handlers only
 // read atomics, ring copies, and cached series, never engine locks.
 //
@@ -23,9 +24,7 @@ import (
 //	                      the JSON / internal expositions)
 //	/timeseries           JSON series index {series, windows, capacity}
 //	/timeseries?name=N&window=K  last K points of series N
-//	/slowlog              slow-query log as a JSON array
 //	/traces               exported span trees as a JSON array
-//	/alerts               KPI anomaly alerts as a JSON array
 //	/debug/pprof/*        the standard Go profiling endpoints
 //
 // Any field may be nil; the corresponding endpoint degrades to an empty
@@ -33,23 +32,10 @@ import (
 type Telemetry struct {
 	Registry *Registry
 	Series   *TimeSeries
-	SlowLog  *SlowQueryLog
 	Tracer   *Tracer
-	// Alerts is the anomaly-alert ring (monitor.AlertLog satisfies
-	// this; an interface keeps obs free of a monitor dependency).
-	Alerts JSONDumper
-	// Statements is the per-fingerprint statement statistics store —
-	// the same store system.statements scans.
-	Statements *StatementStats
 
 	once sync.Once
 	mux  *http.ServeMux
-}
-
-// JSONDumper renders a component as a self-contained JSON document.
-// SlowQueryLog, TimeSeries (curried), and monitor.AlertLog satisfy it.
-type JSONDumper interface {
-	WriteJSONTo(w io.Writer) (int64, error)
 }
 
 // ServeHTTP implements http.Handler, routing to the telemetry
@@ -64,10 +50,7 @@ func (t *Telemetry) buildMux() {
 	mux.HandleFunc("/", t.handleIndex)
 	mux.HandleFunc("/metrics", t.handleMetrics)
 	mux.HandleFunc("/timeseries", t.handleTimeseries)
-	mux.HandleFunc("/slowlog", t.handleSlowlog)
-	mux.HandleFunc("/statements", t.handleStatements)
 	mux.HandleFunc("/traces", t.handleTraces)
-	mux.HandleFunc("/alerts", t.handleAlerts)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -85,11 +68,9 @@ func (t *Telemetry) handleIndex(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, `aidb telemetry
 /metrics       Prometheus text (?format=json|text)
 /timeseries    series index; ?name=&window= for points
-/slowlog       slow-query log (JSON)
-/statements    per-fingerprint statement statistics (JSON)
 /traces        exported span trees (JSON)
-/alerts        KPI anomaly alerts (JSON)
 /debug/pprof/  Go profiling
+statements, metrics, alerts: SELECT ... FROM system.*
 `)
 }
 
@@ -127,20 +108,6 @@ func (t *Telemetry) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 	t.Series.WriteJSONTo(w, name, n)
 }
 
-func (t *Telemetry) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	t.SlowLog.WriteJSONTo(w)
-}
-
-func (t *Telemetry) handleStatements(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if t.Statements == nil {
-		io.WriteString(w, "[]\n")
-		return
-	}
-	t.Statements.WriteJSONTo(w)
-}
-
 func (t *Telemetry) handleTraces(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	exports := t.Tracer.Exports()
@@ -153,52 +120,6 @@ func (t *Telemetry) handleTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Write(append(buf, '\n'))
-}
-
-func (t *Telemetry) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if t.Alerts == nil {
-		io.WriteString(w, "[]\n")
-		return
-	}
-	t.Alerts.WriteJSONTo(w)
-}
-
-// Server is a started telemetry HTTP server.
-type Server struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// Serve starts an HTTP telemetry server on addr (":0" picks a free
-// port; read the bound address back with Addr). The listener is bound
-// synchronously — a non-nil return means scrapes will be served — and
-// requests are handled on background goroutines until Close.
-func Serve(addr string, t *Telemetry) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: t}
-	go srv.Serve(ln)
-	return &Server{ln: ln, srv: srv}, nil
-}
-
-// Addr reports the server's bound address (host:port).
-func (s *Server) Addr() string {
-	if s == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-// Close shuts the server down, closing the listener and any active
-// connections. Safe on nil.
-func (s *Server) Close() error {
-	if s == nil {
-		return nil
-	}
-	return s.srv.Close()
 }
 
 // WritePromTo renders the registry in the Prometheus text exposition

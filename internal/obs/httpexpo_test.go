@@ -4,12 +4,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 )
 
-// serveTelemetry starts a telemetry server on a loopback port over a
+// serveTelemetry serves a Telemetry handler on a loopback port over a
 // small populated registry and returns its base URL.
 func serveTelemetry(t *testing.T) (string, *Registry, *TimeSeries) {
 	t.Helper()
@@ -30,17 +31,9 @@ func serveTelemetry(t *testing.T) (string, *Registry, *TimeSeries) {
 	sp.SetTag("stmt", "SELECT")
 	sp.Finish()
 
-	slow := NewSlowQueryLog(4, 0)
-	slow.Record(SlowLogEntry{Query: "SELECT 1", Fingerprint: "fp1", LatencyNs: 10})
-
-	srv, err := Serve("127.0.0.1:0", &Telemetry{
-		Registry: reg, Series: ts, SlowLog: slow, Tracer: tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return "http://" + srv.Addr(), reg, ts
+	srv := httptest.NewServer(&Telemetry{Registry: reg, Series: ts, Tracer: tr})
+	t.Cleanup(srv.Close)
+	return srv.URL, reg, ts
 }
 
 func get(t *testing.T, url string) (string, string) {
@@ -133,15 +126,27 @@ func TestTelemetryTimeseriesEndpoint(t *testing.T) {
 	}
 }
 
-func TestTelemetrySlowlogTracesAlerts(t *testing.T) {
-	base, _, _ := serveTelemetry(t)
-	slow, _ := get(t, base+"/slowlog")
-	var entries []SlowLogEntry
-	if err := json.Unmarshal([]byte(slow), &entries); err != nil {
+// status returns the HTTP status of a GET of url.
+func status(t *testing.T, url string) int {
+	t.Helper()
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Get(url)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Query != "SELECT 1" {
-		t.Errorf("slowlog = %+v", entries)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestTelemetrySlowlogTracesAlerts: /traces serves the exported span
+// trees; the slow log is gone and alerts are system.alerts, so neither
+// has an endpoint.
+func TestTelemetrySlowlogTracesAlerts(t *testing.T) {
+	base, _, _ := serveTelemetry(t)
+	for _, p := range []string{"/slowlog", "/alerts"} {
+		if code := status(t, base+p); code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", p, code)
+		}
 	}
 	traces, _ := get(t, base+"/traces")
 	var spans []SpanExport
@@ -155,10 +160,17 @@ func TestTelemetrySlowlogTracesAlerts(t *testing.T) {
 	if spans[0].Tags["stmt"] != "SELECT" {
 		t.Errorf("trace tags = %v", spans[0].Tags)
 	}
-	// No alert log wired: the endpoint degrades to an empty array.
-	alerts, _ := get(t, base+"/alerts")
-	if strings.TrimSpace(alerts) != "[]" {
-		t.Errorf("alerts = %q, want empty array", alerts)
+}
+
+// TestTelemetryStatementsEndpoint: statement statistics are read through
+// system.statements, which the index page names; HTTP has no copy.
+func TestTelemetryStatementsEndpoint(t *testing.T) {
+	base, _, _ := serveTelemetry(t)
+	if code := status(t, base+"/statements"); code != http.StatusNotFound {
+		t.Errorf("GET /statements = %d, want 404", code)
+	}
+	if index, _ := get(t, base+"/"); !strings.Contains(index, "system.*") {
+		t.Errorf("index page does not point at system.*:\n%s", index)
 	}
 }
 
@@ -172,27 +184,17 @@ func TestTelemetryIndexAndPprof(t *testing.T) {
 	if len(pprof) == 0 {
 		t.Error("pprof cmdline empty")
 	}
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(base + "/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown path = %s, want 404", resp.Status)
+	if code := status(t, base+"/nope"); code != http.StatusNotFound {
+		t.Errorf("unknown path = %d, want 404", code)
 	}
 }
 
 func TestTelemetryNilComponents(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", &Telemetry{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := httptest.NewServer(&Telemetry{})
 	defer srv.Close()
-	base := "http://" + srv.Addr()
 	for _, p := range []string{"/metrics", "/metrics?format=json", "/timeseries",
-		"/timeseries?name=x", "/slowlog", "/traces", "/alerts"} {
-		body, _ := get(t, base+p)
+		"/timeseries?name=x", "/traces"} {
+		body, _ := get(t, srv.URL+p)
 		if len(body) == 0 {
 			t.Errorf("GET %s returned empty body", p)
 		}

@@ -226,16 +226,16 @@ func (r *Registry) refs() []metricRef {
 }
 
 // Snapshot returns every scalar metric as name -> value: counters,
-// gauges, gauge funcs, and per-histogram count/sum. Monotonic names
-// (counters, hist counts/sums) can be diffed across snapshots to form
-// rates. Values are read outside the registry lock. Returns nil on a
-// nil registry.
+// gauges, gauge funcs, and per-histogram count/sum/p50/p95/p99 — every
+// number WriteTo prints. Monotonic names (counters, hist counts/sums)
+// can be diffed across snapshots to form rates. Values are read outside
+// the registry lock. Returns nil on a nil registry.
 func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil
 	}
 	refs := r.refs()
-	out := make(map[string]float64, len(refs)+len(refs)/2)
+	out := make(map[string]float64, 2*len(refs))
 	for _, m := range refs {
 		switch {
 		case m.c != nil:
@@ -248,36 +248,12 @@ func (r *Registry) Snapshot() map[string]float64 {
 			s := m.h.Snapshot()
 			out[m.name+".count"] = float64(s.Count)
 			out[m.name+".sum"] = s.Sum
+			out[m.name+".p50"] = s.P50
+			out[m.name+".p95"] = s.P95
+			out[m.name+".p99"] = s.P99
 		}
 	}
 	return out
-}
-
-// expoLine is one rendered exposition row.
-type expoLine struct {
-	name, kind, rest string
-}
-
-// lines renders every metric, reading and formatting values outside the
-// registry lock (refs holds it only long enough to copy the pointers).
-func (r *Registry) lines() []expoLine {
-	refs := r.refs()
-	lines := make([]expoLine, 0, len(refs))
-	for _, m := range refs {
-		switch {
-		case m.c != nil:
-			lines = append(lines, expoLine{m.name, "counter", fmt.Sprintf("%d", m.c.Value())})
-		case m.g != nil:
-			lines = append(lines, expoLine{m.name, "gauge", fmt.Sprintf("%g", m.g.Value())})
-		case m.fn != nil:
-			lines = append(lines, expoLine{m.name, "gauge", fmt.Sprintf("%g", m.fn())})
-		case m.h != nil:
-			s := m.h.Snapshot()
-			lines = append(lines, expoLine{m.name, "histogram",
-				fmt.Sprintf("count=%d sum=%g p50=%g p95=%g p99=%g", s.Count, s.Sum, s.P50, s.P95, s.P99)})
-		}
-	}
-	return lines
 }
 
 // WriteTo renders the registry as sorted text, one metric per line:
@@ -285,15 +261,29 @@ func (r *Registry) lines() []expoLine {
 //	counter exec.rows_scanned 12345
 //	histogram kv.get.latency_ns count=90 sum=1.2e+06 p50=800 p95=9000 p99=14000
 //
-// It implements io.WriterTo. A nil registry writes a disabled marker.
+// Values are read outside the registry lock. It implements io.WriterTo.
+// A nil registry writes a disabled marker.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	if r == nil {
 		n, err := io.WriteString(w, "# obs: registry disabled\n")
 		return int64(n), err
 	}
 	var total int64
-	for _, l := range r.lines() {
-		n, err := fmt.Fprintf(w, "%s %s %s\n", l.kind, l.name, l.rest)
+	for _, m := range r.refs() {
+		var n int
+		var err error
+		switch {
+		case m.c != nil:
+			n, err = fmt.Fprintf(w, "counter %s %d\n", m.name, m.c.Value())
+		case m.g != nil:
+			n, err = fmt.Fprintf(w, "gauge %s %g\n", m.name, m.g.Value())
+		case m.fn != nil:
+			n, err = fmt.Fprintf(w, "gauge %s %g\n", m.name, m.fn())
+		case m.h != nil:
+			s := m.h.Snapshot()
+			n, err = fmt.Fprintf(w, "histogram %s count=%d sum=%g p50=%g p95=%g p99=%g\n",
+				m.name, s.Count, s.Sum, s.P50, s.P95, s.P99)
+		}
 		total += int64(n)
 		if err != nil {
 			return total, err

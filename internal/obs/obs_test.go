@@ -84,6 +84,10 @@ func TestHistogramQuantiles(t *testing.T) {
 	if s.P99 <= 100 || s.P99 > 1000 {
 		t.Fatalf("p99 = %g, want in (100, 1000]", s.P99)
 	}
+	snap := r.Snapshot()
+	if snap["lat.p50"] != s.P50 || snap["lat.p95"] != s.P95 || snap["lat.p99"] != s.P99 {
+		t.Fatalf("registry snapshot quantiles %v, histogram %+v", snap, s)
+	}
 	// Overflow bucket.
 	h.Observe(5000)
 	if got := h.Snapshot().BucketCounts[3]; got != 1 {
@@ -189,6 +193,97 @@ func TestWriteToExposition(t *testing.T) {
 			t.Fatalf("JSON missing %q:\n%s", want, js.String())
 		}
 	}
+}
+
+// TestHistogramQuantileOverflowClamp is the regression test for the
+// overflow-bucket bug: quantiles that land past the largest bucket
+// boundary must clamp to the maximum observed value instead of
+// reporting the bucket's (unbounded) upper edge.
+func TestHistogramQuantileOverflowClamp(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat", []float64{1, 10, 100})
+	// Everything lands in the overflow bucket (> 100).
+	for i := 0; i < 50; i++ {
+		h.Observe(250)
+	}
+	s := h.Snapshot()
+	if s.Max != 250 {
+		t.Fatalf("snapshot max = %v, want 250", s.Max)
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99, 1} {
+		if got := h.Quantile(q); got != 250 {
+			t.Errorf("Quantile(%v) = %v, want clamp to max observed 250", q, got)
+		}
+	}
+	// Mixed case: the interpolated tail quantile must never exceed the
+	// observed max even when in-range buckets are populated.
+	h2 := r.Histogram("lat2", []float64{1, 10, 100})
+	for i := 0; i < 90; i++ {
+		h2.Observe(5)
+	}
+	for i := 0; i < 10; i++ {
+		h2.Observe(120)
+	}
+	if got := h2.Quantile(0.99); got > 120 {
+		t.Errorf("P99 = %v exceeds max observed 120", got)
+	}
+}
+
+// TestExpositionSorted is the determinism regression test for CI
+// artifact diffs: text and JSON expositions must list metrics in
+// sorted name order no matter the registration order.
+func TestExpositionSorted(t *testing.T) {
+	r := NewRegistry()
+	for _, name := range []string{"zeta.z", "alpha.a", "mid.m", "beta.b"} {
+		r.Counter(name).Inc()
+	}
+	var txt strings.Builder
+	if _, err := r.WriteTo(&txt); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(txt.String()), "\n")
+	var names []string
+	for _, ln := range lines {
+		names = append(names, strings.Fields(ln)[0])
+	}
+	if !sortedStrings(names) {
+		t.Errorf("text exposition not sorted: %v", names)
+	}
+
+	var js strings.Builder
+	if _, err := r.WriteJSONTo(&js); err != nil {
+		t.Fatal(err)
+	}
+	out := js.String()
+	order := []string{"alpha.a", "beta.b", "mid.m", "zeta.z"}
+	prev := -1
+	for _, n := range order {
+		idx := strings.Index(out, `"`+n+`"`)
+		if idx < 0 {
+			t.Fatalf("JSON exposition missing %q:\n%s", n, out)
+		}
+		if idx < prev {
+			t.Errorf("JSON exposition out of order at %q:\n%s", n, out)
+		}
+		prev = idx
+	}
+	// Identical registries must produce byte-identical dumps.
+	var js2 strings.Builder
+	if _, err := r.WriteJSONTo(&js2); err != nil {
+		t.Fatal(err)
+	}
+	if js2.String() != out {
+		t.Error("JSON exposition not deterministic across calls")
+	}
+}
+
+func sortedStrings(s []string) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i] < s[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestSpanTree(t *testing.T) {

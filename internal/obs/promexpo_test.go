@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"regexp"
 	"strings"
 	"testing"
@@ -80,38 +79,5 @@ func TestWritePromToCollision(t *testing.T) {
 	}
 	if !strings.Contains(out, "# TYPE a_b_1 counter\na_b_1 ") {
 		t.Fatalf("collision did not get a numeric suffix:\n%s", out)
-	}
-}
-
-// TestTelemetryStatementsEndpoint: /statements serves the statement
-// statistics store as JSON, and degrades to [] when absent.
-func TestTelemetryStatementsEndpoint(t *testing.T) {
-	stats := NewStatementStats(0)
-	stats.Record(StmtObservation{Fingerprint: "Scan(t)", Query: "SELECT a FROM t", Outcome: StmtOK, LatencyNs: 900, Rows: 3})
-	srv, err := Serve("127.0.0.1:0", &Telemetry{Statements: stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	body, ctype := get(t, "http://"+srv.Addr()+"/statements")
-	if !strings.Contains(ctype, "application/json") {
-		t.Fatalf("content type = %q", ctype)
-	}
-	var decoded []StatementStat
-	if err := json.Unmarshal([]byte(body), &decoded); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, body)
-	}
-	if len(decoded) != 1 || decoded[0].Fingerprint != "Scan(t)" || decoded[0].Rows != 3 {
-		t.Fatalf("decoded = %+v", decoded)
-	}
-
-	bare, err := Serve("127.0.0.1:0", &Telemetry{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Close()
-	body, _ = get(t, "http://"+bare.Addr()+"/statements")
-	if strings.TrimSpace(body) != "[]" {
-		t.Fatalf("nil store body = %q, want []", body)
 	}
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -10,7 +8,7 @@ import (
 	"time"
 )
 
-// DefaultStatementCap bounds the number of distinct fingerprints the
+// DefaultStatementCap bounds the number of distinct statements the
 // statement store keeps before evicting the least recently seen one.
 const DefaultStatementCap = 512
 
@@ -26,16 +24,22 @@ const (
 )
 
 // StmtObservation is one statement execution reported to the store.
-// Fingerprint is the plan-shape key executions aggregate under; Query
-// is a representative text kept from the fingerprint's first sighting.
+// Executions aggregate under Fingerprint, the plan shape, together with
+// Key, the statement's normalized text ("" for a statement that arrived
+// parsed), so two statements of one plan shape stay apart. Query is a
+// representative text kept from the entry's first sighting.
 type StmtObservation struct {
 	Fingerprint string
+	Key         string
 	Query       string
 	Outcome     StmtOutcome
 	LatencyNs   int64
 	Rows        int64
 	Chunks      int64
 	PeakBytes   int64
+	// ChaosFires is the number of injected faults this execution's own
+	// scans absorbed.
+	ChaosFires int64
 }
 
 // stmtLatBuckets cover query latencies from ~1µs to ~275s in powers of
@@ -43,7 +47,10 @@ type StmtObservation struct {
 // exceed a second under chaos injection.
 var stmtLatBuckets = ExpBuckets(1024, 4, 16)
 
-// stmtEntry is the hot-path record for one fingerprint. The map only
+// stmtKey identifies one entry: see StmtObservation.
+type stmtKey struct{ fingerprint, key string }
+
+// stmtEntry is the hot-path record for one statement. The map only
 // guards entry discovery; every field update is atomic so concurrent
 // recorders never serialize on a lock.
 type stmtEntry struct {
@@ -62,41 +69,43 @@ type stmtEntry struct {
 	maxNs      atomic.Int64
 	chunks     atomic.Int64
 	peakBytes  atomic.Int64 // high-water mark across executions
+	chaosFires atomic.Int64
 	lat        *Histogram
 }
 
-// StatementStats is a cumulative, bounded per-fingerprint statement
-// statistics store: the queryable core behind system.statements and the
-// /statements endpoint. Recording takes a read lock plus atomic adds on
-// the entry; only first sightings (and evictions) take the write lock.
-// All methods are nil-safe.
+// StatementStats is a cumulative, bounded per-statement statistics
+// store: the one record of every statement the engine ran, and the
+// queryable core behind system.statements. Recording takes a read lock
+// plus atomic adds on the entry; only first sightings (and evictions)
+// take the write lock. All methods are nil-safe.
 type StatementStats struct {
 	mu      sync.RWMutex
-	byFP    map[string]*stmtEntry
+	byKey   map[stmtKey]*stmtEntry
 	cap     int
 	evicted atomic.Uint64
 }
 
 // NewStatementStats creates a store keeping at most capacity distinct
-// fingerprints (<=0 selects DefaultStatementCap).
+// statements (<=0 selects DefaultStatementCap).
 func NewStatementStats(capacity int) *StatementStats {
 	if capacity <= 0 {
 		capacity = DefaultStatementCap
 	}
-	return &StatementStats{byFP: make(map[string]*stmtEntry), cap: capacity}
+	return &StatementStats{byKey: make(map[stmtKey]*stmtEntry), cap: capacity}
 }
 
-// Record folds one execution into its fingerprint's entry.
+// Record folds one execution into its statement's entry.
 func (s *StatementStats) Record(o StmtObservation) {
 	if s == nil {
 		return
 	}
 	now := time.Now().UnixNano()
+	k := stmtKey{o.Fingerprint, o.Key}
 	s.mu.RLock()
-	e := s.byFP[o.Fingerprint]
+	e := s.byKey[k]
 	s.mu.RUnlock()
 	if e == nil {
-		e = s.insert(o.Fingerprint, o.Query, now)
+		e = s.insert(k, o.Query, now)
 	}
 	e.lastSeenNs.Store(now)
 	e.calls.Add(1)
@@ -111,39 +120,40 @@ func (s *StatementStats) Record(o StmtObservation) {
 	e.rows.Add(o.Rows)
 	e.totalNs.Add(o.LatencyNs)
 	e.chunks.Add(o.Chunks)
+	e.chaosFires.Add(o.ChaosFires)
 	atomicMin(&e.minNs, o.LatencyNs)
 	atomicMax(&e.maxNs, o.LatencyNs)
 	atomicMax(&e.peakBytes, o.PeakBytes)
 	e.lat.Observe(float64(o.LatencyNs))
 }
 
-// insert registers a new fingerprint, evicting the least recently seen
+// insert registers a new statement, evicting the least recently seen
 // entry when the store is full.
-func (s *StatementStats) insert(fp, query string, now int64) *stmtEntry {
+func (s *StatementStats) insert(k stmtKey, query string, now int64) *stmtEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.byFP[fp]; ok {
+	if e, ok := s.byKey[k]; ok {
 		return e
 	}
-	if len(s.byFP) >= s.cap {
-		var victim string
+	if len(s.byKey) >= s.cap {
+		var victim stmtKey
 		oldest := int64(math.MaxInt64)
-		for k, e := range s.byFP {
+		for vk, e := range s.byKey {
 			if seen := e.lastSeenNs.Load(); seen < oldest {
-				oldest, victim = seen, k
+				oldest, victim = seen, vk
 			}
 		}
-		delete(s.byFP, victim)
+		delete(s.byKey, victim)
 		s.evicted.Add(1)
 	}
 	e := &stmtEntry{
-		fingerprint: fp,
+		fingerprint: k.fingerprint,
 		query:       query,
 		firstSeenNs: now,
 		lat:         newHistogram(stmtLatBuckets),
 	}
 	e.minNs.Store(math.MaxInt64)
-	s.byFP[fp] = e
+	s.byKey[k] = e
 	return e
 }
 
@@ -165,36 +175,38 @@ func atomicMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// StatementStat is a point-in-time summary of one fingerprint.
+// StatementStat is a point-in-time summary of one statement.
 type StatementStat struct {
-	Fingerprint string `json:"fingerprint"`
-	Query       string `json:"query"`
-	Calls       uint64 `json:"calls"`
-	Errors      uint64 `json:"errors"`
-	Cancels     uint64 `json:"cancels"`
-	Sheds       uint64 `json:"sheds"`
-	Rows        int64  `json:"rows"`
-	TotalNs     int64  `json:"total_ns"`
-	MinNs       int64  `json:"min_ns"`
-	MaxNs       int64  `json:"max_ns"`
-	P50Ns       int64  `json:"p50_ns"`
-	P95Ns       int64  `json:"p95_ns"`
-	P99Ns       int64  `json:"p99_ns"`
-	Chunks      int64  `json:"chunks"`
-	PeakBytes   int64  `json:"peak_bytes"`
-	FirstSeenNs int64  `json:"first_seen_ns"`
-	LastSeenNs  int64  `json:"last_seen_ns"`
+	Fingerprint string
+	Query       string
+	Calls       uint64
+	Errors      uint64
+	Cancels     uint64
+	Sheds       uint64
+	Rows        int64
+	TotalNs     int64
+	MinNs       int64
+	MaxNs       int64
+	P50Ns       int64
+	P95Ns       int64
+	P99Ns       int64
+	Chunks      int64
+	PeakBytes   int64
+	ChaosFires  int64
+	FirstSeenNs int64
+	LastSeenNs  int64
 }
 
-// Snapshot summarizes every tracked fingerprint, sorted by fingerprint
-// for deterministic output. Safe to call concurrently with Record.
+// Snapshot summarizes every tracked statement, sorted by fingerprint and
+// then text for deterministic output. Safe to call concurrently with
+// Record.
 func (s *StatementStats) Snapshot() []StatementStat {
 	if s == nil {
 		return nil
 	}
 	s.mu.RLock()
-	entries := make([]*stmtEntry, 0, len(s.byFP))
-	for _, e := range s.byFP {
+	entries := make([]*stmtEntry, 0, len(s.byKey))
+	for _, e := range s.byKey {
 		entries = append(entries, e)
 	}
 	s.mu.RUnlock()
@@ -221,44 +233,34 @@ func (s *StatementStats) Snapshot() []StatementStat {
 			P99Ns:       int64(hs.P99),
 			Chunks:      e.chunks.Load(),
 			PeakBytes:   e.peakBytes.Load(),
+			ChaosFires:  e.chaosFires.Load(),
 			FirstSeenNs: e.firstSeenNs,
 			LastSeenNs:  e.lastSeenNs.Load(),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Fingerprint != out[j].Fingerprint {
+			return out[i].Fingerprint < out[j].Fingerprint
+		}
+		return out[i].Query < out[j].Query
+	})
 	return out
 }
 
-// Len reports the number of tracked fingerprints.
+// Len reports the number of tracked statements.
 func (s *StatementStats) Len() int {
 	if s == nil {
 		return 0
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.byFP)
+	return len(s.byKey)
 }
 
-// Evicted reports how many fingerprints were dropped to stay under cap.
+// Evicted reports how many statements were dropped to stay under cap.
 func (s *StatementStats) Evicted() uint64 {
 	if s == nil {
 		return 0
 	}
 	return s.evicted.Load()
-}
-
-// WriteJSONTo dumps the snapshot as a JSON array (the /statements
-// endpoint body).
-func (s *StatementStats) WriteJSONTo(w io.Writer) (int64, error) {
-	snap := s.Snapshot()
-	if snap == nil {
-		snap = []StatementStat{}
-	}
-	b, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return 0, err
-	}
-	b = append(b, '\n')
-	n, err := w.Write(b)
-	return int64(n), err
 }

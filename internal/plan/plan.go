@@ -704,7 +704,7 @@ func Explain(n Node) string {
 // Fingerprint renders the plan's canonical shape string — operator
 // kinds, base tables and join keys, but no cardinalities or constants —
 // so repeated executions of the same plan shape collapse to one key in
-// the slow-query log and workload-capture tooling.
+// the statement store and workload-capture tooling.
 func Fingerprint(n Node) string {
 	var sb strings.Builder
 	var walk func(n Node)

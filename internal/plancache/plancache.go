@@ -117,7 +117,7 @@ func New(capacity int) *Cache {
 }
 
 // Instrument resolves the cache's counters against reg (visible in
-// \metrics as plancache.*). Nil registry leaves them disabled.
+// system.metrics as plancache.*). Nil registry leaves them disabled.
 func (c *Cache) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -252,5 +254,96 @@ func TestHTTPQueryEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(body), "plancache") {
 		t.Fatalf("/metrics missing plancache counters:\n%.400s", body)
+	}
+}
+
+// TestTelemetryEndToEnd drives statements over POST /query with the
+// sampler running, the way aidb-repl -serve does, and checks the whole
+// monitoring plane over the wire: metric exposition, sampled time
+// series and traces over HTTP; statements and alerts over SQL, with no
+// HTTP copy of either.
+func TestTelemetryEndToEnd(t *testing.T) {
+	db := testDB(t)
+	ln, err := ListenHTTP(db, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	db.StartTelemetry(0)
+	defer db.Close()
+	base := "http://" + ln.Addr().String()
+	client := &http.Client{Timeout: 5 * time.Second}
+	do := func(method, p, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, base+p, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(out)
+	}
+	query := func(q string) string {
+		t.Helper()
+		code, body := do(http.MethodPost, "/query", q)
+		if code != http.StatusOK {
+			t.Fatalf("POST /query %q: %d %s", q, code, body)
+		}
+		return body
+	}
+	get := func(p string) string {
+		t.Helper()
+		code, body := do(http.MethodGet, p, "")
+		if code != http.StatusOK {
+			t.Fatalf("GET %s: %d", p, code)
+		}
+		return body
+	}
+
+	query("SELECT COUNT(*) FROM kv WHERE k < 3")
+	query("EXPLAIN ANALYZE SELECT v FROM kv WHERE k = 2")
+	// Deterministic windows instead of waiting for the 1s ticker.
+	db.Series().SampleOnce()
+	db.Series().SampleOnce()
+
+	if prom := get("/metrics"); !strings.Contains(prom, "exec_queries") {
+		t.Errorf("/metrics missing exec_queries:\n%.400s", prom)
+	}
+	var idx struct {
+		Series  []string `json:"series"`
+		Windows uint64   `json:"windows"`
+	}
+	if err := json.Unmarshal([]byte(get("/timeseries")), &idx); err != nil {
+		t.Fatal(err)
+	}
+	if idx.Windows < 2 || !slices.Contains(idx.Series, "exec.queries") {
+		t.Errorf("/timeseries = %d windows over %v, want >= 2 with exec.queries", idx.Windows, idx.Series)
+	}
+	if traces := get("/traces"); !strings.Contains(traces, `"name": "query"`) {
+		t.Errorf("/traces missing exported query span:\n%.400s", traces)
+	}
+	for _, p := range []string{"/slowlog", "/statements", "/alerts"} {
+		if code, _ := do(http.MethodGet, p, ""); code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404: system.* serves it", p, code)
+		}
+	}
+	if stmts := query("SELECT query, calls FROM system.statements WHERE fingerprint = 'Project(Filter(Scan(kv)))'"); !strings.Contains(stmts, `"EXPLAIN ANALYZE SELECT v FROM kv WHERE k = 2",1`) {
+		t.Errorf("system.statements missing the profiled statement:\n%s", stmts)
+	}
+	if alerts := query("SELECT COUNT(*) FROM system.alerts"); !strings.Contains(alerts, "[[0]]") {
+		t.Errorf("system.alerts on a healthy run = %s, want no rows", alerts)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db.Series().Running() {
+		t.Error("sampler still running after Close")
 	}
 }

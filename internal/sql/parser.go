@@ -127,17 +127,8 @@ func (p *Parser) parseStatement() (Statement, error) {
 	case p.at(TokKeyword, "SHOW"):
 		return p.parseShow()
 	case p.accept(TokKeyword, "EXPLAIN"):
-		// EXPLAIN ANALYZE <select> profiles the execution; a bare
-		// identifier after ANALYZE still parses as EXPLAIN over the
-		// statistics-refresh statement (EXPLAIN ANALYZE t).
+		// EXPLAIN ANALYZE <statement> profiles the execution.
 		if p.accept(TokKeyword, "ANALYZE") {
-			if p.cur().Kind == TokIdent {
-				name, err := p.expectIdent()
-				if err != nil {
-					return nil, err
-				}
-				return &ExplainStmt{Inner: &AnalyzeStmt{Table: name}}, nil
-			}
 			inner, err := p.parseStatement()
 			if err != nil {
 				return nil, err

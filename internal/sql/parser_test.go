@@ -213,16 +213,6 @@ func TestParseExplainAnalyze(t *testing.T) {
 	if got := StatementKind(ea); got != "EXPLAIN ANALYZE SELECT" {
 		t.Errorf("kind = %q", got)
 	}
-	// ...while the legacy `EXPLAIN ANALYZE <table>` spelling still
-	// resolves to EXPLAIN over a statistics refresh.
-	legacy := mustParse(t, "EXPLAIN ANALYZE t").(*ExplainStmt)
-	inner, ok := legacy.Inner.(*AnalyzeStmt)
-	if !ok || inner.Table != "t" {
-		t.Errorf("legacy form inner = %#v", legacy.Inner)
-	}
-	if legacy.Analyze {
-		t.Error("legacy table form should not set Analyze")
-	}
 }
 
 func TestParseErrors(t *testing.T) {
@@ -239,6 +229,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT * FROM t LIMIT x",
 		"DROP",
 		"SELECT * FROM t extra garbage tokens (",
+		"EXPLAIN ANALYZE t", // ANALYZE t is the one statistics refresh
 	}
 	for _, q := range bad {
 		if _, err := Parse(q); err == nil {

@@ -14,7 +14,7 @@ func TestParseQualifiedTableNames(t *testing.T) {
 		t.Fatalf("table = %q alias = %q", sel.Table, sel.Alias)
 	}
 
-	stmt, err = Parse("SELECT s.fingerprint, q.count FROM system.statements s JOIN system.slow_queries q ON s.fingerprint = q.fingerprint")
+	stmt, err = Parse("SELECT s.query, p.hits FROM system.statements s JOIN system.plan_cache p ON s.fingerprint = p.fingerprint")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestParseQualifiedTableNames(t *testing.T) {
 	if sel.Table != "system.statements" || sel.Alias != "s" {
 		t.Fatalf("main = %q AS %q", sel.Table, sel.Alias)
 	}
-	if len(sel.Joins) != 1 || sel.Joins[0].Table != "system.slow_queries" || sel.Joins[0].Alias != "q" {
+	if len(sel.Joins) != 1 || sel.Joins[0].Table != "system.plan_cache" || sel.Joins[0].Alias != "p" {
 		t.Fatalf("joins = %+v", sel.Joins)
 	}
 
