@@ -227,19 +227,6 @@ func encodeRow(schema *Schema, row Row) ([]byte, error) {
 	return buf, nil
 }
 
-// stringLen reads the length of the string encoded at off and checks
-// that its bytes are all there.
-func stringLen(b []byte, off int) (int, error) {
-	if off+4 > len(b) {
-		return 0, errors.New("catalog: truncated string length")
-	}
-	l := int(binary.LittleEndian.Uint32(b[off : off+4]))
-	if off+4+l > len(b) {
-		return 0, errors.New("catalog: truncated string value")
-	}
-	return l, nil
-}
-
 func errTruncated(t ColType) error {
 	if t == Int64 {
 		return errors.New("catalog: truncated int64 value")

@@ -30,50 +30,42 @@ func NewHistogram(values []int64, buckets int) *Histogram {
 	}
 	width := h.width()
 	for _, v := range values {
-		b := int((v - h.Min) / width)
-		if b >= len(h.Buckets) {
-			b = len(h.Buckets) - 1
-		}
+		b := min(uint64(v-h.Min)/width, uint64(len(h.Buckets)-1))
 		h.Buckets[b]++
 		h.Total++
 	}
 	return h
 }
 
-func (h *Histogram) width() int64 {
-	w := (h.Max - h.Min + 1) / int64(len(h.Buckets))
-	if w < 1 {
-		w = 1
-	}
-	return w
+// width is the span of values a bucket covers. Offsets from Min are
+// taken as uint64, which holds Max-Min for any two int64s: in int64 the
+// span of a column holding both -5e18 and 5e18 overflows.
+func (h *Histogram) width() uint64 {
+	d, n := uint64(h.Max-h.Min), uint64(len(h.Buckets))
+	return max(d/n+(d%n+1)/n, 1) // (d+1)/n, without overflowing at d = MaxUint64
 }
 
 // EstimateRange estimates the number of rows with lo <= v <= hi assuming
 // uniformity within buckets.
 func (h *Histogram) EstimateRange(lo, hi int64) float64 {
-	if h.Total == 0 || hi < h.Min || lo > h.Max {
+	if h.Total == 0 || hi < h.Min || lo > h.Max || lo > hi {
 		return 0
 	}
-	if lo < h.Min {
-		lo = h.Min
-	}
-	if hi > h.Max {
-		hi = h.Max
-	}
+	lo, hi = max(lo, h.Min), min(hi, h.Max)
+	from, to := uint64(lo-h.Min), uint64(hi-h.Min)
 	width := h.width()
 	est := 0.0
 	for b, cnt := range h.Buckets {
-		bLo := h.Min + int64(b)*width
+		bLo := uint64(b) * width
 		bHi := bLo + width - 1
 		if b == len(h.Buckets)-1 {
-			bHi = h.Max
+			bHi = uint64(h.Max - h.Min)
 		}
-		if bHi < lo || bLo > hi {
+		if bHi < from || bLo > to {
 			continue
 		}
-		ovLo, ovHi := max64(bLo, lo), min64(bHi, hi)
-		frac := float64(ovHi-ovLo+1) / float64(bHi-bLo+1)
-		est += float64(cnt) * frac
+		ovLo, ovHi := max(bLo, from), min(bHi, to)
+		est += float64(cnt) * (float64(ovHi-ovLo) + 1) / (float64(bHi-bLo) + 1)
 	}
 	return est
 }
@@ -84,20 +76,6 @@ func (h *Histogram) Selectivity(lo, hi int64) float64 {
 		return 0
 	}
 	return h.EstimateRange(lo, hi) / float64(h.Total)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // MCV is one most-common-value entry.

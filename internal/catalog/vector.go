@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"unsafe"
 
 	"aidb/internal/storage"
@@ -56,29 +57,27 @@ func (v *Vector) appendString(b []byte) {
 // row's record id to *rids. It reads the page through the buffer pool's
 // View, under the table's read lock: a resident page is pinned once, any
 // other is read past the pool, so a scan evicts nothing. It returns how
-// many rows it appended; on error the vectors may hold part of a row and
-// must be discarded.
+// many rows it appended; on error the vectors may hold part of the page
+// and must be discarded.
 func (t *Table) DecodePage(id storage.PageID, cols []*Vector, rids *[]storage.RecordID) (int, error) {
 	if err := t.checkCols(cols); err != nil {
 		return 0, err
 	}
+	d := decoders.Get().(*pageDecoder)
+	defer decoders.Put(d)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := 0
 	err := t.pool.View(id, func(p *storage.Page) error {
-		t.grow(cols, rids, p.Slots())
-		for s := 0; s < p.Slots(); s++ {
-			ok, err := t.decodeSlot(p, s, cols, rids)
-			if err != nil {
-				return err
-			}
-			if ok {
-				n++
-			}
+		var err error
+		if d.ext, err = p.AppendLive(d.ext[:0]); err != nil {
+			return err
 		}
-		return nil
+		return d.decode(&t.Schema, p, cols, rids)
 	})
-	return n, err
+	if err != nil {
+		return 0, err
+	}
+	return len(d.ext), nil
 }
 
 // DecodeRecords is DecodePage for the records ids names, in that order:
@@ -89,6 +88,8 @@ func (t *Table) DecodeRecords(ids []storage.RecordID, cols []*Vector, rids *[]st
 		return 0, err
 	}
 	t.grow(cols, rids, len(ids))
+	d := decoders.Get().(*pageDecoder)
+	defer decoders.Put(d)
 	n := 0
 	for i := 0; i < len(ids); {
 		page, j := ids[i].Page, i+1
@@ -96,20 +97,23 @@ func (t *Table) DecodeRecords(ids []storage.RecordID, cols []*Vector, rids *[]st
 			j++
 		}
 		err := t.onPage(page, func(p *storage.Page) error {
+			d.ext = d.ext[:0]
 			for _, rid := range ids[i:j] {
-				ok, err := t.decodeSlot(p, rid.Slot, cols, rids)
+				e, err := p.Extent(rid.Slot)
+				if errors.Is(err, storage.ErrRecordDeleted) {
+					continue
+				}
 				if err != nil {
 					return err
 				}
-				if ok {
-					n++
-				}
+				d.ext = append(d.ext, e)
 			}
-			return nil
+			return d.decode(&t.Schema, p, cols, rids)
 		})
 		if err != nil {
 			return n, err
 		}
+		n += len(d.ext)
 		i = j
 	}
 	return n, nil
@@ -122,7 +126,9 @@ func (t *Table) checkCols(cols []*Vector) error {
 	return nil
 }
 
-// grow makes room for n more rows in every vector decoded into.
+// grow makes room for n more rows in every vector decoded into, so ids
+// spread over several pages cost one allocation per vector, not one per
+// page.
 func (t *Table) grow(cols []*Vector, rids *[]storage.RecordID, n int) {
 	for i, v := range cols {
 		switch {
@@ -140,55 +146,110 @@ func (t *Table) grow(cols []*Vector, rids *[]storage.RecordID, n int) {
 	}
 }
 
-// decodeSlot appends the row in slot s of pinned page p; ok is false for
-// a deleted slot.
-func (t *Table) decodeSlot(p *storage.Page, s int, cols []*Vector, rids *[]storage.RecordID) (ok bool, err error) {
-	b, err := p.GetRef(s)
-	if err != nil {
-		if errors.Is(err, storage.ErrRecordDeleted) {
-			err = nil
-		}
-		return false, err
-	}
-	if err := decodeCells(&t.Schema, b, cols); err != nil {
-		return false, err
-	}
-	if rids != nil {
-		*rids = append(*rids, storage.RecordID{Page: p.ID, Slot: s})
-	}
-	return true, nil
+// pageDecoder decodes the records of one page a column at a time. Its
+// slices are scratch, kept across pages and pooled, so decoding a page
+// allocates nothing: ext is where the records to decode lie, cur each
+// record's read position.
+type pageDecoder struct {
+	ext []storage.Extent
+	cur []int
 }
 
-// decodeCells appends record b's cells to cols (nil entries are stepped
-// over). A record too short for its schema is an error.
-func decodeCells(schema *Schema, b []byte, cols []*Vector) error {
-	off := 0
-	for i, col := range schema.Columns {
-		v := cols[i]
-		switch col.Type {
-		case Int64, Float64:
-			if off+8 > len(b) {
-				return errTruncated(col.Type)
-			}
-			if v != nil {
-				x := binary.LittleEndian.Uint64(b[off : off+8])
-				if col.Type == Int64 {
-					v.I = append(v.I, int64(x))
-				} else {
-					v.F = append(v.F, math.Float64frombits(x))
-				}
-			}
-			off += 8
-		case String:
-			l, err := stringLen(b, off)
-			if err != nil {
+var decoders = sync.Pool{New: func() any { return new(pageDecoder) }}
+
+// decode appends the records d.ext names, all on page p, to cols (nil
+// entries are stepped over) and their record ids to *rids, a column at a
+// time: one loop per column, into a vector grown once. The schema is
+// runs of 8-byte columns between TEXT columns. A column in a run lies at
+// a constant offset from each record's cursor, which starts at the
+// record and moves past a run, once it is checked to lie in the record,
+// and past each string. A record too short for its schema is an error,
+// whichever columns are read.
+func (d *pageDecoder) decode(s *Schema, p *storage.Page, cols []*Vector, rids *[]storage.RecordID) error {
+	ext, b := d.ext, p.Data[:]
+	cur := slices.Grow(d.cur[:0], len(ext))
+	for _, e := range ext {
+		cur = append(cur, e.Off)
+	}
+	d.cur = cur
+	for i := 0; i < len(cols); {
+		if s.Columns[i].Type == String {
+			if err := decodeStrings(b, ext, cur, cols[i]); err != nil {
 				return err
 			}
-			if v != nil {
-				v.appendString(b[off+4 : off+4+l])
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(cols) && s.Columns[j].Type != String {
+			j++
+		}
+		width := 8 * (j - i)
+		for r, e := range ext {
+			at := cur[r] + width
+			if end := e.Off + e.Len; at > end {
+				return errTruncated(s.Columns[j-(at-end+7)/8].Type)
 			}
-			off += 4 + l
+			cur[r] = at
+		}
+		for k := i; k < j; k++ {
+			decodeWords(s.Columns[k].Type, b, cur, 8*(k-j), cols[k])
+		}
+		i = j
+	}
+	if rids != nil {
+		for _, e := range ext {
+			*rids = append(*rids, storage.RecordID{Page: p.ID, Slot: e.Slot})
 		}
 	}
 	return nil
+}
+
+// decodeWords appends to v (nil: steps over) the 8-byte cell of type typ
+// at offset at from each record's cursor in page bytes b.
+func decodeWords(typ ColType, b []byte, cur []int, at int, v *Vector) {
+	switch {
+	case v == nil:
+	case typ == Int64:
+		dst := extend(&v.I, len(cur))
+		for r, c := range cur {
+			dst[r] = int64(binary.LittleEndian.Uint64(b[c+at:]))
+		}
+	default:
+		dst := extend(&v.F, len(cur))
+		for r, c := range cur {
+			dst[r] = math.Float64frombits(binary.LittleEndian.Uint64(b[c+at:]))
+		}
+	}
+}
+
+// decodeStrings appends to v (nil: steps over) the string at each
+// record's cursor in page bytes b, checking that it lies in the record,
+// and moves the cursor past it.
+func decodeStrings(b []byte, ext []storage.Extent, cur []int, v *Vector) error {
+	if v != nil {
+		v.S = slices.Grow(v.S, len(ext))
+	}
+	for r, e := range ext {
+		at, end := cur[r], e.Off+e.Len
+		if end-at < 4 {
+			return errors.New("catalog: truncated string length")
+		}
+		l := int(binary.LittleEndian.Uint32(b[at:]))
+		if at += 4; l > end-at {
+			return errors.New("catalog: truncated string value")
+		}
+		if v != nil {
+			v.appendString(b[at : at+l])
+		}
+		cur[r] = at + l
+	}
+	return nil
+}
+
+// extend lengthens *s by n elements and returns them, to be overwritten.
+func extend[T any](s *[]T, n int) []T {
+	m := len(*s)
+	*s = slices.Grow(*s, n)[:m+n]
+	return (*s)[m:]
 }

@@ -129,7 +129,7 @@ func TestPrepareSharesTheAdhocEntry(t *testing.T) {
 // TestPointReadAllocCeiling bounds what one served ad-hoc statement
 // allocates, session to rendered reply, with literals the cache has not
 // seen: 124 allocations for the point read and 301 for the 19-row range
-// before ad-hoc text ran on the prepared path.
+// before ad-hoc text ran on the prepared path, 43 and 51 measured now.
 func TestPointReadAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations inflate allocs/op")

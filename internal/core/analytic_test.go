@@ -69,6 +69,27 @@ func analyticDB(b *testing.B) *DB {
 	return db
 }
 
+// BenchmarkAnalyticStatements times each analytic statement on its own,
+// from one session on one worker, so each shape's cost is one
+// sub-benchmark: `-bench 'AnalyticStatements/group_city'`.
+func BenchmarkAnalyticStatements(b *testing.B) {
+	db := analyticDB(b)
+	db.SetParallelism(1)
+	names := []string{"filter_count", "group_city", "rows_age", "join_top", "predict_count"}
+	for i, stmt := range analyticStatements {
+		b.Run(names[i], func(b *testing.B) {
+			sess := db.NewSession()
+			defer sess.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sess.Exec(stmt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAnalyticSessions runs the five analytic statements round-robin
 // from one session and from two concurrent ones, and reports per
 // statement the layer counts that say whether concurrent scans share the

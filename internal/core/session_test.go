@@ -237,6 +237,32 @@ func TestPlanCacheInvalidationOnDDLAndAnalyze(t *testing.T) {
 	}
 }
 
+// TestAnalyzeFullInt64Range: ANALYZE of an INT column whose values span
+// more than MaxInt64 must not take the session (or a server) down, and
+// the plans estimated from its histogram must stay within the table.
+func TestAnalyzeFullInt64Range(t *testing.T) {
+	db := Open()
+	s := db.NewSession()
+	defer s.Close()
+	if _, err := s.ExecScript(context.Background(), "CREATE TABLE t (a INT, b INT); "+
+		"INSERT INTO t VALUES (-5000000000000000000, 1), (5000000000000000000, 2), "+
+		"(-9223372036854775807, 3), (9223372036854775807, 4), (0, 5), (7, 6); ANALYZE t"); err != nil {
+		t.Fatal(err)
+	}
+	for _, where := range []string{"a = 7", "a < 10", "a > -10", "a >= 5000000000000000000",
+		"a BETWEEN -9223372036854775807 AND 9223372036854775807", "a <= -9223372036854775807", "a IN (0, 7)"} {
+		res, err := s.Exec("EXPLAIN ANALYZE SELECT b FROM t WHERE " + where)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		for _, row := range res.Rows {
+			if est := row[1].(int64); est < 0 || est > 6 {
+				t.Errorf("%s: %s est_rows = %d, want within [0, 6]", where, row[0], est)
+			}
+		}
+	}
+}
+
 func TestPreparedReplanAfterInvalidation(t *testing.T) {
 	db := seededDB(t, 200)
 	s := db.NewSession()

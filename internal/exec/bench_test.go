@@ -114,6 +114,26 @@ func BenchmarkGroupByAggregate(b *testing.B) {
 	benchQuery(b, c, "SELECT age, COUNT(*), AVG(id) FROM users GROUP BY age")
 }
 
+// BenchmarkGroupByDistinctText groups on a TEXT key that differs on
+// every row, 50 000 keys of one length and first byte: each probe misses
+// the single-string key memo and replaces an entry, its worst case.
+func BenchmarkGroupByDistinctText(b *testing.B) {
+	c := catalog.NewMem()
+	tags, err := c.CreateTable("tags", catalog.Schema{Columns: []catalog.Column{
+		{Name: "id", Type: catalog.Int64},
+		{Name: "tag", Type: catalog.String},
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 50000; i++ {
+		if _, err := tags.Insert(catalog.Row{int64(i), fmt.Sprintf("tag-%05d", i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchQuery(b, c, "SELECT tag, COUNT(*) FROM tags GROUP BY tag")
+}
+
 func BenchmarkSortLimit(b *testing.B) {
 	c := benchCatalog(b, 20000)
 	benchQuery(b, c, "SELECT id FROM users ORDER BY age DESC LIMIT 100")

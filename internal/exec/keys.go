@@ -11,7 +11,10 @@ import (
 // from the key expressions' kinds. A single key column hashes its typed
 // value (an int64, a float64's bits, a string); a composite or boxed key
 // hashes one byte encoding of its parts. Probing allocates nothing; only
-// a new byte-encoded key is copied into the map.
+// a new byte-encoded key is copied into the map. A single string key is
+// looked up in a small memo first: grouping columns usually repeat a few
+// values row after row, and comparing a short string costs less than
+// hashing it.
 
 // keyMode is how a keyMap hashes.
 type keyMode uint8
@@ -70,10 +73,49 @@ type keyMap struct {
 	strs map[string]int32
 	n    int32 // ids handed out
 	buf  []byte
+	// memo caches keys of strs with their ids, in keyString mode: direct
+	// mapped by memoSlot, an entry replaced by the next key to land on it.
+	// It holds only keys strs has, so a probe without add never inserts.
+	// A keyMap is used by one goroutine at a time, so it needs no lock.
+	memo *[memoSize]memoEntry
+}
+
+const memoSize = 64
+
+type memoEntry struct {
+	key string
+	id  int32
+	set bool
+}
+
+// memoSlot hashes s's length and first and last bytes to a memo entry.
+func memoSlot(s string) int {
+	h := uint32(len(s))
+	if len(s) > 0 {
+		h = h<<16 | uint32(s[0])<<8 | uint32(s[len(s)-1])
+	}
+	return int(h * 0x9E3779B1 >> 26) // Fibonacci hashing: the top log2(memoSize) bits
 }
 
 func newKeyMap(mode keyMode, join bool) *keyMap {
-	return &keyMap{mode: mode, join: join, ints: map[int64]int32{}, bits: map[uint64]int32{}, strs: map[string]int32{}}
+	m := &keyMap{mode: mode, join: join, ints: map[int64]int32{}, bits: map[uint64]int32{}, strs: map[string]int32{}}
+	if mode == keyString {
+		m.memo = new([memoSize]memoEntry)
+	}
+	return m
+}
+
+// findString is find on strs, through the memo.
+func (m *keyMap) findString(s string, add bool) int32 {
+	e := &m.memo[memoSlot(s)]
+	if e.set && e.key == s {
+		return e.id
+	}
+	id := find(m.strs, s, add, &m.n)
+	if id >= 0 {
+		*e = memoEntry{key: s, id: id, set: true}
+	}
+	return id
 }
 
 // find returns k's id in m, giving a new key the next id when add is set
@@ -117,7 +159,7 @@ func (m *keyMap) ids(c *Chunk, sel []int32, keys []bound, add bool, out []int32)
 			}
 			id = find(m.bits, math.Float64bits(x), add, &m.n)
 		case keyString:
-			id = find(m.strs, k.str(c, r), add, &m.n)
+			id = m.findString(k.str(c, r), add)
 		case keyBytes:
 			m.buf = m.buf[:0]
 			ok := true

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -194,5 +195,102 @@ func TestStreamChunkMetricsRecorded(t *testing.T) {
 	// reruns and longer scans both see hits.
 	if hits := ex.Obs.ChunkPoolHits.Value(); hits == 0 {
 		t.Error("exec.chunk_pool.hits = 0, want > 0 (recycled chunks reused within the run)")
+	}
+}
+
+// TestStringKeyMemoCollisions: GROUP BY, DISTINCT and a TEXT equi-join
+// over 1 200 keys that all land on one entry of the single-string key
+// memo — one length, one first byte, one last byte — plus ” agree with
+// answers computed here, serially and with 4 workers. The join's probe
+// side holds keys its build side lacks, which must match nothing and
+// must not be numbered by the probe.
+func TestStringKeyMemoCollisions(t *testing.T) {
+	keys := []string{""}
+	for i := 0; i < 1200; i++ {
+		keys = append(keys, fmt.Sprintf("k%05dz", i))
+	}
+	c := catalog.NewMem()
+	schema := func(val string) catalog.Schema {
+		return catalog.Schema{Columns: []catalog.Column{{Name: "k", Type: catalog.String}, {Name: val, Type: catalog.Int64}}}
+	}
+	l, err := c.CreateTable("l", schema("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.CreateTable("r", schema("w"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type group struct{ count, sum int64 }
+	groups := map[string]group{}
+	var firstSeen []string
+	lRows := map[string][]int64{}
+	for i := 0; i < 6000; i++ {
+		k := keys[(i*i+7*i)%len(keys)] // uneven counts, in scattered order; some keys never
+		if _, ok := groups[k]; !ok {
+			firstSeen = append(firstSeen, k)
+		}
+		groups[k] = group{groups[k].count + 1, groups[k].sum + int64(i)}
+		lRows[k] = append(lRows[k], int64(i))
+		if _, err := l.Insert(catalog.Row{k, int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// r holds every other key, twice, plus keys l never has.
+	wantPairs := map[[2]int64]int{}
+	for i := 0; i < len(keys)+200; i += 2 {
+		k := fmt.Sprintf("k%05dz", i)
+		if i < len(keys) {
+			k = keys[i]
+		}
+		for _, w := range []int64{int64(i), int64(-i - 1)} {
+			if _, err := r.Insert(catalog.Row{k, w}); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range lRows[k] {
+				wantPairs[[2]int64{v, w}]++
+			}
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		ex := New(nil)
+		ex.Parallelism = workers
+		ex.MorselSize = 64
+		ex.ScanMorselPages = 1
+		query := func(q string) *Result {
+			t.Helper()
+			res, err := ex.Run(mustPlan(t, c, q))
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			return res
+		}
+		res := query("SELECT k, COUNT(*), SUM(v) FROM l GROUP BY k")
+		if len(res.Rows) != len(firstSeen) {
+			t.Fatalf("workers %d: %d groups, want %d", workers, len(res.Rows), len(firstSeen))
+		}
+		for i, row := range res.Rows {
+			k := row[0].(string)
+			if g := groups[k]; k != firstSeen[i] || row[1] != g.count || row[2] != float64(g.sum) {
+				t.Fatalf("workers %d: group %d is %v, want %q %v in first-seen order", workers, i, row, firstSeen[i], g)
+			}
+		}
+		res = query("SELECT DISTINCT k FROM l")
+		if len(res.Rows) != len(firstSeen) {
+			t.Fatalf("workers %d: DISTINCT gave %d keys, want %d", workers, len(res.Rows), len(firstSeen))
+		}
+		for i, row := range res.Rows {
+			if row[0] != firstSeen[i] {
+				t.Fatalf("workers %d: DISTINCT key %d is %v, want %q", workers, i, row[0], firstSeen[i])
+			}
+		}
+		res = query("SELECT l.v, r.w FROM l JOIN r ON l.k = r.k")
+		got := map[[2]int64]int{}
+		for _, row := range res.Rows {
+			got[[2]int64{row[0].(int64), row[1].(int64)}]++
+		}
+		if len(res.Rows) == 0 || !maps.Equal(got, wantPairs) {
+			t.Fatalf("workers %d: join gave %d rows (%d distinct pairs), want %d distinct pairs", workers, len(res.Rows), len(got), len(wantPairs))
+		}
 	}
 }

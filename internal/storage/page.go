@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // PageSize is the fixed size of every page in bytes.
@@ -152,17 +153,61 @@ func (p *Page) Get(i int) ([]byte, error) {
 // GetRef returns slot i's record bytes as a view into the page buffer,
 // without copying. The view is valid only while the page stays pinned
 // and unmodified; callers that retain the bytes past that must copy
-// (or use Get). This is the scan fast path: decoders that parse and
-// immediately box the values never need their own copy of the record.
+// (or use Get).
 func (p *Page) GetRef(i int) ([]byte, error) {
+	e, err := p.Extent(i)
+	if err != nil {
+		return nil, err
+	}
+	return p.Data[e.Off : e.Off+e.Len], nil
+}
+
+// Extent is where a live record lies: Data[Off:Off+Len] holds slot Slot.
+type Extent struct{ Slot, Off, Len int }
+
+// Extent returns where slot i's record lies, ErrRecordDeleted for a
+// deleted slot. A slot or record that would run past the page — only a
+// corrupt page has one — is an error.
+func (p *Page) Extent(i int) (Extent, error) {
 	if i < 0 || i >= p.numSlots() {
-		return nil, fmt.Errorf("storage: slot %d out of range (page has %d)", i, p.numSlots())
+		return Extent{}, fmt.Errorf("storage: slot %d out of range (page has %d)", i, p.numSlots())
+	}
+	if headerSize+(i+1)*slotSize > PageSize {
+		return Extent{}, fmt.Errorf("storage: page %d: slot %d lies past the page", p.ID, i)
 	}
 	off, l, dead := p.slot(i)
 	if dead {
-		return nil, ErrRecordDeleted
+		return Extent{}, ErrRecordDeleted
 	}
-	return p.Data[off : off+l], nil
+	if off+l > PageSize {
+		return Extent{}, p.errOverrun(i, off, l)
+	}
+	return Extent{Slot: i, Off: off, Len: l}, nil
+}
+
+// AppendLive appends the extent of every live record, in slot order, to
+// dst: the slot directory read once, for a decoder to walk column by
+// column. A directory or record that runs past the page is an error.
+func (p *Page) AppendLive(dst []Extent) ([]Extent, error) {
+	n := p.numSlots()
+	if headerSize+n*slotSize > PageSize {
+		return dst, fmt.Errorf("storage: page %d: %d slots run past the page", p.ID, n)
+	}
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		switch off, l, dead := p.slot(i); {
+		case dead:
+		case off+l > PageSize:
+			return dst, p.errOverrun(i, off, l)
+		default:
+			dst = append(dst, Extent{Slot: i, Off: off, Len: l})
+		}
+	}
+	return dst, nil
+}
+
+func (p *Page) errOverrun(i, off, l int) error {
+	return fmt.Errorf("storage: page %d: slot %d's record [%d, %d) runs past the page", p.ID, i, off, off+l)
 }
 
 // Delete tombstones slot i. Its space is reused only by an Insert of a
@@ -179,9 +224,6 @@ func (p *Page) Delete(i int) error {
 	p.dirty = true
 	return nil
 }
-
-// Slots returns the slot count including tombstones, for iteration.
-func (p *Page) Slots() int { return p.numSlots() }
 
 // RecordID addresses a record globally.
 type RecordID struct {

@@ -117,8 +117,8 @@ func TestPageInsertReusesDeadSlot(t *testing.T) {
 			t.Errorf("live record in slot %d changed: %v", s, err)
 		}
 	}
-	if p.Slots() != len(slots) || p.NumRecords() != len(slots) {
-		t.Errorf("slots = %d, live = %d, want both %d", p.Slots(), p.NumRecords(), len(slots))
+	if p.numSlots() != len(slots) || p.NumRecords() != len(slots) {
+		t.Errorf("slots = %d, live = %d, want both %d", p.numSlots(), p.NumRecords(), len(slots))
 	}
 }
 
@@ -138,6 +138,36 @@ func TestPageSlotBoundsChecks(t *testing.T) {
 	}
 	if err := p.Delete(3); err == nil {
 		t.Error("Delete of invalid slot should fail")
+	}
+	// A corrupt directory entry or count is an error for every reader,
+	// never a slice past the page.
+	for _, r := range [][]byte{[]byte("abc"), []byte("defgh")} {
+		if _, err := p.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good := p.Data
+	for _, c := range []struct {
+		name    string
+		slot    int
+		corrupt func()
+	}{
+		{"record past the page", 1, func() { p.setSlot(1, PageSize-2, 5) }},
+		{"length past the page", 0, func() { p.setSlot(0, PageSize-3, 0x7fff) }},
+		{"directory past the page", PageSize/slotSize - 1, func() { p.setNumSlots(PageSize / slotSize) }},
+	} {
+		p.Data = good
+		c.corrupt()
+		if _, err := p.GetRef(c.slot); err == nil {
+			t.Errorf("%s: GetRef(%d) succeeded", c.name, c.slot)
+		}
+		if _, err := p.AppendLive(nil); err == nil {
+			t.Errorf("%s: AppendLive succeeded", c.name)
+		}
+	}
+	p.Data = good
+	if ext, err := p.AppendLive(nil); err != nil || len(ext) != 2 || ext[1].Slot != 1 || ext[1].Len != 5 {
+		t.Errorf("AppendLive of the intact page = %v, %v", ext, err)
 	}
 }
 
