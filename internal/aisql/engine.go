@@ -518,32 +518,44 @@ func (e *Engine) createTable(s *sql.CreateTableStmt) (*exec.Result, error) {
 	return emptyResult(), err
 }
 
+// insert runs an INSERT, ad hoc or prepared (params bind its $N). Every
+// row is evaluated and coerced to its columns before the first is
+// written, so a bad value anywhere writes no row; then the rows go into
+// the heap in one Table.InsertRows and into the table's indexes as each
+// lands.
 func (e *Engine) insert(s *sql.InsertStmt, params []catalog.Value) (*exec.Result, error) {
 	t, err := e.Cat.Table(s.Table)
 	if err != nil {
 		return nil, err
 	}
+	cols := t.Schema.Columns
 	scope := exec.NewScopeParams(nil, params)
-	for _, exprRow := range s.Rows {
-		if len(exprRow) != len(t.Schema.Columns) {
-			return nil, fmt.Errorf("aisql: INSERT has %d values for %d columns", len(exprRow), len(t.Schema.Columns))
+	rows := make([]catalog.Row, len(s.Rows))
+	cells := make([]catalog.Value, len(s.Rows)*len(cols))
+	for r, exprRow := range s.Rows {
+		if len(exprRow) != len(cols) {
+			return nil, fmt.Errorf("aisql: INSERT has %d values for %d columns", len(exprRow), len(cols))
 		}
-		row := make(catalog.Row, len(exprRow))
+		row := cells[r*len(cols) : (r+1)*len(cols) : (r+1)*len(cols)]
 		for i, ex := range exprRow {
 			v, err := exec.Eval(ex, scope, nil, nil)
 			if err != nil {
 				return nil, fmt.Errorf("aisql: INSERT value %d: %w", i, err)
 			}
-			row[i], err = catalog.Coerce(v, t.Schema.Columns[i].Type)
-			if err != nil {
+			if row[i], err = catalog.Coerce(v, cols[i].Type); err != nil {
 				return nil, err
 			}
 		}
-		rid, err := t.Insert(row)
-		if err != nil {
-			return nil, err
+		rows[r] = row
+	}
+	indexes := e.tableIndexes(t.Name)
+	err = t.InsertRows(rows, func(i int, rid storage.RecordID) {
+		for _, si := range indexes {
+			si.insert(rows[i][si.column].(int64), rid)
 		}
-		e.syncIndexesInsert(t.Name, rid, row)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return emptyResult(), nil
 }

@@ -36,6 +36,11 @@ func packRID(rid storage.RecordID) uint64 { return uint64(rid.Page)<<16 | uint64
 func (si *secondaryIndex) insert(value int64, rid storage.RecordID) {
 	si.mu.Lock()
 	defer si.mu.Unlock()
+	si.put(value, rid)
+}
+
+// put adds the entry (value, rid); the caller holds mu.
+func (si *secondaryIndex) put(value int64, rid storage.RecordID) {
 	key := value<<dupBits | int64(si.next&seqMask)
 	// Once next has wrapped, its low bits may name a slot a live entry of
 	// the same value still holds: take the next free one in the value's
@@ -119,11 +124,25 @@ func (e *Engine) createIndex(name, table, column string) error {
 	si := &secondaryIndex{table: table, column: col, tree: index.NewBTree(64)}
 	e.indexes[key] = si
 	e.mu.Unlock()
-	// Backfill from the heap.
-	return t.Scan(func(rid storage.RecordID, row catalog.Row) bool {
-		si.insert(row[col].(int64), rid)
-		return true
-	})
+	// Backfill from the heap a page at a time: the column's values and
+	// their record ids, decoded as vectors.
+	var keys catalog.Vector
+	var rids []storage.RecordID
+	cols := make([]*catalog.Vector, len(t.Schema.Columns))
+	cols[col] = &keys
+	for _, id := range t.PageIDs() {
+		keys.Reset()
+		rids = rids[:0]
+		if _, err := t.DecodePage(id, cols, &rids); err != nil {
+			return err
+		}
+		si.mu.Lock()
+		for i, rid := range rids {
+			si.put(keys.I[i], rid)
+		}
+		si.mu.Unlock()
+	}
+	return nil
 }
 
 // indexFor returns the secondary index for (table, column position).
@@ -146,6 +165,19 @@ func (e *Engine) indexLookup() plan.IndexLookup {
 		}
 		return nil
 	}
+}
+
+// tableIndexes lists the indexes on table.
+func (e *Engine) tableIndexes(table string) []*secondaryIndex {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var out []*secondaryIndex
+	for _, si := range e.indexes {
+		if si.table == table {
+			out = append(out, si)
+		}
+	}
+	return out
 }
 
 // syncIndexesInsert records a freshly inserted row in all indexes on the

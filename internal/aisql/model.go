@@ -72,7 +72,10 @@ func (m *Model) scale(dst, f []float64) []float64 {
 	return dst
 }
 
-// trainingData extracts (features, labels) from a table.
+// trainingData extracts (features, labels) from a table: the feature and
+// label columns decoded a page at a time into typed vectors, rows in
+// heap order (page, then slot), each cell converted as toF64 converts
+// it.
 func trainingData(t *catalog.Table, features []string, label string) (*ml.Matrix, []float64, error) {
 	labelIdx := t.Schema.ColIndex(label)
 	if labelIdx < 0 {
@@ -86,30 +89,53 @@ func trainingData(t *catalog.Table, features []string, label string) (*ml.Matrix
 		}
 		featIdx[i] = idx
 	}
-	rows, err := t.AllRows()
-	if err != nil {
-		return nil, nil, err
+	vs := make([]catalog.Vector, len(t.Schema.Columns))
+	cols := make([]*catalog.Vector, len(vs))
+	cols[labelIdx] = &vs[labelIdx]
+	for _, idx := range featIdx {
+		cols[idx] = &vs[idx]
 	}
-	if len(rows) == 0 {
+	n := 0
+	for _, id := range t.PageIDs() {
+		m, err := t.DecodePage(id, cols, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		n += m
+	}
+	if n == 0 {
 		return nil, nil, fmt.Errorf("aisql: table %q is empty", t.Name)
 	}
-	x := ml.NewMatrix(len(rows), len(features))
-	y := make([]float64, len(rows))
-	for r, row := range rows {
+	types := t.Schema.Columns
+	x := ml.NewMatrix(n, len(features))
+	y := make([]float64, n)
+	for r := 0; r < n; r++ {
 		for c, idx := range featIdx {
-			v, err := toF64(row[idx])
+			v, err := cellF64(&vs[idx], types[idx].Type, r)
 			if err != nil {
 				return nil, nil, fmt.Errorf("aisql: feature %q row %d: %w", features[c], r, err)
 			}
 			x.Set(r, c, v)
 		}
-		lv, err := toF64(row[labelIdx])
+		lv, err := cellF64(&vs[labelIdx], types[labelIdx].Type, r)
 		if err != nil {
 			return nil, nil, fmt.Errorf("aisql: label row %d: %w", r, err)
 		}
 		y[r] = lv
 	}
 	return x, y, nil
+}
+
+// cellF64 is toF64 of row r of a column of type typ decoded into v.
+func cellF64(v *catalog.Vector, typ catalog.ColType, r int) (float64, error) {
+	switch typ {
+	case catalog.Int64:
+		return float64(v.I[r]), nil
+	case catalog.Float64:
+		return v.F[r], nil
+	default:
+		return parseF64(v.S[r])
+	}
 }
 
 func toF64(v catalog.Value) (float64, error) {
@@ -119,13 +145,18 @@ func toF64(v catalog.Value) (float64, error) {
 	case float64:
 		return x, nil
 	case string:
-		if f, err := strconv.ParseFloat(x, 64); err == nil {
-			return f, nil
-		}
-		return 0, fmt.Errorf("non-numeric string %q", x)
+		return parseF64(x)
 	default:
 		return 0, fmt.Errorf("unsupported value type %T", v)
 	}
+}
+
+// parseF64 reads a numeric TEXT cell as a number.
+func parseF64(s string) (float64, error) {
+	if f, err := strconv.ParseFloat(s, 64); err == nil {
+		return f, nil
+	}
+	return 0, fmt.Errorf("non-numeric string %q", s)
 }
 
 // TrainModel fits a model of the given kind on a table. options carry
@@ -135,7 +166,12 @@ func TrainModel(name string, kind ModelKind, t *catalog.Table, features []string
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{Name: name, Kind: kind, Table: t.Name, Label: label, Features: features}
+	return fit(&Model{Name: name, Kind: kind, Table: t.Name, Label: label, Features: features}, x, y, options)
+}
+
+// fit trains m, whose name, kind and columns are set, on features x and
+// labels y.
+func fit(m *Model, x *ml.Matrix, y []float64, options map[string]string) (*Model, error) {
 	epochs := 200
 	if v, ok := options["epochs"]; ok {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 {
@@ -148,7 +184,7 @@ func TrainModel(name string, kind ModelKind, t *catalog.Table, features []string
 			lr = f
 		}
 	}
-	switch kind {
+	switch m.Kind {
 	case Logistic:
 		// Standardize features so gradient descent converges regardless
 		// of the columns' natural scales.

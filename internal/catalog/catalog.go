@@ -164,67 +164,68 @@ func (c *Catalog) Tables() []string {
 }
 
 // Coerce converts v to the Go type a column of type t stores (int64,
-// float64 or string), converting between the two numeric types. Any
-// other pairing — NULL included — is an error: what cannot be stored
-// is rejected before a row is written.
+// float64 or string), converting between the two numeric types; a value
+// of the right type comes back as it is. A FLOAT becomes an INT only
+// when it lies in int64's range, truncated toward zero. Any other
+// pairing — NULL, NaN and ±Inf included — is an error: what cannot be
+// stored is rejected before a row is written.
 func Coerce(v Value, t ColType) (Value, error) {
 	switch t {
 	case Int64:
 		switch x := v.(type) {
 		case int64:
-			return x, nil
+			return v, nil
 		case float64:
-			return int64(x), nil
+			// -2^63 and 2^63 are exact float64s; NaN fails both tests.
+			if x >= -1<<63 && x < 1<<63 {
+				return int64(x), nil
+			}
+			return nil, fmt.Errorf("catalog: FLOAT %v is out of INT range", x)
 		}
 	case Float64:
 		switch x := v.(type) {
 		case float64:
-			return x, nil
+			return v, nil
 		case int64:
 			return float64(x), nil
 		}
 	case String:
-		if x, ok := v.(string); ok {
-			return x, nil
+		if _, ok := v.(string); ok {
+			return v, nil
 		}
 	}
 	return nil, fmt.Errorf("catalog: cannot store %T as %v", v, t)
 }
 
-// encodeRow serializes a row against a schema.
-func encodeRow(schema *Schema, row Row) ([]byte, error) {
+// appendRow appends row, serialized against schema, to dst.
+func appendRow(dst []byte, schema *Schema, row Row) ([]byte, error) {
 	if len(row) != len(schema.Columns) {
-		return nil, fmt.Errorf("catalog: row has %d values, schema has %d columns", len(row), len(schema.Columns))
+		return dst, fmt.Errorf("catalog: row has %d values, schema has %d columns", len(row), len(schema.Columns))
 	}
-	var buf []byte
-	var scratch [8]byte
 	for i, col := range schema.Columns {
 		switch col.Type {
 		case Int64:
 			v, ok := row[i].(int64)
 			if !ok {
-				return nil, fmt.Errorf("catalog: column %q expects int64, got %T", col.Name, row[i])
+				return dst, fmt.Errorf("catalog: column %q expects int64, got %T", col.Name, row[i])
 			}
-			binary.LittleEndian.PutUint64(scratch[:], uint64(v))
-			buf = append(buf, scratch[:]...)
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 		case Float64:
 			v, ok := row[i].(float64)
 			if !ok {
-				return nil, fmt.Errorf("catalog: column %q expects float64, got %T", col.Name, row[i])
+				return dst, fmt.Errorf("catalog: column %q expects float64, got %T", col.Name, row[i])
 			}
-			binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-			buf = append(buf, scratch[:]...)
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		case String:
 			v, ok := row[i].(string)
 			if !ok {
-				return nil, fmt.Errorf("catalog: column %q expects string, got %T", col.Name, row[i])
+				return dst, fmt.Errorf("catalog: column %q expects string, got %T", col.Name, row[i])
 			}
-			binary.LittleEndian.PutUint32(scratch[:4], uint32(len(v)))
-			buf = append(buf, scratch[:4]...)
-			buf = append(buf, v...)
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v)))
+			dst = append(dst, v...)
 		}
 	}
-	return buf, nil
+	return dst, nil
 }
 
 func errTruncated(t ColType) error {
@@ -234,52 +235,137 @@ func errTruncated(t ColType) error {
 	return errors.New("catalog: truncated float64 value")
 }
 
-// Insert stores a row and returns its record id: in the last page while
-// it has room, else in space a deleted row left behind (which reuses
-// that row's record id), else in a new page.
+// maxRecord is the longest record a heap page holds: a page less its
+// 4-byte header and the record's 4-byte slot (storage's page layout).
+const maxRecord = storage.PageSize - 8
+
+// Insert stores a row and returns its record id: InsertRows of one row.
 func (t *Table) Insert(row Row) (storage.RecordID, error) {
+	var rid storage.RecordID
+	err := t.InsertRows([]Row{row}, func(_ int, r storage.RecordID) { rid = r })
+	return rid, err
+}
+
+// InsertRows stores rows in order and hands each row's index and record
+// id to each as it is written. A row goes where inserting the rows one
+// at a time would put it: in the last page while that has room, else in
+// space a deleted row left behind (reusing that row's record id), else
+// in a new page. The table is locked once, every row is encoded into one
+// buffer, and the page being filled stays pinned from row to row. Rows
+// are encoded and checked before any is written, so a row that does not
+// fit the schema or a page writes nothing; an I/O error part way leaves
+// the rows before it stored. each runs under the table's write lock, so
+// what it records of a row (an index entry) is in place before another
+// statement can read or delete the row; it must not use the table.
+func (t *Table) InsertRows(rows []Row, each func(i int, rid storage.RecordID)) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rec, err := encodeRow(&t.Schema, row)
-	if err != nil {
-		return storage.RecordID{}, err
+	var stack [256]byte
+	var stackEnds [1]int
+	buf, ends := stack[:0], stackEnds[:0]
+	if len(rows) > 1 {
+		ends = make([]int, 0, len(rows))
 	}
-	tryPage := func(id storage.PageID) (storage.RecordID, error) {
-		p, err := t.pool.Fetch(id)
+	for i, row := range rows {
+		var err error
+		start := len(buf)
+		if buf, err = appendRow(buf, &t.Schema, row); err != nil {
+			return err
+		}
+		if n := len(buf) - start; n > maxRecord {
+			return fmt.Errorf("catalog: row of %d bytes exceeds page capacity", n)
+		}
+		if i == 0 && len(rows) > 1 {
+			buf = slices.Grow(buf, len(buf)*len(rows)) // rows of a statement are alike
+		}
+		ends = append(ends, len(buf))
+	}
+	w := heapWriter{t: t}
+	start := 0
+	for i, end := range ends {
+		rid, err := w.put(buf[start:end])
 		if err != nil {
-			return storage.RecordID{}, err
+			w.release(&w.last)
+			w.release(&w.hole)
+			return err
 		}
-		slot, ierr := p.Insert(rec)
-		if uerr := t.pool.Unpin(id, ierr == nil); uerr != nil {
-			return storage.RecordID{}, uerr
-		}
-		if ierr != nil {
-			return storage.RecordID{}, ierr
-		}
-		t.rows++
-		return storage.RecordID{Page: id, Slot: slot}, nil
+		each(i, rid)
+		start = end
 	}
+	return errors.Join(w.release(&w.last), w.release(&w.hole))
+}
+
+// heapWriter writes records for InsertRows, keeping pinned between
+// records the last page and the hole (a page a row was deleted from) it
+// is filling. Its owner holds the table's write lock.
+type heapWriter struct {
+	t          *Table
+	last, hole pinned
+}
+
+// pinned is a page a heapWriter holds pinned; dirty once written.
+type pinned struct {
+	p     *storage.Page
+	dirty bool
+}
+
+// put writes rec where Insert's order puts it and returns its record id.
+func (w *heapWriter) put(rec []byte) (storage.RecordID, error) {
+	t := w.t
 	if n := len(t.pages); n > 0 {
-		if rid, err := tryPage(t.pages[n-1]); !errors.Is(err, storage.ErrPageFull) {
+		if rid, err := w.try(&w.last, t.pages[n-1], rec); !errors.Is(err, storage.ErrPageFull) {
 			return rid, err
 		}
 	}
 	for len(t.holes) > 0 {
-		rid, err := tryPage(t.holes[0])
+		rid, err := w.try(&w.hole, t.holes[0], rec)
 		if !errors.Is(err, storage.ErrPageFull) {
 			return rid, err
 		}
 		t.holes = t.holes[1:] // nothing here fits; a later delete may change that
+	}
+	if err := w.release(&w.last); err != nil {
+		return storage.RecordID{}, err
 	}
 	p, err := t.pool.NewPage()
 	if err != nil {
 		return storage.RecordID{}, err
 	}
 	t.pages = append(t.pages, p.ID)
-	if err := t.pool.Unpin(p.ID, true); err != nil {
+	w.last = pinned{p: p, dirty: true}
+	return w.try(&w.last, p.ID, rec)
+}
+
+// try inserts rec into page id, pinned in s (which first lets go of the
+// page it held, if another).
+func (w *heapWriter) try(s *pinned, id storage.PageID, rec []byte) (storage.RecordID, error) {
+	if s.p == nil || s.p.ID != id {
+		if err := w.release(s); err != nil {
+			return storage.RecordID{}, err
+		}
+		p, err := w.t.pool.Fetch(id)
+		if err != nil {
+			return storage.RecordID{}, err
+		}
+		s.p = p
+	}
+	slot, err := s.p.Insert(rec)
+	if err != nil {
 		return storage.RecordID{}, err
 	}
-	return tryPage(p.ID)
+	s.dirty = true
+	w.t.rows++
+	return storage.RecordID{Page: id, Slot: slot}, nil
+}
+
+// release unpins the page s holds, if any.
+func (w *heapWriter) release(s *pinned) error {
+	if s.p == nil {
+		return nil
+	}
+	err := w.t.pool.Unpin(s.p.ID, s.dirty)
+	*s = pinned{}
+	return err
 }
 
 // Get fetches the row at rid.
@@ -304,7 +390,8 @@ func (t *Table) Delete(rid storage.RecordID) error { return t.deleteIf(rid, nil)
 // row taken its place; then, as when the slot is simply empty, the
 // error is storage.ErrRecordDeleted and nothing is touched.
 func (t *Table) DeleteIf(rid storage.RecordID, want Row) error {
-	rec, err := encodeRow(&t.Schema, want)
+	var stack [256]byte
+	rec, err := appendRow(stack[:0], &t.Schema, want)
 	if err != nil {
 		return err
 	}

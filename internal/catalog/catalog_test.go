@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -48,6 +49,158 @@ func TestInsertTypeMismatch(t *testing.T) {
 	}
 	if _, err := tab.Insert(Row{int64(1)}); err == nil {
 		t.Error("expected arity error")
+	}
+}
+
+// TestInsertRowsAllOrNothing: a batch with one row the schema or a page
+// cannot hold writes none of its rows.
+func TestInsertRowsAllOrNothing(t *testing.T) {
+	tab, _ := NewMem().CreateTable("t", testSchema())
+	for _, bad := range []Row{{int64(2), "x", "y"}, {int64(2), 1.0}, {int64(2), 1.0, strings.Repeat("x", storage.PageSize)}} {
+		called := 0
+		err := tab.InsertRows([]Row{{int64(1), 1.0, "a"}, bad, {int64(3), 3.0, "c"}}, func(int, storage.RecordID) { called++ })
+		if err == nil || called != 0 || tab.NumRows() != 0 || len(tab.PageIDs()) != 0 {
+			t.Errorf("batch with %v: err %v, %d rows reported, %d stored on %d pages", bad, err, called, tab.NumRows(), len(tab.PageIDs()))
+		}
+	}
+}
+
+// placeOneAtATime is the reference InsertRows is held to: one row
+// stored on its own, its page fetched and unpinned around it — the last
+// page while it has room, else the first hole with room (holes without
+// any dropped), else a new page.
+func placeOneAtATime(t *Table, row Row) (storage.RecordID, error) {
+	rec, err := appendRow(nil, &t.Schema, row)
+	if err != nil {
+		return storage.RecordID{}, err
+	}
+	try := func(id storage.PageID) (storage.RecordID, error) {
+		p, err := t.pool.Fetch(id)
+		if err != nil {
+			return storage.RecordID{}, err
+		}
+		slot, ierr := p.Insert(rec)
+		if err := t.pool.Unpin(id, ierr == nil); err != nil {
+			return storage.RecordID{}, err
+		}
+		if ierr != nil {
+			return storage.RecordID{}, ierr
+		}
+		t.rows++
+		return storage.RecordID{Page: id, Slot: slot}, nil
+	}
+	if n := len(t.pages); n > 0 {
+		if rid, err := try(t.pages[n-1]); !errors.Is(err, storage.ErrPageFull) {
+			return rid, err
+		}
+	}
+	for len(t.holes) > 0 {
+		if rid, err := try(t.holes[0]); !errors.Is(err, storage.ErrPageFull) {
+			return rid, err
+		}
+		t.holes = t.holes[1:]
+	}
+	p, err := t.pool.NewPage()
+	if err != nil {
+		return storage.RecordID{}, err
+	}
+	t.pages = append(t.pages, p.ID)
+	if err := t.pool.Unpin(p.ID, true); err != nil {
+		return storage.RecordID{}, err
+	}
+	return try(p.ID)
+}
+
+// TestInsertRowsPlacesLikeOneAtATime: batches of rows of many sizes,
+// with deletes between them that leave holes on every page, land where
+// storing their rows one at a time would put them, and the pages end up
+// byte for byte alike.
+func TestInsertRowsPlacesLikeOneAtATime(t *testing.T) {
+	bulk, _ := NewMem().CreateTable("t", testSchema())
+	single, _ := NewMem().CreateTable("t", testSchema())
+	r := rand.New(rand.NewSource(26))
+	reused := 0
+	for round := 0; round < 12; round++ {
+		rows := make([]Row, 1+r.Intn(300))
+		for i := range rows {
+			rows[i] = Row{int64(i), float64(round), strings.Repeat("n", r.Intn(90))}
+		}
+		var got, want []storage.RecordID
+		if err := bulk.InsertRows(rows, func(i int, rid storage.RecordID) {
+			if i != len(got) {
+				t.Fatalf("row %d reported as row %d", len(got), i)
+			}
+			got = append(got, rid)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			rid, err := placeOneAtATime(single, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, rid)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: InsertRows placed rows at %v, one at a time at %v", round, got, want)
+		}
+		for _, rid := range got {
+			if rid.Page != bulk.pages[len(bulk.pages)-1] {
+				reused++
+			}
+		}
+		var live []storage.RecordID
+		for _, id := range bulk.PageIDs() {
+			if _, err := bulk.DecodePage(id, make([]*Vector, 3), &live); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, rid := range live {
+			if r.Intn(3) == 0 {
+				if err := bulk.Delete(rid); err != nil {
+					t.Fatal(err)
+				}
+				if err := single.Delete(rid); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if !slices.Equal(bulk.pages, single.pages) || !slices.Equal(bulk.holes, single.holes) || bulk.rows != single.rows {
+		t.Fatalf("pages %v holes %v rows %d, one at a time: pages %v holes %v rows %d", bulk.pages, bulk.holes, bulk.rows, single.pages, single.holes, single.rows)
+	}
+	for _, id := range bulk.pages {
+		a, err := bulk.pool.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := single.pool.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Data != b.Data {
+			t.Errorf("page %d differs", id)
+		}
+		bulk.pool.Unpin(id, false)
+		single.pool.Unpin(id, false)
+	}
+	if reused < 100 {
+		t.Errorf("weak coverage: %d rows landed before the last page", reused)
+	}
+}
+
+// TestCoerceIntRange: a FLOAT is stored in an INT column only when it
+// lies in [-2^63, 2^63), truncated toward zero; NaN and ±Inf never are.
+func TestCoerceIntRange(t *testing.T) {
+	for f, want := range map[float64]int64{-1 << 63: math.MinInt64, -2.9: -2, 2.9: 2, 1<<63 - 1024: 1<<63 - 1024} {
+		if v, err := Coerce(f, Int64); err != nil || v != want {
+			t.Errorf("Coerce(%v) = %v, %v; want %d", f, v, err, want)
+		}
+	}
+	for _, f := range []float64{1 << 63, math.Nextafter(-1<<63, math.Inf(-1)), 1e300, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if v, err := Coerce(f, Int64); err == nil {
+			t.Errorf("Coerce(%v) = %v, want an error", f, v)
+		}
 	}
 }
 
@@ -216,7 +369,7 @@ func TestDeleteIfChecksTheRow(t *testing.T) {
 func TestRowRoundTripProperty(t *testing.T) {
 	schema := testSchema()
 	f := func(id int64, score float64, name string) bool {
-		b, err := encodeRow(&schema, Row{id, score, name})
+		b, err := appendRow(nil, &schema, Row{id, score, name})
 		if err != nil {
 			return false
 		}
@@ -262,7 +415,7 @@ func TestDecodeTruncated(t *testing.T) {
 			schema.Columns[i] = Column{Name: fmt.Sprint("c", i), Type: typ}
 			row[i] = map[ColType]Value{Int64: int64(1), Float64: 2.0, String: "hello"}[typ]
 		}
-		b, _ := encodeRow(&schema, row)
+		b, _ := appendRow(nil, &schema, row)
 		for cut := 0; cut < len(b); cut++ {
 			for mask := 0; mask < 8; mask++ {
 				cols := make([]*Vector, 3)

@@ -119,8 +119,17 @@ func (s *Scope) column(ref *sql.ColumnRef) (bound, error) {
 // Eval binds e in scope and evaluates it against row. It is for callers
 // with one expression and at most one row (INSERT values, EXECUTE
 // arguments); operators bind once and evaluate per chunk. A nil scope
-// has no columns and no parameters.
+// has no columns and no parameters. A literal, a VALUES list's usual
+// cell, is its value: there is nothing to bind.
 func Eval(e sql.Expr, scope *Scope, row catalog.Row, funcs FuncRegistry) (catalog.Value, error) {
+	switch v := e.(type) {
+	case *sql.IntLit:
+		return v.Value, nil
+	case *sql.FloatLit:
+		return v.Value, nil
+	case *sql.StringLit:
+		return v.Value, nil
+	}
 	if scope == nil {
 		scope = &Scope{}
 	}

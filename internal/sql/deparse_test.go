@@ -35,6 +35,10 @@ var parseSeeds = []string{
 	"SELECT a FROM t WHERE s = 'it''s' AND u = '' AND v = ''''",
 	"SELECT a FROM t WHERE a = 99999999999999999999 OR b = -9223372036854775808",
 	"SELECT 1 - -1, -(a), - -2 FROM t",
+	// The int64 extremes: a signed literal is one number.
+	"SELECT -9223372036854775808, 9223372036854775807 FROM t WHERE a = -9223372036854775808 OR b > 1 - -9223372036854775808",
+	"UPDATE t SET a = -9223372036854775808 * 1 WHERE b IN (-9223372036854775808, - 9223372036854775807)",
+	"SELECT a FROM t WHERE a = -(-9223372036854775808) OR b = - -9223372036854775808",
 }
 
 // FuzzParseDeparse: the lexer and parser never panic, and a statement

@@ -157,10 +157,7 @@ func takeLiterals(body []Token, params []any) ([]Token, []any) {
 func literalValue(t Token, negate bool) (v any, ok bool) {
 	switch t.Kind {
 	case TokInt:
-		i, err := strconv.ParseInt(t.Text, 10, 64)
-		if negate {
-			i = -i
-		}
+		i, err := intValue(t.Text, negate)
 		return i, err == nil
 	case TokFloat:
 		f, err := strconv.ParseFloat(t.Text, 64)
@@ -170,6 +167,16 @@ func literalValue(t Token, negate bool) (v any, ok bool) {
 		return f, err == nil
 	}
 	return t.Text, true
+}
+
+// intValue is the value of an integer token's digits, negative when a
+// sign stands before them: one ParseInt of the signed text, so the
+// smallest int64, whose magnitude is no int64, reads like any other.
+func intValue(digits string, negative bool) (int64, error) {
+	if negative {
+		digits = "-" + digits
+	}
+	return strconv.ParseInt(digits, 10, 64)
 }
 
 // tokenText renders tokens (up to TokEOF, a closing ';' dropped) as SQL

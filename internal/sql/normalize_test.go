@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -71,8 +72,10 @@ func TestNormalize(t *testing.T) {
 			"SELECT a FROM t WHERE a = - - 5", nil},
 		{"a number the parser rejects stays for it to report", "SELECT a FROM t WHERE a = 99999999999999999999 AND b = 1",
 			"SELECT a FROM t WHERE a = 99999999999999999999 AND b = $1", []any{int64(1)}},
-		{"and so does its sign", "SELECT a FROM t WHERE a = -9223372036854775808",
-			"SELECT a FROM t WHERE a = - 9223372036854775808", nil},
+		{"and so does its sign", "SELECT a FROM t WHERE a = -9223372036854775809",
+			"SELECT a FROM t WHERE a = - 9223372036854775809", nil},
+		{"a sign and its digits are one number: the smallest INT reads", "SELECT a FROM t WHERE a = -9223372036854775808",
+			"SELECT a FROM t WHERE a = $1", []any{int64(math.MinInt64)}},
 		{"INSERT has no plan", "INSERT INTO t VALUES (1, 'x')", "", nil},
 		{"nor has DDL", "CREATE TABLE t (a INT)", "", nil},
 		{"nor a PREPARE of an INSERT", "PREPARE i AS INSERT INTO t VALUES ($1)", "", nil},
@@ -406,6 +409,10 @@ var fuzzSeeds = []string{
 	"SELECT a FROM t WHERE a = -(5) OR b = - -2 OR c = * - 1 OR PREDICT - 1 = 0",
 	"SELECT a FROM t WHERE a = 99999999999999999999 OR b = -9223372036854775808",
 	"UPDATE t SET a = a * -1.5 WHERE s = 'x;y' AND t = '$1'",
+	"SELECT a FROM t WHERE a = -9223372036854775808 AND b < - 9223372036854775808 + 1",
+	"UPDATE t SET a = -9223372036854775808 WHERE b IN (-9223372036854775808, 9223372036854775807, -9223372036854775809)",
+	"INSERT INTO t VALUES (-9223372036854775808, -1.5, 'x'), (9223372036854775807, - 2, '')",
+	"SELECT a FROM t WHERE a = - -9223372036854775808 OR b = -(-9223372036854775808)",
 }
 
 // FuzzNormalize holds arbitrary text to checkNormalize. `go test` runs

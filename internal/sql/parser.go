@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -10,6 +11,30 @@ import (
 type Parser struct {
 	toks []Token
 	pos  int
+	// Literal nodes, taken from arrays allocated a chunk at a time.
+	ints   slab[IntLit]
+	floats slab[FloatLit]
+	strs   slab[StringLit]
+}
+
+// slab hands out nodes of one type from arrays it allocates a chunk at a
+// time, each twice the size of the last up to 1024 nodes: a VALUES
+// list's thousands of literals cost a few allocations, not one each, and
+// a statement with a literal or two costs what it did.
+type slab[T any] struct {
+	free []T
+	next int // the next chunk's size
+}
+
+func (s *slab[T]) new(v T) *T {
+	if len(s.free) == 0 {
+		s.next = min(max(2*s.next, 4), 1024)
+		s.free = make([]T, s.next)
+	}
+	n := &s.free[0]
+	*n = v
+	s.free = s.free[1:]
+	return n
 }
 
 // Parse lexes and parses one statement (a trailing ';' is allowed).
@@ -474,17 +499,24 @@ func (p *Parser) parseInsert() (Statement, error) {
 		return nil, err
 	}
 	st := &InsertStmt{Table: tbl}
+	// Rows after the first are cut from chunks of cells sized by the
+	// first row's width, each chunk twice the last up to 256 rows: a
+	// VALUES list costs a few allocations, not one per row.
+	var cells []Expr
 	for {
 		if _, err := p.expect(TokSymbol, "("); err != nil {
 			return nil, err
 		}
-		var row []Expr
+		if n := len(st.Rows); n > 0 && cap(cells)-len(cells) < len(st.Rows[0]) {
+			cells = make([]Expr, 0, min(n, 256)*len(st.Rows[0]))
+		}
+		start := len(cells)
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, e)
+			cells = append(cells, e)
 			if !p.accept(TokSymbol, ",") {
 				break
 			}
@@ -492,7 +524,7 @@ func (p *Parser) parseInsert() (Statement, error) {
 		if _, err := p.expect(TokSymbol, ")"); err != nil {
 			return nil, err
 		}
-		st.Rows = append(st.Rows, row)
+		st.Rows = append(st.Rows, cells[start:len(cells):len(cells)])
 		if !p.accept(TokSymbol, ",") {
 			break
 		}
@@ -620,7 +652,23 @@ func (p *Parser) parseShow() (Statement, error) {
 
 // Expression parsing with precedence: OR < AND < NOT < comparison < add < mul.
 
-func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
+// parseExpr parses one expression. A literal, signed or not, that a ','
+// or ')' closes — the cells of a VALUES list, most arguments — is the
+// whole expression, as no operator can follow it: it is taken straight
+// from parsePrimary, not through the six precedence levels.
+func (p *Parser) parseExpr() (Expr, error) {
+	i := p.pos
+	if t := p.toks[i]; t.Kind == TokSymbol && t.Text == "-" {
+		i++
+	}
+	switch p.toks[i].Kind {
+	case TokInt, TokFloat, TokString:
+		if next := p.toks[i+1]; next.Kind == TokSymbol && (next.Text == "," || next.Text == ")") {
+			return p.parsePrimary()
+		}
+	}
+	return p.parseOr()
+}
 
 func (p *Parser) parseOr() (Expr, error) {
 	left, err := p.parseAnd()
@@ -773,21 +821,21 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch {
 	case t.Kind == TokInt:
 		p.pos++
-		v, err := strconv.ParseInt(t.Text, 10, 64)
+		v, err := intValue(t.Text, false)
 		if err != nil {
 			return nil, fmt.Errorf("sql: invalid integer %q", t.Text)
 		}
-		return &IntLit{Value: v}, nil
+		return p.ints.new(IntLit{Value: v}), nil
 	case t.Kind == TokFloat:
 		p.pos++
 		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
 			return nil, fmt.Errorf("sql: invalid float %q", t.Text)
 		}
-		return &FloatLit{Value: v}, nil
+		return p.floats.new(FloatLit{Value: v}), nil
 	case t.Kind == TokString:
 		p.pos++
-		return &StringLit{Value: t.Text}, nil
+		return p.strs.new(StringLit{Value: t.Text}), nil
 	case t.Kind == TokParam:
 		p.pos++
 		n, err := strconv.Atoi(t.Text)
@@ -800,15 +848,28 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return &Star{}, nil
 	case t.Kind == TokSymbol && t.Text == "-":
 		p.pos++
+		if n := p.cur(); n.Kind == TokInt {
+			// The sign and the digits are one literal, so the smallest
+			// INT, whose magnitude is no int64, reads.
+			p.pos++
+			v, err := intValue(n.Text, true)
+			if err != nil {
+				return nil, fmt.Errorf("sql: invalid integer %q", "-"+n.Text)
+			}
+			return p.ints.new(IntLit{Value: v}), nil
+		}
 		inner, err := p.parsePrimary()
 		if err != nil {
 			return nil, err
 		}
 		switch l := inner.(type) {
 		case *IntLit:
-			return &IntLit{Value: -l.Value}, nil
+			if l.Value == math.MinInt64 {
+				return nil, fmt.Errorf("sql: integer -(%d) out of range at position %d", l.Value, t.Pos)
+			}
+			return p.ints.new(IntLit{Value: -l.Value}), nil
 		case *FloatLit:
-			return &FloatLit{Value: -l.Value}, nil
+			return p.floats.new(FloatLit{Value: -l.Value}), nil
 		default:
 			return &BinaryExpr{Op: "-", Left: &IntLit{Value: 0}, Right: inner}, nil
 		}

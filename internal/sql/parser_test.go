@@ -2,6 +2,8 @@ package sql
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -110,6 +112,48 @@ func TestParseNegativeNumbers(t *testing.T) {
 	lit, ok := cmp.Right.(*IntLit)
 	if !ok || lit.Value != -5 {
 		t.Errorf("right = %v, want -5", cmp.Right)
+	}
+}
+
+// TestParseInt64Extremes: a sign and the digits after it are one
+// number, so the smallest INT reads; one beyond either end, or the
+// smallest negated again, is an error.
+func TestParseInt64Extremes(t *testing.T) {
+	for text, want := range map[string]int64{
+		"-9223372036854775808":   math.MinInt64,
+		"- 9223372036854775808":  math.MinInt64,
+		"9223372036854775807":    math.MaxInt64,
+		"-(9223372036854775807)": -math.MaxInt64,
+	} {
+		s := mustParse(t, "SELECT a FROM t WHERE a = "+text).(*SelectStmt)
+		if lit, ok := s.Where.(*BinaryExpr).Right.(*IntLit); !ok || lit.Value != want {
+			t.Errorf("%s: right = %v, want %d", text, s.Where.(*BinaryExpr).Right, want)
+		}
+	}
+	for _, text := range []string{"9223372036854775808", "-9223372036854775809", "-(-9223372036854775808)", "- -9223372036854775808"} {
+		if _, err := Parse("SELECT a FROM t WHERE a = " + text); err == nil {
+			t.Errorf("%s parsed", text)
+		}
+	}
+}
+
+// TestLiteralShortcutKeepsTheAST: a literal closed by ',' or ')' that
+// parseExpr takes straight from parsePrimary is the expression the six
+// precedence levels build, and leaves the parser at the same token.
+func TestLiteralShortcutKeepsTheAST(t *testing.T) {
+	for _, lit := range []string{"7", "-7", "- 7", "2.5", "-2.5", "'x'", "''", "-'x'", "-9223372036854775808", "9223372036854775807"} {
+		for _, closer := range []string{",", ")"} {
+			toks, err := Lex(lit + closer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, slow := &Parser{toks: toks}, &Parser{toks: toks}
+			got, err1 := fast.parseExpr()
+			want, err2 := slow.parseOr()
+			if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) || fast.pos != slow.pos {
+				t.Errorf("%s%s: shortcut %#v (%v) at %d, precedence levels %#v (%v) at %d", lit, closer, got, err1, fast.pos, want, err2, slow.pos)
+			}
+		}
 	}
 }
 
