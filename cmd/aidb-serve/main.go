@@ -9,6 +9,10 @@
 // aidb-top polls), the anomaly detector and system.alerts stay empty
 // here. aidb-repl -serve runs it.
 //
+// The server only serves statements. Knob tuning, index advice and
+// workload forecasting are not linked in; they run beside it (aidb-tune,
+// examples/selftuning) and read the workload through SQL over system.*.
+//
 //	aidb-serve -listen :7070 -http :8080 -max-concurrent 16 -timeout 5s
 //
 // Try it:
@@ -31,7 +35,6 @@ func main() {
 	var (
 		listen  = flag.String("listen", ":7070", "line-protocol listen address")
 		httpA   = flag.String("http", "", "HTTP listen address (empty = disabled)")
-		seed    = flag.Uint64("seed", 42, "seed for the database's learned components")
 		maxConc = flag.Int("max-concurrent", 0, "admission-gate concurrency bound (0 = unlimited)")
 		timeout = flag.Duration("timeout", 0, "default per-statement timeout (0 = none)")
 		par     = flag.Int("parallelism", 0, "morsel worker budget (0 = auto: up to NumCPU, idle cores only; 1 = serial)")
@@ -39,7 +42,7 @@ func main() {
 	)
 	flag.Parse()
 
-	db := core.OpenSeeded(*seed)
+	db := core.Open()
 	db.SetMaxConcurrent(*maxConc)
 	db.SetTimeout(*timeout)
 	db.SetParallelism(*par)

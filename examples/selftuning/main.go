@@ -1,7 +1,9 @@
-// Selftuning: the AI4DB loop — an autonomous database that tunes its own
-// knobs for the running workload mix, recommends indexes from the
-// observed query stream, adapts materialized views across a workload
-// shift, and forecasts arrival rates to provision ahead of a spike.
+// Selftuning: the AI4DB loop — learned components acting on a database
+// from beside it: an RL tuner picks knobs for the running workload mix,
+// the index advisor mines the queries the database actually ran (SQL over
+// system.statements), a view advisor adapts materialized views across a
+// workload shift, and a forecaster predicts arrival rates to provision
+// ahead of a spike.
 package main
 
 import (
@@ -9,23 +11,25 @@ import (
 	"log"
 
 	"aidb/internal/core"
+	"aidb/internal/idxadvisor"
 	"aidb/internal/knob"
 	"aidb/internal/ml"
+	"aidb/internal/txnsched"
 	"aidb/internal/viewadvisor"
 	"aidb/internal/workload"
 )
 
 func main() {
-	db := core.OpenSeeded(7)
-
 	// --- Knob tuning: the RL tuner vs shipped defaults ---
 	mix := knob.WorkloadMix{Write: 0.6, Scan: 0.2, Read: 0.2}
-	rep := db.Tune(mix, 150)
-	fmt.Printf("knob tuning: regret vs optimal = %.3f (0 = perfect)\n", rep.RegretVsOptimal)
+	surface := knob.NewSurface(ml.NewRNG(9), 0.01)
+	cfg := (&knob.QTune{Rng: ml.NewRNG(8)}).Tune(surface, mix, 150)
+	fmt.Printf("knob tuning: regret vs optimal = %.3f (0 = perfect)\n", surface.Regret(cfg, mix))
 	fmt.Printf("  e.g. %s=%.2f  %s=%.2f\n\n",
-		knob.KnobNames[0], rep.Config[0], knob.KnobNames[1], rep.Config[1])
+		knob.KnobNames[0], cfg[0], knob.KnobNames[1], cfg[1])
 
-	// --- Index advising from an observed query stream ---
+	// --- Index advising from the observed query stream ---
+	db := core.Open()
 	if _, err := db.Exec("CREATE TABLE events (user_id INT, kind INT, ts INT, payload TEXT)"); err != nil {
 		log.Fatal(err)
 	}
@@ -34,21 +38,19 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if _, err := db.Exec("ANALYZE events"); err != nil {
-		log.Fatal(err)
-	}
 	// The observed workload hits user_id with selective predicates.
-	var qs []workload.Query
 	for i := 0; i < 150; i++ {
-		qs = append(qs, workload.Query{Preds: []workload.Predicate{{Column: 0, Lo: int64(i % 45), Hi: int64(i%45 + 1)}}})
+		if _, err := db.Exec(fmt.Sprintf("SELECT payload FROM events WHERE user_id BETWEEN %d AND %d", i%45, i%45+1)); err != nil {
+			log.Fatal(err)
+		}
 	}
-	advice, err := db.AdviseIndexes("events", qs, 2)
+	recs, err := idxadvisor.StatementsViaSQL(db.Engine())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("index advisor recommends:")
-	for _, a := range advice {
-		fmt.Printf("  CREATE INDEX ON %s (%s)\n", a.Table, a.Column)
+	for _, c := range idxadvisor.TopCandidates(idxadvisor.Candidates(recs), 2) {
+		fmt.Printf("  CREATE INDEX ON %s (%s)\n", c.Table, c.Column)
 	}
 	fmt.Println()
 
@@ -64,9 +66,10 @@ func main() {
 
 	// --- Workload forecasting ---
 	history := workload.ArrivalSeries(ml.NewRNG(3), workload.Diurnal, 400, 120)
-	next, err := db.ForecastWorkload(history, 4)
-	if err != nil {
+	forecaster := &txnsched.Linear{}
+	if err := forecaster.Fit(history); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("forecast: current rate %.0f qps, predicted in 4 ticks: %.0f qps\n", history[len(history)-1], next)
+	fmt.Printf("forecast: current rate %.0f qps, predicted in 4 ticks: %.0f qps\n",
+		history[len(history)-1], forecaster.Predict(history, 4))
 }

@@ -121,8 +121,8 @@ type FeedbackEstimator struct {
 
 // OnRetrain registers a callback fired (synchronously, outside the
 // lock) after every Retrain that actually updated the model — the hook
-// estimate caches use to invalidate themselves when the model's weights
-// change underneath them.
+// plancache.Cache.WatchEstimator uses to drop compiled plans whose
+// estimates the new weights would no longer give.
 func (e *FeedbackEstimator) OnRetrain(fn func()) {
 	e.mu.Lock()
 	e.onRetrain = append(e.onRetrain, fn)

@@ -1,16 +1,17 @@
-// Package core is aidb's public facade: an AI-native database handle in
-// the spirit of the paper's "learning-based database systems" (SageDB,
-// XuanYuan). A DB executes SQL and AISQL through one entry point and
-// exposes the learned self-driving subsystems — knob tuning, index and
-// view advising, workload forecasting, health monitoring — behind simple
-// methods, each delegating to the corresponding internal package.
+// Package core is aidb's database handle: a DB serves SQL and AISQL
+// statements — through Exec, scripts and per-connection sessions — over
+// one engine, one shared plan cache, one admission gate and one metrics
+// registry, and shows its own state as system.* tables. The AI4DB
+// components (knob tuning, index and view advising, workload
+// forecasting, diagnosis) are not part of it: they live in their own
+// packages and act on a DB from beside it, through SQL over system.*
+// (see examples/selftuning and cmd/aidb-tune).
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -20,35 +21,17 @@ import (
 	"aidb/internal/exec"
 	"aidb/internal/governance"
 	"aidb/internal/guard"
-	"aidb/internal/idxadvisor"
-	"aidb/internal/knob"
-	"aidb/internal/ml"
 	"aidb/internal/monitor"
 	"aidb/internal/obs"
 	"aidb/internal/plancache"
 	"aidb/internal/sql"
-	"aidb/internal/txnsched"
-	"aidb/internal/workload"
 )
 
 // DB is an aidb database instance.
 type DB struct {
 	engine *aisql.Engine
-	rng    *ml.RNG
 	reg    *obs.Registry
 	tracer *obs.Tracer
-
-	// feedback/qerr close the cardinality-estimation feedback loop:
-	// profiled executions stream per-operator (est, actual) pairs into
-	// feedback, which forwards each pair to qerr, the monitor-side
-	// drift KPI (exposed as the cardest.qerror.window_median gauge).
-	feedback *cardest.FeedbackLog
-	qerr     *monitor.QErrorWindow
-
-	// tuner state persists across Tune calls so the query-aware critic
-	// accumulates experience (QTune behaviour).
-	tuner   *knob.QTune
-	surface *knob.Surface
 
 	// Overload-governance plane: every ExecContext passes the admission
 	// gate (unlimited by default), inherits the default statement
@@ -66,10 +49,6 @@ type DB struct {
 	alerts   *monitor.AlertLog
 	detector *monitor.AnomalyDetector
 
-	// sqlRules are KPI rules expressed as SQL over system.metrics,
-	// evaluated through the engine itself (see monitor.SQLRuleSet).
-	sqlRules *monitor.SQLRuleSet
-
 	// plans is the shared compiled-plan cache every session and Exec
 	// path runs through; DDL and ANALYZE invalidate it via the engine.
 	plans *plancache.Cache
@@ -80,10 +59,9 @@ func Open() *DB {
 	return OpenSeeded(42)
 }
 
-// OpenSeeded creates a database whose learned components draw randomness
+// OpenSeeded creates a database whose retry jitter (ExecRetry) draws
 // from the given seed.
 func OpenSeeded(seed uint64) *DB {
-	rng := ml.NewRNG(seed)
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(16)
 	engine := aisql.NewEngine()
@@ -92,6 +70,9 @@ func OpenSeeded(seed uint64) *DB {
 	plans := plancache.New(0)
 	plans.Instrument(reg)
 	engine.Plans = plans
+	// The cardinality-estimation feedback loop: profiled executions
+	// stream per-operator (est, actual) pairs into feedback, which
+	// forwards each pair to qerr, the monitor-side drift KPI.
 	feedback := cardest.NewFeedbackLog(0)
 	qerr := monitor.NewQErrorWindow(0)
 	feedback.SetObserver(qerr.Observe)
@@ -111,13 +92,8 @@ func OpenSeeded(seed uint64) *DB {
 	series.SetOnSample(func(uint64) { detector.Observe() })
 	db := &DB{
 		engine:   engine,
-		rng:      rng,
 		reg:      reg,
 		tracer:   tracer,
-		feedback: feedback,
-		qerr:     qerr,
-		tuner:    &knob.QTune{Rng: ml.NewRNG(seed + 1)},
-		surface:  knob.NewSurface(ml.NewRNG(seed+2), 0.01),
 		gate:     gate,
 		govObs:   govObs,
 		retry:    governance.RetryPolicy{Seed: seed + 3},
@@ -126,31 +102,17 @@ func OpenSeeded(seed uint64) *DB {
 		detector: detector,
 		plans:    plans,
 	}
-	db.sqlRules = monitor.NewSQLRuleSet(engine, alerts)
 	db.registerSystemTables()
 	return db
 }
-
-// AddSQLRule registers one SQL KPI rule: rules run through the engine
-// against the system.* catalog (typically system.metrics) and file a
-// latched alert whenever the query returns rows. Evaluate with
-// EvalSQLRules.
-func (db *DB) AddSQLRule(name, query, detail string) {
-	db.sqlRules.Add(monitor.SQLRule{Name: name, Query: query, Detail: detail})
-}
-
-// EvalSQLRules evaluates every registered SQL KPI rule once, returning
-// the number of alerts filed into the alert ring.
-func (db *DB) EvalSQLRules() int { return db.sqlRules.EvalOnce() }
-
-// SQLRules exposes the SQL KPI rule set.
-func (db *DB) SQLRules() *monitor.SQLRuleSet { return db.sqlRules }
 
 // Series exposes the metric time-series store the telemetry sampler
 // fills (empty until StartTelemetry or a manual SampleOnce).
 func (db *DB) Series() *obs.TimeSeries { return db.series }
 
-// Alerts exposes the KPI anomaly-alert ring.
+// Alerts exposes the KPI anomaly-alert ring (system.alerts' backing
+// store); monitor.NewSQLRuleSet(db.Engine(), db.Alerts()) files SQL KPI
+// rule alerts into it.
 func (db *DB) Alerts() *monitor.AlertLog { return db.alerts }
 
 // StartTelemetry starts the background metric sampler: every interval
@@ -188,31 +150,9 @@ func (db *DB) SetParallelism(workers int) { db.engine.Parallelism = workers }
 // Parallelism reports the current morsel worker budget setting.
 func (db *DB) Parallelism() int { return db.engine.Parallelism }
 
-// Feedback exposes the cardinality-feedback log profiled executions
-// report into.
-func (db *DB) Feedback() *cardest.FeedbackLog { return db.feedback }
-
-// NewEstimatorCache wraps base in a bounded estimate cache whose
-// hit/miss/invalidation counters report into this database's metrics
-// registry (visible in system.metrics). When base is a
-// FeedbackEstimator, feedback fine-tuning invalidates the cache
-// automatically.
-func (db *DB) NewEstimatorCache(base cardest.Estimator, capacity int) *cardest.EstimateCache {
-	c := cardest.NewEstimateCache(base, capacity)
-	c.Instrument(db.reg)
-	// A retrain changes what the estimator would say at plan time, so
-	// compiled plans (with estimates frozen in) go stale too.
-	db.plans.WatchEstimator(base)
-	return c
-}
-
 // PlanCache exposes the shared compiled-plan cache (system.plan_cache's
 // backing store).
 func (db *DB) PlanCache() *plancache.Cache { return db.plans }
-
-// QErrorWindow exposes the monitor's sliding window over feedback
-// q-errors, the drift KPI for learned cardinality estimation.
-func (db *DB) QErrorWindow() *monitor.QErrorWindow { return db.qerr }
 
 // LastTrace renders the span tree of the most recent query, or "" when
 // nothing has been traced yet.
@@ -439,106 +379,4 @@ func appendCell(dst []byte, v catalog.Value) []byte {
 		return append(dst, x...)
 	}
 	return fmt.Append(dst, v)
-}
-
-// TuneReport summarizes one knob-tuning session.
-type TuneReport struct {
-	Config     knob.Config
-	Throughput float64
-	// RegretVsOptimal is the fraction of peak throughput left on the
-	// table (0 = perfectly tuned).
-	RegretVsOptimal float64
-}
-
-// Tune runs the query-aware RL tuner for the given workload mix and trial
-// budget against the simulated performance surface, returning the best
-// configuration found. Successive calls reuse the learned critic.
-func (db *DB) Tune(mix knob.WorkloadMix, budget int) TuneReport {
-	cfg := db.tuner.Tune(db.surface, mix, budget)
-	return TuneReport{
-		Config:          cfg,
-		Throughput:      db.surface.Throughput(cfg, mix),
-		RegretVsOptimal: db.surface.Regret(cfg, mix),
-	}
-}
-
-// IndexAdvice is one recommended index.
-type IndexAdvice struct {
-	Table  string
-	Column string
-}
-
-// AdviseIndexes observes a workload of conjunctive range queries over a
-// generated shadow of the named table and returns up to budget
-// single-column index recommendations from the learned (MDP) advisor.
-func (db *DB) AdviseIndexes(tableName string, queries []workload.Query, budget int) ([]IndexAdvice, error) {
-	t, err := db.engine.Cat.Table(tableName)
-	if err != nil {
-		return nil, err
-	}
-	// Build a workload.Table shadow of the integer columns.
-	var cols []workload.Column
-	var colNames []string
-	var colIdx []int
-	for ci, c := range t.Schema.Columns {
-		if c.Type != catalog.Int64 {
-			continue
-		}
-		ndv := 1024
-		if t.Stats != nil {
-			if cs, ok := t.Stats.Cols[ci]; ok && cs.NDV > 0 {
-				ndv = cs.NDV
-			}
-		}
-		cols = append(cols, workload.Column{Name: c.Name, NDV: ndv, CorrelatedWith: -1})
-		colNames = append(colNames, c.Name)
-		colIdx = append(colIdx, ci)
-	}
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("core: table %q has no integer columns to index", tableName)
-	}
-	shadow := &workload.Table{
-		Spec: workload.TableSpec{Name: tableName, Rows: t.NumRows(), Columns: cols},
-		Cols: make([][]int64, len(cols)),
-	}
-	rows, err := t.AllRows()
-	if err != nil {
-		return nil, err
-	}
-	for k, ci := range colIdx {
-		col := make([]int64, len(rows))
-		for r, row := range rows {
-			col[r] = row[ci].(int64)
-		}
-		shadow.Cols[k] = col
-	}
-	cm := &idxadvisor.CostModel{Table: shadow}
-	adv := &idxadvisor.MDP{Rng: db.rng}
-	chosen := adv.Recommend(cm, queries, budget)
-	var out []IndexAdvice
-	for c := range chosen {
-		out = append(out, IndexAdvice{Table: tableName, Column: colNames[c]})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Column < out[b].Column })
-	return out, nil
-}
-
-// ForecastWorkload fits the learned forecaster on an arrival-rate history
-// and predicts the rate h steps ahead.
-func (db *DB) ForecastWorkload(history []float64, h int) (float64, error) {
-	f := &txnsched.Linear{}
-	if err := f.Fit(history); err != nil {
-		return 0, err
-	}
-	return f.Predict(history, h), nil
-}
-
-// Diagnose trains the KPI-clustering diagnoser on historical incidents
-// and classifies a new one.
-func (db *DB) Diagnose(history []monitor.SlowQuery, incident monitor.SlowQuery) (monitor.RootCause, error) {
-	kc := &monitor.KPICluster{}
-	if err := kc.Train(db.rng, history); err != nil {
-		return 0, err
-	}
-	return kc.Diagnose(incident), nil
 }

@@ -3,14 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
-	"aidb/internal/cardest"
-	"aidb/internal/knob"
-	"aidb/internal/ml"
-	"aidb/internal/monitor"
-	"aidb/internal/workload"
+	"aidb/internal/idxadvisor"
 )
 
 func TestOpenExecRoundTrip(t *testing.T) {
@@ -46,122 +43,68 @@ func TestFormat(t *testing.T) {
 	}
 }
 
-func TestTuneImprovesOverDefaults(t *testing.T) {
-	db := OpenSeeded(7)
-	mix := knob.WorkloadMix{Write: 0.5, Scan: 0.3, Read: 0.2}
-	defaultRegret := db.surface.Regret(knob.DefaultConfig(), mix)
-	rep := db.Tune(mix, 250)
-	if rep.RegretVsOptimal >= defaultRegret {
-		t.Errorf("tuning regret %.3f should beat defaults %.3f", rep.RegretVsOptimal, defaultRegret)
-	}
-	if rep.RegretVsOptimal > 0.5 {
-		t.Errorf("tuning regret %.3f too high at budget 250", rep.RegretVsOptimal)
-	}
-	if rep.Throughput <= 0 {
-		t.Error("throughput should be positive")
-	}
-}
-
+// TestAdviseIndexes: the index advisor reads the workload the engine
+// actually ran, through SQL over system.statements, and ranks the
+// column the workload filters on most often first.
 func TestAdviseIndexes(t *testing.T) {
-	db := OpenSeeded(8)
-	db.Exec("CREATE TABLE logs (user_id INT, action INT, note TEXT)")
+	db := Open()
+	if _, err := db.Exec("CREATE TABLE logs (user_id INT, action INT, note TEXT)"); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 50; i++ {
-		db.Exec("INSERT INTO logs VALUES (1, 2, 'x')")
+		if _, err := db.Exec(fmt.Sprintf("INSERT INTO logs VALUES (%d, %d, 'x')", i%10, i%3)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	db.Exec("ANALYZE logs")
-	// Workload hammering column 0 (user_id) with narrow predicates.
-	var qs []workload.Query
 	for i := 0; i < 100; i++ {
-		qs = append(qs, workload.Query{Preds: []workload.Predicate{{Column: 0, Lo: 0, Hi: 3}}})
+		if _, err := db.Exec(fmt.Sprintf("SELECT note FROM logs WHERE user_id BETWEEN %d AND %d", i%7, i%7+3)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	advice, err := db.AdviseIndexes("logs", qs, 1)
+	for i := 0; i < 10; i++ {
+		if _, err := db.Exec(fmt.Sprintf("SELECT COUNT(*) FROM logs WHERE action = %d", i%3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := idxadvisor.StatementsViaSQL(db.Engine())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(advice) != 1 || advice[0].Column != "user_id" {
-		t.Errorf("advice = %+v, want index on user_id", advice)
+	cands := idxadvisor.Candidates(recs)
+	want := []idxadvisor.Candidate{{Table: "logs", Column: "user_id", Weight: 100}, {Table: "logs", Column: "action", Weight: 10}}
+	if !reflect.DeepEqual(cands, want) {
+		t.Errorf("candidates = %+v, want %+v", cands, want)
 	}
 }
 
+// TestAdviseIndexesErrors: only statements that succeeded count as
+// workload; a filter that failed to run names no index candidate.
 func TestAdviseIndexesErrors(t *testing.T) {
 	db := Open()
-	if _, err := db.AdviseIndexes("ghost", nil, 1); err == nil {
-		t.Error("missing table should fail")
+	if _, err := db.Exec("CREATE TABLE logs (user_id INT, note TEXT)"); err != nil {
+		t.Fatal(err)
 	}
-	db.Exec("CREATE TABLE s (only_text TEXT)")
-	if _, err := db.AdviseIndexes("s", nil, 1); err == nil {
-		t.Error("table with no integer columns should fail")
+	for i := 0; i < 5; i++ {
+		if _, err := db.Exec("SELECT note FROM logs WHERE ghost = 1"); err == nil {
+			t.Fatal("filter on an unknown column succeeded")
+		}
+		if _, err := db.Exec("SELECT note FROM nosuch WHERE user_id = 1"); err == nil {
+			t.Fatal("select from an unknown table succeeded")
+		}
 	}
-}
-
-func TestForecastWorkload(t *testing.T) {
-	db := Open()
-	series := workload.ArrivalSeries(ml.NewRNG(1), workload.Diurnal, 400, 100)
-	pred, err := db.ForecastWorkload(series, 1)
+	if _, err := db.Exec("SELECT note FROM logs WHERE user_id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := db.Exec("SELECT COUNT(*) FROM system.statements WHERE errors > 0"); err != nil || res.Rows[0][0] != int64(1) {
+		t.Fatalf("failed statements in system.statements = %v, %v; want the planned one", res, err)
+	}
+	recs, err := idxadvisor.StatementsViaSQL(db.Engine())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred < 0 || pred > 500 {
-		t.Errorf("forecast %v implausible", pred)
-	}
-	if _, err := db.ForecastWorkload([]float64{1, 2}, 1); err == nil {
-		t.Error("short history should fail")
-	}
-}
-
-func TestDiagnose(t *testing.T) {
-	db := OpenSeeded(9)
-	rng := ml.NewRNG(2)
-	history := monitor.GenerateIncidents(rng, 400, 0.1)
-	incident := monitor.GenerateIncidents(rng, 1, 0.05)[0]
-	got, err := db.Diagnose(history, incident)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != incident.Truth {
-		// Clustering is probabilistic; only fail when wildly off across
-		// several trials.
-		wrong := 0
-		for i := 0; i < 10; i++ {
-			inc := monitor.GenerateIncidents(rng, 1, 0.05)[0]
-			d, err := db.Diagnose(history, inc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d != inc.Truth {
-				wrong++
-			}
-		}
-		if wrong > 3 {
-			t.Errorf("diagnosis wrong %d/10 times", wrong)
-		}
-	}
-}
-
-func TestEstimatorCacheCountersInMetrics(t *testing.T) {
-	db := OpenSeeded(11)
-	spec := workload.TableSpec{
-		Name: "t",
-		Rows: 1000,
-		Columns: []workload.Column{
-			{Name: "a", NDV: 50, CorrelatedWith: -1},
-			{Name: "b", NDV: 50, CorrelatedWith: -1},
-		},
-	}
-	base := cardest.NewMLPEstimator(ml.NewRNG(3), spec, 8)
-	cache := db.NewEstimatorCache(cardest.NewFeedbackEstimator(base), 16)
-	g := workload.NewQueryGen(ml.NewRNG(4), spec)
-	q := g.Next()
-	cache.Estimate(q)
-	cache.Estimate(q)
-	m := sysMetrics(t, db)
-	for _, name := range []string{"cardest.cache.hits", "cardest.cache.misses", "cardest.cache.invalidations"} {
-		if _, ok := m[name]; !ok {
-			t.Fatalf("system.metrics missing %s: %v", name, m)
-		}
-	}
-	if m["cardest.cache.hits"] != 1 || m["cardest.cache.misses"] != 1 {
-		t.Fatalf("cache counters hits=%v misses=%v, want 1 and 1", m["cardest.cache.hits"], m["cardest.cache.misses"])
+	want := []idxadvisor.Candidate{{Table: "logs", Column: "user_id", Weight: 1}}
+	if cands := idxadvisor.Candidates(recs); !reflect.DeepEqual(cands, want) {
+		t.Errorf("candidates = %+v, want %+v", cands, want)
 	}
 }
 

@@ -298,8 +298,16 @@ func TestPlanCacheInvalidationOnEstimatorRetrain(t *testing.T) {
 	}
 	base := cardest.NewMLPEstimator(ml.NewRNG(3), spec, 8)
 	fb := cardest.NewFeedbackEstimator(base)
-	db.NewEstimatorCache(fb, 16)
+	db.PlanCache().WatchEstimator(fb)
 	gen := db.PlanCache().Generation()
+	// A retrain with no feedback buffered leaves the model as it was, so
+	// the cached plans stay valid.
+	if err := fb.Retrain(ml.NewRNG(5), 1); err != nil {
+		t.Fatal(err)
+	}
+	if db.PlanCache().Generation() != gen {
+		t.Fatal("a no-op retrain invalidated the plan cache")
+	}
 	g := workload.NewQueryGen(ml.NewRNG(4), spec)
 	for i := 0; i < 64; i++ {
 		fb.Record(g.Next(), 10)

@@ -10,6 +10,7 @@ import (
 
 	"aidb/internal/chaos"
 	"aidb/internal/exec"
+	"aidb/internal/monitor"
 )
 
 // sysWorkloadDB builds a DB with two heap tables and a repeated SELECT
@@ -347,11 +348,12 @@ func TestSystemTablesCancellation(t *testing.T) {
 func TestSQLRulesOverSystemMetrics(t *testing.T) {
 	db := Open()
 	db.Metrics().Counter("pressure.level").Add(9)
-	db.AddSQLRule("pressure", "SELECT value FROM system.metrics WHERE name = 'pressure.level' AND value > 5", "pressure too high")
-	if fired := db.EvalSQLRules(); fired != 1 {
+	rules := monitor.NewSQLRuleSet(db.Engine(), db.Alerts())
+	rules.Add(monitor.SQLRule{Name: "pressure", Query: "SELECT value FROM system.metrics WHERE name = 'pressure.level' AND value > 5", Detail: "pressure too high"})
+	if fired := rules.EvalOnce(); fired != 1 {
 		t.Fatalf("first eval fired %d, want 1", fired)
 	}
-	if fired := db.EvalSQLRules(); fired != 0 {
+	if fired := rules.EvalOnce(); fired != 0 {
 		t.Fatalf("latched eval fired %d, want 0", fired)
 	}
 	res, err := db.Exec("SELECT metric, kind, value FROM system.alerts WHERE kind = 'sqlrule'")

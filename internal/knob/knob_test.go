@@ -94,6 +94,24 @@ func TestRLBeatsDefaultsAndApproachesOptimum(t *testing.T) {
 	}
 }
 
+// TestQTuneImprovesOverDefaults: the query-aware tuner aidb-tune runs,
+// started cold on one mix, beats the shipped defaults.
+func TestQTuneImprovesOverDefaults(t *testing.T) {
+	mix := WorkloadMix{Write: 0.5, Scan: 0.3, Read: 0.2}
+	s := NewSurface(ml.NewRNG(9), 0.01)
+	cfg := (&QTune{Rng: ml.NewRNG(8)}).Tune(s, mix, 250)
+	regret, defRegret := s.Regret(cfg, mix), s.Regret(DefaultConfig(), mix)
+	if regret >= defRegret {
+		t.Errorf("tuning regret %.3f should beat defaults %.3f", regret, defRegret)
+	}
+	if regret > 0.5 {
+		t.Errorf("tuning regret %.3f too high at budget 250", regret)
+	}
+	if s.Throughput(cfg, mix) <= 0 {
+		t.Error("throughput should be positive")
+	}
+}
+
 func TestRLBeatsGridAtEqualBudget(t *testing.T) {
 	const budget = 150
 	seedSurface := func() *Surface { return NewSurface(ml.NewRNG(8), 0.01) }

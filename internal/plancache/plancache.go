@@ -15,10 +15,10 @@
 // the plan-construction cost in nanoseconds (the saving each hit
 // banks), and a per-entry hit counter for system.plan_cache.
 //
-// Invalidation is generation-stamped, the same pattern as
-// cardest.EstimateCache: entries record the generation they were
-// inserted under, Invalidate bumps the global generation, and stale
-// entries fail their generation check on the next lookup (lazy, O(1)).
+// Invalidation is generation-stamped: entries record the generation
+// they were inserted under, Invalidate bumps the global generation, and
+// stale entries fail their generation check on the next lookup (lazy,
+// O(1)).
 // DDL, statistics refresh (ANALYZE) and learned-estimator retraining
 // (FeedbackEstimator.OnRetrain) all route through Invalidate, so a
 // cached plan can never outlive the schema, stats or model state it
@@ -72,9 +72,8 @@ type Entry struct {
 func (e *Entry) Hits() uint64 { return e.hits.Load() }
 
 // shard is one lock-striped segment of the cache: a map plus FIFO
-// insertion order for bounded eviction (LRU-by-insertion, the same
-// policy as cardest.EstimateCache — cheap and scan-resistant enough
-// for plan keys).
+// insertion order for bounded eviction (cheap and scan-resistant
+// enough for plan keys).
 type shard struct {
 	mu      sync.Mutex
 	entries map[string]*Entry
@@ -133,7 +132,7 @@ func (c *Cache) Instrument(reg *obs.Registry) {
 
 // WatchEstimator hooks est's retrain notifications (when it has them)
 // to Invalidate, so cached plans never outlive a learned estimator's
-// current fit — the cardest.EstimateCache pattern.
+// current fit.
 func (c *Cache) WatchEstimator(est any) {
 	if n, ok := est.(retrainNotifier); ok {
 		n.OnRetrain(c.Invalidate)

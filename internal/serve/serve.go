@@ -12,7 +12,8 @@
 //	server: the formatted result (or "ERR <message>"), then a lone "."
 //
 // "\quit" closes the connection. Empty lines are ignored. A line over
-// 1 MiB gets "ERR line too long" and the connection is closed.
+// 1 MiB gets "ERR line too long" and the connection is closed; over
+// HTTP, a POST /query body over 1 MiB gets 413 and nothing of it runs.
 package serve
 
 import (
@@ -114,6 +115,11 @@ func (s *Server) acceptLoop() {
 // statements.
 const maxKeptReply = 1 << 20
 
+// maxRequest bounds one protocol line or one POST /query body. A longer
+// request is refused whole: running the prefix that fits could apply
+// part of a script, or a statement cut inside a literal.
+const maxRequest = 1 << 20
+
 func (s *Server) handleConn(c net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -127,7 +133,7 @@ func (s *Server) handleConn(c net.Conn) {
 	sess := s.db.NewSession()
 	defer sess.Close()
 	sc := bufio.NewScanner(c)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 64*1024), maxRequest)
 	// One buffer per connection takes each reply and its terminator and
 	// goes to the socket in one write.
 	var reply []byte
@@ -185,8 +191,13 @@ func HTTPHandler(db *core.DB) http.Handler {
 			http.Error(w, "POST a SQL statement to /query", http.StatusMethodNotAllowed)
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequest))
 		if err != nil {
+			var tooLong *http.MaxBytesError
+			if errors.As(err, &tooLong) {
+				http.Error(w, "query too long", http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}

@@ -257,6 +257,38 @@ func TestHTTPQueryEndpoint(t *testing.T) {
 	}
 }
 
+// A POST /query body over the 1 MiB limit is refused whole: no prefix
+// of the script runs, so no statement before the cut applies and no
+// statement cut inside a literal runs with the wrong value.
+func TestHTTPOversizedBodyRunsNothing(t *testing.T) {
+	db := testDB(t)
+	if _, err := db.Exec("CREATE TABLE big (a INT, pad TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := ListenHTTP(db, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	stmt := "INSERT INTO big VALUES (1, '" + strings.Repeat("x", 1000) + "');"
+	script := strings.Repeat(stmt, maxRequest/len(stmt)+1)
+	resp, err := http.Post("http://"+ln.Addr().String()+"/query", "text/plain", strings.NewReader(script))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d for a %d-byte body, want 413", resp.StatusCode, len(script))
+	}
+	res, err := db.Exec("SELECT COUNT(*) FROM big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Rows[0][0]; n != int64(0) {
+		t.Fatalf("count(*) = %v after a refused body, want 0", n)
+	}
+}
+
 // TestTelemetryEndToEnd drives statements over POST /query with the
 // sampler running, the way aidb-repl -serve does, and checks the whole
 // monitoring plane over the wire: metric exposition, sampled time
