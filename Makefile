@@ -36,8 +36,9 @@ bench:
 # time (executor incl. serial vs parallel and obs on/off, obs substrate
 # incl. the statement store and a traced statement's span, LSM, the
 # statement key function, the reply renderer, the engine's indexed,
-# prepared and ad-hoc point statements), one regeneration each of the observability/
-# governance/plan-cache experiments, and the BenchmarkML*
+# prepared and ad-hoc point statements, the heap page decoder's ns/row
+# and the buffer pool's View past the pool), one regeneration each of
+# the observability/governance/plan-cache experiments, and the BenchmarkML*
 # kernel-vs-baseline suite. Then the socket-level harness on small
 # tables with 2 s windows: every workload against a real aidb-serve,
 # every answer checked, non-zero exit on any wrong one; result in
@@ -46,7 +47,8 @@ bench:
 bench-smoke: vet
 	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem \
 		./internal/exec/ ./internal/obs/ ./internal/kv/ ./internal/sql/ \
-		./internal/core/ ./internal/aisql/
+		./internal/core/ ./internal/aisql/ ./internal/catalog/ \
+		./internal/storage/
 	$(GO) test -run='^$$' -bench='BenchmarkE(2[5789]|3[023])' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='BenchmarkML' -benchtime=1x .
 	$(GO) run ./bench -quick -seconds 2

@@ -5,11 +5,8 @@
 package catalog
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -72,9 +69,10 @@ type Table struct {
 	Name   string
 	Schema Schema
 
-	mu    sync.RWMutex
-	pool  *storage.BufferPool
-	pages []storage.PageID
+	mu     sync.RWMutex
+	pool   *storage.BufferPool
+	layout *pageLayout // where the schema's columns lie on a page
+	pages  []storage.PageID
 	// holes lists, in ascending order, the pages a row was deleted from
 	// since they last turned an insert away: where Insert looks for
 	// reusable space once the last page is full, so delete/insert churn
@@ -125,6 +123,7 @@ func (c *Catalog) CreateTable(name string, schema Schema) (*Table, error) {
 		return nil, errors.New("catalog: table needs at least one column")
 	}
 	t := &Table{Name: name, Schema: schema, pool: c.pool}
+	t.layout = newPageLayout(&t.Schema)
 	c.tables[name] = t
 	return t, nil
 }
@@ -197,47 +196,30 @@ func Coerce(v Value, t ColType) (Value, error) {
 	return nil, fmt.Errorf("catalog: cannot store %T as %v", v, t)
 }
 
-// appendRow appends row, serialized against schema, to dst.
-func appendRow(dst []byte, schema *Schema, row Row) ([]byte, error) {
-	if len(row) != len(schema.Columns) {
-		return dst, fmt.Errorf("catalog: row has %d values, schema has %d columns", len(row), len(schema.Columns))
+// checkRow checks that row fits the schema, and an empty page.
+func (t *Table) checkRow(row Row) error {
+	if len(row) != len(t.Schema.Columns) {
+		return fmt.Errorf("catalog: row has %d values, schema has %d columns", len(row), len(t.Schema.Columns))
 	}
-	for i, col := range schema.Columns {
+	for i, col := range t.Schema.Columns {
+		var ok bool
 		switch col.Type {
 		case Int64:
-			v, ok := row[i].(int64)
-			if !ok {
-				return dst, fmt.Errorf("catalog: column %q expects int64, got %T", col.Name, row[i])
-			}
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+			_, ok = row[i].(int64)
 		case Float64:
-			v, ok := row[i].(float64)
-			if !ok {
-				return dst, fmt.Errorf("catalog: column %q expects float64, got %T", col.Name, row[i])
-			}
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+			_, ok = row[i].(float64)
 		case String:
-			v, ok := row[i].(string)
-			if !ok {
-				return dst, fmt.Errorf("catalog: column %q expects string, got %T", col.Name, row[i])
-			}
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v)))
-			dst = append(dst, v...)
+			_, ok = row[i].(string)
+		}
+		if !ok {
+			return fmt.Errorf("catalog: column %q expects %v, got %T", col.Name, col.Type, row[i])
 		}
 	}
-	return dst, nil
-}
-
-func errTruncated(t ColType) error {
-	if t == Int64 {
-		return errors.New("catalog: truncated int64 value")
+	if l := t.layout; l.areasEnd(1)+l.rowText(row) > storage.PageSize {
+		return fmt.Errorf("catalog: row of %d bytes exceeds page capacity", l.slot+l.rowText(row))
 	}
-	return errors.New("catalog: truncated float64 value")
+	return nil
 }
-
-// maxRecord is the longest record a heap page holds: a page less its
-// 4-byte header and the record's 4-byte slot (storage's page layout).
-const maxRecord = storage.PageSize - 8
 
 // Insert stores a row and returns its record id: InsertRows of one row.
 func (t *Table) Insert(row Row) (storage.RecordID, error) {
@@ -250,53 +232,36 @@ func (t *Table) Insert(row Row) (storage.RecordID, error) {
 // id to each as it is written. A row goes where inserting the rows one
 // at a time would put it: in the last page while that has room, else in
 // space a deleted row left behind (reusing that row's record id), else
-// in a new page. The table is locked once, every row is encoded into one
-// buffer, and the page being filled stays pinned from row to row. Rows
-// are encoded and checked before any is written, so a row that does not
-// fit the schema or a page writes nothing; an I/O error part way leaves
-// the rows before it stored. each runs under the table's write lock, so
+// in a new page. The table is locked once, and the page being filled
+// stays pinned from row to row. Rows are checked before any is written,
+// so a row that does not fit the schema or a page writes nothing; an
+// error part way (I/O, or a corrupt page) leaves the rows before it
+// stored. each runs under the table's write lock, so
 // what it records of a row (an index entry) is in place before another
 // statement can read or delete the row; it must not use the table.
 func (t *Table) InsertRows(rows []Row, each func(i int, rid storage.RecordID)) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var stack [256]byte
-	var stackEnds [1]int
-	buf, ends := stack[:0], stackEnds[:0]
-	if len(rows) > 1 {
-		ends = make([]int, 0, len(rows))
-	}
-	for i, row := range rows {
-		var err error
-		start := len(buf)
-		if buf, err = appendRow(buf, &t.Schema, row); err != nil {
+	for _, row := range rows {
+		if err := t.checkRow(row); err != nil {
 			return err
 		}
-		if n := len(buf) - start; n > maxRecord {
-			return fmt.Errorf("catalog: row of %d bytes exceeds page capacity", n)
-		}
-		if i == 0 && len(rows) > 1 {
-			buf = slices.Grow(buf, len(buf)*len(rows)) // rows of a statement are alike
-		}
-		ends = append(ends, len(buf))
 	}
 	w := heapWriter{t: t}
-	start := 0
-	for i, end := range ends {
-		rid, err := w.put(buf[start:end])
+	for i, row := range rows {
+		rid, err := w.put(row)
 		if err != nil {
 			w.release(&w.last)
 			w.release(&w.hole)
 			return err
 		}
 		each(i, rid)
-		start = end
 	}
 	return errors.Join(w.release(&w.last), w.release(&w.hole))
 }
 
-// heapWriter writes records for InsertRows, keeping pinned between
-// records the last page and the hole (a page a row was deleted from) it
+// heapWriter writes rows for InsertRows, keeping pinned between
+// rows the last page and the hole (a page a row was deleted from) it
 // is filling. Its owner holds the table's write lock.
 type heapWriter struct {
 	t          *Table
@@ -309,17 +274,17 @@ type pinned struct {
 	dirty bool
 }
 
-// put writes rec where Insert's order puts it and returns its record id.
-func (w *heapWriter) put(rec []byte) (storage.RecordID, error) {
+// put writes row where Insert's order puts it and returns its record id.
+func (w *heapWriter) put(row Row) (storage.RecordID, error) {
 	t := w.t
 	if n := len(t.pages); n > 0 {
-		if rid, err := w.try(&w.last, t.pages[n-1], rec); !errors.Is(err, storage.ErrPageFull) {
+		if rid, err := w.try(&w.last, t.pages[n-1], row); !errors.Is(err, errPageFull) {
 			return rid, err
 		}
 	}
 	for len(t.holes) > 0 {
-		rid, err := w.try(&w.hole, t.holes[0], rec)
-		if !errors.Is(err, storage.ErrPageFull) {
+		rid, err := w.try(&w.hole, t.holes[0], row)
+		if !errors.Is(err, errPageFull) {
 			return rid, err
 		}
 		t.holes = t.holes[1:] // nothing here fits; a later delete may change that
@@ -333,12 +298,12 @@ func (w *heapWriter) put(rec []byte) (storage.RecordID, error) {
 	}
 	t.pages = append(t.pages, p.ID)
 	w.last = pinned{p: p, dirty: true}
-	return w.try(&w.last, p.ID, rec)
+	return w.try(&w.last, p.ID, row)
 }
 
-// try inserts rec into page id, pinned in s (which first lets go of the
+// try inserts row into page id, pinned in s (which first lets go of the
 // page it held, if another).
-func (w *heapWriter) try(s *pinned, id storage.PageID, rec []byte) (storage.RecordID, error) {
+func (w *heapWriter) try(s *pinned, id storage.PageID, row Row) (storage.RecordID, error) {
 	if s.p == nil || s.p.ID != id {
 		if err := w.release(s); err != nil {
 			return storage.RecordID{}, err
@@ -349,7 +314,7 @@ func (w *heapWriter) try(s *pinned, id storage.PageID, rec []byte) (storage.Reco
 		}
 		s.p = p
 	}
-	slot, err := s.p.Insert(rec)
+	slot, err := w.t.layout.insert(s.p.Data[:], id, row)
 	if err != nil {
 		return storage.RecordID{}, err
 	}
@@ -385,35 +350,28 @@ func (t *Table) Get(rid storage.RecordID) (Row, error) {
 func (t *Table) Delete(rid storage.RecordID) error { return t.deleteIf(rid, nil) }
 
 // DeleteIf tombstones the row at rid provided it still is want, the row
-// a statement read there. Record ids are reused, so between reading a
-// row and deleting it another statement may have deleted it and a third
-// row taken its place; then, as when the slot is simply empty, the
-// error is storage.ErrRecordDeleted and nothing is touched.
+// a statement read there, cell for cell (floats by bits). Record ids are
+// reused, so between reading a row and deleting it another statement
+// may have deleted it and a third row taken its place; then, as when
+// the slot is simply empty, the error is storage.ErrRecordDeleted and
+// nothing is touched.
 func (t *Table) DeleteIf(rid storage.RecordID, want Row) error {
-	var stack [256]byte
-	rec, err := appendRow(stack[:0], &t.Schema, want)
-	if err != nil {
+	if err := t.checkRow(want); err != nil {
 		return err
 	}
-	return t.deleteIf(rid, rec)
+	return t.deleteIf(rid, want)
 }
 
-func (t *Table) deleteIf(rid storage.RecordID, want []byte) error {
+func (t *Table) deleteIf(rid storage.RecordID, want Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p, err := t.pool.Fetch(rid.Page)
 	if err != nil {
 		return err
 	}
-	var derr error
-	if want != nil {
-		var have []byte
-		if have, derr = p.GetRef(rid.Slot); derr == nil && !bytes.Equal(have, want) {
-			derr = storage.ErrRecordDeleted
-		}
-	}
+	h, derr := t.layout.open(p.Data[:], rid.Page)
 	if derr == nil {
-		derr = p.Delete(rid.Slot)
+		derr = h.remove(rid.Page, rid.Slot, want)
 	}
 	if uerr := t.pool.Unpin(rid.Page, derr == nil); uerr != nil {
 		return uerr
@@ -501,16 +459,16 @@ func (t *Table) row(vs []Vector, i int) Row {
 	return row
 }
 
-// onPage runs fn on page id, pinned, under the table's read lock: no
-// insert or delete changes the page while fn reads it.
-func (t *Table) onPage(id storage.PageID, fn func(p *storage.Page) error) error {
+// onPage runs fn on page id's bytes, pinned, under the table's read
+// lock: no insert or delete changes the page while fn reads it.
+func (t *Table) onPage(id storage.PageID, fn func(b []byte) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	p, err := t.pool.Fetch(id)
 	if err != nil {
 		return err
 	}
-	ferr := fn(p)
+	ferr := fn(p.Data[:])
 	if err := t.pool.Unpin(id, false); err != nil && ferr == nil {
 		ferr = err
 	}

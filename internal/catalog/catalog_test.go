@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -66,12 +67,11 @@ func TestInsertRowsAllOrNothing(t *testing.T) {
 }
 
 // placeOneAtATime is the reference InsertRows is held to: one row
-// stored on its own, its page fetched and unpinned around it — the last
-// page while it has room, else the first hole with room (holes without
-// any dropped), else a new page.
+// stored on its own, its page fetched and unpinned around the page's
+// insert — the last page while it has room, else the first hole with
+// room (holes without any dropped), else a new page.
 func placeOneAtATime(t *Table, row Row) (storage.RecordID, error) {
-	rec, err := appendRow(nil, &t.Schema, row)
-	if err != nil {
+	if err := t.checkRow(row); err != nil {
 		return storage.RecordID{}, err
 	}
 	try := func(id storage.PageID) (storage.RecordID, error) {
@@ -79,7 +79,7 @@ func placeOneAtATime(t *Table, row Row) (storage.RecordID, error) {
 		if err != nil {
 			return storage.RecordID{}, err
 		}
-		slot, ierr := p.Insert(rec)
+		slot, ierr := t.layout.insert(p.Data[:], id, row)
 		if err := t.pool.Unpin(id, ierr == nil); err != nil {
 			return storage.RecordID{}, err
 		}
@@ -90,12 +90,12 @@ func placeOneAtATime(t *Table, row Row) (storage.RecordID, error) {
 		return storage.RecordID{Page: id, Slot: slot}, nil
 	}
 	if n := len(t.pages); n > 0 {
-		if rid, err := try(t.pages[n-1]); !errors.Is(err, storage.ErrPageFull) {
+		if rid, err := try(t.pages[n-1]); !errors.Is(err, errPageFull) {
 			return rid, err
 		}
 	}
 	for len(t.holes) > 0 {
-		if rid, err := try(t.holes[0]); !errors.Is(err, storage.ErrPageFull) {
+		if rid, err := try(t.holes[0]); !errors.Is(err, errPageFull) {
 			return rid, err
 		}
 		t.holes = t.holes[1:]
@@ -343,6 +343,66 @@ func TestChurnDoesNotGrowTable(t *testing.T) {
 	}
 }
 
+// TestChurnDoesNotGrow: updating every row of a table over and over,
+// its TEXT column alternately long and short, must keep the table
+// within twice the pages a fresh load of the long rows takes. An update
+// deletes a row and inserts its new version, so a page must take a long
+// row into the bytes short dead rows left, once it has lost enough.
+func TestChurnDoesNotGrow(t *testing.T) {
+	schema := Schema{Columns: []Column{{Name: "id", Type: Int64}, {Name: "s", Type: String}}}
+	load := func(s string) *Table {
+		tab, _ := NewMem().CreateTable("t", schema)
+		for i := 0; i < 1000; i++ {
+			if _, err := tab.Insert(Row{int64(i), s}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tab
+	}
+	long, short := strings.Repeat("l", 100), strings.Repeat("s", 10)
+	fresh := len(load(long).PageIDs())
+	tab := load(short)
+	for round := 0; round < 40; round++ {
+		s := long
+		if round%2 == 1 {
+			s = short
+		}
+		type change struct {
+			rid storage.RecordID
+			old Row
+		}
+		var changes []change
+		if err := tab.Scan(func(rid storage.RecordID, r Row) bool {
+			changes = append(changes, change{rid, r})
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range changes {
+			if err := tab.DeleteIf(c.rid, c.old); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tab.Insert(Row{c.old[0], s}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := len(tab.PageIDs()); got > 2*fresh {
+			t.Fatalf("round %d: %d pages, a fresh load of the long rows takes %d", round, got, fresh)
+		}
+	}
+	rows, err := tab.AllRows()
+	if err != nil || len(rows) != 1000 || tab.NumRows() != 1000 {
+		t.Fatalf("%d rows read (%v), NumRows %d, want 1000", len(rows), err, tab.NumRows())
+	}
+	seen := map[int64]bool{}
+	for _, r := range rows {
+		if r[1] != short || seen[r[0].(int64)] {
+			t.Fatalf("row %v after the last round", r)
+		}
+		seen[r[0].(int64)] = true
+	}
+}
+
 // TestDeleteIfChecksTheRow: record ids are reused, so a delete that
 // names the row it read must not remove a different row that has since
 // taken the slot.
@@ -365,58 +425,83 @@ func TestDeleteIfChecksTheRow(t *testing.T) {
 	}
 }
 
-// Property: rows of every type round-trip through encode/decode.
+// Property: rows of every type round-trip through a page.
 func TestRowRoundTripProperty(t *testing.T) {
 	schema := testSchema()
 	f := func(id int64, score float64, name string) bool {
-		b, err := appendRow(nil, &schema, Row{id, score, name})
-		if err != nil {
+		if len(name) > 1000 {
+			name = name[:1000]
+		}
+		var b [storage.PageSize]byte
+		if _, err := newPageLayout(&schema).insert(b[:], 0, Row{id, score, name}); err != nil {
 			return false
 		}
 		var v [3]Vector
-		if err := decodeRecord(&schema, b, []*Vector{&v[0], &v[1], &v[2]}); err != nil {
+		if err := decodeBytes(&schema, b[:], []*Vector{&v[0], &v[1], &v[2]}); err != nil || len(v[0].I) != 1 {
 			return false
 		}
-		row := Row{v[0].I[0], v[1].F[0], v[2].S[0]}
-		// NaN != NaN; compare bit patterns via equality only for non-NaN.
-		if score == score && row[1].(float64) != score {
-			return false
-		}
-		return row[0].(int64) == id && row[2].(string) == name
+		return v[0].I[0] == id && math.Float64bits(v[1].F[0]) == math.Float64bits(score) && v[2].S[0] == name
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// decodeRecord decodes record b as the one row of a page.
-func decodeRecord(schema *Schema, b []byte, cols []*Vector) error {
-	var p storage.Page
-	p.InitPage()
-	if _, err := p.Insert(b); err != nil {
-		return err
-	}
-	d := &pageDecoder{}
-	var err error
-	if d.ext, err = p.AppendLive(nil); err != nil {
-		return err
-	}
-	return d.decode(schema, &p, cols, nil)
+// decodeBytes decodes page bytes b as DecodePage decodes a page.
+func decodeBytes(schema *Schema, b []byte, cols []*Vector) error {
+	d := &pageDecoder{t: &Table{Schema: *schema, layout: newPageLayout(schema)}, cols: cols}
+	return d.page(b)
 }
 
-// TestDecodeTruncated: a record cut anywhere short of its schema fails to
-// decode, whichever columns are read, with the TEXT column first, in the
-// middle or last.
+// TestDecodeTruncated: a page whose column areas run into its TEXT bytes
+// — too great a capacity or TEXT byte count — or whose slot count passes
+// its capacity, or whose TEXT reference runs past the page or below the
+// TEXT bytes, fails to decode whichever columns are read, with the TEXT
+// column first, in the middle or last.
 func TestDecodeTruncated(t *testing.T) {
 	for _, types := range [][]ColType{{Int64, Float64, String}, {String, Int64, Float64}, {Int64, String, Float64}} {
 		schema := Schema{Columns: make([]Column, len(types))}
 		row := make(Row, len(types))
+		textCol := 0
 		for i, typ := range types {
 			schema.Columns[i] = Column{Name: fmt.Sprint("c", i), Type: typ}
 			row[i] = map[ColType]Value{Int64: int64(1), Float64: 2.0, String: "hello"}[typ]
+			if typ == String {
+				textCol = i
+			}
 		}
-		b, _ := appendRow(nil, &schema, row)
-		for cut := 0; cut < len(b); cut++ {
+		l := newPageLayout(&schema)
+		var good [storage.PageSize]byte
+		for i := 0; i < 3; i++ {
+			if _, err := l.insert(good[:], 0, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := l.open(good[:], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		put := func(b []byte, at, v int) { binary.LittleEndian.PutUint16(b[at:], uint16(v)) }
+		ref := p.area(textCol) + 4 // slot 1's reference
+		off := int(binary.LittleEndian.Uint16(good[ref:]))
+		var cuts []func(b []byte)
+		for c := p.cap + 1; c < p.cap+40; c++ {
+			if l.areasEnd(c) > p.text {
+				cuts = append(cuts, func(b []byte) { put(b, 2, c) })
+			}
+		}
+		for text := storage.PageSize - l.areasEnd(p.cap) + 1; text < 1<<16; text += 997 {
+			cuts = append(cuts, func(b []byte) { put(b, 4, text) })
+		}
+		cuts = append(cuts,
+			func(b []byte) { put(b, 0, p.cap+1) },
+			func(b []byte) { put(b, 2, 1<<16-1) },
+			func(b []byte) { put(b, ref, p.text-1) },
+			func(b []byte) { put(b, ref, storage.PageSize-2) },
+			func(b []byte) { put(b, ref+2, storage.PageSize-off+1) })
+		for i, cut := range cuts {
+			b := good
+			cut(b[:])
 			for mask := 0; mask < 8; mask++ {
 				cols := make([]*Vector, 3)
 				for i := range cols {
@@ -424,14 +509,14 @@ func TestDecodeTruncated(t *testing.T) {
 						cols[i] = &Vector{}
 					}
 				}
-				if err := decodeRecord(&schema, b[:cut], cols); err == nil {
-					t.Fatalf("%v: decode of %d/%d bytes reading columns %03b should fail", types, cut, len(b), mask)
+				if err := decodeBytes(&schema, b[:], cols); err == nil {
+					t.Fatalf("%v: decode of cut %d reading columns %03b should fail", types, i, mask)
 				}
 			}
 		}
 		var v [3]Vector
-		if err := decodeRecord(&schema, b, []*Vector{&v[0], &v[1], &v[2]}); err != nil {
-			t.Fatalf("%v: whole record: %v", types, err)
+		if err := decodeBytes(&schema, good[:], []*Vector{&v[0], &v[1], &v[2]}); err != nil || len(v[textCol].S) != 3 {
+			t.Fatalf("%v: whole page: %v", types, err)
 		}
 	}
 }
@@ -529,9 +614,9 @@ func TestScanDecodesOnlyNeededColumns(t *testing.T) {
 }
 
 // TestDecodeAllocatesNothing: once warm, decoding a page allocates
-// nothing — resident or read past the pool, by page or by record id —
-// because the slot directory and the cursors go into pooled scratch and
-// the vectors have room. TEXT is stepped over here: a decoded string
+// nothing — resident or lent by the disk, by page or by record id —
+// because the live-slot list goes into pooled scratch, View's callback
+// is bound once per pooled decoder, and the vectors have room. TEXT is stepped over here: a decoded string
 // costs a share of a text buffer, allocated whole.
 func TestDecodeAllocatesNothing(t *testing.T) {
 	if raceEnabled {

@@ -13,21 +13,23 @@ import (
 
 // FuzzDecodePage builds a table from its input — a schema of one to six
 // INT, FLOAT and TEXT columns, then bursts of inserts (empty strings and
-// strings over 1 KB among them) and deletes, so later inserts reuse
-// deleted slots — over a buffer pool of four frames, so most pages are
-// read past the pool. For every subset of the columns, DecodePage,
-// DecodeRecords and Get must agree cell for cell with what was written,
-// record ids and their order included. Then one page is corrupted — a
-// record cut short, a record running past the page, a slot directory
-// longer than the page — and every reader must return an error, never
-// panic.
+// strings over 1 KB among them), deletes, and replacements whose strings
+// alternate long and short, as an UPDATE churning a TEXT column writes
+// them, so later inserts reuse dead slots, pages lay themselves out
+// again and their dead TEXT bytes are compacted — over a buffer pool of
+// four frames, so most pages are read past the pool. For every subset
+// of the columns, DecodePage, DecodeRecords and Get must agree cell for
+// cell with what was written, record ids and their order included.
+// Then one page is corrupted — a TEXT reference below the TEXT bytes or
+// past the page, a slot count past the capacity or column areas past
+// the TEXT bytes — and every reader must return an error, never panic.
 func FuzzDecodePage(f *testing.F) {
 	// The first byte sets the column count, one byte per column its
 	// type (0 INT, 1 FLOAT, 2 TEXT); then each byte is a burst of up to
-	// 16 inserts (low bits nonzero) or deletes (low bits zero).
+	// 16 deletes (low bits 0), replacements (3) or inserts (1, 2).
 	seed := func(bursts int, types ...byte) []byte {
 		ins, del := bytes.Repeat([]byte{0xfd}, bursts), bytes.Repeat([]byte{0x3c}, 3)
-		return slices.Concat([]byte{byte(len(types) - 1)}, types, ins, del, ins[:3], del, ins)
+		return slices.Concat([]byte{byte(len(types) - 1)}, types, ins, del, ins[:3], del, ins, []byte{0xff, 0xff, 0xff})
 	}
 	f.Add(seed(6, 0, 2, 1))
 	f.Add(seed(6, 2, 0, 2, 1, 2, 1))
@@ -51,28 +53,40 @@ func FuzzDecodePage(f *testing.F) {
 		}
 		written := map[storage.RecordID]Row{}
 		var live, deleted []storage.RecordID
+		insert := func(row Row) {
+			rid, err := tab.Insert(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			written[rid] = row
+			live = append(live, rid)
+		}
+		remove := func() {
+			k := int(in.rand() % uint64(len(live)))
+			rid := live[k]
+			if err := tab.Delete(rid); err != nil {
+				t.Fatal(err)
+			}
+			delete(written, rid)
+			live = slices.Delete(live, k, k+1)
+			deleted = append(deleted, rid)
+		}
 		for ops := 0; ops < 64 && len(in.b) > 0; ops++ {
 			op := in.byte()
-			if n := 1 + int(op>>2)%16; op&3 != 0 || len(live) == 0 {
+			n := 1 + int(op>>2)%16
+			switch {
+			case len(live) == 0 || op&3 == 1 || op&3 == 2:
 				for ; n > 0; n-- {
-					row := in.row(&schema)
-					rid, err := tab.Insert(row)
-					if err != nil {
-						t.Fatal(err)
-					}
-					written[rid] = row
-					live = append(live, rid)
+					insert(in.row(&schema))
 				}
-			} else {
+			case op&3 == 0:
 				for ; n > 0 && len(live) > 0; n-- {
-					k := int(in.rand() % uint64(len(live)))
-					rid := live[k]
-					if err := tab.Delete(rid); err != nil {
-						t.Fatal(err)
-					}
-					delete(written, rid)
-					live = slices.Delete(live, k, k+1)
-					deleted = append(deleted, rid)
+					remove()
+				}
+			default:
+				for i := 0; i < n; i++ {
+					remove()
+					insert(in.sized(&schema, i%2 == 0))
 				}
 			}
 		}
@@ -126,6 +140,26 @@ func (in *fuzzInput) row(s *Schema) Row {
 				if !long {
 					n, long = 1025+int(x>>8)%400, true
 				}
+			}
+			b := make([]byte, n)
+			for j := range b {
+				b[j] = byte(in.rand())
+			}
+			row[i] = string(b)
+		}
+	}
+	return row
+}
+
+// sized makes a row like row does, with every string long (100 to 399
+// bytes) or short (0 to 10).
+func (in *fuzzInput) sized(s *Schema, long bool) Row {
+	row := in.row(s)
+	for i, c := range s.Columns {
+		if c.Type == String {
+			n := int(in.rand() % 11)
+			if long {
+				n = 100 + int(in.rand()%300)
 			}
 			b := make([]byte, n)
 			for j := range b {
@@ -258,8 +292,10 @@ func checkDecoders(t *testing.T, tab *Table, written map[storage.RecordID]Row, d
 }
 
 // corruptOnePage damages the page of one live record in one of three
-// ways and requires every reader of the damage to fail, whichever
-// columns it reads.
+// ways — one of its TEXT references reaching below the page's TEXT
+// bytes, or past the end of the page; the page's slot count past its
+// capacity, or its column areas past its TEXT bytes — and requires
+// every reader of the damage to fail, whichever columns it reads.
 func corruptOnePage(t *testing.T, tab *Table, pool *storage.BufferPool, live []storage.RecordID, in *fuzzInput) {
 	t.Helper()
 	if len(live) == 0 {
@@ -270,22 +306,44 @@ func corruptOnePage(t *testing.T, tab *Table, pool *storage.BufferPool, live []s
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := 4 + 4*rid.Slot // the record's slot directory entry: offset, length
-	off := int(binary.LittleEndian.Uint16(p.Data[dir:]))
-	l := int(binary.LittleEndian.Uint16(p.Data[dir+2:]))
+	h, err := tab.layout.open(p.Data[:], rid.Page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(at, v int) { binary.LittleEndian.PutUint16(p.Data[at:], uint16(v)) }
 	mode := in.byte() % 3
+	if len(tab.layout.text) == 0 {
+		mode = 2
+	}
 	switch x := int(in.rand() % 4096); mode {
-	case 0: // cut the record short
-		binary.LittleEndian.PutUint16(p.Data[dir+2:], uint16(x%l))
-	case 1: // move or stretch it past the end of the page
+	case 0: // a TEXT reference reaching below the TEXT bytes
+		k := tab.layout.text[x%len(tab.layout.text)]
+		ref := h.area(k) + 4*rid.Slot
+		put(ref, x%h.text)
+		put(ref+2, x%(h.text-x%h.text+1))
+	case 1: // a TEXT reference running past the end of the page
+		k := tab.layout.text[x%len(tab.layout.text)]
+		ref := h.area(k) + 4*rid.Slot
+		off := int(binary.LittleEndian.Uint16(p.Data[ref:]))
 		if x%2 == 0 {
-			binary.LittleEndian.PutUint16(p.Data[dir:], uint16(storage.PageSize-l+1+x%(0x7fff-storage.PageSize)))
+			put(ref, storage.PageSize-x%8)
+			put(ref+2, x%8+1+x)
 		} else {
-			binary.LittleEndian.PutUint16(p.Data[dir+2:], uint16(storage.PageSize-off+1+x))
+			put(ref+2, storage.PageSize-off+1+x)
 		}
-	case 2: // claim more slots than the page has room for
-		binary.LittleEndian.PutUint16(p.Data[0:], uint16(storage.PageSize/4+x))
-		rid.Slot = storage.PageSize/4 + x%16 // a slot whose entry lies past the page
+	case 2: // a slot count past the capacity, or areas past the TEXT bytes
+		switch x % 3 {
+		case 0:
+			put(0, h.cap+1+x)
+		case 1:
+			c := h.cap + 1
+			for tab.layout.areasEnd(c) <= h.text {
+				c++
+			}
+			put(2, c+x)
+		default:
+			put(4, storage.PageSize-tab.layout.areasEnd(h.cap)+1+x)
+		}
 	}
 	if err := pool.Unpin(rid.Page, true); err != nil {
 		t.Fatal(err)

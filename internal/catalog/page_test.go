@@ -1,0 +1,303 @@
+package catalog
+
+import (
+	"errors"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+	"testing/quick"
+
+	"aidb/internal/storage"
+)
+
+// textSchema is (id INT, s TEXT), the schema the page tests fill pages with.
+var textSchema = Schema{Columns: []Column{{Name: "id", Type: Int64}, {Name: "s", Type: String}}}
+
+// pageRows decodes every live row of page b, with its slot.
+func pageRows(t *testing.T, l *pageLayout, b []byte) (map[int]Row, heapPage) {
+	t.Helper()
+	p, err := l.open(b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v [2]Vector
+	var rids []storage.RecordID
+	slots := p.live(nil)
+	if err := p.checkText(0, slots); err != nil {
+		t.Fatal(err)
+	}
+	if slots == nil || len(slots) > 0 {
+		p.decode([]*Vector{&v[0], &v[1]}, slots, 0, &rids)
+	}
+	rows := map[int]Row{}
+	for i, rid := range rids {
+		rows[rid.Slot] = Row{v[0].I[i], v[1].S[i]}
+	}
+	return rows, p
+}
+
+func TestPageInsertGet(t *testing.T) {
+	l := newPageLayout(&textSchema)
+	var b [storage.PageSize]byte
+	slot, err := l.insert(b[:], 0, Row{int64(7), "hello"})
+	if err != nil || slot != 0 {
+		t.Fatalf("insert = slot %d, %v", slot, err)
+	}
+	rows, p := pageRows(t, l, b[:])
+	if len(rows) != 1 || rows[0][0] != int64(7) || rows[0][1] != "hello" || p.n != 1 {
+		t.Errorf("page holds %v in %d slots", rows, p.n)
+	}
+}
+
+// TestPageDelete: a deleted slot reads as gone, twice deleting it is
+// storage.ErrRecordDeleted, its neighbour is untouched, and deleting
+// the last slot in use gives up every dead slot at the end.
+func TestPageDelete(t *testing.T) {
+	l := newPageLayout(&textSchema)
+	var b [storage.PageSize]byte
+	for i, s := range []string{"a", "b", "c"} {
+		if _, err := l.insert(b[:], 0, Row{int64(i), s}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remove := func(slot int, want Row) error {
+		p, err := l.open(b[:], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.remove(0, slot, want)
+	}
+	if err := remove(1, Row{int64(1), "x"}); !errors.Is(err, storage.ErrRecordDeleted) {
+		t.Errorf("removing slot 1 as another row: %v", err)
+	}
+	if err := remove(1, Row{int64(1), "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := remove(1, nil); !errors.Is(err, storage.ErrRecordDeleted) {
+		t.Errorf("double remove: err = %v, want ErrRecordDeleted", err)
+	}
+	rows, p := pageRows(t, l, b[:])
+	if len(rows) != 2 || rows[0][1] != "a" || rows[2][1] != "c" || p.n != 3 {
+		t.Errorf("after removing slot 1: %v in %d slots", rows, p.n)
+	}
+	if err := remove(2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if rows, p := pageRows(t, l, b[:]); len(rows) != 1 || rows[0][1] != "a" || p.n != 1 {
+		t.Errorf("after removing the last slot: %v in %d slots, want 1", rows, p.n)
+	}
+	if err := remove(2, nil); !errors.Is(err, storage.ErrRecordDeleted) {
+		t.Errorf("removing a slot given up: %v", err)
+	}
+}
+
+func TestPageFull(t *testing.T) {
+	l := newPageLayout(&textSchema)
+	var b [storage.PageSize]byte
+	row := Row{int64(1), strings.Repeat("x", 500)}
+	inserted := 0
+	for {
+		_, err := l.insert(b[:], 0, row)
+		if errors.Is(err, errPageFull) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inserted++; inserted > 100 {
+			t.Fatal("page never filled")
+		}
+	}
+	// 4090 bytes / (500 + 12 + 1/8) per row => 7 rows.
+	if inserted != 7 {
+		t.Errorf("inserted %d rows of 500 TEXT bytes into a 4KB page", inserted)
+	}
+}
+
+// TestPageInsertReusesDeadSlot: a full page takes a new row into a dead
+// slot — the same record id, live neighbours untouched — with its TEXT
+// in bytes the dead rows left, compacted, and still refuses a row one
+// byte longer than the page has room for.
+func TestPageInsertReusesDeadSlot(t *testing.T) {
+	l := newPageLayout(&textSchema)
+	var b [storage.PageSize]byte
+	var want []Row
+	for i := 0; ; i++ {
+		row := Row{int64(i), strings.Repeat(string(rune('a'+i)), 300+40*i)}
+		if _, err := l.insert(b[:], 0, row); errors.Is(err, errPageFull) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, row)
+	}
+	for _, victim := range []int{1, 3} {
+		p, _ := l.open(b[:], 0)
+		if err := p.remove(0, victim, want[victim]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, p := pageRows(t, l, b[:])
+	liveText := 0
+	for _, r := range rows {
+		liveText += len(r[1].(string))
+	}
+	room := storage.PageSize - l.areasEnd(p.n) - liveText
+	if room <= len(want[3][1].(string)) {
+		t.Fatalf("only %d bytes of room after freeing %d", room, len(want[1][1].(string))+len(want[3][1].(string)))
+	}
+	if _, err := l.insert(b[:], 0, Row{int64(-1), strings.Repeat("z", room+1)}); !errors.Is(err, errPageFull) {
+		t.Fatalf("a row longer than the room must not fit: %v", err)
+	}
+	got, err := l.insert(b[:], 0, Row{int64(-1), strings.Repeat("z", room)})
+	if err != nil || got != 1 {
+		t.Fatalf("insert into a full page with dead slots = slot %d, %v; want slot 1", got, err)
+	}
+	want[1], want[3] = Row{int64(-1), strings.Repeat("z", room)}, nil
+	rows, p = pageRows(t, l, b[:])
+	for s, w := range want {
+		if r, ok := rows[s]; (w == nil) != !ok || ok && (r[0] != w[0] || r[1] != w[1]) {
+			t.Errorf("slot %d holds %v, want %v", s, r, w)
+		}
+	}
+	if p.n != len(want) {
+		t.Errorf("%d slots in use, want %d", p.n, len(want))
+	}
+	// A shorter row takes a dead slot's TEXT bytes in their place: the
+	// page's TEXT bytes neither grow nor move.
+	if err := p.remove(0, 1, want[1]); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := l.insert(b[:], 0, Row{int64(-2), "short"}); err != nil || got != 1 {
+		t.Fatalf("insert of a shorter row = slot %d, %v; want slot 1", got, err)
+	}
+	rows, q := pageRows(t, l, b[:])
+	if q.text != p.text || q.cap != p.cap || rows[1][1] != "short" || rows[0][1] != want[0][1] {
+		t.Errorf("TEXT bytes start at %d (were %d), capacity %d (was %d), slot 1 holds %v", q.text, p.text, q.cap, p.cap, rows[1])
+	}
+}
+
+func TestPageRejectsOversizeRecord(t *testing.T) {
+	tab, err := NewMem().CreateTable("t", textSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fits := storage.PageSize - tab.layout.areasEnd(1)
+	if err := tab.checkRow(Row{int64(1), strings.Repeat("x", fits+1)}); err == nil {
+		t.Error("a row one byte longer than an empty page must be rejected")
+	}
+	row := Row{int64(1), strings.Repeat("x", fits)}
+	rid, err := tab.Insert(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := tab.Get(rid); err != nil || got[1] != row[1] {
+		t.Errorf("a row that just fits reads back as %d bytes, %v", len(got[1].(string)), err)
+	}
+}
+
+// TestPageSlotBoundsChecks: a header that does not hold — a slot count
+// past the capacity, column areas past the TEXT bytes — fails every
+// read, and a slot out of range is an error or, at or past the slots
+// in use, a deleted record.
+func TestPageSlotBoundsChecks(t *testing.T) {
+	l := newPageLayout(&textSchema)
+	var good [storage.PageSize]byte
+	for i := 0; i < 2; i++ {
+		if _, err := l.insert(good[:], 0, Row{int64(i), "abc"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, _ := l.open(good[:], 0)
+	for _, c := range []struct {
+		name     string
+		n, c, tl int
+	}{
+		{"slots past the capacity", p.cap + 1, p.cap, storage.PageSize - p.text},
+		{"areas past the TEXT bytes", p.n, p.cap + (p.text-l.areasEnd(p.cap))/l.slot + 1, storage.PageSize - p.text},
+		{"TEXT bytes past the areas", p.n, p.cap, storage.PageSize - l.areasEnd(p.cap) + 1},
+		{"TEXT bytes past the page", p.n, p.cap, 1<<16 - 1},
+	} {
+		b := good
+		h := heapPage{b: b[:], n: c.n, cap: c.c, text: storage.PageSize - c.tl}
+		h.writeHeader()
+		if _, err := l.open(b[:], 0); err == nil {
+			t.Errorf("%s: open succeeded", c.name)
+		}
+		if _, err := l.insert(b[:], 0, Row{int64(9), "x"}); err == nil || errors.Is(err, errPageFull) {
+			t.Errorf("%s: insert = %v, want a corruption error", c.name, err)
+		}
+	}
+	for slot, want := range map[int]error{2: storage.ErrRecordDeleted, 1 << 20: storage.ErrRecordDeleted} {
+		if err := p.remove(0, slot, nil); !errors.Is(err, want) {
+			t.Errorf("remove(%d) = %v, want %v", slot, err, want)
+		}
+	}
+	if err := p.remove(0, -1, nil); err == nil || errors.Is(err, storage.ErrRecordDeleted) {
+		t.Errorf("remove(-1) = %v, want an error", err)
+	}
+}
+
+// Property: any sequence of rows inserted, some deleted and their
+// slots taken by later rows, reads back intact, floats bit for bit.
+func TestPageRoundTripProperty(t *testing.T) {
+	schema := Schema{Columns: []Column{{Name: "i", Type: Int64}, {Name: "s", Type: String}, {Name: "f", Type: Float64}}}
+	l := newPageLayout(&schema)
+	f := func(ints []int64, strs []string, floats []float64, dels []uint8) bool {
+		var b [storage.PageSize]byte
+		stored := map[int]Row{}
+		var order []int // the slots stored, oldest first
+		for i, x := range ints {
+			s := ""
+			if i < len(strs) {
+				s = strs[i][:min(len(strs[i]), 600)]
+			}
+			fl := math.NaN()
+			if i < len(floats) {
+				fl = floats[i]
+			}
+			slot, err := l.insert(b[:], 0, Row{x, s, fl})
+			if errors.Is(err, errPageFull) {
+				continue
+			}
+			if err != nil {
+				return false
+			}
+			stored[slot] = Row{x, s, fl}
+			order = append(order, slot)
+			if i < len(dels) && dels[i]%3 == 0 {
+				k := int(dels[i]) % len(order)
+				p, _ := l.open(b[:], 0)
+				if p.remove(0, order[k], stored[order[k]]) != nil {
+					return false
+				}
+				delete(stored, order[k])
+				order = slices.Delete(order, k, k+1)
+			}
+		}
+		p, err := l.open(b[:], 0)
+		if err != nil || p.checkText(0, nil) != nil {
+			return false
+		}
+		var v [3]Vector
+		var rids []storage.RecordID
+		slots := p.live(nil)
+		if slots == nil || len(slots) > 0 {
+			p.decode([]*Vector{&v[0], &v[1], &v[2]}, slots, 0, &rids)
+		}
+		if len(rids) != len(stored) {
+			return false
+		}
+		for i, rid := range rids {
+			w := stored[rid.Slot]
+			if w == nil || v[0].I[i] != w[0] || v[1].S[i] != w[1] || math.Float64bits(v[2].F[i]) != math.Float64bits(w[2].(float64)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}

@@ -1,10 +1,7 @@
 package catalog
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"unsafe"
@@ -51,38 +48,59 @@ func (v *Vector) appendString(b []byte) {
 	v.S = append(v.S, unsafe.String(&v.text[off], len(b)))
 }
 
+// appendText copies b, a page's TEXT bytes, into the text buffer whole,
+// for a page's strings to be cut from it without a copy each.
+func (v *Vector) appendText(b []byte) textBytes {
+	if cap(v.text)-len(v.text) < len(b) {
+		v.text = make([]byte, 0, max(len(b), min(2*cap(v.text), maxText), minText))
+	}
+	off := len(v.text)
+	v.text = append(v.text, b...)
+	return v.text[off:]
+}
+
+// textBytes is a page's TEXT bytes as appendText copied them.
+type textBytes []byte
+
+// cut returns the n bytes at off as a string that shares them.
+func (t textBytes) cut(off, n int) string {
+	if n == 0 {
+		return ""
+	}
+	return unsafe.String(&t[off:][:n][0], n)
+}
+
 // DecodePage appends the live rows of page id, in slot order, to cols —
 // one entry per table column; a nil entry is a column the caller does
-// not read, which is stepped over — and, when rids is non-nil, each
+// not read, which is never touched — and, when rids is non-nil, each
 // row's record id to *rids. It reads the page through the buffer pool's
 // View, under the table's read lock: a resident page is pinned once, any
-// other is read past the pool, so a scan evicts nothing. It returns how
-// many rows it appended; on error the vectors may hold part of the page
-// and must be discarded.
+// other is lent by the disk, so a scan evicts nothing. Whichever columns
+// it reads, it checks the page's header and every TEXT reference of the
+// page. It returns how many rows it appended; on error the vectors may
+// hold part of the page and must be discarded.
 func (t *Table) DecodePage(id storage.PageID, cols []*Vector, rids *[]storage.RecordID) (int, error) {
 	if err := t.checkCols(cols); err != nil {
 		return 0, err
 	}
 	d := decoders.Get().(*pageDecoder)
-	defer decoders.Put(d)
+	d.t, d.id, d.cols, d.rids, d.rows = t, id, cols, rids, 0
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	err := t.pool.View(id, func(p *storage.Page) error {
-		var err error
-		if d.ext, err = p.AppendLive(d.ext[:0]); err != nil {
-			return err
-		}
-		return d.decode(&t.Schema, p, cols, rids)
-	})
+	err := t.pool.View(id, d.view)
+	t.mu.RUnlock()
+	n := d.rows
+	d.t, d.cols, d.rids = nil, nil, nil
+	decoders.Put(d)
 	if err != nil {
 		return 0, err
 	}
-	return len(d.ext), nil
+	return n, nil
 }
 
 // DecodeRecords is DecodePage for the records ids names, in that order:
 // each run of consecutive ids on one page shares one pin, and a record
-// deleted since its id was read is skipped.
+// deleted since its id was read is skipped. It checks each page's header
+// and the TEXT references of the records it reads.
 func (t *Table) DecodeRecords(ids []storage.RecordID, cols []*Vector, rids *[]storage.RecordID) (int, error) {
 	if err := t.checkCols(cols); err != nil {
 		return 0, err
@@ -96,24 +114,33 @@ func (t *Table) DecodeRecords(ids []storage.RecordID, cols []*Vector, rids *[]st
 		for j < len(ids) && ids[j].Page == page {
 			j++
 		}
-		err := t.onPage(page, func(p *storage.Page) error {
-			d.ext = d.ext[:0]
-			for _, rid := range ids[i:j] {
-				e, err := p.Extent(rid.Slot)
-				if errors.Is(err, storage.ErrRecordDeleted) {
-					continue
-				}
-				if err != nil {
-					return err
-				}
-				d.ext = append(d.ext, e)
+		err := t.onPage(page, func(b []byte) error {
+			p, err := t.layout.open(b, page)
+			if err != nil {
+				return err
 			}
-			return d.decode(&t.Schema, p, cols, rids)
+			slots := d.slots[:0]
+			for _, rid := range ids[i:j] {
+				switch {
+				case rid.Slot < 0:
+					return fmt.Errorf("catalog: page %d: slot %d out of range", page, rid.Slot)
+				case rid.Slot < p.n && !p.dead(rid.Slot):
+					slots = append(slots, int32(rid.Slot))
+				}
+			}
+			d.slots = slots
+			if len(slots) == 0 {
+				return nil
+			}
+			if err := p.checkText(page, slots); err != nil {
+				return err
+			}
+			n += p.decode(cols, slots, page, rids)
+			return nil
 		})
 		if err != nil {
 			return n, err
 		}
-		n += len(d.ext)
 		i = j
 	}
 	return n, nil
@@ -146,105 +173,50 @@ func (t *Table) grow(cols []*Vector, rids *[]storage.RecordID, n int) {
 	}
 }
 
-// pageDecoder decodes the records of one page a column at a time. Its
-// slices are scratch, kept across pages and pooled, so decoding a page
-// allocates nothing: ext is where the records to decode lie, cur each
-// record's read position.
+// pageDecoder is the scratch of one decode, pooled so that decoding a
+// page allocates nothing: slots holds the slots to read when they are
+// not every slot in use. The other fields carry DecodePage's arguments
+// to page, which view holds bound once, so the callback View takes
+// costs no allocation per page.
 type pageDecoder struct {
-	ext []storage.Extent
-	cur []int
+	slots []int32
+	t     *Table
+	id    storage.PageID
+	cols  []*Vector
+	rids  *[]storage.RecordID
+	rows  int
+	view  func(b []byte) error
 }
 
-var decoders = sync.Pool{New: func() any { return new(pageDecoder) }}
+var decoders = sync.Pool{New: func() any {
+	d := new(pageDecoder)
+	d.view = d.page
+	return d
+}}
 
-// decode appends the records d.ext names, all on page p, to cols (nil
-// entries are stepped over) and their record ids to *rids, a column at a
-// time: one loop per column, into a vector grown once. The schema is
-// runs of 8-byte columns between TEXT columns. A column in a run lies at
-// a constant offset from each record's cursor, which starts at the
-// record and moves past a run, once it is checked to lie in the record,
-// and past each string. A record too short for its schema is an error,
-// whichever columns are read.
-func (d *pageDecoder) decode(s *Schema, p *storage.Page, cols []*Vector, rids *[]storage.RecordID) error {
-	ext, b := d.ext, p.Data[:]
-	cur := slices.Grow(d.cur[:0], len(ext))
-	for _, e := range ext {
-		cur = append(cur, e.Off)
+// page decodes page d.id's bytes b for DecodePage.
+func (d *pageDecoder) page(b []byte) error {
+	p, err := d.t.layout.open(b, d.id)
+	if err != nil {
+		return err
 	}
-	d.cur = cur
-	for i := 0; i < len(cols); {
-		if s.Columns[i].Type == String {
-			if err := decodeStrings(b, ext, cur, cols[i]); err != nil {
-				return err
-			}
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(cols) && s.Columns[j].Type != String {
-			j++
-		}
-		width := 8 * (j - i)
-		for r, e := range ext {
-			at := cur[r] + width
-			if end := e.Off + e.Len; at > end {
-				return errTruncated(s.Columns[j-(at-end+7)/8].Type)
-			}
-			cur[r] = at
-		}
-		for k := i; k < j; k++ {
-			decodeWords(s.Columns[k].Type, b, cur, 8*(k-j), cols[k])
-		}
-		i = j
+	if err := p.checkText(d.id, nil); err != nil {
+		return err
 	}
-	if rids != nil {
-		for _, e := range ext {
-			*rids = append(*rids, storage.RecordID{Page: p.ID, Slot: e.Slot})
+	slots := p.live(d.slots)
+	if slots != nil {
+		d.slots = slots
+		if len(slots) == 0 {
+			return nil
 		}
 	}
+	d.rows = p.decode(d.cols, slots, d.id, d.rids)
 	return nil
 }
 
-// decodeWords appends to v (nil: steps over) the 8-byte cell of type typ
-// at offset at from each record's cursor in page bytes b.
-func decodeWords(typ ColType, b []byte, cur []int, at int, v *Vector) {
-	switch {
-	case v == nil:
-	case typ == Int64:
-		dst := extend(&v.I, len(cur))
-		for r, c := range cur {
-			dst[r] = int64(binary.LittleEndian.Uint64(b[c+at:]))
-		}
-	default:
-		dst := extend(&v.F, len(cur))
-		for r, c := range cur {
-			dst[r] = math.Float64frombits(binary.LittleEndian.Uint64(b[c+at:]))
-		}
-	}
-}
-
-// decodeStrings appends to v (nil: steps over) the string at each
-// record's cursor in page bytes b, checking that it lies in the record,
-// and moves the cursor past it.
-func decodeStrings(b []byte, ext []storage.Extent, cur []int, v *Vector) error {
-	if v != nil {
-		v.S = slices.Grow(v.S, len(ext))
-	}
-	for r, e := range ext {
-		at, end := cur[r], e.Off+e.Len
-		if end-at < 4 {
-			return errors.New("catalog: truncated string length")
-		}
-		l := int(binary.LittleEndian.Uint32(b[at:]))
-		if at += 4; l > end-at {
-			return errors.New("catalog: truncated string value")
-		}
-		if v != nil {
-			v.appendString(b[at : at+l])
-		}
-		cur[r] = at + l
-	}
-	return nil
+// words views a vector's cells as the 8-byte words they decode from.
+func words[T int64 | float64](s []T) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
 // extend lengthens *s by n elements and returns them, to be overwritten.

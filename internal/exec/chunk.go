@@ -213,11 +213,29 @@ func (c *Chunk) layout(kinds []kind) {
 }
 
 // selectAll makes every physical row live, in order.
-func (c *Chunk) selectAll() {
-	c.sel = slices.Grow(c.sel[:0], c.n)
-	for r := 0; r < c.n; r++ {
-		c.sel = append(c.sel, int32(r))
+func (c *Chunk) selectAll() { c.sel = append(c.sel[:0], ascending(c.n)...) }
+
+// ascendingRows holds 0, 1, 2, ..., shared by every chunk and never
+// written once stored; ascending grows it when a chunk is longer (a
+// chunk may pass the morsel size by up to one page's rows).
+var ascendingRows atomic.Pointer[[]int32]
+
+// ascending returns 0, 1, ..., n-1, read-only.
+func ascending(n int) []int32 {
+	p := ascendingRows.Load()
+	if p != nil && len(*p) >= n {
+		return (*p)[:n]
 	}
+	size := max(n, 4096)
+	if p != nil {
+		size = max(size, 2*len(*p))
+	}
+	s := make([]int32, size)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	ascendingRows.Store(&s)
+	return s[:n]
 }
 
 // bytes is the chunk's exact vector footprint: n cells of every column's

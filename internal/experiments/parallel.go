@@ -71,11 +71,11 @@ func e26Plan(c *catalog.Catalog, query string) (plan.Node, error) {
 
 // e26Run executes p once under the given morsel configuration and
 // returns the rows plus the number of morsels the run dispatched.
-func e26Run(p plan.Node, workers, morselRows, scanPages int, reg *obs.Registry) ([]catalog.Row, uint64, error) {
+func e26Run(p plan.Node, workers, morselRows, pagesPerMorsel int, reg *obs.Registry) ([]catalog.Row, uint64, error) {
 	ex := exec.New(nil)
 	ex.Parallelism = workers
 	ex.MorselSize = morselRows
-	ex.ScanMorselPages = scanPages
+	ex.ScanMorselPages = pagesPerMorsel
 	ex.Obs = exec.NewMetrics(reg)
 	before := reg.Snapshot()["exec.morsels"]
 	res, err := ex.Run(p)

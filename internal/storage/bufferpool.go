@@ -69,7 +69,7 @@ func NewBufferPool(disk DiskManager, capacity int) (*BufferPool, error) {
 	}, nil
 }
 
-// NewPage allocates a fresh page, pins it and returns it initialized.
+// NewPage allocates a fresh page and returns it pinned and zeroed.
 func (bp *BufferPool) NewPage() (*Page, error) {
 	id, err := bp.disk.Allocate()
 	if err != nil {
@@ -82,7 +82,7 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 		return nil, err
 	}
 	p.dirty = true
-	p.InitPage()
+	p.Data = [PageSize]byte{}
 	return p, nil
 }
 
@@ -109,25 +109,25 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	return p, nil
 }
 
-// scanPages recycles the pages View reads non-resident pages into.
-var scanPages = sync.Pool{New: func() any { return new(Page) }}
-
-// View runs fn on page id, read-only, without making it resident. A
-// resident page is pinned for fn as Fetch pins it (a hit); any other is
-// read from disk into a scan buffer outside the pool mutex and never
-// installed (a miss): the frames, their LRU order and the eviction count
-// are as they were. fn must not keep p. The caller must keep writers of
+// View runs fn on page id's bytes, read-only, without making the page
+// resident. A resident page is pinned for fn as Fetch pins it (a hit);
+// any other the disk lends through its View, outside the pool mutex,
+// and it is never installed (a miss): the frames, their LRU order and
+// the eviction count are as they were. An in-memory disk lends its own
+// bytes, so a miss copies nothing; a file or chaos disk reads a copy.
+// fn must neither modify b nor keep it. The caller must keep writers of
 // id out until View returns (catalog holds the table's read lock, which
 // every heap-page write excludes): then a non-resident page's disk copy
-// is current, because frame writes a dirty page back before dropping it.
-func (bp *BufferPool) View(id PageID, fn func(p *Page) error) error {
+// is current, because frame writes a dirty page back before dropping it,
+// and nothing writes it while fn reads.
+func (bp *BufferPool) View(id PageID, fn func(b []byte) error) error {
 	bp.mu.Lock()
 	if p, ok := bp.frames[id]; ok {
 		bp.Stats.Hits.Add(1)
 		p.pinCount++
 		bp.lru.MoveToFront(p.lru)
 		bp.mu.Unlock()
-		err := fn(p)
+		err := fn(p.Data[:])
 		bp.mu.Lock()
 		p.pinCount--
 		bp.mu.Unlock()
@@ -135,13 +135,7 @@ func (bp *BufferPool) View(id PageID, fn func(p *Page) error) error {
 	}
 	bp.Stats.Misses.Add(1)
 	bp.mu.Unlock()
-	p := scanPages.Get().(*Page)
-	defer scanPages.Put(p)
-	if err := bp.disk.Read(id, p.Data[:]); err != nil {
-		return err
-	}
-	p.ID = id
-	return fn(p)
+	return bp.disk.View(id, fn)
 }
 
 // Unpin releases one pin; dirty marks the page modified.
@@ -219,7 +213,7 @@ func (bp *BufferPool) Instrument(reg *obs.Registry) {
 // recently used unpinned page, evicted (and written back when dirty). A
 // miss therefore allocates nothing once the pool is full. Reuse is safe
 // because a page is read only while pinned, and the caller overwrites
-// every byte (disk.Read fills the page, InitPage zeroes it). Caller
+// every byte (disk.Read fills the page, NewPage zeroes it). Caller
 // holds mu.
 func (bp *BufferPool) frame(id PageID) (*Page, error) {
 	var p *Page

@@ -17,9 +17,9 @@ const (
 
 // ChaosDisk wraps any DiskManager with chaos fault injection: Error
 // rules fail the operation, Corrupt rules flip a bit in the payload
-// (writes corrupt what lands on disk; reads corrupt what the caller
-// sees), and Latency rules accrue virtual delay in DelayUnits. A nil
-// injector makes ChaosDisk a transparent pass-through.
+// (writes corrupt what lands on disk; reads and views corrupt what the
+// caller sees), and Latency rules accrue virtual delay in DelayUnits.
+// A nil injector makes ChaosDisk a transparent pass-through.
 type ChaosDisk struct {
 	inner DiskManager
 	inj   *chaos.Injector
@@ -51,6 +51,10 @@ func (d *ChaosDisk) Read(id PageID, buf []byte) error {
 	d.inj.Corrupt(SiteDiskRead, buf)
 	return nil
 }
+
+// View implements DiskManager. fn sees a copy read through Read, so a
+// Corrupt rule damages that copy and never the inner disk's bytes.
+func (d *ChaosDisk) View(id PageID, fn func(b []byte) error) error { return viewCopy(d, id, fn) }
 
 // Write implements DiskManager.
 func (d *ChaosDisk) Write(id PageID, buf []byte) error {

@@ -15,6 +15,11 @@ type DiskManager interface {
 	Read(id PageID, buf []byte) error
 	// Write persists buf (PageSize bytes) as the page contents.
 	Write(id PageID, buf []byte) error
+	// View runs fn on the page contents, which fn must neither modify
+	// nor keep. The caller keeps every writer of id out until View
+	// returns, so a disk that holds its pages in memory may lend its
+	// own bytes instead of copying them.
+	View(id PageID, fn func(b []byte) error) error
 	// NumPages reports how many pages have been allocated.
 	NumPages() int
 	// Close releases resources.
@@ -48,6 +53,19 @@ func (d *MemDisk) Read(id PageID, buf []byte) error {
 	}
 	copy(buf, d.pages[id])
 	return nil
+}
+
+// View implements DiskManager: fn reads the disk's own bytes, which no
+// Write changes while the caller keeps writers of id out.
+func (d *MemDisk) View(id PageID, fn func(b []byte) error) error {
+	d.mu.Lock()
+	if int(id) >= len(d.pages) {
+		d.mu.Unlock()
+		return fmt.Errorf("storage: read of unallocated page %d", id)
+	}
+	b := d.pages[id]
+	d.mu.Unlock()
+	return fn(b)
 }
 
 // Write implements DiskManager.
@@ -115,6 +133,23 @@ func (d *FileDisk) Read(id PageID, buf []byte) error {
 	}
 	_, err := d.f.ReadAt(buf[:PageSize], int64(id)*PageSize)
 	return err
+}
+
+// View implements DiskManager, reading the page into a pooled buffer.
+func (d *FileDisk) View(id PageID, fn func(b []byte) error) error { return viewCopy(d, id, fn) }
+
+// pageBufs recycles the buffers viewCopy reads pages into.
+var pageBufs = sync.Pool{New: func() any { return new([PageSize]byte) }}
+
+// viewCopy is View for a disk that cannot lend its bytes: fn reads a
+// copy made by d.Read into a pooled buffer.
+func viewCopy(d DiskManager, id PageID, fn func(b []byte) error) error {
+	buf := pageBufs.Get().(*[PageSize]byte)
+	defer pageBufs.Put(buf)
+	if err := d.Read(id, buf[:]); err != nil {
+		return err
+	}
+	return fn(buf[:])
 }
 
 // Write implements DiskManager.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"strings"
@@ -42,7 +43,7 @@ func TestBufferPoolEvictionSurfacesWriteFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Insert([]byte("x"))
+		p.Data[0] = 'x'
 		bp.Unpin(p.ID, true)
 	}
 	// Allocating a third page must evict a dirty one -> write -> failure.
@@ -59,7 +60,7 @@ func TestBufferPoolFlushAllSurfacesWriteFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Insert([]byte("dirty"))
+	copy(p.Data[:], "dirty")
 	bp.Unpin(p.ID, true)
 	if err := bp.FlushAll(); !errors.Is(err, chaos.ErrInjected) {
 		t.Errorf("FlushAll must propagate write failures, got %v", err)
@@ -126,6 +127,50 @@ func TestChaosDiskReadCorruption(t *testing.T) {
 	}
 	if string(underlying) != string(want) {
 		t.Error("read corruption must not damage the stored page")
+	}
+}
+
+// TestChaosDiskViewCorruptsACopy: a Corrupt rule at storage.disk.read
+// reaches the bytes a ChaosDisk View hands its callback and never the
+// MemDisk bytes under it, which MemDisk's own View lends uncopied.
+func TestChaosDiskViewCorruptsACopy(t *testing.T) {
+	inj := chaos.New(4).Add(chaos.Rule{Site: SiteDiskRead, Kind: chaos.Corrupt, Every: 1})
+	mem := NewMemDisk()
+	disk := WrapDisk(mem, inj)
+	id, err := disk.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, PageSize)
+	for i := range want {
+		want[i] = byte(i)
+	}
+	if err := mem.Write(id, want); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := disk.View(id, func(b []byte) error {
+			if bytes.Equal(b, want) {
+				t.Errorf("view %d: the Corrupt rule did not reach what View saw", i)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mem.View(id, func(b []byte) error {
+		if &b[0] != &mem.pages[id][0] {
+			t.Error("MemDisk.View copied the page instead of lending it")
+		}
+		if !bytes.Equal(b, want) {
+			t.Error("a corrupted view damaged the stored page")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.View(PageID(9), func([]byte) error { return nil }); err == nil {
+		t.Error("a view of an unallocated page must fail")
 	}
 }
 
@@ -229,7 +274,7 @@ func TestBufferPoolConcurrentAccess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Insert([]byte{byte(i)})
+		p.Data[0] = byte(i)
 		ids = append(ids, p.ID)
 		bp.Unpin(p.ID, true)
 	}
@@ -239,13 +284,14 @@ func TestBufferPoolConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				id := ids[(g*7+i)%len(ids)]
+				k := (g*7 + i) % len(ids)
+				id := ids[k]
 				p, err := bp.Fetch(id)
 				if err != nil {
 					continue // pool can be transiently full of pins
 				}
-				if p.NumRecords() != 1 {
-					t.Errorf("page %d lost its record", id)
+				if p.Data[0] != byte(k) {
+					t.Errorf("page %d lost its contents", id)
 				}
 				bp.Unpin(id, false)
 			}
@@ -258,8 +304,7 @@ func TestBufferPoolConcurrentAccess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := p.Get(0)
-		if err != nil || rec[0] != byte(i) {
+		if p.Data[0] != byte(i) {
 			t.Errorf("page %d corrupted after concurrent traffic", id)
 		}
 		bp.Unpin(id, false)

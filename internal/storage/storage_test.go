@@ -11,200 +11,6 @@ import (
 	"aidb/internal/chaos"
 )
 
-func TestPageInsertGet(t *testing.T) {
-	var p Page
-	p.InitPage()
-	slot, err := p.Insert([]byte("hello"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Get(slot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "hello" {
-		t.Errorf("Get = %q, want hello", got)
-	}
-	if p.NumRecords() != 1 {
-		t.Errorf("NumRecords = %d, want 1", p.NumRecords())
-	}
-}
-
-func TestPageDelete(t *testing.T) {
-	var p Page
-	p.InitPage()
-	s0, _ := p.Insert([]byte("a"))
-	s1, _ := p.Insert([]byte("b"))
-	if err := p.Delete(s0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Get(s0); !errors.Is(err, ErrRecordDeleted) {
-		t.Errorf("Get deleted slot: err = %v, want ErrRecordDeleted", err)
-	}
-	if err := p.Delete(s0); !errors.Is(err, ErrRecordDeleted) {
-		t.Errorf("double Delete: err = %v, want ErrRecordDeleted", err)
-	}
-	got, err := p.Get(s1)
-	if err != nil || string(got) != "b" {
-		t.Errorf("surviving record corrupted: %q, %v", got, err)
-	}
-	if p.NumRecords() != 1 {
-		t.Errorf("NumRecords = %d, want 1", p.NumRecords())
-	}
-}
-
-func TestPageFull(t *testing.T) {
-	var p Page
-	p.InitPage()
-	rec := make([]byte, 500)
-	inserted := 0
-	for {
-		_, err := p.Insert(rec)
-		if errors.Is(err, ErrPageFull) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		inserted++
-		if inserted > 100 {
-			t.Fatal("page never filled")
-		}
-	}
-	// 4096 bytes / ~504 per record => 8 records.
-	if inserted < 7 || inserted > 8 {
-		t.Errorf("inserted %d records of 500B into a 4KB page", inserted)
-	}
-}
-
-// TestPageInsertReusesDeadSlot: a full page takes a new record into the
-// space of a deleted one that was at least as long — same slot, live
-// neighbours untouched — and still refuses one that is longer.
-func TestPageInsertReusesDeadSlot(t *testing.T) {
-	var p Page
-	p.InitPage()
-	var slots []int
-	for i := 0; ; i++ {
-		s, err := p.Insert(bytes.Repeat([]byte{byte('a' + i)}, 500))
-		if errors.Is(err, ErrPageFull) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		slots = append(slots, s)
-	}
-	victim := slots[2]
-	if err := p.Delete(victim); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Insert(make([]byte, 501)); !errors.Is(err, ErrPageFull) {
-		t.Fatalf("a longer record must not fit a 500-byte hole: %v", err)
-	}
-	shorter := bytes.Repeat([]byte{'z'}, 400) // still too long to append
-	got, err := p.Insert(shorter)
-	if err != nil || got != victim {
-		t.Fatalf("Insert into a full page with a hole = slot %d, %v; want slot %d", got, err, victim)
-	}
-	if b, _ := p.Get(victim); !bytes.Equal(b, shorter) {
-		t.Errorf("reused slot holds %q", b)
-	}
-	for i, s := range slots {
-		if s == victim {
-			continue
-		}
-		if b, err := p.Get(s); err != nil || !bytes.Equal(b, bytes.Repeat([]byte{byte('a' + i)}, 500)) {
-			t.Errorf("live record in slot %d changed: %v", s, err)
-		}
-	}
-	if p.numSlots() != len(slots) || p.NumRecords() != len(slots) {
-		t.Errorf("slots = %d, live = %d, want both %d", p.numSlots(), p.NumRecords(), len(slots))
-	}
-}
-
-func TestPageRejectsOversizeRecord(t *testing.T) {
-	var p Page
-	p.InitPage()
-	if _, err := p.Insert(make([]byte, PageSize)); err == nil {
-		t.Error("expected error for oversized record")
-	}
-}
-
-func TestPageSlotBoundsChecks(t *testing.T) {
-	var p Page
-	p.InitPage()
-	if _, err := p.Get(0); err == nil {
-		t.Error("Get on empty page should fail")
-	}
-	if err := p.Delete(3); err == nil {
-		t.Error("Delete of invalid slot should fail")
-	}
-	// A corrupt directory entry or count is an error for every reader,
-	// never a slice past the page.
-	for _, r := range [][]byte{[]byte("abc"), []byte("defgh")} {
-		if _, err := p.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	good := p.Data
-	for _, c := range []struct {
-		name    string
-		slot    int
-		corrupt func()
-	}{
-		{"record past the page", 1, func() { p.setSlot(1, PageSize-2, 5) }},
-		{"length past the page", 0, func() { p.setSlot(0, PageSize-3, 0x7fff) }},
-		{"directory past the page", PageSize/slotSize - 1, func() { p.setNumSlots(PageSize / slotSize) }},
-	} {
-		p.Data = good
-		c.corrupt()
-		if _, err := p.GetRef(c.slot); err == nil {
-			t.Errorf("%s: GetRef(%d) succeeded", c.name, c.slot)
-		}
-		if _, err := p.AppendLive(nil); err == nil {
-			t.Errorf("%s: AppendLive succeeded", c.name)
-		}
-	}
-	p.Data = good
-	if ext, err := p.AppendLive(nil); err != nil || len(ext) != 2 || ext[1].Slot != 1 || ext[1].Len != 5 {
-		t.Errorf("AppendLive of the intact page = %v, %v", ext, err)
-	}
-}
-
-// Property: any sequence of inserted records reads back intact.
-func TestPageRoundTripProperty(t *testing.T) {
-	f := func(recs [][]byte) bool {
-		var p Page
-		p.InitPage()
-		var stored [][]byte
-		var slots []int
-		for _, r := range recs {
-			if len(r) > 1000 {
-				r = r[:1000]
-			}
-			slot, err := p.Insert(r)
-			if errors.Is(err, ErrPageFull) {
-				break
-			}
-			if err != nil {
-				return false
-			}
-			stored = append(stored, r)
-			slots = append(slots, slot)
-		}
-		for i, slot := range slots {
-			got, err := p.Get(slot)
-			if err != nil || !bytes.Equal(got, stored[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMemDiskReadWrite(t *testing.T) {
 	d := NewMemDisk()
 	id, err := d.Allocate()
@@ -277,6 +83,14 @@ func TestFileDiskPersistence(t *testing.T) {
 	if string(got[:7]) != "durable" {
 		t.Errorf("read back %q after reopen", got[:7])
 	}
+	if err := d2.View(id, func(b []byte) error {
+		if string(b[:7]) != "durable" {
+			t.Errorf("viewed %q after reopen", b[:7])
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBufferPoolFetchUnpin(t *testing.T) {
@@ -285,9 +99,7 @@ func TestBufferPoolFetchUnpin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Insert([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
+	copy(p.Data[:], "x")
 	if err := bp.Unpin(p.ID, true); err != nil {
 		t.Fatal(err)
 	}
@@ -295,9 +107,8 @@ func TestBufferPoolFetchUnpin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p2.Get(0)
-	if err != nil || string(got) != "x" {
-		t.Errorf("fetched page lost data: %q %v", got, err)
+	if p2.Data[0] != 'x' {
+		t.Errorf("fetched page lost data: %q", p2.Data[:1])
 	}
 	bp.Unpin(p.ID, false)
 	if got := bp.Stats.Hits.Load(); got != 1 {
@@ -314,9 +125,7 @@ func TestBufferPoolEvictionWritesBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Insert([]byte(fmt.Sprintf("page%d", i))); err != nil {
-			t.Fatal(err)
-		}
+		copy(p.Data[:], fmt.Sprintf("page%d", i))
 		ids = append(ids, p.ID)
 		if err := bp.Unpin(p.ID, true); err != nil {
 			t.Fatal(err)
@@ -334,9 +143,8 @@ func TestBufferPoolEvictionWritesBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.Get(0)
-		if err != nil || string(got) != fmt.Sprintf("page%d", i) {
-			t.Errorf("page %d corrupted after eviction: %q %v", i, got, err)
+		if got := string(p.Data[:5]); got != fmt.Sprintf("page%d", i) {
+			t.Errorf("page %d corrupted after eviction: %q", i, got)
 		}
 		bp.Unpin(id, false)
 	}
@@ -355,9 +163,7 @@ func TestBufferPoolMissAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Insert([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
+		p.Data[0] = byte(i)
 		ids = append(ids, p.ID)
 		if err := bp.Unpin(p.ID, true); err != nil {
 			t.Fatal(err)
@@ -369,8 +175,8 @@ func TestBufferPoolMissAllocatesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if b, err := p.GetRef(0); err != nil || len(b) != 1 || b[0] != byte(i) {
-				t.Fatalf("page %d holds %v (%v)", id, b, err)
+			if p.Data[0] != byte(i) {
+				t.Fatalf("page %d holds %d", id, p.Data[0])
 			}
 			if err := bp.Unpin(id, false); err != nil {
 				t.Fatal(err)
@@ -392,8 +198,8 @@ func TestBufferPoolMissAllocatesNothing(t *testing.T) {
 // TestViewReadsPastThePool: with a hot set resident, a View scan over
 // twice the pool's pages reads every page it asks for, evicts nothing —
 // the resident count, the hot pages and the eviction count are as they
-// were — counts a miss per page it read from disk, and allocates
-// nothing per miss.
+// were — counts a miss per page the disk lent it, and allocates nothing
+// per miss.
 func TestViewReadsPastThePool(t *testing.T) {
 	const frames = 8
 	bp := mustPool(t, NewMemDisk(), frames)
@@ -403,9 +209,7 @@ func TestViewReadsPastThePool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Insert([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
+		p.Data[0] = byte(i)
 		ids = append(ids, p.ID)
 		if err := bp.Unpin(p.ID, true); err != nil {
 			t.Fatal(err)
@@ -426,15 +230,20 @@ func TestViewReadsPastThePool(t *testing.T) {
 	}
 	fetchHot()
 	resident, before := bp.Resident(), bp.Stats.Snapshot()
+	// One callback serves the whole scan, so what the scan allocates is
+	// the pool's and the disk's doing, not the closure's.
+	var want byte
+	var id PageID
+	read := func(b []byte) error {
+		if len(b) != PageSize || b[0] != want {
+			t.Fatalf("page %d read as %d bytes starting %d, want %d", id, len(b), b[0], want)
+		}
+		return nil
+	}
 	scan := func() {
-		for i, id := range scanned {
-			err := bp.View(id, func(p *Page) error {
-				if b, err := p.GetRef(0); err != nil || len(b) != 1 || b[0] != byte(i) || p.ID != id {
-					t.Fatalf("page %d read as page %d holding %v (%v)", id, p.ID, b, err)
-				}
-				return nil
-			})
-			if err != nil {
+		for i := range scanned {
+			id, want = scanned[i], byte(i)
+			if err := bp.View(id, read); err != nil {
 				t.Fatal(err)
 			}
 		}
