@@ -36,8 +36,9 @@ bench:
 # time (executor incl. serial vs parallel and obs on/off, obs substrate
 # incl. the statement store and a traced statement's span, LSM, the
 # statement key function, the reply renderer, the engine's indexed,
-# prepared and ad-hoc point statements, the heap page decoder's ns/row
-# and the buffer pool's View past the pool), one regeneration each of
+# prepared and ad-hoc point statements, PREDICT's chunk form's ns/row
+# per model kind, the heap page decoder's ns/row and the buffer pool's
+# View past the pool), one regeneration each of
 # the observability/governance/plan-cache experiments, and the BenchmarkML*
 # kernel-vs-baseline suite. Then the socket-level harness on small
 # tables with 2 s windows: every workload against a real aidb-serve,

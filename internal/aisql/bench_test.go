@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"aidb/internal/catalog"
+	"aidb/internal/exec"
+	"aidb/internal/ml"
 	"aidb/internal/obs"
 	"aidb/internal/plancache"
 )
@@ -100,6 +102,26 @@ func BenchmarkPredictInSQL(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkPredictColumns times PREDICT's chunk form alone: one
+// executor chunk (exec.DefaultMorselRows rows) of two feature columns,
+// as the analytic PREDICT count hands it over, per model kind.
+func BenchmarkPredictColumns(b *testing.B) {
+	for _, kind := range []ModelKind{Logistic, Linear, Tree} {
+		b.Run([]string{"logistic", "linear", "tree"}[kind], func(b *testing.B) {
+			m := trainedModel(b, kind, 2)
+			cols, out := featureColumns(ml.NewRNG(5), 2, exec.DefaultMorselRows), make([]float64, exec.DefaultMorselRows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := m.PredictColumns(cols, out, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/exec.DefaultMorselRows, "ns/row")
 		})
 	}
 }

@@ -9,9 +9,11 @@ package aisql
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"aidb/internal/catalog"
+	"aidb/internal/exec"
 	"aidb/internal/ml"
 )
 
@@ -58,19 +60,6 @@ type Model struct {
 // stackFeatures is how many features a caller of Predict can hold in a
 // stack buffer: PREDICT over that many allocates nothing per row.
 const stackFeatures = 8
-
-// scale applies the fitted feature scaler, writing into dst's storage
-// (a caller's stack buffer); without a scaler it returns f itself.
-func (m *Model) scale(dst, f []float64) []float64 {
-	if m.means == nil {
-		return f
-	}
-	dst = dst[:0]
-	for i, v := range f {
-		dst = append(dst, (v-m.means[i])/m.stds[i])
-	}
-	return dst
-}
 
 // trainingData extracts (features, labels) from a table: the feature and
 // label columns decoded a page at a time into typed vectors, rows in
@@ -229,24 +218,30 @@ func (m *Model) PredictProba(f []float64) (float64, error) {
 
 // PredictColumns writes one prediction per row of the feature columns
 // cols into out: out[i] is Predict — PredictProba when proba is set — of
-// (cols[0][i], cols[1][i], ...), bit for bit, and the error is theirs. It
-// allocates nothing for up to stackFeatures features.
+// (cols[0][i], cols[1][i], ...), bit for bit, and the error is theirs.
+// A logistic or linear model sums a feature column at a time
+// (ml.DotColumns) and allocates nothing; a tree walks row by row.
 func (m *Model) PredictColumns(cols [][]float64, out []float64, proba bool) error {
 	if err := m.check(len(cols), proba); err != nil {
 		return err
 	}
-	var buf [stackFeatures]float64
-	f := buf[:]
-	if len(cols) > stackFeatures {
-		f = make([]float64, len(cols))
-	}
-	f = f[:len(cols)]
-	for i := range out {
-		for j, col := range cols {
-			f[j] = col[i]
+	if m.Kind == Tree {
+		var buf [stackFeatures]float64
+		f := buf[:]
+		if len(cols) > stackFeatures {
+			f = make([]float64, len(cols))
 		}
-		out[i] = m.predict(f, proba)
+		f = f[:len(cols)]
+		for i := range out {
+			for j, col := range cols {
+				f[j] = col[i]
+			}
+			out[i] = float64(m.tree.Predict(f))
+		}
+		return nil
 	}
+	ml.DotColumns(out, m.weights(), cols, m.means, m.stds)
+	m.finish(out, proba)
 	return nil
 }
 
@@ -262,58 +257,76 @@ func (m *Model) check(n int, proba bool) error {
 	return nil
 }
 
-// predict is the one per-row kernel under every prediction path, on
-// features check has accepted.
+// predict is the per-row kernel under Predict and PredictProba, on
+// features check has accepted. A logistic or linear model scales each
+// feature as it sums, in the operations and order of ml.DotColumns.
 func (m *Model) predict(f []float64, proba bool) float64 {
-	switch m.Kind {
-	case Logistic:
-		var buf [stackFeatures]float64
-		x := m.scale(buf[:], f)
-		if proba {
-			return m.logistic.PredictProba(x)
-		}
-		return m.logistic.Predict(x)
-	case Linear:
-		return m.linear.Predict(f)
-	default:
+	if m.Kind == Tree {
 		return float64(m.tree.Predict(f))
 	}
+	w, s := m.weights(), 0.0
+	for j, x := range f {
+		if m.means != nil {
+			x = (x - m.means[j]) / m.stds[j]
+		}
+		s += w[j] * x
+	}
+	sum := [1]float64{s} // a one-row chunk, finished as any chunk is
+	m.finish(sum[:], proba)
+	return sum[0]
 }
 
-// PredictBatch applies the model to every row of x in one batched pass
-// per kind (scaling in place for gradient-trained kinds — x must be
-// caller-owned). Outputs are identical to calling Predict per row.
+// weights is a logistic or linear model's feature weights.
+func (m *Model) weights() []float64 {
+	if m.Kind == Linear {
+		return m.linear.Weights
+	}
+	return m.logistic.Weights
+}
+
+// finish turns each weighted, scaled feature sum in out into its row's
+// prediction: the intercept added, then a logistic model's label or
+// probability. A NaN comes out as math.NaN(): which of two NaN operands
+// an addition passes on is the hardware's choice, and the compiler may
+// swap the operands, so the row and column forms could otherwise differ
+// in a NaN's bits.
+func (m *Model) finish(out []float64, proba bool) {
+	if m.Kind == Logistic {
+		m.logistic.FromSums(out, proba)
+		if !proba {
+			return // a label is 0 or 1
+		}
+	}
+	for i, z := range out {
+		if m.Kind == Linear {
+			z += m.linear.Intercept
+		}
+		if z != z {
+			z = math.NaN()
+		}
+		out[i] = z
+	}
+}
+
+// PredictBatch applies the model to every row of x, leaving x as it
+// was: PredictColumns over the columns of a chunk of x's rows at a time,
+// so outputs are identical to calling Predict per row.
 func (m *Model) PredictBatch(x *ml.Matrix) ([]float64, error) {
-	if x.Cols != len(m.Features) {
-		return nil, fmt.Errorf("aisql: model %q expects %d features, got %d", m.Name, len(m.Features), x.Cols)
+	if err := m.check(x.Cols, false); err != nil {
+		return nil, err
 	}
-	switch m.Kind {
-	case Logistic:
-		m.scaleMatrix(x)
-		return m.logistic.PredictBatch(x), nil
-	case Linear:
-		return m.linear.PredictBatch(x), nil
-	default:
-		classes := m.tree.PredictBatch(x)
-		out := make([]float64, len(classes))
-		for i, c := range classes {
-			out[i] = float64(c)
+	out := make([]float64, x.Rows)
+	for lo := 0; lo < x.Rows; lo += exec.DefaultMorselRows {
+		t := x.RowSlice(lo, min(lo+exec.DefaultMorselRows, x.Rows)).T()
+		cols := make([][]float64, t.Rows)
+		for j := range cols {
+			cols[j] = t.Row(j)
 		}
-		return out, nil
-	}
-}
-
-// scaleMatrix applies the fitted feature scaler to every row in place.
-func (m *Model) scaleMatrix(x *ml.Matrix) {
-	if m.means == nil {
-		return
-	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			row[j] = (v - m.means[j]) / m.stds[j]
+		if err := m.PredictColumns(cols, out[lo:lo+t.Cols], false); err != nil {
+			return nil, err
 		}
 	}
+	return out, nil
 }
 
 // Metrics holds EVALUATE MODEL output.

@@ -1,8 +1,13 @@
 package aisql
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"aidb/internal/ml"
 )
 
 // TestPredictAllocsDoNotGrowWithRows gates PREDICT's chunk form: a
@@ -75,4 +80,176 @@ func TestPredictFeatureCount(t *testing.T) {
 	if _, err := e.Execute("SELECT PREDICT_PROBA(p, age, spend) FROM customers LIMIT 1"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPredictPastStackFeaturesAllocatesNothing: a logistic model over
+// more features than a stack buffer holds used to scale each row into
+// the heap — 1 025 allocations per 1 024-row chunk, one per Predict.
+func TestPredictPastStackFeaturesAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations inflate allocs/op")
+	}
+	const n = stackFeatures + 1
+	m := trainedModel(t, Logistic, n)
+	cols, out := featureColumns(ml.NewRNG(3), n, 1024), make([]float64, 1024)
+	f := make([]float64, n)
+	for j, col := range cols {
+		f[j] = col[0]
+	}
+	for _, proba := range []bool{false, true} {
+		if a := testing.AllocsPerRun(10, func() {
+			if err := m.PredictColumns(cols, out, proba); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("PredictColumns (proba %v) over %d features, 1 024 rows: %.0f allocations, want 0", proba, n, a)
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		if _, err := m.Predict(f); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.PredictProba(f); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("Predict and PredictProba over %d features: %.0f allocations, want 0", n, a)
+	}
+}
+
+// trainedModel fits a model of kind on 512 rows of n normal features,
+// labelled 1 where their sum is positive.
+func trainedModel(tb testing.TB, kind ModelKind, n int) *Model {
+	tb.Helper()
+	rng := ml.NewRNG(uint64(17*n) + uint64(kind))
+	x, y := ml.NewMatrix(512, n), make([]float64, 512)
+	for i := range y {
+		s := 0.0
+		for j := 0; j < n; j++ {
+			v := rng.NormFloat64()
+			x.Set(i, j, v)
+			s += v
+		}
+		if s > 0 {
+			y[i] = 1
+		}
+	}
+	features := make([]string, n)
+	for j := range features {
+		features[j] = fmt.Sprintf("f%d", j)
+	}
+	m, err := fit(&Model{Name: "m", Kind: kind, Features: features}, x, y, map[string]string{"epochs": "20"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// featureColumns returns n columns of rows normal cells.
+func featureColumns(rng *ml.RNG, n, rows int) [][]float64 {
+	cols := make([][]float64, n)
+	for j := range cols {
+		cols[j] = make([]float64, rows)
+		for i := range cols[j] {
+			cols[j][i] = rng.NormFloat64() * 10
+		}
+	}
+	return cols
+}
+
+// FuzzPredictColumns holds PREDICT's chunk form to the per-row form, the
+// differential reference: for a logistic model with and without its
+// scaler, a linear model and a tree, over 1 to 9 features and 0 to 2 100
+// rows, PredictColumns must give Predict — PredictProba when asked — of
+// every row, equal by math.Float64bits, and fail with the same error
+// when the model is not probabilistic or is handed the wrong number of
+// features. Weights, intercept, means and stds are the input's float64
+// bits, cycled; cells mix NaN, ±Inf, ±0, subnormals and raw bits into
+// normal values.
+func FuzzPredictColumns(f *testing.F) {
+	words := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(uint8(0), uint8(1), uint16(1024), false, words(0.7, -1.3, 0.1, 40, 12, 0.5, 3), uint64(1))
+	f.Add(uint8(0), uint8(4), uint16(2100), true, words(0.7, 12, 3, -1.3, 40, 9, 0.25, -5, 0.5, 2.2, 1, 1, -0.9, 0, 2, 0.1), uint64(7))
+	f.Add(uint8(2), uint8(5), uint16(1500), false, words(0.7, -1.3, 2.2, -0.4, 1.9, 0.01, 3), uint64(8))
+	f.Add(uint8(1), uint8(8), uint16(2100), true, words(1e300, -1e-300, 5e-324, math.Inf(1)), uint64(2))
+	f.Add(uint8(2), uint8(4), uint16(7), false, words(math.NaN(), math.Copysign(0, -1), 2), uint64(3))
+	f.Add(uint8(3), uint8(8), uint16(300), false, []byte{}, uint64(4))
+	f.Add(uint8(0x80), uint8(2), uint16(0), true, words(1), uint64(5))
+	f.Add(uint8(2), uint8(3), uint16(10), true, words(1), uint64(6))
+	f.Fuzz(func(t *testing.T, kind, feats uint8, rows uint16, proba bool, params []byte, seed uint64) {
+		n, r := 1+int(feats)%9, int(rows)%2101
+		params = append(params, make([]byte, 8-len(params)%8)...)
+		word := func(k int) float64 {
+			k %= len(params) / 8
+			return math.Float64frombits(binary.LittleEndian.Uint64(params[8*k:]))
+		}
+		m := trainedModel(t, []ModelKind{Logistic, Logistic, Linear, Tree}[kind%4], n)
+		switch kind % 4 {
+		case 0, 1:
+			for j := range m.logistic.Weights {
+				m.logistic.Weights[j], m.means[j], m.stds[j] = word(3*j), word(3*j+1), word(3*j+2)
+			}
+			m.logistic.Intercept = word(3 * n)
+			if kind%4 == 1 {
+				m.means, m.stds = nil, nil
+			}
+		case 2:
+			for j := range m.linear.Weights {
+				m.linear.Weights[j] = word(j)
+			}
+			m.linear.Intercept = word(n)
+		}
+		offered := n
+		if kind&0x80 != 0 {
+			offered = n%9 + 1
+		}
+		rng := ml.NewRNG(seed)
+		special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+			5e-324, -0x1p-1050, math.MaxFloat64, -9.223372036854775808e18}
+		cols := make([][]float64, offered)
+		for j := range cols {
+			cols[j] = make([]float64, r)
+			for i := range cols[j] {
+				switch rng.Intn(4) {
+				case 0:
+					cols[j][i] = special[rng.Intn(len(special))]
+				case 1:
+					cols[j][i] = math.Float64frombits(rng.Uint64())
+				default:
+					cols[j][i] = rng.NormFloat64() * 50
+				}
+			}
+		}
+		row := make([]float64, offered)
+		perRow := func() (float64, error) {
+			if proba {
+				return m.PredictProba(row)
+			}
+			return m.Predict(row)
+		}
+		_, wantErr := perRow()
+		out := make([]float64, r)
+		err := m.PredictColumns(cols, out, proba)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("PredictColumns error %v, per-row %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		for i := range out {
+			for j, col := range cols {
+				row[j] = col[i]
+			}
+			want, _ := perRow()
+			if math.Float64bits(out[i]) != math.Float64bits(want) {
+				t.Fatalf("row %d %v: columns %v (%#x), per-row %v (%#x)", i, row, out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
+			}
+		}
+	})
 }

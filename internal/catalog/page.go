@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"aidb/internal/storage"
 )
@@ -211,9 +212,23 @@ func (p *heapPage) decode(cols []*Vector, slots []int32, id storage.PageID, rids
 	return rows
 }
 
+// littleEndian is whether the host keeps a word's bytes in the page's
+// order, so that a run of cells is its vector's bytes as they lie.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // decodeWords fills dst with the 8-byte cells in area of slots, or of
-// slots 0, 1, ... when slots is nil.
+// slots 0, 1, ... when slots is nil: then, on a little-endian host, with
+// one copy of the run's bytes.
 func decodeWords(dst []uint64, area []byte, slots []int32) {
+	if slots == nil && littleEndian {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*len(dst)), area[:8*len(dst)])
+		return
+	}
+	decodeEachWord(dst, area, slots)
+}
+
+// decodeEachWord is decodeWords a word at a time, on any host.
+func decodeEachWord(dst []uint64, area []byte, slots []int32) {
 	if slots == nil {
 		area = area[:8*len(dst)]
 		for i := range dst {

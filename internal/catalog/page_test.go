@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"slices"
@@ -299,5 +300,44 @@ func TestPageRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDecodeWordsPaths holds the block copy of a run of 8-byte cells to
+// the word-at-a-time decoder, which big-endian hosts and slot gathers
+// take, by calling the latter directly: over an INT and a FLOAT area of
+// NaNs with payloads, ±0, ±Inf, the int64 extremes and a subnormal,
+// with slots nil and with every slot listed, both must give the cells'
+// values bit for bit.
+func TestDecodeWordsPaths(t *testing.T) {
+	cells := []uint64{
+		0x7ff0000000000001, 0x7ff8000000000001, 0xfff4000000c0ffee, // NaN payloads, one signalling
+		math.Float64bits(math.Copysign(0, -1)), 0, math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)),
+		uint64(math.MaxInt64), 1 << 63, 1, // MaxInt64, MinInt64 and a subnormal's bits
+		math.Float64bits(-1.5), 0x0123456789abcdef,
+	}
+	area := make([]byte, 8*len(cells))
+	for i, c := range cells {
+		binary.LittleEndian.PutUint64(area[8*i:], c)
+	}
+	all := make([]int32, len(cells))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	for _, slots := range [][]int32{nil, all} {
+		ints := [2][]int64{make([]int64, len(cells)), make([]int64, len(cells))}
+		floats := [2][]float64{make([]float64, len(cells)), make([]float64, len(cells))}
+		decodeWords(words(ints[0]), area, slots)
+		decodeEachWord(words(ints[1]), area, slots)
+		decodeWords(words(floats[0]), area, slots)
+		decodeEachWord(words(floats[1]), area, slots)
+		for i, c := range cells {
+			for path := range 2 {
+				if uint64(ints[path][i]) != c || math.Float64bits(floats[path][i]) != c {
+					t.Fatalf("slots %v, path %d, cell %d: INT %#x, FLOAT %#x, want %#x",
+						slots, path, i, uint64(ints[path][i]), math.Float64bits(floats[path][i]), c)
+				}
+			}
+		}
 	}
 }

@@ -267,40 +267,52 @@ func TestLinearRegressionPredictBatchMatches(t *testing.T) {
 	}
 }
 
-func TestLogisticPredictBatchMatches(t *testing.T) {
+// TestDotColumnsMatchesDot pins the column kernel to the per-row sum bit
+// for bit, with and without a scaler, through FromSums' label and
+// probability: DotColumns then FromSums is Predict / PredictProba of the
+// row, and with means and stds Dot(w, scale(f)) + Intercept. Cells
+// include NaN, ±Inf, ±0, subnormals and int64-sized values, one to a
+// row (which of two NaNs a sum passes on is the hardware's choice).
+func TestDotColumnsMatchesDot(t *testing.T) {
 	rng := NewRNG(42)
-	m := &LogisticRegression{Weights: []float64{0.8, -1.2}, Intercept: 0.3}
-	x := randomMatrix(rng, 64, 2)
-	probs := m.PredictProbaBatch(x)
-	labels := m.PredictBatch(x)
-	for i := range probs {
-		if math.Float64bits(probs[i]) != math.Float64bits(m.PredictProba(x.Row(i))) {
-			t.Fatalf("row %d proba: batch %v, per-row %v", i, probs[i], m.PredictProba(x.Row(i)))
-		}
-		if labels[i] != m.Predict(x.Row(i)) {
-			t.Fatalf("row %d label: batch %v, per-row %v", i, labels[i], m.Predict(x.Row(i)))
-		}
+	m := &LogisticRegression{Weights: []float64{0.8, -1.2, 2.5, -0.3}, Intercept: 0.3}
+	x := randomMatrix(rng, 256, 4)
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324, -0x1p-1060, 9.2e18}
+	for i, v := range odd {
+		x.Set(i, i%4, v)
+		x.Set(len(odd)+i, (i+1)%4, v)
 	}
-}
-
-func TestDecisionTreePredictBatchMatches(t *testing.T) {
-	rng := NewRNG(43)
-	x := randomMatrix(rng, 200, 2)
-	y := make([]int, 200)
-	for i := 0; i < 200; i++ {
-		if x.At(i, 0)+x.At(i, 1) > 0 {
-			y[i] = 1
-		}
+	means, stds := []float64{0.5, -2, 0, 7}, []float64{3, 0.25, 1.7, 0.1}
+	xt, cols := x.T(), make([][]float64, x.Cols)
+	for j := range cols {
+		cols[j] = xt.Row(j)
 	}
-	tree := &DecisionTree{MaxDepth: 6}
-	if err := tree.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	test := randomMatrix(rng, 77, 2)
-	got := tree.PredictBatch(test)
-	for i, c := range got {
-		if c != tree.Predict(test.Row(i)) {
-			t.Fatalf("row %d: batch %d, per-row %d", i, c, tree.Predict(test.Row(i)))
+	f := make([]float64, x.Cols)
+	for _, proba := range []bool{false, true} {
+		got, scaled := make([]float64, x.Rows), make([]float64, x.Rows)
+		DotColumns(got, m.Weights, cols, nil, nil)
+		DotColumns(scaled, m.Weights, cols, means, stds)
+		m.FromSums(got, proba)
+		m.FromSums(scaled, proba)
+		for i := 0; i < x.Rows; i++ {
+			row := x.Row(i)
+			want := m.Predict(row)
+			if proba {
+				want = m.PredictProba(row)
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("row %d proba=%v: columns %v, per-row %v", i, proba, got[i], want)
+			}
+			for j, v := range row {
+				f[j] = (v - means[j]) / stds[j]
+			}
+			want = label(Dot(m.Weights, f) + m.Intercept)
+			if proba {
+				want = Sigmoid(Dot(m.Weights, f) + m.Intercept)
+			}
+			if math.Float64bits(scaled[i]) != math.Float64bits(want) {
+				t.Fatalf("row %d proba=%v scaled: columns %v, per-row %v", i, proba, scaled[i], want)
+			}
 		}
 	}
 }

@@ -47,15 +47,6 @@ func (lr *LinearRegression) Predict(f []float64) float64 {
 	return Dot(lr.Weights, f) + lr.Intercept
 }
 
-// PredictAll returns fitted values for every row of x.
-func (lr *LinearRegression) PredictAll(x *Matrix) []float64 {
-	out := make([]float64, x.Rows)
-	for i := range out {
-		out[i] = lr.Predict(x.Row(i))
-	}
-	return out
-}
-
 // Sigmoid is the logistic function 1 / (1 + e^-z).
 func Sigmoid(z float64) float64 {
 	if z >= 0 {
@@ -139,18 +130,28 @@ func (m *LogisticRegression) PartialFit(f []float64, y float64) {
 
 // PredictProba returns P(y=1 | f).
 func (m *LogisticRegression) PredictProba(f []float64) float64 {
-	return Sigmoid(m.logit(f))
+	return Sigmoid(Dot(m.Weights, f) + m.Intercept)
 }
 
 // Predict returns the hard 0/1 label at threshold 0.5.
 func (m *LogisticRegression) Predict(f []float64) float64 {
-	return label(m.logit(f))
+	return label(Dot(m.Weights, f) + m.Intercept)
 }
 
-// logit is z for one feature row, the one sum every label and
-// probability path takes.
-func (m *LogisticRegression) logit(f []float64) float64 {
-	return Dot(m.Weights, f) + m.Intercept
+// FromSums replaces each weighted feature sum in out — Dot(Weights, f)
+// of a row f, as DotColumns leaves them — with that row's Predict, or
+// PredictProba when proba is set: the intercept added, then the label or
+// the probability.
+func (m *LogisticRegression) FromSums(out []float64, proba bool) {
+	if proba {
+		for i, s := range out {
+			out[i] = Sigmoid(s + m.Intercept)
+		}
+		return
+	}
+	for i, s := range out {
+		out[i] = label(s + m.Intercept)
+	}
 }
 
 // labelBand is the width below zero inside which Sigmoid rounds to 0.5

@@ -230,6 +230,32 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
+// DotColumns sets out[i] to the inner product of w with row i of the
+// columns cols — (cols[0][i], cols[1][i], ...), each cell x of column j
+// first scaled to (x - means[j]) / stds[j] when means is non-nil — a
+// column at a time, with Dot's operations in Dot's order: from 0, adding
+// w[0]·x0, then w[1]·x1, and so on. Each column holds at least len(out)
+// cells.
+func DotColumns(out, w []float64, cols [][]float64, means, stds []float64) {
+	if len(w) != len(cols) {
+		panic("ml: DotColumns length mismatch")
+	}
+	clear(out)
+	for j, col := range cols {
+		col, wj := col[:len(out)], w[j]
+		if means == nil {
+			for i, x := range col {
+				out[i] += wj * x
+			}
+			continue
+		}
+		mean, std := means[j], stds[j]
+		for i, x := range col {
+			out[i] += wj * ((x - mean) / std)
+		}
+	}
+}
+
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	return math.Sqrt(Dot(v, v))

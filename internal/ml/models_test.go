@@ -110,8 +110,8 @@ func TestSigmoidProperties(t *testing.T) {
 // label to the definition it replaces, Sigmoid(z) >= 0.5, at the values
 // where they could part — the zeros, the smallest subnormal, the band's
 // edge and its neighbours, the infinities, NaN — and at a million seeded
-// logits spread over every magnitude; Predict and PredictBatch must give
-// the same label for each.
+// logits spread over every magnitude; Predict and the column kernel,
+// DotColumns then FromSums, must give the same label for each.
 func TestLabelMatchesSigmoidThreshold(t *testing.T) {
 	want := func(z float64) float64 {
 		if Sigmoid(z) >= 0.5 {
@@ -154,14 +154,12 @@ func TestLabelMatchesSigmoidThreshold(t *testing.T) {
 	}
 	// One feature, weight 1, intercept 0: the logit is the feature.
 	m := &LogisticRegression{Weights: []float64{1}}
-	x := NewMatrix(len(zs), 1)
+	batch := make([]float64, len(zs))
+	DotColumns(batch, m.Weights, [][]float64{zs}, nil, nil)
+	m.FromSums(batch, false)
 	for i, z := range zs {
-		x.Set(i, 0, z)
-	}
-	batch := m.PredictBatch(x)
-	for i, z := range zs {
-		if got := m.Predict(x.Row(i)); got != want(z) || batch[i] != got {
-			t.Fatalf("z = %v: Predict %v, PredictBatch %v, want %v", z, got, batch[i], want(z))
+		if got := m.Predict(zs[i : i+1]); got != want(z) || batch[i] != got {
+			t.Fatalf("z = %v: Predict %v, columns %v, want %v", z, got, batch[i], want(z))
 		}
 	}
 }
