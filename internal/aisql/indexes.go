@@ -130,10 +130,11 @@ func (e *Engine) createIndex(name, table, column string) error {
 	var rids []storage.RecordID
 	cols := make([]*catalog.Vector, len(t.Schema.Columns))
 	cols[col] = &keys
-	for _, id := range t.PageIDs() {
+	pages := t.PageIDs()
+	for p := range pages {
 		keys.Reset()
 		rids = rids[:0]
-		if _, err := t.DecodePage(id, cols, &rids); err != nil {
+		if _, _, err := t.DecodePages(pages[p:p+1], cols, &rids, 1); err != nil {
 			return err
 		}
 		si.mu.Lock()

@@ -258,7 +258,7 @@ func TestBulkInsertMatchesRowByRow(t *testing.T) {
 				vs[i].Reset()
 			}
 			rids = rids[:0]
-			if _, err := tab.DecodePage(id, cols, &rids); err != nil {
+			if _, _, err := tab.DecodePages([]storage.PageID{id}, cols, &rids, 1); err != nil {
 				t.Fatal(err)
 			}
 			fmt.Fprintf(&sb, "page %d: %v %v %v %v %v %v %v\n", id, rids, vs[0].I, vs[1].I, vs[2].S, vs[3].F, vs[4].I, vs[5].S)

@@ -84,13 +84,9 @@ func trainingData(t *catalog.Table, features []string, label string) (*ml.Matrix
 	for _, idx := range featIdx {
 		cols[idx] = &vs[idx]
 	}
-	n := 0
-	for _, id := range t.PageIDs() {
-		m, err := t.DecodePage(id, cols, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		n += m
+	_, n, err := t.DecodePages(t.PageIDs(), cols, nil, math.MaxInt)
+	if err != nil {
+		return nil, nil, err
 	}
 	if n == 0 {
 		return nil, nil, fmt.Errorf("aisql: table %q is empty", t.Name)

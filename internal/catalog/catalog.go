@@ -416,12 +416,12 @@ func (t *Table) Scan(fn func(rid storage.RecordID, row Row) bool) error {
 func (t *Table) ScanPages(pages []storage.PageID, fn func(rid storage.RecordID, row Row) bool) error {
 	vs, cols := t.vectors()
 	var rids []storage.RecordID
-	for _, id := range pages {
+	for p := range pages {
 		for i := range vs {
 			vs[i].Reset()
 		}
 		rids = rids[:0]
-		if _, err := t.DecodePage(id, cols, &rids); err != nil {
+		if _, _, err := t.DecodePages(pages[p:p+1], cols, &rids, 1); err != nil {
 			return err
 		}
 		for i, rid := range rids {
@@ -457,22 +457,6 @@ func (t *Table) row(vs []Vector, i int) Row {
 		}
 	}
 	return row
-}
-
-// onPage runs fn on page id's bytes, pinned, under the table's read
-// lock: no insert or delete changes the page while fn reads it.
-func (t *Table) onPage(id storage.PageID, fn func(b []byte) error) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	p, err := t.pool.Fetch(id)
-	if err != nil {
-		return err
-	}
-	ferr := fn(p.Data[:])
-	if err := t.pool.Unpin(id, false); err != nil && ferr == nil {
-		ferr = err
-	}
-	return ferr
 }
 
 // AllRows materializes every live row; convenient for small tables.

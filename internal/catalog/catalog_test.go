@@ -150,10 +150,8 @@ func TestInsertRowsPlacesLikeOneAtATime(t *testing.T) {
 			}
 		}
 		var live []storage.RecordID
-		for _, id := range bulk.PageIDs() {
-			if _, err := bulk.DecodePage(id, make([]*Vector, 3), &live); err != nil {
-				t.Fatal(err)
-			}
+		if _, _, err := bulk.DecodePages(bulk.PageIDs(), make([]*Vector, 3), &live, math.MaxInt); err != nil {
+			t.Fatal(err)
 		}
 		for _, rid := range live {
 			if r.Intn(3) == 0 {
@@ -447,16 +445,17 @@ func TestRowRoundTripProperty(t *testing.T) {
 	}
 }
 
-// decodeBytes decodes page bytes b as DecodePage decodes a page.
+// decodeBytes decodes page bytes b as DecodePages decodes a page.
 func decodeBytes(schema *Schema, b []byte, cols []*Vector) error {
-	d := &pageDecoder{t: &Table{Schema: *schema, layout: newPageLayout(schema)}, cols: cols}
+	d := &pageDecoder{t: &Table{Schema: *schema, layout: newPageLayout(schema)}, ids: []storage.PageID{0}, cols: cols, limit: math.MaxInt}
 	return d.page(b)
 }
 
 // TestDecodeTruncated: a page whose column areas run into its TEXT bytes
 // — too great a capacity or TEXT byte count — or whose slot count passes
-// its capacity, or whose TEXT reference runs past the page or below the
-// TEXT bytes, fails to decode whichever columns are read, with the TEXT
+// its capacity fails to decode whichever columns are read; one whose
+// TEXT reference runs past the page or below the TEXT bytes fails when
+// the TEXT column is read and decodes when it is not; with the TEXT
 // column first, in the middle or last.
 func TestDecodeTruncated(t *testing.T) {
 	for _, types := range [][]ColType{{Int64, Float64, String}, {String, Int64, Float64}, {Int64, String, Float64}} {
@@ -495,7 +494,11 @@ func TestDecodeTruncated(t *testing.T) {
 		}
 		cuts = append(cuts,
 			func(b []byte) { put(b, 0, p.cap+1) },
-			func(b []byte) { put(b, 2, 1<<16-1) },
+			func(b []byte) { put(b, 2, 1<<16-1) })
+		// The header cuts fail whatever is read; the reference cuts only
+		// a read of the TEXT column.
+		headerCuts := len(cuts)
+		cuts = append(cuts,
 			func(b []byte) { put(b, ref, p.text-1) },
 			func(b []byte) { put(b, ref, storage.PageSize-2) },
 			func(b []byte) { put(b, ref+2, storage.PageSize-off+1) })
@@ -509,8 +512,11 @@ func TestDecodeTruncated(t *testing.T) {
 						cols[i] = &Vector{}
 					}
 				}
-				if err := decodeBytes(&schema, b[:], cols); err == nil {
+				err := decodeBytes(&schema, b[:], cols)
+				if fail := i < headerCuts || mask&(1<<textCol) != 0; fail && err == nil {
 					t.Fatalf("%v: decode of cut %d reading columns %03b should fail", types, i, mask)
+				} else if !fail && err != nil {
+					t.Fatalf("%v: decode of cut %d reading columns %03b, which steps over the cut: %v", types, i, mask, err)
 				}
 			}
 		}
@@ -554,10 +560,8 @@ func TestScanDecodesOnlyNeededColumns(t *testing.T) {
 			}
 			return vs, rids
 		}
-		for _, id := range tab.PageIDs() {
-			if _, err := tab.DecodePage(id, cols, &rids); err != nil {
-				t.Fatal(err)
-			}
+		if _, _, err := tab.DecodePages(tab.PageIDs(), cols, &rids, math.MaxInt); err != nil {
+			t.Fatal(err)
 		}
 		return vs, rids
 	}
@@ -592,10 +596,8 @@ func TestScanDecodesOnlyNeededColumns(t *testing.T) {
 		for i := range v {
 			v[i].Reset()
 		}
-		for _, id := range pages {
-			if _, err := tab.DecodePage(id, cols, nil); err != nil {
-				t.Fatal(err)
-			}
+		if _, _, err := tab.DecodePages(pages, cols, nil, math.MaxInt); err != nil {
+			t.Fatal(err)
 		}
 	}
 	perScan := func(cols []*Vector) float64 { return testing.AllocsPerRun(5, func() { scan(cols) }) }
@@ -608,16 +610,17 @@ func TestScanDecodesOnlyNeededColumns(t *testing.T) {
 	if kept != "name-7" {
 		t.Errorf("a string kept from a reset vector reads %q", kept)
 	}
-	if _, err := tab.DecodePage(tab.PageIDs()[0], cols[:1], nil); err == nil {
+	if _, _, err := tab.DecodePages(tab.PageIDs(), cols[:1], nil, math.MaxInt); err == nil {
 		t.Error("a column set of the wrong width must be rejected")
 	}
 }
 
-// TestDecodeAllocatesNothing: once warm, decoding a page allocates
-// nothing — resident or lent by the disk, by page or by record id —
-// because the live-slot list goes into pooled scratch, View's callback
-// is bound once per pooled decoder, and the vectors have room. TEXT is stepped over here: a decoded string
-// costs a share of a text buffer, allocated whole.
+// TestDecodeAllocatesNothing: once warm, decoding allocates nothing — a
+// page resident or lent by the disk, a list of both, by page or by
+// record id — because the live-slot list goes into pooled scratch,
+// View's callback is bound once per pooled decoder, and the vectors have
+// room. TEXT is stepped over here: a decoded string costs a share of a
+// text buffer, allocated whole.
 func TestDecodeAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries on purpose")
@@ -653,11 +656,11 @@ func TestDecodeAllocatesNothing(t *testing.T) {
 	ids := map[storage.PageID][]storage.RecordID{}
 	// The last page is the one inserts were writing; the first was evicted
 	// long ago. Both are read by page before either is fetched by record.
-	for _, page := range []storage.PageID{pages[len(pages)-1], pages[0]} {
-		resident := page == pages[len(pages)-1]
+	for _, i := range []int{len(pages) - 1, 0} {
+		page, resident := pages[i], i == len(pages)-1
 		decode := func() {
 			reset()
-			if _, err := tab.DecodePage(page, cols, &rids); err != nil {
+			if _, _, err := tab.DecodePages(pages[i:i+1], cols, &rids, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -667,11 +670,22 @@ func TestDecodeAllocatesNothing(t *testing.T) {
 		allocs := testing.AllocsPerRun(50, decode)
 		after := pool.Stats.Snapshot()
 		if hit := after.Hits > before.Hits; hit != resident || len(rids) == 0 {
-			t.Fatalf("page %d: DecodePage hit the pool %v, want %v; %d rows", page, hit, resident, len(rids))
+			t.Fatalf("page %d: DecodePages hit the pool %v, want %v; %d rows", page, hit, resident, len(rids))
 		}
 		if allocs != 0 {
-			t.Errorf("DecodePage of a page resident %v: %v allocations per call, want 0", resident, allocs)
+			t.Errorf("DecodePages of a page resident %v: %v allocations per call, want 0", resident, allocs)
 		}
+	}
+	// The whole table in one call: one lock and one View over resident
+	// and lent pages alike.
+	whole := func() {
+		reset()
+		if _, n, err := tab.DecodePages(pages, cols, &rids, math.MaxInt); err != nil || n != 1000 {
+			t.Fatalf("DecodePages of the table: %d rows, %v", n, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, whole); allocs != 0 {
+		t.Errorf("DecodePages of %d pages: %v allocations per call, want 0", len(pages), allocs)
 	}
 	for page, want := range ids {
 		byRecord := func() {
@@ -690,7 +704,7 @@ func TestDecodeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestDecodePageMatchesFetch: DecodePage pins a resident page and reads
+// TestDecodePageMatchesFetch: DecodePages pins a resident page and reads
 // any other past the pool; either way it must see what Get sees through
 // Fetch, and what was written: with the page dirty and resident, written
 // back and evicted, dirtied again after being fetched back, and evicted
@@ -736,16 +750,16 @@ func TestDecodePageMatchesFetch(t *testing.T) {
 		before := pool.Stats.Snapshot()
 		var v [3]Vector
 		var rids []storage.RecordID
-		n, err := tab.DecodePage(page, []*Vector{&v[0], &v[1], &v[2]}, &rids)
+		_, n, err := tab.DecodePages([]storage.PageID{page}, []*Vector{&v[0], &v[1], &v[2]}, &rids, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		after := pool.Stats.Snapshot()
 		if hit := after.Hits > before.Hits; hit != resident || after.Evictions != before.Evictions {
-			t.Fatalf("%s: DecodePage hit %v, evicted %d; want hit %v, evicted 0", state, hit, after.Evictions-before.Evictions, resident)
+			t.Fatalf("%s: DecodePages hit %v, evicted %d; want hit %v, evicted 0", state, hit, after.Evictions-before.Evictions, resident)
 		}
 		if n != len(want) || len(rids) != n {
-			t.Fatalf("%s: DecodePage read %d rows (%d ids), want %d", state, n, len(rids), len(want))
+			t.Fatalf("%s: DecodePages read %d rows (%d ids), want %d", state, n, len(rids), len(want))
 		}
 		for i, rid := range rids {
 			decoded := Row{v[0].I[i], v[1].F[i], v[2].S[i]}
@@ -850,10 +864,15 @@ func TestConcurrentScansAndChurn(t *testing.T) {
 		var v [3]Vector
 		cols := []*Vector{&v[0], &v[1], &v[2]}
 		var rids []storage.RecordID
-		for _, id := range tab.PageIDs() {
-			if _, err := tab.DecodePage(id, cols, &rids); err != nil {
+		// Four-page morsels that stop at 200 rows and go on, as a scan
+		// fills its chunks.
+		pages := tab.PageIDs()
+		for len(pages) > 0 {
+			read, _, err := tab.DecodePages(pages[:min(4, len(pages))], cols, &rids, 200)
+			if err != nil {
 				t.Fatal(err)
 			}
+			pages = pages[read:]
 		}
 		for i, id := range v[0].I {
 			if err := check(id, v[1].F[i], v[2].S[i]); err != nil {

@@ -18,11 +18,14 @@ import (
 // them, so later inserts reuse dead slots, pages lay themselves out
 // again and their dead TEXT bytes are compacted — over a buffer pool of
 // four frames, so most pages are read past the pool. For every subset
-// of the columns, DecodePage, DecodeRecords and Get must agree cell for
-// cell with what was written, record ids and their order included.
-// Then one page is corrupted — a TEXT reference below the TEXT bytes or
-// past the page, a slot count past the capacity or column areas past
-// the TEXT bytes — and every reader must return an error, never panic.
+// of the columns, DecodePages (in batches that mix resident and lent
+// pages, stopped early by row limits), DecodeRecords and Get must agree
+// cell for cell with what was written, record ids and their order
+// included. Then one page is corrupted — a TEXT reference below the
+// TEXT bytes or past the page, a slot count past the capacity or column
+// areas past the TEXT bytes — and a reader must return an error, never
+// panic, exactly when it reads the damage; every other read returns
+// what was written.
 func FuzzDecodePage(f *testing.F) {
 	// The first byte sets the column count, one byte per column its
 	// type (0 INT, 1 FLOAT, 2 TEXT); then each byte is a burst of up to
@@ -91,7 +94,7 @@ func FuzzDecodePage(f *testing.F) {
 			}
 		}
 		checkDecoders(t, tab, written, deleted, in)
-		corruptOnePage(t, tab, pool, live, in)
+		corruptOnePage(t, tab, pool, live, written, in)
 	})
 }
 
@@ -191,6 +194,69 @@ func sameValue(got, want Value) bool {
 	return got == want
 }
 
+// columns returns one vector per column in mask, nil for the others.
+func columns(ncols, mask int) []*Vector {
+	cols := make([]*Vector, ncols)
+	for c := range cols {
+		if mask&(1<<c) != 0 {
+			cols[c] = &Vector{}
+		}
+	}
+	return cols
+}
+
+// checkCells requires a decode to have read exactly the records want,
+// in that order, n of them, into cols, with the cells written holds.
+func checkCells(t *testing.T, how string, tab *Table, cols []*Vector, n int, rids, want []storage.RecordID, written map[storage.RecordID]Row) {
+	t.Helper()
+	if n != len(want) || !slices.Equal(rids, want) {
+		t.Fatalf("%s: %d rows, ids %v; want %v", how, n, rids, want)
+	}
+	for c, v := range cols {
+		if v == nil {
+			continue
+		}
+		if got := len(v.I) + len(v.F) + len(v.S); got != len(want) {
+			t.Fatalf("%s: column %d has %d cells, want %d", how, c, got, len(want))
+		}
+		for i, rid := range want {
+			if !sameValue(cell(v, tab.Schema.Columns[c].Type, i), written[rid][c]) {
+				t.Fatalf("%s: row %v column %d differs from what was written", how, rid, c)
+			}
+		}
+	}
+}
+
+// decodeInBatches decodes pages by DecodePages in batches of one to six
+// pages, the pool's resident pages and lent ones mixed, each call with a
+// row limit that is often small enough to stop it early: a call must
+// read at least one page, stop only once it has limit rows, and go on
+// while it has fewer. live counts the live records of each page.
+func decodeInBatches(tab *Table, pages []storage.PageID, cols []*Vector, rids *[]storage.RecordID, live map[storage.PageID]int, in *fuzzInput) (int, error) {
+	n := 0
+	for len(pages) > 0 {
+		batch := pages[:min(len(pages), 1+int(in.rand()%6))]
+		limit := math.MaxInt
+		if in.rand()%2 == 0 {
+			limit = 1 + int(in.rand()%300)
+		}
+		read, got, err := tab.DecodePages(batch, cols, rids, limit)
+		if err != nil {
+			return n, err
+		}
+		before := 0
+		for _, page := range batch[:max(read-1, 0)] {
+			before += live[page]
+		}
+		if read < 1 || read > len(batch) || before >= limit || (read < len(batch) && got < limit) {
+			return n, fmt.Errorf("DecodePages of %d pages with limit %d read %d pages and %d rows, %d before the last", len(batch), limit, read, got, before)
+		}
+		n += got
+		pages = pages[read:]
+	}
+	return n, nil
+}
+
 // checkDecoders decodes tab by page and by record id under every column
 // subset, and each record by Get, against written.
 func checkDecoders(t *testing.T, tab *Table, written map[storage.RecordID]Row, deleted []storage.RecordID, in *fuzzInput) {
@@ -201,8 +267,10 @@ func checkDecoders(t *testing.T, tab *Table, written map[storage.RecordID]Row, d
 		heapOrder[page] = i
 	}
 	var inHeapOrder []storage.RecordID
+	live := map[storage.PageID]int{}
 	for rid := range written {
 		inHeapOrder = append(inHeapOrder, rid)
+		live[rid.Page]++
 	}
 	slices.SortFunc(inHeapOrder, func(a, b storage.RecordID) int {
 		if a.Page != b.Page {
@@ -225,51 +293,20 @@ func checkDecoders(t *testing.T, tab *Table, written map[storage.RecordID]Row, d
 	}
 	ncols := len(tab.Schema.Columns)
 	for mask := 0; mask < 1<<ncols; mask++ {
-		vs := make([]Vector, ncols)
-		cols := make([]*Vector, ncols)
-		for c := range cols {
-			if mask&(1<<c) != 0 {
-				cols[c] = &vs[c]
-			}
-		}
-		check := func(how string, n int, rids, want []storage.RecordID) {
-			t.Helper()
-			if n != len(want) || !slices.Equal(rids, want) {
-				t.Fatalf("%s, columns %b: %d rows, ids %v; want %v", how, mask, n, rids, want)
-			}
-			for c, v := range cols {
-				if v == nil {
-					continue
-				}
-				if got := len(v.I) + len(v.F) + len(v.S); got != len(want) {
-					t.Fatalf("%s, columns %b: column %d has %d cells, want %d", how, mask, c, got, len(want))
-				}
-				for i, rid := range want {
-					if !sameValue(cell(v, tab.Schema.Columns[c].Type, i), written[rid][c]) {
-						t.Fatalf("%s, columns %b: row %v column %d differs from what was written", how, mask, rid, c)
-					}
-				}
-			}
-		}
+		cols := columns(ncols, mask)
 		var rids []storage.RecordID
-		n := 0
-		for _, page := range pages {
-			got, err := tab.DecodePage(page, cols, &rids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n += got
-		}
-		check("DecodePage", n, rids, inHeapOrder)
-		for i := range vs {
-			vs[i].Reset()
-		}
-		rids = rids[:0]
-		n, err := tab.DecodeRecords(asked, cols, &rids)
+		n, err := decodeInBatches(tab, pages, cols, &rids, live, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("DecodeRecords", n, rids, answered)
+		checkCells(t, fmt.Sprintf("DecodePages, columns %b", mask), tab, cols, n, rids, inHeapOrder, written)
+		cols = columns(ncols, mask)
+		rids = rids[:0]
+		n, err = tab.DecodeRecords(asked, cols, &rids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCells(t, fmt.Sprintf("DecodeRecords, columns %b", mask), tab, cols, n, rids, answered, written)
 	}
 	for _, rid := range inHeapOrder {
 		row, err := tab.Get(rid)
@@ -294,9 +331,13 @@ func checkDecoders(t *testing.T, tab *Table, written map[storage.RecordID]Row, d
 // corruptOnePage damages the page of one live record in one of three
 // ways — one of its TEXT references reaching below the page's TEXT
 // bytes, or past the end of the page; the page's slot count past its
-// capacity, or its column areas past its TEXT bytes — and requires
-// every reader of the damage to fail, whichever columns it reads.
-func corruptOnePage(t *testing.T, tab *Table, pool *storage.BufferPool, live []storage.RecordID, in *fuzzInput) {
+// capacity, or its column areas past its TEXT bytes — and requires each
+// reader to fail, never panic, exactly when it reads the damage: a bad
+// header whatever it reads, a bad TEXT reference when it reads that
+// record's cell in that column. Every other read must return exactly
+// what was written. Readers check what they dereference, so a TEXT
+// column a scan does not read is not looked at.
+func corruptOnePage(t *testing.T, tab *Table, pool *storage.BufferPool, live []storage.RecordID, written map[storage.RecordID]Row, in *fuzzInput) {
 	t.Helper()
 	if len(live) == 0 {
 		return
@@ -315,15 +356,16 @@ func corruptOnePage(t *testing.T, tab *Table, pool *storage.BufferPool, live []s
 	if len(tab.layout.text) == 0 {
 		mode = 2
 	}
+	bad := -1 // the column whose reference is damaged
 	switch x := int(in.rand() % 4096); mode {
 	case 0: // a TEXT reference reaching below the TEXT bytes
-		k := tab.layout.text[x%len(tab.layout.text)]
-		ref := h.area(k) + 4*rid.Slot
+		bad = tab.layout.text[x%len(tab.layout.text)]
+		ref := h.area(bad) + 4*rid.Slot
 		put(ref, x%h.text)
 		put(ref+2, x%(h.text-x%h.text+1))
 	case 1: // a TEXT reference running past the end of the page
-		k := tab.layout.text[x%len(tab.layout.text)]
-		ref := h.area(k) + 4*rid.Slot
+		bad = tab.layout.text[x%len(tab.layout.text)]
+		ref := h.area(bad) + 4*rid.Slot
 		off := int(binary.LittleEndian.Uint16(p.Data[ref:]))
 		if x%2 == 0 {
 			put(ref, storage.PageSize-x%8)
@@ -348,20 +390,58 @@ func corruptOnePage(t *testing.T, tab *Table, pool *storage.BufferPool, live []s
 	if err := pool.Unpin(rid.Page, true); err != nil {
 		t.Fatal(err)
 	}
+	// The damaged page's live records and the table's, in heap order.
+	pages := tab.PageIDs()
+	heapOrder := map[storage.PageID]int{}
+	for i, page := range pages {
+		heapOrder[page] = i
+	}
+	all := slices.Clone(live)
+	slices.SortFunc(all, func(a, b storage.RecordID) int {
+		if a.Page != b.Page {
+			return heapOrder[a.Page] - heapOrder[b.Page]
+		}
+		return a.Slot - b.Slot
+	})
+	onPage := map[storage.PageID]int{}
+	var page []storage.RecordID
+	for _, r := range all {
+		onPage[r.Page]++
+		if r.Page == rid.Page {
+			page = append(page, r)
+		}
+	}
 	ncols := len(tab.Schema.Columns)
 	for mask := 0; mask < 1<<ncols; mask++ {
-		vs := make([]Vector, ncols)
-		cols := make([]*Vector, ncols)
-		for c := range cols {
-			if mask&(1<<c) != 0 {
-				cols[c] = &vs[c]
+		// expect requires a read to fail exactly when it reads the damage.
+		expect := func(how string, reads bool, n int, err error, rids, want []storage.RecordID, cols []*Vector) {
+			t.Helper()
+			how = fmt.Sprintf("corruption %d of %v: %s of columns %b", mode, rid, how, mask)
+			switch {
+			case reads && err == nil:
+				t.Fatalf("%s succeeded", how)
+			case !reads && err != nil:
+				t.Fatalf("%s, which does not read the damage: %v", how, err)
+			case !reads:
+				checkCells(t, how, tab, cols, n, rids, want, written)
 			}
 		}
-		if _, err := tab.DecodePage(rid.Page, cols, nil); err == nil {
-			t.Fatalf("corruption %d of %v: DecodePage of columns %b succeeded", mode, rid, mask)
-		}
-		if _, err := tab.DecodeRecords([]storage.RecordID{rid}, cols, nil); err == nil {
-			t.Fatalf("corruption %d of %v: DecodeRecords of columns %b succeeded", mode, rid, mask)
+		reads := mode == 2 || mask&(1<<bad) != 0
+		var rids []storage.RecordID
+		cols := columns(ncols, mask)
+		_, n, err := tab.DecodePages([]storage.PageID{rid.Page}, cols, &rids, math.MaxInt)
+		expect("DecodePages of the page", reads, n, err, rids, page, cols)
+		rids, cols = nil, columns(ncols, mask)
+		n, err = decodeInBatches(tab, pages, cols, &rids, onPage, in)
+		expect("DecodePages of the table", reads, n, err, rids, all, cols)
+		rids, cols = nil, columns(ncols, mask)
+		n, err = tab.DecodeRecords([]storage.RecordID{rid}, cols, &rids)
+		expect("DecodeRecords", reads, n, err, rids, []storage.RecordID{rid}, cols)
+		// The page's other records share only its header with the damage.
+		if others := slices.DeleteFunc(slices.Clone(page), func(r storage.RecordID) bool { return r == rid }); len(others) > 0 {
+			rids, cols = nil, columns(ncols, mask)
+			n, err = tab.DecodeRecords(others, cols, &rids)
+			expect("DecodeRecords of the page's other records", mode == 2, n, err, rids, others, cols)
 		}
 	}
 	if _, err := tab.Get(rid); err == nil {

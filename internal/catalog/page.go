@@ -135,37 +135,16 @@ func (p *heapPage) ref(ref []byte) (off, n int, ok bool) {
 	return off, n, off >= p.text && off+n <= pageSize
 }
 
-// checkText checks every TEXT reference of slots, or of every slot in
-// use when slots is nil.
-func (p *heapPage) checkText(id storage.PageID, slots []int32) error {
-	for _, k := range p.l.text {
-		refs := p.b[p.area(k):][:4*p.n]
-		if slots == nil {
-			for i := 0; i+4 <= len(refs); i += 4 {
-				if _, _, ok := p.ref(refs[i:]); !ok {
-					return errText(id, i/4)
-				}
-			}
-			continue
-		}
-		for _, s := range slots {
-			if _, _, ok := p.ref(refs[4*s:]); !ok {
-				return errText(id, int(s))
-			}
-		}
-	}
-	return nil
-}
-
 func errText(id storage.PageID, s int) error {
 	return fmt.Errorf("catalog: page %d: slot %d's TEXT lies outside the page's TEXT bytes", id, s)
 }
 
 // decode appends to each non-nil entry of cols the cells of slots, or
 // of every slot in use when slots is nil, and to *rids, when rids is
-// non-nil, their record ids; it returns how many rows. The slots' TEXT
-// references must have been checked.
-func (p *heapPage) decode(cols []*Vector, slots []int32, id storage.PageID, rids *[]storage.RecordID) int {
+// non-nil, their record ids; it returns how many rows. Each TEXT
+// reference is checked where it is read: one outside the page's TEXT
+// bytes is an error, and the vectors then hold part of the page.
+func (p *heapPage) decode(cols []*Vector, slots []int32, id storage.PageID, rids *[]storage.RecordID) (int, error) {
 	rows := len(slots)
 	if slots == nil {
 		rows = p.n
@@ -188,13 +167,19 @@ func (p *heapPage) decode(cols []*Vector, slots []int32, id storage.PageID, rids
 			if slots == nil {
 				text := v.appendText(p.b[p.text:])
 				for i := 0; i+4 <= len(refs); i += 4 {
-					off, n, _ := p.ref(refs[i:])
+					off, n, ok := p.ref(refs[i:])
+					if !ok {
+						return 0, errText(id, i/4)
+					}
 					v.S = append(v.S, text.cut(off-p.text, n))
 				}
 				continue
 			}
 			for _, s := range slots {
-				off, n, _ := p.ref(refs[4*s:])
+				off, n, ok := p.ref(refs[4*s:])
+				if !ok {
+					return 0, errText(id, int(s))
+				}
 				v.appendString(p.b[off : off+n])
 			}
 		}
@@ -209,7 +194,7 @@ func (p *heapPage) decode(cols []*Vector, slots []int32, id storage.PageID, rids
 			dst[i] = storage.RecordID{Page: id, Slot: s}
 		}
 	}
-	return rows
+	return rows, nil
 }
 
 // littleEndian is whether the host keeps a word's bytes in the page's

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -70,37 +71,42 @@ func (t textBytes) cut(off, n int) string {
 	return unsafe.String(&t[off:][:n][0], n)
 }
 
-// DecodePage appends the live rows of page id, in slot order, to cols —
-// one entry per table column; a nil entry is a column the caller does
-// not read, which is never touched — and, when rids is non-nil, each
-// row's record id to *rids. It reads the page through the buffer pool's
-// View, under the table's read lock: a resident page is pinned once, any
-// other is lent by the disk, so a scan evicts nothing. Whichever columns
-// it reads, it checks the page's header and every TEXT reference of the
-// page. It returns how many rows it appended; on error the vectors may
-// hold part of the page and must be discarded.
-func (t *Table) DecodePage(id storage.PageID, cols []*Vector, rids *[]storage.RecordID) (int, error) {
+// DecodePages appends the live rows of the pages ids names, page by
+// page in that order and each in slot order, to cols — one entry per
+// table column; a nil entry is a column the caller does not read, which
+// is never touched — and, when rids is non-nil, each row's record id to
+// *rids. It reads ids[0], then each next page while the rows appended
+// are fewer than limit, so they pass limit by at most one page's rows,
+// and returns how many pages it read and how many rows it appended. It
+// takes the table's read lock once and reads the pages through one
+// buffer-pool View: the resident ones are pinned, any other is lent by
+// the disk, so a scan evicts nothing. It checks each page's header, and
+// each TEXT reference where it reads it: a TEXT column it does not read
+// is not looked at. On error the vectors may hold part of the pages and
+// must be discarded.
+func (t *Table) DecodePages(ids []storage.PageID, cols []*Vector, rids *[]storage.RecordID, limit int) (pages, rows int, err error) {
 	if err := t.checkCols(cols); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	d := decoders.Get().(*pageDecoder)
-	d.t, d.id, d.cols, d.rids, d.rows = t, id, cols, rids, 0
+	d.t, d.ids, d.cols, d.rids, d.limit, d.pages, d.rows = t, ids, cols, rids, limit, 0, 0
 	t.mu.RLock()
-	err := t.pool.View(id, d.view)
+	err = t.pool.View(ids, d.view)
 	t.mu.RUnlock()
-	n := d.rows
-	d.t, d.cols, d.rids = nil, nil, nil
+	pages, rows = d.pages, d.rows
+	d.t, d.ids, d.cols, d.rids = nil, nil, nil, nil
 	decoders.Put(d)
-	if err != nil {
-		return 0, err
+	if err == errLimit {
+		err = nil
 	}
-	return n, nil
+	return pages, rows, err
 }
 
-// DecodeRecords is DecodePage for the records ids names, in that order:
-// each run of consecutive ids on one page shares one pin, and a record
-// deleted since its id was read is skipped. It checks each page's header
-// and the TEXT references of the records it reads.
+// DecodeRecords is DecodePages for the records ids names, in that
+// order: it takes the table's read lock once, each run of consecutive
+// ids on one page shares one pin, and a record deleted since its id was
+// read is skipped. It checks each page's header and the TEXT references
+// it reads.
 func (t *Table) DecodeRecords(ids []storage.RecordID, cols []*Vector, rids *[]storage.RecordID) (int, error) {
 	if err := t.checkCols(cols); err != nil {
 		return 0, err
@@ -108,42 +114,53 @@ func (t *Table) DecodeRecords(ids []storage.RecordID, cols []*Vector, rids *[]st
 	t.grow(cols, rids, len(ids))
 	d := decoders.Get().(*pageDecoder)
 	defer decoders.Put(d)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	n := 0
 	for i := 0; i < len(ids); {
 		page, j := ids[i].Page, i+1
 		for j < len(ids) && ids[j].Page == page {
 			j++
 		}
-		err := t.onPage(page, func(b []byte) error {
-			p, err := t.layout.open(b, page)
-			if err != nil {
-				return err
-			}
-			slots := d.slots[:0]
-			for _, rid := range ids[i:j] {
-				switch {
-				case rid.Slot < 0:
-					return fmt.Errorf("catalog: page %d: slot %d out of range", page, rid.Slot)
-				case rid.Slot < p.n && !p.dead(rid.Slot):
-					slots = append(slots, int32(rid.Slot))
-				}
-			}
-			d.slots = slots
-			if len(slots) == 0 {
-				return nil
-			}
-			if err := p.checkText(page, slots); err != nil {
-				return err
-			}
-			n += p.decode(cols, slots, page, rids)
-			return nil
-		})
+		p, err := t.pool.Fetch(page)
+		if err != nil {
+			return n, err
+		}
+		m, err := t.decodeRecords(p.Data[:], ids[i:j], cols, rids, &d.slots)
+		if uerr := t.pool.Unpin(page, false); err == nil {
+			err = uerr
+		}
+		n += m
 		if err != nil {
 			return n, err
 		}
 		i = j
 	}
 	return n, nil
+}
+
+// decodeRecords decodes the records ids names, all on page b, skipping
+// the dead ones; slots is scratch.
+func (t *Table) decodeRecords(b []byte, ids []storage.RecordID, cols []*Vector, rids *[]storage.RecordID, slots *[]int32) (int, error) {
+	page := ids[0].Page
+	p, err := t.layout.open(b, page)
+	if err != nil {
+		return 0, err
+	}
+	live := (*slots)[:0]
+	for _, rid := range ids {
+		switch {
+		case rid.Slot < 0:
+			return 0, fmt.Errorf("catalog: page %d: slot %d out of range", page, rid.Slot)
+		case rid.Slot < p.n && !p.dead(rid.Slot):
+			live = append(live, int32(rid.Slot))
+		}
+	}
+	*slots = live
+	if len(live) == 0 {
+		return 0, nil
+	}
+	return p.decode(cols, live, page, rids)
 }
 
 func (t *Table) checkCols(cols []*Vector) error {
@@ -173,17 +190,19 @@ func (t *Table) grow(cols []*Vector, rids *[]storage.RecordID, n int) {
 	}
 }
 
-// pageDecoder is the scratch of one decode, pooled so that decoding a
-// page allocates nothing: slots holds the slots to read when they are
-// not every slot in use. The other fields carry DecodePage's arguments
-// to page, which view holds bound once, so the callback View takes
-// costs no allocation per page.
+// pageDecoder is the scratch of one decode, pooled so that decoding
+// pages allocates nothing: slots holds the slots to read when they are
+// not every slot in use. The other fields carry DecodePages' arguments
+// and progress to page, which view holds bound once, so the callback
+// View takes costs no allocation.
 type pageDecoder struct {
 	slots []int32
 	t     *Table
-	id    storage.PageID
+	ids   []storage.PageID
 	cols  []*Vector
 	rids  *[]storage.RecordID
+	limit int
+	pages int // how many of ids page has read
 	rows  int
 	view  func(b []byte) error
 }
@@ -194,23 +213,28 @@ var decoders = sync.Pool{New: func() any {
 	return d
 }}
 
-// page decodes page d.id's bytes b for DecodePage.
+// errLimit stops a View once DecodePages has the rows it was asked for.
+var errLimit = errors.New("catalog: row limit reached")
+
+// page decodes the bytes b of page d.ids[d.pages] for DecodePages.
 func (d *pageDecoder) page(b []byte) error {
-	p, err := d.t.layout.open(b, d.id)
+	id := d.ids[d.pages]
+	p, err := d.t.layout.open(b, id)
 	if err != nil {
-		return err
-	}
-	if err := p.checkText(d.id, nil); err != nil {
 		return err
 	}
 	slots := p.live(d.slots)
 	if slots != nil {
 		d.slots = slots
-		if len(slots) == 0 {
-			return nil
-		}
 	}
-	d.rows = p.decode(d.cols, slots, d.id, d.rids)
+	n, err := p.decode(d.cols, slots, id, d.rids)
+	if err != nil {
+		return err
+	}
+	d.pages++
+	if d.rows += n; d.rows >= d.limit {
+		return errLimit
+	}
 	return nil
 }
 

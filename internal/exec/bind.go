@@ -751,23 +751,24 @@ func (p callPred) apply(c *Chunk, sel []int32) ([]int32, error) {
 // selectCmp narrows sel to the rows whose cell x satisfies `x op k`,
 // ordered as compare orders them (a NaN is neither below nor above k, so
 // it compares equal). One loop per operator keeps the test in the loop
-// a single comparison.
+// a single comparison. Every loop writes the row and advances j by the
+// test's outcome: the compiler turns the ordering tests into conditional
+// moves itself, and = and <> add two flags, so no loop branches on a
+// cell.
 func selectCmp[T, K int64 | float64](cells []T, k K, op cmpOp, sel []int32) []int32 {
 	j := 0
 	switch op {
 	case opEQ:
 		for _, r := range sel {
 			sel[j] = r
-			if x := K(cells[r]); !(x < k || x > k) {
-				j++
-			}
+			x := K(cells[r])
+			j += 1 ^ (b2i(x < k) | b2i(x > k))
 		}
 	case opNE:
 		for _, r := range sel {
 			sel[j] = r
-			if x := K(cells[r]); x < k || x > k {
-				j++
-			}
+			x := K(cells[r])
+			j += b2i(x < k) | b2i(x > k)
 		}
 	case opLT:
 		for _, r := range sel {
@@ -799,6 +800,14 @@ func selectCmp[T, K int64 | float64](cells []T, k K, op cmpOp, sel []int32) []in
 		}
 	}
 	return sel[:j]
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // cmpOp is a comparison operator as the set of compare results it

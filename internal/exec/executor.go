@@ -157,9 +157,9 @@ func IsCancellation(err error) bool {
 }
 
 // RunContext streams the plan's output into a materialized Result,
-// checking ctx cooperatively at every page and chunk boundary, so a
-// cancelled query stops within about one chunk of work per worker and
-// never returns a partial result. The returned error wraps ctx.Err() when the run was
+// checking ctx cooperatively before every decode call and at every
+// chunk boundary, so a cancelled query stops within about one chunk of
+// work per worker and never returns a partial result. The returned error wraps ctx.Err() when the run was
 // cancelled; cancel.requests counts such runs and cancel.latency_ns
 // observes the cancellation-observed-to-return teardown latency. On
 // any error every outstanding memory charge is refunded, so a shared

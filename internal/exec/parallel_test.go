@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"aidb/internal/catalog"
 	"aidb/internal/chaos"
@@ -653,5 +654,45 @@ func TestIndexScanBoundsResolveAtOpen(t *testing.T) {
 					tc.params, workers, len(res.Rows), fetched.Load(), tc.rows, tc.fetched)
 			}
 		}
+	}
+}
+
+// TestScanDoesNotHoldLatchAcrossEmit: a parallel scan whose consumer
+// takes one chunk and then stops pulling leaves its workers parked on
+// their next emits. None may hold the table's lock (or a buffer-pool
+// latch) there, or a writer of the table would wait on a consumer that
+// may be waiting on the writer: an insert into the scanned table must
+// finish while the scan stalls.
+func TestScanDoesNotHoldLatchAcrossEmit(t *testing.T) {
+	c := oneTableSetup(t, 20_000)
+	tab, err := c.Table("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := New(nil)
+	ex.Parallelism = 2
+	ex.MorselSize = 64
+	ctx := context.Background()
+	rc := &runCtx{ctx: ctx}
+	rc.pool.m = &ex.Obs
+	op, _, err := ex.compile(rc, mustPlan(t, c, "SELECT id, v FROM big"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	if _, ok, err := op.Next(ctx); err != nil || !ok {
+		t.Fatalf("first chunk: %v, %v", ok, err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- tab.InsertRows([]catalog.Row{{int64(-1), int64(0)}}, func(int, storage.RecordID) {})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an insert waited 10 s on a stalled scan: a scan worker holds the table's lock across an emit")
 	}
 }

@@ -277,17 +277,18 @@ func (k *chunkSink) rids() *[]storage.RecordID {
 	return &k.chunk().rids
 }
 
-// fill runs a source's morsel: decode(i) appends the rows of unit i (a
-// page, a batch of record ids) to the current chunk, which is flushed
-// whenever it holds limit rows, and at the end. The run's context is
-// checked before every unit.
-func (k *chunkSink) fill(units int, decode func(i int) (int, error)) error {
-	for i := 0; i < units; i++ {
+// fill runs a source's morsel: next(room) appends rows to the current
+// chunk — at most room, or at most one page's rows past it — and reports
+// whether the morsel is done. The chunk is flushed whenever it holds
+// limit rows, and at the end, never inside next, so a source holds no
+// latch across an emit. The run's context is checked before every call.
+func (k *chunkSink) fill(next func(room int) (n int, done bool, err error)) error {
+	for done := false; !done; {
 		err := k.s.rc.err()
 		if err == nil {
 			k.chunk()
 			var n int
-			if n, err = decode(i); err == nil {
+			if n, done, err = next(k.limit - k.cur.n); err == nil {
 				if k.cur.n += n; k.cur.n >= k.limit {
 					err = k.flush()
 				}
@@ -650,13 +651,18 @@ func (ex *Executor) compileScan(rc *runCtx, v *plan.ScanNode) (*morselStream, []
 	return s, kinds
 }
 
-// heapProduce is the produce function of a heap scan over morsels: each
-// page decodes straight into the current chunk's vectors.
+// heapProduce is the produce function of a heap scan over morsels: the
+// pages decode straight into the current chunk's vectors, as many per
+// table lock and buffer-pool View as the chunk has room for.
 func (s *morselStream) heapProduce(t *catalog.Table, morsels [][]storage.PageID, kinds []kind, rowIDs bool) func(m int, emit emitFn) error {
 	return func(m int, emit emitFn) error {
 		k := s.sink(emit, kinds, rowIDs)
 		pages := morsels[m]
-		return k.fill(len(pages), func(i int) (int, error) { return t.DecodePage(pages[i], k.dst, k.rids()) })
+		return k.fill(func(room int) (int, bool, error) {
+			read, n, err := t.DecodePages(pages, k.dst, k.rids(), room)
+			pages = pages[read:]
+			return n, len(pages) == 0, err
+		})
 	}
 }
 
@@ -686,9 +692,11 @@ func (ex *Executor) compileIndexScan(rc *runCtx, v *plan.IndexScanNode) (*morsel
 				return err
 			}
 			k := s.sink(emit, kinds, v.RowIDs)
-			return k.fill((len(rids)+k.limit-1)/k.limit, func(i int) (int, error) {
-				batch := rids[i*k.limit : min((i+1)*k.limit, len(rids))]
-				return v.Table.DecodeRecords(batch, k.dst, k.rids())
+			return k.fill(func(room int) (int, bool, error) {
+				batch := rids[:min(room, len(rids))]
+				rids = rids[len(batch):]
+				n, err := v.Table.DecodeRecords(batch, k.dst, k.rids())
+				return n, len(rids) == 0, err
 			})
 		}
 		return nil
@@ -722,14 +730,14 @@ func (ex *Executor) compileVirtualScan(rc *runCtx, v *plan.VirtualScanNode) (*mo
 	}
 	s.produce = func(m int, emit emitFn) error {
 		k := s.sink(emit, kinds, false)
-		return k.fill(1, func(int) (int, error) {
+		return k.fill(func(int) (int, bool, error) {
 			morsel := rows[bounds[m][0]:bounds[m][1]]
 			for _, row := range morsel {
 				for j, v := range k.cur.cols {
 					v.V = append(v.V, row[j])
 				}
 			}
-			return len(morsel), nil
+			return len(morsel), true, nil
 		})
 	}
 	return s, kinds

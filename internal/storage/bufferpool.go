@@ -109,33 +109,69 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	return p, nil
 }
 
-// View runs fn on page id's bytes, read-only, without making the page
-// resident. A resident page is pinned for fn as Fetch pins it (a hit);
-// any other the disk lends through its View, outside the pool mutex,
-// and it is never installed (a miss): the frames, their LRU order and
-// the eviction count are as they were. An in-memory disk lends its own
-// bytes, so a miss copies nothing; a file or chaos disk reads a copy.
-// fn must neither modify b nor keep it. The caller must keep writers of
-// id out until View returns (catalog holds the table's read lock, which
-// every heap-page write excludes): then a non-resident page's disk copy
-// is current, because frame writes a dirty page back before dropping it,
+// View runs fn on the bytes of each page ids names, in that order,
+// read-only, without making any page resident. The pages resident when
+// View starts are pinned for it under one hold of the pool mutex, as
+// Fetch pins them (hits); the disk lends every other through its View,
+// outside the mutex, and it is never installed (a miss): the frames,
+// their LRU order and the eviction count are as they were. An in-memory
+// disk lends its own bytes, so a miss copies nothing; a file or chaos
+// disk reads a copy. The pins are released under one more hold, and the
+// pages read are counted as hits and misses once per call. View stops at
+// the first error fn or the disk returns, and returns it. fn must
+// neither modify b nor keep it. The caller must keep writers of ids out
+// until View returns (catalog holds the table's read lock, which every
+// heap-page write excludes): then a non-resident page's disk copy is
+// current, because frame writes a dirty page back before dropping it,
 // and nothing writes it while fn reads.
-func (bp *BufferPool) View(id PageID, fn func(b []byte) error) error {
-	bp.mu.Lock()
-	if p, ok := bp.frames[id]; ok {
-		bp.Stats.Hits.Add(1)
-		p.pinCount++
-		bp.lru.MoveToFront(p.lru)
-		bp.mu.Unlock()
-		err := fn(p.Data[:])
-		bp.mu.Lock()
-		p.pinCount--
-		bp.mu.Unlock()
-		return err
+func (bp *BufferPool) View(ids []PageID, fn func(b []byte) error) error {
+	// A morsel's few pages fit on the stack; a longer list allocates once.
+	var buf [16]*Page
+	frames, pinned := buf[:0], false
+	if len(ids) > len(buf) {
+		frames = make([]*Page, 0, len(ids))
 	}
-	bp.Stats.Misses.Add(1)
+	bp.mu.Lock()
+	for _, id := range ids {
+		p := bp.frames[id]
+		if p != nil {
+			p.pinCount++
+			bp.lru.MoveToFront(p.lru)
+			pinned = true
+		}
+		frames = append(frames, p)
+	}
 	bp.mu.Unlock()
-	return bp.disk.View(id, fn)
+	var hits, misses uint64
+	var err error
+	for i, p := range frames {
+		if p != nil {
+			hits++
+			err = fn(p.Data[:])
+		} else {
+			misses++
+			err = bp.disk.View(ids[i], fn)
+		}
+		if err != nil {
+			break
+		}
+	}
+	if hits > 0 {
+		bp.Stats.Hits.Add(hits)
+	}
+	if misses > 0 {
+		bp.Stats.Misses.Add(misses)
+	}
+	if pinned {
+		bp.mu.Lock()
+		for _, p := range frames {
+			if p != nil {
+				p.pinCount--
+			}
+		}
+		bp.mu.Unlock()
+	}
+	return err
 }
 
 // Unpin releases one pin; dirty marks the page modified.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 // DiskManager persists pages. Implementations must be safe for concurrent
@@ -27,10 +28,13 @@ type DiskManager interface {
 }
 
 // MemDisk is an in-memory DiskManager used by tests and benchmarks.
-// Fault injection lives in ChaosDisk, not here.
+// Fault injection lives in ChaosDisk, not here. A page's bytes never
+// move, and Allocate publishes each new page list atomically as well, so
+// View reads a page without taking the mutex.
 type MemDisk struct {
 	mu    sync.Mutex
 	pages [][]byte
+	lent  atomic.Pointer[[][]byte] // pages, as View reads them
 }
 
 // NewMemDisk returns an empty in-memory disk.
@@ -41,7 +45,9 @@ func (d *MemDisk) Allocate() (PageID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.pages = append(d.pages, make([]byte, PageSize))
-	return PageID(len(d.pages) - 1), nil
+	pages := d.pages
+	d.lent.Store(&pages)
+	return PageID(len(pages) - 1), nil
 }
 
 // Read implements DiskManager.
@@ -58,14 +64,11 @@ func (d *MemDisk) Read(id PageID, buf []byte) error {
 // View implements DiskManager: fn reads the disk's own bytes, which no
 // Write changes while the caller keeps writers of id out.
 func (d *MemDisk) View(id PageID, fn func(b []byte) error) error {
-	d.mu.Lock()
-	if int(id) >= len(d.pages) {
-		d.mu.Unlock()
+	pages := d.lent.Load()
+	if pages == nil || int(id) >= len(*pages) {
 		return fmt.Errorf("storage: read of unallocated page %d", id)
 	}
-	b := d.pages[id]
-	d.mu.Unlock()
-	return fn(b)
+	return fn((*pages)[id])
 }
 
 // Write implements DiskManager.

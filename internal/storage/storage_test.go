@@ -231,21 +231,20 @@ func TestViewReadsPastThePool(t *testing.T) {
 	fetchHot()
 	resident, before := bp.Resident(), bp.Stats.Snapshot()
 	// One callback serves the whole scan, so what the scan allocates is
-	// the pool's and the disk's doing, not the closure's.
-	var want byte
-	var id PageID
+	// the pool's and the disk's doing, not the closure's. The scan is
+	// one View over the list, resident and lent pages mixed.
+	var i int
 	read := func(b []byte) error {
-		if len(b) != PageSize || b[0] != want {
-			t.Fatalf("page %d read as %d bytes starting %d, want %d", id, len(b), b[0], want)
+		if len(b) != PageSize || b[0] != byte(i) {
+			t.Fatalf("page %d read as %d bytes starting %d, want %d", scanned[i], len(b), b[0], i)
 		}
+		i++
 		return nil
 	}
 	scan := func() {
-		for i := range scanned {
-			id, want = scanned[i], byte(i)
-			if err := bp.View(id, read); err != nil {
-				t.Fatal(err)
-			}
+		i = 0
+		if err := bp.View(scanned, read); err != nil || i != len(scanned) {
+			t.Fatalf("View read %d of %d pages: %v", i, len(scanned), err)
 		}
 	}
 	scan()
@@ -272,6 +271,51 @@ func TestViewReadsPastThePool(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, scan); allocs > 1 {
 		t.Errorf("%.1f allocations per %d-page scan, want ~0", allocs, 2*frames)
+	}
+}
+
+// TestViewStopsAndReleasesPins: View stops at the first error its
+// callback returns, counts only the pages it read, and releases the pin
+// of every resident page in the list, read or not, so the frames can be
+// evicted afterwards.
+func TestViewStopsAndReleasesPins(t *testing.T) {
+	bp := mustPool(t, NewMemDisk(), 2)
+	var ids []PageID
+	for i := 0; i < 3; i++ {
+		p, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, p.ID)
+		if err := bp.Unpin(p.ID, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// ids[0] was evicted by ids[2]; the list is lent, resident, resident.
+	stop := errors.New("stop")
+	calls := 0
+	before := bp.Stats.Snapshot()
+	err := bp.View([]PageID{ids[0], ids[1], ids[2]}, func([]byte) error {
+		if calls++; calls == 2 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || calls != 2 {
+		t.Fatalf("View returned %v after %d calls, want the callback's error after 2", err, calls)
+	}
+	after := bp.Stats.Snapshot()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 1 || misses != 1 {
+		t.Errorf("%d hits and %d misses, want 1 and 1", hits, misses)
+	}
+	for i := 0; i < 2; i++ {
+		p, err := bp.NewPage()
+		if err != nil {
+			t.Fatalf("a frame stayed pinned after View: %v", err)
+		}
+		if err := bp.Unpin(p.ID, false); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
