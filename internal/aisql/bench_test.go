@@ -108,12 +108,13 @@ func BenchmarkPredictInSQL(b *testing.B) {
 
 // BenchmarkPredictColumns times PREDICT's chunk form alone: one
 // executor chunk (exec.DefaultMorselRows rows) of two feature columns,
-// as the analytic PREDICT count hands it over, per model kind.
+// as the analytic PREDICT count hands it over, per model kind, and a
+// logistic model over 100 000 rows.
 func BenchmarkPredictColumns(b *testing.B) {
-	for _, kind := range []ModelKind{Logistic, Linear, Tree} {
-		b.Run([]string{"logistic", "linear", "tree"}[kind], func(b *testing.B) {
+	run := func(name string, kind ModelKind, rows int) {
+		b.Run(name, func(b *testing.B) {
 			m := trainedModel(b, kind, 2)
-			cols, out := featureColumns(ml.NewRNG(5), 2, exec.DefaultMorselRows), make([]float64, exec.DefaultMorselRows)
+			cols, out := featureColumns(ml.NewRNG(5), 2, rows), make([]float64, rows)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -121,9 +122,15 @@ func BenchmarkPredictColumns(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/exec.DefaultMorselRows, "ns/row")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 		})
 	}
+	for _, kind := range []ModelKind{Logistic, Linear, Tree} {
+		run([]string{"logistic", "linear", "tree"}[kind], kind, exec.DefaultMorselRows)
+	}
+	// 100 000 random rows, whose logits' signs a branch predictor cannot
+	// learn as it learns one chunk's run repeated.
+	run("logistic-100k", Logistic, 100000)
 }
 
 // The prepared point statements of a key-value workload (the load

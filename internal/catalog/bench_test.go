@@ -108,3 +108,108 @@ func BenchmarkDecodePage(b *testing.B) {
 		})
 	}
 }
+
+// mix is splitmix64's finalizer, for the write benchmarks' values.
+func mix(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return x ^ x>>31
+}
+
+// account is row id of a table shaped like the load harness's accounts
+// (id INT, owner TEXT, balance INT): 977 owners of two to four bytes,
+// about 160 of them on a page.
+func account(id, version uint64) Row {
+	return Row{int64(id), fmt.Sprint("o", mix(id*0x9E3779B97F4A7C15)%977), int64(mix(id^version<<40) % 10000)}
+}
+
+// BenchmarkWrite times the heap's write path. load/users and
+// load/accounts insert a table in 500-row InsertRows calls, as a
+// script's INSERT ... VALUES statements do: users is BenchmarkDecodePage's
+// table, its TEXT eight cities, and accounts' TEXT is 977 owners. dml
+// runs, on a 20 000-row accounts table, the writes of the load harness's
+// mixed_rw workload in its proportions — an UPDATE (DeleteIf, then
+// Insert of the changed row), then an INSERT and a DELETE, of random
+// rows — and reports ns per statement.
+func BenchmarkWrite(b *testing.B) {
+	accounts := Schema{Columns: []Column{{Name: "id", Type: Int64}, {Name: "owner", Type: String}, {Name: "balance", Type: Int64}}}
+	load := func(b *testing.B, schema Schema, rows int, row func(i uint64) Row) {
+		batch := make([]Row, 0, 500)
+		for i := 0; i < b.N; i++ {
+			tab, err := NewMem().CreateTable("t", schema)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for j := 0; j < rows; j++ {
+				if batch = append(batch, row(uint64(j))); len(batch) == cap(batch) || j == rows-1 {
+					if err := tab.InsertRows(batch, func(int, storage.RecordID) {}); err != nil {
+						b.Fatal(err)
+					}
+					batch = batch[:0]
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
+	}
+	b.Run("load/users", func(b *testing.B) {
+		cities := []string{"ams", "ber", "cph", "dub", "edi", "fra", "gva", "hel"}
+		load(b, Schema{Columns: []Column{
+			{Name: "id", Type: Int64}, {Name: "age", Type: Int64}, {Name: "city", Type: String},
+			{Name: "score", Type: Float64}, {Name: "churned", Type: Int64},
+		}}, 100000, func(i uint64) Row {
+			x := i * 0x9E3779B97F4A7C15
+			return Row{int64(i), int64(18 + x%60), cities[x>>8%8], float64(x>>16%10000) / 100, int64(x >> 32 % 2)}
+		})
+	})
+	b.Run("load/accounts", func(b *testing.B) {
+		load(b, accounts, 20000, func(i uint64) Row { return account(i, 0) })
+	})
+	b.Run("dml", func(b *testing.B) {
+		tab, err := NewMem().CreateTable("accounts", accounts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		type live struct {
+			rid storage.RecordID
+			row Row
+		}
+		var rows []live
+		insert := func(row Row) {
+			rid, err := tab.Insert(row)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows = append(rows, live{rid, row})
+		}
+		for id := uint64(0); id < 20000; id++ {
+			insert(account(id, 0))
+		}
+		next, r := uint64(20000), uint64(1)
+		pick := func() int { r++; return int(mix(r) % uint64(len(rows))) }
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			switch i % 4 {
+			case 0, 1: // UPDATE accounts SET balance = ... WHERE id = ...
+				k := pick()
+				old := rows[k]
+				if err := tab.DeleteIf(old.rid, old.row); err != nil {
+					b.Fatal(err)
+				}
+				rows[k] = rows[len(rows)-1]
+				rows = rows[:len(rows)-1]
+				insert(account(uint64(old.row[0].(int64)), uint64(i)))
+			case 2: // INSERT
+				insert(account(next, 0))
+				next++
+			default: // DELETE
+				k := pick()
+				if err := tab.Delete(rows[k].rid); err != nil {
+					b.Fatal(err)
+				}
+				rows[k] = rows[len(rows)-1]
+				rows = rows[:len(rows)-1]
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/stmt")
+	})
+}

@@ -248,6 +248,11 @@ func (t *Table) InsertRows(rows []Row, each func(i int, rid storage.RecordID)) e
 		}
 	}
 	w := heapWriter{t: t}
+	if len(rows) > 1 {
+		w.last.ix, w.hole.ix = newDictIndex(), newDictIndex()
+		defer w.last.ix.free()
+		defer w.hole.ix.free()
+	}
 	for i, row := range rows {
 		rid, err := w.put(row)
 		if err != nil {
@@ -268,10 +273,14 @@ type heapWriter struct {
 	last, hole pinned
 }
 
-// pinned is a page a heapWriter holds pinned; dirty once written.
+// pinned is a page a heapWriter holds pinned; dirty once written. ix,
+// when set, indexes the page's dictionary: a writer of more than one row
+// keeps one per page, where looking a string up entry by entry would
+// cost each row the page's distinct strings.
 type pinned struct {
 	p     *storage.Page
 	dirty bool
+	ix    *dictIndex
 }
 
 // put writes row where Insert's order puts it and returns its record id.
@@ -297,7 +306,7 @@ func (w *heapWriter) put(row Row) (storage.RecordID, error) {
 		return storage.RecordID{}, err
 	}
 	t.pages = append(t.pages, p.ID)
-	w.last = pinned{p: p, dirty: true}
+	w.last.p, w.last.dirty = p, true
 	return w.try(&w.last, p.ID, row)
 }
 
@@ -314,7 +323,7 @@ func (w *heapWriter) try(s *pinned, id storage.PageID, row Row) (storage.RecordI
 		}
 		s.p = p
 	}
-	slot, err := w.t.layout.insert(s.p.Data[:], id, row)
+	slot, err := w.t.layout.insert(s.p.Data[:], id, row, s.ix)
 	if err != nil {
 		return storage.RecordID{}, err
 	}
@@ -329,7 +338,7 @@ func (w *heapWriter) release(s *pinned) error {
 		return nil
 	}
 	err := w.t.pool.Unpin(s.p.ID, s.dirty)
-	*s = pinned{}
+	s.p, s.dirty = nil, false
 	return err
 }
 

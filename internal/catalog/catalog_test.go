@@ -79,7 +79,7 @@ func placeOneAtATime(t *Table, row Row) (storage.RecordID, error) {
 		if err != nil {
 			return storage.RecordID{}, err
 		}
-		slot, ierr := t.layout.insert(p.Data[:], id, row)
+		slot, ierr := t.layout.insert(p.Data[:], id, row, nil)
 		if err := t.pool.Unpin(id, ierr == nil); err != nil {
 			return storage.RecordID{}, err
 		}
@@ -114,76 +114,113 @@ func placeOneAtATime(t *Table, row Row) (storage.RecordID, error) {
 // TestInsertRowsPlacesLikeOneAtATime: batches of rows of many sizes,
 // with deletes between them that leave holes on every page, land where
 // storing their rows one at a time would put them, and the pages end up
-// byte for byte alike.
+// byte for byte alike: with one TEXT column of strings of one byte
+// repeated, and with two TEXT columns sharing values — empty strings and
+// strings that are prefixes of others among them — so rows reuse entries
+// their own other column or earlier rows added.
 func TestInsertRowsPlacesLikeOneAtATime(t *testing.T) {
-	bulk, _ := NewMem().CreateTable("t", testSchema())
-	single, _ := NewMem().CreateTable("t", testSchema())
-	r := rand.New(rand.NewSource(26))
-	reused := 0
-	for round := 0; round < 12; round++ {
-		rows := make([]Row, 1+r.Intn(300))
-		for i := range rows {
-			rows[i] = Row{int64(i), float64(round), strings.Repeat("n", r.Intn(90))}
-		}
-		var got, want []storage.RecordID
-		if err := bulk.InsertRows(rows, func(i int, rid storage.RecordID) {
-			if i != len(got) {
-				t.Fatalf("row %d reported as row %d", len(got), i)
+	twoText := Schema{Columns: []Column{
+		{Name: "id", Type: Int64}, {Name: "a", Type: String}, {Name: "b", Type: String},
+	}}
+	words := []string{"", "a", "ab", "abc", "abcd", "b", "ba", "bab", "x"}
+	for _, c := range []struct {
+		name   string
+		schema Schema
+		row    func(r *rand.Rand, round, i int) Row
+	}{
+		{"one-text", testSchema(), func(r *rand.Rand, round, i int) Row {
+			return Row{int64(i), float64(round), strings.Repeat("n", r.Intn(90))}
+		}},
+		{"two-text", twoText, func(r *rand.Rand, round, i int) Row {
+			word := func() string {
+				if r.Intn(4) == 0 { // a string of its own, a prefix of a word or not
+					return words[r.Intn(len(words))] + fmt.Sprint(r.Intn(1000))
+				}
+				return words[r.Intn(len(words))]
 			}
-			got = append(got, rid)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for _, row := range rows {
-			rid, err := placeOneAtATime(single, row)
-			if err != nil {
-				t.Fatal(err)
+			a := word()
+			b := a
+			if r.Intn(2) == 0 {
+				b = word()
 			}
-			want = append(want, rid)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("round %d: InsertRows placed rows at %v, one at a time at %v", round, got, want)
-		}
-		for _, rid := range got {
-			if rid.Page != bulk.pages[len(bulk.pages)-1] {
-				reused++
-			}
-		}
-		var live []storage.RecordID
-		if _, _, err := bulk.DecodePages(bulk.PageIDs(), make([]*Vector, 3), &live, math.MaxInt); err != nil {
-			t.Fatal(err)
-		}
-		for _, rid := range live {
-			if r.Intn(3) == 0 {
-				if err := bulk.Delete(rid); err != nil {
+			return Row{int64(i), a, b}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bulk, _ := NewMem().CreateTable("t", c.schema)
+			single, _ := NewMem().CreateTable("t", c.schema)
+			r := rand.New(rand.NewSource(26))
+			reused := 0
+			for round := 0; round < 12; round++ {
+				rows := make([]Row, 1+r.Intn(300))
+				for i := range rows {
+					rows[i] = c.row(r, round, i)
+				}
+				var got, want []storage.RecordID
+				if err := bulk.InsertRows(rows, func(i int, rid storage.RecordID) {
+					if i != len(got) {
+						t.Fatalf("row %d reported as row %d", len(got), i)
+					}
+					got = append(got, rid)
+				}); err != nil {
 					t.Fatal(err)
 				}
-				if err := single.Delete(rid); err != nil {
+				for _, row := range rows {
+					rid, err := placeOneAtATime(single, row)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, rid)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("round %d: InsertRows placed rows at %v, one at a time at %v", round, got, want)
+				}
+				for _, rid := range got {
+					if rid.Page != bulk.pages[len(bulk.pages)-1] {
+						reused++
+					}
+				}
+				var live []storage.RecordID
+				if _, _, err := bulk.DecodePages(bulk.PageIDs(), make([]*Vector, 3), &live, math.MaxInt); err != nil {
 					t.Fatal(err)
 				}
+				for _, rid := range live {
+					if r.Intn(3) == 0 {
+						if err := bulk.Delete(rid); err != nil {
+							t.Fatal(err)
+						}
+						if err := single.Delete(rid); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
 			}
-		}
-	}
-	if !slices.Equal(bulk.pages, single.pages) || !slices.Equal(bulk.holes, single.holes) || bulk.rows != single.rows {
-		t.Fatalf("pages %v holes %v rows %d, one at a time: pages %v holes %v rows %d", bulk.pages, bulk.holes, bulk.rows, single.pages, single.holes, single.rows)
-	}
-	for _, id := range bulk.pages {
-		a, err := bulk.pool.Fetch(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := single.pool.Fetch(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Data != b.Data {
-			t.Errorf("page %d differs", id)
-		}
-		bulk.pool.Unpin(id, false)
-		single.pool.Unpin(id, false)
-	}
-	if reused < 100 {
-		t.Errorf("weak coverage: %d rows landed before the last page", reused)
+			if !slices.Equal(bulk.pages, single.pages) || !slices.Equal(bulk.holes, single.holes) || bulk.rows != single.rows {
+				t.Fatalf("pages %v holes %v rows %d, one at a time: pages %v holes %v rows %d", bulk.pages, bulk.holes, bulk.rows, single.pages, single.holes, single.rows)
+			}
+			for _, id := range bulk.pages {
+				a, err := bulk.pool.Fetch(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := single.pool.Fetch(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a.Data != b.Data {
+					t.Errorf("page %d differs", id)
+				}
+				bulk.pool.Unpin(id, false)
+				single.pool.Unpin(id, false)
+			}
+			if reused < 100 {
+				t.Errorf("weak coverage: %d rows landed before the last page", reused)
+			}
+			rows, err := bulk.AllRows()
+			if err != nil || len(rows) != bulk.rows {
+				t.Fatalf("%d rows read back of %d: %v", len(rows), bulk.rows, err)
+			}
+		})
 	}
 }
 
@@ -345,59 +382,76 @@ func TestChurnDoesNotGrowTable(t *testing.T) {
 // its TEXT column alternately long and short, must keep the table
 // within twice the pages a fresh load of the long rows takes. An update
 // deletes a row and inserts its new version, so a page must take a long
-// row into the bytes short dead rows left, once it has lost enough.
+// row into the bytes short dead rows left, once it has lost enough. With
+// one string per round, a page's dictionary holds it once; with a string
+// of its own per row and round, every update leaves a dead entry behind,
+// which only laying the page out again reclaims.
 func TestChurnDoesNotGrow(t *testing.T) {
 	schema := Schema{Columns: []Column{{Name: "id", Type: Int64}, {Name: "s", Type: String}}}
-	load := func(s string) *Table {
-		tab, _ := NewMem().CreateTable("t", schema)
-		for i := 0; i < 1000; i++ {
-			if _, err := tab.Insert(Row{int64(i), s}); err != nil {
-				t.Fatal(err)
+	for _, distinct := range []bool{false, true} {
+		t.Run(map[bool]string{false: "one-string", true: "distinct-strings"}[distinct], func(t *testing.T) {
+			// text is row id's string in round: 100 bytes when long, else 10.
+			text := func(round int, id int64, long bool) string {
+				s := strings.Repeat("s", 10)
+				if long {
+					s = strings.Repeat("l", 100)
+				}
+				if distinct {
+					tag := fmt.Sprintf("%d.%d.", round, id)
+					s = tag + s[len(tag):]
+				}
+				return s
 			}
-		}
-		return tab
-	}
-	long, short := strings.Repeat("l", 100), strings.Repeat("s", 10)
-	fresh := len(load(long).PageIDs())
-	tab := load(short)
-	for round := 0; round < 40; round++ {
-		s := long
-		if round%2 == 1 {
-			s = short
-		}
-		type change struct {
-			rid storage.RecordID
-			old Row
-		}
-		var changes []change
-		if err := tab.Scan(func(rid storage.RecordID, r Row) bool {
-			changes = append(changes, change{rid, r})
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range changes {
-			if err := tab.DeleteIf(c.rid, c.old); err != nil {
-				t.Fatal(err)
+			load := func(long bool) *Table {
+				tab, _ := NewMem().CreateTable("t", schema)
+				for i := int64(0); i < 1000; i++ {
+					if _, err := tab.Insert(Row{i, text(-1, i, long)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return tab
 			}
-			if _, err := tab.Insert(Row{c.old[0], s}); err != nil {
-				t.Fatal(err)
+			fresh := len(load(true).PageIDs())
+			tab := load(false)
+			const rounds = 40
+			for round := 0; round < rounds; round++ {
+				type change struct {
+					rid storage.RecordID
+					old Row
+				}
+				var changes []change
+				if err := tab.Scan(func(rid storage.RecordID, r Row) bool {
+					changes = append(changes, change{rid, r})
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range changes {
+					if err := tab.DeleteIf(c.rid, c.old); err != nil {
+						t.Fatal(err)
+					}
+					id := c.old[0].(int64)
+					if _, err := tab.Insert(Row{id, text(round, id, round%2 == 0)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := len(tab.PageIDs()); got > 2*fresh {
+					t.Fatalf("round %d: %d pages, a fresh load of the long rows takes %d", round, got, fresh)
+				}
 			}
-		}
-		if got := len(tab.PageIDs()); got > 2*fresh {
-			t.Fatalf("round %d: %d pages, a fresh load of the long rows takes %d", round, got, fresh)
-		}
-	}
-	rows, err := tab.AllRows()
-	if err != nil || len(rows) != 1000 || tab.NumRows() != 1000 {
-		t.Fatalf("%d rows read (%v), NumRows %d, want 1000", len(rows), err, tab.NumRows())
-	}
-	seen := map[int64]bool{}
-	for _, r := range rows {
-		if r[1] != short || seen[r[0].(int64)] {
-			t.Fatalf("row %v after the last round", r)
-		}
-		seen[r[0].(int64)] = true
+			rows, err := tab.AllRows()
+			if err != nil || len(rows) != 1000 || tab.NumRows() != 1000 {
+				t.Fatalf("%d rows read (%v), NumRows %d, want 1000", len(rows), err, tab.NumRows())
+			}
+			seen := map[int64]bool{}
+			for _, r := range rows {
+				id := r[0].(int64)
+				if r[1] != text(rounds-1, id, false) || seen[id] {
+					t.Fatalf("row %v after the last round", r)
+				}
+				seen[id] = true
+			}
+		})
 	}
 }
 
@@ -431,7 +485,7 @@ func TestRowRoundTripProperty(t *testing.T) {
 			name = name[:1000]
 		}
 		var b [storage.PageSize]byte
-		if _, err := newPageLayout(&schema).insert(b[:], 0, Row{id, score, name}); err != nil {
+		if _, err := newPageLayout(&schema).insert(b[:], 0, Row{id, score, name}, nil); err != nil {
 			return false
 		}
 		var v [3]Vector
@@ -451,28 +505,32 @@ func decodeBytes(schema *Schema, b []byte, cols []*Vector) error {
 	return d.page(b)
 }
 
-// TestDecodeTruncated: a page whose column areas run into its TEXT bytes
-// — too great a capacity or TEXT byte count — or whose slot count passes
-// its capacity fails to decode whichever columns are read; one whose
-// TEXT reference runs past the page or below the TEXT bytes fails when
-// the TEXT column is read and decodes when it is not; with the TEXT
-// column first, in the middle or last.
+// TestDecodeTruncated: a page whose column areas or dictionary entries
+// run past its end — too great a capacity or entry count — or whose slot
+// count passes its capacity fails to decode whichever columns are read.
+// One with a code past the dictionary, an entry out of order, past the
+// page or below the dictionary's end, or an entry count that runs the
+// entries into the strings, fails when the TEXT column is read, by page
+// or slot by slot, and decodes when it is not; with the TEXT column
+// first, in the middle or last.
 func TestDecodeTruncated(t *testing.T) {
 	for _, types := range [][]ColType{{Int64, Float64, String}, {String, Int64, Float64}, {Int64, String, Float64}} {
 		schema := Schema{Columns: make([]Column, len(types))}
-		row := make(Row, len(types))
 		textCol := 0
 		for i, typ := range types {
 			schema.Columns[i] = Column{Name: fmt.Sprint("c", i), Type: typ}
-			row[i] = map[ColType]Value{Int64: int64(1), Float64: 2.0, String: "hello"}[typ]
 			if typ == String {
 				textCol = i
 			}
 		}
 		l := newPageLayout(&schema)
 		var good [storage.PageSize]byte
-		for i := 0; i < 3; i++ {
-			if _, err := l.insert(good[:], 0, row); err != nil {
+		for _, s := range []string{"hello", "hi", "hey"} {
+			row := make(Row, len(types))
+			for i, typ := range types {
+				row[i] = map[ColType]Value{Int64: int64(1), Float64: 2.0, String: s}[typ]
+			}
+			if _, err := l.insert(good[:], 0, row, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -480,28 +538,34 @@ func TestDecodeTruncated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if p.k != 3 {
+			t.Fatalf("%v: %d dictionary entries, want 3", types, p.k)
+		}
 		put := func(b []byte, at, v int) { binary.LittleEndian.PutUint16(b[at:], uint16(v)) }
-		ref := p.area(textCol) + 4 // slot 1's reference
-		off := int(binary.LittleEndian.Uint16(good[ref:]))
+		entry := func(i int) int { return p.dict + 2*i }
 		var cuts []func(b []byte)
 		for c := p.cap + 1; c < p.cap+40; c++ {
-			if l.areasEnd(c) > p.text {
+			if l.areasEnd(c)+2*p.k > storage.PageSize {
 				cuts = append(cuts, func(b []byte) { put(b, 2, c) })
 			}
 		}
-		for text := storage.PageSize - l.areasEnd(p.cap) + 1; text < 1<<16; text += 997 {
-			cuts = append(cuts, func(b []byte) { put(b, 4, text) })
+		for k := (storage.PageSize-p.dict)/2 + 1; k < 1<<16; k += 997 {
+			cuts = append(cuts, func(b []byte) { put(b, 4, k) })
 		}
 		cuts = append(cuts,
 			func(b []byte) { put(b, 0, p.cap+1) },
 			func(b []byte) { put(b, 2, 1<<16-1) })
-		// The header cuts fail whatever is read; the reference cuts only
+		// The header cuts fail whatever is read; the dictionary cuts only
 		// a read of the TEXT column.
 		headerCuts := len(cuts)
 		cuts = append(cuts,
-			func(b []byte) { put(b, ref, p.text-1) },
-			func(b []byte) { put(b, ref, storage.PageSize-2) },
-			func(b []byte) { put(b, ref+2, storage.PageSize-off+1) })
+			func(b []byte) { put(b, p.area(textCol)+2, p.k) },       // slot 1's code
+			func(b []byte) { put(b, p.area(textCol)+2, 1<<16-1) },   // slot 1's code
+			func(b []byte) { put(b, entry(1), p.at(0)+1) },          // above the entry before it
+			func(b []byte) { put(b, entry(1), p.at(2)-1) },          // below the entry after it
+			func(b []byte) { put(b, entry(0), storage.PageSize+1) }, // past the page
+			func(b []byte) { put(b, entry(2), p.dict+2*p.k-1) },     // below the dictionary's end
+			func(b []byte) { put(b, 4, (p.at(2)-p.dict)/2+1) })      // entries into the strings
 		for i, cut := range cuts {
 			b := good
 			cut(b[:])
@@ -512,13 +576,50 @@ func TestDecodeTruncated(t *testing.T) {
 						cols[i] = &Vector{}
 					}
 				}
+				fail := i < headerCuts || mask&(1<<textCol) != 0
 				err := decodeBytes(&schema, b[:], cols)
-				if fail := i < headerCuts || mask&(1<<textCol) != 0; fail && err == nil {
+				if fail && err == nil {
 					t.Fatalf("%v: decode of cut %d reading columns %03b should fail", types, i, mask)
 				} else if !fail && err != nil {
 					t.Fatalf("%v: decode of cut %d reading columns %03b, which steps over the cut: %v", types, i, mask, err)
 				}
+				if i < headerCuts {
+					continue
+				}
+				// Slot by slot, as DecodeRecords reads: each cut damages
+				// what one of the slots reads.
+				q, err := l.open(b[:], 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := q.decode(cols, []int32{0, 1, 2}, 0, nil, false); fail && err == nil {
+					t.Fatalf("%v: slot decode of cut %d reading columns %03b should fail", types, i, mask)
+				} else if !fail && err != nil {
+					t.Fatalf("%v: slot decode of cut %d reading columns %03b: %v", types, i, mask, err)
+				}
 			}
+		}
+		// Entries 0 and 1 past the page, in order: slot 2's string, whose
+		// entry is intact, would end past the page. Slot 2 is read alone,
+		// by decode and by holds, as DecodeRecords and DeleteIf read it.
+		b := good
+		put(b[:], entry(0), 1<<16-1)
+		put(b[:], entry(1), 1<<16-1)
+		q, err := l.open(b[:], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := make([]*Vector, 3)
+		cols[textCol] = &Vector{}
+		if _, err := q.decode(cols, []int32{2}, 0, nil, false); err == nil {
+			t.Fatalf("%v: slot 2's decode past the page should fail", types)
+		}
+		row := make(Row, len(types))
+		for i, typ := range types {
+			row[i] = map[ColType]Value{Int64: int64(1), Float64: 2.0, String: "hey"}[typ]
+		}
+		if _, err := q.holds(0, 2, row); err == nil {
+			t.Fatalf("%v: holds of slot 2 past the page should fail", types)
 		}
 		var v [3]Vector
 		if err := decodeBytes(&schema, good[:], []*Vector{&v[0], &v[1], &v[2]}); err != nil || len(v[textCol].S) != 3 {

@@ -16,16 +16,18 @@ import (
 // strings over 1 KB among them), deletes, and replacements whose strings
 // alternate long and short, as an UPDATE churning a TEXT column writes
 // them, so later inserts reuse dead slots, pages lay themselves out
-// again and their dead TEXT bytes are compacted — over a buffer pool of
+// again and their dictionaries drop dead entries — over a buffer pool of
 // four frames, so most pages are read past the pool. For every subset
 // of the columns, DecodePages (in batches that mix resident and lent
 // pages, stopped early by row limits), DecodeRecords and Get must agree
 // cell for cell with what was written, record ids and their order
-// included. Then one page is corrupted — a TEXT reference below the
-// TEXT bytes or past the page, a slot count past the capacity or column
-// areas past the TEXT bytes — and a reader must return an error, never
-// panic, exactly when it reads the damage; every other read returns
-// what was written.
+// included. Then one page is corrupted — a TEXT code past the
+// dictionary, a dictionary entry out of order or past the page, two
+// neighbouring entries past the page, an entry count that runs the
+// entries into the strings, a slot count past the
+// capacity or column areas past the page — and a reader must return an
+// error, never panic, when it reads the damage; every read that succeeds
+// returns what was written.
 func FuzzDecodePage(f *testing.F) {
 	// The first byte sets the column count, one byte per column its
 	// type (0 INT, 1 FLOAT, 2 TEXT); then each byte is a burst of up to
@@ -112,6 +114,15 @@ func (in *fuzzInput) byte() byte {
 	c := in.b[0]
 	in.b = in.b[1:]
 	return c
+}
+
+// pick returns a number below n: from the fuzzer's next byte, or, once
+// they run out, from the stream, so every choice is still made.
+func (in *fuzzInput) pick(n int) int {
+	if len(in.b) == 0 {
+		return int(in.rand() % uint64(n))
+	}
+	return int(in.byte()) % n
 }
 
 func (in *fuzzInput) rand() uint64 {
@@ -328,15 +339,29 @@ func checkDecoders(t *testing.T, tab *Table, written map[storage.RecordID]Row, d
 	}
 }
 
-// corruptOnePage damages the page of one live record in one of three
-// ways — one of its TEXT references reaching below the page's TEXT
-// bytes, or past the end of the page; the page's slot count past its
-// capacity, or its column areas past its TEXT bytes — and requires each
-// reader to fail, never panic, exactly when it reads the damage: a bad
-// header whatever it reads, a bad TEXT reference when it reads that
-// record's cell in that column. Every other read must return exactly
-// what was written. Readers check what they dereference, so a TEXT
-// column a scan does not read is not looked at.
+// corruptOnePage damages the page of one live record in one of five
+// ways, and requires each reader to fail, never panic, when it reads the
+// damage, and every read that succeeds to return exactly what was
+// written:
+//
+//	0: the record's code in one TEXT column past the dictionary. A read
+//	   fails exactly when it reads that cell.
+//	1: the dictionary entry of that code out of order — above the entry
+//	   before it or the end of the page, below the entry after it or the
+//	   dictionary's end — and
+//	3: an entry count that runs the entries into that entry's string,
+//	   and
+//	4: two neighbouring entries at or before that entry's past the page,
+//	   in order, so a string whose own entries are intact would end past
+//	   it. A read fails when it reads that column of the record, and
+//	   DecodePages whenever it reads a TEXT column of the page, since it
+//	   takes the page's whole dictionary; a read of the page's other
+//	   records may fail, as it may share the entry or its neighbours.
+//	2: the page's slot count past its capacity, or its column areas or
+//	   entries past the page. Every read of the page fails.
+//
+// Readers check what they dereference, so a TEXT column a scan does not
+// read is not looked at.
 func corruptOnePage(t *testing.T, tab *Table, pool *storage.BufferPool, live []storage.RecordID, written map[storage.RecordID]Row, in *fuzzInput) {
 	t.Helper()
 	if len(live) == 0 {
@@ -352,40 +377,55 @@ func corruptOnePage(t *testing.T, tab *Table, pool *storage.BufferPool, live []s
 		t.Fatal(err)
 	}
 	put := func(at, v int) { binary.LittleEndian.PutUint16(p.Data[at:], uint16(v)) }
-	mode := in.byte() % 3
-	if len(tab.layout.text) == 0 {
+	mode := in.pick(5)
+	text := tab.layout.text
+	bad, e := -1, -1 // the TEXT column damaged, and its code at the record
+	if len(text) == 0 {
 		mode = 2
+	} else {
+		bad = text[in.rand()%uint64(len(text))]
+		e = int(binary.LittleEndian.Uint16(p.Data[h.area(bad)+2*rid.Slot:]))
 	}
-	bad := -1 // the column whose reference is damaged
+	// Entries in the page cannot run into a string that ends it.
+	if mode == 3 && (h.at(e)-h.dict)/2+1 > (storage.PageSize-h.dict)/2 || mode == 4 && h.k < 2 {
+		mode = 1
+	}
 	switch x := int(in.rand() % 4096); mode {
-	case 0: // a TEXT reference reaching below the TEXT bytes
-		bad = tab.layout.text[x%len(tab.layout.text)]
-		ref := h.area(bad) + 4*rid.Slot
-		put(ref, x%h.text)
-		put(ref+2, x%(h.text-x%h.text+1))
-	case 1: // a TEXT reference running past the end of the page
-		bad = tab.layout.text[x%len(tab.layout.text)]
-		ref := h.area(bad) + 4*rid.Slot
-		off := int(binary.LittleEndian.Uint16(p.Data[ref:]))
-		if x%2 == 0 {
-			put(ref, storage.PageSize-x%8)
-			put(ref+2, x%8+1+x)
-		} else {
-			put(ref+2, storage.PageSize-off+1+x)
+	case 0:
+		put(h.area(bad)+2*rid.Slot, h.k+x%(1<<16-h.k))
+	case 1:
+		entry := h.dict + 2*e
+		switch {
+		case x%2 == 0 && e == 0: // past the page
+			put(entry, storage.PageSize+1+x%(1<<16-storage.PageSize-1))
+		case x%2 == 0: // above the entry before it
+			put(entry, h.at(e-1)+1+x%(1<<16-h.at(e-1)-1))
+		case e+1 < h.k: // below the entry after it
+			put(entry, x%h.at(e+1))
+		default: // below the dictionary's end
+			put(entry, x%(h.dict+2*h.k))
 		}
-	case 2: // a slot count past the capacity, or areas past the TEXT bytes
+	case 2:
 		switch x % 3 {
 		case 0:
 			put(0, h.cap+1+x)
 		case 1:
 			c := h.cap + 1
-			for tab.layout.areasEnd(c) <= h.text {
+			for tab.layout.areasEnd(c)+2*h.k <= storage.PageSize {
 				c++
 			}
 			put(2, c+x)
 		default:
-			put(4, storage.PageSize-tab.layout.areasEnd(h.cap)+1+x)
+			put(4, (storage.PageSize-h.dict)/2+1+x)
 		}
+	case 3:
+		lo, hi := (h.at(e)-h.dict)/2+1, (storage.PageSize-h.dict)/2
+		put(4, lo+x%(hi-lo+1))
+	case 4:
+		j := max(e-2, 0)
+		y := storage.PageSize + 1 + x%(1<<16-storage.PageSize-1)
+		put(h.dict+2*j, y+int(in.rand()%uint64(1<<16-y)))
+		put(h.dict+2*j+2, y)
 	}
 	if err := pool.Unpin(rid.Page, true); err != nil {
 		t.Fatal(err)
@@ -411,37 +451,64 @@ func corruptOnePage(t *testing.T, tab *Table, pool *storage.BufferPool, live []s
 			page = append(page, r)
 		}
 	}
+	const (
+		pass   = iota // the read must succeed
+		fail          // it must fail
+		either        // it may fail; if not, it returns what was written
+	)
 	ncols := len(tab.Schema.Columns)
 	for mask := 0; mask < 1<<ncols; mask++ {
-		// expect requires a read to fail exactly when it reads the damage.
-		expect := func(how string, reads bool, n int, err error, rids, want []storage.RecordID, cols []*Vector) {
+		// expect holds a read to want.
+		expect := func(how string, want int, n int, err error, rids, records []storage.RecordID, cols []*Vector) {
 			t.Helper()
 			how = fmt.Sprintf("corruption %d of %v: %s of columns %b", mode, rid, how, mask)
 			switch {
-			case reads && err == nil:
+			case want == fail && err == nil:
 				t.Fatalf("%s succeeded", how)
-			case !reads && err != nil:
+			case want == pass && err != nil:
 				t.Fatalf("%s, which does not read the damage: %v", how, err)
-			case !reads:
-				checkCells(t, how, tab, cols, n, rids, want, written)
+			case err == nil:
+				checkCells(t, how, tab, cols, n, rids, records, written)
 			}
 		}
-		reads := mode == 2 || mask&(1<<bad) != 0
+		readsBad, readsText := pass, pass
+		if bad >= 0 && mask&(1<<bad) != 0 {
+			readsBad = fail
+		}
+		for _, k := range text {
+			if mask&(1<<k) != 0 {
+				readsText = fail
+			}
+		}
+		scan, record, others := readsBad, readsBad, pass
+		switch mode {
+		case 1, 3, 4:
+			scan = readsText
+			if readsText == fail {
+				others = either
+				if record == pass {
+					record = either
+				}
+			}
+		case 2:
+			scan, record, others = fail, fail, fail
+		}
 		var rids []storage.RecordID
 		cols := columns(ncols, mask)
 		_, n, err := tab.DecodePages([]storage.PageID{rid.Page}, cols, &rids, math.MaxInt)
-		expect("DecodePages of the page", reads, n, err, rids, page, cols)
+		expect("DecodePages of the page", scan, n, err, rids, page, cols)
 		rids, cols = nil, columns(ncols, mask)
 		n, err = decodeInBatches(tab, pages, cols, &rids, onPage, in)
-		expect("DecodePages of the table", reads, n, err, rids, all, cols)
+		expect("DecodePages of the table", scan, n, err, rids, all, cols)
 		rids, cols = nil, columns(ncols, mask)
 		n, err = tab.DecodeRecords([]storage.RecordID{rid}, cols, &rids)
-		expect("DecodeRecords", reads, n, err, rids, []storage.RecordID{rid}, cols)
-		// The page's other records share only its header with the damage.
-		if others := slices.DeleteFunc(slices.Clone(page), func(r storage.RecordID) bool { return r == rid }); len(others) > 0 {
+		expect("DecodeRecords", record, n, err, rids, []storage.RecordID{rid}, cols)
+		// The page's other records share only its header and dictionary
+		// with the damage.
+		if rest := slices.DeleteFunc(slices.Clone(page), func(r storage.RecordID) bool { return r == rid }); len(rest) > 0 {
 			rids, cols = nil, columns(ncols, mask)
-			n, err = tab.DecodeRecords(others, cols, &rids)
-			expect("DecodeRecords of the page's other records", mode == 2, n, err, rids, others, cols)
+			n, err = tab.DecodeRecords(rest, cols, &rids)
+			expect("DecodeRecords of the page's other records", others, n, err, rids, rest, cols)
 		}
 	}
 	if _, err := tab.Get(rid); err == nil {

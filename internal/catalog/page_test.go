@@ -24,7 +24,7 @@ func pageRows(t *testing.T, l *pageLayout, b []byte) (map[int]Row, heapPage) {
 	}
 	var v [2]Vector
 	var rids []storage.RecordID
-	if _, err := p.decode([]*Vector{&v[0], &v[1]}, p.live(nil), 0, &rids); err != nil {
+	if _, err := p.decode([]*Vector{&v[0], &v[1]}, p.live(nil), 0, &rids, true); err != nil {
 		t.Fatal(err)
 	}
 	rows := map[int]Row{}
@@ -34,12 +34,16 @@ func pageRows(t *testing.T, l *pageLayout, b []byte) (map[int]Row, heapPage) {
 	return rows, p
 }
 
-// refsInText reports whether every TEXT reference of every slot in use,
-// dead ones too, lies in the page's TEXT bytes, as the format requires.
-func refsInText(p *heapPage) bool {
+// codesInDictionary reports whether the page's dictionary is whole and
+// every code of every slot in use, dead ones too, names one of its
+// entries, as the format requires.
+func codesInDictionary(p *heapPage) bool {
+	if _, ok := p.strings(); !ok {
+		return false
+	}
 	for _, k := range p.l.text {
 		for s := 0; s < p.n; s++ {
-			if _, _, ok := p.ref(p.b[p.area(k)+4*s:]); !ok {
+			if int(u16(p.b[p.area(k)+2*s:])) >= p.k {
 				return false
 			}
 		}
@@ -50,7 +54,7 @@ func refsInText(p *heapPage) bool {
 func TestPageInsertGet(t *testing.T) {
 	l := newPageLayout(&textSchema)
 	var b [storage.PageSize]byte
-	slot, err := l.insert(b[:], 0, Row{int64(7), "hello"})
+	slot, err := l.insert(b[:], 0, Row{int64(7), "hello"}, nil)
 	if err != nil || slot != 0 {
 		t.Fatalf("insert = slot %d, %v", slot, err)
 	}
@@ -67,7 +71,7 @@ func TestPageDelete(t *testing.T) {
 	l := newPageLayout(&textSchema)
 	var b [storage.PageSize]byte
 	for i, s := range []string{"a", "b", "c"} {
-		if _, err := l.insert(b[:], 0, Row{int64(i), s}); err != nil {
+		if _, err := l.insert(b[:], 0, Row{int64(i), s}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,10 +109,9 @@ func TestPageDelete(t *testing.T) {
 func TestPageFull(t *testing.T) {
 	l := newPageLayout(&textSchema)
 	var b [storage.PageSize]byte
-	row := Row{int64(1), strings.Repeat("x", 500)}
 	inserted := 0
 	for {
-		_, err := l.insert(b[:], 0, row)
+		_, err := l.insert(b[:], 0, Row{int64(1), strings.Repeat(string(rune('a'+inserted)), 500)}, nil)
 		if errors.Is(err, errPageFull) {
 			break
 		}
@@ -119,23 +122,39 @@ func TestPageFull(t *testing.T) {
 			t.Fatal("page never filled")
 		}
 	}
-	// 4090 bytes / (500 + 12 + 1/8) per row => 7 rows.
+	// 4090 bytes / (500 + 2 + 10 + 1/8) per row of its own string => 7
+	// rows.
 	if inserted != 7 {
-		t.Errorf("inserted %d rows of 500 TEXT bytes into a 4KB page", inserted)
+		t.Errorf("inserted %d rows of 500 distinct TEXT bytes into a 4KB page", inserted)
+	}
+	// One string over and over takes its bytes once: the cells fill the page.
+	b = [storage.PageSize]byte{}
+	row := Row{int64(1), strings.Repeat("x", 500)}
+	for inserted = 0; ; inserted++ {
+		if _, err := l.insert(b[:], 0, row, nil); errors.Is(err, errPageFull) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// (4090 - 502) bytes / (10 + 1/8) per row => 354 rows.
+	if inserted != 354 {
+		t.Errorf("inserted %d rows of one 500-byte string into a 4KB page", inserted)
 	}
 }
 
 // TestPageInsertReusesDeadSlot: a full page takes a new row into a dead
-// slot — the same record id, live neighbours untouched — with its TEXT
+// slot — the same record id, live neighbours untouched — with its string
 // in bytes the dead rows left, compacted, and still refuses a row one
-// byte longer than the page has room for.
+// byte longer than the page has room for. A row whose string the page
+// holds takes that string's entry and no bytes.
 func TestPageInsertReusesDeadSlot(t *testing.T) {
 	l := newPageLayout(&textSchema)
 	var b [storage.PageSize]byte
 	var want []Row
 	for i := 0; ; i++ {
 		row := Row{int64(i), strings.Repeat(string(rune('a'+i)), 300+40*i)}
-		if _, err := l.insert(b[:], 0, row); errors.Is(err, errPageFull) {
+		if _, err := l.insert(b[:], 0, row, nil); errors.Is(err, errPageFull) {
 			break
 		} else if err != nil {
 			t.Fatal(err)
@@ -149,18 +168,18 @@ func TestPageInsertReusesDeadSlot(t *testing.T) {
 		}
 	}
 	rows, p := pageRows(t, l, b[:])
-	liveText := 0
+	liveText := 0 // each live string's entry and bytes
 	for _, r := range rows {
-		liveText += len(r[1].(string))
+		liveText += 2 + len(r[1].(string))
 	}
-	room := storage.PageSize - l.areasEnd(p.n) - liveText
+	room := storage.PageSize - l.areasEnd(p.n) - liveText - 2
 	if room <= len(want[3][1].(string)) {
 		t.Fatalf("only %d bytes of room after freeing %d", room, len(want[1][1].(string))+len(want[3][1].(string)))
 	}
-	if _, err := l.insert(b[:], 0, Row{int64(-1), strings.Repeat("z", room+1)}); !errors.Is(err, errPageFull) {
+	if _, err := l.insert(b[:], 0, Row{int64(-1), strings.Repeat("z", room+1)}, nil); !errors.Is(err, errPageFull) {
 		t.Fatalf("a row longer than the room must not fit: %v", err)
 	}
-	got, err := l.insert(b[:], 0, Row{int64(-1), strings.Repeat("z", room)})
+	got, err := l.insert(b[:], 0, Row{int64(-1), strings.Repeat("z", room)}, nil)
 	if err != nil || got != 1 {
 		t.Fatalf("insert into a full page with dead slots = slot %d, %v; want slot 1", got, err)
 	}
@@ -174,17 +193,17 @@ func TestPageInsertReusesDeadSlot(t *testing.T) {
 	if p.n != len(want) {
 		t.Errorf("%d slots in use, want %d", p.n, len(want))
 	}
-	// A shorter row takes a dead slot's TEXT bytes in their place: the
-	// page's TEXT bytes neither grow nor move.
+	// A row repeating a live row's string fits the full page: it takes
+	// that string's entry, and the dictionary neither grows nor moves.
 	if err := p.remove(0, 1, want[1]); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := l.insert(b[:], 0, Row{int64(-2), "short"}); err != nil || got != 1 {
-		t.Fatalf("insert of a shorter row = slot %d, %v; want slot 1", got, err)
+	if got, err := l.insert(b[:], 0, Row{int64(-2), want[0][1]}, nil); err != nil || got != 1 {
+		t.Fatalf("insert of a row repeating slot 0's string = slot %d, %v; want slot 1", got, err)
 	}
 	rows, q := pageRows(t, l, b[:])
-	if q.text != p.text || q.cap != p.cap || rows[1][1] != "short" || rows[0][1] != want[0][1] {
-		t.Errorf("TEXT bytes start at %d (were %d), capacity %d (was %d), slot 1 holds %v", q.text, p.text, q.cap, p.cap, rows[1])
+	if q.k != p.k || q.cap != p.cap || q.at(q.k-1) != p.at(p.k-1) || rows[1][1] != want[0][1] || rows[0][1] != want[0][1] {
+		t.Errorf("%d entries (were %d), capacity %d (was %d), slot 1 holds %.8q", q.k, p.k, q.cap, p.cap, rows[1])
 	}
 }
 
@@ -193,7 +212,7 @@ func TestPageRejectsOversizeRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fits := storage.PageSize - tab.layout.areasEnd(1)
+	fits := storage.PageSize - tab.layout.areasEnd(1) - 2 // a string's bytes and its entry
 	if err := tab.checkRow(Row{int64(1), strings.Repeat("x", fits+1)}); err == nil {
 		t.Error("a row one byte longer than an empty page must be rejected")
 	}
@@ -208,34 +227,34 @@ func TestPageRejectsOversizeRecord(t *testing.T) {
 }
 
 // TestPageSlotBoundsChecks: a header that does not hold — a slot count
-// past the capacity, column areas past the TEXT bytes — fails every
-// read, and a slot out of range is an error or, at or past the slots
-// in use, a deleted record.
+// past the capacity, column areas or dictionary entries past the page —
+// fails every read, and a slot out of range is an error or, at or past
+// the slots in use, a deleted record.
 func TestPageSlotBoundsChecks(t *testing.T) {
 	l := newPageLayout(&textSchema)
 	var good [storage.PageSize]byte
 	for i := 0; i < 2; i++ {
-		if _, err := l.insert(good[:], 0, Row{int64(i), "abc"}); err != nil {
+		if _, err := l.insert(good[:], 0, Row{int64(i), "abc"}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p, _ := l.open(good[:], 0)
 	for _, c := range []struct {
-		name     string
-		n, c, tl int
+		name    string
+		n, c, k int
 	}{
-		{"slots past the capacity", p.cap + 1, p.cap, storage.PageSize - p.text},
-		{"areas past the TEXT bytes", p.n, p.cap + (p.text-l.areasEnd(p.cap))/l.slot + 1, storage.PageSize - p.text},
-		{"TEXT bytes past the areas", p.n, p.cap, storage.PageSize - l.areasEnd(p.cap) + 1},
-		{"TEXT bytes past the page", p.n, p.cap, 1<<16 - 1},
+		{"slots past the capacity", p.cap + 1, p.cap, p.k},
+		{"areas past the page", p.n, p.cap + (storage.PageSize-p.dict-2*p.k)/l.slot + 1, p.k},
+		{"entries past the page", p.n, p.cap, (storage.PageSize-p.dict)/2 + 1},
+		{"entries far past the page", p.n, p.cap, 1<<16 - 1},
 	} {
 		b := good
-		h := heapPage{b: b[:], n: c.n, cap: c.c, text: storage.PageSize - c.tl}
+		h := heapPage{b: b[:], n: c.n, cap: c.c, k: c.k}
 		h.writeHeader()
 		if _, err := l.open(b[:], 0); err == nil {
 			t.Errorf("%s: open succeeded", c.name)
 		}
-		if _, err := l.insert(b[:], 0, Row{int64(9), "x"}); err == nil || errors.Is(err, errPageFull) {
+		if _, err := l.insert(b[:], 0, Row{int64(9), "x"}, nil); err == nil || errors.Is(err, errPageFull) {
 			t.Errorf("%s: insert = %v, want a corruption error", c.name, err)
 		}
 	}
@@ -267,7 +286,7 @@ func TestPageRoundTripProperty(t *testing.T) {
 			if i < len(floats) {
 				fl = floats[i]
 			}
-			slot, err := l.insert(b[:], 0, Row{x, s, fl})
+			slot, err := l.insert(b[:], 0, Row{x, s, fl}, nil)
 			if errors.Is(err, errPageFull) {
 				continue
 			}
@@ -287,12 +306,12 @@ func TestPageRoundTripProperty(t *testing.T) {
 			}
 		}
 		p, err := l.open(b[:], 0)
-		if err != nil || !refsInText(&p) {
+		if err != nil || !codesInDictionary(&p) {
 			return false
 		}
 		var v [3]Vector
 		var rids []storage.RecordID
-		if _, err := p.decode([]*Vector{&v[0], &v[1], &v[2]}, p.live(nil), 0, &rids); err != nil {
+		if _, err := p.decode([]*Vector{&v[0], &v[1], &v[2]}, p.live(nil), 0, &rids, true); err != nil {
 			return false
 		}
 		if len(rids) != len(stored) {

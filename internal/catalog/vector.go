@@ -17,6 +17,15 @@ type Vector struct {
 	I []int64
 	F []float64
 	S []string
+	// Dict and Codes are a String column as DecodePages reads it off its
+	// pages: Dict holds each page's dictionary in turn, and Codes[i] is the
+	// entry of Dict that S[i] is, so rows with equal codes have equal
+	// strings (equal strings from two pages have two codes). They hold
+	// only while len(Codes) == len(S): a vector whose S is written any
+	// other way — by DecodeRecords, or by gathering or filling it — has
+	// fewer codes than strings, and its codes are stale.
+	Dict  []string
+	Codes []int32
 	// text backs the strings in S and only ever grows at its end: bytes
 	// once written are never overwritten, and a full buffer is replaced,
 	// not reused. A string taken from S therefore stays valid however
@@ -26,7 +35,12 @@ type Vector struct {
 }
 
 // Reset empties v, keeping its capacity.
-func (v *Vector) Reset() { v.I, v.F, v.S = v.I[:0], v.F[:0], v.S[:0] }
+func (v *Vector) Reset() {
+	v.I, v.F, v.S, v.Dict, v.Codes = v.I[:0], v.F[:0], v.S[:0], v.Dict[:0], v.Codes[:0]
+}
+
+// Coded reports whether v's codes hold for every string in S.
+func (v *Vector) Coded() bool { return len(v.Codes) == len(v.S) }
 
 // String buffers start small, so a point read's vector stays small, and
 // double up to a few pages' worth.
@@ -49,8 +63,8 @@ func (v *Vector) appendString(b []byte) {
 	v.S = append(v.S, unsafe.String(&v.text[off], len(b)))
 }
 
-// appendText copies b, a page's TEXT bytes, into the text buffer whole,
-// for a page's strings to be cut from it without a copy each.
+// appendText copies b, a page's string bytes, into the text buffer
+// whole, for a page's strings to be cut from it without a copy each.
 func (v *Vector) appendText(b []byte) textBytes {
 	if cap(v.text)-len(v.text) < len(b) {
 		v.text = make([]byte, 0, max(len(b), min(2*cap(v.text), maxText), minText))
@@ -60,7 +74,7 @@ func (v *Vector) appendText(b []byte) textBytes {
 	return v.text[off:]
 }
 
-// textBytes is a page's TEXT bytes as appendText copied them.
+// textBytes is a page's string bytes as appendText copied them.
 type textBytes []byte
 
 // cut returns the n bytes at off as a string that shares them.
@@ -80,10 +94,12 @@ func (t textBytes) cut(off, n int) string {
 // and returns how many pages it read and how many rows it appended. It
 // takes the table's read lock once and reads the pages through one
 // buffer-pool View: the resident ones are pinned, any other is lent by
-// the disk, so a scan evicts nothing. It checks each page's header, and
-// each TEXT reference where it reads it: a TEXT column it does not read
-// is not looked at. On error the vectors may hold part of the pages and
-// must be discarded.
+// the disk, so a scan evicts nothing. A String column takes each page's
+// dictionary into Dict and its codes into Codes as well as its strings
+// into S. It checks each page's header, each page's dictionary where it
+// reads a String column, and each code it reads: a String column it does
+// not read is not looked at. On error the vectors may hold part of the
+// pages and must be discarded.
 func (t *Table) DecodePages(ids []storage.PageID, cols []*Vector, rids *[]storage.RecordID, limit int) (pages, rows int, err error) {
 	if err := t.checkCols(cols); err != nil {
 		return 0, 0, err
@@ -105,8 +121,9 @@ func (t *Table) DecodePages(ids []storage.PageID, cols []*Vector, rids *[]storag
 // DecodeRecords is DecodePages for the records ids names, in that
 // order: it takes the table's read lock once, each run of consecutive
 // ids on one page shares one pin, and a record deleted since its id was
-// read is skipped. It checks each page's header and the TEXT references
-// it reads.
+// read is skipped. It fills S alone of a String column's fields, each
+// string copied, so a record read never copies its page's dictionary. It
+// checks each page's header, each code it reads and that code's entry.
 func (t *Table) DecodeRecords(ids []storage.RecordID, cols []*Vector, rids *[]storage.RecordID) (int, error) {
 	if err := t.checkCols(cols); err != nil {
 		return 0, err
@@ -160,7 +177,7 @@ func (t *Table) decodeRecords(b []byte, ids []storage.RecordID, cols []*Vector, 
 	if len(live) == 0 {
 		return 0, nil
 	}
-	return p.decode(cols, live, page, rids)
+	return p.decode(cols, live, page, rids, false)
 }
 
 func (t *Table) checkCols(cols []*Vector) error {
@@ -227,7 +244,7 @@ func (d *pageDecoder) page(b []byte) error {
 	if slots != nil {
 		d.slots = slots
 	}
-	n, err := p.decode(d.cols, slots, id, d.rids)
+	n, err := p.decode(d.cols, slots, id, d.rids, true)
 	if err != nil {
 		return err
 	}

@@ -239,18 +239,20 @@ func ascending(n int) []int32 {
 }
 
 // bytes is the chunk's exact vector footprint: n cells of every column's
-// width, plus the selection and record ids.
+// width, plus the selection and record ids, plus the codes and
+// dictionary entries of the dictionary-coded columns.
 func (c *Chunk) bytes() int64 {
-	per := int64(4)
+	per, coded := int64(4), int64(0)
 	for _, v := range c.cols {
 		if v != nil {
 			per += v.k.width()
+			coded += 4*int64(len(v.Codes)) + 16*int64(len(v.Dict))
 		}
 	}
 	if len(c.rids) > 0 {
 		per += 16
 	}
-	return int64(c.n) * per
+	return int64(c.n)*per + coded
 }
 
 // reset clears the chunk for reuse, keeping every vector's capacity.

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"aidb/internal/catalog"
 )
 
 // Join, GROUP BY and DISTINCT number each row's key: a keyMap gives every
@@ -14,7 +16,9 @@ import (
 // a new byte-encoded key is copied into the map. A single string key is
 // looked up in a small memo first: grouping columns usually repeat a few
 // values row after row, and comparing a short string costs less than
-// hashing it.
+// hashing it, and a single string column that arrives dictionary-coded
+// (see catalog.Vector) is looked up once per dictionary entry a chunk
+// uses, not once per row.
 
 // keyMode is how a keyMap hashes.
 type keyMode uint8
@@ -78,7 +82,14 @@ type keyMap struct {
 	// It holds only keys strs has, so a probe without add never inserts.
 	// A keyMap is used by one goroutine at a time, so it needs no lock.
 	memo *[memoSize]memoEntry
+	// byCode is, in keyString mode, scratch for a chunk whose key column
+	// is dictionary-coded: per entry of the column's Dict, its key's id,
+	// or unseen.
+	byCode []int32
 }
+
+// unseen marks a dictionary entry whose key's id is not yet looked up.
+const unseen = -2
 
 const memoSize = 64
 
@@ -140,6 +151,11 @@ func find[K comparable](m map[K]int32, k K, add bool, n *int32) int32 {
 func (m *keyMap) ids(c *Chunk, sel []int32, keys []bound, add bool, out []int32) ([]int32, error) {
 	out = out[:0]
 	k := &keys[0]
+	if m.mode == keyString && k.col >= 0 {
+		if v := &c.cols[k.col].Vector; v.Coded() {
+			return m.codeIDs(v, sel, add, out), nil
+		}
+	}
 	for _, r := range sel {
 		id := int32(-1)
 		switch m.mode {
@@ -183,6 +199,27 @@ func (m *keyMap) ids(c *Chunk, sel []int32, keys []bound, add bool, out []int32)
 		out = append(out, id)
 	}
 	return out, nil
+}
+
+// codeIDs is ids for a single string key column v that is
+// dictionary-coded: the id of each entry is looked up the first time a
+// row of sel has it, so an entry no row has is never added.
+func (m *keyMap) codeIDs(v *catalog.Vector, sel []int32, add bool, out []int32) []int32 {
+	byCode := extend(m.byCode[:0], len(v.Dict))
+	for i := range byCode {
+		byCode[i] = unseen
+	}
+	m.byCode = byCode
+	for _, r := range sel {
+		code := v.Codes[r]
+		id := byCode[code]
+		if id == unseen {
+			id = m.findString(v.Dict[code], add)
+			byCode[code] = id
+		}
+		out = append(out, id)
+	}
+	return out
 }
 
 // appendKey appends one key part's encoding to b: a type tag, then the

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"aidb/internal/obs"
@@ -228,6 +229,10 @@ func TestProfileOffOverhead(t *testing.T) {
 		}
 		ex := New(nil)
 		ex.Parallelism = 1
+		// A collection empties the sync.Pools a run draws on, and refilling
+		// them allocates, so counts taken while the collector runs shift
+		// with the heap earlier tests left; without it they are exact.
+		gc := debug.SetGCPercent(-1)
 		wrapped := testing.AllocsPerRun(20, func() {
 			if _, err := ex.Run(p); err != nil {
 				t.Fatal(err)
@@ -238,6 +243,7 @@ func TestProfileOffOverhead(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		debug.SetGCPercent(gc)
 		if wrapped != direct+1 {
 			t.Errorf("%s: Run allocates %.0f times, execNode %.0f: want exactly one more (the Result)", q, wrapped, direct)
 		}

@@ -161,18 +161,39 @@ const labelBand = 1e-9
 
 // label is Sigmoid(z) >= 0.5 as 1 or 0, decided by z's sign without an
 // exponential except inside the band where rounding decides: z >= 0 is
-// 1 (1+exp(-z) <= 2), z < -labelBand or NaN is 0.
+// 1 (1+exp(-z) <= 2), z < -labelBand or NaN is 0. Logits fall on either
+// side of 0 unpredictably, so the sign picks the label's bits without a
+// branch; the one branch tests for the band, which hardly any logit is
+// in: as unsigned integers, the bits of a z in [-labelBand, 0) are those
+// just above -0's, up to -labelBand's. It is small enough to inline.
 func label(z float64) float64 {
-	switch {
-	case z >= 0:
-		return 1
-	case z < -labelBand || z != z:
-		return 0
-	case Sigmoid(z) >= 0.5:
+	if math.Float64bits(z)-(negZero+1) < bandBits-negZero {
+		return bandLabel(z)
+	}
+	var bits uint64
+	if z >= 0 {
+		bits = oneBits
+	}
+	return math.Float64frombits(bits)
+}
+
+// bandLabel is label inside the band, where Sigmoid decides. It stays a
+// call, so label inlines.
+//
+//go:noinline
+func bandLabel(z float64) float64 {
+	if Sigmoid(z) >= 0.5 {
 		return 1
 	}
 	return 0
 }
+
+// The bits of -0, -labelBand and 1.
+const (
+	negZero  = 1 << 63
+	bandBits = 0xbe112e0be826d695
+	oneBits  = 0x3ff0000000000000
+)
 
 // Loss returns the mean cross-entropy of the model on (x, y).
 func (m *LogisticRegression) Loss(x *Matrix, y []float64) float64 {
