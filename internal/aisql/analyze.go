@@ -43,7 +43,7 @@ func (e *Engine) explainAnalyze(ctx context.Context, ent *plancache.Entry, kind 
 	latency := time.Since(start)
 
 	out := &exec.Result{Columns: []string{
-		"operator", "est_rows", "actual_rows", "time_us", "morsels", "workers", "util", "chunks", "peak_bytes",
+		"operator", "est_rows", "actual_rows", "time_us", "morsels", "workers", "util", "chunks", "peak_bytes", "pages", "pages_pruned",
 	}}
 	prof.Walk(func(op *exec.OpProfile, depth int) {
 		e.Feedback.Record(cardest.ObservedCardinality{
@@ -61,6 +61,8 @@ func (e *Engine) explainAnalyze(ctx context.Context, ent *plancache.Entry, kind 
 			op.Utilization(),
 			op.Chunks(),
 			op.PeakBytes(),
+			op.PagesRead(),
+			op.PagesPruned(),
 		})
 	})
 	e.record(ent, text, kind, latency, res, nil)

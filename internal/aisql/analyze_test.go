@@ -51,7 +51,7 @@ func TestExplainAnalyzeColumnsAndRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"operator", "est_rows", "actual_rows", "time_us", "morsels", "workers", "util", "chunks", "peak_bytes"}
+	want := []string{"operator", "est_rows", "actual_rows", "time_us", "morsels", "workers", "util", "chunks", "peak_bytes", "pages", "pages_pruned"}
 	if fmt.Sprint(res.Columns) != fmt.Sprint(want) {
 		t.Fatalf("columns = %v, want %v", res.Columns, want)
 	}
@@ -81,6 +81,13 @@ func TestExplainAnalyzeColumnsAndRows(t *testing.T) {
 	}
 	if est := scan[1].(int64); est != 2000 {
 		t.Errorf("scan est_rows = %v, want 2000 (post-ANALYZE statistics)", est)
+	}
+	tab, err := e.Cat.Table("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if read, pruned := scan[9].(int64), scan[10].(int64); read+pruned != int64(len(tab.PageIDs())) || read == 0 {
+		t.Errorf("scan pages = %d read + %d pruned, table has %d", read, pruned, len(tab.PageIDs()))
 	}
 }
 

@@ -78,6 +78,7 @@ type Table struct {
 	// reusable space once the last page is full, so delete/insert churn
 	// does not grow the table.
 	holes []storage.PageID
+	zones zones // one per page of pages, in its order
 	rows  int
 	Stats *TableStats
 }
@@ -123,7 +124,7 @@ func (c *Catalog) CreateTable(name string, schema Schema) (*Table, error) {
 		return nil, errors.New("catalog: table needs at least one column")
 	}
 	t := &Table{Name: name, Schema: schema, pool: c.pool}
-	t.layout = newPageLayout(&t.Schema)
+	t.layout, t.zones = newPageLayout(&t.Schema), newZones(&t.Schema)
 	c.tables[name] = t
 	return t, nil
 }
@@ -273,13 +274,15 @@ type heapWriter struct {
 	last, hole pinned
 }
 
-// pinned is a page a heapWriter holds pinned; dirty once written. ix,
+// pinned is a page a heapWriter holds pinned; dirty once written. at is
+// the page's index in the table's page list, where its zone is. ix,
 // when set, indexes the page's dictionary: a writer of more than one row
 // keeps one per page, where looking a string up entry by entry would
 // cost each row the page's distinct strings.
 type pinned struct {
 	p     *storage.Page
 	dirty bool
+	at    int
 	ix    *dictIndex
 }
 
@@ -306,7 +309,8 @@ func (w *heapWriter) put(row Row) (storage.RecordID, error) {
 		return storage.RecordID{}, err
 	}
 	t.pages = append(t.pages, p.ID)
-	w.last.p, w.last.dirty = p, true
+	t.zones.add()
+	w.last.p, w.last.dirty, w.last.at = p, true, len(t.pages)-1
 	return w.try(&w.last, p.ID, row)
 }
 
@@ -322,6 +326,7 @@ func (w *heapWriter) try(s *pinned, id storage.PageID, row Row) (storage.RecordI
 			return storage.RecordID{}, err
 		}
 		s.p = p
+		s.at, _ = w.t.pos(id)
 	}
 	slot, err := w.t.layout.insert(s.p.Data[:], id, row, s.ix)
 	if err != nil {
@@ -329,6 +334,7 @@ func (w *heapWriter) try(s *pinned, id storage.PageID, row Row) (storage.RecordI
 	}
 	s.dirty = true
 	w.t.rows++
+	w.t.zones.widen(s.at, row)
 	return storage.RecordID{Page: id, Slot: slot}, nil
 }
 
@@ -387,6 +393,9 @@ func (t *Table) deleteIf(rid storage.RecordID, want Row) error {
 	}
 	if derr == nil {
 		t.rows--
+		if i, ok := t.pos(rid.Page); ok {
+			t.zones.drop(i)
+		}
 		if i, found := slices.BinarySearch(t.holes, rid.Page); !found {
 			t.holes = slices.Insert(t.holes, i, rid.Page)
 		}

@@ -87,6 +87,8 @@ func placeOneAtATime(t *Table, row Row) (storage.RecordID, error) {
 			return storage.RecordID{}, ierr
 		}
 		t.rows++
+		i, _ := t.pos(id)
+		t.zones.widen(i, row)
 		return storage.RecordID{Page: id, Slot: slot}, nil
 	}
 	if n := len(t.pages); n > 0 {
@@ -105,6 +107,7 @@ func placeOneAtATime(t *Table, row Row) (storage.RecordID, error) {
 		return storage.RecordID{}, err
 	}
 	t.pages = append(t.pages, p.ID)
+	t.zones.add()
 	if err := t.pool.Unpin(p.ID, true); err != nil {
 		return storage.RecordID{}, err
 	}
@@ -197,6 +200,9 @@ func TestInsertRowsPlacesLikeOneAtATime(t *testing.T) {
 			}
 			if !slices.Equal(bulk.pages, single.pages) || !slices.Equal(bulk.holes, single.holes) || bulk.rows != single.rows {
 				t.Fatalf("pages %v holes %v rows %d, one at a time: pages %v holes %v rows %d", bulk.pages, bulk.holes, bulk.rows, single.pages, single.holes, single.rows)
+			}
+			if !slices.Equal(bulk.zones.w, single.zones.w) {
+				t.Fatalf("zones %v, one at a time %v", bulk.zones.w, single.zones.w)
 			}
 			for _, id := range bulk.pages {
 				a, err := bulk.pool.Fetch(id)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"aidb/internal/obs"
 	"aidb/internal/plan"
 	"aidb/internal/sql"
+	"aidb/internal/storage"
 )
 
 // Engine micro-benchmarks: scan/filter, hash join and aggregation
@@ -274,6 +276,48 @@ func BenchmarkExec(b *testing.B) {
 		plan.AnnotateBuildSides(p, plan.HistogramEstimator{})
 		b.Run(bc.name, func(b *testing.B) { benchModes(b, p) })
 	}
+
+	// A filter that keeps 0.2 % of an orders table whose amounts lie in
+	// [0, 500) at random, as the load harness's do: the pages whose
+	// zones hold no amount above 499 are never read.
+	b.Run("amount-gt-499-200k", func(b *testing.B) {
+		p := mustPlan(b, ordersCatalog(b, 200_000), "SELECT count(*) FROM orders WHERE amount > 499")
+		reg := obs.NewRegistry()
+		ex := New(nil)
+		ex.Parallelism, ex.Obs = 1, NewMetrics(reg)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ex.Run(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(reg.Snapshot()["exec.pages_pruned"]/float64(b.N), "pages-pruned/op")
+	})
+}
+
+// ordersCatalog holds an orders table shaped like the load harness's:
+// an id, a user id and an amount drawn uniformly from [0, 500).
+func ordersCatalog(b testing.TB, rows int) *catalog.Catalog {
+	b.Helper()
+	c := catalog.NewMem()
+	orders, err := c.CreateTable("orders", catalog.Schema{Columns: []catalog.Column{
+		{Name: "id", Type: catalog.Int64},
+		{Name: "user_id", Type: catalog.Int64},
+		{Name: "amount", Type: catalog.Float64},
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	batch := make([]catalog.Row, rows)
+	for i := range batch {
+		batch[i] = catalog.Row{int64(i), int64(r.Intn(rows / 2)), float64(r.Intn(50000)) / 100}
+	}
+	if err := orders.InsertRows(batch, func(int, storage.RecordID) {}); err != nil {
+		b.Fatal(err)
+	}
+	return c
 }
 
 // BenchmarkBindPointFilter is what binding costs a statement that

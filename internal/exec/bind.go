@@ -710,6 +710,23 @@ func (p colPred[T, K]) apply(c *Chunk, sel []int32) ([]int32, error) {
 	return selectCmp(p.cells(c.cols[p.col]), p.k, p.op, sel), nil
 }
 
+// zoned is a conjunct a page's zone can rule out: zone is it as
+// catalog.Table.PagesFor takes it.
+type zoned interface {
+	zone() catalog.ZoneCond
+}
+
+func (p colPred[T, K]) zone() catalog.ZoneCond {
+	c := catalog.ZoneCond{Col: p.col, Accept: uint8(p.op)}
+	switch k := any(p.k).(type) {
+	case int64:
+		c.Int, c.IntK = true, k
+	case float64:
+		c.FloatK = k
+	}
+	return c
+}
+
 // callVsNumber binds a chunk-form call compared with a numeric literal
 // or parameter, either way round, to a callPred. ok is false for every
 // other shape.

@@ -20,8 +20,9 @@ import (
 // fail the scan, Latency rules accrue virtual delay in the stats. The
 // site is consulted once per scan morsel, in morsel order, on the
 // consuming goroutine when the scan opens (before any row is read) —
-// so the fault schedule depends only on table size and morsel
-// configuration, never on worker interleaving or the Parallelism knob.
+// so the fault schedule depends only on the pages the scan reads and
+// the morsel configuration, never on worker interleaving or the
+// Parallelism knob.
 const SiteExecScan = "exec.scan"
 
 // minIndexMorselWidth is the smallest key-space width, per subrange,
@@ -95,7 +96,8 @@ type Executor struct {
 	// 0 selects DefaultMorselRows.
 	MorselSize int
 	// ScanMorselPages is the heap-pages-per-morsel for table scans; 0
-	// selects DefaultScanMorselPages.
+	// takes as many of the table's pages as hold about MorselSize rows,
+	// by its live rows per page when the scan opens.
 	ScanMorselPages int
 
 	// Params carries positional bindings for $N placeholders in the

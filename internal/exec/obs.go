@@ -18,6 +18,9 @@ type Metrics struct {
 	RowsJoined    *obs.Counter
 	RowsOutput    *obs.Counter
 	InjectedDelay *obs.Counter
+	// PagesPruned counts the heap pages scans left unread: their zones
+	// rule out the scan's filter, or they hold no live row.
+	PagesPruned *obs.Counter
 	// QueryLatency observes wall-clock nanoseconds per Run call.
 	QueryLatency *obs.Histogram
 
@@ -68,6 +71,7 @@ func NewMetrics(reg *obs.Registry) Metrics {
 		RowsJoined:      reg.Counter("exec.rows_joined"),
 		RowsOutput:      reg.Counter("exec.rows_output"),
 		InjectedDelay:   reg.Counter("exec.injected_delay_units"),
+		PagesPruned:     reg.Counter("exec.pages_pruned"),
 		QueryLatency:    reg.Histogram("exec.query_latency_ns", latencyBuckets),
 		CancelRequests:  reg.Counter("cancel.requests"),
 		CancelLatency:   reg.Histogram("cancel.latency_ns", latencyBuckets),

@@ -62,11 +62,6 @@ func (ex *Executor) claimWorkers(n int) int {
 // enough to amortize dispatch.
 const DefaultMorselRows = 1024
 
-// DefaultScanMorselPages is the default morsel size, in heap pages, for
-// table scans (a 4KiB page holds on the order of a couple hundred small
-// rows, so this is roughly DefaultMorselRows worth of decode work).
-const DefaultScanMorselPages = 4
-
 // workers resolves the Parallelism knob to a stream's most workers: 1
 // (or any negative value) pins the serial path, 0 (auto) is GOMAXPROCS,
 // of which claimWorkers takes only the idle cores, larger values are an
@@ -90,12 +85,14 @@ func (ex *Executor) morselRows() int {
 	return DefaultMorselRows
 }
 
-// scanMorselPages resolves the ScanMorselPages knob.
-func (ex *Executor) scanMorselPages() int {
+// scanMorselPages resolves the ScanMorselPages knob for a table of
+// rowsPerPage live rows a page, at least 1: by default, as many pages as
+// hold about a morsel's rows.
+func (ex *Executor) scanMorselPages(rowsPerPage int) int {
 	if ex.ScanMorselPages > 0 {
 		return ex.ScanMorselPages
 	}
-	return DefaultScanMorselPages
+	return max(1, ex.morselRows()/rowsPerPage)
 }
 
 // chunkBounds splits [0, n) into [lo, hi) ranges of at most size each.

@@ -30,6 +30,8 @@ type OpProfile struct {
 	busyWorkers  atomic.Int64
 	chunks       atomic.Int64
 	peakBytes    atomic.Int64
+	pagesRead    atomic.Int64
+	pagesPruned  atomic.Int64
 
 	Children []*OpProfile
 }
@@ -67,6 +69,14 @@ func (p *OpProfile) Chunks() int64 { return p.chunks.Load() }
 // operator emitted — the streaming pipeline's per-operator memory
 // footprint indicator.
 func (p *OpProfile) PeakBytes() int64 { return p.peakBytes.Load() }
+
+// PagesRead is how many heap pages a scan decoded (0 for operators that
+// read no heap page).
+func (p *OpProfile) PagesRead() int64 { return p.pagesRead.Load() }
+
+// PagesPruned is how many heap pages a scan left unread because their
+// zones rule out its filter or they hold no live row.
+func (p *OpProfile) PagesPruned() int64 { return p.pagesPruned.Load() }
 
 // notePeak raises the peak-batch-bytes high-water mark.
 func (p *OpProfile) notePeak(n int64) {

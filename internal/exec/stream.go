@@ -615,22 +615,22 @@ func tableKinds(t *catalog.Table, needed []bool) []kind {
 	return kinds
 }
 
-// compileScan builds the streaming source for a heap scan. The chaos
-// site is consulted at open (first Next), serially, once per morsel —
-// the schedule depends only on table size and morsel configuration —
+// compileScan builds the streaming source for a heap scan. At open
+// (first Next) it takes the pages to read from the table, leaving out
+// those whose zones rule out the filter fused into it (zoneConds), and
+// consults the chaos site serially, once per morsel of those pages — the
+// schedule depends only on the pages read and the morsel configuration —
 // and a failed scan reads and charges nothing.
 func (ex *Executor) compileScan(rc *runCtx, v *plan.ScanNode) (*morselStream, []kind) {
-	morsels := storage.PartitionPages(v.Table.PageIDs(), ex.scanMorselPages())
-	s := &morselStream{ex: ex, rc: rc, prof: ex.Profile.of(v), n: len(morsels)}
+	s := &morselStream{ex: ex, rc: rc, prof: ex.Profile.of(v)}
+	kinds := tableKinds(v.Table, v.Needed)
 	s.preOpen = func() error {
+		ps := v.Table.PagesFor(zoneConds(s.ts))
+		morsels := storage.PartitionPages(ps.Pages, ex.scanMorselPages(ps.RowsPerPage))
 		// At least one consultation per scan, so empty tables keep
 		// their fault schedule. Injected latency selects on the run's
 		// context: a cancelled query never waits out a sleep.
-		consult := len(morsels)
-		if consult == 0 {
-			consult = 1
-		}
-		for m := 0; m < consult; m++ {
+		for m := 0; m < max(1, len(morsels)); m++ {
 			delay, cerr := ex.Chaos.SleepLatency(rc.ctx, SiteExecScan)
 			if delay > 0 {
 				rc.chaosFires.Add(1)
@@ -644,11 +644,56 @@ func (ex *Executor) compileScan(rc *runCtx, v *plan.ScanNode) (*morselStream, []
 				return fmt.Errorf("exec: scan %s: %w", v.Table.Name, err)
 			}
 		}
+		s.pruned(ps)
+		s.n, s.produce = len(morsels), s.heapProduce(v.Table, morsels, kinds, v.RowIDs)
 		return nil
 	}
-	kinds := tableKinds(v.Table, v.Needed)
-	s.produce = s.heapProduce(v.Table, morsels, kinds, v.RowIDs)
 	return s, kinds
+}
+
+// zoneConds returns the conditions a scan's pages are pruned by: the
+// leading run, in evaluation order, of the column-vs-number conjuncts of
+// the filter fused first into the scan. Only a row every one of them
+// holds for reaches the conjuncts after them, so a page they rule out
+// holds no row the filter keeps and none a later conjunct could fail
+// on; a conjunct of any other kind ends the run.
+func zoneConds(ts []transform) []catalog.ZoneCond {
+	if len(ts) == 0 {
+		return nil
+	}
+	f, ok := ts[0].(*filterTransform)
+	if !ok {
+		return nil
+	}
+	var conds []catalog.ZoneCond
+	leadingConds(f.cond, &conds)
+	return conds
+}
+
+// leadingConds appends p's leading run of zoned conjuncts to conds and
+// reports whether the run goes on past p.
+func leadingConds(p pred, conds *[]catalog.ZoneCond) bool {
+	switch p := p.(type) {
+	case andPred:
+		return leadingConds(p.l, conds) && leadingConds(p.r, conds)
+	case zoned:
+		*conds = append(*conds, p.zone())
+		return true
+	}
+	return false
+}
+
+// pruned counts the pages a scan left out, and their live rows as rows
+// scanned: the scan's row counts are the table's, whatever it skipped.
+func (s *morselStream) pruned(ps catalog.PageSet) {
+	rows := uint64(ps.PrunedRows)
+	s.ex.Stats.RowsScanned.Add(rows)
+	s.ex.Obs.RowsScanned.Add(rows)
+	s.ex.Obs.PagesPruned.Add(uint64(ps.Pruned))
+	if s.prof != nil {
+		s.prof.actualRows.Add(int64(rows))
+		s.prof.pagesPruned.Add(int64(ps.Pruned))
+	}
 }
 
 // heapProduce is the produce function of a heap scan over morsels: the
@@ -661,6 +706,9 @@ func (s *morselStream) heapProduce(t *catalog.Table, morsels [][]storage.PageID,
 		return k.fill(func(room int) (int, bool, error) {
 			read, n, err := t.DecodePages(pages, k.dst, k.rids(), room)
 			pages = pages[read:]
+			if s.prof != nil {
+				s.prof.pagesRead.Add(int64(read))
+			}
 			return n, len(pages) == 0, err
 		})
 	}
@@ -680,7 +728,9 @@ func (ex *Executor) compileIndexScan(rc *runCtx, v *plan.IndexScanNode) (*morsel
 	s.preOpen = func() error {
 		lo, hi, ok := v.Range(ex.Params)
 		if !ok {
-			morsels := storage.PartitionPages(v.Table.PageIDs(), ex.scanMorselPages())
+			ps := v.Table.PagesFor(nil)
+			morsels := storage.PartitionPages(ps.Pages, ex.scanMorselPages(ps.RowsPerPage))
+			s.pruned(ps)
 			s.n, s.produce = len(morsels), s.heapProduce(v.Table, morsels, kinds, v.RowIDs)
 			return nil
 		}
