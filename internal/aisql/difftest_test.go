@@ -3,6 +3,7 @@ package aisql
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -123,6 +124,11 @@ func diffEngine(t *testing.T, indexed bool) *Engine {
 			sb.WriteString(", ")
 		}
 		fmt.Fprintf(&sb, "(%d, %d, 's%d')", i%70-10, (i*7)%23, i)
+	}
+	// Keys far outside the generator's domain: an index must hold and
+	// find any int64.
+	for i, k := range []int64{1 << 62, -1 << 62, math.MinInt64, math.MaxInt64, 1<<42 + 1} {
+		fmt.Fprintf(&sb, ", (%d, %d, 'x%d')", k, i, i)
 	}
 	if indexed {
 		sb.WriteString("; CREATE INDEX t_k ON t (k)")
@@ -248,7 +254,7 @@ func TestAccessPathDifferential(t *testing.T) {
 	contents := func(e *Engine, throughIndex bool) string {
 		q := "SELECT k, v, s FROM t"
 		if throughIndex {
-			q += " WHERE k >= -1000000000000"
+			q += " WHERE k >= -9223372036854775808"
 		}
 		res, err := e.Execute(q)
 		if err != nil {

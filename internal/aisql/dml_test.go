@@ -25,13 +25,26 @@ func heapImage(t *testing.T, e *Engine, table string) string {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := tab.Scan(func(rid storage.RecordID, r catalog.Row) bool {
+	if err := tab.ScanPages(tab.PageIDs(), func(rid storage.RecordID, r catalog.Row) bool {
 		fmt.Fprintf(&sb, "%v %v\n", rid, r)
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
 	return sb.String()
+}
+
+// heapRows reads every live row of tab through ScanPages.
+func heapRows(t testing.TB, tab *catalog.Table) []catalog.Row {
+	t.Helper()
+	var rows []catalog.Row
+	if err := tab.ScanPages(tab.PageIDs(), func(_ storage.RecordID, r catalog.Row) bool {
+		rows = append(rows, r)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 // rowSet renders a result as a sorted multiset of rows.
@@ -56,10 +69,7 @@ func checkIndexMatchesHeap(t *testing.T, e *Engine) {
 		t.Fatal("index read did not use the index")
 	}
 	tab, _ := e.Cat.Table("items")
-	heap, err := tab.AllRows()
-	if err != nil {
-		t.Fatal(err)
-	}
+	heap := heapRows(t, tab)
 	if got, want := fmt.Sprint(rowSet(viaIndex.Rows)), fmt.Sprint(rowSet(heap)); got != want {
 		t.Errorf("index and heap disagree:\nindex %s\nheap  %s", got, want)
 	}

@@ -20,7 +20,6 @@ import (
 	"aidb/internal/plan"
 	"aidb/internal/plancache"
 	"aidb/internal/sql"
-	"aidb/internal/storage"
 )
 
 // Engine executes SQL and AISQL statements against a catalog. It is the
@@ -62,8 +61,7 @@ type Engine struct {
 	mu sync.RWMutex
 	// models is replaced, never changed, under mu: PREDICT looks its
 	// model up on every chunk, from every scan worker, without a lock.
-	models  atomic.Pointer[map[string]*Model]
-	indexes map[string]*secondaryIndex
+	models atomic.Pointer[map[string]*Model]
 	// PREDICT and PREDICT_PROBA, over models: row by row, and per chunk.
 	funcs   exec.FuncRegistry
 	vectors map[string]exec.VectorFunc
@@ -422,17 +420,11 @@ func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Sp
 	case *sql.CreateIndexStmt:
 		// New access path: cached full-scan plans must replan to use it.
 		e.invalidatePlans()
-		return emptyResult(), e.createIndex(s.Name, s.Table, s.Column)
+		return emptyResult(), e.createIndex(s.Table, s.Column)
 	case *sql.DropTableStmt:
-		// Cached plans hold live table and index pointers; drop them all.
+		// Cached plans hold live table pointers; drop them all. The
+		// table's indexes go with it.
 		e.invalidatePlans()
-		e.mu.Lock()
-		for key, si := range e.indexes {
-			if si.table == s.Name {
-				delete(e.indexes, key)
-			}
-		}
-		e.mu.Unlock()
 		return emptyResult(), e.Cat.DropTable(s.Name)
 	case *sql.CreateModelStmt:
 		return e.createModel(s)
@@ -518,11 +510,24 @@ func (e *Engine) createTable(s *sql.CreateTableStmt) (*exec.Result, error) {
 	return emptyResult(), err
 }
 
+// createIndex builds the table's index on an INT column. Indexes are
+// keyed by table and column; the statement's index name is not kept.
+func (e *Engine) createIndex(table, column string) error {
+	t, err := e.Cat.Table(table)
+	if err != nil {
+		return err
+	}
+	col := t.Schema.ColIndex(column)
+	if col < 0 {
+		return fmt.Errorf("aisql: column %q not found in %q", column, table)
+	}
+	return t.CreateIndex(col)
+}
+
 // insert runs an INSERT, ad hoc or prepared (params bind its $N). Every
 // row is evaluated and coerced to its columns before the first is
 // written, so a bad value anywhere writes no row; then the rows go into
-// the heap in one Table.InsertRows and into the table's indexes as each
-// lands.
+// the table in one Table.InsertRows.
 func (e *Engine) insert(s *sql.InsertStmt, params []catalog.Value) (*exec.Result, error) {
 	t, err := e.Cat.Table(s.Table)
 	if err != nil {
@@ -548,13 +553,7 @@ func (e *Engine) insert(s *sql.InsertStmt, params []catalog.Value) (*exec.Result
 		}
 		rows[r] = row
 	}
-	indexes := e.tableIndexes(t.Name)
-	err = t.InsertRows(rows, func(i int, rid storage.RecordID) {
-		for _, si := range indexes {
-			si.insert(rows[i][si.column].(int64), rid)
-		}
-	})
-	if err != nil {
+	if err := t.InsertRows(rows, nil); err != nil {
 		return nil, err
 	}
 	return emptyResult(), nil
@@ -602,16 +601,13 @@ func (e *Engine) buildPlan(stmt sql.Statement, params []catalog.Value) (plan.Nod
 		if err != nil {
 			return nil, err
 		}
-		table := m.Table.Name
-		m.Deleted = func(rid storage.RecordID, row catalog.Row) { e.syncIndexesDelete(table, rid, row) }
-		m.Inserted = func(rid storage.RecordID, row catalog.Row) { e.syncIndexesInsert(table, rid, row) }
 		p = m
 	}
 	// AI-operator pushdown: run cheap relational predicates before model
 	// invocations (the executor short-circuits conjunctions).
 	p = plan.OptimizeFilters(p)
 	// Secondary-index access paths for filters over indexed columns.
-	p = plan.UseIndexes(p, e.indexLookup())
+	p = plan.UseIndexes(p)
 	// Freeze build-side choices at plan time (estimator runs here, once).
 	plan.AnnotateBuildSides(p, plan.HistogramEstimator{Params: params})
 	return p, nil

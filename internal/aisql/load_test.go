@@ -274,13 +274,13 @@ func TestBulkInsertMatchesRowByRow(t *testing.T) {
 
 	// Indexes maintained during the load, then built after it.
 	fetches := func(e *Engine) string {
-		si := e.indexFor("items", 0)
-		if si == nil {
-			t.Fatal("no index on items.id")
+		tab, err := e.Cat.Table("items")
+		if err != nil {
+			t.Fatal(err)
 		}
 		var sb strings.Builder
 		for _, rng := range [][2]int64{{math.MinInt64, math.MaxInt64}, {0, 0}, {100, 250}, {int64(nextID) - 40, int64(nextID)}, {-5, 3}} {
-			rids, err := si.fetch()(rng[0], rng[1], nil)
+			rids, err := tab.IndexRange(0, rng[0], rng[1], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,10 +311,13 @@ func TestBulkInsertMatchesRowByRow(t *testing.T) {
 }
 
 // boxedTrainingData is the reference trainingData is held to: every row
-// boxed through Table.AllRows, each cell through toF64.
+// boxed through Table.ScanPages, each cell through toF64.
 func boxedTrainingData(t *catalog.Table, features []string, label string) (*ml.Matrix, []float64, error) {
-	rows, err := t.AllRows()
-	if err != nil {
+	var rows []catalog.Row
+	if err := t.ScanPages(t.PageIDs(), func(_ storage.RecordID, r catalog.Row) bool {
+		rows = append(rows, r)
+		return true
+	}); err != nil {
 		return nil, nil, err
 	}
 	labelIdx := t.Schema.ColIndex(label)

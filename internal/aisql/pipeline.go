@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"aidb/internal/catalog"
+	"aidb/internal/storage"
 )
 
 // ExternalPipeline is the E14 baseline: the traditional workflow of
@@ -29,11 +30,7 @@ func (p *ExternalPipeline) ExportCSV(t *catalog.Table) (string, error) {
 		sb.WriteString(c.Name)
 	}
 	sb.WriteByte('\n')
-	rows, err := t.AllRows()
-	if err != nil {
-		return "", err
-	}
-	for _, row := range rows {
+	err := t.ScanPages(t.PageIDs(), func(_ storage.RecordID, row catalog.Row) bool {
 		for i, v := range row {
 			if i > 0 {
 				sb.WriteByte(',')
@@ -41,6 +38,10 @@ func (p *ExternalPipeline) ExportCSV(t *catalog.Table) (string, error) {
 			fmt.Fprintf(&sb, "%v", v)
 		}
 		sb.WriteByte('\n')
+		return true
+	})
+	if err != nil {
+		return "", err
 	}
 	out := sb.String()
 	p.BytesMoved += len(out)

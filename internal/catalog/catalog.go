@@ -79,8 +79,12 @@ type Table struct {
 	// does not grow the table.
 	holes []storage.PageID
 	zones zones // one per page of pages, in its order
-	rows  int
-	Stats *TableStats
+	// indexes are the table's secondary indexes. They change with the
+	// heap, under mu: heapWriter.try enters each row it places, deleteIf
+	// removes each row it deletes.
+	indexes []tableIndex
+	rows    int
+	Stats   *TableStats
 }
 
 // Catalog is the collection of tables in one database.
@@ -233,13 +237,13 @@ func (t *Table) Insert(row Row) (storage.RecordID, error) {
 // id to each as it is written. A row goes where inserting the rows one
 // at a time would put it: in the last page while that has room, else in
 // space a deleted row left behind (reusing that row's record id), else
-// in a new page. The table is locked once, and the page being filled
+// in a new page; each of the table's indexes takes its entry for the row
+// as it lands. The table is locked once, and the page being filled
 // stays pinned from row to row. Rows are checked before any is written,
 // so a row that does not fit the schema or a page writes nothing; an
 // error part way (I/O, or a corrupt page) leaves the rows before it
-// stored. each runs under the table's write lock, so
-// what it records of a row (an index entry) is in place before another
-// statement can read or delete the row; it must not use the table.
+// stored. each, when not nil, runs under the table's write lock; it must
+// not use the table.
 func (t *Table) InsertRows(rows []Row, each func(i int, rid storage.RecordID)) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -261,7 +265,9 @@ func (t *Table) InsertRows(rows []Row, each func(i int, rid storage.RecordID)) e
 			w.release(&w.hole)
 			return err
 		}
-		each(i, rid)
+		if each != nil {
+			each(i, rid)
+		}
 	}
 	return errors.Join(w.release(&w.last), w.release(&w.hole))
 }
@@ -335,7 +341,11 @@ func (w *heapWriter) try(s *pinned, id storage.PageID, row Row) (storage.RecordI
 	s.dirty = true
 	w.t.rows++
 	w.t.zones.widen(s.at, row)
-	return storage.RecordID{Page: id, Slot: slot}, nil
+	rid := storage.RecordID{Page: id, Slot: slot}
+	for _, x := range w.t.indexes {
+		x.tree.Put(row[x.col].(int64), packRID(rid))
+	}
+	return rid, nil
 }
 
 // release unpins the page s holds, if any.
@@ -352,6 +362,20 @@ func (w *heapWriter) release(s *pinned) error {
 func (t *Table) Get(rid storage.RecordID) (Row, error) {
 	vs, cols := t.vectors()
 	n, err := t.DecodeRecords([]storage.RecordID{rid}, cols, nil)
+	return t.only(vs, n, err)
+}
+
+// rowAt reads the row at rid from its page's bytes b; the caller holds
+// the table's lock.
+func (t *Table) rowAt(b []byte, rid storage.RecordID) (Row, error) {
+	vs, cols := t.vectors()
+	var slots []int32
+	n, err := t.decodeRecords(b, []storage.RecordID{rid}, cols, nil, &slots)
+	return t.only(vs, n, err)
+}
+
+// only boxes the one row a decode of n rows read into vs.
+func (t *Table) only(vs []Vector, n int, err error) (Row, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -365,7 +389,8 @@ func (t *Table) Get(rid storage.RecordID) (Row, error) {
 func (t *Table) Delete(rid storage.RecordID) error { return t.deleteIf(rid, nil) }
 
 // DeleteIf tombstones the row at rid provided it still is want, the row
-// a statement read there, cell for cell (floats by bits). Record ids are
+// a statement read there, cell for cell (floats by bits), and removes
+// its index entries. Record ids are
 // reused, so between reading a row and deleting it another statement
 // may have deleted it and a third row taken its place; then, as when
 // the slot is simply empty, the error is storage.ErrRecordDeleted and
@@ -385,6 +410,10 @@ func (t *Table) deleteIf(rid storage.RecordID, want Row) error {
 		return err
 	}
 	h, derr := t.layout.open(p.Data[:], rid.Page)
+	if derr == nil && want == nil && len(t.indexes) > 0 {
+		// Delete has no row in hand: read the one there for its entries.
+		want, derr = t.rowAt(p.Data[:], rid)
+	}
 	if derr == nil {
 		derr = h.remove(rid.Page, rid.Slot, want)
 	}
@@ -398,6 +427,9 @@ func (t *Table) deleteIf(rid storage.RecordID, want Row) error {
 		}
 		if i, found := slices.BinarySearch(t.holes, rid.Page); !found {
 			t.holes = slices.Insert(t.holes, i, rid.Page)
+		}
+		for _, x := range t.indexes {
+			x.tree.Delete(want[x.col].(int64), packRID(rid))
 		}
 	}
 	return derr
@@ -418,12 +450,6 @@ func (t *Table) PageIDs() []storage.PageID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return append([]storage.PageID(nil), t.pages...)
-}
-
-// Scan streams every live row (with its record id) to fn; returning false
-// stops the scan.
-func (t *Table) Scan(fn func(rid storage.RecordID, row Row) bool) error {
-	return t.ScanPages(t.PageIDs(), fn)
 }
 
 // ScanPages streams the live rows of just the given pages to fn in page
@@ -475,14 +501,4 @@ func (t *Table) row(vs []Vector, i int) Row {
 		}
 	}
 	return row
-}
-
-// AllRows materializes every live row; convenient for small tables.
-func (t *Table) AllRows() ([]Row, error) {
-	var rows []Row
-	err := t.Scan(func(_ storage.RecordID, r Row) bool {
-		rows = append(rows, r)
-		return true
-	})
-	return rows, err
 }

@@ -1,11 +1,13 @@
 package catalog
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -14,6 +16,16 @@ import (
 
 	"aidb/internal/storage"
 )
+
+// allRows reads every live row of tab through ScanPages.
+func allRows(tab *Table) ([]Row, error) {
+	var rows []Row
+	err := tab.ScanPages(tab.PageIDs(), func(_ storage.RecordID, r Row) bool {
+		rows = append(rows, r)
+		return true
+	})
+	return rows, err
+}
 
 func testSchema() Schema {
 	return Schema{Columns: []Column{
@@ -222,7 +234,7 @@ func TestInsertRowsPlacesLikeOneAtATime(t *testing.T) {
 			if reused < 100 {
 				t.Errorf("weak coverage: %d rows landed before the last page", reused)
 			}
-			rows, err := bulk.AllRows()
+			rows, err := allRows(bulk)
 			if err != nil || len(rows) != bulk.rows {
 				t.Fatalf("%d rows read back of %d: %v", len(rows), bulk.rows, err)
 			}
@@ -283,7 +295,7 @@ func TestScanSpansPages(t *testing.T) {
 	}
 	count := 0
 	sum := int64(0)
-	err := tab.Scan(func(_ storage.RecordID, r Row) bool {
+	err := tab.ScanPages(tab.PageIDs(), func(_ storage.RecordID, r Row) bool {
 		count++
 		sum += r[0].(int64)
 		return true
@@ -306,7 +318,7 @@ func TestScanEarlyStop(t *testing.T) {
 		tab.Insert(Row{int64(i), 0.0, ""})
 	}
 	count := 0
-	tab.Scan(func(_ storage.RecordID, r Row) bool {
+	tab.ScanPages(tab.PageIDs(), func(_ storage.RecordID, r Row) bool {
 		count++
 		return count < 10
 	})
@@ -329,9 +341,9 @@ func TestDeleteHidesRow(t *testing.T) {
 	if _, err := tab.Get(rid); !errors.Is(err, storage.ErrRecordDeleted) {
 		t.Errorf("Get deleted: %v", err)
 	}
-	rows, _ := tab.AllRows()
+	rows, _ := allRows(tab)
 	if len(rows) != 1 || rows[0][0].(int64) != 2 {
-		t.Errorf("AllRows = %v", rows)
+		t.Errorf("rows = %v", rows)
 	}
 }
 
@@ -365,7 +377,7 @@ func TestChurnDoesNotGrowTable(t *testing.T) {
 		t.Errorf("table grew from %d to %d pages under balanced churn", pages, got)
 	}
 	seen := map[int64]bool{}
-	tab.Scan(func(_ storage.RecordID, r Row) bool {
+	tab.ScanPages(tab.PageIDs(), func(_ storage.RecordID, r Row) bool {
 		seen[r[0].(int64)] = true
 		return true
 	})
@@ -426,7 +438,7 @@ func TestChurnDoesNotGrow(t *testing.T) {
 					old Row
 				}
 				var changes []change
-				if err := tab.Scan(func(rid storage.RecordID, r Row) bool {
+				if err := tab.ScanPages(tab.PageIDs(), func(rid storage.RecordID, r Row) bool {
 					changes = append(changes, change{rid, r})
 					return true
 				}); err != nil {
@@ -445,7 +457,7 @@ func TestChurnDoesNotGrow(t *testing.T) {
 					t.Fatalf("round %d: %d pages, a fresh load of the long rows takes %d", round, got, fresh)
 				}
 			}
-			rows, err := tab.AllRows()
+			rows, err := allRows(tab)
 			if err != nil || len(rows) != 1000 || tab.NumRows() != 1000 {
 				t.Fatalf("%d rows read (%v), NumRows %d, want 1000", len(rows), err, tab.NumRows())
 			}
@@ -659,7 +671,7 @@ func TestScanDecodesOnlyNeededColumns(t *testing.T) {
 		}
 		var rids []storage.RecordID
 		if byRecord {
-			if err := tab.Scan(func(rid storage.RecordID, _ Row) bool { rids = append(rids, rid); return true }); err != nil {
+			if err := tab.ScanPages(tab.PageIDs(), func(rid storage.RecordID, _ Row) bool { rids = append(rids, rid); return true }); err != nil {
 				t.Fatal(err)
 			}
 			if n, err := tab.DecodeRecords(rids, cols, nil); err != nil || n != 300 {
@@ -1104,6 +1116,131 @@ func TestAnalyzeComputesStats(t *testing.T) {
 	sel := tab.EstimateSelectivity(0, 0, 4)
 	if sel < 0.4 || sel > 0.6 {
 		t.Errorf("selectivity = %v, want ~0.5", sel)
+	}
+}
+
+// TestIndexChangesWithTheHeap: a table's index has each live row once
+// under its value, through CreateIndex over existing rows, InsertRows,
+// DeleteIf and Delete (which reads the row's value itself); it takes
+// INT columns only, one index each.
+func TestIndexChangesWithTheHeap(t *testing.T) {
+	tab, _ := NewMem().CreateTable("t", testSchema())
+	var rids []storage.RecordID
+	for i := 0; i < 600; i++ {
+		rid, err := tab.Insert(Row{int64(i % 7), float64(i), "x"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if err := tab.CreateIndex(0); err != nil {
+		t.Fatal(err)
+	}
+	for col := -1; col <= 3; col++ { // none, indexed already, FLOAT, TEXT, none
+		if err := tab.CreateIndex(col); err == nil {
+			t.Errorf("CreateIndex(%d) succeeded", col)
+		}
+	}
+	if !tab.Indexed(0) || tab.Indexed(1) || tab.Indexed(2) {
+		t.Errorf("Indexed = %v %v %v, want true false false", tab.Indexed(0), tab.Indexed(1), tab.Indexed(2))
+	}
+	if _, err := tab.IndexRange(2, 0, 0, nil); err == nil {
+		t.Error("IndexRange on a column without an index succeeded")
+	}
+	for i := 0; i < 600; i += 3 {
+		var err error
+		if i%2 == 0 {
+			err = tab.Delete(rids[i])
+		} else {
+			err = tab.DeleteIf(rids[i], Row{int64(i % 7), float64(i), "x"})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.InsertRows([]Row{{int64(3), 0.0, "y"}, {int64(math.MinInt64), 0.0, "y"}, {int64(math.MaxInt64), 0.0, "y"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64][]storage.RecordID{}
+	err := tab.ScanPages(tab.PageIDs(), func(rid storage.RecordID, r Row) bool {
+		want[r[0].(int64)] = append(want[r[0].(int64)], rid)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := tab.IndexRange(0, math.MinInt64, math.MaxInt64, nil)
+	if err != nil || len(all) != tab.NumRows() {
+		t.Fatalf("the index holds %d entries for %d rows (%v)", len(all), tab.NumRows(), err)
+	}
+	for v, rids := range want {
+		slices.SortFunc(rids, func(a, b storage.RecordID) int { return cmp.Compare(packRID(a), packRID(b)) })
+		if got, _ := tab.IndexRange(0, v, v, nil); !slices.Equal(got, rids) {
+			t.Errorf("value %d: index %v, heap %v", v, got, rids)
+		}
+	}
+}
+
+// TestAnalyzeMatchesScannedRows: Analyze reads its INT columns in one
+// DecodePages pass; its statistics must be the ones the table's rows, as
+// ScanPages boxes them, give — row count, histograms, NDV and MCVs in
+// order — on a seeded table with deletes and the inserts that refill
+// their slots.
+func TestAnalyzeMatchesScannedRows(t *testing.T) {
+	const buckets, mcvs = 16, 5
+	r := rand.New(rand.NewSource(34))
+	tab, _ := NewMem().CreateTable("t", Schema{Columns: []Column{
+		{Name: "a", Type: Int64}, {Name: "f", Type: Float64},
+		{Name: "b", Type: Int64}, {Name: "s", Type: String},
+	}})
+	var rids []storage.RecordID
+	for i := 0; i < 3000; i++ {
+		if len(rids) > 0 && r.Intn(4) == 0 {
+			k := r.Intn(len(rids))
+			if err := tab.Delete(rids[k]); err != nil {
+				t.Fatal(err)
+			}
+			rids = slices.Delete(rids, k, k+1)
+			continue
+		}
+		rid, err := tab.Insert(Row{int64(r.Intn(40)), r.Float64(), r.Int63() - r.Int63(), fmt.Sprint("s", r.Intn(9))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if err := tab.Analyze(buckets, mcvs); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := allRows(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &TableStats{RowCount: len(rows), Cols: map[int]*ColumnStats{}}
+	for _, col := range []int{0, 2} {
+		vals := make([]int64, len(rows))
+		counts := map[int64]int{}
+		for i, row := range rows {
+			vals[i] = row[col].(int64)
+			counts[vals[i]]++
+		}
+		var top []MCV
+		for v, n := range counts {
+			top = append(top, MCV{Value: v, Count: n})
+		}
+		slices.SortFunc(top, func(x, y MCV) int {
+			if x.Count != y.Count {
+				return y.Count - x.Count
+			}
+			return cmp.Compare(x.Value, y.Value)
+		})
+		want.Cols[col] = &ColumnStats{Hist: NewHistogram(vals, buckets), NDV: len(counts), MCVs: top[:min(mcvs, len(top))]}
+	}
+	if !reflect.DeepEqual(tab.Stats, want) {
+		t.Errorf("Analyze gives %+v\nthe scanned rows give %+v", tab.Stats, want)
+	}
+	if want.RowCount != len(rids) || want.Cols[0].NDV != 40 {
+		t.Errorf("weak coverage: %d rows of %d live, NDV %d", want.RowCount, len(rids), want.Cols[0].NDV)
 	}
 }
 

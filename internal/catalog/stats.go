@@ -1,7 +1,7 @@
 package catalog
 
 import (
-	"fmt"
+	"math"
 	"sort"
 )
 
@@ -98,25 +98,25 @@ type TableStats struct {
 }
 
 // Analyze computes statistics for every Int64 column of t with the given
-// histogram bucket count and MCV list length.
+// histogram bucket count and MCV list length, reading those columns in
+// one DecodePages pass.
 func (t *Table) Analyze(buckets, mcvs int) error {
-	rows, err := t.AllRows()
+	_, cols := t.vectors()
+	for i, c := range t.Schema.Columns {
+		if c.Type != Int64 {
+			cols[i] = nil
+		}
+	}
+	_, rows, err := t.DecodePages(t.PageIDs(), cols, nil, math.MaxInt)
 	if err != nil {
 		return err
 	}
-	stats := &TableStats{RowCount: len(rows), Cols: make(map[int]*ColumnStats)}
-	for ci, col := range t.Schema.Columns {
-		if col.Type != Int64 {
+	stats := &TableStats{RowCount: rows, Cols: make(map[int]*ColumnStats)}
+	for ci, col := range cols {
+		if col == nil {
 			continue
 		}
-		vals := make([]int64, len(rows))
-		for ri, r := range rows {
-			v, ok := r[ci].(int64)
-			if !ok {
-				return fmt.Errorf("catalog: Analyze: column %q row %d is %T", col.Name, ri, r[ci])
-			}
-			vals[ri] = v
-		}
+		vals := col.I
 		cs := &ColumnStats{Hist: NewHistogram(vals, buckets)}
 		counts := map[int64]int{}
 		for _, v := range vals {

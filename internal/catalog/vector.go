@@ -104,11 +104,17 @@ func (t *Table) DecodePages(ids []storage.PageID, cols []*Vector, rids *[]storag
 	if err := t.checkCols(cols); err != nil {
 		return 0, 0, err
 	}
+	t.mu.RLock()
+	pages, rows, err = t.decodePages(ids, cols, rids, limit)
+	t.mu.RUnlock()
+	return pages, rows, err
+}
+
+// decodePages is DecodePages for a caller that holds the table's lock.
+func (t *Table) decodePages(ids []storage.PageID, cols []*Vector, rids *[]storage.RecordID, limit int) (pages, rows int, err error) {
 	d := decoders.Get().(*pageDecoder)
 	d.t, d.ids, d.cols, d.rids, d.limit, d.pages, d.rows = t, ids, cols, rids, limit, 0, 0
-	t.mu.RLock()
 	err = t.pool.View(ids, d.view)
-	t.mu.RUnlock()
 	pages, rows = d.pages, d.rows
 	d.t, d.ids, d.cols, d.rids = nil, nil, nil, nil
 	decoders.Put(d)

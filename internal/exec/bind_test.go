@@ -96,7 +96,7 @@ func TestNameErrorsFailAtCompile(t *testing.T) {
 	}
 	if res, err := c.Table("a"); err != nil {
 		t.Fatal(err)
-	} else if rows, _ := res.AllRows(); len(rows) != 10 || rows[3][1] != int64(6) {
+	} else if rows := heapRows(t, res); len(rows) != 10 || rows[3][1] != int64(6) {
 		t.Errorf("a failed UPDATE changed the table: %v", rows)
 	}
 }

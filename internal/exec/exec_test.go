@@ -7,6 +7,7 @@ import (
 	"aidb/internal/catalog"
 	"aidb/internal/plan"
 	"aidb/internal/sql"
+	"aidb/internal/storage"
 )
 
 // setup creates a small orders/users database.
@@ -36,6 +37,19 @@ func setup(t *testing.T) *catalog.Catalog {
 		orders.Insert(catalog.Row{i, i%5 + 1, float64(i) * 10})
 	}
 	return c
+}
+
+// heapRows reads every live row of tab through ScanPages.
+func heapRows(t testing.TB, tab *catalog.Table) []catalog.Row {
+	t.Helper()
+	var rows []catalog.Row
+	if err := tab.ScanPages(tab.PageIDs(), func(_ storage.RecordID, r catalog.Row) bool {
+		rows = append(rows, r)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 func run(t *testing.T, c *catalog.Catalog, q string) *Result {

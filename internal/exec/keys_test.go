@@ -86,18 +86,12 @@ func TestTextKeyCodesMatchStrings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trows, err := tab.AllRows()
-	if err != nil {
-		t.Fatal(err)
-	}
+	trows := heapRows(t, tab)
 	utab, err := c.Table("u")
 	if err != nil {
 		t.Fatal(err)
 	}
-	urows, err := utab.AllRows()
-	if err != nil {
-		t.Fatal(err)
-	}
+	urows := heapRows(t, utab)
 
 	// What numbering each row's string gives, in scan order.
 	groupBy := func(col int) []catalog.Row {

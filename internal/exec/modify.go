@@ -107,9 +107,9 @@ func (m *modifyOp) collect(ctx context.Context) ([]rowChange, error) {
 	}
 }
 
-// apply makes the collected changes. A row another statement removed
-// or replaced since it was read no longer matches anything and is
-// skipped.
+// apply makes the collected changes; the table changes its indexes
+// with its heap. A row another statement removed or replaced since it
+// was read no longer matches anything and is skipped.
 func (m *modifyOp) apply(changes []rowChange) error {
 	t := m.node.Table
 	for _, ch := range changes {
@@ -119,18 +119,11 @@ func (m *modifyOp) apply(changes []rowChange) error {
 			}
 			return fmt.Errorf("exec: %s %s: %w", m.node.Kind(), t.Name, err)
 		}
-		if m.node.Deleted != nil {
-			m.node.Deleted(ch.rid, ch.old)
-		}
 		if ch.new == nil {
 			continue
 		}
-		rid, err := t.Insert(ch.new)
-		if err != nil {
+		if _, err := t.Insert(ch.new); err != nil {
 			return fmt.Errorf("exec: UPDATE %s: %w", t.Name, err)
-		}
-		if m.node.Inserted != nil {
-			m.node.Inserted(rid, ch.new)
 		}
 	}
 	return nil

@@ -305,9 +305,9 @@ func TestScanChaosScheduleIndependentOfParallelism(t *testing.T) {
 	}
 }
 
-// TestParallelIndexScanMatchesSerial drives IndexScanNode through a
-// thread-safe synthetic Fetch and checks subrange splitting preserves
-// the serial key order exactly.
+// TestParallelIndexScanMatchesSerial drives IndexScanNode over the
+// table's own index and checks subrange splitting preserves the serial
+// (key, record id) order exactly.
 func TestParallelIndexScanMatchesSerial(t *testing.T) {
 	c := catalog.NewMem()
 	tab, err := c.CreateTable("t", catalog.Schema{Columns: []catalog.Column{
@@ -317,33 +317,21 @@ func TestParallelIndexScanMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Skewed key set: dense low band plus sparse high outliers, stored
-	// unsorted and indexed by (key, record id).
-	type entry struct {
-		key int64
-		rid storage.RecordID
-	}
-	var index []entry
+	// unsorted.
 	for i := int64(0); i < 4050; i++ {
 		k := i % 700
 		if i >= 4000 {
 			k = 100000 + (i-4000)*31
 		}
-		rid, err := tab.Insert(catalog.Row{k})
-		if err != nil {
+		if _, err := tab.Insert(catalog.Row{k}); err != nil {
 			t.Fatal(err)
 		}
-		index = append(index, entry{k, rid})
 	}
-	sort.SliceStable(index, func(a, b int) bool { return index[a].key < index[b].key })
-	fetch := func(lo, hi int64, dst []storage.RecordID) ([]storage.RecordID, error) {
-		from := sort.Search(len(index), func(i int) bool { return index[i].key >= lo })
-		for i := from; i < len(index) && index[i].key <= hi; i++ {
-			dst = append(dst, index[i].rid)
-		}
-		return dst, nil
+	if err := tab.CreateIndex(0); err != nil {
+		t.Fatal(err)
 	}
 	for _, bounds := range [][2]int64{{0, 699}, {-50, 200000}, {math.MinInt64, math.MaxInt64}, {650, 650}} {
-		node := &plan.IndexScanNode{Table: tab, Alias: "t", Column: 0, Lo: []plan.Bound{{N: bounds[0]}}, Hi: []plan.Bound{{N: bounds[1]}}, Fetch: fetch}
+		node := &plan.IndexScanNode{Table: tab, Alias: "t", Column: 0, Lo: []plan.Bound{{N: bounds[0]}}, Hi: []plan.Bound{{N: bounds[1]}}}
 		serial := New(nil)
 		serial.Parallelism = 1
 		want, err := serial.Run(node)
@@ -604,54 +592,50 @@ func TestMorselCountersAdvance(t *testing.T) {
 // TestIndexScanBoundsResolveAtOpen: one IndexScanNode with placeholder
 // bounds serves every binding under a bare executor with Params set — a
 // NULL reads nothing, and a binding with no int64 value reads the heap
-// instead of the index.
+// instead of the index. The heap holds the keys in descending order, so
+// the order of the rows tells which of the two was read.
 func TestIndexScanBoundsResolveAtOpen(t *testing.T) {
 	c := catalog.NewMem()
 	tab, err := c.CreateTable("t", catalog.Schema{Columns: []catalog.Column{{Name: "k", Type: catalog.Int64}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rids []storage.RecordID
-	for k := int64(0); k < 100; k++ {
-		rid, err := tab.Insert(catalog.Row{k})
-		if err != nil {
+	for k := int64(99); k >= 0; k-- {
+		if _, err := tab.Insert(catalog.Row{k}); err != nil {
 			t.Fatal(err)
 		}
-		rids = append(rids, rid)
 	}
-	var fetched atomic.Int64
-	fetch := func(lo, hi int64, dst []storage.RecordID) ([]storage.RecordID, error) {
-		for k := max(lo, 0); k <= min(hi, 99); k++ {
-			fetched.Add(1)
-			dst = append(dst, rids[k])
-		}
-		return dst, nil
+	if err := tab.CreateIndex(0); err != nil {
+		t.Fatal(err)
 	}
 	node := &plan.IndexScanNode{Table: tab, Alias: "t", Column: 0,
-		Lo: []plan.Bound{{Param: 1}}, Hi: []plan.Bound{{Param: 2, N: -1}}, Fetch: fetch}
+		Lo: []plan.Bound{{Param: 1}}, Hi: []plan.Bound{{Param: 2, N: -1}}}
 	for _, tc := range []struct {
-		params  []catalog.Value
-		rows    int
-		fetched int64
+		params   []catalog.Value
+		rows     int
+		viaIndex bool
 	}{
-		{[]catalog.Value{int64(10), int64(20)}, 10, 10},
-		{[]catalog.Value{int64(50), int64(51)}, 1, 1},
-		{[]catalog.Value{int64(60), int64(60)}, 0, 0},
-		{[]catalog.Value{nil, int64(20)}, 0, 0},
-		{[]catalog.Value{2.5, int64(20)}, 100, 0}, // heap scan; a filter above would decide
-		{[]catalog.Value{int64(10), "x"}, 100, 0},
+		{[]catalog.Value{int64(10), int64(20)}, 10, true},
+		{[]catalog.Value{int64(50), int64(51)}, 1, true},
+		{[]catalog.Value{int64(60), int64(60)}, 0, true},
+		{[]catalog.Value{nil, int64(20)}, 0, true},
+		{[]catalog.Value{2.5, int64(20)}, 100, false}, // heap scan; a filter above would decide
+		{[]catalog.Value{int64(10), "x"}, 100, false},
 	} {
 		for _, workers := range []int{1, 4} {
-			fetched.Store(0)
 			ex := parallelExec(workers)
 			ex.Params = tc.params
 			res, err := ex.Run(node)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Rows) != tc.rows || fetched.Load() != tc.fetched {
-				t.Errorf("params %v @%d workers: %d rows, %d fetched through the index; want %d, %d",
-					tc.params, workers, len(res.Rows), fetched.Load(), tc.rows, tc.fetched)
+			ascending := true
+			for i := 1; i < len(res.Rows); i++ {
+				ascending = ascending && res.Rows[i-1][0].(int64) < res.Rows[i][0].(int64)
+			}
+			if len(res.Rows) != tc.rows || len(res.Rows) > 1 && ascending != tc.viaIndex {
+				t.Errorf("params %v @%d workers: %d rows, ascending %v; want %d rows, read through the index %v",
+					tc.params, workers, len(res.Rows), ascending, tc.rows, tc.viaIndex)
 			}
 		}
 	}

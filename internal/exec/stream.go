@@ -717,11 +717,11 @@ func (s *morselStream) heapProduce(t *catalog.Table, morsels [][]storage.PageID,
 // compileIndexScan builds the streaming source for an index range
 // scan. The key range is fixed at open from the run's parameters, so
 // one cached plan serves every binding, then split into key subranges;
-// each subrange's record ids, in key order, are decoded a chunk at a
-// time, one pin per page, and subranges emit in ascending key order,
-// matching the serial scan exactly. When a bound has no int64 value the
-// scan reads the heap instead and leaves the decision to the filter
-// above it.
+// each subrange's record ids, in (key, record id) order, are decoded a
+// chunk at a time, one pin per page, and subranges emit in ascending
+// key order, matching the serial scan exactly. When a bound has no
+// int64 value the scan reads the heap instead and leaves the decision
+// to the filter above it.
 func (ex *Executor) compileIndexScan(rc *runCtx, v *plan.IndexScanNode) (*morselStream, []kind) {
 	s := &morselStream{ex: ex, rc: rc, prof: ex.Profile.of(v)}
 	kinds := tableKinds(v.Table, v.Needed)
@@ -737,7 +737,7 @@ func (ex *Executor) compileIndexScan(rc *runCtx, v *plan.IndexScanNode) (*morsel
 		subs := splitKeyRange(lo, hi, ex.workers()*2, minIndexMorselWidth)
 		s.n = len(subs)
 		s.produce = func(m int, emit emitFn) error {
-			rids, err := v.Fetch(subs[m][0], subs[m][1], nil)
+			rids, err := v.Table.IndexRange(v.Column, subs[m][0], subs[m][1], nil)
 			if err != nil {
 				return err
 			}

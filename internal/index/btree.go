@@ -1,11 +1,12 @@
 // Package index implements an in-memory B+tree over int64 keys. It is the
 // traditional index baseline that the learned indexes in
 // internal/learnedidx are measured against (experiment E9), and it backs
-// secondary indexes recommended by the index advisor.
+// the secondary indexes a catalog table keeps.
 package index
 
 import (
 	"errors"
+	"slices"
 	"sort"
 )
 
@@ -15,8 +16,10 @@ const DefaultOrder = 64
 // ErrNotFound is returned by Get for missing keys.
 var ErrNotFound = errors.New("index: key not found")
 
-// BTree is a B+tree mapping int64 keys to uint64 values (typically packed
-// record ids or row offsets). Duplicate keys overwrite.
+// BTree is a B+tree of (key, value) pairs, ordered by key and then by
+// value: a key may hold many values, and each pair is stored once. With
+// unique keys it maps each key to its value; keyed by a column value with
+// packed record ids as values, it is a secondary index.
 type BTree struct {
 	// Order is the maximum number of keys per node (default DefaultOrder).
 	Order int
@@ -26,11 +29,30 @@ type BTree struct {
 }
 
 type node struct {
-	leaf     bool
-	keys     []int64
-	children []*node  // internal nodes: len(keys)+1 children
-	values   []uint64 // leaf nodes
-	next     *node    // leaf chain for range scans
+	leaf bool
+	keys []int64
+	// values are a leaf's entries' values and an internal node's
+	// separators' values: entry or separator i is (keys[i], values[i]).
+	// Separators are pairs, so a run of equal keys may span leaves.
+	values   []uint64
+	children []*node // internal nodes: len(keys)+1 children
+	next     *node   // leaf chain for range scans
+}
+
+// less reports whether pair (k1, v1) orders before (k2, v2).
+func less(k1 int64, v1 uint64, k2 int64, v2 uint64) bool {
+	return k1 < k2 || k1 == k2 && v1 < v2
+}
+
+// child returns the position, in internal node n, of the child whose
+// pairs range over (k, v): the number of separators at or below it.
+func (n *node) child(k int64, v uint64) int {
+	return sort.Search(len(n.keys), func(i int) bool { return less(k, v, n.keys[i], n.values[i]) })
+}
+
+// lowerBound returns the position of leaf n's first pair at or after (k, v).
+func (n *node) lowerBound(k int64, v uint64) int {
+	return sort.Search(len(n.keys), func(i int) bool { return !less(n.keys[i], n.values[i], k, v) })
 }
 
 // NewBTree creates an empty tree with the given order (0 = DefaultOrder).
@@ -44,7 +66,7 @@ func NewBTree(order int) *BTree {
 	return &BTree{Order: order, root: &node{leaf: true}}
 }
 
-// Len reports the number of stored keys.
+// Len reports the number of stored pairs.
 func (t *BTree) Len() int { return t.size }
 
 // Height reports the tree height (1 for a lone leaf).
@@ -83,54 +105,53 @@ func (t *BTree) SizeBytes() int {
 	return walk(t.root)
 }
 
-// Get returns the value stored under key.
-func (t *BTree) Get(key int64) (uint64, error) {
+// seek returns the leaf and position of the first pair at or after
+// (k, v), or a nil leaf when there is none. The leaf whose range holds
+// (k, v) may end before it; the pair is then the next leaf's first.
+func (t *BTree) seek(k int64, v uint64) (*node, int) {
 	n := t.root
 	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return key < n.keys[i] })
-		n = n.children[i]
+		n = n.children[n.child(k, v)]
 	}
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
-	if i < len(n.keys) && n.keys[i] == key {
+	i := n.lowerBound(k, v)
+	for n != nil && i == len(n.keys) {
+		n, i = n.next, 0
+	}
+	return n, i
+}
+
+// Get returns the least value stored under key.
+func (t *BTree) Get(key int64) (uint64, error) {
+	if n, i := t.seek(key, 0); n != nil && n.keys[i] == key {
 		return n.values[i], nil
 	}
 	return 0, ErrNotFound
 }
 
-// Put inserts or overwrites key.
+// Put stores the pair (key, value); a pair already stored is left as it is.
 func (t *BTree) Put(key int64, value uint64) {
-	r := t.root
-	if len(r.keys) >= t.Order {
-		newRoot := &node{children: []*node{r}}
-		t.splitChild(newRoot, 0)
-		t.root = newRoot
+	if len(t.root.keys) >= t.Order {
+		r := &node{children: []*node{t.root}}
+		t.splitChild(r, 0)
+		t.root = r
 	}
-	t.insertNonFull(t.root, key, value)
-}
-
-func (t *BTree) insertNonFull(n *node, key int64, value uint64) {
+	n := t.root
 	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return key < n.keys[i] })
-		child := n.children[i]
-		if len(child.keys) >= t.Order {
+		i := n.child(key, value)
+		if len(n.children[i].keys) >= t.Order {
 			t.splitChild(n, i)
-			if key >= n.keys[i] {
+			if !less(key, value, n.keys[i], n.values[i]) {
 				i++
 			}
 		}
 		n = n.children[i]
 	}
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
-	if i < len(n.keys) && n.keys[i] == key {
-		n.values[i] = value
+	i := n.lowerBound(key, value)
+	if i < len(n.keys) && n.keys[i] == key && n.values[i] == value {
 		return
 	}
-	n.keys = append(n.keys, 0)
-	n.values = append(n.values, 0)
-	copy(n.keys[i+1:], n.keys[i:])
-	copy(n.values[i+1:], n.values[i:])
-	n.keys[i] = key
-	n.values[i] = value
+	n.keys = slices.Insert(n.keys, i, key)
+	n.values = slices.Insert(n.values, i, value)
 	t.size++
 }
 
@@ -140,6 +161,7 @@ func (t *BTree) splitChild(parent *node, i int) {
 	mid := len(child.keys) / 2
 	var right *node
 	var upKey int64
+	var upValue uint64
 	if child.leaf {
 		right = &node{
 			leaf:   true,
@@ -150,50 +172,49 @@ func (t *BTree) splitChild(parent *node, i int) {
 		child.keys = child.keys[:mid]
 		child.values = child.values[:mid]
 		child.next = right
-		upKey = right.keys[0]
+		upKey, upValue = right.keys[0], right.values[0]
 	} else {
 		moved := child.children[mid+1:]
 		right = &node{
 			keys:     append([]int64(nil), child.keys[mid+1:]...),
+			values:   append([]uint64(nil), child.values[mid+1:]...),
 			children: append([]*node(nil), moved...),
 		}
 		// The left half's array must not keep the moved subtrees alive
 		// once Delete unlinks them from the right half.
 		clear(moved)
-		upKey = child.keys[mid]
+		upKey, upValue = child.keys[mid], child.values[mid]
 		child.keys = child.keys[:mid]
+		child.values = child.values[:mid]
 		child.children = child.children[:mid+1]
 	}
-	parent.keys = append(parent.keys, 0)
-	copy(parent.keys[i+1:], parent.keys[i:])
-	parent.keys[i] = upKey
-	parent.children = append(parent.children, nil)
-	copy(parent.children[i+2:], parent.children[i+1:])
-	parent.children[i+1] = right
+	parent.keys = slices.Insert(parent.keys, i, upKey)
+	parent.values = slices.Insert(parent.values, i, upValue)
+	parent.children = slices.Insert(parent.children, i+1, right)
 }
 
-// Delete removes key, reporting whether it was present. Underflowed
-// nodes are tolerated (lazy deletion), matching common in-memory B+tree
-// implementations, but a leaf left empty is unlinked — and with it any
-// ancestor left without children — so a tree whose keys come and go
-// (ascending inserts, oldest deleted) does not keep a shell per dead
-// key range.
-func (t *BTree) Delete(key int64) bool {
+// Delete removes the pair (key, value), reporting whether it was
+// present. Underflowed nodes are tolerated (lazy deletion), matching
+// common in-memory B+tree implementations, but a leaf left empty is
+// unlinked — and with it any ancestor left without children — so a tree
+// whose keys come and go (ascending inserts, oldest deleted) does not
+// keep a shell per dead key range.
+func (t *BTree) Delete(key int64, value uint64) bool {
 	// path[d] is the internal node at depth d, at[d] the child taken.
 	var path []*node
 	var at []int
 	n := t.root
 	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return key < n.keys[i] })
+		i := n.child(key, value)
 		path, at = append(path, n), append(at, i)
 		n = n.children[i]
 	}
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
-	if i >= len(n.keys) || n.keys[i] != key {
+	i := n.lowerBound(key, value)
+	if i >= len(n.keys) || n.keys[i] != key || n.values[i] != value {
 		return false
 	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.values = append(n.values[:i], n.values[i+1:]...)
+	n.keys = slices.Delete(n.keys, i, i+1)
+	n.values = slices.Delete(n.values, i, i+1)
 	t.size--
 	if len(n.keys) > 0 || len(path) == 0 {
 		return true
@@ -214,12 +235,11 @@ func (t *BTree) Delete(key int64) bool {
 	// Out of the parent, with the separator that bounded it.
 	for d := len(path) - 1; d >= 0; d-- {
 		p, i := path[d], at[d]
-		copy(p.children[i:], p.children[i+1:])
-		p.children[len(p.children)-1] = nil
-		p.children = p.children[:len(p.children)-1]
+		p.children = slices.Delete(p.children, i, i+1)
 		if len(p.keys) > 0 {
 			k := max(i-1, 0)
-			p.keys = append(p.keys[:k], p.keys[k+1:]...)
+			p.keys = slices.Delete(p.keys, k, k+1)
+			p.values = slices.Delete(p.values, k, k+1)
 		}
 		if len(p.children) > 0 {
 			return true
@@ -229,27 +249,15 @@ func (t *BTree) Delete(key int64) bool {
 	return true
 }
 
-// Range calls fn for every key in [lo, hi] in ascending order; returning
-// false stops the scan.
+// Range calls fn for every pair whose key lies in [lo, hi], in (key,
+// value) order; returning false stops the scan.
 func (t *BTree) Range(lo, hi int64, fn func(key int64, value uint64) bool) {
-	n := t.root
-	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return lo < n.keys[i] })
-		n = n.children[i]
-	}
-	for n != nil {
-		for i, k := range n.keys {
-			if k < lo {
-				continue
-			}
-			if k > hi {
-				return
-			}
-			if !fn(k, n.values[i]) {
+	for n, i := t.seek(lo, 0); n != nil; n, i = n.next, 0 {
+		for ; i < len(n.keys); i++ {
+			if n.keys[i] > hi || !fn(n.keys[i], n.values[i]) {
 				return
 			}
 		}
-		n = n.next
 	}
 }
 

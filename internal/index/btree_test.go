@@ -2,6 +2,9 @@ package index
 
 import (
 	"errors"
+	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -28,16 +31,18 @@ func TestPutGet(t *testing.T) {
 	}
 }
 
-func TestOverwrite(t *testing.T) {
+// TestPutStoresEachPairOnce: a key holds many values, and putting a
+// pair already stored changes nothing.
+func TestPutStoresEachPairOnce(t *testing.T) {
 	bt := NewBTree(0)
+	bt.Put(5, 2)
 	bt.Put(5, 1)
 	bt.Put(5, 2)
-	if bt.Len() != 1 {
-		t.Errorf("Len = %d after overwrite, want 1", bt.Len())
+	if bt.Len() != 2 {
+		t.Errorf("Len = %d after putting (5,2) twice and (5,1), want 2", bt.Len())
 	}
-	v, _ := bt.Get(5)
-	if v != 2 {
-		t.Errorf("Get = %d, want 2", v)
+	if v, _ := bt.Get(5); v != 1 {
+		t.Errorf("Get = %d, want the least value 1", v)
 	}
 }
 
@@ -46,11 +51,14 @@ func TestDelete(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		bt.Put(i, uint64(i))
 	}
-	if !bt.Delete(50) {
-		t.Fatal("Delete(50) = false")
+	if bt.Delete(50, 49) {
+		t.Fatal("Delete(50, 49) = true: no such pair")
 	}
-	if bt.Delete(50) {
-		t.Fatal("second Delete(50) = true")
+	if !bt.Delete(50, 50) {
+		t.Fatal("Delete(50, 50) = false")
+	}
+	if bt.Delete(50, 50) {
+		t.Fatal("second Delete(50, 50) = true")
 	}
 	if _, err := bt.Get(50); !errors.Is(err, ErrNotFound) {
 		t.Error("deleted key still present")
@@ -139,55 +147,125 @@ func TestBulkLoadPanicsOnUnsorted(t *testing.T) {
 	BulkLoad(8, []int64{3, 1}, []uint64{0, 1})
 }
 
-// Property: random insert/delete sequences match a reference map.
+// pair is one (key, value) entry of the sorted-slice model.
+type pair struct {
+	k int64
+	v uint64
+}
+
+func (p pair) less(q pair) bool { return less(p.k, p.v, q.k, q.v) }
+
+// pairsIn collects Range(lo, hi) as pairs.
+func pairsIn(bt *BTree, lo, hi int64) []pair {
+	var out []pair
+	bt.Range(lo, hi, func(k int64, v uint64) bool {
+		out = append(out, pair{k, v})
+		return true
+	})
+	return out
+}
+
+// Property: random Put/Delete sequences over few keys with many values
+// each match a sorted slice of distinct pairs — Len, Get's least value,
+// and Range over the whole tree and over random bounds.
 func TestBTreeMatchesMapProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := ml.NewRNG(seed)
 		bt := NewBTree(4 + rng.Intn(12))
-		ref := map[int64]uint64{}
-		for op := 0; op < 500; op++ {
-			k := int64(rng.Intn(200))
-			switch rng.Intn(3) {
-			case 0, 1:
-				v := rng.Uint64()
-				bt.Put(k, v)
-				ref[k] = v
-			case 2:
-				got := bt.Delete(k)
-				_, want := ref[k]
-				if got != want {
+		var ref []pair // sorted, distinct
+		for op := 0; op < 800; op++ {
+			p := pair{int64(rng.Intn(40) - 20), uint64(rng.Intn(12))}
+			i, found := slices.BinarySearchFunc(ref, p, func(a, b pair) int {
+				if a.less(b) {
+					return -1
+				}
+				if b.less(a) {
+					return 1
+				}
+				return 0
+			})
+			if rng.Intn(3) < 2 {
+				bt.Put(p.k, p.v)
+				if !found {
+					ref = slices.Insert(ref, i, p)
+				}
+			} else {
+				if bt.Delete(p.k, p.v) != found {
 					return false
 				}
-				delete(ref, k)
+				if found {
+					ref = slices.Delete(ref, i, i+1)
+				}
 			}
 		}
-		if bt.Len() != len(ref) {
+		if bt.Len() != len(ref) || !slices.Equal(pairsIn(bt, math.MinInt64, math.MaxInt64), ref) {
 			return false
 		}
-		for k, want := range ref {
+		for k := int64(-21); k <= 20; k++ {
 			got, err := bt.Get(k)
-			if err != nil || got != want {
+			i := slices.IndexFunc(ref, func(p pair) bool { return p.k == k })
+			if (i < 0) != errors.Is(err, ErrNotFound) || i >= 0 && got != ref[i].v {
 				return false
 			}
 		}
-		// Full range scan returns exactly the reference keys in order.
-		var keys []int64
-		bt.Range(-1000, 1000, func(k int64, v uint64) bool {
-			keys = append(keys, k)
-			return true
-		})
-		if len(keys) != len(ref) {
-			return false
-		}
-		for i := 1; i < len(keys); i++ {
-			if keys[i-1] >= keys[i] {
-				return false
+		lo := int64(rng.Intn(44) - 22)
+		hi := lo + int64(rng.Intn(10))
+		var want []pair
+		for _, p := range ref {
+			if p.k >= lo && p.k <= hi {
+				want = append(want, p)
 			}
 		}
-		return true
+		return slices.Equal(pairsIn(bt, lo, hi), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEqualKeysSpanLeaves: a key holding more values than a leaf has
+// room for spans leaves, with pairs as the separators between them.
+// Range yields its values in order across them, and deleting one pair
+// keeps its siblings.
+func TestEqualKeysSpanLeaves(t *testing.T) {
+	bt := NewBTree(8)
+	bt.Put(6, 0)
+	bt.Put(8, 0)
+	const n = 40 // five full leaves' worth at order 8
+	for _, v := range rand.New(rand.NewSource(7)).Perm(n) {
+		bt.Put(7, uint64(v))
+	}
+	leaves := 0
+	for n := bt.root; n != nil; n = n.children[0] {
+		if n.leaf {
+			for ; n != nil; n = n.next {
+				leaves++
+			}
+			break
+		}
+	}
+	if leaves < 3 {
+		t.Fatalf("%d pairs under one key fill %d leaves, want >= 3", n, leaves)
+	}
+	var want []pair
+	for v := range n {
+		want = append(want, pair{7, uint64(v)})
+	}
+	if got := pairsIn(bt, 7, 7); !slices.Equal(got, want) {
+		t.Fatalf("Range(7, 7) = %v, want values 0..%d in order", got, n-1)
+	}
+	if !bt.Delete(7, 20) || bt.Delete(7, 20) {
+		t.Fatal("Delete(7, 20) must remove the pair once")
+	}
+	want = slices.Delete(want, 20, 21)
+	if got := pairsIn(bt, 6, 8); len(got) != n+1 || got[0] != (pair{6, 0}) || got[n] != (pair{8, 0}) || !slices.Equal(got[1:n], want) {
+		t.Fatalf("after Delete(7, 20), Range(6, 8) = %v", got)
+	}
+	if v, err := bt.Get(7); err != nil || v != 0 {
+		t.Errorf("Get(7) = %d, %v; want the least value 0", v, err)
+	}
+	if bt.Len() != n+1 {
+		t.Errorf("Len = %d, want %d", bt.Len(), n+1)
 	}
 }
 
@@ -212,7 +290,7 @@ func TestDeleteUnlinksEmptyLeaves(t *testing.T) {
 	const live = 50
 	for k := int64(0); k < 5000; k++ {
 		bt.Put(k, uint64(k))
-		if k >= live && !bt.Delete(k-live) {
+		if k >= live && !bt.Delete(k-live, uint64(k-live)) {
 			t.Fatalf("key %d missing", k-live)
 		}
 	}
@@ -246,7 +324,7 @@ func TestDeleteUnlinksEmptyLeaves(t *testing.T) {
 		t.Fatalf("range over the survivors = %v", got)
 	}
 	for _, k := range got {
-		if !bt.Delete(k) {
+		if !bt.Delete(k, uint64(k)) {
 			t.Fatalf("key %d missing", k)
 		}
 	}

@@ -14,20 +14,17 @@ import (
 // sound, whatever a placeholder turns out to hold); the win is reading
 // only the index range instead of the whole heap. It is the one place
 // an access path is chosen — SELECT, prepared SELECT, UPDATE and DELETE
-// plans all pass through it.
-
-// IndexLookup resolves an available index for (table, column position),
-// returning its fetch closure or nil when no index exists.
-type IndexLookup func(table string, column int) IndexFetch
+// plans all pass through it. Which columns have an index it asks the
+// scanned table.
 
 // UseIndexes rewrites eligible scans under filters throughout the plan.
-func UseIndexes(n Node, lookup IndexLookup) Node {
+func UseIndexes(n Node) Node {
 	var walk func(Node) Node
 	walk = func(n Node) Node {
 		rewriteChildren(n, walk)
 		if f, ok := n.(*FilterNode); ok {
 			if scan, ok := f.Input.(*ScanNode); ok {
-				if is := bestIndexRange(scan, f.Cond, lookup); is != nil {
+				if is := bestIndexRange(scan, f.Cond); is != nil {
 					f.Input = is
 				}
 			}
@@ -103,7 +100,7 @@ func (r *keyRange) width() uint64 {
 // implied by the filter's top-level conjunction and returns the index
 // scan that reads it, or nil when no indexed column is constrained.
 // Ties go to the lower column position, so the choice is deterministic.
-func bestIndexRange(scan *ScanNode, cond sql.Expr, lookup IndexLookup) *IndexScanNode {
+func bestIndexRange(scan *ScanNode, cond sql.Expr) *IndexScanNode {
 	ranges := make([]keyRange, len(scan.Table.Schema.Columns))
 	var collect func(e sql.Expr)
 	collect = func(e sql.Expr) {
@@ -162,17 +159,13 @@ func bestIndexRange(scan *ScanNode, cond sql.Expr, lookup IndexLookup) *IndexSca
 	var bestWidth uint64
 	for c := range ranges {
 		r := &ranges[c]
-		if len(r.lo) == 0 && len(r.hi) == 0 {
-			continue // unconstrained
-		}
-		fetch := lookup(scan.Table.Name, c)
-		if fetch == nil {
-			continue
+		if len(r.lo) == 0 && len(r.hi) == 0 || !scan.Table.Indexed(c) {
+			continue // unconstrained, or no index
 		}
 		if w := r.width(); best == nil || w < bestWidth {
 			best = &IndexScanNode{
 				Table: scan.Table, Alias: scan.Alias, Column: c,
-				Lo: r.lo, Hi: r.hi, Fetch: fetch, RowIDs: scan.RowIDs, Needed: scan.Needed,
+				Lo: r.lo, Hi: r.hi, RowIDs: scan.RowIDs, Needed: scan.Needed,
 				schema: scan.Schema(),
 			}
 			bestWidth = w

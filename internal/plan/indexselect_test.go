@@ -7,7 +7,6 @@ import (
 
 	"aidb/internal/catalog"
 	"aidb/internal/sql"
-	"aidb/internal/storage"
 )
 
 // indexedPlan plans q over buildCatalog's tables with an index on every
@@ -15,17 +14,15 @@ import (
 func indexedPlan(t *testing.T, q string, indexed ...string) Node {
 	t.Helper()
 	c := buildCatalog(t)
-	lookup := func(table string, col int) IndexFetch {
+	for _, name := range indexed {
+		table, col, _ := strings.Cut(name, ".")
 		tab, err := c.Table(table)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range indexed {
-			if name == table+"."+tab.Schema.Columns[col].Name {
-				return func(lo, hi int64, dst []storage.RecordID) ([]storage.RecordID, error) { return dst, nil }
-			}
+		if err := tab.CreateIndex(tab.Schema.ColIndex(col)); err != nil {
+			t.Fatal(err)
 		}
-		return nil
 	}
 	stmt, err := sql.Parse(q)
 	if err != nil {
@@ -40,7 +37,7 @@ func indexedPlan(t *testing.T, q string, indexed ...string) Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return UseIndexes(OptimizeFilters(p), lookup)
+	return UseIndexes(OptimizeFilters(p))
 }
 
 func indexScanOf(n Node) *IndexScanNode {

@@ -14,7 +14,6 @@ import (
 
 	"aidb/internal/catalog"
 	"aidb/internal/sql"
-	"aidb/internal/storage"
 )
 
 // Node is a logical plan operator.
@@ -132,23 +131,17 @@ func (b Bound) value(params []catalog.Value) (v int64, null, ok bool) {
 	return 0, false, false
 }
 
-// IndexFetch appends to dst the record ids of the rows whose indexed
-// value lies in [lo, hi], in key order; the executor decodes the rows.
-// It is an opaque closure so plan does not depend on a concrete index
-// type.
-type IndexFetch func(lo, hi int64, dst []storage.RecordID) ([]storage.RecordID, error)
-
-// IndexScanNode reads a base table through a secondary index on one
-// Int64 column, returning only rows with max(Lo) <= col <= min(Hi); a
-// side without bounds is open. The filter above it still checks every
-// conjunct, so the bounds only ever narrow what is read.
+// IndexScanNode reads a base table through its secondary index on one
+// Int64 column (Table.IndexRange), returning only rows with max(Lo) <=
+// col <= min(Hi); a side without bounds is open. The filter above it
+// still checks every conjunct, so the bounds only ever narrow what is
+// read.
 type IndexScanNode struct {
 	Table *catalog.Table
 	Alias string
 	// Column is the indexed column's position.
 	Column int
 	Lo, Hi []Bound
-	Fetch  IndexFetch
 	// RowIDs and Needed are the replaced ScanNode's.
 	RowIDs bool
 	Needed []bool
@@ -426,9 +419,6 @@ type ModifyNode struct {
 	Table *catalog.Table
 	// Set lists the assignments in column order; nil means DELETE.
 	Set []Assignment
-	// Deleted and Inserted, when set, are told of every heap change as it
-	// is applied — the hook secondary indexes are kept in step through.
-	Deleted, Inserted func(rid storage.RecordID, row catalog.Row)
 }
 
 // Kind names the statement kind the node implements.
