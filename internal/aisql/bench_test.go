@@ -131,6 +131,24 @@ func BenchmarkPredictColumns(b *testing.B) {
 	// 100 000 random rows, whose logits' signs a branch predictor cannot
 	// learn as it learns one chunk's run repeated.
 	run("logistic-100k", Logistic, 100000)
+	// The selecting form of `PREDICT(...) = 1` over the same rows: no
+	// prediction vector, the selection written as the sums finish.
+	b.Run("logistic-100k-select", func(b *testing.B) {
+		const rows = 100000
+		m := trainedModel(b, Logistic, 2)
+		cols, ints := featureColumns(ml.NewRNG(5), 2, rows), make([][]int64, 2)
+		s := m.selector(2, 2, 1)
+		all, sel, scratch := make([]int32, rows), make([]int32, rows), make([]float64, rows)
+		for i := range all {
+			all[i] = int32(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Select(cols, ints, append(sel[:0], all...), scratch)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+	})
 }
 
 // The prepared point statements of a key-value workload (the load

@@ -189,7 +189,8 @@ func (e *Engine) Models() []string {
 // first argument of each is the model name (a column reference
 // lexically; rewritePredicts makes it a string), looked up when the
 // function runs — once per chunk in chunk form, which takes the features
-// as float64 columns and fails as the per-row form does.
+// as float64 columns and fails as the per-row form does. PREDICT compared
+// with a number selects through the model's selecting form where it has one.
 func (e *Engine) predictFuncs() (exec.FuncRegistry, map[string]exec.VectorFunc) {
 	predict := func(proba bool) exec.ScalarFunc {
 		return func(args []catalog.Value) (catalog.Value, error) {
@@ -220,7 +221,7 @@ func (e *Engine) predictFuncs() (exec.FuncRegistry, map[string]exec.VectorFunc) 
 			return v, nil
 		}
 	}
-	predictColumns := func(proba bool) exec.VectorFunc {
+	predictColumns := func(proba bool) func(catalog.Value, [][]float64, []float64) error {
 		return func(name catalog.Value, features [][]float64, out []float64) error {
 			m, err := e.predictModel(name, len(features))
 			if err != nil {
@@ -233,8 +234,14 @@ func (e *Engine) predictFuncs() (exec.FuncRegistry, map[string]exec.VectorFunc) 
 			"PREDICT":       predict(false),
 			"PREDICT_PROBA": predict(true),
 		}, map[string]exec.VectorFunc{
-			"PREDICT":       predictColumns(false),
-			"PREDICT_PROBA": predictColumns(true),
+			"PREDICT": {Eval: predictColumns(false), Select: func(name catalog.Value, features int, accept uint8, k float64) (exec.Selector, error) {
+				m, err := e.predictModel(name, features)
+				if err != nil {
+					return nil, err
+				}
+				return m.selector(features, accept, k), nil
+			}},
+			"PREDICT_PROBA": {Eval: predictColumns(true)},
 		}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"aidb/internal/catalog"
 	"aidb/internal/exec"
@@ -55,6 +56,12 @@ type Model struct {
 
 	// Feature scaler (fit at training time) for gradient-trained kinds.
 	means, stds []float64
+
+	// selectors holds the selecting forms found so far, by the outcomes
+	// they accept and their constant's bits. A model is replaced, never
+	// changed, so one found is good for the model's life.
+	mu        sync.Mutex
+	selectors map[selectorKey]*sumSelector
 }
 
 // stackFeatures is how many features a caller of Predict can hold in a
@@ -267,9 +274,59 @@ func (m *Model) predict(f []float64, proba bool) float64 {
 		}
 		s += w[j] * x
 	}
-	sum := [1]float64{s} // a one-row chunk, finished as any chunk is
+	return m.finishOne(s, proba)
+}
+
+// finishOne is finish of one sum: a one-row chunk, finished as any
+// chunk is.
+func (m *Model) finishOne(s float64, proba bool) float64 {
+	sum := [1]float64{s}
 	m.finish(sum[:], proba)
 	return sum[0]
+}
+
+// selector is the selecting form of `PREDICT(m, …) op k` for a logistic
+// or linear model: comparing Predict's result with k gives an outcome
+// in accept (1 below, 2 equal, 4 above) exactly when the row's weighted
+// feature sum passes one ml.SumTest, since a row's prediction is finish
+// of that sum and finish is monotone in it — a rounded addition of the
+// intercept, then for a logistic model the label, a step. A tree has no
+// such sum and gets nil, as does a model over other than n features.
+func (m *Model) selector(n int, accept uint8, k float64) exec.Selector {
+	if m.Kind == Tree || n != len(m.Features) {
+		return nil
+	}
+	key := selectorKey{accept, math.Float64bits(k)}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if s, ok := m.selectors[key]; ok {
+		return s
+	}
+	if m.selectors == nil || len(m.selectors) == maxSelectors {
+		m.selectors = make(map[selectorKey]*sumSelector)
+	}
+	s := &sumSelector{m: m, test: ml.NewSumTest(func(s float64) float64 { return m.finishOne(s, false) }, accept, k)}
+	m.selectors[key] = s
+	return s
+}
+
+// maxSelectors bounds a model's selecting forms: past it they are found
+// again (two bisections of 64 steps each).
+const maxSelectors = 64
+
+type selectorKey struct {
+	accept uint8
+	k      uint64
+}
+
+// sumSelector is a model's selecting form for one comparison.
+type sumSelector struct {
+	m    *Model
+	test ml.SumTest
+}
+
+func (s *sumSelector) Select(floats [][]float64, ints [][]int64, sel []int32, scratch []float64) []int32 {
+	return ml.SelectSum(&s.test, s.m.weights(), floats, ints, s.m.means, s.m.stds, sel, scratch)
 }
 
 // weights is a logistic or linear model's feature weights.

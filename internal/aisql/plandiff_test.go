@@ -3,6 +3,7 @@ package aisql
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -243,7 +244,10 @@ func (g *planGen) single() *genQuery {
 
 // predict emits a statement whose PREDICT or PREDICT_PROBA call — over
 // a logistic, a linear or a tree model — stands where the engine runs
-// its chunk form: a WHERE comparison, under OR, NOT, BETWEEN and IN,
+// its chunk form: a WHERE comparison with a number under each operator,
+// the call on either side, alone or after an INT filter (where a logistic
+// or linear PREDICT selects by its sum over a sparse selection), under
+// OR, NOT, BETWEEN and IN,
 // inside arithmetic and inside another call, as a GROUP BY or ORDER BY
 // key, as an aggregate's argument, as a projection and on a join's side.
 // The reference runs the per-row form, and rows print floats in their
@@ -281,17 +285,24 @@ func (g *planGen) predict() *genQuery {
 		model, args, g.q.fails = "ghost", "age, 100 / (age - 30)", `model "ghost" does not exist`
 	case p == 13:
 		args, g.q.fails = "age, 1 / (age - 30), score", "expects 2 features"
+	case p < 16:
+		args = "age, score * 2" // an expression beside a column
+	case p < 18:
+		args = []string{"age, id", "churned, age"}[g.r.Intn(2)] // every feature an INT column
 	}
 	call := fn + "(" + model + ", " + args + ")"
 	// cut is a constant in the range predictions take.
 	cut := func() string {
-		if g.r.Intn(2) == 0 {
+		switch g.r.Intn(8) {
+		case 0, 1, 2, 3:
 			return g.intArg(0, 2)
+		case 4:
+			return g.arg("-0.0", math.Copysign(0, -1))
 		}
 		v := float64(g.r.Intn(100)) / 100
 		return g.arg(fmt.Sprintf("%.2f", v), v)
 	}
-	switch g.r.Intn(10) {
+	switch g.r.Intn(13) {
 	case 0:
 		g.q.text = "SELECT id, " + call + " FROM users WHERE " + call + " " + g.op() + " " + cut()
 	case 1:
@@ -311,6 +322,12 @@ func (g *planGen) predict() *genQuery {
 		g.q.text = "SELECT id, " + call + " FROM users ORDER BY " + call + " DESC, id" + fmt.Sprintf(" LIMIT %d", 1+g.r.Intn(12))
 	case 8: // score has no index: every path sums in heap order
 		g.q.text = "SELECT SUM(" + call + "), MIN(" + call + "), MAX(" + call + "), AVG(" + call + ") FROM users WHERE score > " + g.floatArg(80)
+	case 10:
+		g.q.text = "SELECT COUNT(*) FROM users WHERE " + cut() + " " + g.op() + " " + call
+	case 11: // the second conjunct, over the rows an INT filter kept
+		g.q.text = "SELECT id FROM users WHERE age < " + g.intArg(15, 70) + " AND " + call + " " + g.op() + " " + cut()
+	case 12:
+		g.q.text = "SELECT COUNT(*), SUM(score) FROM users WHERE id >= " + g.intArg(0, 200) + " AND " + cut() + " " + g.op() + " " + call
 	default:
 		g.q.text = "SELECT u.id, o.amount FROM users u JOIN orders o ON u.id = o.user_id WHERE " + call + " " + g.op() + " " + cut() + " AND o.amount > " + g.floatArg(500)
 	}
@@ -387,16 +404,9 @@ func TestPlanShapeDifferential(t *testing.T) {
 	engines := []*Engine{planDiffEngine(t, false), planDiffEngine(t, true)}
 	// Count the rows PREDICT's chunk form is handed, which only the
 	// engine's paths call: the reference's executor has no chunk forms.
-	var chunkRows atomic.Int64
+	var chunkRows, selectRows atomic.Int64
 	for _, e := range engines {
-		counted := map[string]exec.VectorFunc{}
-		for name, fn := range e.vectors {
-			counted[name] = func(first catalog.Value, args [][]float64, out []float64) error {
-				chunkRows.Add(int64(len(out)))
-				return fn(first, args, out)
-			}
-		}
-		e.vectors = counted
+		countChunkRows(e, &chunkRows, &selectRows)
 	}
 	g := &planGen{r: rand.New(rand.NewSource(20210621))}
 	ctx := context.Background()
@@ -504,7 +514,7 @@ func TestPlanShapeDifferential(t *testing.T) {
 	// a generator of its own.
 	pg := &planGen{r: rand.New(rand.NewSource(20210625))}
 	predictErrors, predictRows := 0, 0
-	for i := 0; i < 160; i++ {
+	for i := 0; i < 240; i++ {
 		switch q := pg.predict(); run(q) {
 		case "error":
 			predictErrors++
@@ -513,10 +523,11 @@ func TestPlanShapeDifferential(t *testing.T) {
 			predictRows++
 		}
 	}
-	t.Logf("of 160 PREDICT statements %d fail and %d return rows; the chunk form saw %d rows", predictErrors, predictRows, chunkRows.Load())
-	if predictErrors < 16 || predictRows < 80 || chunkRows.Load() < 100_000 {
-		t.Errorf("weak coverage: of 160 PREDICT statements %d fail and %d return rows; the chunk form saw %d rows",
-			predictErrors, predictRows, chunkRows.Load())
+	t.Logf("of 240 PREDICT statements %d fail and %d return rows; the chunk form evaluated %d rows and selected over %d",
+		predictErrors, predictRows, chunkRows.Load(), selectRows.Load())
+	if predictErrors < 24 || predictRows < 120 || chunkRows.Load() < 100_000 || selectRows.Load() < 100_000 {
+		t.Errorf("weak coverage: of 240 PREDICT statements %d fail and %d return rows; the chunk form evaluated %d rows and selected over %d",
+			predictErrors, predictRows, chunkRows.Load(), selectRows.Load())
 	}
 	// The generator must actually reach the cases it is there for.
 	if errors == 0 || errors > total/4 || empties < 20 || sunk < total/3 || indexed < total/8 {

@@ -82,11 +82,7 @@ func TestPredictPushdownCutsInvocations(t *testing.T) {
 	// same answer, with PREDICT's chunk form — what the engine runs —
 	// handed only the rows age = 20 kept, at any parallelism.
 	var rows atomic.Int64
-	chunkForm := e.vectors["PREDICT"]
-	e.vectors = map[string]exec.VectorFunc{"PREDICT": func(name catalog.Value, args [][]float64, out []float64) error {
-		rows.Add(int64(len(out)))
-		return chunkForm(name, args, out)
-	}}
+	countChunkRows(e, &rows, &rows)
 	for _, workers := range []int{1, 4} {
 		e.Parallelism = workers
 		rows.Store(0)

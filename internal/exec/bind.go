@@ -170,6 +170,22 @@ func (b *bound) floats(c *Chunk, sel []int32, out []float64) error {
 	return nil
 }
 
+// fillFloats writes the numeric expression's value at each row r of sel
+// into cells[r].
+func (b *bound) fillFloats(cells []float64, c *Chunk, sel []int32) error {
+	if b.vc != nil {
+		return b.vc.fill(cells, c, sel)
+	}
+	for _, r := range sel {
+		x, err := b.float(c, r)
+		if err != nil {
+			return err
+		}
+		cells[r] = x
+	}
+	return nil
+}
+
 // appendTo appends the expression's value at row r to dst, a vector of
 // its kind.
 func (b *bound) appendTo(dst *vec, c *Chunk, r int32) (err error) {
@@ -372,14 +388,21 @@ func (v *vecCall) call(c *Chunk, sel []int32, out []float64) error {
 	floats, vargs := len(c.floats), len(c.vargs)
 	err := v.gather(c, sel)
 	if err == nil {
-		err = v.fn(v.first, c.vargs[vargs:len(c.vargs):len(c.vargs)], out)
+		err = v.fn.Eval(v.first, c.vargs[vargs:len(c.vargs):len(c.vargs)], out)
 	}
 	c.floats, c.vargs = c.floats[:floats], c.vargs[:vargs]
 	if err != nil {
-		for _, r := range sel {
-			if _, rowErr := v.perRow(c, r); rowErr != nil {
-				return rowErr
-			}
+		return v.rowErr(c, sel, err)
+	}
+	return nil
+}
+
+// rowErr is the error of a chunk-form call that failed with err: the
+// first the per-row form meets on the rows of sel, err if it meets none.
+func (v *vecCall) rowErr(c *Chunk, sel []int32, err error) error {
+	for _, r := range sel {
+		if _, rowErr := v.perRow(c, r); rowErr != nil {
+			return rowErr
 		}
 	}
 	return err
@@ -741,8 +764,11 @@ func callVsNumber(l, r bound, op cmpOp) (p pred, ok bool) {
 	return callPred{l.vc, k, op}, true
 }
 
-// callPred is `call op k`: the call runs once for the rows of the
-// selection, into a float vector selectCmp narrows the selection over.
+// callPred is `call op k`. Where the function has a selecting form for
+// the call, the chunk's rows are selected by it, each argument read
+// where the chunk holds it; otherwise the call runs once for the rows of
+// the selection, into a float vector selectCmp narrows the selection
+// over.
 type callPred struct {
 	call *vecCall
 	k    float64
@@ -755,6 +781,15 @@ func (p callPred) test(c *Chunk, r int32) (bool, error) {
 }
 
 func (p callPred) apply(c *Chunk, sel []int32) ([]int32, error) {
+	if v := p.call; v.fn.Select != nil && len(sel) > 0 {
+		s, err := v.fn.Select(v.first, len(v.args), uint8(p.op), p.k)
+		if err != nil {
+			return nil, v.rowErr(c, sel, err)
+		}
+		if s != nil {
+			return v.selectBy(s, c, sel)
+		}
+	}
 	mark := len(c.floats)
 	cells := c.pushFloats(c.n)
 	err := p.call.fill(cells, c, sel)
@@ -763,6 +798,32 @@ func (p callPred) apply(c *Chunk, sel []int32) ([]int32, error) {
 	}
 	c.floats = c.floats[:mark]
 	return sel, err
+}
+
+// selectBy narrows sel by s. An argument that is an INT or FLOAT column
+// is handed over as the chunk holds it; any other is evaluated at the
+// rows of sel into a column on the chunk's float stack.
+func (v *vecCall) selectBy(s Selector, c *Chunk, sel []int32) ([]int32, error) {
+	floats, vargs, iargs := len(c.floats), len(c.vargs), len(c.iargs)
+	defer func() { c.floats, c.vargs, c.iargs = c.floats[:floats], c.vargs[:vargs], c.iargs[:iargs] }()
+	for i := range v.args {
+		a := &v.args[i]
+		var fs []float64
+		var is []int64
+		switch {
+		case a.col >= 0 && a.k == kFloat:
+			fs = c.cols[a.col].F
+		case a.col >= 0 && a.k == kInt:
+			is = c.cols[a.col].I
+		default:
+			fs = c.pushFloats(c.n)
+			if err := a.fillFloats(fs, c, sel); err != nil {
+				return nil, v.rowErr(c, sel, err)
+			}
+		}
+		c.vargs, c.iargs = append(c.vargs, fs), append(c.iargs, is)
+	}
+	return s.Select(c.vargs[vargs:], c.iargs[iargs:], sel, c.pushFloats(len(sel))), nil
 }
 
 // selectCmp narrows sel to the rows whose cell x satisfies `x op k`,

@@ -155,10 +155,12 @@ type Chunk struct {
 	cells []uint64
 	// floats is the stack of the chunk-form calls evaluated over the
 	// chunk: their arguments gathered as float64 columns, headed in vargs,
-	// and their results. one is the selection of a call made for a single
-	// row.
+	// and their results. A selecting call heads its arguments in vargs
+	// and iargs, one of the two set per argument. one is the selection of
+	// a call made for a single row.
 	floats []float64
 	vargs  [][]float64
+	iargs  [][]int64
 	one    [1]int32
 
 	// charged is the byte count this chunk currently holds against the
@@ -259,7 +261,7 @@ func (c *Chunk) bytes() int64 {
 func (c *Chunk) reset() {
 	c.n, c.used, c.charged = 0, 0, 0
 	c.sel, c.cols, c.rids, c.args, c.cells = c.sel[:0], c.cols[:0], c.rids[:0], c.args[:0], c.cells[:0]
-	c.floats, c.vargs = c.floats[:0], c.vargs[:0]
+	c.floats, c.vargs, c.iargs = c.floats[:0], c.vargs[:0], c.iargs[:0]
 }
 
 // pushFloats returns n cells from the top of the chunk's float stack. The

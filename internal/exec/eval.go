@@ -38,17 +38,36 @@ type ScalarFunc func(args []catalog.Value) (catalog.Value, error)
 type FuncRegistry map[string]ScalarFunc
 
 // VectorFunc is the chunk form of the ScalarFunc registered under the
-// same name, for a function whose results are float64: it evaluates the
-// function for every row of a selection in one call, writing row i's
-// result into out[i]. A call binds to it when its first argument is a
-// constant (a literal or a parameter), which arrives once as first, and
-// every other argument is a number: args[j][i] is row i's argument j+1
-// as a float64. Any other call runs the ScalarFunc row by row. A
-// VectorFunc must give each row the ScalarFunc's result, and fail when
-// the ScalarFunc fails on some row — the selection is then run again
-// through the ScalarFunc, whose first error is the call's. It may use
-// args only during the call.
-type VectorFunc func(first catalog.Value, args [][]float64, out []float64) error
+// same name, for a function whose results are float64. A call binds to
+// it when its first argument is a constant (a literal or a parameter),
+// which arrives once as first, and every other argument is a number;
+// any other call runs the ScalarFunc row by row. Both forms must give
+// each row the ScalarFunc's result, and fail when the ScalarFunc fails
+// on some row — the selection is then run again through the
+// ScalarFunc, whose first error is the call's. They may use their
+// arguments only during the call.
+type VectorFunc struct {
+	// Eval evaluates the function for every row of a selection in one
+	// call, writing row i's result into out[i]: args[j][i] is row i's
+	// argument j+1 as a float64.
+	Eval func(first catalog.Value, args [][]float64, out []float64) error
+	// Select, when set, is the selecting form of `call op k` for a
+	// number k, looked up once per chunk: the Selector that narrows a
+	// selection to the rows where comparing the call's result with k
+	// gives an outcome in accept (1 below, 2 equal, 4 above, as
+	// catalog.ZoneCond.Accept), or nil when the call has none — it then
+	// runs through Eval and is compared after. args is the call's
+	// argument count past first.
+	Select func(first catalog.Value, args int, accept uint8, k float64) (Selector, error)
+}
+
+// Selector narrows sel, in place, to the rows of a selecting call that
+// pass, and returns it. Argument j of row r is floats[j][r], or
+// float64(ints[j][r]) when ints[j] is set: columns of the chunk, indexed
+// by row. scratch holds len(sel) cells the Selector may write.
+type Selector interface {
+	Select(floats [][]float64, ints [][]int64, sel []int32, scratch []float64) []int32
+}
 
 // Scope maps qualified column names to chunk columns for binding.
 // Params, when set, carries the positional bindings for $N parameter

@@ -54,7 +54,8 @@ type Executor struct {
 	Funcs FuncRegistry
 	// VectorFuncs holds chunk forms of functions in Funcs, under the same
 	// names: a call bound to one runs once per chunk instead of once per
-	// row. Like Funcs they must be safe for concurrent use.
+	// row, and a call compared with a number may select rows without a
+	// result vector. Like Funcs they must be safe for concurrent use.
 	VectorFuncs map[string]VectorFunc
 	// Stats counts rows produced per operator type, for the monitoring
 	// and performance-prediction experiments.
@@ -486,25 +487,23 @@ func (a *boundAgg) newPartial() *aggPartial {
 // as soon as fold returns.
 func (a *boundAgg) fold(p *aggPartial, c *Chunk) error {
 	sel := c.sel
-	var err error
 	if p.keys == nil {
-		p.ids = extend(p.ids[:0], len(sel))
-		p.grow(a, 1)
-	} else {
-		seen := p.keys.n
-		if p.ids, err = p.keys.ids(c, sel, a.groupBy, true, p.ids); err != nil {
-			return err
-		}
-		for i, r := range sel {
-			if p.ids[i] == int32(p.groups.n) {
-				if err := p.addGroup(a, c, r); err != nil {
-					return err
-				}
+		return a.foldOne(p, c, sel)
+	}
+	seen := p.keys.n
+	var err error
+	if p.ids, err = p.keys.ids(c, sel, a.groupBy, true, p.ids); err != nil {
+		return err
+	}
+	for i, r := range sel {
+		if p.ids[i] == int32(p.groups.n) {
+			if err := p.addGroup(a, c, r); err != nil {
+				return err
 			}
 		}
-		if p.keys.n > seen {
-			p.grow(a, int(p.keys.n))
-		}
+	}
+	if p.keys.n > seen {
+		p.grow(a, int(p.keys.n))
 	}
 	for _, g := range p.ids {
 		p.rows[g]++
@@ -515,6 +514,33 @@ func (a *boundAgg) fold(p *aggPartial, c *Chunk) error {
 		case aggSum, aggAvg:
 			err = foldSum(p.sums[ii], p.ids, &it.arg, c, sel)
 		case aggMin, aggMax:
+			err = foldExt(p.ext[ii], p.has[ii], p.ids, it, c, sel)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// foldOne is fold without GROUP BY, into the one group: COUNT adds the
+// selection's length and SUM and AVG add their cells in row order into
+// the one sum, with no group id per row. MIN and MAX fold as grouped,
+// every row's id 0.
+func (a *boundAgg) foldOne(p *aggPartial, c *Chunk, sel []int32) error {
+	p.grow(a, 1)
+	p.rows[0] += int64(len(sel))
+	p.ids = p.ids[:0]
+	for ii := range a.items {
+		it := &a.items[ii]
+		var err error
+		switch it.kind {
+		case aggSum, aggAvg:
+			p.sums[ii][0], err = sumCells(p.sums[ii][0], &it.arg, c, sel)
+		case aggMin, aggMax:
+			if len(p.ids) == 0 {
+				p.ids = extend(p.ids, len(sel)) // zeros
+			}
 			err = foldExt(p.ext[ii], p.has[ii], p.ids, it, c, sel)
 		}
 		if err != nil {
@@ -563,21 +589,9 @@ func foldSum(sum []float64, ids []int32, arg *bound, c *Chunk, sel []int32) erro
 		for i, r := range sel {
 			sum[ids[i]] += cells[r]
 		}
-	case arg.k.numeric():
-		for i, r := range sel {
-			x, err := arg.float(c, r)
-			if err != nil {
-				return err
-			}
-			sum[ids[i]] += x
-		}
 	default:
 		for i, r := range sel {
-			v, err := arg.value(c, r)
-			if err != nil {
-				return err
-			}
-			x, err := toFloat(v)
+			x, err := sumArg(arg, c, r)
 			if err != nil {
 				return err
 			}
@@ -585,6 +599,44 @@ func foldSum(sum []float64, ids []int32, arg *bound, c *Chunk, sel []int32) erro
 		}
 	}
 	return nil
+}
+
+// sumCells is foldSum for one group: s plus arg at each row of sel, in
+// row order.
+func sumCells(s float64, arg *bound, c *Chunk, sel []int32) (float64, error) {
+	switch {
+	case arg.col >= 0 && arg.k == kInt:
+		cells := c.cols[arg.col].I
+		for _, r := range sel {
+			s += float64(cells[r])
+		}
+	case arg.col >= 0 && arg.k == kFloat:
+		cells := c.cols[arg.col].F
+		for _, r := range sel {
+			s += cells[r]
+		}
+	default:
+		for _, r := range sel {
+			x, err := sumArg(arg, c, r)
+			if err != nil {
+				return s, err
+			}
+			s += x
+		}
+	}
+	return s, nil
+}
+
+// sumArg is arg at row r as SUM adds it.
+func sumArg(arg *bound, c *Chunk, r int32) (float64, error) {
+	if arg.k.numeric() {
+		return arg.float(c, r)
+	}
+	v, err := arg.value(c, r)
+	if err != nil {
+		return 0, err
+	}
+	return toFloat(v)
 }
 
 // foldExt folds the rows of sel into their groups' MIN or MAX.

@@ -3,6 +3,7 @@ package ml
 import (
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // LinearRegression is ordinary least squares with optional ridge damping.
@@ -194,6 +195,98 @@ const (
 	bandBits = 0xbe112e0be826d695
 	oneBits  = 0x3ff0000000000000
 )
+
+// SumTest decides a row by its weighted feature sum s, as a comparison
+// of finish(s) with a constant does: a finite s passes when it lies in
+// [Lo, Hi] — or outside it, when Out is set — and a NaN or infinite s by
+// the verdict kept for it. NewSumTest builds one.
+type SumTest struct {
+	Lo, Hi              float64
+	Out                 bool
+	NaN, NegInf, PosInf bool
+}
+
+// Holds reports whether a row whose sum is s passes.
+func (t *SumTest) Holds(s float64) bool {
+	if s-s != 0 { // NaN or an infinity
+		switch {
+		case s != s:
+			return t.NaN
+		case s > 0:
+			return t.PosInf
+		}
+		return t.NegInf
+	}
+	return (t.Lo <= s && s <= t.Hi) != t.Out
+}
+
+// NewSumTest is the test a row's sum s passes when comparing finish(s)
+// with k gives an outcome in accept — 1 below, 2 equal, 4 above, so
+// `<=` is 3 — where a NaN on either side compares equal. finish must be
+// monotone non-decreasing over the finite floats and give -0 and +0 the
+// same outcome, as a rounded addition followed by a step or by nothing
+// does: the sums of each outcome are then one interval of the finite
+// floats in order, and two bisections (threshold) find their edges.
+func NewSumTest(finish func(s float64) float64, accept uint8, k float64) SumTest {
+	outcome := func(s float64) int {
+		switch x := finish(s); {
+		case x < k:
+			return -1
+		case x > k:
+			return 1
+		}
+		return 0
+	}
+	holds := func(s float64) bool { return accept>>(outcome(s)+1)&1 != 0 }
+	// Below, equal and above are the keys [minKey, eq), [eq, above) and
+	// [above, maxKey]; a bound one past either end is an infinity's key.
+	eq := threshold(func(s float64) bool { return outcome(s) >= 0 })
+	above := threshold(func(s float64) bool { return outcome(s) > 0 })
+	t := SumTest{NaN: holds(math.NaN()), NegInf: holds(math.Inf(-1)), PosInf: holds(math.Inf(1))}
+	lo, hi := [3]int64{minKey, eq, above}, [3]int64{eq - 1, above - 1, maxKey}
+	switch accept {
+	case 0:
+		t.Lo, t.Hi = math.Inf(1), math.Inf(-1)
+	case 5: // below or above: outside the equal keys
+		t.Lo, t.Hi, t.Out = fromKey(eq), fromKey(above-1), true
+	default:
+		t.Lo, t.Hi = fromKey(lo[bits.TrailingZeros8(accept)]), fromKey(hi[7-bits.LeadingZeros8(accept)])
+	}
+	return t
+}
+
+// threshold is the order key of the least finite float64 at which up
+// holds, for an up that is false and then true over the finite floats
+// in order; +Inf's key when it holds at none. It bisects the keys, at
+// most 64 steps; the distance between two keys can pass MaxInt64, so it
+// is taken unsigned.
+func threshold(up func(s float64) bool) int64 {
+	lo, hi := minKey, maxKey+1 // up is false below lo and true from hi on
+	for lo < hi {
+		mid := lo + int64((uint64(hi)-uint64(lo))/2)
+		if up(fromKey(mid)) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// orderKey maps a float64 to an int64 that orders as the floats do: -0
+// just below +0, the infinities just past the greatest finite
+// magnitudes, and NaNs past them. fromKey is its inverse.
+func orderKey(f float64) int64 {
+	b := int64(math.Float64bits(f))
+	return b ^ (b>>63)&math.MaxInt64
+}
+
+func fromKey(k int64) float64 {
+	return math.Float64frombits(uint64(k ^ (k>>63)&math.MaxInt64))
+}
+
+// The keys of the least and greatest finite float64s.
+var minKey, maxKey = orderKey(-math.MaxFloat64), orderKey(math.MaxFloat64)
 
 // Loss returns the mean cross-entropy of the model on (x, y).
 func (m *LogisticRegression) Loss(x *Matrix, y []float64) float64 {

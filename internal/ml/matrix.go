@@ -256,6 +256,87 @@ func DotColumns(out, w []float64, cols [][]float64, means, stds []float64) {
 	}
 }
 
+// SelectSum narrows sel, in place, to the rows whose weighted feature
+// sum passes t, and returns it. A row r's sum is DotColumns' — from 0,
+// adding w[j]·x for each feature j in order, x scaled to (x - means[j])
+// / stds[j] when means is non-nil — where x is floats[j][r], or
+// float64(ints[j][r]) when ints[j] is set: the features are read where
+// they lie, at the rows of sel only. The sums build up a feature at a
+// time in acc, which holds len(sel) cells; the last feature's pass
+// decides each row as it finishes its sum.
+func SelectSum(t *SumTest, w []float64, floats [][]float64, ints [][]int64, means, stds []float64, sel []int32, acc []float64) []int32 {
+	if len(w) == 0 || len(w) != len(floats) || len(w) != len(ints) {
+		panic("ml: SelectSum length mismatch")
+	}
+	acc = acc[:len(sel)]
+	clear(acc)
+	last := len(w) - 1
+	scale := func(j int) (float64, float64, bool) {
+		if means == nil {
+			return 0, 1, false
+		}
+		return means[j], stds[j], true
+	}
+	for j := range last {
+		mean, std, scaled := scale(j)
+		if ints[j] != nil {
+			addFeature(acc, ints[j], sel, w[j], mean, std, scaled)
+		} else {
+			addFeature(acc, floats[j], sel, w[j], mean, std, scaled)
+		}
+	}
+	mean, std, scaled := scale(last)
+	if ints[last] != nil {
+		return selectFeature(t, acc, ints[last], sel, w[last], mean, std, scaled)
+	}
+	return selectFeature(t, acc, floats[last], sel, w[last], mean, std, scaled)
+}
+
+// addFeature adds w·x, x each selected row's cell (scaled), to its sum.
+func addFeature[T int64 | float64](acc []float64, col []T, sel []int32, w, mean, std float64, scaled bool) {
+	if !scaled {
+		for i, r := range sel {
+			acc[i] += w * float64(col[r])
+		}
+		return
+	}
+	for i, r := range sel {
+		acc[i] += w * ((float64(col[r]) - mean) / std)
+	}
+}
+
+// selectFeature adds the last feature as addFeature does and keeps the
+// rows whose sum passes t. Like exec's comparison loops it writes every
+// row and advances by the outcome, so a sum's side of the interval is
+// not a branch; only a NaN or infinite sum, which t decides apart,
+// takes one.
+func selectFeature[T int64 | float64](t *SumTest, acc []float64, col []T, sel []int32, w, mean, std float64, scaled bool) []int32 {
+	lo, hi, out := t.Lo, t.Hi, b2i(t.Out)
+	j := 0
+	for i, r := range sel {
+		x := float64(col[r])
+		if scaled {
+			x = (x - mean) / std
+		}
+		s := acc[i] + w*x
+		sel[j] = r
+		pass := b2i(lo <= s)&b2i(s <= hi) ^ out
+		if s-s != 0 {
+			pass = b2i(t.Holds(s))
+		}
+		j += pass
+	}
+	return sel[:j]
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	return math.Sqrt(Dot(v, v))

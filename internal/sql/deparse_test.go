@@ -13,6 +13,7 @@ var parseSeeds = []string{
 	"SELECT id, score FROM users WHERE age = 7",
 	"SELECT users.id, orders.amount FROM users JOIN orders ON users.id = orders.user_id WHERE orders.amount > 499 AND users.age = 30 ORDER BY orders.amount DESC LIMIT 5",
 	"SELECT count(*) FROM users WHERE PREDICT(churn, age, score) = 1",
+	"SELECT count(*) FROM users WHERE city <> 'a' AND 1 <> PREDICT(churn, age, score)",
 	"PREPARE get AS SELECT id, owner, balance FROM accounts WHERE id = $1",
 	"PREPARE upd AS UPDATE accounts SET balance = $2 WHERE id = $1",
 	"PREPARE ins AS INSERT INTO accounts VALUES ($1, $2, $3)",

@@ -181,12 +181,15 @@ func Lex(input string) ([]Token, error) {
 		case c == '<' || c == '>' || c == '!':
 			start := i
 			i++
-			if i < n && input[i] == '=' {
+			if i < n && (input[i] == '=' || c == '<' && input[i] == '>') {
 				i++
 			}
 			op := input[start:i]
-			if op == "!" {
+			switch op {
+			case "!":
 				return nil, fmt.Errorf("sql: stray '!' at position %d", start)
+			case "<>":
+				op = "!=" // one spelling, so both share a plan-cache key
 			}
 			toks = append(toks, Token{Kind: TokSymbol, Text: op, Pos: start})
 		default:

@@ -305,7 +305,7 @@ func (g *stmtGen) cond(depth int) string {
 	case 4:
 		return g.literal() + " " + g.pick("=", "<", ">=") + " " + g.pick("a", "b")
 	}
-	return g.operand(0) + " " + g.pick("=", "!=", "<", "<=", ">", ">=") + " " + g.operand(0)
+	return g.operand(0) + " " + g.pick("=", "!=", "<>", "<", "<=", ">", ">=") + " " + g.operand(0)
 }
 
 func (g *stmtGen) where() string {
@@ -413,6 +413,7 @@ var fuzzSeeds = []string{
 	"UPDATE t SET a = -9223372036854775808 WHERE b IN (-9223372036854775808, 9223372036854775807, -9223372036854775809)",
 	"INSERT INTO t VALUES (-9223372036854775808, -1.5, 'x'), (9223372036854775807, - 2, '')",
 	"SELECT a FROM t WHERE a = - -9223372036854775808 OR b = -(-9223372036854775808)",
+	"SELECT a FROM t WHERE a <> 1 AND b<>'x' OR c <>= 2 OR d < > 3 OR e <>> 4",
 }
 
 // FuzzNormalize holds arbitrary text to checkNormalize. `go test` runs

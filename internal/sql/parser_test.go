@@ -53,6 +53,38 @@ func TestLexErrors(t *testing.T) {
 	}
 }
 
+// TestNotEqualSpellings: `<>` is `!=` — one token, one AST, one
+// plan-cache key — and neither spelling runs into a neighbouring `=` or
+// `>`.
+func TestNotEqualSpellings(t *testing.T) {
+	const bang = "SELECT count(*) FROM t WHERE city != 'a' AND PREDICT(m, a, b) != 1"
+	for _, q := range []string{
+		"SELECT count(*) FROM t WHERE city <> 'a' AND PREDICT(m, a, b) <> 1",
+		"SELECT count(*) FROM t WHERE city<>'a' AND PREDICT(m, a, b)<>1",
+	} {
+		if got, want := Deparse(mustParse(t, q)), Deparse(mustParse(t, bang)); got != want {
+			t.Errorf("%s deparses to %s, want %s", q, got, want)
+		}
+		toks, err := Lex(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bangToks, _ := Lex(bang)
+		_, key, _ := Normalize(toks)
+		if _, bangKey, _ := Normalize(bangToks); key != bangKey {
+			t.Errorf("%s: key %q, the != spelling's %q", q, key, bangKey)
+		}
+	}
+	for _, q := range []string{"SELECT a FROM t WHERE a <>= 1", "SELECT a FROM t WHERE a < > 1", "SELECT a FROM t WHERE a <>> 1"} {
+		if _, err := Parse(q); err == nil {
+			t.Errorf("Parse(%q) should fail", q)
+		}
+	}
+	if s := Deparse(mustParse(t, "SELECT a FROM t WHERE a <= 1 OR a >= 2 OR a<>3 OR a<3")); s != "SELECT a FROM t WHERE ((((a <= 1) OR (a >= 2)) OR (a != 3)) OR (a < 3))" {
+		t.Errorf("deparsed %q", s)
+	}
+}
+
 func TestLexComment(t *testing.T) {
 	toks, err := Lex("SELECT 1 -- trailing comment\n")
 	if err != nil {
