@@ -207,9 +207,10 @@ func BenchmarkPreparedDeleteInsertByKey(b *testing.B) {
 // at the engine: ad-hoc text, a plan cache, an instrumented engine with
 // a tracer, as a served statement has. "distinct" sends a different key
 // every time — one cache entry serves them all; "repeated" sends one
-// text over and over, the only kind of ad-hoc statement that used to hit.
+// text over and over, the only kind of ad-hoc statement that used to hit;
+// "range" is point_adhoc's other shape, 20 keys wide, one entry again.
 func BenchmarkEngineAdhocPoint(b *testing.B) {
-	for _, mode := range []string{"distinct", "repeated"} {
+	for _, mode := range []string{"distinct", "repeated", "range"} {
 		b.Run(mode, func(b *testing.B) {
 			e := benchEngine(b, 20000, true)
 			e.Plans = plancache.New(0)
@@ -217,10 +218,13 @@ func BenchmarkEngineAdhocPoint(b *testing.B) {
 			texts := make([]string, 1024)
 			for i := range texts {
 				k := 12345
-				if mode == "distinct" {
+				if mode != "repeated" {
 					k = (i * 7919) % 20000
 				}
 				texts[i] = fmt.Sprintf("SELECT id,qty,name FROM items WHERE id = %d", k)
+				if mode == "range" {
+					texts[i] = fmt.Sprintf("SELECT id,qty,name FROM items WHERE id > %d AND id < %d", k, k+20)
+				}
 			}
 			ctx := context.Background()
 			b.ReportAllocs()

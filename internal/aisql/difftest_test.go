@@ -177,6 +177,22 @@ func outcomeDiff(got, want string) string {
 	return sb.String()
 }
 
+// paramKinds spells the Go types of the literals sql.Normalize takes out
+// of text: the parameters an ad-hoc run of it binds.
+func paramKinds(t *testing.T, text string) string {
+	t.Helper()
+	toks, err := sql.Lex(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, params := sql.Normalize(toks)
+	kinds := make([]string, len(params))
+	for i, v := range params {
+		kinds[i] = fmt.Sprintf("%T", v)
+	}
+	return strings.Join(kinds, ",")
+}
+
 // rawLiteralPlan is the reference for ad-hoc text: the statement parsed
 // as written (every literal in place), lowered by plan.Build with no
 // rewrite, and run by a serial executor.
@@ -333,7 +349,11 @@ func TestAccessPathDifferential(t *testing.T) {
 // literal in the select list, LIMIT, NULL. Every text runs twice with
 // different literals: the second run must be a plan-cache hit — nothing
 // parsed, nothing planned — and still answer for its own literals, with
-// its own column headers.
+// its own column headers. The entry keeps the program its first run
+// compiled, for the kinds of that run's literals: a later run of those
+// kinds compiles nothing, and one of other kinds — some templates switch
+// a literal from INT to FLOAT or to a string and back — compiles for
+// itself and leaves the kept program as it was.
 func TestAdhocLiteralDifferential(t *testing.T) {
 	for _, indexed := range []bool{false, true} {
 		e := diffEngine(t, indexed)
@@ -368,11 +388,20 @@ func TestAdhocLiteralDifferential(t *testing.T) {
 			// A comparison with NULL does not parse, on either path.
 			{"SELECT k FROM t WHERE k = NULL OR v = %v", [][]any{{1}, {2}}},
 			{"SELECT k FROM t WHERE s != %v AND k < NULL", [][]any{{"'x'"}, {"'y'"}}},
+			// A literal's kind switches and switches back; an INT column
+			// against a string is an error; the int64 extremes stay INT.
+			{"SELECT k, v, s, k + 1 FROM t WHERE k = %v", [][]any{{3}, {3.5}, {3}, {"'3'"}, {3}, {9223372036854775807}, {-9223372036854775808}, {-3.0}, {-3}}},
+			{"SELECT k, v FROM t WHERE k < %v AND v >= %v ORDER BY k", [][]any{{2, 1}, {2.5, 1}, {2, 1}, {2, "'x'"}, {-2, 7}, {9223372036854775807, 0.5}, {-9223372036854775808, 3}}},
 		} {
+			var firstKinds string
 			for i, fill := range c.fills {
 				text := fmt.Sprintf(c.template, fill...)
 				wantCols, wantRows, wantErr := rawLiteralPlan(t, e, text)
-				parses, builds, hits := counter("sql.parses"), counter("plan.builds"), counter("plancache.hits")
+				kinds := paramKinds(t, text)
+				if i == 0 {
+					firstKinds = kinds
+				}
+				parses, builds, hits, compiles := counter("sql.parses"), counter("plan.builds"), counter("plancache.hits"), counter("exec.compiles")
 				res, err := e.Execute(text)
 				var cols []string
 				var rows []catalog.Row
@@ -396,11 +425,20 @@ func TestAdhocLiteralDifferential(t *testing.T) {
 						t.Errorf("indexed=%v: %s: %d parses, %d plan builds, %d cache hits; want a hit and nothing else", indexed, text, p, b, h)
 					}
 				}
+				// A NULL comparison fails to parse, and compiles nothing.
+				if wantCompiles := uint64(0); i > 0 && !strings.Contains(text, "NULL") {
+					if kinds != firstKinds {
+						wantCompiles = 1
+					}
+					if got := counter("exec.compiles") - compiles; got != wantCompiles {
+						t.Errorf("indexed=%v: %s (parameter kinds %s, the entry's %s): %d compiles, want %d", indexed, text, kinds, firstKinds, got, wantCompiles)
+					}
+				}
 			}
 		}
 
-		if answered < 25 || failed != 4 {
-			t.Errorf("weak coverage: %d statements with rows, %d failing (the four NULL comparisons)", answered, failed)
+		if answered < 25 || failed != 6 {
+			t.Errorf("weak coverage: %d statements with rows, %d failing (the four NULL comparisons, the two INT columns against a string)", answered, failed)
 		}
 
 		// LIMIT is part of the shape: two limits, two entries, and each

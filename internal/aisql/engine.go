@@ -672,10 +672,12 @@ func (e *Engine) planFor(sp *obs.Span, key string, params []catalog.Value, parse
 	return ent, nil
 }
 
-// execPlan runs a compiled plan — the shared tail of every query and
-// DML path — recorded under kind and the client's text. params are the
+// execPlan runs a cached plan — the shared tail of every query and DML
+// path — recorded under kind and the client's text. params are the
 // values of the plan's $N: an EXECUTE's arguments or the literals
-// Normalize took out. The plan is read-only: sessions share one copy.
+// Normalize took out. The plan and the program the entry keeps for it
+// are read-only: sessions share one copy, and a run whose parameters
+// have the program's kinds compiles nothing.
 func (e *Engine) execPlan(ctx context.Context, ent *plancache.Entry, kind string, sp *obs.Span, text string, params []catalog.Value) (*exec.Result, error) {
 	start := time.Now()
 	sp.SetTag("plan", ent.Summary)
@@ -684,7 +686,7 @@ func (e *Engine) execPlan(ctx context.Context, ent *plancache.Entry, kind string
 	if e.MemLimit > 0 {
 		ex.Mem = governance.NewMemBudget(e.MemLimit, e.govObs)
 	}
-	res, err := ex.RunContext(ctx, ent.Plan)
+	res, err := ex.RunCompiled(ctx, ent.Plan, &ent.Program)
 	esp.Finish()
 	e.record(ent, text, kind, time.Since(start), res, err)
 	return res, err

@@ -10,13 +10,15 @@ import (
 
 // Expressions are bound once per operator, when the plan is compiled:
 // every column reference becomes a vector position of a known kind, every
-// operator a closure chosen for its operands' kinds, every $N the value
-// the run binds to it. What depends only on the plan is decided here and
-// never again in the row loop, and a name that does not resolve — or a
-// column the scan below does not decode — fails the statement before a
-// page is read, whatever the table holds and wherever in the expression
-// it stands. Bound expressions live for one run; they hold no mutable
-// state, so morsel workers share them.
+// operator a closure chosen for its operands' kinds, every $N its slot
+// and the kind of the value the compiling run binds to it. What depends
+// only on the plan and those kinds is decided here and never again in
+// the row loop, and a name that does not resolve — or a column the scan
+// below does not decode — fails the statement before a page is read,
+// whatever the table holds and wherever in the expression it stands.
+// Bound expressions belong to a program: they hold no mutable state and
+// no value of a run — a $N reads its value from the chunk's parameters,
+// which are the run's — so morsel workers and concurrent runs share them.
 
 // bound is an expression ready to evaluate on the rows of chunks laid out
 // like the scope it was bound to: a column, a constant, or a computation
@@ -26,8 +28,10 @@ type bound struct {
 	k   kind
 	col int // the column read, when >= 0
 
-	// The constant, when col < 0 and no function is set.
-	kv catalog.Value
+	// The constant, when col < 0 and no function is set: kv, or, when
+	// param > 0, the run's value of $param (see konst).
+	kv    catalog.Value
+	param int
 
 	// A computation: the function of its kind.
 	fi func(c *Chunk, r int32) (int64, error)
@@ -45,16 +49,42 @@ func (b *bound) isConst() bool {
 }
 
 func constant(v catalog.Value) bound {
-	b := bound{k: kAny, col: -1, kv: v}
+	return bound{k: valueKind(v), col: -1, kv: v}
+}
+
+// valueKind is the kind a constant of value v binds as: a parameter's
+// kind is its value's, and a program fits only runs whose parameters
+// have the kinds it was compiled for.
+func valueKind(v catalog.Value) kind {
 	switch v.(type) {
 	case int64:
-		b.k = kInt
+		return kInt
 	case float64:
-		b.k = kFloat
+		return kFloat
 	case string:
-		b.k = kString
+		return kString
 	}
-	return b
+	return kAny
+}
+
+// konst is a constant's value on the chunks of a run: the literal, or
+// the run's value of its parameter.
+func (b *bound) konst(c *Chunk) catalog.Value { return b.konstIn(c.params) }
+
+// konstIn is a constant's value under params.
+func (b *bound) konstIn(params []catalog.Value) catalog.Value {
+	if b.param > 0 {
+		return params[b.param-1]
+	}
+	return b.kv
+}
+
+// number is a numeric constant's value v as a K.
+func number[K int64 | float64](v catalog.Value) K {
+	if x, ok := v.(int64); ok {
+		return K(x)
+	}
+	return K(v.(float64))
 }
 
 func (k kind) numeric() bool { return k == kInt || k == kFloat }
@@ -67,7 +97,7 @@ func (b *bound) int(c *Chunk, r int32) (int64, error) {
 	case b.col >= 0:
 		return c.cols[b.col].I[r], nil
 	}
-	return b.kv.(int64), nil
+	return b.konst(c).(int64), nil
 }
 
 // float reads row r of a numeric expression as a float64.
@@ -81,7 +111,7 @@ func (b *bound) float(c *Chunk, r int32) (float64, error) {
 	case b.col >= 0:
 		return c.cols[b.col].F[r], nil
 	}
-	return b.kv.(float64), nil
+	return b.konst(c).(float64), nil
 }
 
 // str reads row r of a kString expression (a column or a constant).
@@ -89,7 +119,7 @@ func (b *bound) str(c *Chunk, r int32) string {
 	if b.col >= 0 {
 		return c.cols[b.col].S[r]
 	}
-	return b.kv.(string)
+	return b.konst(c).(string)
 }
 
 // value reads row r of any expression, boxed.
@@ -112,7 +142,7 @@ func (b *bound) value(c *Chunk, r int32) (catalog.Value, error) {
 	case b.col >= 0:
 		return c.cols[b.col].value(r), nil
 	}
-	return b.kv, nil
+	return b.konst(c), nil
 }
 
 // fill writes the expression's value at every row of sel into dst, an
@@ -267,8 +297,8 @@ func isCondition(e sql.Expr) bool {
 	return false
 }
 
-// bind resolves e against scope: names to columns, $N to scope's
-// parameters, function names to funcs.
+// bind resolves e against scope: names to columns, $N to the slots of
+// scope's parameters, of their values' kinds, function names to funcs.
 func bind(e sql.Expr, scope *Scope, funcs FuncRegistry) (bound, error) {
 	if isCondition(e) {
 		p, err := bindBool(e, scope, funcs)
@@ -296,7 +326,9 @@ func bind(e sql.Expr, scope *Scope, funcs FuncRegistry) (bound, error) {
 		if v.Index < 1 || v.Index > len(scope.Params) {
 			return bound{}, fmt.Errorf("exec: parameter $%d is not bound (%d bound)", v.Index, len(scope.Params))
 		}
-		return constant(scope.Params[v.Index-1]), nil
+		b := constant(scope.Params[v.Index-1])
+		b.kv, b.param = nil, v.Index
+		return b, nil
 	case *sql.BinaryExpr:
 		switch v.Op {
 		case "+", "-", "*", "/":
@@ -350,7 +382,7 @@ func bind(e sql.Expr, scope *Scope, funcs FuncRegistry) (bound, error) {
 // columns. perRow is the same call through the ScalarFunc, on one row.
 type vecCall struct {
 	fn     VectorFunc
-	first  catalog.Value
+	first  bound
 	args   []bound
 	perRow func(c *Chunk, r int32) (catalog.Value, error)
 }
@@ -366,7 +398,7 @@ func bindVectorCall(fn VectorFunc, args []bound, perRow func(*Chunk, int32) (cat
 			return bound{}, false
 		}
 	}
-	call := &vecCall{fn: fn, first: args[0].kv, args: args[1:], perRow: perRow}
+	call := &vecCall{fn: fn, first: args[0], args: args[1:], perRow: perRow}
 	return bound{k: kFloat, col: -1, ff: call.row, vc: call}, true
 }
 
@@ -388,7 +420,7 @@ func (v *vecCall) call(c *Chunk, sel []int32, out []float64) error {
 	floats, vargs := len(c.floats), len(c.vargs)
 	err := v.gather(c, sel)
 	if err == nil {
-		err = v.fn.Eval(v.first, c.vargs[vargs:len(c.vargs):len(c.vargs)], out)
+		err = v.fn.Eval(v.first.konst(c), c.vargs[vargs:len(c.vargs):len(c.vargs)], out)
 	}
 	c.floats, c.vargs = c.floats[:floats], c.vargs[:vargs]
 	if err != nil {
@@ -706,42 +738,42 @@ func columnVsNumber(l, r bound, op cmpOp) (p pred, ok bool) {
 	ints := func(v *vec) []int64 { return v.I }
 	switch {
 	case l.k == kInt && r.k == kInt:
-		return colPred[int64, int64]{l.col, ints, r.kv.(int64), op}, true
+		return colPred[int64, int64]{l.col, ints, r, op}, true
 	case l.k == kInt && r.k == kFloat:
-		return colPred[int64, float64]{l.col, ints, r.kv.(float64), op}, true
+		return colPred[int64, float64]{l.col, ints, r, op}, true
 	case l.k == kFloat && r.k.numeric():
-		kf, _ := r.float(nil, 0)
-		return colPred[float64, float64]{l.col, func(v *vec) []float64 { return v.F }, kf, op}, true
+		return colPred[float64, float64]{l.col, func(v *vec) []float64 { return v.F }, r, op}, true
 	}
 	return nil, false
 }
 
 // colPred is `column op k` over the numeric vector cells picks out of
-// column col, compared in K's type.
+// column col, compared in K's type; k is a literal or a parameter, its
+// value read once per chunk.
 type colPred[T, K int64 | float64] struct {
 	col   int
 	cells func(*vec) []T
-	k     K
+	k     bound
 	op    cmpOp
 }
 
 func (p colPred[T, K]) test(c *Chunk, r int32) (bool, error) {
-	return p.op.holds(cmpOrd(K(p.cells(c.cols[p.col])[r]), p.k)), nil
+	return p.op.holds(cmpOrd(K(p.cells(c.cols[p.col])[r]), number[K](p.k.konst(c)))), nil
 }
 
 func (p colPred[T, K]) apply(c *Chunk, sel []int32) ([]int32, error) {
-	return selectCmp(p.cells(c.cols[p.col]), p.k, p.op, sel), nil
+	return selectCmp(p.cells(c.cols[p.col]), number[K](p.k.konst(c)), p.op, sel), nil
 }
 
-// zoned is a conjunct a page's zone can rule out: zone is it as
-// catalog.Table.PagesFor takes it.
+// zoned is a conjunct a page's zone can rule out: zone is it under a
+// run's parameters, as catalog.Table.PagesFor takes it.
 type zoned interface {
-	zone() catalog.ZoneCond
+	zone(params []catalog.Value) catalog.ZoneCond
 }
 
-func (p colPred[T, K]) zone() catalog.ZoneCond {
+func (p colPred[T, K]) zone(params []catalog.Value) catalog.ZoneCond {
 	c := catalog.ZoneCond{Col: p.col, Accept: uint8(p.op)}
-	switch k := any(p.k).(type) {
+	switch k := any(number[K](p.k.konstIn(params))).(type) {
 	case int64:
 		c.Int, c.IntK = true, k
 	case float64:
@@ -760,8 +792,7 @@ func callVsNumber(l, r bound, op cmpOp) (p pred, ok bool) {
 	if l.vc == nil || !r.isConst() || !r.k.numeric() {
 		return nil, false
 	}
-	k, _ := r.float(nil, 0)
-	return callPred{l.vc, k, op}, true
+	return callPred{l.vc, r, op}, true
 }
 
 // callPred is `call op k`. Where the function has a selecting form for
@@ -771,18 +802,19 @@ func callVsNumber(l, r bound, op cmpOp) (p pred, ok bool) {
 // over.
 type callPred struct {
 	call *vecCall
-	k    float64
+	k    bound
 	op   cmpOp
 }
 
 func (p callPred) test(c *Chunk, r int32) (bool, error) {
 	x, err := p.call.row(c, r)
-	return err == nil && p.op.holds(cmpOrd(x, p.k)), err
+	return err == nil && p.op.holds(cmpOrd(x, number[float64](p.k.konst(c)))), err
 }
 
 func (p callPred) apply(c *Chunk, sel []int32) ([]int32, error) {
+	k := number[float64](p.k.konst(c))
 	if v := p.call; v.fn.Select != nil && len(sel) > 0 {
-		s, err := v.fn.Select(v.first, len(v.args), uint8(p.op), p.k)
+		s, err := v.fn.Select(v.first.konst(c), len(v.args), uint8(p.op), k)
 		if err != nil {
 			return nil, v.rowErr(c, sel, err)
 		}
@@ -794,7 +826,7 @@ func (p callPred) apply(c *Chunk, sel []int32) ([]int32, error) {
 	cells := c.pushFloats(c.n)
 	err := p.call.fill(cells, c, sel)
 	if err == nil {
-		sel = selectCmp(cells, p.k, p.op, sel)
+		sel = selectCmp(cells, k, p.op, sel)
 	}
 	c.floats = c.floats[:mark]
 	return sel, err

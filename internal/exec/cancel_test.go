@@ -178,12 +178,25 @@ func TestCancelNoGoroutineLeaks(t *testing.T) {
 }
 
 // TestCancelMetricsRecorded: a cancelled run shows up in cancel.requests
-// and cancel.latency_ns on the registry (the system.metrics surface).
+// and cancel.latency_ns on the registry (the system.metrics surface),
+// each failed statement counts once, and the state failed runs leave
+// for later ones starts them clean: after a statement cancelled mid-scan,
+// one aborted by its memory budget and one that drew a chaos latency
+// fault, a plain statement on the same executor reports the chunks,
+// peak bytes and chaos fires a fresh executor's run of it does.
 func TestCancelMetricsRecorded(t *testing.T) {
 	c := oneTableSetup(t, 20_000)
+	plain := mustPlan(t, c, "SELECT id FROM big WHERE v >= 0")
+	ref := New(nil)
+	ref.Parallelism = 1
+	fresh, err := ref.Run(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := obs.NewRegistry()
 	ex := New(nil)
 	ex.Obs = NewMetrics(reg)
+	ex.Parallelism = 1
 	p := mustPlan(t, c, "SELECT id FROM big")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -197,6 +210,44 @@ func TestCancelMetricsRecorded(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap["cancel.latency_ns.count"] != 1 {
 		t.Fatalf("cancel.latency_ns.count = %v, want 1 (snapshot %v)", snap["cancel.latency_ns.count"], snap)
+	}
+
+	// Cancelled mid-scan: the filter cancels on its first chunk.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	ex.Funcs["STOP"] = func([]catalog.Value) (catalog.Value, error) { cancel(); return int64(1), nil }
+	if _, err := ex.RunContext(ctx, mustPlan(t, c, "SELECT id FROM big WHERE STOP() = 1")); !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-scan cancel: err = %v, want context.Canceled", err)
+	}
+	// Aborted by its budget.
+	ex.Mem = governance.NewMemBudget(16*1024, governance.Metrics{})
+	if _, err := ex.Run(plain); !errors.Is(err, governance.ErrMemBudget) {
+		t.Fatalf("budget abort: err = %v, want ErrMemBudget", err)
+	}
+	ex.Mem = nil
+	if got, want := ex.Obs.CancelRequests.Value(), uint64(2); got != want {
+		t.Errorf("cancel.requests = %d after two cancelled statements and a budget abort, want %d", got, want)
+	}
+	if got, want := ex.Obs.QueryErrors.Value(), uint64(3); got != want {
+		t.Errorf("exec.query_errors = %d after three failed statements, want %d", got, want)
+	}
+	// A chaos latency fire on a statement that succeeds.
+	ex.Chaos = chaos.New(1).Add(chaos.Rule{Site: SiteExecScan, Kind: chaos.Latency, Delay: 1})
+	if res, err := ex.Run(plain); err != nil || res.ChaosFires == 0 {
+		t.Fatalf("chaos run: %v, fires %v", err, res)
+	}
+	ex.Chaos = nil
+
+	res, err := ex.Run(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Chunks != fresh.Chunks || res.PeakBytes != fresh.PeakBytes || res.ChaosFires != fresh.ChaosFires {
+		t.Errorf("after failed runs: chunks %d, peak %d B, chaos fires %d; a fresh executor's run: %d, %d B, %d",
+			res.Chunks, res.PeakBytes, res.ChaosFires, fresh.Chunks, fresh.PeakBytes, fresh.ChaosFires)
+	}
+	if got, want := ex.Obs.QueryErrors.Value(), uint64(3); got != want {
+		t.Errorf("exec.query_errors = %d after the successful runs, want %d", got, want)
 	}
 }
 

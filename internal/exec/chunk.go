@@ -148,6 +148,12 @@ type Chunk struct {
 	// spare is the column list a projection builds before it swaps it
 	// with cols.
 	spare []*vec
+	// dst is cols as a page decoder takes them, nil where the plan reads
+	// nothing: set by the scan filling the chunk.
+	dst []*catalog.Vector
+	// params are the values of the $N of the run evaluating expressions
+	// over the chunk, set by each operator before it evaluates.
+	params []catalog.Value
 	// args is the argument stack of the scalar-function calls the worker
 	// owning the chunk evaluates over it: one slice, reused row by row.
 	// cells holds the numbers among them, which are boxed in place.
@@ -259,7 +265,7 @@ func (c *Chunk) bytes() int64 {
 
 // reset clears the chunk for reuse, keeping every vector's capacity.
 func (c *Chunk) reset() {
-	c.n, c.used, c.charged = 0, 0, 0
+	c.n, c.used, c.charged, c.params = 0, 0, 0, nil
 	c.sel, c.cols, c.rids, c.args, c.cells = c.sel[:0], c.cols[:0], c.rids[:0], c.args[:0], c.cells[:0]
 	c.floats, c.vargs, c.iargs = c.floats[:0], c.vargs[:0], c.iargs[:0]
 }
@@ -279,9 +285,11 @@ func (c *Chunk) pushFloats(n int) []float64 {
 // unbounded vectors.
 const maxPoolChunks = 32
 
-// chunkPool is a per-run free list of chunks. It meters hits and
-// misses onto the executor's obs registry and keeps a local get/put
-// balance so tests can assert no chunk leaks across cancellation and
+// chunkPool is a run's free list of chunks. It is part of the run state
+// later runs recycle (see runCtx), so its chunks keep their vectors'
+// capacity from run to run. It meters hits and misses onto the
+// executor's obs registry and keeps a get/put balance, reset for each
+// run, so tests can assert no chunk leaks across cancellation and
 // budget-abort teardowns.
 type chunkPool struct {
 	mu   sync.Mutex

@@ -71,8 +71,8 @@ type Selector interface {
 
 // Scope maps qualified column names to chunk columns for binding.
 // Params, when set, carries the positional bindings for $N parameter
-// placeholders (1-based; Params[0] binds $1), so one cached
-// parameterized plan evaluates against per-execution values.
+// placeholders (1-based; Params[0] binds $1): a $N binds to its slot and
+// its value's kind, and reads the value of the run it is evaluated in.
 type Scope struct {
 	names []string
 	// kinds is each column's vector kind; nil means every column is
@@ -90,13 +90,6 @@ func NewScope(names []string) *Scope { return &Scope{names: names} }
 // parameter bindings, for evaluation outside an executor (DML paths).
 func NewScopeParams(names []string, params []catalog.Value) *Scope {
 	return &Scope{names: names, Params: params}
-}
-
-// newScope builds a scope over columns of the given kinds carrying this
-// executor's parameter bindings, so $N placeholders in cached plans
-// resolve against the current run.
-func (ex *Executor) newScope(names []string, kinds []kind) *Scope {
-	return &Scope{names: names, kinds: kinds, Params: ex.Params, vectors: ex.VectorFuncs}
 }
 
 // Resolve finds the position of a column reference; it accepts exact
@@ -157,9 +150,9 @@ func Eval(e sql.Expr, scope *Scope, row catalog.Row, funcs FuncRegistry) (catalo
 		return nil, err
 	}
 	if b.isConst() {
-		return b.kv, nil // a literal or a parameter: no row to read
+		return b.konstIn(scope.Params), nil // a literal or a parameter: no row to read
 	}
-	return b.value(rowChunk(row), 0)
+	return b.value(rowChunk(row, scope.Params), 0)
 }
 
 // EvalBool is Eval for a condition.
@@ -171,12 +164,13 @@ func EvalBool(e sql.Expr, scope *Scope, row catalog.Row, funcs FuncRegistry) (bo
 	if err != nil {
 		return false, err
 	}
-	return p.test(rowChunk(row), 0)
+	return p.test(rowChunk(row, scope.Params), 0)
 }
 
-// rowChunk is a one-row chunk of boxed columns holding row.
-func rowChunk(row catalog.Row) *Chunk {
-	c := &Chunk{n: 1, sel: []int32{0}}
+// rowChunk is a one-row chunk of boxed columns holding row, evaluated
+// under params.
+func rowChunk(row catalog.Row, params []catalog.Value) *Chunk {
+	c := &Chunk{n: 1, sel: []int32{0}, params: params}
 	for _, v := range row {
 		c.cols = append(c.cols, &vec{k: kAny, V: []catalog.Value{v}})
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,13 +44,14 @@ type Result struct {
 }
 
 // Executor runs logical plans through a streaming batch-at-a-time
-// pipeline: the plan compiles into a tree of BatchOperators (see
-// stream.go) pulling pooled column chunks from their children, so only
-// pipeline breakers (join build, aggregation, sort) ever materialize
-// an input. One executor may serve concurrent Run calls (stats are
-// atomic); scalar functions in Funcs must be safe for concurrent use
-// whenever Parallelism != 1, because fused filter and projection
-// stages evaluate expressions from multiple scan workers.
+// pipeline: the plan compiles into a program (see program.go) that each
+// run opens as a tree of BatchOperators (see stream.go) pulling pooled
+// column chunks from their children, so only pipeline breakers (join
+// build, aggregation, sort) ever materialize an input. One executor may
+// serve concurrent Run calls (stats are atomic); scalar functions in
+// Funcs must be safe for concurrent use whenever Parallelism != 1,
+// because fused filter and projection stages evaluate expressions from
+// multiple scan workers.
 type Executor struct {
 	Funcs FuncRegistry
 	// VectorFuncs holds chunk forms of functions in Funcs, under the same
@@ -102,10 +104,11 @@ type Executor struct {
 	ScanMorselPages int
 
 	// Params carries positional bindings for $N placeholders in the
-	// plan's expressions (Params[0] binds $1). The executor injects them
-	// into every evaluation scope it creates, which is how one cached
-	// parameterized plan runs under different bindings: the plan stays
-	// shared and immutable, the values live here, per Run.
+	// plan's expressions (Params[0] binds $1). A program binds each $N
+	// to its slot and its value's kind and reads the value of the run,
+	// which is how one compiled program runs under different bindings:
+	// the plan and the program stay shared and immutable, the values
+	// live here, per Run.
 	Params []catalog.Value
 
 	// poolHook, when set, receives each RunContext's chunk pool after
@@ -159,24 +162,59 @@ func IsCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// RunContext streams the plan's output into a materialized Result,
-// checking ctx cooperatively before every decode call and at every
-// chunk boundary, so a cancelled query stops within about one chunk of
-// work per worker and never returns a partial result. The returned error wraps ctx.Err() when the run was
-// cancelled; cancel.requests counts such runs and cancel.latency_ns
-// observes the cancellation-observed-to-return teardown latency. On
-// any error every outstanding memory charge is refunded, so a shared
-// budget sees only the bytes a query actually holds.
+// RunContext compiles the plan and streams its output into a
+// materialized Result, checking ctx cooperatively before every decode
+// call and at every chunk boundary, so a cancelled query stops within
+// about one chunk of work per worker and never returns a partial result.
+// The returned error wraps ctx.Err() when the run was cancelled;
+// cancel.requests counts such runs and cancel.latency_ns observes the
+// cancellation-observed-to-return teardown latency. On any error every
+// outstanding memory charge is refunded, so a shared budget sees only
+// the bytes a query actually holds. A plan.BoundNode runs its input with
+// its own parameters instead of Params.
 func (ex *Executor) RunContext(ctx context.Context, n plan.Node) (*Result, error) {
+	return ex.RunCompiled(ctx, n, nil)
+}
+
+// RunCompiled is RunContext for a plan whose program keep holds between
+// runs: a run whose parameters have the kinds keep's program was
+// compiled for opens it and compiles nothing. Any other run compiles n
+// for itself, and keeps its program in keep only when keep is empty, so
+// nothing replaces a kept program; a compile error is never kept. A
+// profiled run and a plan.BoundNode compile for themselves and keep
+// nothing. keep may be nil.
+func (ex *Executor) RunCompiled(ctx context.Context, n plan.Node, keep *Compiled) (*Result, error) {
+	params := ex.Params
+	if b, ok := n.(*plan.BoundNode); ok {
+		n, params, keep = b.Input, b.Params, nil
+	}
+	if ex.Profile != nil {
+		keep = nil
+	}
 	cores.Add(1)
 	defer cores.Add(-1)
 	ex.Obs.Queries.Inc()
-	if done := ex.Obs.timeQuery(); done != nil {
-		defer done()
+	var start time.Time
+	if ex.Obs.QueryLatency != nil {
+		start = time.Now()
+		defer func() { ex.Obs.QueryLatency.Observe(float64(time.Since(start))) }()
 	}
-	rc := &runCtx{ctx: ctx, mem: ex.Mem}
-	rc.pool.m = &ex.Obs
-	rows, err := ex.execNode(rc, n)
+	var p *program
+	if keep != nil {
+		p = keep.p.Load()
+	}
+	var err error
+	if p == nil || !p.fits(params) {
+		if p, err = ex.compile(n, params); err == nil && keep != nil {
+			keep.p.CompareAndSwap(nil, p)
+		}
+	}
+	rc := ex.newRun(ctx, params)
+	defer rc.release()
+	var rows []catalog.Row
+	if err == nil {
+		rows, err = ex.execNode(rc, p)
+	}
 	if peak := rc.peak.Load(); peak > 0 {
 		ex.Obs.PeakBytes.Observe(float64(peak))
 	}
@@ -203,7 +241,7 @@ func (ex *Executor) RunContext(ctx context.Context, n plan.Node) (*Result, error
 	ex.Stats.RowsOutput.Add(uint64(len(rows)))
 	ex.Obs.RowsOutput.Add(uint64(len(rows)))
 	return &Result{
-		Columns:    n.Schema(),
+		Columns:    p.columns,
 		Rows:       rows,
 		Chunks:     rc.chunks.Load(),
 		PeakBytes:  rc.peak.Load(),
@@ -211,26 +249,14 @@ func (ex *Executor) RunContext(ctx context.Context, n plan.Node) (*Result, error
 	}, nil
 }
 
-// execNode compiles the plan into a streaming pipeline, drains it and
-// boxes the output — the one place cells become catalog.Values. A nil rc
-// runs uninstrumented with background-context semantics.
-func (ex *Executor) execNode(rc *runCtx, n plan.Node) ([]catalog.Row, error) {
-	if rc == nil {
-		rc = &runCtx{}
-	}
-	if rc.pool.m == nil {
-		rc.pool.m = &ex.Obs
-	}
-	op, kinds, err := ex.compile(rc, n)
-	if err != nil {
-		return nil, err
-	}
+// execNode opens the program on rc, drains it and boxes the output — the
+// one place cells become catalog.Values.
+func (ex *Executor) execNode(rc *runCtx, p *program) ([]catalog.Row, error) {
+	op := p.root.open(rc)
 	defer op.Close()
-	if i := slices.Index(kinds, kNone); i >= 0 {
-		return nil, fmt.Errorf("exec: result column %q is not decoded (planner bug)", n.Schema()[i])
-	}
 	// Box chunk by chunk, recycling each, and flatten once at the end.
-	var parts [][]catalog.Row
+	var first []catalog.Row
+	var more [][]catalog.Row
 	total := 0
 	for {
 		c, ok, nerr := op.Next(rc.ctx)
@@ -242,30 +268,41 @@ func (ex *Executor) execNode(rc *runCtx, n plan.Node) ([]catalog.Row, error) {
 		}
 		rows := c.box()
 		rc.recycle(c)
-		if err := rc.charge(int64(len(rows)) * (24 + 16*int64(len(kinds)))); err != nil {
+		if err := rc.charge(int64(len(rows)) * (24 + 16*int64(len(p.kinds)))); err != nil {
 			return nil, err
 		}
-		parts = append(parts, rows)
+		if first == nil {
+			first = rows
+		} else {
+			more = append(more, rows)
+		}
 		total += len(rows)
 	}
-	if len(parts) == 1 {
-		return parts[0], nil
+	if more == nil {
+		return first, nil
 	}
 	rows := make([]catalog.Row, 0, total)
-	for _, p := range parts {
-		rows = append(rows, p...)
+	rows = append(rows, first...)
+	for _, part := range more {
+		rows = append(rows, part...)
 	}
 	return rows, nil
 }
 
 // runCtx carries one Run's cancellation and resource state down the
-// operator tree: the context, the memory budget, the chunk pool, and
-// the live/peak byte accounting. It is per-run (never stored on the
-// Executor), so one executor can serve concurrent RunContext calls
-// with different contexts and budgets racing nothing.
+// operator tree: the executor whose settings the operators read at
+// open, the context, the memory budget, the profile, the parameter
+// values, the chunk pool, and the live/peak byte accounting. Each run
+// has its own (never stored on the Executor), so one executor can serve
+// concurrent RunContext calls with different contexts and budgets
+// racing nothing. A finished run's state, with its pooled chunks and
+// its streams and their buffers' capacity, serves a later run (runs).
 type runCtx struct {
-	ctx context.Context
-	mem *governance.MemBudget
+	ex     *Executor
+	ctx    context.Context
+	mem    *governance.MemBudget
+	prof   *QueryProfile
+	params []catalog.Value
 	// cancelAt is the unix-nano timestamp of the first observed
 	// cancellation, feeding the cancel.latency_ns teardown histogram.
 	cancelAt atomic.Int64
@@ -284,6 +321,56 @@ type runCtx struct {
 	// chaosFires counts the latency faults this run's scans drew at
 	// SiteExecScan, reported on the Result.
 	chaosFires atomic.Int64
+
+	// streams are the morsel streams runs on this state opened, the
+	// first used of them by this one.
+	streams []*morselStream
+	used    int
+}
+
+// runs holds the state of finished runs for later ones, so a run starts
+// with chunks, vectors and streams earlier runs have grown.
+var runs = sync.Pool{New: func() any { return new(runCtx) }}
+
+// newRun returns run state for one run of ex binding params.
+func (ex *Executor) newRun(ctx context.Context, params []catalog.Value) *runCtx {
+	rc := runs.Get().(*runCtx)
+	rc.ex, rc.ctx, rc.mem, rc.prof, rc.params = ex, ctx, ex.Mem, ex.Profile, params
+	rc.pool.m = &ex.Obs
+	return rc
+}
+
+// release resets the state of a torn-down run in full — accounting,
+// cancellation stamp, chaos fires, the pool's get/put balance, every
+// reference into the run — and gives it back for a later run.
+func (rc *runCtx) release() {
+	for _, s := range rc.streams[:rc.used] {
+		s.clear()
+	}
+	rc.used = 0
+	rc.ex, rc.ctx, rc.mem, rc.prof, rc.params, rc.pool.m = nil, nil, nil, nil, nil, nil
+	rc.cancelAt.Store(0)
+	rc.live.Store(0)
+	rc.peak.Store(0)
+	rc.chunks.Store(0)
+	rc.chaosFires.Store(0)
+	rc.pool.gets.Store(0)
+	rc.pool.puts.Store(0)
+	runs.Put(rc)
+}
+
+// stream returns a morsel stream of this run for src, one an earlier
+// run left when there is one.
+func (rc *runCtx) stream(src *scanStep) *morselStream {
+	if rc.used == len(rc.streams) {
+		s := &morselStream{}
+		s.push = s.bufferChunk
+		rc.streams = append(rc.streams, s)
+	}
+	s := rc.streams[rc.used]
+	rc.used++
+	s.rc, s.src, s.prof = rc, src, rc.prof.of(src.node)
+	return s
 }
 
 // err checks the run's context, stamping the first cancellation
@@ -401,8 +488,8 @@ type boundAgg struct {
 // floats, and MIN and MAX are boxed (over no rows they are NULL). An
 // output that is not an aggregate call must repeat a grouping
 // expression.
-func (ex *Executor) bindAggregate(v *plan.AggregateNode, scope *Scope) (*boundAgg, []kind, error) {
-	groupBy, err := bindList(v.GroupBy, scope, ex.Funcs)
+func (c *compiler) bindAggregate(v *plan.AggregateNode, scope *Scope) (*boundAgg, []kind, error) {
+	groupBy, err := bindList(v.GroupBy, scope, c.funcs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -430,13 +517,13 @@ func (ex *Executor) bindAggregate(v *plan.AggregateNode, scope *Scope) (*boundAg
 					continue
 				}
 			}
-			if _, err := bindList(fc.Args, scope, ex.Funcs); err != nil {
+			if _, err := bindList(fc.Args, scope, c.funcs); err != nil {
 				return nil, nil, err
 			}
 		case len(fc.Args) != 1:
 			return nil, nil, fmt.Errorf("exec: %s takes one argument", fc.Name)
 		default:
-			if item.arg, err = bind(fc.Args[0], scope, ex.Funcs); err != nil {
+			if item.arg, err = bind(fc.Args[0], scope, c.funcs); err != nil {
 				return nil, nil, err
 			}
 			kinds[i] = kFloat

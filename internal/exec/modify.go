@@ -29,20 +29,6 @@ type modifyOp struct {
 	done bool
 }
 
-// bindSet binds an UPDATE's SET expressions against its input (nil for
-// DELETE).
-func (ex *Executor) bindSet(v *plan.ModifyNode, scope *Scope) ([]bound, error) {
-	set := make([]bound, len(v.Set))
-	for i, a := range v.Set {
-		b, err := bind(a.Expr, scope, ex.Funcs)
-		if err != nil {
-			return nil, fmt.Errorf("exec: UPDATE %s SET %s: %w", v.Table.Name, v.Table.Schema.Columns[a.Column].Name, err)
-		}
-		set[i] = b
-	}
-	return set, nil
-}
-
 type rowChange struct {
 	rid      storage.RecordID
 	old, new catalog.Row // new is nil for DELETE
@@ -78,6 +64,7 @@ func (m *modifyOp) collect(ctx context.Context) ([]rowChange, error) {
 			return changes, err
 		}
 		rows := c.box()
+		c.params = m.rc.params
 		for i, r := range c.sel {
 			ch := rowChange{rid: c.rids[r], old: rows[i]}
 			if m.node.Set != nil {

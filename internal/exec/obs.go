@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"time"
-
 	"aidb/internal/obs"
 )
 
@@ -18,6 +16,9 @@ type Metrics struct {
 	RowsJoined    *obs.Counter
 	RowsOutput    *obs.Counter
 	InjectedDelay *obs.Counter
+	// Compiles counts plans lowered into programs: a run of a kept
+	// program compiles nothing.
+	Compiles *obs.Counter
 	// PagesPruned counts the heap pages scans left unread: their zones
 	// rule out the scan's filter, or they hold no live row.
 	PagesPruned *obs.Counter
@@ -71,6 +72,7 @@ func NewMetrics(reg *obs.Registry) Metrics {
 		RowsJoined:      reg.Counter("exec.rows_joined"),
 		RowsOutput:      reg.Counter("exec.rows_output"),
 		InjectedDelay:   reg.Counter("exec.injected_delay_units"),
+		Compiles:        reg.Counter("exec.compiles"),
 		PagesPruned:     reg.Counter("exec.pages_pruned"),
 		QueryLatency:    reg.Histogram("exec.query_latency_ns", latencyBuckets),
 		CancelRequests:  reg.Counter("cancel.requests"),
@@ -113,15 +115,4 @@ func (m *Metrics) ObserveSpeedup(op string, x float64) {
 	case "agg":
 		m.AggSpeedup.Observe(x)
 	}
-}
-
-// timeQuery starts a latency measurement when the latency histogram is
-// live; the returned func observes it. Disabled metrics skip the
-// time.Now call entirely.
-func (m *Metrics) timeQuery() func() {
-	if m.QueryLatency == nil {
-		return nil
-	}
-	start := time.Now()
-	return func() { m.QueryLatency.Observe(float64(time.Since(start))) }
 }

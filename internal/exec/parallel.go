@@ -117,22 +117,22 @@ func chunkBounds(n, size int) [][2]int {
 
 // splitKeyRange splits the inclusive key range [lo, hi] into up to k
 // inclusive subranges in ascending order, each at least minWidth keys
-// wide. Width arithmetic is done in uint64 so open-ended planner ranges
-// (math.MinInt64, math.MaxInt64) cannot overflow. Concatenating
-// subrange scans in order preserves global key order.
-func splitKeyRange(lo, hi int64, k int, minWidth uint64) [][2]int64 {
+// wide, in dst's room. Width arithmetic is done in uint64 so open-ended
+// planner ranges (math.MinInt64, math.MaxInt64) cannot overflow.
+// Concatenating subrange scans in order preserves global key order.
+func splitKeyRange(dst [][2]int64, lo, hi int64, k int, minWidth uint64) [][2]int64 {
+	out := dst[:0]
 	if lo > hi {
-		return nil
+		return out
 	}
 	width := uint64(hi) - uint64(lo) // inclusive range holds width+1 keys
 	if k > 1 && width/minWidth < uint64(k) {
 		k = int(width / minWidth)
 	}
 	if k <= 1 {
-		return [][2]int64{{lo, hi}}
+		return append(out, [2]int64{lo, hi})
 	}
 	step := width/uint64(k) + 1
-	out := make([][2]int64, 0, k)
 	cur := lo
 	for {
 		rem := uint64(hi) - uint64(cur)

@@ -369,7 +369,7 @@ func TestSplitKeyRange(t *testing.T) {
 		{math.MinInt64, math.MinInt64 + 10, 4},
 	}
 	for _, tc := range cases {
-		subs := splitKeyRange(tc.lo, tc.hi, tc.k, minIndexMorselWidth)
+		subs := splitKeyRange(nil, tc.lo, tc.hi, tc.k, minIndexMorselWidth)
 		if len(subs) == 0 {
 			t.Fatalf("[%d,%d] k=%d: no subranges", tc.lo, tc.hi, tc.k)
 		}
@@ -388,7 +388,7 @@ func TestSplitKeyRange(t *testing.T) {
 			}
 		}
 	}
-	if got := splitKeyRange(10, 5, 4, 1); got != nil {
+	if got := splitKeyRange(nil, 10, 5, 4, 1); got != nil {
 		t.Errorf("inverted input range: got %v, want nil", got)
 	}
 }
@@ -657,12 +657,12 @@ func TestScanDoesNotHoldLatchAcrossEmit(t *testing.T) {
 	ex.Parallelism = 2
 	ex.MorselSize = 64
 	ctx := context.Background()
-	rc := &runCtx{ctx: ctx}
-	rc.pool.m = &ex.Obs
-	op, _, err := ex.compile(rc, mustPlan(t, c, "SELECT id, v FROM big"))
+	p, err := ex.compile(mustPlan(t, c, "SELECT id, v FROM big"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc := ex.newRun(ctx, nil)
+	op := p.root.open(rc)
 	defer op.Close()
 	if _, ok, err := op.Next(ctx); err != nil || !ok {
 		t.Fatalf("first chunk: %v, %v", ok, err)

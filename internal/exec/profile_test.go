@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -194,8 +195,9 @@ func TestProfileAttachSpans(t *testing.T) {
 
 // TestProfileOffOverhead guards the EXPLAIN ANALYZE bargain by count,
 // not by clock (BenchmarkExec/profile-{off,on} times it): without a
-// profile no operator is wrapped for profiling, and Run allocates exactly
-// what the executor body (execNode) does plus the Result it returns.
+// profile no operator is wrapped for profiling, and a run of a kept
+// program allocates exactly what opening and draining it (execNode)
+// does plus the Result it returns.
 func TestProfileOffOverhead(t *testing.T) {
 	for _, q := range []string{
 		"SELECT age, COUNT(*) FROM users WHERE id > 5 GROUP BY age ORDER BY age LIMIT 3",
@@ -207,16 +209,19 @@ func TestProfileOffOverhead(t *testing.T) {
 			for _, profile := range []*QueryProfile{nil, NewQueryProfile(p, nil)} {
 				ex := New(nil)
 				ex.Profile = profile
-				op, _, err := ex.compile(&runCtx{}, n)
+				st, _, err := (&compiler{}).step(n)
 				if err != nil {
 					t.Fatal(err)
 				}
+				rc := ex.newRun(context.Background(), nil)
+				op := st.open(rc)
 				_, wrapped := op.(*profiledOp)
 				breaker := opKind(n) == "HashJoin" || opKind(n) == "Aggregate" || opKind(n) == "Sort" || opKind(n) == "Limit" || opKind(n) == "Distinct"
 				if wrapped != (profile != nil && breaker) {
-					t.Errorf("%s: %s compiled to %T with profile %v", q, opKind(n), op, profile != nil)
+					t.Errorf("%s: %s opened as %T with profile %v", q, opKind(n), op, profile != nil)
 				}
 				op.Close()
+				rc.release()
 			}
 			for _, c := range n.Children() {
 				walk(c)
@@ -229,23 +234,33 @@ func TestProfileOffOverhead(t *testing.T) {
 		}
 		ex := New(nil)
 		ex.Parallelism = 1
+		var keep Compiled
 		// A collection empties the sync.Pools a run draws on, and refilling
 		// them allocates, so counts taken while the collector runs shift
 		// with the heap earlier tests left; without it they are exact.
 		gc := debug.SetGCPercent(-1)
-		wrapped := testing.AllocsPerRun(20, func() {
-			if _, err := ex.Run(p); err != nil {
+		run := func() {
+			if _, err := ex.RunCompiled(context.Background(), p, &keep); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		// Runs recycle their chunks, so the first few grow vectors the
+		// later ones reuse; count only once they have.
+		for i := 0; i < 5; i++ {
+			run()
+		}
+		wrapped := testing.AllocsPerRun(20, run)
+		prog := keep.p.Load()
 		direct := testing.AllocsPerRun(20, func() {
-			if _, err := ex.execNode(nil, p); err != nil {
+			rc := ex.newRun(context.Background(), nil)
+			if _, err := ex.execNode(rc, prog); err != nil {
 				t.Fatal(err)
 			}
+			rc.release()
 		})
 		debug.SetGCPercent(gc)
 		if wrapped != direct+1 {
-			t.Errorf("%s: Run allocates %.0f times, execNode %.0f: want exactly one more (the Result)", q, wrapped, direct)
+			t.Errorf("%s: a run of the kept program allocates %.0f times, execNode %.0f: want exactly one more (the Result)", q, wrapped, direct)
 		}
 	}
 }

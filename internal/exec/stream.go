@@ -12,12 +12,12 @@ import (
 
 	"aidb/internal/catalog"
 	"aidb/internal/plan"
-	"aidb/internal/sql"
 	"aidb/internal/storage"
 )
 
-// This file is the streaming heart of the executor: a compiled plan is
-// a tree of BatchOperators pulling pooled Chunks from their children.
+// This file is the streaming heart of the executor: a program opened for
+// a run is a tree of BatchOperators pulling pooled Chunks from their
+// children.
 // Rows flow scan → filter → project → limit one batch at a time, so a
 // query's live memory is bounded by chunks in flight — not by the size
 // of every intermediate result. Filters and projections compile to
@@ -47,35 +47,20 @@ type emitFn func(*Chunk) error
 // ---------------------------------------------------------------------
 // Transforms: fused stages (filter, project).
 
-// transform is one fused pipeline stage. apply takes ownership of c
-// and returns the surviving chunk (c itself, narrowed or re-columned);
-// a chunk it abandons on error it recycles itself. Transforms run
-// concurrently from morsel workers and must only touch shared state
-// that is read-only or atomic.
+// transform is one fused pipeline stage, part of a program. apply takes
+// ownership of c and returns the surviving chunk (c itself, narrowed or
+// re-columned); a chunk it abandons on error it recycles itself.
+// Transforms run concurrently from morsel workers and concurrent runs,
+// and hold nothing but the program's read-only state.
 type transform interface {
-	apply(c *Chunk) (*Chunk, error)
-}
-
-// fusable is implemented by operators that can absorb a downstream
-// transform into their own loop (sources and transformOp).
-type fusable interface {
-	fuse(t transform)
-}
-
-// fused pushes t into in when in can absorb it, else wraps in.
-func fused(rc *runCtx, in BatchOperator, t transform) BatchOperator {
-	if f, ok := in.(fusable); ok {
-		f.fuse(t)
-		return in
-	}
-	return &transformOp{rc: rc, in: in, ts: []transform{t}}
+	apply(rc *runCtx, c *Chunk) (*Chunk, error)
 }
 
 // applyTransforms runs c through ts in order. A chunk filtered down to
 // zero rows is recycled and reported as nil (no emission).
 func applyTransforms(rc *runCtx, ts []transform, c *Chunk) (*Chunk, error) {
 	for _, t := range ts {
-		out, err := t.apply(c)
+		out, err := t.apply(rc, c)
 		if err != nil {
 			return nil, err
 		}
@@ -91,30 +76,31 @@ func applyTransforms(rc *runCtx, ts []transform, c *Chunk) (*Chunk, error) {
 // filterTransform narrows the chunk's selection to the rows cond holds
 // for; no cell moves.
 type filterTransform struct {
-	rc   *runCtx
 	cond pred
-	prof *OpProfile
+	node *plan.FilterNode
 }
 
-func (t *filterTransform) apply(c *Chunk) (*Chunk, error) {
-	if err := t.rc.err(); err != nil {
-		t.rc.recycle(c)
+func (t *filterTransform) apply(rc *runCtx, c *Chunk) (*Chunk, error) {
+	if err := rc.err(); err != nil {
+		rc.recycle(c)
 		return nil, err
 	}
+	prof := rc.prof.of(t.node)
 	var start time.Time
-	if t.prof != nil {
+	if prof != nil {
 		start = time.Now()
 	}
+	c.params = rc.params
 	sel, err := t.cond.apply(c, c.sel)
 	if err != nil {
-		t.rc.recycle(c)
+		rc.recycle(c)
 		return nil, err
 	}
 	c.sel = sel
-	if t.prof != nil {
-		t.prof.wallNs.Add(time.Since(start).Nanoseconds())
-		t.prof.actualRows.Add(int64(len(sel)))
-		t.prof.chunks.Add(1)
+	if prof != nil {
+		prof.wallNs.Add(time.Since(start).Nanoseconds())
+		prof.actualRows.Add(int64(len(sel)))
+		prof.chunks.Add(1)
 	}
 	return c, nil
 }
@@ -123,9 +109,8 @@ func (t *filterTransform) apply(c *Chunk) (*Chunk, error) {
 // references its input vector, a computed item fills a fresh vector of
 // the chunk for the selected rows.
 type projectTransform struct {
-	rc    *runCtx
 	items []projItem
-	prof  *OpProfile
+	node  *plan.ProjectNode
 }
 
 // projItem is one bound projection item; star passes every input column.
@@ -134,37 +119,17 @@ type projItem struct {
 	expr bound
 }
 
-// bindProject binds a projection's items against its input and returns
-// the output layout.
-func (ex *Executor) bindProject(rc *runCtx, v *plan.ProjectNode, scope *Scope) (*projectTransform, []kind, error) {
-	t := &projectTransform{rc: rc, items: make([]projItem, len(v.Items)), prof: ex.Profile.of(v)}
-	out := make([]kind, 0, len(v.Items))
-	for i, it := range v.Items {
-		if _, ok := it.Expr.(*sql.Star); ok {
-			t.items[i].star = true
-			out = append(out, scope.kinds...)
-			continue
-		}
-		b, err := bind(it.Expr, scope, ex.Funcs)
-		if err != nil {
-			return nil, nil, err
-		}
-		t.items[i].expr = b
-		out = append(out, b.k)
-	}
-	return t, out, nil
-}
-
-func (t *projectTransform) apply(c *Chunk) (*Chunk, error) {
-	rc := t.rc
+func (t *projectTransform) apply(rc *runCtx, c *Chunk) (*Chunk, error) {
 	if err := rc.err(); err != nil {
 		rc.recycle(c)
 		return nil, err
 	}
+	prof := rc.prof.of(t.node)
 	var start time.Time
-	if t.prof != nil {
+	if prof != nil {
 		start = time.Now()
 	}
+	c.params = rc.params
 	out := slices.Grow(c.spare[:0], len(t.items))
 	for i := range t.items {
 		it := &t.items[i]
@@ -188,11 +153,11 @@ func (t *projectTransform) apply(c *Chunk) (*Chunk, error) {
 		rc.recycle(c)
 		return nil, err
 	}
-	if t.prof != nil {
-		t.prof.wallNs.Add(time.Since(start).Nanoseconds())
-		t.prof.actualRows.Add(int64(c.Len()))
-		t.prof.chunks.Add(1)
-		t.prof.notePeak(c.charged)
+	if prof != nil {
+		prof.wallNs.Add(time.Since(start).Nanoseconds())
+		prof.actualRows.Add(int64(c.Len()))
+		prof.chunks.Add(1)
+		prof.notePeak(c.charged)
 	}
 	return c, nil
 }
@@ -205,8 +170,6 @@ type transformOp struct {
 	in BatchOperator
 	ts []transform
 }
-
-func (t *transformOp) fuse(tr transform) { t.ts = append(t.ts, tr) }
 
 func (t *transformOp) Next(ctx context.Context) (*Chunk, bool, error) {
 	for {
@@ -230,37 +193,29 @@ func (t *transformOp) Close() { t.in.Close() }
 // ---------------------------------------------------------------------
 // Sources: morsel-parallel scan pipelines.
 
-// chunkSink fills pooled chunks laid out as kinds and flushes one
-// downstream once it holds limit rows: rows are counted as scanned,
-// charged against the memory budget, run through the fused transforms,
-// and emitted. One sink per produce call, owned by one worker.
+// chunkSink fills pooled chunks laid out as its stream's kinds and
+// flushes one downstream once it holds limit rows: rows are counted as
+// scanned, charged against the memory budget, run through the fused
+// transforms, and emitted. One sink per produce call, owned by one
+// worker.
 type chunkSink struct {
-	s      *morselStream
-	emit   emitFn
-	kinds  []kind
-	rowIDs bool
-	limit  int
-	cur    *Chunk
-	// dst is cur's vectors as a decoder takes them, nil where the plan
-	// reads nothing.
-	dst []*catalog.Vector
-}
-
-func (s *morselStream) sink(emit emitFn, kinds []kind, rowIDs bool) chunkSink {
-	return chunkSink{s: s, emit: emit, kinds: kinds, rowIDs: rowIDs, limit: s.ex.morselRows()}
+	s     *morselStream
+	emit  emitFn
+	limit int
+	cur   *Chunk
 }
 
 // chunk returns the chunk being filled, starting one when there is none.
 func (k *chunkSink) chunk() *Chunk {
 	if k.cur == nil {
 		c := k.s.rc.pool.get()
-		c.layout(k.kinds)
-		k.dst = slices.Grow(k.dst[:0], len(c.cols))
+		c.layout(k.s.src.kinds)
+		c.dst = c.dst[:0]
 		for _, v := range c.cols {
 			if v == nil {
-				k.dst = append(k.dst, nil)
+				c.dst = append(c.dst, nil)
 			} else {
-				k.dst = append(k.dst, &v.Vector)
+				c.dst = append(c.dst, &v.Vector)
 			}
 		}
 		k.cur = c
@@ -271,7 +226,7 @@ func (k *chunkSink) chunk() *Chunk {
 // rids is where a decoder appends record ids: the current chunk's, for
 // a DML plan, else nowhere.
 func (k *chunkSink) rids() *[]storage.RecordID {
-	if !k.rowIDs {
+	if !k.s.src.rowIDs {
 		return nil
 	}
 	return &k.chunk().rids
@@ -309,31 +264,31 @@ func (k *chunkSink) flush() error {
 		return nil
 	}
 	k.cur = nil
-	s := k.s
+	s, rc := k.s, k.s.rc
 	if c.n == 0 {
-		s.rc.recycle(c)
+		rc.recycle(c)
 		return nil
 	}
 	c.selectAll()
 	n := uint64(c.n)
-	s.ex.Stats.RowsScanned.Add(n)
-	s.ex.Obs.RowsScanned.Add(n)
+	rc.ex.Stats.RowsScanned.Add(n)
+	rc.ex.Obs.RowsScanned.Add(n)
 	if s.prof != nil {
 		s.prof.actualRows.Add(int64(n))
 		s.prof.chunks.Add(1)
 	}
-	if err := s.rc.chargeEmit(c); err != nil {
-		s.rc.recycle(c)
+	if err := rc.chargeEmit(c); err != nil {
+		rc.recycle(c)
 		return err
 	}
 	if s.prof != nil {
 		s.prof.notePeak(c.charged)
 	}
-	out, err := applyTransforms(s.rc, s.ts, c)
+	out, err := applyTransforms(rc, s.src.ts, c)
 	if err != nil || out == nil {
 		return err
 	}
-	s.ex.Obs.ChunksEmitted.Inc()
+	rc.ex.Obs.ChunksEmitted.Inc()
 	return k.emit(out)
 }
 
@@ -359,31 +314,53 @@ type morselOut struct {
 // buffer its whole morsel set ahead of the consumer.
 const workerCredits = 2
 
-// morselStream is a source operator: it splits its input into morsels
-// (page ranges, key subranges) and produces chunks from them — inline
-// on the consumer's goroutine when serial, on a worker pool when
-// parallel. Delivery preserves morsel order exactly: each morsel owns
-// an output slot and the consumer drains slots in morsel order, so
-// parallel output is row-for-row identical to serial output.
+// What a stream's morsels read.
+const (
+	fromPages = iota // heap pages
+	fromKeys         // index key subranges
+	fromRows         // a virtual table's rows
+)
+
+// maxKeptRids bounds the record-id buffer a stream keeps for later runs.
+const maxKeptRids = 4096
+
+// morselStream is a run's source operator, opened from a scanStep: it
+// splits its input into morsels (page ranges, key subranges, row
+// ranges) and produces chunks from them — inline on the consumer's
+// goroutine when serial, on a worker pool when parallel. Delivery
+// preserves morsel order exactly: each morsel owns an output slot and
+// the consumer drains slots in morsel order, so parallel output is
+// row-for-row identical to serial output. A stream is part of the run
+// state later runs recycle (runCtx.stream), and keeps its buffers'
+// capacity for them.
 type morselStream struct {
-	ex   *Executor
 	rc   *runCtx
+	src  *scanStep
 	prof *OpProfile
-	// preOpen runs once before the first morsel (chaos consultation for
-	// scans); its error fails the stream before any row is read.
-	preOpen func() error
-	n       int
-	// produce reads morsel m and emits its chunks in row order.
-	produce func(m int, emit emitFn) error
-	ts      []transform
+
+	// The morsels, fixed when the stream opens: n of them, from pages,
+	// keys or rows as from says; bounds are the virtual rows' ranges.
+	n      int
+	from   int
+	pages  [][]storage.PageID
+	keys   [][2]int64
+	rows   []catalog.Row
+	bounds [][2]int
+	conds  []catalog.ZoneCond
+	// rids is the serial index scan's record-id buffer.
+	rids []storage.RecordID
 
 	opened bool
 	done   bool
 	err    error
 
-	// Serial state: chunks buffered from the morsel produced last.
-	cur int
-	buf []*Chunk
+	// Serial state: the chunks of the morsel produced last, buf[next:]
+	// not yet handed on, and push, which buffers one (made once per
+	// stream, so a run allocates no emit function).
+	cur  int
+	buf  []*Chunk
+	next int
+	push emitFn
 
 	// Parallel state.
 	par    bool
@@ -394,38 +371,49 @@ type morselStream struct {
 	closed bool
 }
 
-func (s *morselStream) fuse(t transform) {
-	if s.ts == nil {
-		s.ts = make([]transform, 0, 2) // a filter and a projection
+// clear drops everything of a finished run but the buffers' capacity,
+// field by field: a point read's run spends less on that than on
+// zeroing the whole stream.
+func (s *morselStream) clear() {
+	s.rc, s.src, s.prof, s.err = nil, nil, nil, nil
+	s.n, s.from, s.cur, s.next, s.slot = 0, fromPages, 0, 0, 0
+	s.pages, s.rows, s.bounds, s.slots, s.stop = nil, nil, nil, nil, nil
+	s.opened, s.done, s.par, s.closed = false, false, false, false
+	s.keys, s.conds, s.buf = s.keys[:0], s.conds[:0], s.buf[:0]
+	if s.rids = s.rids[:0]; cap(s.rids) > maxKeptRids {
+		s.rids = nil
 	}
-	s.ts = append(s.ts, t)
 }
 
-// open dispatches the stream: chaos, morsel accounting, and — when the
-// morsel count, the worker budget and the idle cores allow — the worker
-// pool.
+func (s *morselStream) bufferChunk(c *Chunk) error {
+	s.buf = append(s.buf, c)
+	return nil
+}
+
+// open dispatches the stream: its morsels, morsel accounting, and — when
+// the morsel count, the worker budget and the idle cores allow — the
+// worker pool.
 func (s *morselStream) open() error {
 	s.opened = true
-	if s.preOpen != nil {
-		if err := s.preOpen(); err != nil {
-			return err
-		}
+	if err := s.plan(); err != nil {
+		return err
 	}
 	if s.n == 0 {
 		s.done = true
 		return nil
 	}
-	s.ex.Obs.Morsels.Add(uint64(s.n))
+	ex := s.rc.ex
+	ex.Obs.Morsels.Add(uint64(s.n))
 	if s.prof != nil {
 		s.prof.morsels.Add(int64(s.n))
 	}
-	workers := s.ex.claimWorkers(s.n)
+	workers := ex.claimWorkers(s.n)
 	if workers <= 1 {
 		return nil
 	}
 	s.par = true
-	s.ex.Obs.ParallelOps.Inc()
-	s.ex.Obs.WorkerSpawns.Add(uint64(workers))
+	ex.Obs.ParallelOps.Inc()
+	ex.Obs.WorkerSpawns.Add(uint64(workers))
 	if s.prof != nil {
 		s.prof.workerSpawns.Add(int64(workers))
 	}
@@ -501,6 +489,128 @@ func (s *morselStream) open() error {
 	return nil
 }
 
+// plan fixes the stream's morsels from the run's parameters and
+// settings. A heap scan leaves out the pages whose zones rule out the
+// filter fused into it (zoneConds) and consults the chaos site serially,
+// once per morsel of the pages it keeps — the schedule depends only on
+// the pages read and the morsel configuration — and a failed scan reads
+// and charges nothing. An index scan fixes its key range from the
+// parameters, so one program serves every binding, and splits it into
+// key subranges; when a bound has no int64 value it reads the heap
+// instead and leaves the decision to the filter above it. A virtual
+// table's rows are snapshotted here — at execution, not at plan time,
+// so EXPLAIN never touches the provider.
+func (s *morselStream) plan() error {
+	rc, ex := s.rc, s.rc.ex
+	switch v := s.src.node.(type) {
+	case *plan.ScanNode:
+		s.conds = zoneConds(s.conds, s.src.ts, rc.params)
+		ps := v.Table.PagesFor(s.conds)
+		morsels := storage.PartitionPages(ps.Pages, ex.scanMorselPages(ps.RowsPerPage))
+		// At least one consultation per scan, so empty tables keep
+		// their fault schedule. Injected latency selects on the run's
+		// context: a cancelled query never waits out a sleep.
+		for m := 0; m < max(1, len(morsels)); m++ {
+			delay, cerr := ex.Chaos.SleepLatency(rc.ctx, SiteExecScan)
+			if delay > 0 {
+				rc.chaosFires.Add(1)
+			}
+			ex.Stats.InjectedDelayUnits.Add(uint64(delay))
+			ex.Obs.InjectedDelay.Add(uint64(delay))
+			if cerr != nil {
+				return fmt.Errorf("exec: scan %s: %w", v.Table.Name, rc.stamp(cerr))
+			}
+			if err := ex.Chaos.Fail(SiteExecScan); err != nil {
+				return fmt.Errorf("exec: scan %s: %w", v.Table.Name, err)
+			}
+		}
+		s.pruned(ps)
+		s.n, s.pages = len(morsels), morsels
+	case *plan.IndexScanNode:
+		lo, hi, ok := v.Range(rc.params)
+		if !ok {
+			ps := v.Table.PagesFor(nil)
+			s.pages = storage.PartitionPages(ps.Pages, ex.scanMorselPages(ps.RowsPerPage))
+			s.pruned(ps)
+			s.n = len(s.pages)
+			return nil
+		}
+		s.keys = splitKeyRange(s.keys, lo, hi, ex.workers()*2, minIndexMorselWidth)
+		s.n, s.from = len(s.keys), fromKeys
+	case *plan.VirtualScanNode:
+		rows, err := v.Table.Rows()
+		if err != nil {
+			return fmt.Errorf("exec: virtual scan %s: %w", v.Table.Name(), err)
+		}
+		s.rows, s.bounds = rows, chunkBounds(len(rows), ex.morselRows())
+		s.n, s.from = len(s.bounds), fromRows
+	}
+	return nil
+}
+
+// produce reads morsel m and emits its chunks in row order.
+func (s *morselStream) produce(m int, emit emitFn) error {
+	k := chunkSink{s: s, emit: emit, limit: s.rc.ex.morselRows()}
+	switch s.from {
+	case fromKeys:
+		return s.indexMorsel(&k, m)
+	case fromRows:
+		return k.fill(func(int) (int, bool, error) {
+			morsel := s.rows[s.bounds[m][0]:s.bounds[m][1]]
+			for _, row := range morsel {
+				for j, v := range k.cur.cols {
+					v.V = append(v.V, row[j])
+				}
+			}
+			return len(morsel), true, nil
+		})
+	}
+	// The pages decode straight into the current chunk's vectors, as
+	// many per table lock and buffer-pool View as the chunk has room for.
+	t, pages := scanTable(s.src.node), s.pages[m]
+	return k.fill(func(room int) (int, bool, error) {
+		read, n, err := t.DecodePages(pages, k.cur.dst, k.rids(), room)
+		pages = pages[read:]
+		if s.prof != nil {
+			s.prof.pagesRead.Add(int64(read))
+		}
+		return n, len(pages) == 0, err
+	})
+}
+
+// indexMorsel reads key subrange m: its record ids, in (key, record id)
+// order, are decoded a chunk at a time, one pin per page. Serially the
+// ids land in the stream's own buffer, which later morsels and runs
+// reuse.
+func (s *morselStream) indexMorsel(k *chunkSink, m int) error {
+	v := s.src.node.(*plan.IndexScanNode)
+	var buf []storage.RecordID
+	if !s.par {
+		buf = s.rids[:0]
+	}
+	rids, err := v.Table.IndexRange(v.Column, s.keys[m][0], s.keys[m][1], buf)
+	if !s.par {
+		s.rids = rids
+	}
+	if err != nil {
+		return err
+	}
+	return k.fill(func(room int) (int, bool, error) {
+		batch := rids[:min(room, len(rids))]
+		rids = rids[len(batch):]
+		n, err := v.Table.DecodeRecords(batch, k.cur.dst, k.rids())
+		return n, len(rids) == 0, err
+	})
+}
+
+// scanTable is the heap table a scan node reads.
+func scanTable(n plan.Node) *catalog.Table {
+	if v, ok := n.(*plan.IndexScanNode); ok {
+		return v.Table
+	}
+	return n.(*plan.ScanNode).Table
+}
+
 func (s *morselStream) stopping() bool {
 	select {
 	case <-s.stop:
@@ -547,10 +657,10 @@ func (s *morselStream) Next(ctx context.Context) (c *Chunk, ok bool, err error) 
 		return nil, false, nil
 	}
 	for {
-		if len(s.buf) > 0 {
-			out := s.buf[0]
-			s.buf[0] = nil
-			s.buf = s.buf[1:]
+		if s.next < len(s.buf) {
+			out := s.buf[s.next]
+			s.buf[s.next] = nil
+			s.next++
 			return out, true, nil
 		}
 		if s.cur >= s.n {
@@ -563,11 +673,8 @@ func (s *morselStream) Next(ctx context.Context) (c *Chunk, ok bool, err error) 
 		}
 		m := s.cur
 		s.cur++
-		s.buf = s.buf[:0]
-		if err := s.produce(m, func(c *Chunk) error {
-			s.buf = append(s.buf, c)
-			return nil
-		}); err != nil {
+		s.buf, s.next = s.buf[:0], 0
+		if err := s.produce(m, s.push); err != nil {
 			s.err = err
 			return nil, false, err
 		}
@@ -597,10 +704,11 @@ func (s *morselStream) Close() {
 			}
 		}
 	}
-	for _, c := range s.buf {
+	for i, c := range s.buf[s.next:] {
 		s.rc.recycle(c)
+		s.buf[s.next+i] = nil
 	}
-	s.buf = nil
+	s.buf, s.next = s.buf[:0], 0
 }
 
 // tableKinds is the layout a scan of t yields: one vector per column
@@ -615,69 +723,34 @@ func tableKinds(t *catalog.Table, needed []bool) []kind {
 	return kinds
 }
 
-// compileScan builds the streaming source for a heap scan. At open
-// (first Next) it takes the pages to read from the table, leaving out
-// those whose zones rule out the filter fused into it (zoneConds), and
-// consults the chaos site serially, once per morsel of those pages — the
-// schedule depends only on the pages read and the morsel configuration —
-// and a failed scan reads and charges nothing.
-func (ex *Executor) compileScan(rc *runCtx, v *plan.ScanNode) (*morselStream, []kind) {
-	s := &morselStream{ex: ex, rc: rc, prof: ex.Profile.of(v)}
-	kinds := tableKinds(v.Table, v.Needed)
-	s.preOpen = func() error {
-		ps := v.Table.PagesFor(zoneConds(s.ts))
-		morsels := storage.PartitionPages(ps.Pages, ex.scanMorselPages(ps.RowsPerPage))
-		// At least one consultation per scan, so empty tables keep
-		// their fault schedule. Injected latency selects on the run's
-		// context: a cancelled query never waits out a sleep.
-		for m := 0; m < max(1, len(morsels)); m++ {
-			delay, cerr := ex.Chaos.SleepLatency(rc.ctx, SiteExecScan)
-			if delay > 0 {
-				rc.chaosFires.Add(1)
-			}
-			ex.Stats.InjectedDelayUnits.Add(uint64(delay))
-			ex.Obs.InjectedDelay.Add(uint64(delay))
-			if cerr != nil {
-				return fmt.Errorf("exec: scan %s: %w", v.Table.Name, rc.stamp(cerr))
-			}
-			if err := ex.Chaos.Fail(SiteExecScan); err != nil {
-				return fmt.Errorf("exec: scan %s: %w", v.Table.Name, err)
-			}
-		}
-		s.pruned(ps)
-		s.n, s.produce = len(morsels), s.heapProduce(v.Table, morsels, kinds, v.RowIDs)
-		return nil
-	}
-	return s, kinds
-}
-
-// zoneConds returns the conditions a scan's pages are pruned by: the
-// leading run, in evaluation order, of the column-vs-number conjuncts of
-// the filter fused first into the scan. Only a row every one of them
-// holds for reaches the conjuncts after them, so a page they rule out
-// holds no row the filter keeps and none a later conjunct could fail
-// on; a conjunct of any other kind ends the run.
-func zoneConds(ts []transform) []catalog.ZoneCond {
+// zoneConds returns, in conds' room, the conditions a scan's pages are
+// pruned by under a run's parameters: the leading run, in evaluation
+// order, of the column-vs-number conjuncts of the filter fused first
+// into the scan. Only a row every one of them holds for reaches the
+// conjuncts after them, so a page they rule out holds no row the filter
+// keeps and none a later conjunct could fail on; a conjunct of any other
+// kind ends the run.
+func zoneConds(conds []catalog.ZoneCond, ts []transform, params []catalog.Value) []catalog.ZoneCond {
+	conds = conds[:0]
 	if len(ts) == 0 {
-		return nil
+		return conds
 	}
 	f, ok := ts[0].(*filterTransform)
 	if !ok {
-		return nil
+		return conds
 	}
-	var conds []catalog.ZoneCond
-	leadingConds(f.cond, &conds)
+	leadingConds(f.cond, params, &conds)
 	return conds
 }
 
 // leadingConds appends p's leading run of zoned conjuncts to conds and
 // reports whether the run goes on past p.
-func leadingConds(p pred, conds *[]catalog.ZoneCond) bool {
+func leadingConds(p pred, params []catalog.Value, conds *[]catalog.ZoneCond) bool {
 	switch p := p.(type) {
 	case andPred:
-		return leadingConds(p.l, conds) && leadingConds(p.r, conds)
+		return leadingConds(p.l, params, conds) && leadingConds(p.r, params, conds)
 	case zoned:
-		*conds = append(*conds, p.zone())
+		*conds = append(*conds, p.zone(params))
 		return true
 	}
 	return false
@@ -687,110 +760,14 @@ func leadingConds(p pred, conds *[]catalog.ZoneCond) bool {
 // scanned: the scan's row counts are the table's, whatever it skipped.
 func (s *morselStream) pruned(ps catalog.PageSet) {
 	rows := uint64(ps.PrunedRows)
-	s.ex.Stats.RowsScanned.Add(rows)
-	s.ex.Obs.RowsScanned.Add(rows)
-	s.ex.Obs.PagesPruned.Add(uint64(ps.Pruned))
+	ex := s.rc.ex
+	ex.Stats.RowsScanned.Add(rows)
+	ex.Obs.RowsScanned.Add(rows)
+	ex.Obs.PagesPruned.Add(uint64(ps.Pruned))
 	if s.prof != nil {
 		s.prof.actualRows.Add(int64(rows))
 		s.prof.pagesPruned.Add(int64(ps.Pruned))
 	}
-}
-
-// heapProduce is the produce function of a heap scan over morsels: the
-// pages decode straight into the current chunk's vectors, as many per
-// table lock and buffer-pool View as the chunk has room for.
-func (s *morselStream) heapProduce(t *catalog.Table, morsels [][]storage.PageID, kinds []kind, rowIDs bool) func(m int, emit emitFn) error {
-	return func(m int, emit emitFn) error {
-		k := s.sink(emit, kinds, rowIDs)
-		pages := morsels[m]
-		return k.fill(func(room int) (int, bool, error) {
-			read, n, err := t.DecodePages(pages, k.dst, k.rids(), room)
-			pages = pages[read:]
-			if s.prof != nil {
-				s.prof.pagesRead.Add(int64(read))
-			}
-			return n, len(pages) == 0, err
-		})
-	}
-}
-
-// compileIndexScan builds the streaming source for an index range
-// scan. The key range is fixed at open from the run's parameters, so
-// one cached plan serves every binding, then split into key subranges;
-// each subrange's record ids, in (key, record id) order, are decoded a
-// chunk at a time, one pin per page, and subranges emit in ascending
-// key order, matching the serial scan exactly. When a bound has no
-// int64 value the scan reads the heap instead and leaves the decision
-// to the filter above it.
-func (ex *Executor) compileIndexScan(rc *runCtx, v *plan.IndexScanNode) (*morselStream, []kind) {
-	s := &morselStream{ex: ex, rc: rc, prof: ex.Profile.of(v)}
-	kinds := tableKinds(v.Table, v.Needed)
-	s.preOpen = func() error {
-		lo, hi, ok := v.Range(ex.Params)
-		if !ok {
-			ps := v.Table.PagesFor(nil)
-			morsels := storage.PartitionPages(ps.Pages, ex.scanMorselPages(ps.RowsPerPage))
-			s.pruned(ps)
-			s.n, s.produce = len(morsels), s.heapProduce(v.Table, morsels, kinds, v.RowIDs)
-			return nil
-		}
-		subs := splitKeyRange(lo, hi, ex.workers()*2, minIndexMorselWidth)
-		s.n = len(subs)
-		s.produce = func(m int, emit emitFn) error {
-			rids, err := v.Table.IndexRange(v.Column, subs[m][0], subs[m][1], nil)
-			if err != nil {
-				return err
-			}
-			k := s.sink(emit, kinds, v.RowIDs)
-			return k.fill(func(room int) (int, bool, error) {
-				batch := rids[:min(room, len(rids))]
-				rids = rids[len(batch):]
-				n, err := v.Table.DecodeRecords(batch, k.dst, k.rids())
-				return n, len(rids) == 0, err
-			})
-		}
-		return nil
-	}
-	return s, kinds
-}
-
-// compileVirtualScan builds the streaming source for a virtual table
-// (system.*), whose cells are boxed. The provider's rows are snapshotted
-// once in preOpen — at execution, not at plan time, so EXPLAIN never
-// touches the provider — then partitioned into morsel ranges and pushed
-// through the same chunkSink as heap scans, so parallel delivery order,
-// cancellation, MemBudget charging and profiling all behave identically.
-func (ex *Executor) compileVirtualScan(rc *runCtx, v *plan.VirtualScanNode) (*morselStream, []kind) {
-	s := &morselStream{ex: ex, rc: rc, prof: ex.Profile.of(v)}
-	kinds := make([]kind, len(v.Table.Columns().Columns))
-	for i := range kinds {
-		kinds[i] = kAny
-	}
-	var rows []catalog.Row
-	var bounds [][2]int
-	s.preOpen = func() error {
-		r, err := v.Table.Rows()
-		if err != nil {
-			return fmt.Errorf("exec: virtual scan %s: %w", v.Table.Name(), err)
-		}
-		rows = r
-		bounds = chunkBounds(len(rows), ex.morselRows())
-		s.n = len(bounds)
-		return nil
-	}
-	s.produce = func(m int, emit emitFn) error {
-		k := s.sink(emit, kinds, false)
-		return k.fill(func(int) (int, bool, error) {
-			morsel := rows[bounds[m][0]:bounds[m][1]]
-			for _, row := range morsel {
-				for j, v := range k.cur.cols {
-					v.V = append(v.V, row[j])
-				}
-			}
-			return len(morsel), true, nil
-		})
-	}
-	return s, kinds
 }
 
 // ---------------------------------------------------------------------
@@ -833,16 +810,10 @@ func drain(ctx context.Context, rc *runCtx, in BatchOperator, kinds []kind) (*Ch
 // internally; probing itself runs on the consumer goroutine, preserving
 // probe order exactly.
 type joinOp struct {
-	ex          *Executor
-	rc          *runCtx
-	prof        *OpProfile
-	build       BatchOperator
-	probe       BatchOperator
-	buildKinds  []kind
-	outKinds    []kind // the left input's columns, then the right's
-	buildKey    []bound
-	probeKey    []bound
-	buildIsLeft bool
+	rc    *runCtx
+	step  *joinStep
+	build BatchOperator
+	probe BatchOperator
 
 	opened bool
 	err    error
@@ -856,13 +827,13 @@ type joinOp struct {
 
 func (j *joinOp) open(ctx context.Context) error {
 	j.opened = true
-	side, err := drain(ctx, j.rc, j.build, j.buildKinds)
+	side, err := drain(ctx, j.rc, j.build, j.step.buildKinds)
 	j.build.Close()
 	if err != nil {
 		return err
 	}
 	j.side = side
-	ids, err := j.keys.ids(side, side.sel, j.buildKey, true, nil)
+	ids, err := j.keys.ids(side, side.sel, j.step.buildKey, true, nil)
 	if err != nil {
 		return err
 	}
@@ -901,7 +872,7 @@ func (j *joinOp) Next(ctx context.Context) (*Chunk, bool, error) {
 			j.err = err
 			return nil, false, err
 		}
-		if j.ids, err = j.keys.ids(pc, pc.sel, j.probeKey, false, j.ids); err != nil {
+		if j.ids, err = j.keys.ids(pc, pc.sel, j.step.probeKey, false, j.ids); err != nil {
 			j.rc.recycle(pc)
 			j.err = err
 			return nil, false, err
@@ -919,9 +890,9 @@ func (j *joinOp) Next(ctx context.Context) (*Chunk, bool, error) {
 			continue
 		}
 		out := j.rc.pool.get()
-		out.layout(j.outKinds)
+		out.layout(j.step.outKinds)
 		left, lrows, right, rrows := j.side, j.br, pc, j.pr
-		if !j.buildIsLeft {
+		if !j.step.buildIsLeft {
 			left, lrows, right, rrows = pc, j.pr, j.side, j.br
 		}
 		for col, v := range out.cols {
@@ -936,10 +907,10 @@ func (j *joinOp) Next(ctx context.Context) (*Chunk, bool, error) {
 		out.n = len(j.pr)
 		out.selectAll()
 		j.rc.recycle(pc)
-		n := uint64(out.n)
-		j.ex.Stats.RowsJoined.Add(n)
-		j.ex.Obs.RowsJoined.Add(n)
-		j.ex.Obs.ChunksEmitted.Inc()
+		n, ex := uint64(out.n), j.rc.ex
+		ex.Stats.RowsJoined.Add(n)
+		ex.Obs.RowsJoined.Add(n)
+		ex.Obs.ChunksEmitted.Inc()
 		if err := j.rc.chargeEmit(out); err != nil {
 			j.rc.recycle(out)
 			j.err = err
@@ -961,7 +932,6 @@ func (j *joinOp) Close() {
 // below still fans out. Input chunks are recycled as they are folded,
 // so a full-table aggregate holds only its groups, never its input.
 type aggOp struct {
-	ex  *Executor
 	rc  *runCtx
 	agg *boundAgg
 
@@ -987,6 +957,7 @@ func (a *aggOp) Next(ctx context.Context) (*Chunk, bool, error) {
 		}
 		err = a.rc.err()
 		if err == nil {
+			c.params = a.rc.params
 			err = a.agg.fold(part, c)
 		}
 		a.rc.recycle(c)
@@ -999,7 +970,7 @@ func (a *aggOp) Next(ctx context.Context) (*Chunk, bool, error) {
 	if out.Len() == 0 {
 		return nil, false, nil
 	}
-	a.ex.Obs.ChunksEmitted.Inc()
+	a.rc.ex.Obs.ChunksEmitted.Inc()
 	return out, true, nil
 }
 
@@ -1028,6 +999,7 @@ func (s *sortOp) Next(ctx context.Context) (*Chunk, bool, error) {
 		err = s.rc.err()
 	}
 	if err == nil {
+		all.params = s.rc.params
 		err = sortRows(s.keys, all)
 	}
 	if err != nil {
@@ -1047,27 +1019,6 @@ func (s *sortOp) Close() { s.in.Close() }
 type sortKey struct {
 	expr bound
 	desc bool
-}
-
-// bindSortKeys binds a sort's keys against its input. A key that
-// textually matches an input column (e.g. an aggregate or PREDICT
-// output) sorts by that column directly instead of re-evaluating the
-// expression.
-func (ex *Executor) bindSortKeys(v *plan.SortNode, scope *Scope) ([]sortKey, error) {
-	keys := make([]sortKey, len(v.Keys))
-	for ki, k := range v.Keys {
-		keys[ki].desc = k.Desc
-		if ci := slices.Index(scope.names, k.Expr.String()); ci >= 0 && scope.kinds[ci] != kNone {
-			keys[ki].expr = bound{k: scope.kinds[ci], col: ci}
-			continue
-		}
-		b, err := bind(k.Expr, scope, ex.Funcs)
-		if err != nil {
-			return nil, err
-		}
-		keys[ki].expr = b
-	}
-	return keys, nil
 }
 
 // sortRows stable-sorts c's selection by keys, each evaluated once per
@@ -1117,7 +1068,6 @@ func sortRows(keys []sortKey, c *Chunk) error {
 // the boundary chunk's selection and closing its upstream early — a
 // LIMIT query stops scanning as soon as it has enough rows.
 type limitOp struct {
-	rc   *runCtx
 	n    int
 	in   BatchOperator
 	got  int
@@ -1214,174 +1164,10 @@ func (p *profiledOp) Next(ctx context.Context) (*Chunk, bool, error) {
 
 func (p *profiledOp) Close() { p.in.Close() }
 
-// profiled wraps op when a profile is attached to n.
-func (ex *Executor) profiled(op BatchOperator, n plan.Node) BatchOperator {
-	if prof := ex.Profile.of(n); prof != nil {
+// profiled wraps op when the run's profile has n.
+func (rc *runCtx) profiled(op BatchOperator, n plan.Node) BatchOperator {
+	if prof := rc.prof.of(n); prof != nil {
 		return &profiledOp{in: op, prof: prof}
 	}
 	return op
-}
-
-// compile lowers a plan tree into a BatchOperator pipeline and returns
-// the layout of its chunks: one vector kind per schema column. Filters
-// and projections become transforms fused into their input when it can
-// absorb them (sources and transform chains), so the hot loops run
-// entirely inside the scan workers. An input is compiled before the
-// expressions over it are bound (binding needs its layout); a bind
-// error closes it before anything ran.
-func (ex *Executor) compile(rc *runCtx, n plan.Node) (BatchOperator, []kind, error) {
-	switch v := n.(type) {
-	case *plan.BoundNode:
-		ex.Params = v.Params
-		return ex.compile(rc, v.Input)
-	case *plan.ScanNode:
-		s, kinds := ex.compileScan(rc, v)
-		return s, kinds, nil
-	case *plan.IndexScanNode:
-		s, kinds := ex.compileIndexScan(rc, v)
-		return s, kinds, nil
-	case *plan.VirtualScanNode:
-		s, kinds := ex.compileVirtualScan(rc, v)
-		return s, kinds, nil
-	case *plan.JoinNode:
-		return ex.compileJoin(rc, v)
-	}
-	input := inputOf(n)
-	if input == nil {
-		return nil, nil, fmt.Errorf("exec: unsupported plan node %T", n)
-	}
-	in, kinds, err := ex.compile(rc, input)
-	if err != nil {
-		return nil, nil, err
-	}
-	op, kinds, err := ex.compileOver(rc, n, in, ex.newScope(input.Schema(), kinds))
-	if err != nil {
-		in.Close()
-		return nil, nil, err
-	}
-	return op, kinds, nil
-}
-
-// compileOver compiles the one-input node n over its compiled input in,
-// whose chunks are laid out as scope says.
-func (ex *Executor) compileOver(rc *runCtx, n plan.Node, in BatchOperator, scope *Scope) (BatchOperator, []kind, error) {
-	kinds := scope.kinds
-	switch v := n.(type) {
-	case *plan.FilterNode:
-		cond, err := bindBool(v.Cond, scope, ex.Funcs)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fused(rc, in, &filterTransform{rc: rc, cond: cond, prof: ex.Profile.of(v)}), kinds, nil
-	case *plan.ProjectNode:
-		t, out, err := ex.bindProject(rc, v, scope)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fused(rc, in, t), out, nil
-	case *plan.AggregateNode:
-		agg, out, err := ex.bindAggregate(v, scope)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ex.profiled(&aggOp{ex: ex, rc: rc, agg: agg, in: in}, v), out, nil
-	case *plan.SortNode:
-		keys, err := ex.bindSortKeys(v, scope)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ex.profiled(&sortOp{rc: rc, keys: keys, kinds: kinds, in: in}, v), kinds, nil
-	case *plan.LimitNode:
-		return ex.profiled(&limitOp{rc: rc, n: v.N, in: in}, v), kinds, nil
-	case *plan.DistinctNode:
-		key := make([]bound, len(kinds))
-		for i, k := range kinds {
-			key[i] = bound{k: k, col: i}
-		}
-		d := &distinctOp{rc: rc, in: in, key: key, seen: newKeyMap(groupKeyMode(key), false)}
-		return ex.profiled(d, v), kinds, nil
-	case *plan.ModifyNode:
-		set, err := ex.bindSet(v, scope)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &modifyOp{rc: rc, node: v, set: set, prof: ex.Profile.of(v), in: in}, nil, nil
-	}
-	return nil, nil, fmt.Errorf("exec: unsupported plan node %T", n)
-}
-
-// inputOf is the input of a one-input plan node (nil for any other
-// node), read without the allocation Children makes.
-func inputOf(n plan.Node) plan.Node {
-	switch v := n.(type) {
-	case *plan.FilterNode:
-		return v.Input
-	case *plan.ProjectNode:
-		return v.Input
-	case *plan.AggregateNode:
-		return v.Input
-	case *plan.SortNode:
-		return v.Input
-	case *plan.LimitNode:
-		return v.Input
-	case *plan.DistinctNode:
-		return v.Input
-	case *plan.ModifyNode:
-		return v.Input
-	}
-	return nil
-}
-
-// compileJoin resolves the join keys, picks the build side from the
-// planner's cardinality estimates (for plain scans the estimate is the
-// exact row count; ties build left), picks the key strategy from the two
-// key columns' kinds, and assembles the streaming joinOp.
-func (ex *Executor) compileJoin(rc *runCtx, v *plan.JoinNode) (BatchOperator, []kind, error) {
-	left, lKinds, err := ex.compile(rc, v.Left)
-	if err != nil {
-		return nil, nil, err
-	}
-	right, rKinds, err := ex.compile(rc, v.Right)
-	if err != nil {
-		left.Close()
-		return nil, nil, err
-	}
-	lKey, err := ex.newScope(v.Left.Schema(), lKinds).column(plan.ColumnRefOf(v.LeftCol))
-	if err != nil {
-		left.Close()
-		right.Close()
-		return nil, nil, fmt.Errorf("exec: join left key: %w", err)
-	}
-	rKey, err := ex.newScope(v.Right.Schema(), rKinds).column(plan.ColumnRefOf(v.RightCol))
-	if err != nil {
-		left.Close()
-		right.Close()
-		return nil, nil, fmt.Errorf("exec: join right key: %w", err)
-	}
-	j := &joinOp{
-		ex: ex, rc: rc, prof: ex.Profile.of(v),
-		outKinds: append(slices.Clip(lKinds), rKinds...),
-		keys:     newKeyMap(joinKeyMode(lKey.k, rKey.k), true),
-	}
-	// A plan-time annotation (cached plans) freezes the build side; only
-	// un-annotated plans consult the estimator here, per run.
-	buildRight := false
-	switch v.BuildSide {
-	case plan.BuildRight:
-		buildRight = true
-	case plan.BuildLeft:
-		buildRight = false
-	default:
-		est := plan.HistogramEstimator{}
-		buildRight = plan.EstimateRows(v.Right, est) < plan.EstimateRows(v.Left, est)
-	}
-	if buildRight {
-		j.build, j.probe, j.buildKinds = right, left, rKinds
-		j.buildKey, j.probeKey = []bound{rKey}, []bound{lKey}
-	} else {
-		j.build, j.probe, j.buildKinds = left, right, lKinds
-		j.buildKey, j.probeKey = []bound{lKey}, []bound{rKey}
-		j.buildIsLeft = true
-	}
-	return ex.profiled(j, v), j.outKinds, nil
 }

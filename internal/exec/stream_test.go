@@ -181,19 +181,20 @@ func TestStreamChunkMetricsRecorded(t *testing.T) {
 	if got := ex.Obs.ChunksEmitted.Value(); got <= 1 {
 		t.Errorf("exec.chunks_emitted = %d, want > 1 (20k rows span many chunks)", got)
 	}
-	misses := ex.Obs.ChunkPoolMisses.Value()
-	if misses == 0 {
-		t.Error("exec.chunk_pool.misses = 0, want > 0 (first gets always miss)")
+	// Every emitted chunk was got from the pool: a hit or a miss. Whether
+	// the first gets miss depends on the chunks earlier runs left in the
+	// recycled run state.
+	hits, misses := ex.Obs.ChunkPoolHits.Value(), ex.Obs.ChunkPoolMisses.Value()
+	if emitted := ex.Obs.ChunksEmitted.Value(); hits+misses < emitted {
+		t.Errorf("exec.chunk_pool.hits + misses = %d, want at least the %d chunks emitted", hits+misses, emitted)
 	}
 	snap := reg.Snapshot()
 	if snap["exec.peak_bytes.count"] != 1 {
 		t.Errorf("exec.peak_bytes.count = %v, want 1", snap["exec.peak_bytes.count"])
 	}
-	// A second identical run should find warm chunks... but pools are
-	// per-run by design, so hits come from within-run recycling instead.
-	// A filtered scan recycles each input chunk after projecting it, so
-	// reruns and longer scans both see hits.
-	if hits := ex.Obs.ChunkPoolHits.Value(); hits == 0 {
+	// A filtered scan recycles each input chunk after boxing it, so the
+	// run reuses its own chunks whatever state it started from.
+	if hits == 0 {
 		t.Error("exec.chunk_pool.hits = 0, want > 0 (recycled chunks reused within the run)")
 	}
 }

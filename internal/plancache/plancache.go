@@ -12,8 +12,9 @@
 // one hash and one shard lock, and never touches the parser. Each entry
 // carries the compiled plan (with its cardinality estimates
 // frozen into the join nodes at plan time — see plan.AnnotateBuildSides),
-// the plan-construction cost in nanoseconds (the saving each hit
-// banks), and a per-entry hit counter for system.plan_cache.
+// the executor's program for it, compiled by its first run, the
+// plan-construction cost in nanoseconds (the saving each hit banks), and
+// a per-entry hit counter for system.plan_cache.
 //
 // Invalidation is generation-stamped: entries record the generation
 // they were inserted under, Invalidate bumps the global generation, and
@@ -30,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"aidb/internal/exec"
 	"aidb/internal/obs"
 	"aidb/internal/plan"
 	"aidb/internal/sql"
@@ -42,8 +44,8 @@ type retrainNotifier interface {
 }
 
 // Entry is one cached plan. Immutable after insertion except for the
-// atomic hit counter; the plan itself is shared by every executing
-// session and must be treated as read-only.
+// atomic hit counter and the program, set once; the plan itself is
+// shared by every executing session and must be treated as read-only.
 type Entry struct {
 	// Key is the shard-map key this entry was inserted under: the
 	// statement as sql.Normalize spells it.
@@ -52,6 +54,11 @@ type Entry struct {
 	Fingerprint string
 	// Plan is the compiled, optimized, estimate-annotated plan.
 	Plan plan.Node
+	// Program keeps the executor's program for Plan, compiled by the
+	// first run that may keep it (exec.Executor.RunCompiled): later runs
+	// whose parameters have the same kinds open it and compile nothing.
+	// It goes with the entry on invalidation and eviction.
+	Program exec.Compiled
 	// NumParams is the number of $N placeholders the plan binds at
 	// execute time: the client's own, or the literals Normalize took out.
 	NumParams int
