@@ -31,9 +31,9 @@ func (e *Engine) explainAnalyze(ctx context.Context, ent *plancache.Entry, kind 
 	kind = "EXPLAIN ANALYZE " + kind
 	prof := exec.NewQueryProfile(ent.Plan, plan.HistogramEstimator{Params: params})
 	esp := sp.Child("exec")
-	ex := e.executor(params)
-	ex.Profile = prof
-	res, err := ex.RunContext(ctx, ent.Plan)
+	a := e.args(params)
+	a.Profile = prof
+	res, err := e.ex.RunCompiled(ctx, ent.Plan, nil, a)
 	prof.AttachSpans(esp)
 	esp.Finish()
 	if err != nil {

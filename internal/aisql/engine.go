@@ -29,11 +29,11 @@ import (
 type Engine struct {
 	Cat *catalog.Catalog
 
-	// Chaos, when set, is handed to every executor this engine creates,
+	// Chaos, when set, is handed to every run of this engine's executor,
 	// enabling fault injection at the exec.* sites. Nil disables it.
 	Chaos *chaos.Injector
 
-	// Parallelism is handed to every executor this engine creates (see
+	// Parallelism is handed to every run of this engine's executor (see
 	// exec.Executor.Parallelism: 0 = auto, up to NumCPU, idle cores
 	// only; 1 = serial). Set it between queries, not concurrently with
 	// them.
@@ -62,14 +62,15 @@ type Engine struct {
 	// models is replaced, never changed, under mu: PREDICT looks its
 	// model up on every chunk, from every scan worker, without a lock.
 	models atomic.Pointer[map[string]*Model]
-	// PREDICT and PREDICT_PROBA, over models: row by row, and per chunk.
-	funcs   exec.FuncRegistry
-	vectors map[string]exec.VectorFunc
+	// PREDICT and PREDICT_PROBA over models, row by row; ex, which runs
+	// every statement, also has their chunk forms. A run's parameters
+	// and settings travel with it (args).
+	funcs exec.FuncRegistry
+	ex    *exec.Executor
 
 	// Observability plane, wired by Instrument. All fields are nil-safe
 	// when the engine is uninstrumented.
 	tracer      *obs.Tracer
-	execObs     exec.Metrics
 	govObs      governance.Metrics
 	stmts       *obs.Counter
 	parseErrors *obs.Counter
@@ -84,7 +85,7 @@ type Engine struct {
 // disable that half; call before serving queries.
 func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	e.tracer = tr
-	e.execObs = exec.NewMetrics(reg)
+	e.ex.Obs = exec.NewMetrics(reg)
 	e.govObs = governance.NewMetrics(reg)
 	e.stmts = reg.Counter("sql.statements")
 	e.parseErrors = reg.Counter("sql.parse_errors")
@@ -136,7 +137,9 @@ func NewEngine() *Engine { return NewEngineWith(catalog.NewMem()) }
 func NewEngineWith(cat *catalog.Catalog) *Engine {
 	e := &Engine{Cat: cat}
 	e.models.Store(&map[string]*Model{})
-	e.funcs, e.vectors = e.predictFuncs()
+	funcs, vectors := e.predictFuncs()
+	e.funcs, e.ex = funcs, exec.New(funcs)
+	e.ex.VectorFuncs = vectors
 	return e
 }
 
@@ -258,16 +261,10 @@ func (e *Engine) predictModel(name catalog.Value, features int) (*Model, error) 
 	return e.Model(s)
 }
 
-// executor returns an executor for one run of this engine's plans, with
+// args are the arguments of one run of this engine's executor, with
 // params bound to their $N.
-func (e *Engine) executor(params []catalog.Value) *exec.Executor {
-	ex := exec.New(e.funcs)
-	ex.VectorFuncs = e.vectors
-	ex.Chaos = e.Chaos
-	ex.Obs = e.execObs
-	ex.Parallelism = e.Parallelism
-	ex.Params = params
-	return ex
+func (e *Engine) args(params []catalog.Value) exec.RunArgs {
+	return exec.RunArgs{Params: params, Parallelism: e.Parallelism, Chaos: e.Chaos}
 }
 
 // Execute parses and runs one statement without a cancellation context
@@ -346,7 +343,7 @@ func (e *Engine) cancelled(ctx context.Context) error {
 	if ctx == nil || ctx.Err() == nil {
 		return nil
 	}
-	e.execObs.CancelRequests.Inc()
+	e.ex.Obs.CancelRequests.Inc()
 	return ctx.Err()
 }
 
@@ -682,11 +679,11 @@ func (e *Engine) execPlan(ctx context.Context, ent *plancache.Entry, kind string
 	start := time.Now()
 	sp.SetTag("plan", ent.Summary)
 	esp := sp.Child("exec")
-	ex := e.executor(params)
+	a := e.args(params)
 	if e.MemLimit > 0 {
-		ex.Mem = governance.NewMemBudget(e.MemLimit, e.govObs)
+		a.Mem = governance.NewMemBudget(e.MemLimit, e.govObs)
 	}
-	res, err := ex.RunCompiled(ctx, ent.Plan, &ent.Program)
+	res, err := e.ex.RunCompiled(ctx, ent.Plan, &ent.Program, a)
 	esp.Finish()
 	e.record(ent, text, kind, time.Since(start), res, err)
 	return res, err

@@ -62,7 +62,7 @@ const (
 // each Eval is handed and selected the rows each Selector is.
 func countChunkRows(e *Engine, evaluated, selected *atomic.Int64) {
 	counted := map[string]exec.VectorFunc{}
-	for name, fn := range e.vectors {
+	for name, fn := range e.ex.VectorFuncs {
 		c := exec.VectorFunc{Eval: func(first catalog.Value, args [][]float64, out []float64) error {
 			evaluated.Add(int64(len(out)))
 			return fn.Eval(first, args, out)
@@ -78,7 +78,7 @@ func countChunkRows(e *Engine, evaluated, selected *atomic.Int64) {
 		}
 		counted[name] = c
 	}
-	e.vectors = counted
+	e.ex.VectorFuncs = counted
 }
 
 type countingSelector struct {

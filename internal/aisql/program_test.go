@@ -13,9 +13,10 @@ import (
 	"aidb/internal/plancache"
 )
 
-// TestCachedProgramConcurrentRuns: eight sessions run three cached
-// shapes at once — an index point read, an index range, and a heap
-// filter on PREDICT under a GROUP BY — with literals of mixed kinds,
+// TestCachedProgramConcurrentRuns: eight sessions run four cached
+// shapes at once — an index point read, an index range, a heap filter on
+// PREDICT under a GROUP BY, and a self-join whose build keys restrict
+// its probe's pages — with literals of mixed kinds,
 // so each entry's one program serves runs of its kinds while runs of
 // other kinds compile their own, at Parallelism 1 and 4 and under a
 // memory limit, with EXPLAIN ANALYZE of the same statements among them.
@@ -41,6 +42,9 @@ func TestCachedProgramConcurrentRuns(t *testing.T) {
 		{"SELECT k, v, s FROM t WHERE k = %v", [][]any{{7}, {-3}, {12.5}, {"'x'"}, {9223372036854775807}, {7.0}}},
 		{"SELECT k, v FROM t WHERE k > %v AND k < %v", [][]any{{-5, 5}, {0.5, 9.5}, {10, 20}, {-10, 2.0}}},
 		{"SELECT v, COUNT(*) FROM t WHERE PREDICT(m, k) > %v GROUP BY v", [][]any{{5}, {7.5}, {-100}, {11}}},
+		// The build side's keys, which restrict the probe's pages, change
+		// with the literals; 7.5 leaves the build side empty.
+		{"SELECT a.k, b.s FROM t a JOIN t b ON a.k = b.k WHERE a.v = %v AND b.v < %v", [][]any{{3, 10}, {5, 23}, {7.5, 5}, {11, 0}}},
 	} {
 		for _, fill := range c.fills {
 			texts = append(texts, fmt.Sprintf(c.template, fill...))
@@ -118,15 +122,15 @@ func explainRows(t *testing.T, e *Engine, text string, tableRows, indexRows int6
 
 // Allocation ceilings of a cached point read on an instrumented engine,
 // whose entry keeps its compiled program and whose runs recycle their
-// chunks and streams: measured 12 for an ad-hoc read and 10 for a
-// prepared get (40 and 38 when every run compiled the plan and grew
-// fresh chunks). What is left is the front end's (tokens, key, the
-// literals), the trace span, the executor, the boxed result and its
-// Result. A breach means per-run compilation or allocation crept back
-// into the run.
+// chunks and streams, run by the engine's one executor: measured 11 for
+// an ad-hoc read and 9 for a prepared get (12 and 10 with an executor
+// made per statement, 40 and 38 when every run compiled the plan and
+// grew fresh chunks). What is left is the front end's (tokens, key, the
+// literals), the trace span, the boxed result and its Result. A breach
+// means per-run compilation or allocation crept back into the run.
 const (
-	adhocPointAllocCeiling    = 18
-	preparedPointAllocCeiling = 15
+	adhocPointAllocCeiling    = 17
+	preparedPointAllocCeiling = 14
 )
 
 func TestCachedPointReadAllocCeiling(t *testing.T) {

@@ -149,15 +149,23 @@ func (t *Table) Analyze(buckets, mcvs int) error {
 // using the column's histogram, falling back to 1/3 when no stats exist
 // (the classic textbook default).
 func (t *Table) EstimateSelectivity(col int, lo, hi int64) float64 {
+	cs := t.columnStats(col)
+	if cs == nil {
+		return 1.0 / 3
+	}
+	return cs.Hist.Selectivity(lo, hi)
+}
+
+// HasHistogram reports whether ANALYZE left column col a histogram: it
+// did for each INT column of an analyzed table.
+func (t *Table) HasHistogram(col int) bool { return t.columnStats(col) != nil }
+
+func (t *Table) columnStats(col int) *ColumnStats {
 	t.mu.RLock()
 	stats := t.Stats
 	t.mu.RUnlock()
 	if stats == nil {
-		return 1.0 / 3
+		return nil
 	}
-	cs, ok := stats.Cols[col]
-	if !ok {
-		return 1.0 / 3
-	}
-	return cs.Hist.Selectivity(lo, hi)
+	return stats.Cols[col]
 }

@@ -93,12 +93,19 @@ func (z *zones) drop(i int) { z.w[i*z.stride]-- }
 // so `<=` is 3 — where a cell compares with k as the executor compares
 // them: as int64s when both are INTs, else as float64s, and a NaN on
 // either side compares equal.
+//
+// When In is set the cond is instead `column IN Keys` for an INT column
+// and Keys sorted ascending — a hash join's build keys, which are all a
+// probe row can match: a page is admitted when one of Keys lies within
+// its zone, so with no Keys none is.
 type ZoneCond struct {
 	Col    int
 	Accept uint8
 	Int    bool
 	IntK   int64
 	FloatK float64
+	In     bool
+	Keys   []int64
 }
 
 // admits reports whether page i's zone leaves room for a row that meets
@@ -110,6 +117,15 @@ func (z *zones) admits(i int, c ZoneCond) bool {
 		return true
 	}
 	w := z.w[i*z.stride:]
+	if c.In {
+		if z.types[c.Col] != Int64 {
+			return true
+		}
+		// The least key not below the page's least value must not lie
+		// above its greatest.
+		k, _ := slices.BinarySearch(c.Keys, int64(w[a]))
+		return k < len(c.Keys) && c.Keys[k] <= int64(w[a+1])
+	}
 	if z.types[c.Col] == Int64 && c.Int {
 		return c.Accept&outcomes(int64(w[a]), int64(w[a+1]), c.IntK) != 0
 	}
@@ -172,6 +188,92 @@ func (t *Table) PagesFor(conds []ZoneCond) PageSet {
 		ps.PrunedRows += rows
 	}
 	return ps
+}
+
+// ZoneSelectivity estimates, from the zones alone, the share of the
+// table's live rows that meet c, a comparison (not In): each page's rows
+// are taken as spread evenly over its zone's range — over its integers
+// for an INT column compared with an INT — and a page whose least or
+// greatest value meets c counts at least one row, the row that set that
+// bound. It is the estimate for a column without a histogram (FLOAT
+// always, INT before ANALYZE); a page whose bounds or constant are not
+// finite counts the default third of its rows. ok is false for a TEXT
+// column and for a table without live rows.
+func (t *Table) ZoneSelectivity(c ZoneCond) (sel float64, ok bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	z := &t.zones
+	a := z.at[c.Col]
+	if a == 0 || t.rows == 0 {
+		return 0, false
+	}
+	k := c.FloatK
+	if c.Int {
+		k = float64(c.IntK)
+	}
+	discrete := z.types[c.Col] == Int64 && c.Int
+	est := 0.0
+	for i := range t.pages {
+		w := z.w[i*z.stride:]
+		if w[0] == 0 {
+			continue
+		}
+		lo, hi := math.Float64frombits(w[a]), math.Float64frombits(w[a+1])
+		if z.types[c.Col] == Int64 {
+			lo, hi = float64(int64(w[a])), float64(int64(w[a+1]))
+		}
+		rows := float64(w[0]) * zoneShare(lo, hi, k, c.Accept, discrete)
+		// No outcome holds of a NaN, so a NaN bound meets nothing.
+		if c.Accept&(outcomes(lo, lo, k)|outcomes(hi, hi, k)) != 0 {
+			rows = max(rows, 1)
+		}
+		est += rows
+	}
+	return min(1, est/float64(t.rows)), true
+}
+
+// zoneShare is the share of a page's rows, spread evenly over [lo, hi],
+// whose outcome against k Accept takes: over hi-lo+1 integers when
+// discrete, else over the interval, where a single value carries no
+// share unless lo == hi.
+func zoneShare(lo, hi, k float64, accept uint8, discrete bool) float64 {
+	if lo != lo || hi != hi || k != k || math.IsInf(hi-lo, 0) || math.IsInf(k, 0) {
+		return 1.0 / 3
+	}
+	if hi < lo {
+		return 0
+	}
+	var below, equal, above float64
+	switch {
+	case discrete:
+		n := hi - lo + 1
+		below, above = (k-lo)/n, (hi-k)/n
+		if lo <= k && k <= hi {
+			equal = 1 / n
+		}
+	case hi == lo:
+		switch {
+		case lo < k:
+			below = 1
+		case lo > k:
+			above = 1
+		default:
+			equal = 1
+		}
+	default:
+		below, above = (k-lo)/(hi-lo), (hi-k)/(hi-lo)
+	}
+	share := 0.0
+	if accept&1 != 0 {
+		share += min(1, max(0, below))
+	}
+	if accept&2 != 0 {
+		share += equal
+	}
+	if accept&4 != 0 {
+		share += min(1, max(0, above))
+	}
+	return min(1, share)
 }
 
 func (z *zones) admitsAll(i int, conds []ZoneCond) bool {

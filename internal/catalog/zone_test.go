@@ -199,3 +199,127 @@ func checkZones(t *testing.T, tab *Table, r *rand.Rand) int {
 	}
 	return pruned
 }
+
+// TestKeySetZonesNeverPruneAKey holds a key-set ZoneCond — a hash join's
+// build keys restricting its probe's pages — to its contract: every live
+// row whose key is in the set lies on a page PagesFor keeps, the pages
+// left out hold the live rows it reports, and an empty set keeps no
+// page. Keys run clustered (ascending with the rows), shuffled, and out
+// to the int64 extremes, and deletes leave zones wider than their live
+// rows. Sets are drawn from the keys present — each page's least and
+// greatest among them — keys absent, the extremes and nothing; on a
+// FLOAT column a key set keeps every page.
+func TestKeySetZonesNeverPruneAKey(t *testing.T) {
+	schema := Schema{Columns: []Column{{Name: "k", Type: Int64}, {Name: "f", Type: Float64}}}
+	layouts := map[string]func(r *rand.Rand, i int) int64{
+		"clustered": func(r *rand.Rand, i int) int64 { return int64(i) * 3 },
+		"shuffled":  func(r *rand.Rand, i int) int64 { return int64(r.Intn(5000)) },
+		"extremes": func(r *rand.Rand, i int) int64 {
+			if r.Intn(3) == 0 {
+				return zoneInts[r.Intn(len(zoneInts))]
+			}
+			return int64(i) - 1000
+		},
+	}
+	pruned := 0
+	for name, key := range layouts {
+		for seed := int64(0); seed < 4; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			tab, _ := NewMem().CreateTable("t", schema)
+			rows := make([]Row, 3000)
+			for i := range rows {
+				rows[i] = Row{key(r, i), float64(i)}
+			}
+			if err := tab.InsertRows(rows, func(int, storage.RecordID) {}); err != nil {
+				t.Fatal(err)
+			}
+			live := func() ([]storage.RecordID, []Row) {
+				var rids []storage.RecordID
+				vs, cols := tab.vectors()
+				if _, _, err := tab.DecodePages(tab.PageIDs(), cols, &rids, math.MaxInt); err != nil {
+					t.Fatal(err)
+				}
+				out := make([]Row, len(rids))
+				for i := range rids {
+					out[i] = tab.row(vs, i)
+				}
+				return rids, out
+			}
+			// Delete about half the rows: the zones keep their bounds.
+			rids, all := live()
+			for i, rid := range rids {
+				if r.Intn(2) == 0 {
+					if err := tab.DeleteIf(rid, all[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			rids, all = live()
+			bounds := map[storage.PageID][2]int64{}
+			for i, rid := range rids {
+				k := all[i][0].(int64)
+				b, ok := bounds[rid.Page]
+				if !ok {
+					b = [2]int64{k, k}
+				}
+				bounds[rid.Page] = [2]int64{min(b[0], k), max(b[1], k)}
+			}
+			for q := 0; q < 60; q++ {
+				set := map[int64]bool{}
+				switch q % 4 {
+				case 0: // live keys
+					for n := r.Intn(8); n > 0; n-- {
+						set[all[r.Intn(len(all))][0].(int64)] = true
+					}
+				case 1: // a page's least or greatest live key, alone
+					for _, b := range bounds {
+						set[b[r.Intn(2)]] = true
+						break
+					}
+				case 2: // keys absent or at the extremes, beside live ones
+					for n := r.Intn(6); n > 0; n-- {
+						set[zoneInts[r.Intn(len(zoneInts))]] = true
+						set[all[r.Intn(len(all))][0].(int64)+1] = true
+					}
+				}
+				var keys []int64
+				for k := range set {
+					keys = append(keys, k)
+				}
+				slices.Sort(keys)
+				for col := 0; col < 2; col++ {
+					c := ZoneCond{Col: col, In: true, Keys: keys}
+					ps := tab.PagesFor([]ZoneCond{c})
+					kept := map[storage.PageID]bool{}
+					for _, id := range ps.Pages {
+						kept[id] = true
+					}
+					rowsOut := 0
+					for i, rid := range rids {
+						if !kept[rid.Page] {
+							rowsOut++
+							if col == 0 && set[all[i][0].(int64)] {
+								t.Fatalf("%s seed %d: keys %v: row %v on page %d holds a key, but the page was pruned", name, seed, keys, all[i], rid.Page)
+							}
+						}
+					}
+					if ps.PrunedRows != rowsOut || ps.Pruned+len(ps.Pages) != len(tab.PageIDs()) {
+						t.Fatalf("%s seed %d: keys %v: %d pages pruned holding %d rows, want %d holding %d", name, seed, keys, ps.Pruned, ps.PrunedRows, len(tab.PageIDs())-len(ps.Pages), rowsOut)
+					}
+					if empty := len(tab.PageIDs()) - len(bounds); col == 1 && ps.Pruned != empty {
+						t.Fatalf("%s seed %d: a key set on a FLOAT column pruned %d pages, want the %d without live rows", name, seed, ps.Pruned, empty)
+					}
+					if col == 0 && len(keys) == 0 && len(ps.Pages) != 0 {
+						t.Fatalf("%s seed %d: an empty key set kept %d pages", name, seed, len(ps.Pages))
+					}
+					if col == 0 {
+						pruned += ps.Pruned
+					}
+				}
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("no key set pruned a page: the test checks nothing")
+	}
+}

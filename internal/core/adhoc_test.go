@@ -246,6 +246,7 @@ func BenchmarkAppendResult(b *testing.B) {
 	row := func(i int) catalog.Row {
 		return catalog.Row{int64(47110 + i), int64(30 + i%50), fmt.Sprintf("c%d", i%16)}
 	}
+	results := map[string]*exec.Result{}
 	for _, n := range []int{1, 19} {
 		res := &exec.Result{Columns: []string{"id", "age", "city"}}
 		for i := 0; i < n; i++ {
@@ -255,6 +256,16 @@ func BenchmarkAppendResult(b *testing.B) {
 		if n > 1 {
 			name = fmt.Sprintf("%drows", n)
 		}
+		results[name] = res
+	}
+	// rows_age's reply: an INT id and a FLOAT score with three decimals.
+	ages := &exec.Result{Columns: []string{"id", "score"}}
+	for i := 0; i < 1206; i++ {
+		ages.Rows = append(ages.Rows, catalog.Row{int64(i * 83), float64(i*7919%100000) / 1000})
+	}
+	results["1206rows-int-float"] = ages
+	for _, name := range []string{"1row", "19rows", "1206rows-int-float"} {
+		res := results[name]
 		b.Run(name, func(b *testing.B) {
 			var buf []byte
 			b.ReportAllocs()

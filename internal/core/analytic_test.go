@@ -20,12 +20,20 @@ var analyticStatements = []string{
 	"SELECT count(*) FROM users WHERE PREDICT(churn, age, score) = 1",
 }
 
+// analyticHash is splitmix64 of (column, id): analyticDB's cells.
+func analyticHash(col, id uint64) uint64 {
+	x := col<<56 ^ id + 0x9E3779B97F4A7C15
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return x ^ x>>31
+}
+
 // analyticDB loads users (100k rows) and orders (200k rows) — together
 // more heap pages than the 1 024-frame buffer pool holds — with an index
 // on users.id and a churn model over users(age, score), as the load
 // harness's analytic_scan does. Rows go straight into the heap; the
 // index and the model are built through SQL.
-func analyticDB(b *testing.B) *DB {
+func analyticDB(b testing.TB) *DB {
 	b.Helper()
 	const users, orders = 100_000, 200_000
 	db := OpenSeeded(7)
@@ -33,12 +41,7 @@ func analyticDB(b *testing.B) *DB {
 		"CREATE TABLE orders (id INT, user_id INT, amount FLOAT)"); err != nil {
 		b.Fatal(err)
 	}
-	h := func(col, id uint64) uint64 { // splitmix64 of (column, id)
-		x := col<<56 ^ id + 0x9E3779B97F4A7C15
-		x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
-		x = (x ^ x>>27) * 0x94D049BB133111EB
-		return x ^ x>>31
-	}
+	h := analyticHash
 	cities := []string{"ams", "ber", "cph", "dub", "edi", "fra", "gva", "hel"}
 	load := func(table string, n int, row func(id uint64) catalog.Row) {
 		t, err := db.Catalog().Table(table)

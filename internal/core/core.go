@@ -10,8 +10,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -305,31 +307,39 @@ func (db *DB) Engine() *aisql.Engine { return db.engine }
 func Format(res *exec.Result) string { return string(AppendResult(nil, res)) }
 
 // AppendResult appends the aligned text table Format returns to dst: the
-// reply a server writes, rendered into a buffer it reuses. Two passes
-// over the rows — column widths, then cells — with no intermediate
-// strings; int64, float64 and string cells (all a table holds) are
-// written by strconv exactly as fmt's %v writes them, anything else by
-// fmt.
+// reply a server writes, rendered into a buffer it reuses. Each cell is
+// formatted once, with no intermediate strings: the cells that are not
+// strings are staged at the tail of dst while the column widths are
+// measured, then the table is written after the stage, reading them
+// back, and moved down over it. int64, float64 and string cells (all a
+// table holds) are written exactly as fmt's %v writes them, without fmt;
+// anything else by fmt.
 func AppendResult(dst []byte, res *exec.Result) []byte {
 	if res == nil || len(res.Columns) == 0 {
 		return append(dst, "OK\n"...)
 	}
-	var scratch [32]byte
 	widths := make([]int, len(res.Columns))
 	for i, c := range res.Columns {
 		widths[i] = len(c)
 	}
+	// The stage holds each staged cell as its length in four bytes, then
+	// its text.
+	base := len(dst)
 	for _, r := range res.Rows {
 		for i, v := range r {
 			n := 0
 			if str, ok := v.(string); ok {
 				n = len(str)
 			} else {
-				n = len(appendCell(scratch[:0], v))
+				at := len(dst)
+				dst = appendCell(append(dst, 0, 0, 0, 0), v)
+				n = len(dst) - at - 4
+				binary.LittleEndian.PutUint32(dst[at:], uint32(n))
 			}
 			widths[i] = max(widths[i], n)
 		}
 	}
+	table, next := len(dst), base
 	for i, c := range res.Columns {
 		if i > 0 {
 			dst = append(dst, "  "...)
@@ -350,15 +360,24 @@ func AppendResult(dst []byte, res *exec.Result) []byte {
 			if i > 0 {
 				dst = append(dst, "  "...)
 			}
-			start := len(dst)
-			dst = appendCell(dst, v)
-			dst = appendPad(dst, widths[i]-(len(dst)-start), ' ')
+			n := 0
+			if str, ok := v.(string); ok {
+				n = len(str)
+				dst = append(dst, str...)
+			} else {
+				n = int(binary.LittleEndian.Uint32(dst[next:]))
+				next += 4
+				dst = append(dst, dst[next:next+n]...)
+				next += n
+			}
+			dst = appendPad(dst, widths[i]-n, ' ')
 		}
 		dst = append(dst, '\n')
 	}
 	dst = append(dst, '(')
 	dst = strconv.AppendInt(dst, int64(len(res.Rows)), 10)
-	return append(dst, " rows)\n"...)
+	dst = append(dst, " rows)\n"...)
+	return dst[:base+copy(dst[base:], dst[table:])]
 }
 
 func appendPad(dst []byte, n int, c byte) []byte {
@@ -374,9 +393,77 @@ func appendCell(dst []byte, v catalog.Value) []byte {
 	case int64:
 		return strconv.AppendInt(dst, x, 10)
 	case float64:
-		return strconv.AppendFloat(dst, x, 'g', -1, 64)
+		return appendFloat(dst, x)
 	case string:
 		return append(dst, x...)
 	}
 	return fmt.Append(dst, v)
+}
+
+// pow10 holds the powers of ten float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// appendFloat appends x as strconv.AppendFloat(dst, x, 'g', -1, 64)
+// does, faster where it can. For 1e-4 <= |x| < 1e6 strconv writes the
+// shortest decimal that reads back as x, without an exponent: m/10^k for
+// the least k at which some integer m does. m is found directly. The
+// integers that read back at k, m/10^k rounding to |x|, are a run around
+// the exact |x|·10^k, which its computed product p, below 2^52 and
+// rounded once, leaves within 1/4, and round(p) within 3/4. So when none
+// of round(p)-1, round(p), round(p)+1 reads back, no integer does; when
+// exactly one does and neither round(p)±2 does, it is the only one. Each
+// is tried as one division, correctly rounded, of an exact integer by an
+// exact power of ten. Anything else is left to strconv.
+func appendFloat(dst []byte, x float64) []byte {
+	a := math.Abs(x)
+	if a >= 1e-4 && a < 1e6 {
+		for k := range pow10 {
+			p := pow10[k]
+			ap := a * p
+			if ap >= 1<<52 {
+				break
+			}
+			m, hits := math.Round(ap), 0
+			// An integer that reads back lies within ap·2^-51 of ap, and m
+			// is the nearest to ap.
+			if math.Abs(ap-m) > ap*0x1p-50 {
+				continue
+			}
+			var found float64
+			for _, c := range [...]float64{m - 1, m, m + 1} {
+				if c/p == a {
+					found, hits = c, hits+1
+				}
+			}
+			if hits == 1 && (m-2)/p != a && (m+2)/p != a {
+				return appendDecimal(dst, x < 0, uint64(found), k)
+			}
+			if hits > 0 {
+				break
+			}
+		}
+	}
+	return strconv.AppendFloat(dst, x, 'g', -1, 64)
+}
+
+// appendDecimal appends m/10^k, negated when neg, with its point k
+// digits from the right and a 0 before a point with nothing before it.
+func appendDecimal(dst []byte, neg bool, m uint64, k int) []byte {
+	var buf [32]byte
+	i := len(buf)
+	for j := 0; j <= k || m > 0; j++ {
+		if j == k && k > 0 {
+			i--
+			buf[i] = '.'
+		}
+		i--
+		buf[i] = byte('0' + m%10)
+		m /= 10
+	}
+	if neg {
+		i--
+		buf[i] = '-'
+	}
+	return append(dst, buf[i:]...)
 }

@@ -51,7 +51,9 @@ type Result struct {
 // serve concurrent Run calls (stats are atomic); scalar functions in
 // Funcs must be safe for concurrent use whenever Parallelism != 1,
 // because fused filter and projection stages evaluate expressions from
-// multiple scan workers.
+// multiple scan workers. Chaos, Profile, Mem, Parallelism and Params are
+// what Run and RunContext run with; RunCompiled takes each run's own
+// (RunArgs), so one executor serves runs that differ in them.
 type Executor struct {
 	Funcs FuncRegistry
 	// VectorFuncs holds chunk forms of functions in Funcs, under the same
@@ -162,6 +164,23 @@ func IsCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// RunArgs is what one run brings to an executor beside its plan: the
+// values of its $N, its memory budget and profile, and the settings that
+// may change between statements. Each has the meaning of the Executor
+// field of the same name.
+type RunArgs struct {
+	Params      []catalog.Value
+	Mem         *governance.MemBudget
+	Profile     *QueryProfile
+	Parallelism int
+	Chaos       *chaos.Injector
+}
+
+// args are the run arguments the executor's own fields give.
+func (ex *Executor) args() RunArgs {
+	return RunArgs{Params: ex.Params, Mem: ex.Mem, Profile: ex.Profile, Parallelism: ex.Parallelism, Chaos: ex.Chaos}
+}
+
 // RunContext compiles the plan and streams its output into a
 // materialized Result, checking ctx cooperatively before every decode
 // call and at every chunk boundary, so a cancelled query stops within
@@ -173,7 +192,7 @@ func IsCancellation(err error) bool {
 // the bytes a query actually holds. A plan.BoundNode runs its input with
 // its own parameters instead of Params.
 func (ex *Executor) RunContext(ctx context.Context, n plan.Node) (*Result, error) {
-	return ex.RunCompiled(ctx, n, nil)
+	return ex.RunCompiled(ctx, n, nil, ex.args())
 }
 
 // RunCompiled is RunContext for a plan whose program keep holds between
@@ -182,13 +201,14 @@ func (ex *Executor) RunContext(ctx context.Context, n plan.Node) (*Result, error
 // for itself, and keeps its program in keep only when keep is empty, so
 // nothing replaces a kept program; a compile error is never kept. A
 // profiled run and a plan.BoundNode compile for themselves and keep
-// nothing. keep may be nil.
-func (ex *Executor) RunCompiled(ctx context.Context, n plan.Node, keep *Compiled) (*Result, error) {
-	params := ex.Params
+// nothing. keep may be nil. The run binds, budgets, profiles,
+// parallelizes and injects faults as a says, whatever the executor's
+// fields say.
+func (ex *Executor) RunCompiled(ctx context.Context, n plan.Node, keep *Compiled, a RunArgs) (*Result, error) {
 	if b, ok := n.(*plan.BoundNode); ok {
-		n, params, keep = b.Input, b.Params, nil
+		n, a.Params, keep = b.Input, b.Params, nil
 	}
-	if ex.Profile != nil {
+	if a.Profile != nil {
 		keep = nil
 	}
 	cores.Add(1)
@@ -204,12 +224,12 @@ func (ex *Executor) RunCompiled(ctx context.Context, n plan.Node, keep *Compiled
 		p = keep.p.Load()
 	}
 	var err error
-	if p == nil || !p.fits(params) {
-		if p, err = ex.compile(n, params); err == nil && keep != nil {
+	if p == nil || !p.fits(a.Params) {
+		if p, err = ex.compile(n, a.Params); err == nil && keep != nil {
 			keep.p.CompareAndSwap(nil, p)
 		}
 	}
-	rc := ex.newRun(ctx, params)
+	rc := ex.newRun(ctx, a)
 	defer rc.release()
 	var rows []catalog.Row
 	if err == nil {
@@ -303,6 +323,8 @@ type runCtx struct {
 	mem    *governance.MemBudget
 	prof   *QueryProfile
 	params []catalog.Value
+	par    int // the run's Parallelism
+	chaos  *chaos.Injector
 	// cancelAt is the unix-nano timestamp of the first observed
 	// cancellation, feeding the cancel.latency_ns teardown histogram.
 	cancelAt atomic.Int64
@@ -329,13 +351,34 @@ type runCtx struct {
 }
 
 // runs holds the state of finished runs for later ones, so a run starts
-// with chunks, vectors and streams earlier runs have grown.
-var runs = sync.Pool{New: func() any { return new(runCtx) }}
+// with chunks, vectors and streams earlier runs have grown: at most
+// maxFreeRuns of them, about as many as runs at once. It is one list
+// under a mutex, not a sync.Pool, which keeps what a goroutine puts back
+// on the processor it then ran on: a goroutine moved to another
+// processor found nothing there and started from fresh state, so a run
+// that allocated nothing the time before allocated again.
+var runs struct {
+	mu   sync.Mutex
+	free []*runCtx
+}
 
-// newRun returns run state for one run of ex binding params.
-func (ex *Executor) newRun(ctx context.Context, params []catalog.Value) *runCtx {
-	rc := runs.Get().(*runCtx)
-	rc.ex, rc.ctx, rc.mem, rc.prof, rc.params = ex, ctx, ex.Mem, ex.Profile, params
+const maxFreeRuns = 16
+
+// newRun returns run state for one run of ex with arguments a.
+func (ex *Executor) newRun(ctx context.Context, a RunArgs) *runCtx {
+	var rc *runCtx
+	runs.mu.Lock()
+	if n := len(runs.free); n > 0 {
+		rc = runs.free[n-1]
+		runs.free[n-1] = nil
+		runs.free = runs.free[:n-1]
+	}
+	runs.mu.Unlock()
+	if rc == nil {
+		rc = new(runCtx)
+	}
+	rc.ex, rc.ctx, rc.mem, rc.prof, rc.params = ex, ctx, a.Mem, a.Profile, a.Params
+	rc.par, rc.chaos = a.Parallelism, a.Chaos
 	rc.pool.m = &ex.Obs
 	return rc
 }
@@ -348,7 +391,7 @@ func (rc *runCtx) release() {
 		s.clear()
 	}
 	rc.used = 0
-	rc.ex, rc.ctx, rc.mem, rc.prof, rc.params, rc.pool.m = nil, nil, nil, nil, nil, nil
+	rc.ex, rc.ctx, rc.mem, rc.prof, rc.params, rc.chaos, rc.pool.m = nil, nil, nil, nil, nil, nil, nil
 	rc.cancelAt.Store(0)
 	rc.live.Store(0)
 	rc.peak.Store(0)
@@ -356,7 +399,11 @@ func (rc *runCtx) release() {
 	rc.chaosFires.Store(0)
 	rc.pool.gets.Store(0)
 	rc.pool.puts.Store(0)
-	runs.Put(rc)
+	runs.mu.Lock()
+	if len(runs.free) < maxFreeRuns {
+		runs.free = append(runs.free, rc)
+	}
+	runs.mu.Unlock()
 }
 
 // stream returns a morsel stream of this run for src, one an earlier

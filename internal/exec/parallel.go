@@ -31,16 +31,16 @@ var cores atomic.Int64
 // count whatever else runs. Auto mode adds workers only while cores are
 // idle and never waits for one: with none idle it returns 1, the serial
 // path on the consumer's goroutine.
-func (ex *Executor) claimWorkers(n int) int {
+func (rc *runCtx) claimWorkers(n int) int {
 	if n <= 1 {
 		return 1 // one morsel, e.g. a point read: skip the GOMAXPROCS lookup
 	}
-	most := ex.workers()
+	most := rc.workers()
 	w := min(most, n)
 	if w <= 1 {
 		return 1
 	}
-	if ex.Parallelism != 0 {
+	if rc.par != 0 {
 		cores.Add(int64(w - 1))
 		return w
 	}
@@ -66,14 +66,14 @@ const DefaultMorselRows = 1024
 // (or any negative value) pins the serial path, 0 (auto) is GOMAXPROCS,
 // of which claimWorkers takes only the idle cores, larger values are an
 // explicit worker count.
-func (ex *Executor) workers() int {
+func (rc *runCtx) workers() int {
 	switch {
-	case ex.Parallelism == 0:
+	case rc.par == 0:
 		return runtime.GOMAXPROCS(0)
-	case ex.Parallelism < 1:
+	case rc.par < 1:
 		return 1
 	default:
-		return ex.Parallelism
+		return rc.par
 	}
 }
 

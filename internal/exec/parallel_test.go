@@ -661,7 +661,7 @@ func TestScanDoesNotHoldLatchAcrossEmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := ex.newRun(ctx, nil)
+	rc := ex.newRun(ctx, ex.args())
 	op := p.root.open(rc)
 	defer op.Close()
 	if _, ok, err := op.Next(ctx); err != nil || !ok {

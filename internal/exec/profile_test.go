@@ -213,7 +213,7 @@ func TestProfileOffOverhead(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rc := ex.newRun(context.Background(), nil)
+				rc := ex.newRun(context.Background(), ex.args())
 				op := st.open(rc)
 				_, wrapped := op.(*profiledOp)
 				breaker := opKind(n) == "HashJoin" || opKind(n) == "Aggregate" || opKind(n) == "Sort" || opKind(n) == "Limit" || opKind(n) == "Distinct"
@@ -240,7 +240,7 @@ func TestProfileOffOverhead(t *testing.T) {
 		// with the heap earlier tests left; without it they are exact.
 		gc := debug.SetGCPercent(-1)
 		run := func() {
-			if _, err := ex.RunCompiled(context.Background(), p, &keep); err != nil {
+			if _, err := ex.RunCompiled(context.Background(), p, &keep, ex.args()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -252,7 +252,7 @@ func TestProfileOffOverhead(t *testing.T) {
 		wrapped := testing.AllocsPerRun(20, run)
 		prog := keep.p.Load()
 		direct := testing.AllocsPerRun(20, func() {
-			rc := ex.newRun(context.Background(), nil)
+			rc := ex.newRun(context.Background(), ex.args())
 			if _, err := ex.execNode(rc, prog); err != nil {
 				t.Fatal(err)
 			}

@@ -150,6 +150,9 @@ func (m *modifyStep) open(rc *runCtx) BatchOperator {
 }
 
 // joinStep is a hash join with its build side chosen and its keys bound.
+// When both keys are INTs and the probe is a prunable heap scan,
+// pruneCol is the probe table's key column, by which a run restricts
+// the probe's pages to those its build keys may lie on; else it is -1.
 type joinStep struct {
 	node         *plan.JoinNode
 	build, probe step
@@ -159,6 +162,7 @@ type joinStep struct {
 	probeKey     []bound
 	mode         keyMode
 	buildIsLeft  bool
+	pruneCol     int
 }
 
 func (j *joinStep) open(rc *runCtx) BatchOperator {
@@ -343,7 +347,38 @@ func (c *compiler) join(v *plan.JoinNode) (step, []kind, error) {
 		j.buildKey, j.probeKey = []bound{lKey}, []bound{rKey}
 		j.buildIsLeft = true
 	}
+	j.pruneCol = -1
+	if s, ok := j.probe.(*scanStep); ok && j.mode == keyInt && j.probeKey[0].col >= 0 && prunable(s) {
+		j.pruneCol = j.probeKey[0].col
+	}
 	return j, j.outKinds, nil
+}
+
+// prunable reports whether a join may read only some of s's pages: s is
+// a heap scan whose fused transforms are filters of column-vs-number
+// comparisons alone, which no row fails on, so a page left out changes
+// no statement's error.
+func prunable(s *scanStep) bool {
+	if _, heap := s.node.(*plan.ScanNode); !heap {
+		return false
+	}
+	for _, t := range s.ts {
+		if f, ok := t.(*filterTransform); !ok || !allZoned(f.cond) {
+			return false
+		}
+	}
+	return true
+}
+
+// allZoned reports whether every conjunct of p is zoned.
+func allZoned(p pred) bool {
+	switch p := p.(type) {
+	case andPred:
+		return allZoned(p.l) && allZoned(p.r)
+	case zoned:
+		return true
+	}
+	return false
 }
 
 // bindProject binds a projection's items against its input and returns

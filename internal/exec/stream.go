@@ -349,6 +349,12 @@ type morselStream struct {
 	conds  []catalog.ZoneCond
 	// rids is the serial index scan's record-id buffer.
 	rids []storage.RecordID
+	// When probed is set, the stream is a hash join's probe and reads
+	// only pages whose zone of column probeCol holds one of probeKeys,
+	// the build side's keys in ascending order (probeBy).
+	probed    bool
+	probeCol  int
+	probeKeys []int64
 
 	opened bool
 	done   bool
@@ -383,6 +389,22 @@ func (s *morselStream) clear() {
 	if s.rids = s.rids[:0]; cap(s.rids) > maxKeptRids {
 		s.rids = nil
 	}
+	s.probed = false
+	if s.probeKeys = s.probeKeys[:0]; cap(s.probeKeys) > maxKeptRids {
+		s.probeKeys = nil
+	}
+}
+
+// probeBy makes the stream, a heap scan not yet opened, read only the
+// pages where column col may hold one of keys: no row of any other page
+// can match a build row of the join it probes.
+func (s *morselStream) probeBy(col int, keys map[int64]int32) {
+	s.probeKeys = s.probeKeys[:0]
+	for k := range keys {
+		s.probeKeys = append(s.probeKeys, k)
+	}
+	slices.Sort(s.probeKeys)
+	s.probed, s.probeCol = true, col
 }
 
 func (s *morselStream) bufferChunk(c *Chunk) error {
@@ -407,7 +429,7 @@ func (s *morselStream) open() error {
 	if s.prof != nil {
 		s.prof.morsels.Add(int64(s.n))
 	}
-	workers := ex.claimWorkers(s.n)
+	workers := s.rc.claimWorkers(s.n)
 	if workers <= 1 {
 		return nil
 	}
@@ -491,7 +513,8 @@ func (s *morselStream) open() error {
 
 // plan fixes the stream's morsels from the run's parameters and
 // settings. A heap scan leaves out the pages whose zones rule out the
-// filter fused into it (zoneConds) and consults the chaos site serially,
+// filter fused into it (zoneConds) or, for a join's probe, hold none of
+// the build side's keys (probeBy), and consults the chaos site serially,
 // once per morsel of the pages it keeps — the schedule depends only on
 // the pages read and the morsel configuration — and a failed scan reads
 // and charges nothing. An index scan fixes its key range from the
@@ -505,13 +528,16 @@ func (s *morselStream) plan() error {
 	switch v := s.src.node.(type) {
 	case *plan.ScanNode:
 		s.conds = zoneConds(s.conds, s.src.ts, rc.params)
+		if s.probed {
+			s.conds = append(s.conds, catalog.ZoneCond{Col: s.probeCol, In: true, Keys: s.probeKeys})
+		}
 		ps := v.Table.PagesFor(s.conds)
 		morsels := storage.PartitionPages(ps.Pages, ex.scanMorselPages(ps.RowsPerPage))
 		// At least one consultation per scan, so empty tables keep
 		// their fault schedule. Injected latency selects on the run's
 		// context: a cancelled query never waits out a sleep.
 		for m := 0; m < max(1, len(morsels)); m++ {
-			delay, cerr := ex.Chaos.SleepLatency(rc.ctx, SiteExecScan)
+			delay, cerr := rc.chaos.SleepLatency(rc.ctx, SiteExecScan)
 			if delay > 0 {
 				rc.chaosFires.Add(1)
 			}
@@ -520,7 +546,7 @@ func (s *morselStream) plan() error {
 			if cerr != nil {
 				return fmt.Errorf("exec: scan %s: %w", v.Table.Name, rc.stamp(cerr))
 			}
-			if err := ex.Chaos.Fail(SiteExecScan); err != nil {
+			if err := rc.chaos.Fail(SiteExecScan); err != nil {
 				return fmt.Errorf("exec: scan %s: %w", v.Table.Name, err)
 			}
 		}
@@ -535,7 +561,7 @@ func (s *morselStream) plan() error {
 			s.n = len(s.pages)
 			return nil
 		}
-		s.keys = splitKeyRange(s.keys, lo, hi, ex.workers()*2, minIndexMorselWidth)
+		s.keys = splitKeyRange(s.keys, lo, hi, rc.workers()*2, minIndexMorselWidth)
 		s.n, s.from = len(s.keys), fromKeys
 	case *plan.VirtualScanNode:
 		rows, err := v.Table.Rows()
@@ -806,9 +832,12 @@ func drain(ctx context.Context, rc *runCtx, in BatchOperator, kinds []kind) (*Ch
 // joinOp is a hash join. It drains its build side into one static chunk
 // and hashes the build keys (typed: see keyMap), then streams the probe
 // side: each probe chunk's matches are gathered, column by column, into
-// one output chunk. The probe child's scan still parallelizes
-// internally; probing itself runs on the consumer goroutine, preserving
-// probe order exactly.
+// one output chunk. A prunable probe on an INT key is first handed the
+// build keys (joinStep.pruneCol), so it reads only the pages a match
+// may lie on — none when the build side is empty (sideways information
+// passing; Zhu et al., VLDB 2017). The probe child's scan still
+// parallelizes internally; probing itself runs on the consumer
+// goroutine, preserving probe order exactly.
 type joinOp struct {
 	rc    *runCtx
 	step  *joinStep
@@ -836,6 +865,11 @@ func (j *joinOp) open(ctx context.Context) error {
 	ids, err := j.keys.ids(side, side.sel, j.step.buildKey, true, nil)
 	if err != nil {
 		return err
+	}
+	if col := j.step.pruneCol; col >= 0 {
+		if s, ok := j.probe.(*morselStream); ok && !s.opened {
+			s.probeBy(col, j.keys.ints)
+		}
 	}
 	// Chains are built back to front, so each lists its rows in build
 	// order and the probe emits them in that order.

@@ -48,6 +48,16 @@ func (h HistogramEstimator) estimateCond(t *catalog.Table, alias string, e sql.E
 		if !ok {
 			return 1.0 / 3
 		}
+		if !t.HasHistogram(col) {
+			// Every value is at least lo or at most hi, so the share that
+			// is both is the two shares' sum less one.
+			ge, ok1 := h.selectivity(t, col, ">=", v.Lo)
+			le, ok2 := h.selectivity(t, col, "<=", v.Hi)
+			if !ok1 || !ok2 {
+				return 1.0 / 3
+			}
+			return max(0, ge+le-1)
+		}
 		lo, ok1 := h.intValue(v.Lo)
 		hi, ok2 := h.intValue(v.Hi)
 		if !ok1 || !ok2 {
@@ -61,11 +71,11 @@ func (h HistogramEstimator) estimateCond(t *catalog.Table, alias string, e sql.E
 		}
 		sel := 0.0
 		for _, item := range v.List {
-			lit, ok := h.intValue(item)
+			eq, ok := h.selectivity(t, col, "=", item)
 			if !ok {
 				return 1.0 / 3
 			}
-			sel += t.EstimateSelectivity(col, lit, lit)
+			sel += eq
 		}
 		if sel > 1 {
 			sel = 1
@@ -80,34 +90,62 @@ func (h HistogramEstimator) estimateCond(t *catalog.Table, alias string, e sql.E
 	return 1.0 / 3
 }
 
+// estimateComparison estimates `column op k` for a column of t and a
+// number k, either way round.
 func (h HistogramEstimator) estimateComparison(t *catalog.Table, alias string, v *sql.BinaryExpr) float64 {
 	col, ok := columnIndexOf(t, alias, v.Left)
-	lit, okLit := h.intValue(v.Right)
-	if !ok || !okLit {
-		// Try the mirrored form literal OP column.
+	op, k := v.Op, v.Right
+	if _, num := h.number(k); !ok || !num {
 		col, ok = columnIndexOf(t, alias, v.Right)
-		lit, okLit = h.intValue(v.Left)
-		if !ok || !okLit {
-			return 1.0 / 3
-		}
-		v = &sql.BinaryExpr{Op: MirrorOp(v.Op), Left: v.Right, Right: v.Left}
+		op, k = MirrorOp(v.Op), v.Left
 	}
-	const inf = int64(1) << 40
-	switch v.Op {
-	case "=":
-		return t.EstimateSelectivity(col, lit, lit)
-	case "!=":
-		return 1 - t.EstimateSelectivity(col, lit, lit)
-	case "<":
-		return t.EstimateSelectivity(col, -inf, lit-1)
-	case "<=":
-		return t.EstimateSelectivity(col, -inf, lit)
-	case ">":
-		return t.EstimateSelectivity(col, lit+1, inf)
-	case ">=":
-		return t.EstimateSelectivity(col, lit, inf)
+	if !ok {
+		return 1.0 / 3
+	}
+	if sel, ok := h.selectivity(t, col, op, k); ok {
+		return sel
 	}
 	return 1.0 / 3
+}
+
+// accepts is, per comparison operator, the outcomes of comparing a cell
+// with the constant it holds for, as catalog.ZoneCond spells them.
+var accepts = map[string]uint8{"<": 1, "<=": 3, "=": 2, ">=": 6, ">": 4, "!=": 5}
+
+// selectivity estimates `col op e` for a number e: from the column's
+// histogram where ANALYZE built one, else from the table's zones. ok is
+// false when e is no number or neither estimates anything.
+func (h HistogramEstimator) selectivity(t *catalog.Table, col int, op string, e sql.Expr) (float64, bool) {
+	k, ok := h.number(e)
+	if !ok || accepts[op] == 0 {
+		return 0, false
+	}
+	if !t.HasHistogram(col) {
+		c := catalog.ZoneCond{Col: col, Accept: accepts[op]}
+		switch k := k.(type) {
+		case int64:
+			c.Int, c.IntK = true, k
+		case float64:
+			c.FloatK = k
+		}
+		return t.ZoneSelectivity(c)
+	}
+	lit, _ := h.intValue(e)
+	const inf = int64(1) << 40
+	switch op {
+	case "=":
+		return t.EstimateSelectivity(col, lit, lit), true
+	case "!=":
+		return 1 - t.EstimateSelectivity(col, lit, lit), true
+	case "<":
+		return t.EstimateSelectivity(col, -inf, lit-1), true
+	case "<=":
+		return t.EstimateSelectivity(col, -inf, lit), true
+	case ">":
+		return t.EstimateSelectivity(col, lit+1, inf), true
+	default: // ">="
+		return t.EstimateSelectivity(col, lit, inf), true
+	}
 }
 
 // MirrorOp is the comparison that holds of (b, a) when op holds of (a, b).
@@ -137,23 +175,33 @@ func columnIndexOf(t *catalog.Table, alias string, e sql.Expr) (int, bool) {
 	return idx, idx >= 0
 }
 
-// intValue is the integer a predicate compares with: a numeric literal,
-// or the numeric value h.Params binds to a placeholder.
-func (h HistogramEstimator) intValue(e sql.Expr) (int64, bool) {
+// number is the number a predicate compares with, an int64 or a
+// float64: a numeric literal, or the number h.Params binds to a
+// placeholder.
+func (h HistogramEstimator) number(e sql.Expr) (catalog.Value, bool) {
 	switch v := e.(type) {
 	case *sql.IntLit:
 		return v.Value, true
 	case *sql.FloatLit:
-		return int64(v.Value), true
+		return v.Value, true
 	case *sql.ParamRef:
 		if v.Index >= 1 && v.Index <= len(h.Params) {
 			switch p := h.Params[v.Index-1].(type) {
-			case int64:
+			case int64, float64:
 				return p, true
-			case float64:
-				return int64(p), true
 			}
 		}
+	}
+	return nil, false
+}
+
+// intValue is number as an integer, a float truncated.
+func (h HistogramEstimator) intValue(e sql.Expr) (int64, bool) {
+	switch v, _ := h.number(e); v := v.(type) {
+	case int64:
+		return v, true
+	case float64:
+		return int64(v), true
 	}
 	return 0, false
 }

@@ -176,15 +176,40 @@ func TestEstimatorHandlesOperators(t *testing.T) {
 	}
 }
 
+// TestEstimatorDefaultsWithoutStats: a column without a histogram (an
+// INT column before ANALYZE, a FLOAT column always) is estimated from
+// the table's zones; what zones cannot bound — a TEXT column, a table
+// without rows, a constant that is no number — gets the 1/3 default.
 func TestEstimatorDefaultsWithoutStats(t *testing.T) {
 	c := catalog.NewMem()
-	tab, _ := c.CreateTable("raw", catalog.Schema{Columns: []catalog.Column{{Name: "x", Type: catalog.Int64}}})
-	tab.Insert(catalog.Row{int64(1)})
+	tab, _ := c.CreateTable("raw", catalog.Schema{Columns: []catalog.Column{{Name: "x", Type: catalog.Int64}, {Name: "f", Type: catalog.Float64}, {Name: "s", Type: catalog.String}}})
+	empty, _ := c.CreateTable("empty", tab.Schema)
+	for i := int64(0); i < 100; i++ {
+		tab.Insert(catalog.Row{i, float64(i) / 10, "s"})
+	}
 	est := HistogramEstimator{}
-	stmt, _ := sql.Parse("SELECT * FROM raw WHERE x = 1")
-	sel := est.EstimateFilter(tab, "raw", stmt.(*sql.SelectStmt).Where)
-	if sel != 1.0/3 {
-		t.Errorf("no-stats selectivity = %v, want 1/3 default", sel)
+	for _, tc := range []struct {
+		t      *catalog.Table
+		cond   string
+		lo, hi float64
+	}{
+		{tab, "x = 1", 0.01, 0.01},
+		{tab, "x = 1000", 0, 0},
+		{tab, "x < 50", 0.45, 0.55},
+		{tab, "50 > x", 0.45, 0.55},
+		{tab, "x BETWEEN 10 AND 19", 0.05, 0.15},
+		{tab, "x IN (1, 2, 3)", 0.03, 0.03},
+		{tab, "f > 9.5", 0.03, 0.07},
+		{tab, "f >= 0", 1, 1},
+		{tab, "s = 'a'", 1.0 / 3, 1.0 / 3},
+		{tab, "x = x", 1.0 / 3, 1.0 / 3},
+		{empty, "x = 1", 1.0 / 3, 1.0 / 3},
+	} {
+		stmt, _ := sql.Parse("SELECT * FROM raw WHERE " + tc.cond)
+		sel := est.EstimateFilter(tc.t, "raw", stmt.(*sql.SelectStmt).Where)
+		if sel < tc.lo-1e-9 || sel > tc.hi+1e-9 {
+			t.Errorf("%s on %s: selectivity %v, want in [%v, %v]", tc.cond, tc.t.Name, sel, tc.lo, tc.hi)
+		}
 	}
 }
 
