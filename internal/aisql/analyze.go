@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"aidb/internal/cardest"
 	"aidb/internal/catalog"
 	"aidb/internal/exec"
 	"aidb/internal/obs"
@@ -46,7 +45,7 @@ func (e *Engine) explainAnalyze(ctx context.Context, ent *plancache.Entry, kind 
 		"operator", "est_rows", "actual_rows", "time_us", "morsels", "workers", "util", "chunks", "peak_bytes", "pages", "pages_pruned",
 	}}
 	prof.Walk(func(op *exec.OpProfile, depth int) {
-		e.Feedback.Record(cardest.ObservedCardinality{
+		e.Feedback.Record(ObservedCardinality{
 			Op:     op.Op,
 			Est:    op.EstRows,
 			Actual: float64(op.ActualRows()),

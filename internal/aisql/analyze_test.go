@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"aidb/internal/cardest"
 	"aidb/internal/catalog"
 	"aidb/internal/chaos"
 	"aidb/internal/exec"
@@ -173,7 +172,7 @@ func TestExplainAnalyzeSpanTree(t *testing.T) {
 // (est, actual) pairs into the engine's feedback log.
 func TestExplainAnalyzeFeedback(t *testing.T) {
 	e, _ := analyzeEngine(t, 1000)
-	fb := cardest.NewFeedbackLog(0)
+	fb := NewFeedbackLog(0)
 	e.Feedback = fb
 	if _, err := e.Execute("EXPLAIN ANALYZE SELECT a FROM big WHERE b < 10"); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package aisql
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"maps"
 	"sort"
@@ -11,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aidb/internal/cardest"
 	"aidb/internal/catalog"
 	"aidb/internal/chaos"
 	"aidb/internal/exec"
@@ -43,7 +41,7 @@ type Engine struct {
 	// observation per profiled operator after every EXPLAIN ANALYZE —
 	// the estimation-error channel learned estimators retrain from. Nil
 	// disables feedback collection.
-	Feedback *cardest.FeedbackLog
+	Feedback *FeedbackLog
 
 	// MemLimit, when positive, caps the bytes any single query may
 	// materialize: each query gets a fresh governance.MemBudget of this
@@ -690,9 +688,10 @@ func (e *Engine) execPlan(ctx context.Context, ent *plancache.Entry, kind string
 }
 
 // record folds one run of ent into the statement-statistics store under
-// the entry's fingerprint and key, its outcome classified — ok,
-// cancelled (context cancel or deadline), shed (memory budget,
-// admission) or error. No-op when the engine is uninstrumented.
+// the entry's fingerprint and key, its outcome ok or, by
+// governance.Classify, cancelled (context cancel or deadline), shed
+// (memory budget, admission) or error. No-op when the engine is
+// uninstrumented.
 func (e *Engine) record(ent *plancache.Entry, text, kind string, latency time.Duration, res *exec.Result, err error) {
 	if e.stmtstats == nil {
 		return
@@ -701,13 +700,15 @@ func (e *Engine) record(ent *plancache.Entry, text, kind string, latency time.Du
 		text = kind
 	}
 	o := obs.StmtObservation{Fingerprint: ent.Fingerprint, Key: ent.Key, Query: text, Outcome: obs.StmtError, LatencyNs: latency.Nanoseconds()}
-	switch {
-	case err == nil:
+	if err == nil {
 		o.Outcome, o.Rows, o.Chunks, o.PeakBytes, o.ChaosFires = obs.StmtOK, int64(len(res.Rows)), res.Chunks, res.PeakBytes, res.ChaosFires
-	case exec.IsCancellation(err):
-		o.Outcome = obs.StmtCancel
-	case errors.Is(err, governance.ErrMemBudget), errors.Is(err, governance.ErrShed):
-		o.Outcome = obs.StmtShed
+	} else {
+		switch governance.Classify(err) {
+		case governance.Cancelled:
+			o.Outcome = obs.StmtCancel
+		case governance.Shed:
+			o.Outcome = obs.StmtShed
+		}
 	}
 	e.stmtstats.Record(o)
 }

@@ -7,55 +7,6 @@ import (
 	"aidb/internal/workload"
 )
 
-func TestFeedbackLogRingAndWindow(t *testing.T) {
-	f := NewFeedbackLog(4)
-	for i := 1; i <= 6; i++ {
-		f.Record(ObservedCardinality{Op: "Filter", Est: 10, Actual: float64(10 * i)})
-	}
-	if f.Total() != 6 {
-		t.Errorf("total = %d, want 6", f.Total())
-	}
-	es := f.Entries()
-	if len(es) != 4 {
-		t.Fatalf("retained %d, want 4", len(es))
-	}
-	if es[0].Actual != 30 || es[3].Actual != 60 {
-		t.Errorf("ring kept %v..%v, want 30..60", es[0].Actual, es[3].Actual)
-	}
-	// Window(2) sees actuals 50, 60 against est 10: q-errors 5 and 6.
-	w := f.Window(2)
-	if w.Median != 5.5 || w.Max != 6 {
-		t.Errorf("window stats = %+v, want median 5.5 / max 6 over q-errors {5, 6}", w)
-	}
-}
-
-func TestFeedbackLogObserverAndNil(t *testing.T) {
-	var calls []float64
-	f := NewFeedbackLog(0)
-	f.SetObserver(func(est, actual float64) { calls = append(calls, est, actual) })
-	f.Record(ObservedCardinality{Est: 2, Actual: 8})
-	if len(calls) != 2 || calls[0] != 2 || calls[1] != 8 {
-		t.Errorf("observer saw %v", calls)
-	}
-
-	var nilLog *FeedbackLog
-	nilLog.Record(ObservedCardinality{})
-	nilLog.SetObserver(nil)
-	if nilLog.Total() != 0 || nilLog.Entries() != nil {
-		t.Error("nil log not inert")
-	}
-	if s := nilLog.Window(5); s.Mean != 0 {
-		t.Errorf("nil window = %+v", s)
-	}
-}
-
-func TestObservedCardinalityQError(t *testing.T) {
-	o := ObservedCardinality{Est: 5, Actual: 50}
-	if q := o.QError(); q != 10 {
-		t.Errorf("q-error = %v, want 10", q)
-	}
-}
-
 // TestFeedbackEstimatorRetrainImproves trains a model on one
 // distribution, drifts the data, and checks retraining on recorded
 // (query, actual) pairs beats the frozen copy — the core loop E27

@@ -18,7 +18,6 @@ package chaos
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -58,8 +57,18 @@ func (k Kind) String() string {
 	}
 }
 
-// ErrInjected is the default error returned by fired Error rules.
-var ErrInjected = errors.New("chaos: injected fault")
+// ErrInjected is the default error returned by fired Error rules. It
+// is transient: a retry draws the schedule afresh.
+var ErrInjected error = transientError("chaos: injected fault")
+
+// transientError is a sentinel that declares itself retryable through
+// the Transient() marker governance.Classify looks for.
+type transientError string
+
+func (e transientError) Error() string { return string(e) }
+
+// Transient marks the error retryable.
+func (transientError) Transient() bool { return true }
 
 // Rule schedules one fault at one site. The trigger fields compose as:
 // skip the first After matching calls; then, if Every > 0 fire on every

@@ -18,11 +18,9 @@ import (
 	"time"
 
 	"aidb/internal/aisql"
-	"aidb/internal/cardest"
 	"aidb/internal/catalog"
 	"aidb/internal/exec"
 	"aidb/internal/governance"
-	"aidb/internal/guard"
 	"aidb/internal/monitor"
 	"aidb/internal/obs"
 	"aidb/internal/plancache"
@@ -73,14 +71,12 @@ func OpenSeeded(seed uint64) *DB {
 	plans.Instrument(reg)
 	engine.Plans = plans
 	// The cardinality-estimation feedback loop: profiled executions
-	// stream per-operator (est, actual) pairs into feedback, which
-	// forwards each pair to qerr, the monitor-side drift KPI.
-	feedback := cardest.NewFeedbackLog(0)
-	qerr := monitor.NewQErrorWindow(0)
-	feedback.SetObserver(qerr.Observe)
+	// stream per-operator (est, actual) pairs into feedback, whose
+	// median q-error is the drift KPI.
+	feedback := aisql.NewFeedbackLog(0)
 	engine.Feedback = feedback
 	reg.GaugeFunc("cardest.feedback.total", func() float64 { return float64(feedback.Total()) })
-	reg.GaugeFunc("cardest.qerror.window_median", qerr.Median)
+	reg.GaugeFunc("cardest.qerror.window_median", feedback.Median)
 	govObs := governance.NewMetrics(reg)
 	gate := governance.NewAdmissionGate(0)
 	gate.Instrument(govObs)
@@ -251,14 +247,15 @@ func (db *DB) govern(ctx context.Context, query string, run func(context.Context
 	return run(ctx)
 }
 
-// ExecRetry runs one statement like ExecContext, retrying transient
-// faults (injected chaos errors, lock timeouts, deadlock aborts — see
-// guard.Classify) with exponential backoff plus deterministic jitter.
-// Permanent errors and ctx cancellation fail immediately; retry
-// attempts and exhaustion are visible as retry.* metrics.
+// ExecRetry runs one statement like ExecContext, retrying the faults
+// governance.Classify calls Transient (injected chaos errors, lock
+// timeouts, deadlock aborts) with exponential backoff plus
+// deterministic jitter. Permanent errors, shedding and ctx cancellation
+// fail immediately; retry attempts and exhaustion are visible as
+// retry.* metrics.
 func (db *DB) ExecRetry(ctx context.Context, query string) (*exec.Result, error) {
 	var res *exec.Result
-	err := governance.Retry(ctx, db.retry, db.govObs, guard.IsTransient, func() error {
+	err := governance.Retry(ctx, db.retry, db.govObs, func() error {
 		var ferr error
 		res, ferr = db.ExecContext(ctx, query)
 		return ferr

@@ -7,10 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"aidb/internal/cardest"
-	"aidb/internal/ml"
-	"aidb/internal/workload"
 )
 
 func seededDB(t *testing.T, rows int) *DB {
@@ -283,40 +279,6 @@ func TestPreparedReplanAfterInvalidation(t *testing.T) {
 	want, _ := db.Exec("SELECT COUNT(*) FROM users WHERE age < 40")
 	if !reflect.DeepEqual(res.Rows, want.Rows) {
 		t.Fatalf("post-invalidation EXECUTE wrong: %v vs %v", res.Rows, want.Rows)
-	}
-}
-
-func TestPlanCacheInvalidationOnEstimatorRetrain(t *testing.T) {
-	db := seededDB(t, 100)
-	spec := workload.TableSpec{
-		Name: "t",
-		Rows: 1000,
-		Columns: []workload.Column{
-			{Name: "a", NDV: 50, CorrelatedWith: -1},
-			{Name: "b", NDV: 50, CorrelatedWith: -1},
-		},
-	}
-	base := cardest.NewMLPEstimator(ml.NewRNG(3), spec, 8)
-	fb := cardest.NewFeedbackEstimator(base)
-	db.PlanCache().WatchEstimator(fb)
-	gen := db.PlanCache().Generation()
-	// A retrain with no feedback buffered leaves the model as it was, so
-	// the cached plans stay valid.
-	if err := fb.Retrain(ml.NewRNG(5), 1); err != nil {
-		t.Fatal(err)
-	}
-	if db.PlanCache().Generation() != gen {
-		t.Fatal("a no-op retrain invalidated the plan cache")
-	}
-	g := workload.NewQueryGen(ml.NewRNG(4), spec)
-	for i := 0; i < 64; i++ {
-		fb.Record(g.Next(), 10)
-	}
-	if err := fb.Retrain(ml.NewRNG(5), 1); err != nil {
-		t.Fatal(err)
-	}
-	if db.PlanCache().Generation() == gen {
-		t.Fatal("estimator retrain did not invalidate the plan cache")
 	}
 }
 

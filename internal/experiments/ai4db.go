@@ -546,7 +546,7 @@ func runE12Monitoring(seed uint64) *Table {
 	randomRisk := monitor.RunAudits(monitor.NewActivityStream(ml.NewRNG(seed+1), cats),
 		monitor.NewRandomSelector(ml.NewRNG(seed+2), len(cats)), rounds)
 	mabRisk := monitor.RunAudits(monitor.NewActivityStream(ml.NewRNG(seed+1), cats),
-		monitor.NewBanditSelector(rl.NewUCB1Bandit(len(cats)), "mab-ucb1"), rounds)
+		rl.NewUCB1Bandit(len(cats)), rounds)
 	t.Rows = append(t.Rows,
 		[]string{"activity-audit", "mab-ucb1", "risk captured", f0(mabRisk)},
 		[]string{"activity-audit", "random", "risk captured", f0(randomRisk)},

@@ -18,7 +18,7 @@ func init() {
 // e27NewEngine mirrors a generated workload table into a real AISQL
 // engine (schema, rows, ANALYZE statistics) wired to a feedback log, so
 // EXPLAIN ANALYZE runs produce genuine per-operator actuals.
-func e27NewEngine(tab *workload.Table, fb *cardest.FeedbackLog) (*aisql.Engine, error) {
+func e27NewEngine(tab *workload.Table, fb *aisql.FeedbackLog) (*aisql.Engine, error) {
 	eng := aisql.NewEngine()
 	eng.Instrument(obs.NewRegistry(), nil)
 	eng.Feedback = fb
@@ -117,7 +117,7 @@ func runE27CardinalityFeedback(seed uint64) *Table {
 	frozen := newModel()
 	corrected := cardest.NewFeedbackEstimator(newModel())
 
-	fb := cardest.NewFeedbackLog(0)
+	fb := aisql.NewFeedbackLog(0)
 	eng, err := e27NewEngine(tabNew, fb)
 	if err != nil {
 		t.Note = "engine setup failed: " + err.Error()

@@ -3,6 +3,7 @@ package governance
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -230,17 +231,22 @@ func TestMemBudgetNilAndUnlimited(t *testing.T) {
 	}
 }
 
+// flaky is a marker error that declares itself retryable, the way
+// chaos.ErrInjected and the txn lock errors do.
+type flaky struct{ error }
+
+func (flaky) Transient() bool { return true }
+
 func TestRetryTransientThenSuccess(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	transientErr := errors.New("flaky")
+	transientErr := flaky{errors.New("flaky")}
 	calls := 0
 	err := Retry(context.Background(), RetryPolicy{BaseDelay: time.Microsecond}, m,
-		func(err error) bool { return errors.Is(err, transientErr) },
 		func() error {
 			calls++
 			if calls < 3 {
-				return transientErr
+				return fmt.Errorf("attempt %d: %w", calls, transientErr)
 			}
 			return nil
 		})
@@ -259,7 +265,6 @@ func TestRetryPermanentFailsFast(t *testing.T) {
 	perm := errors.New("permanent")
 	calls := 0
 	err := Retry(context.Background(), RetryPolicy{BaseDelay: time.Microsecond}, Metrics{},
-		func(error) bool { return false },
 		func() error { calls++; return perm })
 	if !errors.Is(err, perm) || calls != 1 {
 		t.Fatalf("permanent error retried: calls=%d err=%v", calls, err)
@@ -269,12 +274,11 @@ func TestRetryPermanentFailsFast(t *testing.T) {
 func TestRetryExhausted(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	flaky := errors.New("flaky")
+	flakyErr := flaky{errors.New("flaky")}
 	calls := 0
 	err := Retry(context.Background(), RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond}, m,
-		func(error) bool { return true },
-		func() error { calls++; return flaky })
-	if !errors.Is(err, flaky) {
+		func() error { calls++; return flakyErr })
+	if !errors.Is(err, flakyErr) {
 		t.Fatalf("exhausted retry lost the error: %v", err)
 	}
 	if calls != 3 {
@@ -287,15 +291,13 @@ func TestRetryExhausted(t *testing.T) {
 
 func TestRetryBackoffCancellable(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	flaky := errors.New("flaky")
 	started := make(chan struct{}, 1)
 	done := make(chan error, 1)
 	go func() {
 		done <- Retry(ctx, RetryPolicy{BaseDelay: time.Hour, MaxAttempts: 2}, Metrics{},
-			func(error) bool { return true },
 			func() error {
 				started <- struct{}{}
-				return flaky
+				return flaky{errors.New("flaky")}
 			})
 	}()
 	<-started

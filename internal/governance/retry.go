@@ -2,13 +2,71 @@ package governance
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"aidb/internal/ml"
 )
 
+// FaultClass partitions failures by what a caller should do next: Retry
+// spends backoff only on Transient faults, and the statement store
+// records Cancelled and Shed statements apart from errors.
+type FaultClass int
+
+const (
+	// Permanent faults will not heal by retrying: planner errors, type
+	// errors, unknown failures (the conservative default).
+	Permanent FaultClass = iota
+	// Transient faults are expected to clear: any error that declares
+	// Transient() true, such as injected chaos faults, lock-wait
+	// timeouts and deadlock aborts.
+	Transient
+	// Cancelled faults are the caller's own context expiring; retrying
+	// against a dead context is wasted work.
+	Cancelled
+	// Shed faults are the governance plane refusing work: ErrShed at
+	// admission, ErrMemBudget during a run. Retrying adds load where
+	// the system has just asked for less.
+	Shed
+)
+
+func (c FaultClass) String() string {
+	switch c {
+	case Permanent:
+		return "permanent"
+	case Transient:
+		return "transient"
+	case Cancelled:
+		return "cancelled"
+	case Shed:
+		return "shed"
+	default:
+		return "invalid"
+	}
+}
+
+// Classify buckets err. Context errors win over everything (a cancelled
+// query often surfaces wrapped chaos or lock errors on the way out),
+// then shedding; nil is Permanent by convention — callers check
+// err != nil first.
+func Classify(err error) FaultClass {
+	switch {
+	case err == nil:
+		return Permanent
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return Cancelled
+	case errors.Is(err, ErrShed), errors.Is(err, ErrMemBudget):
+		return Shed
+	}
+	var te interface{ Transient() bool }
+	if errors.As(err, &te) && te.Transient() {
+		return Transient
+	}
+	return Permanent
+}
+
 // RetryPolicy configures Retry: exponential backoff with deterministic
-// jitter, applied only to faults the classifier calls transient. Zero
+// jitter, applied only to faults Classify calls Transient. Zero
 // fields take the stated defaults.
 type RetryPolicy struct {
 	// MaxAttempts bounds total tries, including the first (default 4).
@@ -51,12 +109,11 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // Retry runs fn up to p.MaxAttempts times, sleeping an exponentially
 // growing, jittered backoff between attempts — cancellably: the backoff
 // sleep selects on ctx, so a cancelled caller never waits out a delay.
-// Only errors transient(err) == true are retried (the caller supplies
-// the classifier, typically guard.Transient, keeping this package free
-// of fault-taxonomy knowledge); permanent errors and context errors
-// return immediately. Metrics: m.RetryAttempts counts re-attempts,
-// m.RetryExhausted retries that ran out of budget still failing.
-func Retry(ctx context.Context, p RetryPolicy, m Metrics, transient func(error) bool, fn func() error) error {
+// Only errors Classify calls Transient are retried; permanent, shed
+// and context errors return immediately. Metrics: m.RetryAttempts
+// counts re-attempts, m.RetryExhausted retries that ran out of budget
+// still failing.
+func Retry(ctx context.Context, p RetryPolicy, m Metrics, fn func() error) error {
 	p = p.withDefaults()
 	if ctx == nil {
 		ctx = context.Background()
@@ -72,7 +129,7 @@ func Retry(ctx context.Context, p RetryPolicy, m Metrics, transient func(error) 
 		if err == nil {
 			return nil
 		}
-		if transient == nil || !transient(err) {
+		if Classify(err) != Transient {
 			return err
 		}
 		if attempt >= p.MaxAttempts {

@@ -1,9 +1,6 @@
 package monitor
 
-import (
-	"aidb/internal/ml"
-	"aidb/internal/rl"
-)
+import "aidb/internal/ml"
 
 // ActivityCategory is a class of database activity (by user role/action
 // type) with a latent risk level the monitor must discover.
@@ -33,11 +30,12 @@ func (s *ActivityStream) Audit(c int) float64 {
 	return 0
 }
 
-// Selector chooses which category to audit each round.
+// Selector chooses which category to audit each round. An rl.Bandit is
+// one as it is: the learned activity monitor (the MAB formulation of
+// Grushka-Cohen et al.).
 type Selector interface {
 	Select() int
 	Update(cat int, risky float64)
-	Name() string
 }
 
 // RandomSelector audits a uniformly random category — the "sample
@@ -52,35 +50,11 @@ func NewRandomSelector(rng *ml.RNG, n int) *RandomSelector {
 	return &RandomSelector{N: n, rng: rng}
 }
 
-// Name implements Selector.
-func (*RandomSelector) Name() string { return "random-sampling" }
-
 // Select implements Selector.
 func (r *RandomSelector) Select() int { return r.rng.Intn(r.N) }
 
 // Update implements Selector.
 func (*RandomSelector) Update(int, float64) {}
-
-// BanditSelector wraps an rl.Bandit as the learned activity monitor
-// (the MAB formulation of Grushka-Cohen et al.).
-type BanditSelector struct {
-	B     rl.Bandit
-	label string
-}
-
-// NewBanditSelector wraps a bandit policy.
-func NewBanditSelector(b rl.Bandit, label string) *BanditSelector {
-	return &BanditSelector{B: b, label: label}
-}
-
-// Name implements Selector.
-func (b *BanditSelector) Name() string { return b.label }
-
-// Select implements Selector.
-func (b *BanditSelector) Select() int { return b.B.Select() }
-
-// Update implements Selector.
-func (b *BanditSelector) Update(cat int, risky float64) { b.B.Update(cat, risky) }
 
 // RunAudits runs rounds audit rounds with a budget of one audit per round
 // and returns the total risk captured (number of risky activities found).

@@ -80,8 +80,8 @@ func TestBanditCapturesMoreRiskThanRandom(t *testing.T) {
 	}
 	const rounds = 2000
 	randomRisk := RunAudits(NewActivityStream(ml.NewRNG(4), cats), NewRandomSelector(ml.NewRNG(5), len(cats)), rounds)
-	ucbRisk := RunAudits(NewActivityStream(ml.NewRNG(4), cats), NewBanditSelector(rl.NewUCB1Bandit(len(cats)), "mab-ucb1"), rounds)
-	thomRisk := RunAudits(NewActivityStream(ml.NewRNG(4), cats), NewBanditSelector(rl.NewThompsonBandit(ml.NewRNG(6), len(cats)), "mab-thompson"), rounds)
+	ucbRisk := RunAudits(NewActivityStream(ml.NewRNG(4), cats), rl.NewUCB1Bandit(len(cats)), rounds)
+	thomRisk := RunAudits(NewActivityStream(ml.NewRNG(4), cats), rl.NewThompsonBandit(ml.NewRNG(6), len(cats)), rounds)
 	t.Logf("captured risk: random %.0f, ucb1 %.0f, thompson %.0f over %d audits", randomRisk, ucbRisk, thomRisk, rounds)
 	if ucbRisk <= randomRisk {
 		t.Errorf("UCB1 (%.0f) should capture more risk than random (%.0f)", ucbRisk, randomRisk)

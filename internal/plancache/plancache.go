@@ -20,10 +20,9 @@
 // they were inserted under, Invalidate bumps the global generation, and
 // stale entries fail their generation check on the next lookup (lazy,
 // O(1)).
-// DDL, statistics refresh (ANALYZE) and learned-estimator retraining
-// (FeedbackEstimator.OnRetrain) all route through Invalidate, so a
-// cached plan can never outlive the schema, stats or model state it
-// was planned against.
+// DDL and statistics refresh (ANALYZE) route through Invalidate, so a
+// cached plan can never outlive the schema or stats it was planned
+// against. No learned estimator plans a statement, so none invalidates.
 package plancache
 
 import (
@@ -36,12 +35,6 @@ import (
 	"aidb/internal/plan"
 	"aidb/internal/sql"
 )
-
-// retrainNotifier is implemented by estimators (cardest.FeedbackEstimator)
-// that announce model refits; the cache invalidates on each one.
-type retrainNotifier interface {
-	OnRetrain(func())
-}
 
 // Entry is one cached plan. Immutable after insertion except for the
 // atomic hit counter and the program, set once; the plan itself is
@@ -135,15 +128,6 @@ func (c *Cache) Instrument(reg *obs.Registry) {
 	c.insertsC = reg.Counter("plancache.inserts")
 	reg.GaugeFunc("plancache.entries", func() float64 { return float64(c.Len()) })
 	reg.GaugeFunc("plancache.bytes", func() float64 { return float64(c.SizeBytes()) })
-}
-
-// WatchEstimator hooks est's retrain notifications (when it has them)
-// to Invalidate, so cached plans never outlive a learned estimator's
-// current fit.
-func (c *Cache) WatchEstimator(est any) {
-	if n, ok := est.(retrainNotifier); ok {
-		n.OnRetrain(c.Invalidate)
-	}
 }
 
 func (c *Cache) shardFor(key string) *shard {

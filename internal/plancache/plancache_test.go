@@ -95,26 +95,6 @@ func TestInstrumentedCounters(t *testing.T) {
 	}
 }
 
-type fakeEstimator struct{ cb func() }
-
-func (f *fakeEstimator) OnRetrain(fn func()) { f.cb = fn }
-
-func TestWatchEstimatorInvalidatesOnRetrain(t *testing.T) {
-	c := New(16)
-	est := &fakeEstimator{}
-	c.WatchEstimator(est)
-	if est.cb == nil {
-		t.Fatal("WatchEstimator should register a retrain callback")
-	}
-	c.Put(entry("text:q", 1))
-	est.cb() // simulate a model refit
-	if c.Lookup("text:q") != nil {
-		t.Fatal("retrain must invalidate cached plans")
-	}
-	// Non-notifying estimators are ignored without panicking.
-	c.WatchEstimator(struct{}{})
-}
-
 func TestConcurrentPutLookupInvalidate(t *testing.T) {
 	c := New(64)
 	var wg sync.WaitGroup

@@ -24,8 +24,9 @@ const (
 )
 
 // ErrDeadlock is returned when acquiring the lock would create a cycle in
-// the wait-for graph; the requesting transaction should abort.
-var ErrDeadlock = errors.New("txn: deadlock detected")
+// the wait-for graph; the requesting transaction should abort. It is
+// transient: the transaction may succeed when run again.
+var ErrDeadlock error = transientError("txn: deadlock detected")
 
 // ErrAborted is returned for operations on an aborted transaction.
 var ErrAborted = errors.New("txn: transaction aborted")
@@ -34,8 +35,17 @@ var ErrAborted = errors.New("txn: transaction aborted")
 // expires while the transaction is queued for a lock. The waiter is
 // removed from the wait-for graph before returning, so a timed-out
 // transaction never leaves ghost edges that would make later requests
-// see false deadlocks.
-var ErrLockTimeout = errors.New("txn: lock wait timeout")
+// see false deadlocks. It is transient, like ErrDeadlock.
+var ErrLockTimeout error = transientError("txn: lock wait timeout")
+
+// transientError is a sentinel that declares itself retryable through
+// the Transient() marker governance.Classify looks for.
+type transientError string
+
+func (e transientError) Error() string { return string(e) }
+
+// Transient marks the error retryable.
+func (transientError) Transient() bool { return true }
 
 type lockState struct {
 	holders map[uint64]LockMode
