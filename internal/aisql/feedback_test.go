@@ -14,7 +14,9 @@ import (
 	"aidb/internal/ml"
 )
 
-func TestFeedbackLogRing(t *testing.T) {
+// TestFeedbackLogRingAndWindow: the ring keeps the latest observations
+// and the median reads the q-errors of what it kept.
+func TestFeedbackLogRingAndWindow(t *testing.T) {
 	f := NewFeedbackLog(4)
 	for i := 1; i <= 6; i++ {
 		f.Record(ObservedCardinality{Op: "Filter", Est: 10, Actual: float64(10 * i)})
@@ -34,7 +36,15 @@ func TestFeedbackLogRing(t *testing.T) {
 	if m := f.Median(); m != 5 {
 		t.Errorf("median = %v, want 5", m)
 	}
-	if q := (ObservedCardinality{Est: 5, Actual: 50}).QError(); q != 10 {
+}
+
+func TestObservedCardinalityQError(t *testing.T) {
+	o := ObservedCardinality{Est: 5, Actual: 50}
+	if q := o.QError(); q != 10 {
+		t.Errorf("q-error = %v, want 10", q)
+	}
+	// Under-estimation scores the same factor as over-estimation.
+	if q := (ObservedCardinality{Est: 50, Actual: 5}).QError(); q != 10 {
 		t.Errorf("q-error = %v, want 10", q)
 	}
 }
@@ -98,6 +108,26 @@ func TestFeedbackLogMedianMatchesWindow(t *testing.T) {
 	}
 	if m := f.Median(); m != 173 {
 		t.Errorf("median = %v, want 173", m)
+	}
+}
+
+// TestFeedbackLogObserverAndNil: a recorded pair reaches the median
+// gauge at once, with no observer hook between them, and a nil log
+// takes records and reads as empty.
+func TestFeedbackLogObserverAndNil(t *testing.T) {
+	f := NewFeedbackLog(0)
+	f.Record(ObservedCardinality{Est: 2, Actual: 8})
+	if f.Total() != 1 || f.Median() != 4 {
+		t.Errorf("total %d median %v, want 1 and 4", f.Total(), f.Median())
+	}
+	if es := f.Entries(); len(es) != 1 || es[0].Est != 2 || es[0].Actual != 8 {
+		t.Errorf("entries = %v", es)
+	}
+
+	var nilLog *FeedbackLog
+	nilLog.Record(ObservedCardinality{})
+	if nilLog.Total() != 0 || nilLog.Entries() != nil {
+		t.Error("nil log not inert")
 	}
 }
 
