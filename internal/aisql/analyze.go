@@ -25,9 +25,8 @@ import (
 //   - every operator's (estimated, actual) cardinality pair is recorded
 //     on e.Feedback, feeding the learned-estimator feedback loop;
 //   - the run is recorded as a call of the statement it profiles.
-func (e *Engine) explainAnalyze(ctx context.Context, ent *plancache.Entry, kind string, sp *obs.Span, text string, params []catalog.Value) (*exec.Result, error) {
+func (e *Engine) explainAnalyze(ctx context.Context, ent *plancache.Entry, sp *obs.Span, text string, params []catalog.Value) (*exec.Result, error) {
 	start := time.Now()
-	kind = "EXPLAIN ANALYZE " + kind
 	prof := exec.NewQueryProfile(ent.Plan, plan.HistogramEstimator{Params: params})
 	esp := sp.Child("exec")
 	a := e.args(params)
@@ -36,7 +35,7 @@ func (e *Engine) explainAnalyze(ctx context.Context, ent *plancache.Entry, kind 
 	prof.AttachSpans(esp)
 	esp.Finish()
 	if err != nil {
-		e.record(ent, text, kind, time.Since(start), nil, err)
+		e.record(ent, text, time.Since(start), nil, err)
 		return nil, err
 	}
 	latency := time.Since(start)
@@ -64,6 +63,6 @@ func (e *Engine) explainAnalyze(ctx context.Context, ent *plancache.Entry, kind 
 			op.PagesPruned(),
 		})
 	})
-	e.record(ent, text, kind, latency, res, nil)
+	e.record(ent, text, latency, res, nil)
 	return out, nil
 }

@@ -295,7 +295,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, query string) (*exec.Result
 		if err != nil {
 			return nil, err
 		}
-		return e.execPlan(ctx, ent, kind, sp, query, params)
+		return e.execPlan(ctx, ent, sp, query, params)
 	}
 	stmt, err := parse()
 	if err != nil {
@@ -345,67 +345,39 @@ func (e *Engine) cancelled(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// EachStatement parses a ';'-separated script one statement at a time,
-// handing each to run before it parses the next: one statement's AST is
-// alive at a time, however long the script. A syntax error in statement
-// N therefore surfaces after statements 1…N-1 have run (and is counted
-// like Execute counts parse failures); run's first error ends the script.
-// Callers that need per-statement control (timeouts, admission) do it
-// inside run, with ExecuteStmtContext.
-func (e *Engine) EachStatement(script string, run func(sql.Statement) error) error {
-	for text, rest := sql.SplitStatement(script); text != ""; text, rest = sql.SplitStatement(rest) {
-		stmt, err := sql.Parse(text)
-		if err != nil {
-			e.parseErrors.Inc()
-			return err
-		}
-		if err := run(stmt); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ExecuteScript runs a ';'-separated script statement by statement (see
-// EachStatement), returning the last result.
-func (e *Engine) ExecuteScript(script string) (*exec.Result, error) {
+// RunScript runs a ';'-separated script one statement at a time: it
+// takes each statement's text off the script (sql.SplitStatement) and
+// hands it to run before it splits off the next, so a syntax error in
+// statement N surfaces after statements 1…N-1 have run. run's first
+// error ends the script; otherwise the last result is returned. Every
+// script path — Engine.ExecuteScript, core's DB and Session scripts —
+// is this loop over its own one-statement text path, so a script's
+// statements share plans, spans, counters and statement records with
+// the same statements sent one by one.
+func RunScript(script string, run func(text string) (*exec.Result, error)) (*exec.Result, error) {
 	var last *exec.Result
-	err := e.EachStatement(script, func(s sql.Statement) (err error) {
-		last, err = e.ExecuteStmt(s)
-		return err
-	})
-	if err != nil {
-		return nil, err
+	for text, rest := sql.SplitStatement(script); text != ""; text, rest = sql.SplitStatement(rest) {
+		var err error
+		if last, err = run(text); err != nil {
+			return nil, err
+		}
 	}
 	return last, nil
 }
 
-// ExecuteStmt runs one parsed statement under its own trace span.
-func (e *Engine) ExecuteStmt(stmt sql.Statement) (*exec.Result, error) {
-	return e.ExecuteStmtContext(context.Background(), stmt)
+// ExecuteScript runs a ';'-separated script statement by statement
+// through Execute (see RunScript), returning the last result.
+func (e *Engine) ExecuteScript(script string) (*exec.Result, error) {
+	return RunScript(script, e.Execute)
 }
 
-// ExecuteStmtContext runs one parsed statement under its own trace
-// span, honouring ctx like ExecuteContext.
-func (e *Engine) ExecuteStmtContext(ctx context.Context, stmt sql.Statement) (*exec.Result, error) {
-	sp := e.tracer.Start("query")
-	defer sp.Finish()
-	sp.SetTag("stmt", sql.StatementKind(stmt))
-	e.stmts.Inc()
-	return e.executeStmt(ctx, stmt, sp, "", "", nil)
-}
-
-// executeStmt dispatches one parsed statement, attaching child spans to
-// sp (nil when tracing is off). text is the raw query text, "" for a
-// pre-parsed statement — the statement store falls back to the statement
-// kind. key and params are what sql.Normalize made of the text (EXPLAIN
-// plans under them); a pre-parsed statement is planned for this run only.
+// executeStmt runs one parsed statement other than a SELECT, UPDATE or
+// DELETE, attaching child spans to sp (nil when tracing is off). text is
+// the client's query; key and params are what sql.Normalize made of it,
+// under which EXPLAIN finds the plan the explained statement runs.
 func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Span, text, key string, params []catalog.Value) (*exec.Result, error) {
 	if err := e.cancelled(ctx); err != nil {
 		return nil, err
-	}
-	planned := func(s sql.Statement) (*plancache.Entry, error) {
-		return e.planFor(sp, key, params, func() (sql.Statement, error) { return s, nil })
 	}
 	switch s := stmt.(type) {
 	case *sql.CreateTableStmt:
@@ -413,12 +385,6 @@ func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Sp
 		return e.createTable(s)
 	case *sql.InsertStmt:
 		return e.insert(s, nil)
-	case *sql.SelectStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-		ent, err := planned(s)
-		if err != nil {
-			return nil, err
-		}
-		return e.execPlan(ctx, ent, sql.StatementKind(s), sp, text, params)
 	case *sql.CreateIndexStmt:
 		// New access path: cached full-scan plans must replan to use it.
 		e.invalidatePlans()
@@ -459,12 +425,12 @@ func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Sp
 			return nil, fmt.Errorf("aisql: EXPLAIN supports only SELECT, UPDATE and DELETE")
 		}
 		// The very entry the statement itself would run.
-		ent, err := planned(s.Inner)
+		ent, err := e.planFor(sp, key, params, func() (sql.Statement, error) { return s.Inner, nil })
 		if err != nil {
 			return nil, err
 		}
 		if s.Analyze {
-			return e.explainAnalyze(ctx, ent, sql.StatementKind(s.Inner), sp, text, params)
+			return e.explainAnalyze(ctx, ent, sp, text, params)
 		}
 		return &exec.Result{Columns: []string{"plan"}, Rows: []catalog.Row{{plan.Explain(ent.Plan)}}}, nil
 	case *sql.AnalyzeStmt:
@@ -476,7 +442,7 @@ func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Sp
 		// every frozen estimate in the cache is stale now.
 		e.invalidatePlans()
 		return emptyResult(), t.Analyze(32, 8)
-	case *sql.PrepareStmt, *sql.ExecuteStmt, *sql.DeallocateStmt,
+	case *sql.PrepareStmt, *sql.ExecStmt, *sql.DeallocateStmt,
 		*sql.BeginStmt, *sql.CommitStmt, *sql.RollbackStmt:
 		return nil, fmt.Errorf("aisql: %s requires a session (use core.Session or aidb-serve)", sql.StatementKind(stmt))
 	default:
@@ -621,13 +587,10 @@ func (e *Engine) buildPlan(stmt sql.Statement, params []catalog.Value) (plan.Nod
 // so they run and show the same entry. Planning is single-flight per
 // key: a caller that missed takes the key's build lock and looks again,
 // so of the sessions that miss together after an invalidation one plans.
-// With no cache or no key (a pre-parsed statement) the plan is built for
-// this call alone. PlanNs covers parse and plan: what a hit skips.
+// With no cache the plan is built for this call alone. PlanNs covers
+// parse and plan: what a hit skips.
 func (e *Engine) planFor(sp *obs.Span, key string, params []catalog.Value, parse func() (sql.Statement, error)) (*plancache.Entry, error) {
 	cache := e.Plans
-	if key == "" {
-		cache = nil
-	}
 	if cache != nil {
 		if ent := cache.Lookup(key); ent != nil {
 			sp.SetTag("plancache", "hit")
@@ -668,12 +631,12 @@ func (e *Engine) planFor(sp *obs.Span, key string, params []catalog.Value, parse
 }
 
 // execPlan runs a cached plan — the shared tail of every query and DML
-// path — recorded under kind and the client's text. params are the
+// path — recorded under the client's text. params are the
 // values of the plan's $N: an EXECUTE's arguments or the literals
 // Normalize took out. The plan and the program the entry keeps for it
 // are read-only: sessions share one copy, and a run whose parameters
 // have the program's kinds compiles nothing.
-func (e *Engine) execPlan(ctx context.Context, ent *plancache.Entry, kind string, sp *obs.Span, text string, params []catalog.Value) (*exec.Result, error) {
+func (e *Engine) execPlan(ctx context.Context, ent *plancache.Entry, sp *obs.Span, text string, params []catalog.Value) (*exec.Result, error) {
 	start := time.Now()
 	sp.SetTag("plan", ent.Summary)
 	esp := sp.Child("exec")
@@ -683,7 +646,7 @@ func (e *Engine) execPlan(ctx context.Context, ent *plancache.Entry, kind string
 	}
 	res, err := e.ex.RunCompiled(ctx, ent.Plan, &ent.Program, a)
 	esp.Finish()
-	e.record(ent, text, kind, time.Since(start), res, err)
+	e.record(ent, text, time.Since(start), res, err)
 	return res, err
 }
 
@@ -692,12 +655,9 @@ func (e *Engine) execPlan(ctx context.Context, ent *plancache.Entry, kind string
 // governance.Classify, cancelled (context cancel or deadline), shed
 // (memory budget, admission) or error. No-op when the engine is
 // uninstrumented.
-func (e *Engine) record(ent *plancache.Entry, text, kind string, latency time.Duration, res *exec.Result, err error) {
+func (e *Engine) record(ent *plancache.Entry, text string, latency time.Duration, res *exec.Result, err error) {
 	if e.stmtstats == nil {
 		return
-	}
-	if text == "" {
-		text = kind
 	}
 	o := obs.StmtObservation{Fingerprint: ent.Fingerprint, Key: ent.Key, Query: text, Outcome: obs.StmtError, LatencyNs: latency.Nanoseconds()}
 	if err == nil {

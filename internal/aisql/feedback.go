@@ -27,10 +27,14 @@ func (o ObservedCardinality) QError() float64 { return ml.QError(o.Est, o.Actual
 // retraining. Safe for concurrent use; all methods are no-ops (or
 // identity values) on a nil receiver.
 type FeedbackLog struct {
-	mu      sync.Mutex
-	cap     int
-	total   uint64
-	entries []ObservedCardinality
+	mu    sync.Mutex
+	keep  int
+	total uint64
+	// ring holds the last min(total, keep) observations. It grows to
+	// keep entries as they arrive, so a log nothing records into holds
+	// none; once full, the next one goes to ring[total%keep], over the
+	// oldest.
+	ring []ObservedCardinality
 }
 
 // NewFeedbackLog returns a log retaining the last keep observations
@@ -39,7 +43,7 @@ func NewFeedbackLog(keep int) *FeedbackLog {
 	if keep <= 0 {
 		keep = 512
 	}
-	return &FeedbackLog{cap: keep}
+	return &FeedbackLog{keep: keep}
 }
 
 // Record appends one observation.
@@ -49,11 +53,25 @@ func (f *FeedbackLog) Record(o ObservedCardinality) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.total++
-	f.entries = append(f.entries, o)
-	if len(f.entries) > f.cap {
-		f.entries = append(f.entries[:0], f.entries[len(f.entries)-f.cap:]...)
+	if len(f.ring) < f.keep {
+		f.ring = append(f.ring, o)
+	} else {
+		f.ring[f.total%uint64(f.keep)] = o
 	}
+	f.total++
+}
+
+// last returns the latest n retained observations, oldest first, as up
+// to two runs of the ring. Caller holds mu.
+func (f *FeedbackLog) last(n int) (older, newer []ObservedCardinality) {
+	if n = min(n, len(f.ring)); n == 0 {
+		return nil, nil
+	}
+	head := int(f.total % uint64(len(f.ring)))
+	if n <= head {
+		return nil, f.ring[head-n : head]
+	}
+	return f.ring[len(f.ring)-(n-head):], f.ring[:head]
 }
 
 // Entries returns the retained observations, oldest first.
@@ -63,7 +81,8 @@ func (f *FeedbackLog) Entries() []ObservedCardinality {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]ObservedCardinality(nil), f.entries...)
+	older, newer := f.last(len(f.ring))
+	return append(append([]ObservedCardinality(nil), older...), newer...)
 }
 
 // Total reports how many observations have ever been recorded
@@ -91,10 +110,12 @@ func (f *FeedbackLog) Median() float64 {
 		return 1
 	}
 	f.mu.Lock()
-	es := f.entries[max(0, len(f.entries)-medianWindow):]
-	qs := make([]float64, len(es))
-	for i, e := range es {
-		qs[i] = e.QError()
+	older, newer := f.last(medianWindow)
+	qs := make([]float64, 0, len(older)+len(newer))
+	for _, run := range [...][]ObservedCardinality{older, newer} {
+		for _, e := range run {
+			qs = append(qs, e.QError())
+		}
 	}
 	f.mu.Unlock()
 	if len(qs) == 0 {

@@ -2,6 +2,9 @@
 // the AISQL statements CREATE MODEL / EVALUATE MODEL / DROP MODEL and the
 // PREDICT() scalar function, executed inside the database engine so
 // training and inference read tables directly — no export/import step.
+// A statement runs either from its text (Execute) or from a prepared
+// handle (ExecutePrepared); a script runs statement by statement through
+// the text path and its plan cache (RunScript), like ad-hoc statements.
 // The package also implements the external-pipeline baseline (serialize
 // to CSV, train outside, re-import predictions) whose data-movement cost
 // the in-database path avoids.

@@ -126,5 +126,5 @@ func (e *Engine) ExecutePrepared(ctx context.Context, prep *Prepared, args []cat
 	if err != nil {
 		return nil, err
 	}
-	return e.execPlan(ctx, ent, prep.Kind, sp, prep.text, args)
+	return e.execPlan(ctx, ent, sp, prep.text, args)
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"math"
 
+	"aidb/internal/catalog"
 	"aidb/internal/ml"
 	"aidb/internal/workload"
 )
@@ -27,84 +28,16 @@ type Estimator interface {
 // histograms combined under the independence assumption.
 type HistogramEstimator struct {
 	rows  int
-	hists []*histogram
-}
-
-type histogram struct {
-	min, max int64
-	buckets  []float64
-	total    float64
+	hists []*catalog.Histogram
 }
 
 // NewHistogramEstimator builds per-column histograms over t.
 func NewHistogramEstimator(t *workload.Table, buckets int) *HistogramEstimator {
 	e := &HistogramEstimator{rows: t.NumRows()}
 	for _, col := range t.Cols {
-		h := &histogram{buckets: make([]float64, buckets)}
-		if len(col) > 0 {
-			h.min, h.max = col[0], col[0]
-			for _, v := range col {
-				if v < h.min {
-					h.min = v
-				}
-				if v > h.max {
-					h.max = v
-				}
-			}
-			w := h.width()
-			for _, v := range col {
-				b := int((v - h.min) / w)
-				if b >= buckets {
-					b = buckets - 1
-				}
-				h.buckets[b]++
-				h.total++
-			}
-		}
-		e.hists = append(e.hists, h)
+		e.hists = append(e.hists, catalog.NewHistogram(col, buckets))
 	}
 	return e
-}
-
-func (h *histogram) width() int64 {
-	w := (h.max - h.min + 1) / int64(len(h.buckets))
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-func (h *histogram) selectivity(lo, hi int64) float64 {
-	if h.total == 0 || hi < h.min || lo > h.max {
-		return 0
-	}
-	if lo < h.min {
-		lo = h.min
-	}
-	if hi > h.max {
-		hi = h.max
-	}
-	w := h.width()
-	est := 0.0
-	for b, cnt := range h.buckets {
-		bLo := h.min + int64(b)*w
-		bHi := bLo + w - 1
-		if b == len(h.buckets)-1 {
-			bHi = h.max
-		}
-		if bHi < lo || bLo > hi {
-			continue
-		}
-		ovLo, ovHi := lo, hi
-		if bLo > ovLo {
-			ovLo = bLo
-		}
-		if bHi < ovHi {
-			ovHi = bHi
-		}
-		est += cnt * float64(ovHi-ovLo+1) / float64(bHi-bLo+1)
-	}
-	return est / h.total
 }
 
 // Name implements Estimator.
@@ -114,7 +47,7 @@ func (e *HistogramEstimator) Name() string { return "histogram-independence" }
 func (e *HistogramEstimator) Estimate(q workload.Query) float64 {
 	sel := 1.0
 	for _, p := range q.Preds {
-		sel *= e.hists[p.Column].selectivity(p.Lo, p.Hi)
+		sel *= e.hists[p.Column].Selectivity(p.Lo, p.Hi)
 	}
 	return sel * float64(e.rows)
 }

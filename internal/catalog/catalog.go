@@ -92,7 +92,7 @@ type Catalog struct {
 	mu      sync.RWMutex
 	pool    *storage.BufferPool
 	tables  map[string]*Table
-	virtual map[string]VirtualTable
+	virtual map[string]*FuncTable
 }
 
 // New creates a catalog whose tables store pages in pool.

@@ -6,78 +6,52 @@ import (
 	"strings"
 )
 
-// VirtualTable is a read-only table whose rows are computed on demand
-// from live system state instead of stored in heap pages. Virtual
-// tables live in a dotted namespace (e.g. "system.statements") so they
-// can never shadow a heap table, and they are scanned with snapshot
-// semantics: Rows returns a point-in-time copy taken when the scan
-// opens, so a query over "system.metrics" sees one consistent view even
-// while counters keep moving underneath it.
-type VirtualTable interface {
-	// Name returns the qualified table name, e.g. "system.statements".
-	Name() string
-	// Columns returns the output schema.
-	Columns() Schema
-	// Rows materializes a point-in-time snapshot of the table. The
-	// returned rows are owned by the caller and must not alias mutable
-	// provider state.
-	Rows() ([]Row, error)
-	// RowEstimate cheaply reports the approximate current row count for
-	// the planner's cost model; it may be stale or 0.
-	RowEstimate() int
-}
-
-// FuncTable is the closure-backed VirtualTable used for every system
-// table: providers register a schema plus a snapshot function.
+// FuncTable is a virtual table: a read-only table whose rows are
+// computed on demand from live system state instead of stored in heap
+// pages. Virtual tables live in a dotted namespace (e.g.
+// "system.statements") so they can never shadow a heap table, and they
+// are scanned with snapshot semantics: Fetch returns a point-in-time copy
+// taken when the scan opens, so a query over "system.metrics" sees one
+// consistent view even while counters keep moving underneath it.
 type FuncTable struct {
+	// QName is the qualified table name, e.g. "system.statements".
 	QName string
 	Cols  Schema
-	// Fetch materializes the snapshot rows.
+	// Fetch materializes the snapshot rows. The returned rows are owned
+	// by the caller and must not alias mutable provider state.
 	Fetch func() ([]Row, error)
-	// Est reports the approximate row count; nil means unknown (0).
+	// Est cheaply reports the approximate current row count for the
+	// planner's cost model; it may be stale. RegisterVirtual makes a nil
+	// Est report 0.
 	Est func() int
-}
-
-// Name implements VirtualTable.
-func (t *FuncTable) Name() string { return t.QName }
-
-// Columns implements VirtualTable.
-func (t *FuncTable) Columns() Schema { return t.Cols }
-
-// Rows implements VirtualTable.
-func (t *FuncTable) Rows() ([]Row, error) { return t.Fetch() }
-
-// RowEstimate implements VirtualTable.
-func (t *FuncTable) RowEstimate() int {
-	if t.Est == nil {
-		return 0
-	}
-	return t.Est()
 }
 
 // RegisterVirtual adds a virtual table to the catalog. The name must be
 // qualified with a namespace ("ns.table") so virtual tables and heap
 // tables can never collide; re-registering a name replaces the previous
 // provider (system tables are rebuilt when a DB reconfigures).
-func (c *Catalog) RegisterVirtual(vt VirtualTable) error {
-	name := vt.Name()
+func (c *Catalog) RegisterVirtual(vt *FuncTable) error {
+	name := vt.QName
 	if !strings.Contains(name, ".") {
 		return fmt.Errorf("catalog: virtual table %q needs a qualified ns.name", name)
 	}
-	if len(vt.Columns().Columns) == 0 {
+	if len(vt.Cols.Columns) == 0 {
 		return fmt.Errorf("catalog: virtual table %q needs at least one column", name)
+	}
+	if vt.Est == nil {
+		vt.Est = func() int { return 0 }
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.virtual == nil {
-		c.virtual = make(map[string]VirtualTable)
+		c.virtual = make(map[string]*FuncTable)
 	}
 	c.virtual[name] = vt
 	return nil
 }
 
 // Virtual looks up a virtual table by qualified name.
-func (c *Catalog) Virtual(name string) (VirtualTable, error) {
+func (c *Catalog) Virtual(name string) (*FuncTable, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	vt, ok := c.virtual[name]

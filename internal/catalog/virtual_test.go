@@ -45,17 +45,17 @@ func TestVirtualLookupAndReplace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := vt.Rows()
-	if err != nil || len(rows) != 3 || vt.RowEstimate() != 3 {
-		t.Fatalf("rows=%v err=%v est=%d", rows, err, vt.RowEstimate())
+	rows, err := vt.Fetch()
+	if err != nil || len(rows) != 3 || vt.Est() != 3 {
+		t.Fatalf("rows=%v err=%v est=%d", rows, err, vt.Est())
 	}
 	// Re-registration replaces the provider in place.
 	if err := c.RegisterVirtual(numsVirtual("sys.nums", 5)); err != nil {
 		t.Fatal(err)
 	}
 	vt, _ = c.Virtual("sys.nums")
-	if vt.RowEstimate() != 5 {
-		t.Fatalf("replacement not visible: est=%d", vt.RowEstimate())
+	if vt.Est() != 5 {
+		t.Fatalf("replacement not visible: est=%d", vt.Est())
 	}
 }
 
@@ -89,10 +89,13 @@ func TestVirtualNamesSortedAndDisjointFromHeap(t *testing.T) {
 func TestFuncTableNilEst(t *testing.T) {
 	vt := &FuncTable{QName: "sys.x", Cols: Schema{Columns: []Column{{Name: "i", Type: Int64}}},
 		Fetch: func() ([]Row, error) { return nil, errors.New("nope") }}
-	if vt.RowEstimate() != 0 {
+	if err := NewMem().RegisterVirtual(vt); err != nil {
+		t.Fatal(err)
+	}
+	if vt.Est() != 0 {
 		t.Fatal("nil Est should report 0")
 	}
-	if _, err := vt.Rows(); err == nil {
+	if _, err := vt.Fetch(); err == nil {
 		t.Fatal("fetch error swallowed")
 	}
 }

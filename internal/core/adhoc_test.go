@@ -73,6 +73,58 @@ func TestAdhocShapesPlanOnce(t *testing.T) {
 	}
 }
 
+// TestScriptStatementsRunAsText: a script's statements take the text
+// path ad-hoc statements take. Two literals of one SELECT shape in a
+// DB.ExecScript script plan once, leave one plan-cache entry, parse only
+// on the miss and fold into one system.statements row under the first
+// statement's text; and the engine's, the DB's and a session's script
+// paths return the same rows for the same script.
+func TestScriptStatementsRunAsText(t *testing.T) {
+	db := adhocDB(t, 100)
+	counters := func() (parses, builds, stmts float64) {
+		m := db.Metrics().Snapshot()
+		return m["sql.parses"], m["plan.builds"], m["sql.statements"]
+	}
+	parses, builds, stmts := counters()
+	entries := db.PlanCache().Len()
+	if _, err := db.ExecScript(pointRead(3) + "; " + pointRead(4)); err != nil {
+		t.Fatal(err)
+	}
+	p, b, s := counters()
+	if p-parses != 1 || b-builds != 1 || s-stmts != 2 {
+		t.Errorf("two statements of one shape: %v parses, %v plan builds, %v statements; want 1, 1, 2", p-parses, b-builds, s-stmts)
+	}
+	if got := db.PlanCache().Len() - entries; got != 1 {
+		t.Errorf("%d new plan-cache entries, want 1", got)
+	}
+	res, err := db.Exec("SELECT query, calls FROM system.statements")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != pointRead(3) || res.Rows[0][1] != int64(2) {
+		t.Errorf("system.statements rows %v, want one: %q with 2 calls", res.Rows, pointRead(3))
+	}
+
+	script := pointRead(5) + "; " + rangeRead(10) + "; SELECT age, COUNT(*) FROM users WHERE id < 40 GROUP BY age ORDER BY age"
+	sess := db.NewSession()
+	defer sess.Close()
+	var got []string
+	for _, run := range []func(string) (*exec.Result, error){
+		db.Engine().ExecuteScript,
+		db.ExecScript,
+		func(s string) (*exec.Result, error) { return sess.ExecScript(context.Background(), s) },
+	} {
+		res, err := run(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, Format(res))
+	}
+	if got[0] != got[1] || got[1] != got[2] || !strings.Contains(got[0], "(40 rows)") {
+		t.Errorf("engine, DB and session scripts answered\n%s\n%s\n%s", got[0], got[1], got[2])
+	}
+}
+
 // TestPrepareSharesTheAdhocEntry: PREPARE keys its body by the function
 // ad-hoc text is keyed by, so the prepared statement and its literal
 // spelling are one cache entry and one plan.

@@ -1,8 +1,10 @@
 // Package core is aidb's database handle: a DB serves SQL and AISQL
 // statements — through Exec, scripts and per-connection sessions — over
 // one engine, one shared plan cache, one admission gate and one metrics
-// registry, and shows its own state as system.* tables. The AI4DB
-// components (knob tuning, index and view advising, workload
+// registry, and shows its own state as system.* tables. Every statement
+// reaches the engine as text: a script runs statement by statement
+// through the same text path and plan cache as ad-hoc statements. The
+// AI4DB components (knob tuning, index and view advising, workload
 // forecasting, diagnosis) are not part of it: they live in their own
 // packages and act on a DB from beside it, through SQL over system.*
 // (see examples/selftuning and cmd/aidb-tune).
@@ -24,7 +26,6 @@ import (
 	"aidb/internal/monitor"
 	"aidb/internal/obs"
 	"aidb/internal/plancache"
-	"aidb/internal/sql"
 )
 
 // DB is an aidb database instance.
@@ -273,25 +274,17 @@ func (db *DB) ExecScript(script string) (*exec.Result, error) {
 }
 
 // ExecScriptContext runs a ';'-separated script under ctx, returning
-// the last result. Each statement passes the governance plane
-// individually — the default timeout applies per statement and every
-// statement takes its own turn through the admission gate — so the
-// REPL and script paths observe the same timeouts, concurrency bounds
-// and metrics as ExecContext. Statements are parsed one at a time as
-// the script runs, so a syntax error in statement N surfaces after
-// statements 1…N-1 have run.
+// the last result. Each statement's text goes through ExecContext
+// (aisql.RunScript), so it passes the governance plane on its own — the
+// default timeout applies per statement and every statement takes its
+// own turn through the admission gate — and runs the plan-cache entry,
+// counters and system.statements row the same text gets sent alone.
+// Statements are parsed one at a time as the script runs, so a syntax
+// error in statement N surfaces after statements 1…N-1 have run.
 func (db *DB) ExecScriptContext(ctx context.Context, script string) (*exec.Result, error) {
-	var last *exec.Result
-	err := db.engine.EachStatement(script, func(s sql.Statement) (err error) {
-		last, err = db.govern(ctx, script, func(ctx context.Context) (*exec.Result, error) {
-			return db.engine.ExecuteStmtContext(ctx, s)
-		})
-		return err
+	return aisql.RunScript(script, func(text string) (*exec.Result, error) {
+		return db.ExecContext(ctx, text)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return last, nil
 }
 
 // Catalog exposes the underlying catalog for advanced callers.

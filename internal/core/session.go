@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"aidb/internal/aisql"
 	"aidb/internal/catalog"
@@ -15,10 +14,10 @@ import (
 )
 
 // Session is one client's stateful view of the database: a private
-// prepared-statement namespace, per-session settings, and transaction
-// state, in front of the shared engine and plan cache. Sessions are
-// cheap — create one per connection — and every statement they run
-// passes the same governance plane (admission gate, timeouts) as
+// prepared-statement namespace and transaction state, in front of the
+// shared engine and plan cache. Sessions are cheap — create one per
+// connection — and every statement they run passes the same
+// governance plane (admission gate, the database's timeout) as
 // DB.ExecContext. Like database/sql's Conn, a single Session is not
 // safe for concurrent use by multiple goroutines; distinct sessions
 // are, and prepared SELECT plans are shared between them through the
@@ -28,7 +27,6 @@ type Session struct {
 
 	mu       sync.Mutex
 	prepared map[string]*aisql.Prepared
-	timeout  time.Duration // per-session override; 0 inherits the DB default
 	inTxn    bool
 	txnStmts int // statements run inside the open transaction
 	closed   bool
@@ -37,17 +35,6 @@ type Session struct {
 // NewSession opens a session over this database.
 func (db *DB) NewSession() *Session {
 	return &Session{db: db, prepared: map[string]*aisql.Prepared{}}
-}
-
-// SetTimeout sets this session's statement timeout, overriding the
-// database default when positive. Zero restores inheritance.
-func (s *Session) SetTimeout(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.mu.Lock()
-	s.timeout = d
-	s.mu.Unlock()
 }
 
 // Prepared lists the session's prepared-statement names, sorted.
@@ -108,18 +95,10 @@ func sessionKeyword(query string) string {
 // statement is still one unit of admitted work.
 func (s *Session) ExecContext(ctx context.Context, query string) (*exec.Result, error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("core: session is closed")
-	}
-	timeout := s.timeout
+	closed := s.closed
 	s.mu.Unlock()
-	if timeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-			defer cancel()
-		}
+	if closed {
+		return nil, fmt.Errorf("core: session is closed")
 	}
 	switch sessionKeyword(query) {
 	case "":
@@ -146,25 +125,19 @@ func (s *Session) noteTxnWork() {
 	s.mu.Unlock()
 }
 
-// ExecScript runs a ';'-separated script statement by statement,
-// returning the last result. Splitting happens on raw text so session
-// statements (PREPARE ... AS SELECT ...; EXECUTE ...) route through
-// the session state they depend on.
+// ExecScript runs a ';'-separated script statement by statement through
+// ExecContext (aisql.RunScript), returning the last result, so session
+// statements (PREPARE ... AS SELECT ...; EXECUTE ...) route through the
+// session state they depend on.
 func (s *Session) ExecScript(ctx context.Context, script string) (*exec.Result, error) {
-	var last *exec.Result
-	var err error
-	for piece, rest := sql.SplitStatement(script); piece != ""; piece, rest = sql.SplitStatement(rest) {
-		last, err = s.ExecContext(ctx, piece)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return last, nil
+	return aisql.RunScript(script, func(text string) (*exec.Result, error) {
+		return s.ExecContext(ctx, text)
+	})
 }
 
 func (s *Session) execSessionStmt(ctx context.Context, query string, stmt sql.Statement) (*exec.Result, error) {
 	switch v := stmt.(type) {
-	case *sql.ExecuteStmt:
+	case *sql.ExecStmt:
 		return s.handleExecute(ctx, query, v)
 	case *sql.DeallocateStmt:
 		s.mu.Lock()
@@ -234,7 +207,7 @@ func (s *Session) handlePrepare(ctx context.Context, query string) (*exec.Result
 
 // handleExecute binds the EXECUTE arguments (constant expressions) and
 // runs the prepared statement through the governance plane.
-func (s *Session) handleExecute(ctx context.Context, query string, v *sql.ExecuteStmt) (*exec.Result, error) {
+func (s *Session) handleExecute(ctx context.Context, query string, v *sql.ExecStmt) (*exec.Result, error) {
 	s.mu.Lock()
 	prep, ok := s.prepared[v.Name]
 	s.mu.Unlock()

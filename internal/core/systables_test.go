@@ -157,35 +157,18 @@ func sysMetrics(t *testing.T, db *DB) map[string]float64 {
 	return m
 }
 
-// TestSystemMetricsCoversExposition: every number the registry's text
-// exposition prints — a histogram's count, sum and quantiles included —
-// is a row of system.metrics, so SQL loses nothing a dump showed.
+// TestSystemMetricsCoversExposition: every number the registry's
+// expositions print — a histogram's count, sum and quantiles included,
+// as Snapshot names them — is a row of system.metrics, so SQL loses
+// nothing a dump showed.
 func TestSystemMetricsCoversExposition(t *testing.T) {
 	db := sysWorkloadDB(t)
 	if _, err := db.Exec("EXPLAIN ANALYZE SELECT id FROM users WHERE age > 40"); err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if _, err := db.Metrics().WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
-		f := strings.Fields(line)
-		if len(f) < 3 {
-			t.Fatalf("exposition line %q", line)
-		}
-		if f[0] != "histogram" {
-			names = append(names, f[1])
-			continue
-		}
-		for _, kv := range f[2:] {
-			stat, _, _ := strings.Cut(kv, "=")
-			names = append(names, f[1]+"."+stat)
-		}
-	}
+	snap := db.Metrics().Snapshot()
 	m := sysMetrics(t, db)
-	for _, n := range names {
+	for n := range snap {
 		if _, ok := m[n]; !ok {
 			t.Errorf("system.metrics has no row %s", n)
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -210,9 +211,8 @@ func BenchmarkExec(b *testing.B) {
 	b.Run("profile-on", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ex := New(nil)
-			ex.Profile = NewQueryProfile(p, nil)
-			if _, err := ex.Run(p); err != nil {
+			a := RunArgs{Profile: NewQueryProfile(p, nil)}
+			if _, err := New(nil).RunCompiled(context.Background(), p, nil, a); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -103,7 +103,6 @@ func TestCancelMidScanStopsWithinMorsel(t *testing.T) {
 	in := chaos.New(1).Add(chaos.Rule{Site: SiteExecScan, Kind: chaos.Latency, Delay: 1})
 	in.SetTimeUnit(2 * time.Millisecond)
 	ex := New(nil)
-	ex.Chaos = in
 	ex.ScanMorselPages = 1
 	p := mustPlan(t, c, "SELECT id FROM big")
 	ctx, cancel := context.WithCancel(context.Background())
@@ -112,7 +111,7 @@ func TestCancelMidScanStopsWithinMorsel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := ex.RunContext(ctx, p)
+	res, err := ex.RunCompiled(ctx, p, nil, RunArgs{Chaos: in})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -220,11 +219,10 @@ func TestCancelMetricsRecorded(t *testing.T) {
 		t.Fatalf("mid-scan cancel: err = %v, want context.Canceled", err)
 	}
 	// Aborted by its budget.
-	ex.Mem = governance.NewMemBudget(16*1024, governance.Metrics{})
-	if _, err := ex.Run(plain); !errors.Is(err, governance.ErrMemBudget) {
+	a := RunArgs{Parallelism: 1, Mem: governance.NewMemBudget(16*1024, governance.Metrics{})}
+	if _, err := ex.RunCompiled(context.Background(), plain, nil, a); !errors.Is(err, governance.ErrMemBudget) {
 		t.Fatalf("budget abort: err = %v, want ErrMemBudget", err)
 	}
-	ex.Mem = nil
 	if got, want := ex.Obs.CancelRequests.Value(), uint64(2); got != want {
 		t.Errorf("cancel.requests = %d after two cancelled statements and a budget abort, want %d", got, want)
 	}
@@ -232,11 +230,10 @@ func TestCancelMetricsRecorded(t *testing.T) {
 		t.Errorf("exec.query_errors = %d after three failed statements, want %d", got, want)
 	}
 	// A chaos latency fire on a statement that succeeds.
-	ex.Chaos = chaos.New(1).Add(chaos.Rule{Site: SiteExecScan, Kind: chaos.Latency, Delay: 1})
-	if res, err := ex.Run(plain); err != nil || res.ChaosFires == 0 {
+	a = RunArgs{Parallelism: 1, Chaos: chaos.New(1).Add(chaos.Rule{Site: SiteExecScan, Kind: chaos.Latency, Delay: 1})}
+	if res, err := ex.RunCompiled(context.Background(), plain, nil, a); err != nil || res.ChaosFires == 0 {
 		t.Fatalf("chaos run: %v, fires %v", err, res)
 	}
-	ex.Chaos = nil
 
 	res, err := ex.Run(plain)
 	if err != nil {
@@ -258,12 +255,11 @@ func TestDeadlineExceededPropagates(t *testing.T) {
 	in := chaos.New(1).Add(chaos.Rule{Site: SiteExecScan, Kind: chaos.Latency, Delay: 1})
 	in.SetTimeUnit(2 * time.Millisecond)
 	ex := New(nil)
-	ex.Chaos = in
 	ex.ScanMorselPages = 1
 	p := mustPlan(t, c, "SELECT id FROM big")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	res, err := ex.RunContext(ctx, p)
+	res, err := ex.RunCompiled(ctx, p, nil, RunArgs{Chaos: in})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -284,8 +280,8 @@ func TestMemBudgetAbortsQuery(t *testing.T) {
 	p := mustPlan(t, c, "SELECT id, v FROM big WHERE v >= 0")
 
 	ex := New(nil)
-	ex.Mem = governance.NewMemBudget(64*1024, m) // far below 50k rows
-	res, err := ex.Run(p)
+	a := RunArgs{Mem: governance.NewMemBudget(64*1024, m)} // far below 50k rows
+	res, err := ex.RunCompiled(context.Background(), p, nil, a)
 	if !errors.Is(err, governance.ErrMemBudget) {
 		t.Fatalf("err = %v, want ErrMemBudget", err)
 	}
@@ -297,16 +293,15 @@ func TestMemBudgetAbortsQuery(t *testing.T) {
 		t.Fatalf("mem.aborts = %d, want 1", m.MemAborts.Value())
 	}
 
-	ex2 := New(nil)
-	ex2.Mem = governance.NewMemBudget(1<<30, m)
-	res, err = ex2.Run(p)
+	a = RunArgs{Mem: governance.NewMemBudget(1<<30, m)}
+	res, err = New(nil).RunCompiled(context.Background(), p, nil, a)
 	if err != nil {
 		t.Fatalf("generous budget: %v", err)
 	}
 	if len(res.Rows) != 50_000 {
 		t.Fatalf("got %d rows, want 50000", len(res.Rows))
 	}
-	if ex2.Mem.Used() <= 0 {
+	if a.Mem.Used() <= 0 {
 		t.Fatal("budget recorded no usage")
 	}
 	if m.MemCharged.Value() == 0 {
@@ -321,8 +316,8 @@ func TestMemBudgetParallelJoinAborts(t *testing.T) {
 	m := governance.Metrics{}
 	p := mustPlan(t, c, "SELECT users.id, orders.amount FROM orders JOIN users ON orders.uid = users.id")
 	ex := parallelExec(runtime.NumCPU())
-	ex.Mem = governance.NewMemBudget(16*1024, m)
-	res, err := ex.Run(p)
+	a := RunArgs{Parallelism: ex.Parallelism, Mem: governance.NewMemBudget(16*1024, m)}
+	res, err := ex.RunCompiled(context.Background(), p, nil, a)
 	if !errors.Is(err, governance.ErrMemBudget) {
 		t.Fatalf("err = %v, want ErrMemBudget", err)
 	}

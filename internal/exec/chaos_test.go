@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -28,16 +29,16 @@ func buildPlan(t *testing.T, q string) plan.Node {
 func TestScanFaultInjection(t *testing.T) {
 	p := buildPlan(t, "SELECT * FROM users WHERE age > 21")
 	ex := New(nil)
-	ex.Chaos = chaos.New(51).Add(chaos.Rule{Site: SiteExecScan, Kind: chaos.Error, After: 1})
-	if _, err := ex.Run(p); err != nil {
+	a := RunArgs{Chaos: chaos.New(51).Add(chaos.Rule{Site: SiteExecScan, Kind: chaos.Error, After: 1})}
+	if _, err := ex.RunCompiled(context.Background(), p, nil, a); err != nil {
 		t.Fatalf("first scan should pass: %v", err)
 	}
-	_, err := ex.Run(p)
+	_, err := ex.RunCompiled(context.Background(), p, nil, a)
 	if !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("second scan: err = %v, want wrapped chaos.ErrInjected", err)
 	}
 	scanned := ex.Stats.RowsScanned.Load()
-	if _, err := ex.Run(p); !errors.Is(err, chaos.ErrInjected) {
+	if _, err := ex.RunCompiled(context.Background(), p, nil, a); !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("third scan: err = %v, want wrapped chaos.ErrInjected", err)
 	}
 	if ex.Stats.RowsScanned.Load() != scanned {
@@ -49,9 +50,9 @@ func TestScanFaultInjection(t *testing.T) {
 func TestScanLatencyInjection(t *testing.T) {
 	p := buildPlan(t, "SELECT * FROM orders")
 	ex := New(nil)
-	ex.Chaos = chaos.New(52).Add(chaos.Rule{Site: SiteExecScan, Kind: chaos.Latency, Every: 2, Delay: 7})
+	a := RunArgs{Chaos: chaos.New(52).Add(chaos.Rule{Site: SiteExecScan, Kind: chaos.Latency, Every: 2, Delay: 7})}
 	for i := 0; i < 6; i++ {
-		res, err := ex.Run(p)
+		res, err := ex.RunCompiled(context.Background(), p, nil, a)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,9 +51,10 @@ type Result struct {
 // serve concurrent Run calls (stats are atomic); scalar functions in
 // Funcs must be safe for concurrent use whenever Parallelism != 1,
 // because fused filter and projection stages evaluate expressions from
-// multiple scan workers. Chaos, Profile, Mem, Parallelism and Params are
-// what Run and RunContext run with; RunCompiled takes each run's own
-// (RunArgs), so one executor serves runs that differ in them.
+// multiple scan workers. A run's parameters, budget, profile,
+// parallelism and fault injector come in its RunArgs (RunCompiled), so
+// one executor serves runs that differ in them; Run and RunContext run
+// with Params and Parallelism and nothing else.
 type Executor struct {
 	Funcs FuncRegistry
 	// VectorFuncs holds chunk forms of functions in Funcs, under the same
@@ -64,32 +65,12 @@ type Executor struct {
 	// Stats counts rows produced per operator type, for the monitoring
 	// and performance-prediction experiments.
 	Stats ExecStats
-	// Chaos, when set, injects faults at SiteExecScan. Nil disables
-	// injection.
-	Chaos *chaos.Injector
 	// Obs holds pre-resolved observability metrics; the zero value
 	// disables them (see NewMetrics).
 	Obs Metrics
 
-	// Profile, when set, collects per-operator runtime profiles (actual
-	// rows, wall time, chunk counts, morsel and worker counts) for the
-	// next Run call — the EXPLAIN ANALYZE path. A profile instruments
-	// exactly one Run; nil (the default) disables profiling at the cost
-	// of one nil check per operator.
-	Profile *QueryProfile
-
-	// Mem, when set, is the per-query memory budget. The streaming
-	// executor charges each chunk its exact vector bytes as it enters the
-	// pipeline and refunds them when the chunk is recycled, so the budget
-	// bounds *live* bytes (chunks in flight plus what breakers hold and
-	// the result: sort buffers, join build sides, boxed rows) — peak, not
-	// cumulative, materialization. Exceeding
-	// it aborts the query with an error wrapping governance.ErrMemBudget.
-	// Like Profile it applies to exactly one Run; nil (the default)
-	// disables accounting.
-	Mem *governance.MemBudget
-
-	// Parallelism is the morsel worker budget: 0 = auto, up to
+	// Parallelism is the morsel worker budget of Run and RunContext
+	// (RunCompiled takes its run's own in RunArgs): 0 = auto, up to
 	// GOMAXPROCS (NumCPU unless set) workers from idle cores only, so a
 	// scan runs serially while other statements occupy the machine; 1
 	// pins the serial path (the comparison baseline and the
@@ -105,8 +86,9 @@ type Executor struct {
 	// by its live rows per page when the scan opens.
 	ScanMorselPages int
 
-	// Params carries positional bindings for $N placeholders in the
-	// plan's expressions (Params[0] binds $1). A program binds each $N
+	// Params carries the positional bindings of Run and RunContext for
+	// $N placeholders in the plan's expressions (Params[0] binds $1);
+	// RunCompiled takes its run's own in RunArgs. A program binds each $N
 	// to its slot and its value's kind and reads the value of the run,
 	// which is how one compiled program runs under different bindings:
 	// the plan and the program stay shared and immutable, the values
@@ -164,21 +146,28 @@ func IsCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// RunArgs is what one run brings to an executor beside its plan: the
-// values of its $N, its memory budget and profile, and the settings that
-// may change between statements. Each has the meaning of the Executor
-// field of the same name.
+// RunArgs is what one run brings to an executor beside its plan.
 type RunArgs struct {
-	Params      []catalog.Value
-	Mem         *governance.MemBudget
-	Profile     *QueryProfile
+	// Params binds the run's $N, with the meaning of Executor.Params.
+	Params []catalog.Value
+	// Mem, when set, is the run's memory budget. The streaming executor
+	// charges each chunk its exact vector bytes as it enters the pipeline
+	// and refunds them when the chunk is recycled, so the budget bounds
+	// *live* bytes (chunks in flight plus what breakers hold and the
+	// result: sort buffers, join build sides, boxed rows) — peak, not
+	// cumulative, materialization. Exceeding it aborts the run with an
+	// error wrapping governance.ErrMemBudget. Nil disables accounting.
+	Mem *governance.MemBudget
+	// Profile, when set, collects per-operator runtime profiles (actual
+	// rows, wall time, chunk counts, morsel and worker counts) for this
+	// run — the EXPLAIN ANALYZE path. Nil disables profiling at the cost
+	// of one nil check per operator.
+	Profile *QueryProfile
+	// Parallelism has the meaning of Executor.Parallelism.
 	Parallelism int
-	Chaos       *chaos.Injector
-}
-
-// args are the run arguments the executor's own fields give.
-func (ex *Executor) args() RunArgs {
-	return RunArgs{Params: ex.Params, Mem: ex.Mem, Profile: ex.Profile, Parallelism: ex.Parallelism, Chaos: ex.Chaos}
+	// Chaos, when set, injects faults at SiteExecScan. Nil disables
+	// injection.
+	Chaos *chaos.Injector
 }
 
 // RunContext compiles the plan and streams its output into a
@@ -192,7 +181,7 @@ func (ex *Executor) args() RunArgs {
 // the bytes a query actually holds. A plan.BoundNode runs its input with
 // its own parameters instead of Params.
 func (ex *Executor) RunContext(ctx context.Context, n plan.Node) (*Result, error) {
-	return ex.RunCompiled(ctx, n, nil, ex.args())
+	return ex.RunCompiled(ctx, n, nil, RunArgs{Params: ex.Params, Parallelism: ex.Parallelism})
 }
 
 // RunCompiled is RunContext for a plan whose program keep holds between
@@ -203,7 +192,7 @@ func (ex *Executor) RunContext(ctx context.Context, n plan.Node) (*Result, error
 // profiled run and a plan.BoundNode compile for themselves and keep
 // nothing. keep may be nil. The run binds, budgets, profiles,
 // parallelizes and injects faults as a says, whatever the executor's
-// fields say.
+// Params and Parallelism say.
 func (ex *Executor) RunCompiled(ctx context.Context, n plan.Node, keep *Compiled, a RunArgs) (*Result, error) {
 	if b, ok := n.(*plan.BoundNode); ok {
 		n, a.Params, keep = b.Input, b.Params, nil

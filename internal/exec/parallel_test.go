@@ -279,14 +279,13 @@ func TestScanChaosScheduleIndependentOfParallelism(t *testing.T) {
 		c := bigSetup(t, 2000)
 		p := mustPlan(t, c, "SELECT id FROM users")
 		ex := New(nil)
-		ex.Parallelism = workers
 		ex.ScanMorselPages = 1
-		ex.Chaos = chaos.New(99).
+		a := RunArgs{Parallelism: workers, Chaos: chaos.New(99).
 			Add(chaos.Rule{Site: SiteExecScan, Kind: chaos.Latency, Every: 3, Delay: 5}).
-			Add(chaos.Rule{Site: SiteExecScan, Kind: chaos.Error, After: 40, Every: 17})
+			Add(chaos.Rule{Site: SiteExecScan, Kind: chaos.Error, After: 40, Every: 17})}
 		var failed []int
 		for i := 0; i < 12; i++ {
-			if _, err := ex.Run(p); err != nil {
+			if _, err := ex.RunCompiled(context.Background(), p, nil, a); err != nil {
 				failed = append(failed, i)
 			}
 		}
@@ -480,8 +479,7 @@ func TestAutoParallelismTakesOnlyIdleCores(t *testing.T) {
 		ex := parallelExec(workers)
 		ex.Obs = NewMetrics(reg)
 		prof := NewQueryProfile(p, nil)
-		ex.Profile = prof
-		if _, err := ex.Run(p); err != nil {
+		if _, err := ex.RunCompiled(context.Background(), p, nil, RunArgs{Profile: prof, Parallelism: workers}); err != nil {
 			t.Fatal(err)
 		}
 		var spawns int64
@@ -661,7 +659,7 @@ func TestScanDoesNotHoldLatchAcrossEmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := ex.newRun(ctx, ex.args())
+	rc := ex.newRun(ctx, RunArgs{Parallelism: ex.Parallelism})
 	op := p.root.open(rc)
 	defer op.Close()
 	if _, ok, err := op.Next(ctx); err != nil || !ok {

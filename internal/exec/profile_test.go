@@ -33,8 +33,7 @@ func profPlan(t testing.TB, q string) (plan.Node, *Executor) {
 func TestProfileTree(t *testing.T) {
 	p, ex := profPlan(t, "SELECT id FROM users WHERE age > 40")
 	prof := NewQueryProfile(p, nil)
-	ex.Profile = prof
-	res, err := ex.Run(p)
+	res, err := ex.RunCompiled(context.Background(), p, nil, RunArgs{Profile: prof})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +87,7 @@ func TestProfileParallelIdentity(t *testing.T) {
 			ex.Parallelism = workers
 			ex.MorselSize = 256 // force multi-morsel dispatch on 4k rows
 			prof := NewQueryProfile(p, nil)
-			ex.Profile = prof
-			res, err := ex.Run(p)
+			res, err := ex.RunCompiled(context.Background(), p, nil, RunArgs{Profile: prof, Parallelism: workers})
 			if err != nil {
 				t.Fatalf("%s @%d: %v", q, workers, err)
 			}
@@ -120,8 +118,7 @@ func TestProfileMorselAttribution(t *testing.T) {
 	ex.MorselSize = 256
 	ex.ScanMorselPages = 1
 	prof := NewQueryProfile(p, nil)
-	ex.Profile = prof
-	if _, err := ex.Run(p); err != nil {
+	if _, err := ex.RunCompiled(context.Background(), p, nil, RunArgs{Profile: prof, Parallelism: ex.Parallelism}); err != nil {
 		t.Fatal(err)
 	}
 	var scan, filter *OpProfile
@@ -167,8 +164,7 @@ func TestProfileMorselAttribution(t *testing.T) {
 func TestProfileAttachSpans(t *testing.T) {
 	p, ex := profPlan(t, "SELECT id FROM users WHERE age > 40")
 	prof := NewQueryProfile(p, nil)
-	ex.Profile = prof
-	if _, err := ex.Run(p); err != nil {
+	if _, err := ex.RunCompiled(context.Background(), p, nil, RunArgs{Profile: prof}); err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.NewTracer(4)
@@ -207,13 +203,11 @@ func TestProfileOffOverhead(t *testing.T) {
 		var walk func(n plan.Node)
 		walk = func(n plan.Node) {
 			for _, profile := range []*QueryProfile{nil, NewQueryProfile(p, nil)} {
-				ex := New(nil)
-				ex.Profile = profile
 				st, _, err := (&compiler{}).step(n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rc := ex.newRun(context.Background(), ex.args())
+				rc := New(nil).newRun(context.Background(), RunArgs{Profile: profile})
 				op := st.open(rc)
 				_, wrapped := op.(*profiledOp)
 				breaker := opKind(n) == "HashJoin" || opKind(n) == "Aggregate" || opKind(n) == "Sort" || opKind(n) == "Limit" || opKind(n) == "Distinct"
@@ -232,15 +226,14 @@ func TestProfileOffOverhead(t *testing.T) {
 		if raceEnabled {
 			continue
 		}
-		ex := New(nil)
-		ex.Parallelism = 1
+		ex, a := New(nil), RunArgs{Parallelism: 1}
 		var keep Compiled
 		// A collection empties the sync.Pools a run draws on, and refilling
 		// them allocates, so counts taken while the collector runs shift
 		// with the heap earlier tests left; without it they are exact.
 		gc := debug.SetGCPercent(-1)
 		run := func() {
-			if _, err := ex.RunCompiled(context.Background(), p, &keep, ex.args()); err != nil {
+			if _, err := ex.RunCompiled(context.Background(), p, &keep, a); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -252,7 +245,7 @@ func TestProfileOffOverhead(t *testing.T) {
 		wrapped := testing.AllocsPerRun(20, run)
 		prog := keep.p.Load()
 		direct := testing.AllocsPerRun(20, func() {
-			rc := ex.newRun(context.Background(), ex.args())
+			rc := ex.newRun(context.Background(), a)
 			if _, err := ex.execNode(rc, prog); err != nil {
 				t.Fatal(err)
 			}

@@ -217,7 +217,7 @@ func (c *compiler) step(n plan.Node) (step, []kind, error) {
 		s := &scanStep{node: v, kinds: tableKinds(v.Table, v.Needed), rowIDs: v.RowIDs}
 		return s, s.kinds, nil
 	case *plan.VirtualScanNode:
-		kinds := make([]kind, len(v.Table.Columns().Columns))
+		kinds := make([]kind, len(v.Table.Cols.Columns))
 		for i := range kinds {
 			kinds[i] = kAny
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -63,12 +64,11 @@ func TestPrunedScansSeeCommittedRows(t *testing.T) {
 		write(seq)
 	}
 	// Alone, a scan counts the rows of the pages it prunes as scanned.
-	ex := New(nil)
-	ex.Profile = NewQueryProfile(p, nil)
-	if _, err := ex.Run(p); err != nil {
+	ex, prof := New(nil), NewQueryProfile(p, nil)
+	if _, err := ex.RunCompiled(context.Background(), p, nil, RunArgs{Profile: prof}); err != nil {
 		t.Fatal(err)
 	}
-	ex.Profile.Walk(func(op *OpProfile, _ int) {
+	prof.Walk(func(op *OpProfile, _ int) {
 		if op.Kind != "Scan" {
 			return
 		}
@@ -100,11 +100,9 @@ func TestPrunedScansSeeCommittedRows(t *testing.T) {
 	}()
 	pruned := 0
 	for i := 0; i < 200; i++ {
-		ex := New(nil)
-		ex.Parallelism = 1 + i%2
-		ex.Profile = NewQueryProfile(p, nil)
+		prof := NewQueryProfile(p, nil)
 		before := committed.Load()
-		res, err := ex.Run(p)
+		res, err := New(nil).RunCompiled(context.Background(), p, nil, RunArgs{Profile: prof, Parallelism: 1 + i%2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +115,7 @@ func TestPrunedScansSeeCommittedRows(t *testing.T) {
 				t.Fatalf("scan %d: kept row %d, committed before the scan opened, is missing", i, seq)
 			}
 		}
-		ex.Profile.Walk(func(op *OpProfile, _ int) { pruned += int(op.PagesPruned()) })
+		prof.Walk(func(op *OpProfile, _ int) { pruned += int(op.PagesPruned()) })
 	}
 	if pruned == 0 {
 		t.Fatal("no scan pruned a page: the test checks nothing")

@@ -564,9 +564,9 @@ func (s *morselStream) plan() error {
 		s.keys = splitKeyRange(s.keys, lo, hi, rc.workers()*2, minIndexMorselWidth)
 		s.n, s.from = len(s.keys), fromKeys
 	case *plan.VirtualScanNode:
-		rows, err := v.Table.Rows()
+		rows, err := v.Table.Fetch()
 		if err != nil {
-			return fmt.Errorf("exec: virtual scan %s: %w", v.Table.Name(), err)
+			return fmt.Errorf("exec: virtual scan %s: %w", v.Table.QName, err)
 		}
 		s.rows, s.bounds = rows, chunkBounds(len(rows), ex.morselRows())
 		s.n, s.from = len(s.bounds), fromRows

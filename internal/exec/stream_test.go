@@ -140,10 +140,9 @@ func TestMemBudgetAbortRefundsCharges(t *testing.T) {
 		for _, tc := range cases {
 			mb := governance.NewMemBudget(tc.limit, governance.Metrics{})
 			ex := parallelExec(workers)
-			ex.Mem = mb
 			bal := poolBalance(ex)
 			p := mustPlan(t, tc.cat, tc.query)
-			res, err := ex.Run(p)
+			res, err := ex.RunCompiled(context.Background(), p, nil, RunArgs{Parallelism: workers, Mem: mb})
 			if !errors.Is(err, governance.ErrMemBudget) {
 				t.Fatalf("%s @%d: err = %v, want ErrMemBudget", tc.name, workers, err)
 			}

@@ -178,14 +178,12 @@ func TestVirtualScanMemBudget(t *testing.T) {
 	numsTable(t, c, 50_000)
 	p := mustPlan(t, c, "SELECT i, mod, grp FROM sys.nums")
 	m := governance.NewMetrics(obs.NewRegistry())
-	ex := New(nil)
-	ex.Mem = governance.NewMemBudget(64*1024, m)
-	if _, err := ex.Run(p); !errors.Is(err, governance.ErrMemBudget) {
+	a := RunArgs{Mem: governance.NewMemBudget(64*1024, m)}
+	if _, err := New(nil).RunCompiled(context.Background(), p, nil, a); !errors.Is(err, governance.ErrMemBudget) {
 		t.Fatalf("err = %v, want ErrMemBudget", err)
 	}
-	ex2 := New(nil)
-	ex2.Mem = governance.NewMemBudget(1<<30, m)
-	res, err := ex2.Run(p)
+	a = RunArgs{Mem: governance.NewMemBudget(1<<30, m)}
+	res, err := New(nil).RunCompiled(context.Background(), p, nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,8 +171,8 @@ func (g *AdmissionGate) Admit(ctx context.Context) (release func(), err error) {
 			g.removeLocked(w)
 			g.mu.Unlock()
 		}
-		g.m.Shed.Inc()
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			g.m.Shed.Inc()
 			return nil, fmt.Errorf("%w: %v", ErrShed, ctx.Err())
 		}
 		return nil, ctx.Err()

@@ -134,6 +134,52 @@ func TestAdmitCancelRemovesWaiter(t *testing.T) {
 	hold()
 }
 
+// TestCancelledWaiterIsNotShed: a queued Admit whose context is
+// cancelled reports the cancellation and leaves admission.shed alone;
+// one whose deadline expires in the queue is a shed.
+func TestCancelledWaiterIsNotShed(t *testing.T) {
+	reg := obs.NewRegistry()
+	g := NewAdmissionGate(1)
+	g.Instrument(NewMetrics(reg))
+	hold, err := g.Admit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hold()
+	// queue runs one Admit that waits behind hold, calling then once it
+	// is queued, and returns its error.
+	queue := func(ctx context.Context, then func()) error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := g.Admit(ctx)
+			done <- err
+		}()
+		for g.Queued() == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		then()
+		return <-done
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	err = queue(ctx, cancel)
+	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrShed) {
+		t.Fatalf("cancelled waiter: err=%v, want context.Canceled and not ErrShed", err)
+	}
+	if got := reg.Snapshot()["admission.shed"]; got != 0 {
+		t.Fatalf("admission.shed = %v after a cancel, want 0", got)
+	}
+
+	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := queue(ctx, func() {}); !errors.Is(err, ErrShed) {
+		t.Fatalf("waiter past its deadline: err=%v, want ErrShed", err)
+	}
+	if got := reg.Snapshot()["admission.shed"]; got != 1 {
+		t.Fatalf("admission.shed = %v after a deadline, want 1", got)
+	}
+}
+
 func TestSetMaxConcurrentGrantsWaiters(t *testing.T) {
 	g := NewAdmissionGate(1)
 	hold, err := g.Admit(context.Background())

@@ -66,7 +66,7 @@ func (t *Telemetry) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, `aidb telemetry
-/metrics       Prometheus text (?format=json|text)
+/metrics       Prometheus text (?format=json)
 /timeseries    series index; ?name=&window= for points
 /traces        exported span trees (JSON)
 /debug/pprof/  Go profiling
@@ -79,9 +79,6 @@ func (t *Telemetry) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	case "json":
 		w.Header().Set("Content-Type", "application/json")
 		t.Registry.WriteJSONTo(w)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		t.Registry.WriteTo(w)
 	default:
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		t.Registry.WritePromTo(w)

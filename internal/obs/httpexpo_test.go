@@ -82,10 +82,6 @@ func TestTelemetryMetricsEndpoint(t *testing.T) {
 	if doc["exec.queries"] != float64(12) {
 		t.Errorf("exec.queries = %v, want 12", doc["exec.queries"])
 	}
-	text, _ := get(t, base+"/metrics?format=text")
-	if !strings.Contains(text, "exec.queries 12") {
-		t.Errorf("text exposition missing counter:\n%s", text)
-	}
 }
 
 func TestTelemetryTimeseriesEndpoint(t *testing.T) {

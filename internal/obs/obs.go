@@ -15,8 +15,8 @@
 //     map is only consulted at construction time.
 //   - Updates are lock-free. Counters and histogram buckets are
 //     sync/atomic; the registry mutex guards registration only.
-//   - Exposition is text-first (WriteTo, expvar-style `name value`
-//     lines) with a JSON form (WriteJSONTo) for machine consumers.
+//   - Exposition is the Prometheus text format (WritePromTo) with a
+//     JSON form (WriteJSONTo) for machine consumers.
 //
 // Metric names are dotted paths ("kv.get.injected_delay_units");
 // variable parts (site names, breaker names) are appended as further
@@ -227,7 +227,7 @@ func (r *Registry) refs() []metricRef {
 
 // Snapshot returns every scalar metric as name -> value: counters,
 // gauges, gauge funcs, and per-histogram count/sum/p50/p95/p99 — every
-// number WriteTo prints. Monotonic names (counters, hist counts/sums)
+// number the expositions print. Monotonic names (counters, hist counts/sums)
 // can be diffed across snapshots to form rates. Values are read outside
 // the registry lock. Returns nil on a nil registry.
 func (r *Registry) Snapshot() map[string]float64 {
@@ -254,42 +254,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// WriteTo renders the registry as sorted text, one metric per line:
-//
-//	counter exec.rows_scanned 12345
-//	histogram kv.get.latency_ns count=90 sum=1.2e+06 p50=800 p95=9000 p99=14000
-//
-// Values are read outside the registry lock. It implements io.WriterTo.
-// A nil registry writes a disabled marker.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	if r == nil {
-		n, err := io.WriteString(w, "# obs: registry disabled\n")
-		return int64(n), err
-	}
-	var total int64
-	for _, m := range r.refs() {
-		var n int
-		var err error
-		switch {
-		case m.c != nil:
-			n, err = fmt.Fprintf(w, "counter %s %d\n", m.name, m.c.Value())
-		case m.g != nil:
-			n, err = fmt.Fprintf(w, "gauge %s %g\n", m.name, m.g.Value())
-		case m.fn != nil:
-			n, err = fmt.Fprintf(w, "gauge %s %g\n", m.name, m.fn())
-		case m.h != nil:
-			s := m.h.Snapshot()
-			n, err = fmt.Fprintf(w, "histogram %s count=%d sum=%g p50=%g p95=%g p99=%g\n",
-				m.name, s.Count, s.Sum, s.P50, s.P95, s.P99)
-		}
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }
 
 // WriteJSONTo renders the registry as a single sorted JSON object:

@@ -46,7 +46,10 @@ func TestNilRegistryAndMetricsAreSafe(t *testing.T) {
 		t.Fatal("nil registry snapshot should be nil")
 	}
 	var sb strings.Builder
-	if _, err := r.WriteTo(&sb); err != nil {
+	if _, err := r.WritePromTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.WriteJSONTo(&sb); err != nil {
 		t.Fatal(err)
 	}
 	var tr *Tracer
@@ -170,19 +173,18 @@ func TestWriteToExposition(t *testing.T) {
 	r.Gauge("a.gauge").Set(1.5)
 	r.Histogram("m.h", []float64{1, 10}).Observe(2)
 	var sb strings.Builder
-	if _, err := r.WriteTo(&sb); err != nil {
+	if _, err := r.WritePromTo(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want 3 lines, got %d:\n%s", len(lines), out)
-	}
 	// Sorted by name: a.gauge, m.h, z.count.
-	if !strings.HasPrefix(lines[0], "gauge a.gauge ") ||
-		!strings.HasPrefix(lines[1], "histogram m.h count=1") ||
-		!strings.HasPrefix(lines[2], "counter z.count 3") {
-		t.Fatalf("unexpected exposition:\n%s", out)
+	if types := promTypes(out); strings.Join(types, ",") != "a_gauge gauge,m_h summary,z_count counter" {
+		t.Fatalf("unexpected families %v:\n%s", types, out)
+	}
+	for _, want := range []string{"\na_gauge 1.5\n", "\nm_h_count 1\n", "\nz_count 3\n"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
 	}
 	var js strings.Builder
 	if _, err := r.WriteJSONTo(&js); err != nil {
@@ -238,15 +240,10 @@ func TestExpositionSorted(t *testing.T) {
 		r.Counter(name).Inc()
 	}
 	var txt strings.Builder
-	if _, err := r.WriteTo(&txt); err != nil {
+	if _, err := r.WritePromTo(&txt); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(txt.String()), "\n")
-	var names []string
-	for _, ln := range lines {
-		names = append(names, strings.Fields(ln)[0])
-	}
-	if !sortedStrings(names) {
+	if names := promTypes(txt.String()); len(names) != 4 || !sortedStrings(names) {
 		t.Errorf("text exposition not sorted: %v", names)
 	}
 
@@ -275,6 +272,18 @@ func TestExpositionSorted(t *testing.T) {
 	if js2.String() != out {
 		t.Error("JSON exposition not deterministic across calls")
 	}
+}
+
+// promTypes lists the "name type" of every # TYPE line of a Prometheus
+// exposition, in order.
+func promTypes(out string) []string {
+	var types []string
+	for _, ln := range strings.Split(out, "\n") {
+		if name, ok := strings.CutPrefix(ln, "# TYPE "); ok {
+			types = append(types, name)
+		}
+	}
+	return types
 }
 
 func sortedStrings(s []string) bool {

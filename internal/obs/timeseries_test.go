@@ -284,7 +284,6 @@ func TestTimeSeriesRaceWithRegistration(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			reg.Snapshot()
 			var sb strings.Builder
-			reg.WriteTo(&sb)
 			reg.WritePromTo(&sb)
 			reg.WriteJSONTo(&sb)
 		}

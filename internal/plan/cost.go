@@ -235,7 +235,7 @@ func costRec(n Node, est CardinalityEstimator) (cost, rows float64) {
 		r := float64(v.Table.NumRows()) * sel
 		return r + math.Log2(float64(v.Table.NumRows())+2), r
 	case *VirtualScanNode:
-		r := float64(v.Table.RowEstimate())
+		r := float64(v.Table.Est())
 		return r, r
 	case *FilterNode:
 		c, r := costRec(v.Input, est)

@@ -229,14 +229,14 @@ func (b *BoundNode) Describe() string { return fmt.Sprintf("Bound (%d parameters
 // system.statements. The provider snapshots its rows when the scan
 // opens; downstream operators see it exactly like any other source.
 type VirtualScanNode struct {
-	Table catalog.VirtualTable
+	Table *catalog.FuncTable
 	// Alias is the name the query refers to this table by.
 	Alias string
 }
 
 // Schema implements Node.
 func (s *VirtualScanNode) Schema() []string {
-	cols := s.Table.Columns().Columns
+	cols := s.Table.Cols.Columns
 	out := make([]string, len(cols))
 	for i, c := range cols {
 		out[i] = s.Alias + "." + c.Name
@@ -249,7 +249,7 @@ func (s *VirtualScanNode) Children() []Node { return nil }
 
 // Describe implements Node.
 func (s *VirtualScanNode) Describe() string {
-	return fmt.Sprintf("VirtualScan %s AS %s (~%d rows)", s.Table.Name(), s.Alias, s.Table.RowEstimate())
+	return fmt.Sprintf("VirtualScan %s AS %s (~%d rows)", s.Table.QName, s.Alias, s.Table.Est())
 }
 
 // FilterNode drops rows not satisfying Cond.
@@ -707,7 +707,7 @@ func Fingerprint(n Node) string {
 			fmt.Fprintf(&sb, "IndexScan(%s.%s)", v.Table.Name, v.Table.Schema.Columns[v.Column].Name)
 			return
 		case *VirtualScanNode:
-			fmt.Fprintf(&sb, "VirtualScan(%s)", v.Table.Name())
+			fmt.Fprintf(&sb, "VirtualScan(%s)", v.Table.QName)
 			return
 		case *FilterNode:
 			sb.WriteString("Filter")

@@ -282,14 +282,14 @@ type PrepareStmt struct {
 
 func (*PrepareStmt) stmt() {}
 
-// ExecuteStmt is `EXECUTE name [(arg1, arg2, ...)]` — run a prepared
+// ExecStmt is `EXECUTE name [(arg1, arg2, ...)]` — run a prepared
 // statement with constant arguments bound to its $N placeholders.
-type ExecuteStmt struct {
+type ExecStmt struct {
 	Name string
 	Args []Expr
 }
 
-func (*ExecuteStmt) stmt() {}
+func (*ExecStmt) stmt() {}
 
 // DeallocateStmt is `DEALLOCATE [PREPARE] name` — drop a prepared
 // statement from the session's namespace.
@@ -351,7 +351,7 @@ func WalkExprs(s Statement, fn func(Expr)) {
 		visit(v.Where)
 	case *PrepareStmt:
 		WalkExprs(v.Stmt, fn)
-	case *ExecuteStmt:
+	case *ExecStmt:
 		for _, e := range v.Args {
 			visit(e)
 		}
@@ -526,7 +526,7 @@ func StatementKind(s Statement) string {
 		return "ANALYZE"
 	case *PrepareStmt:
 		return "PREPARE"
-	case *ExecuteStmt:
+	case *ExecStmt:
 		return "EXECUTE"
 	case *DeallocateStmt:
 		return "DEALLOCATE"

@@ -189,7 +189,7 @@ func (p *Parser) parseStatement() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := &ExecuteStmt{Name: name}
+		st := &ExecStmt{Name: name}
 		if p.accept(TokSymbol, "(") {
 			if !p.at(TokSymbol, ")") {
 				for {

@@ -51,9 +51,9 @@ func TestParseExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := stmt.(*ExecuteStmt)
+	e, ok := stmt.(*ExecStmt)
 	if !ok {
-		t.Fatalf("got %T, want *ExecuteStmt", stmt)
+		t.Fatalf("got %T, want *ExecStmt", stmt)
 	}
 	if e.Name != "getuser" || len(e.Args) != 3 {
 		t.Fatalf("name=%q args=%d", e.Name, len(e.Args))
@@ -63,7 +63,7 @@ func TestParseExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := stmt.(*ExecuteStmt); len(e.Args) != 0 {
+	if e := stmt.(*ExecStmt); len(e.Args) != 0 {
 		t.Fatalf("bare EXECUTE args = %d, want 0", len(e.Args))
 	}
 }
