@@ -129,6 +129,16 @@ func TestMCTSFindsBestArm(t *testing.T) {
 	}
 }
 
+func TestMCTSVisitTieGoesToFirstAction(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		// Two iterations expand each child once: a visit tie.
+		a, _ := NewMCTS(ml.NewRNG(uint64(i))).Search(pickEnv{k: 2, picked: -1}, 2)
+		if a != 0 {
+			t.Fatalf("search %d chose %d on a visit tie, want the first action 0", i, a)
+		}
+	}
+}
+
 func TestMCTSPanicsOnTerminal(t *testing.T) {
 	defer func() {
 		if recover() == nil {

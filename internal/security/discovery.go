@@ -146,16 +146,16 @@ type RegexRules struct{}
 func (RegexRules) Name() string { return "regex-rules" }
 
 // Classify implements SensitiveDiscoverer via majority vote of per-value
-// rigid format checks.
+// rigid format checks. A tie goes to the lowest kind.
 func (RegexRules) Classify(values []string) SensitiveKind {
-	votes := map[SensitiveKind]int{}
+	var votes [CreditCard + 1]int
 	for _, v := range values {
 		votes[classifyOneRigid(v)]++
 	}
-	best, bv := Plain, -1
+	best := Plain
 	for k, n := range votes {
-		if n > bv {
-			best, bv = k, n
+		if n > votes[best] {
+			best = SensitiveKind(k)
 		}
 	}
 	return best

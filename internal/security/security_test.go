@@ -96,6 +96,15 @@ func TestRegexRulesCanonicalFormats(t *testing.T) {
 	}
 }
 
+func TestRegexRulesVoteTieGoesToLowestKind(t *testing.T) {
+	col := []string{"alice" + "@" + "shop.com", "red"}
+	for i := 0; i < 50; i++ {
+		if got := (RegexRules{}).Classify(col); got != Plain {
+			t.Fatalf("call %d: a 1 Email / 1 Plain tie classified as %v, want Plain", i, got)
+		}
+	}
+}
+
 func TestLearnedDiscovererBeatsRegexRecall(t *testing.T) {
 	rng := ml.NewRNG(2)
 	train := GenerateColumns(rng, 400)
