@@ -260,9 +260,13 @@ func (e *Engine) predictModel(name catalog.Value, features int) (*Model, error) 
 }
 
 // args are the arguments of one run of this engine's executor, with
-// params bound to their $N.
+// params bound to their $N and, under a MemLimit, a fresh memory budget.
 func (e *Engine) args(params []catalog.Value) exec.RunArgs {
-	return exec.RunArgs{Params: params, Parallelism: e.Parallelism, Chaos: e.Chaos}
+	a := exec.RunArgs{Params: params, Parallelism: e.Parallelism, Chaos: e.Chaos}
+	if e.MemLimit > 0 {
+		a.Mem = governance.NewMemBudget(e.MemLimit, e.govObs)
+	}
+	return a
 }
 
 // Execute parses and runs one statement without a cancellation context
@@ -640,11 +644,7 @@ func (e *Engine) execPlan(ctx context.Context, ent *plancache.Entry, sp *obs.Spa
 	start := time.Now()
 	sp.SetTag("plan", ent.Summary)
 	esp := sp.Child("exec")
-	a := e.args(params)
-	if e.MemLimit > 0 {
-		a.Mem = governance.NewMemBudget(e.MemLimit, e.govObs)
-	}
-	res, err := e.ex.RunCompiled(ctx, ent.Plan, &ent.Program, a)
+	res, err := e.ex.RunCompiled(ctx, ent.Plan, &ent.Program, e.args(params))
 	esp.Finish()
 	e.record(ent, text, time.Since(start), res, err)
 	return res, err

@@ -198,6 +198,22 @@ func TestMemBudgetEndToEnd(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeMemBudget: EXPLAIN ANALYZE runs its statement under
+// the same per-query memory budget as the statement itself.
+func TestExplainAnalyzeMemBudget(t *testing.T) {
+	db := Open()
+	seedTable(t, db, 20_000)
+	db.SetMemBudget(64 * 1024)
+	for _, q := range []string{
+		"SELECT a, b FROM t ORDER BY b",
+		"EXPLAIN ANALYZE SELECT a, b FROM t ORDER BY b",
+	} {
+		if _, err := db.Exec(q); !errors.Is(err, governance.ErrMemBudget) {
+			t.Errorf("%s: err = %v, want ErrMemBudget", q, err)
+		}
+	}
+}
+
 // TestExecScriptGoverned: the script path (what the REPL uses) passes
 // every statement through the same governance plane as ExecContext —
 // each statement is admitted individually and the default timeout

@@ -70,30 +70,35 @@ func keyword(word string) (string, bool) {
 // SplitStatement takes the first statement off a ';'-separated script:
 // stmt is its text, trimmed, and rest what follows its ';'. A ';' inside
 // a string literal or a -- comment does not end a statement (the lexer's
-// rules for where those begin and end), and empty statements are
-// skipped; stmt is "" when the script holds no further statement.
+// rules for where those begin and end), and pieces that hold no token
+// (blank, or only comments) are skipped; stmt is "" when the script
+// holds no further statement.
 func SplitStatement(script string) (stmt, rest string) {
+	tokens := false // whether the piece so far holds a token
 	for i := 0; i < len(script); i++ {
-		switch script[i] {
-		case ';':
-			if stmt = strings.TrimSpace(script[:i]); stmt != "" {
-				return stmt, script[i+1:]
-			}
+		switch c := script[i]; {
+		case c == ';' && tokens:
+			return strings.TrimSpace(script[:i]), script[i+1:]
+		case c == ';':
 			script, i = script[i+1:], -1
-		case '\'':
+		case c == '-' && i+1 < len(script) && script[i+1] == '-':
+			for i < len(script) && script[i] != '\n' {
+				i++
+			}
+		case c == '\'':
 			// To the closing quote; the two halves of an escaped quote
 			// ('') read as one literal ending and the next beginning.
+			tokens = true
 			for i++; i < len(script) && script[i] != '\''; i++ {
 			}
-		case '-':
-			if i+1 < len(script) && script[i+1] == '-' {
-				for i < len(script) && script[i] != '\n' {
-					i++
-				}
-			}
+		case c > ' ':
+			tokens = true
 		}
 	}
-	return strings.TrimSpace(script), ""
+	if tokens {
+		stmt = strings.TrimSpace(script)
+	}
+	return stmt, ""
 }
 
 // Lex tokenizes input, returning an error with position info on invalid

@@ -358,6 +358,11 @@ func TestScriptSplitsOnStatementSemicolons(t *testing.T) {
 		{"'a'';';b", "'a'';'", "b"},
 		{"x -- c;d\n;y", "x -- c;d", "y"},
 		{"'open; never closed", "'open; never closed", ""},
+		{"a;\n-- end\n", "a", "\n-- end\n"},
+		{"\n-- end\n", "", ""},
+		{"a; -- c\n;b", "a", " -- c\n;b"},
+		{" -- c\n;b", "b", ""},
+		{"-;", "-", ""},
 	} {
 		if stmt, rest := SplitStatement(tc.script); stmt != tc.stmt || rest != tc.rest {
 			t.Errorf("SplitStatement(%q) = %q, %q; want %q, %q", tc.script, stmt, rest, tc.stmt, tc.rest)
