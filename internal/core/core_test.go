@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"aidb/internal/idxadvisor"
+	"aidb/internal/ai4db/idxadvisor"
 )
 
 func TestOpenExecRoundTrip(t *testing.T) {
@@ -155,6 +155,19 @@ func TestStreamingCountersInMetrics(t *testing.T) {
 	}
 	if m["exec.chunks_emitted"] == 0 {
 		t.Error("exec.chunks_emitted stayed 0 after a 3000-row query")
+	}
+}
+
+// TestScriptSkipsCommentOnlyPieces: a piece of a script that holds only
+// a comment, between statements or after the last, is not a statement.
+func TestScriptSkipsCommentOnlyPieces(t *testing.T) {
+	db := Open()
+	res, err := db.ExecScript("CREATE TABLE c (a INT); -- c\n;\nINSERT INTO c VALUES (1);\nSELECT a FROM c;\n-- end\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != int64(1) {
+		t.Errorf("rows = %v, want the SELECT's one row", res.Rows)
 	}
 }
 

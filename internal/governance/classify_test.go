@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"aidb/internal/chaos"
-	"aidb/internal/txn"
+	"aidb/internal/experiments/txn"
 )
 
 func TestClassify(t *testing.T) {

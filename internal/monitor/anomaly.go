@@ -1,3 +1,5 @@
+// Package monitor is the server's alerting: AnomalyDetector over obs time
+// series and SQLRuleSet over system.* tables file into one AlertLog.
 package monitor
 
 import (

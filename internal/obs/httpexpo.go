@@ -20,8 +20,7 @@ import (
 //
 // Endpoints:
 //
-//	/metrics              Prometheus-style text (?format=json | text for
-//	                      the JSON / internal expositions)
+//	/metrics              Prometheus-style text (?format=json for JSON)
 //	/timeseries           JSON series index {series, windows, capacity}
 //	/timeseries?name=N&window=K  last K points of series N
 //	/traces               exported span trees as a JSON array
