@@ -47,7 +47,7 @@ bench:
 # a vet-dirty tree.
 bench-smoke: vet
 	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem \
-		./internal/exec/ ./internal/obs/ ./internal/experiments/kv/ ./internal/sql/ \
+		./internal/exec/ ./internal/obs/ ./internal/kv/ ./internal/sql/ \
 		./internal/core/ ./internal/aisql/ ./internal/catalog/ \
 		./internal/storage/
 	$(GO) test -run='^$$' -bench='BenchmarkE(2[5789]|3[023])' -benchtime=1x .

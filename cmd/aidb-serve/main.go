@@ -9,10 +9,9 @@
 // aidb-top polls), the anomaly detector and system.alerts stay empty
 // here. aidb-repl -serve runs it.
 //
-// The server only serves statements. Nothing under internal/ai4db/
-// (knob tuning, index advice, forecasting, ...) is linked in; those run
-// beside the server (aidb-tune, examples/selftuning) and read the
-// workload through SQL over system.*.
+// The server only serves statements. Knob tuning, index advice and
+// workload forecasting are not linked in; they run beside it (aidb-tune,
+// examples/selftuning) and read the workload through SQL over system.*.
 //
 //	aidb-serve -listen :7070 -http :8080 -max-concurrent 16 -timeout 5s
 //

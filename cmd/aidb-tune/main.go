@@ -8,7 +8,7 @@ import (
 	"flag"
 	"fmt"
 
-	"aidb/internal/ai4db/knob"
+	"aidb/internal/knob"
 	"aidb/internal/ml"
 )
 

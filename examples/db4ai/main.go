@@ -8,8 +8,8 @@ import (
 	"fmt"
 
 	"aidb/internal/core"
-	"aidb/internal/db4ai/datagov"
-	"aidb/internal/db4ai/inference"
+	"aidb/internal/governance"
+	"aidb/internal/inference"
 	"aidb/internal/ml"
 )
 
@@ -17,8 +17,8 @@ func main() {
 	rng := ml.NewRNG(21)
 
 	// --- 1. Data discovery: find joinable columns in the lake ---
-	profiles := datagov.GenerateLake(rng, 60, 4, 6)
-	g := datagov.NewEKG(profiles, 0.3)
+	profiles := governance.GenerateLake(rng, 60, 4, 6)
+	g := governance.NewEKG(profiles, 0.3)
 	var hits int
 	for _, q := range profiles[:30] {
 		if len(g.Related(q)) > 0 {
@@ -29,18 +29,18 @@ func main() {
 		hits, g.Comparisons)
 
 	// --- 2. Data cleaning: ActiveClean on a dirty training set ---
-	dirty := datagov.MakeDirtyDataset(rng, 500, 0.3)
-	curve := datagov.CleaningCurve(dirty, datagov.ActiveClean{}, 6, 20)
+	dirty := governance.MakeDirtyDataset(rng, 500, 0.3)
+	curve := governance.CleaningCurve(dirty, governance.ActiveClean{}, 6, 20)
 	fmt.Printf("cleaning: model accuracy %.3f dirty -> %.3f after 6 ActiveClean rounds\n\n",
 		curve[0], curve[len(curve)-1])
 
 	// --- 3. Data labeling: crowdsourced labels with EM truth inference ---
-	task := datagov.NewLabelingTask(rng, 300)
-	workers := []datagov.Worker{{Accuracy: 0.9}, {Accuracy: 0.7}, {Accuracy: 0.55}}
+	task := governance.NewLabelingTask(rng, 300)
+	workers := []governance.Worker{{Accuracy: 0.9}, {Accuracy: 0.7}, {Accuracy: 0.55}}
 	labels := task.Collect(workers)
-	em, _ := datagov.EMInference(labels, 15)
+	em, _ := governance.EMInference(labels, 15)
 	fmt.Printf("labeling: EM truth inference accuracy %.3f from workers at 0.9/0.7/0.55\n\n",
-		datagov.LabelAccuracy(em, task.Truth))
+		governance.LabelAccuracy(em, task.Truth))
 
 	// --- 4. Declarative training inside the database ---
 	db := core.Open()

@@ -8,12 +8,12 @@ import (
 	"fmt"
 	"sort"
 
-	"aidb/internal/ai4db/cardest"
-	"aidb/internal/ai4db/joinorder"
-	"aidb/internal/ai4db/learnedidx"
-	"aidb/internal/experiments/workload"
+	"aidb/internal/cardest"
 	"aidb/internal/index"
+	"aidb/internal/joinorder"
+	"aidb/internal/learnedidx"
 	"aidb/internal/ml"
+	"aidb/internal/workload"
 )
 
 func main() {

@@ -10,13 +10,13 @@ import (
 	"fmt"
 	"log"
 
-	"aidb/internal/ai4db/idxadvisor"
-	"aidb/internal/ai4db/knob"
-	"aidb/internal/ai4db/txnsched"
-	"aidb/internal/ai4db/viewadvisor"
 	"aidb/internal/core"
-	"aidb/internal/experiments/workload"
+	"aidb/internal/idxadvisor"
+	"aidb/internal/knob"
 	"aidb/internal/ml"
+	"aidb/internal/txnsched"
+	"aidb/internal/viewadvisor"
+	"aidb/internal/workload"
 )
 
 func main() {

@@ -5,9 +5,9 @@
 // reaches the engine as text: a script runs statement by statement
 // through the same text path and plan cache as ad-hoc statements. The
 // AI4DB components (knob tuning, index and view advising, workload
-// forecasting, diagnosis) are not part of it: they live under
-// internal/ai4db/ and act on a DB from beside it, through SQL over
-// system.* (see examples/selftuning and cmd/aidb-tune).
+// forecasting, diagnosis) are not part of it: they live in their own
+// packages and act on a DB from beside it, through SQL over system.*
+// (see examples/selftuning and cmd/aidb-tune).
 package core
 
 import (

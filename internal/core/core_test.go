@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"aidb/internal/ai4db/idxadvisor"
+	"aidb/internal/idxadvisor"
 )
 
 func TestOpenExecRoundTrip(t *testing.T) {

@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"sort"
 
-	"aidb/internal/ai4db/cardest"
-	"aidb/internal/ai4db/joinorder"
-	"aidb/internal/ai4db/knob"
-	"aidb/internal/ai4db/learnedidx"
-	"aidb/internal/experiments/kv"
-	"aidb/internal/experiments/workload"
+	"aidb/internal/cardest"
+	"aidb/internal/joinorder"
+	"aidb/internal/knob"
+	"aidb/internal/kv"
+	"aidb/internal/learnedidx"
 	"aidb/internal/ml"
+	"aidb/internal/workload"
 )
 
 // Ablations isolate the design choices behind the learned components:

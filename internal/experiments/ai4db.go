@@ -4,26 +4,26 @@ import (
 	"fmt"
 	"sort"
 
-	"aidb/internal/ai4db/cardest"
-	"aidb/internal/ai4db/diagnosis"
-	"aidb/internal/ai4db/dstruct"
-	"aidb/internal/ai4db/idxadvisor"
-	"aidb/internal/ai4db/joinorder"
-	"aidb/internal/ai4db/knob"
-	"aidb/internal/ai4db/learnedidx"
-	"aidb/internal/ai4db/optimizer"
-	"aidb/internal/ai4db/partition"
-	"aidb/internal/ai4db/rewrite"
-	"aidb/internal/ai4db/security"
-	"aidb/internal/ai4db/txnsched"
-	"aidb/internal/ai4db/viewadvisor"
-	"aidb/internal/experiments/kv"
-	"aidb/internal/experiments/rl"
-	"aidb/internal/experiments/txn"
-	"aidb/internal/experiments/workload"
+	"aidb/internal/cardest"
+	"aidb/internal/dstruct"
+	"aidb/internal/idxadvisor"
 	"aidb/internal/index"
+	"aidb/internal/joinorder"
+	"aidb/internal/knob"
+	"aidb/internal/kv"
+	"aidb/internal/learnedidx"
 	"aidb/internal/ml"
+	"aidb/internal/monitor"
+	"aidb/internal/optimizer"
+	"aidb/internal/partition"
+	"aidb/internal/rewrite"
+	"aidb/internal/rl"
+	"aidb/internal/security"
 	"aidb/internal/sql"
+	"aidb/internal/txn"
+	"aidb/internal/txnsched"
+	"aidb/internal/viewadvisor"
+	"aidb/internal/workload"
 )
 
 func init() {
@@ -527,38 +527,38 @@ func runE12Monitoring(seed uint64) *Table {
 	}
 	rng := ml.NewRNG(seed)
 	// 1. Root-cause diagnosis.
-	train := diagnosis.GenerateIncidents(rng, 600, 0.12)
-	test := diagnosis.GenerateIncidents(rng, 300, 0.12)
-	kc := &diagnosis.KPICluster{}
+	train := monitor.GenerateIncidents(rng, 600, 0.12)
+	test := monitor.GenerateIncidents(rng, 300, 0.12)
+	kc := &monitor.KPICluster{}
 	_ = kc.Train(rng, train)
-	dres := diagnosis.EvaluateDiagnosers(test, kc, diagnosis.ThresholdRules{})
+	dres := monitor.EvaluateDiagnosers(test, kc, monitor.ThresholdRules{})
 	t.Rows = append(t.Rows,
 		[]string{"diagnosis", "kpi-clustering", "accuracy", f3(dres["kpi-clustering"])},
 		[]string{"diagnosis", "threshold-rules", "accuracy", f3(dres["threshold-rules"])},
 	)
 	// 2. Activity monitoring.
-	cats := []diagnosis.ActivityCategory{
+	cats := []monitor.ActivityCategory{
 		{Name: "admin-ddl", RiskProb: 0.45}, {Name: "bulk-export", RiskProb: 0.30},
 		{Name: "app-read", RiskProb: 0.02}, {Name: "app-write", RiskProb: 0.05},
 		{Name: "reporting", RiskProb: 0.03},
 	}
 	const rounds = 2000
-	randomRisk := diagnosis.RunAudits(diagnosis.NewActivityStream(ml.NewRNG(seed+1), cats),
-		diagnosis.NewRandomSelector(ml.NewRNG(seed+2), len(cats)), rounds)
-	mabRisk := diagnosis.RunAudits(diagnosis.NewActivityStream(ml.NewRNG(seed+1), cats),
+	randomRisk := monitor.RunAudits(monitor.NewActivityStream(ml.NewRNG(seed+1), cats),
+		monitor.NewRandomSelector(ml.NewRNG(seed+2), len(cats)), rounds)
+	mabRisk := monitor.RunAudits(monitor.NewActivityStream(ml.NewRNG(seed+1), cats),
 		rl.NewUCB1Bandit(len(cats)), rounds)
 	t.Rows = append(t.Rows,
 		[]string{"activity-audit", "mab-ucb1", "risk captured", f0(mabRisk)},
 		[]string{"activity-audit", "random", "risk captured", f0(randomRisk)},
 	)
 	// 3. Performance prediction.
-	trainB := diagnosis.GenerateBatches(rng, 60, 8)
-	testB := diagnosis.GenerateBatches(rng, 30, 8)
-	var pipe diagnosis.PipelineModel
+	trainB := monitor.GenerateBatches(rng, 60, 8)
+	testB := monitor.GenerateBatches(rng, 30, 8)
+	var pipe monitor.PipelineModel
 	_ = pipe.Train(trainB)
-	var gcn diagnosis.GCNModel
+	var gcn monitor.GCNModel
 	_ = gcn.Train(trainB)
-	pres := diagnosis.EvaluatePredictors(testB, &gcn, &pipe)
+	pres := monitor.EvaluatePredictors(testB, &gcn, &pipe)
 	t.Rows = append(t.Rows,
 		[]string{"perf-prediction", "graph-embedding", "MAE", f2(pres["graph-embedding"])},
 		[]string{"perf-prediction", "pipeline-model", "MAE", f2(pres["pipeline-model"])},

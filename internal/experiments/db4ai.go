@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"aidb/internal/aisql"
-	"aidb/internal/db4ai/datagov"
-	"aidb/internal/db4ai/inference"
-	"aidb/internal/db4ai/training"
+	"aidb/internal/governance"
+	"aidb/internal/inference"
 	"aidb/internal/ml"
+	"aidb/internal/training"
 )
 
 func init() {
@@ -80,13 +80,13 @@ func runE15DataDiscovery(seed uint64) *Table {
 		Header: []string{"method", "comparisons / query", "top-1 agreement"},
 	}
 	rng := ml.NewRNG(seed)
-	profiles := datagov.GenerateLake(rng, 100, 5, 8)
-	g := datagov.NewEKG(profiles, 0.3)
+	profiles := governance.GenerateLake(rng, 100, 5, 8)
+	g := governance.NewEKG(profiles, 0.3)
 	agree, queries := 0, 0
 	ekgComparisons, exhComparisons := 0, 0
 	for i := 0; i < 40; i++ {
 		q := profiles[i*7%len(profiles)]
-		exh, cmps := datagov.ExhaustiveRelated(profiles, q, 0.3)
+		exh, cmps := governance.ExhaustiveRelated(profiles, q, 0.3)
 		exhComparisons += cmps
 		before := g.Comparisons
 		got := g.Related(q)
@@ -119,9 +119,9 @@ func runE16DataCleaning(seed uint64) *Table {
 		Claim:  "cleaning records by model impact reaches accuracy with fewer cleaned records than random order (§2.2 data cleaning, ActiveClean)",
 		Header: []string{"round", "activeclean acc", "random acc"},
 	}
-	base := datagov.MakeDirtyDataset(ml.NewRNG(seed), 600, 0.35)
-	randCurve := datagov.CleaningCurve(base.Copy(), datagov.RandomOrder{Rng: ml.NewRNG(seed + 1)}, 8, 15)
-	activeCurve := datagov.CleaningCurve(base.Copy(), datagov.ActiveClean{}, 8, 15)
+	base := governance.MakeDirtyDataset(ml.NewRNG(seed), 600, 0.35)
+	randCurve := governance.CleaningCurve(base.Copy(), governance.RandomOrder{Rng: ml.NewRNG(seed + 1)}, 8, 15)
+	activeCurve := governance.CleaningCurve(base.Copy(), governance.ActiveClean{}, 8, 15)
 	sumA, sumR := 0.0, 0.0
 	for i := range activeCurve {
 		t.Rows = append(t.Rows, []string{itoa(i), f3(activeCurve[i]), f3(randCurve[i])})
@@ -143,8 +143,8 @@ func runE17DataLabeling(seed uint64) *Table {
 		Header: []string{"method", "label accuracy"},
 	}
 	rng := ml.NewRNG(seed)
-	task := datagov.NewLabelingTask(rng, 500)
-	workers := []datagov.Worker{
+	task := governance.NewLabelingTask(rng, 500)
+	workers := []governance.Worker{
 		{Accuracy: 0.95}, {Accuracy: 0.9}, {Accuracy: 0.6}, {Accuracy: 0.55}, {Accuracy: 0.55},
 	}
 	labels := task.Collect(workers)
@@ -152,11 +152,11 @@ func runE17DataLabeling(seed uint64) *Table {
 	for i := range single {
 		single[i] = labels[i][2]
 	}
-	mv := datagov.MajorityVote(labels)
-	em, _ := datagov.EMInference(labels, 20)
-	accSingle := datagov.LabelAccuracy(single, task.Truth)
-	accMV := datagov.LabelAccuracy(mv, task.Truth)
-	accEM := datagov.LabelAccuracy(em, task.Truth)
+	mv := governance.MajorityVote(labels)
+	em, _ := governance.EMInference(labels, 20)
+	accSingle := governance.LabelAccuracy(single, task.Truth)
+	accMV := governance.LabelAccuracy(mv, task.Truth)
+	accEM := governance.LabelAccuracy(em, task.Truth)
 	t.Rows = append(t.Rows,
 		[]string{"single worker (0.6)", f3(accSingle)},
 		[]string{"majority vote", f3(accMV)},
@@ -313,8 +313,15 @@ func runE22HybridInference(seed uint64) *Table {
 	)
 	same := len(naive.Rows) == len(push.Rows)
 	t.Holds = same && push.ModelInvocations*10 < naive.ModelInvocations
-	t.Note = fmt.Sprintf("invocations cut %dx", naive.ModelInvocations/max(push.ModelInvocations, 1))
+	t.Note = fmt.Sprintf("invocations cut %dx", naive.ModelInvocations/maxInt(push.ModelInvocations, 1))
 	return t
+}
+
+func maxInt(a, b int) int {
+	if a > b {
+		return a
+	}
+	return b
 }
 
 func runE23FaultTolerance(seed uint64) *Table {

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"strings"
 
-	"aidb/internal/ai4db/cardest"
 	"aidb/internal/aisql"
-	"aidb/internal/experiments/workload"
+	"aidb/internal/cardest"
 	"aidb/internal/ml"
 	"aidb/internal/obs"
+	"aidb/internal/workload"
 )
 
 func init() {

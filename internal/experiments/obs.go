@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"aidb/internal/ai4db/diagnosis"
 	"aidb/internal/aisql"
 	"aidb/internal/chaos"
-	"aidb/internal/experiments/kv"
+	"aidb/internal/kv"
 	"aidb/internal/ml"
+	"aidb/internal/monitor"
 	"aidb/internal/obs"
 	"aidb/internal/storage"
 )
@@ -26,7 +26,7 @@ type e25Rig struct {
 	store *kv.Store
 	pool  *storage.BufferPool
 	pages []storage.PageID
-	kpis  *diagnosis.LiveKPIs
+	kpis  *monitor.LiveKPIs
 	rng   *ml.RNG
 }
 
@@ -34,8 +34,8 @@ type e25Rig struct {
 // mem, tps, latency) onto live registry metrics. Scales are calibrated
 // to the window workload in e25Window so a scenario's primary symptom
 // lands high in its dimension while secondaries stay moderate.
-func e25Dims() [diagnosis.NumKPIs]diagnosis.KPIDim {
-	return [diagnosis.NumKPIs]diagnosis.KPIDim{
+func e25Dims() [monitor.NumKPIs]monitor.KPIDim {
+	return [monitor.NumKPIs]monitor.KPIDim{
 		{Metrics: []string{"exec.injected_delay_units"}, Scale: 600},
 		{Metrics: []string{"kv.injected_delay_units"}, Scale: 400},
 		{Metrics: []string{"kv.flushes_deferred"}, Scale: 80},
@@ -92,18 +92,18 @@ func newE25Rig(seed uint64, rules []chaos.Rule) (*e25Rig, error) {
 		}
 	}
 	// Window baseline starts here, after setup traffic.
-	rig.kpis = diagnosis.NewLiveKPIs(reg, e25Dims())
+	rig.kpis = monitor.NewLiveKPIs(reg, e25Dims())
 	return rig, nil
 }
 
 // window drives one fixed-size mixed workload window — SQL scans, LSM
 // point ops, and buffer-pool fetches — and reads the resulting KPI
 // vector off the live registry.
-func (r *e25Rig) window() ([diagnosis.NumKPIs]float64, error) {
+func (r *e25Rig) window() ([monitor.NumKPIs]float64, error) {
 	for i := 0; i < 20; i++ {
 		q := fmt.Sprintf("SELECT a, b FROM t WHERE a < %d", r.rng.Intn(200))
 		if _, err := r.eng.Execute(q); err != nil {
-			return [diagnosis.NumKPIs]float64{}, err
+			return [monitor.NumKPIs]float64{}, err
 		}
 	}
 	for i := 0; i < 300; i++ {
@@ -116,11 +116,11 @@ func (r *e25Rig) window() ([diagnosis.NumKPIs]float64, error) {
 		id := r.pages[r.rng.Intn(len(r.pages))]
 		p, err := r.pool.Fetch(id)
 		if err != nil {
-			return [diagnosis.NumKPIs]float64{}, err
+			return [monitor.NumKPIs]float64{}, err
 		}
 		_ = p
 		if err := r.pool.Unpin(id, false); err != nil {
-			return [diagnosis.NumKPIs]float64{}, err
+			return [monitor.NumKPIs]float64{}, err
 		}
 	}
 	return r.kpis.Window(), nil
@@ -132,7 +132,7 @@ func (r *e25Rig) window() ([diagnosis.NumKPIs]float64, error) {
 type e25Scenario struct {
 	name  string
 	site  string
-	truth diagnosis.RootCause
+	truth monitor.RootCause
 	rules []chaos.Rule
 }
 
@@ -141,7 +141,7 @@ func e25Scenarios() []e25Scenario {
 		{
 			// Scan-side slowdown: every executor row costs extra virtual
 			// time, the profile of a CPU-bound plan.
-			name: "slow-scans", site: "exec.scan", truth: diagnosis.CPUSaturation,
+			name: "slow-scans", site: "exec.scan", truth: monitor.CPUSaturation,
 			rules: []chaos.Rule{
 				{Site: "exec.scan", Kind: chaos.Latency, Prob: 0.9, Delay: 30},
 				{Site: kv.SiteKVGet, Kind: chaos.Latency, Prob: 0.05, Delay: 1},
@@ -150,7 +150,7 @@ func e25Scenarios() []e25Scenario {
 		{
 			// Point-read latency on the LSM path: sub-threshold on every
 			// single KPI — exactly the regime fixed threshold rules miss.
-			name: "slow-reads", site: kv.SiteKVGet, truth: diagnosis.IOContention,
+			name: "slow-reads", site: kv.SiteKVGet, truth: monitor.IOContention,
 			rules: []chaos.Rule{
 				{Site: kv.SiteKVGet, Kind: chaos.Latency, Prob: 0.5, Delay: 2},
 				{Site: "exec.scan", Kind: chaos.Latency, Prob: 0.3, Delay: 10},
@@ -159,7 +159,7 @@ func e25Scenarios() []e25Scenario {
 		{
 			// Flushes fail and defer: the memtable backs up, the write path
 			// stalls — the shape of lock/write contention.
-			name: "stalled-flushes", site: kv.SiteKVFlush, truth: diagnosis.LockContention,
+			name: "stalled-flushes", site: kv.SiteKVFlush, truth: monitor.LockContention,
 			rules: []chaos.Rule{
 				{Site: kv.SiteKVFlush, Kind: chaos.Error, Every: 1},
 				{Site: kv.SiteKVGet, Kind: chaos.Latency, Prob: 0.2, Delay: 1},
@@ -168,7 +168,7 @@ func e25Scenarios() []e25Scenario {
 		{
 			// Page reads slow down under buffer-pool misses: the paging
 			// profile of memory pressure.
-			name: "slow-page-reads", site: storage.SiteDiskRead, truth: diagnosis.MemoryPressure,
+			name: "slow-page-reads", site: storage.SiteDiskRead, truth: monitor.MemoryPressure,
 			rules: []chaos.Rule{
 				{Site: storage.SiteDiskRead, Kind: chaos.Latency, Prob: 0.5, Delay: 2},
 				{Site: "exec.scan", Kind: chaos.Latency, Prob: 0.1, Delay: 10},
@@ -191,8 +191,8 @@ func runE25LiveRootCause(seed uint64) *Table {
 	}
 	const trainW, evalW = 10, 5
 	scenarios := e25Scenarios()
-	var train []diagnosis.SlowQuery
-	eval := make([][]diagnosis.SlowQuery, len(scenarios))
+	var train []monitor.SlowQuery
+	eval := make([][]monitor.SlowQuery, len(scenarios))
 	for si, sc := range scenarios {
 		rig, err := newE25Rig(seed+uint64(si)*101, sc.rules)
 		if err != nil {
@@ -205,7 +205,7 @@ func runE25LiveRootCause(seed uint64) *Table {
 				t.Note = "workload window failed: " + err.Error()
 				return t
 			}
-			q := diagnosis.SlowQuery{KPIs: v, Truth: sc.truth}
+			q := monitor.SlowQuery{KPIs: v, Truth: sc.truth}
 			if w < trainW {
 				train = append(train, q)
 			} else {
@@ -214,12 +214,12 @@ func runE25LiveRootCause(seed uint64) *Table {
 		}
 	}
 
-	kc := &diagnosis.KPICluster{}
+	kc := &monitor.KPICluster{}
 	if err := kc.Train(ml.NewRNG(seed+7), train); err != nil {
 		t.Note = "training failed: " + err.Error()
 		return t
 	}
-	base := diagnosis.ThresholdRules{}
+	base := monitor.ThresholdRules{}
 
 	var kcTotal, baseTotal, n int
 	perCauseMajority := true

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 
-	"aidb/internal/ai4db/cardest"
+	"aidb/internal/cardest"
 	"aidb/internal/chaos"
-	"aidb/internal/experiments/guard"
-	"aidb/internal/experiments/workload"
+	"aidb/internal/guard"
 	"aidb/internal/ml"
+	"aidb/internal/workload"
 )
 
 func init() {

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"aidb/internal/ai4db/idxadvisor"
 	"aidb/internal/core"
+	"aidb/internal/idxadvisor"
 	"aidb/internal/ml"
 )
 

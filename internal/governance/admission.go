@@ -1,5 +1,3 @@
-// Package governance is the server's resource governance: deadline-aware
-// admission, per-query memory budgets, retry and the metrics they share.
 package governance
 
 import (

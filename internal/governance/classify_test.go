@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"aidb/internal/chaos"
-	"aidb/internal/experiments/txn"
+	"aidb/internal/txn"
 )
 
 func TestClassify(t *testing.T) {

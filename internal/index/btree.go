@@ -1,6 +1,6 @@
 // Package index implements an in-memory B+tree over int64 keys. It is the
 // traditional index baseline that the learned indexes in
-// internal/ai4db/learnedidx are measured against (experiment E9), and it backs
+// internal/learnedidx are measured against (experiment E9), and it backs
 // the secondary indexes a catalog table keeps.
 package index
 

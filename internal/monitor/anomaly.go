@@ -1,5 +1,3 @@
-// Package monitor is the server's alerting: AnomalyDetector over obs time
-// series and SQLRuleSet over system.* tables file into one AlertLog.
 package monitor
 
 import (

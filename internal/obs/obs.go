@@ -1,7 +1,7 @@
 // Package obs is aidb's observability substrate: a zero-dependency
 // (stdlib-only) metrics registry plus lightweight span tracing. It is
 // the observation/feedback plane that Baihe and NeurDB argue an
-// AI-driven database needs — the learned diagnosis (internal/ai4db/diagnosis)
+// AI-driven database needs — the learned monitor (internal/monitor)
 // consumes KPI vectors derived from live registry snapshots instead of
 // synthetic streams, and every perf experiment reads its baseline from
 // the same counters the engine itself maintains.

@@ -10,7 +10,7 @@ import (
 // CardinalityEstimator estimates output cardinalities for plan nodes.
 // The default implementation (HistogramEstimator) uses per-column
 // histograms with the attribute-independence assumption; learned
-// estimators in internal/ai4db/cardest satisfy the same interface.
+// estimators in internal/cardest satisfy the same interface.
 type CardinalityEstimator interface {
 	// EstimateFilter returns the selectivity in [0,1] of cond against the
 	// table feeding the filter (nil table means unknown → default).

@@ -1,8 +1,8 @@
 // Package plan turns parsed SQL into a logical operator tree and costs it.
 // It contains the *traditional* optimizer machinery — histogram-based
 // selectivity estimation and a Selinger-style cost model — that the
-// learned components (internal/ai4db/cardest, internal/ai4db/joinorder,
-// internal/ai4db/optimizer) are benchmarked against.
+// learned components (internal/cardest, internal/joinorder,
+// internal/optimizer) are benchmarked against.
 package plan
 
 import (

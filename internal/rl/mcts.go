@@ -54,9 +54,12 @@ func (m *MCTS) Search(root MCTSState, iterations int) (int, float64) {
 	for it := 0; it < iterations; it++ {
 		m.simulate(rn)
 	}
+	// Ranging over actions, not the children map, breaks a visit tie
+	// toward the earliest action, so a seeded search is repeatable.
 	bestA, bestVisits, bestVal := actions[0], -1.0, 0.0
-	for a, ch := range rn.children {
-		if ch.visits > bestVisits {
+	for _, a := range actions {
+		ch, ok := rn.children[a]
+		if ok && ch.visits > bestVisits {
 			bestVisits = ch.visits
 			bestA = a
 			bestVal = ch.total / ch.visits
