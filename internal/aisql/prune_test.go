@@ -32,33 +32,34 @@ func pruneRowFor(r *rand.Rand, id int64) pruneRow {
 }
 
 // pruneConj is one conjunct of a generated chain: its literal and $N
-// spellings, its parameter, and which rows it keeps or fails on.
+// spellings, its parameters, and which rows it keeps or fails on.
 type pruneConj struct {
 	lit, par string
-	param    catalog.Value
+	params   []catalog.Value
 	holds    func(pruneRow) bool // nil: fails on every row it sees
 }
 
-func (g *pruneGen) conj() pruneConj {
-	col := []string{"a", "f", "id"}[g.r.Intn(3)]
-	ops := []string{"<", "<=", ">", ">=", "=", "!="}
-	op := ops[g.r.Intn(len(ops))]
-	cell := func(row pruneRow) float64 {
-		switch col {
-		case "a":
-			return float64(row.a)
-		case "f":
-			return row.f
-		}
-		return float64(row.id)
-	}
-	// k is an INT or, with a fraction, a FLOAT within the column's
-	// range, where most chains keep some pages and rule out others.
-	var k float64
-	var lit string
-	var param catalog.Value
+// pruneCell is column col of row as a number.
+func pruneCell(row pruneRow, col string) float64 {
 	switch col {
+	case "a":
+		return float64(row.a)
 	case "f":
+		return row.f
+	}
+	return float64(row.id)
+}
+
+// number draws a constant for col: an INT or, with a fraction, a FLOAT
+// within the column's range, where most chains keep some pages and
+// rule out others, or now and then one below every value, where a
+// comparison keeps every page or none. It returns the value, its
+// literal and the $N spelling with the parameter it binds.
+func (g *pruneGen) number(col string) (k float64, lit, par string, param catalog.Value) {
+	switch {
+	case g.r.Intn(10) == 0:
+		k = -2_000_000
+	case col == "f":
 		k = float64(g.r.Intn(3200)-100) / 4
 	default:
 		k = float64(g.r.Intn(3200) - 100)
@@ -74,10 +75,17 @@ func (g *pruneGen) conj() pruneConj {
 	} else {
 		lit, param = fmt.Sprint(int64(k)), int64(k)
 	}
-	p := fmt.Sprintf("$%d", g.n+1)
 	g.n++
+	return k, lit, fmt.Sprintf("$%d", g.n), param
+}
+
+func (g *pruneGen) conj() pruneConj {
+	col := []string{"a", "f", "id"}[g.r.Intn(3)]
+	ops := []string{"<", "<=", ">", ">=", "=", "!="}
+	op := ops[g.r.Intn(len(ops))]
+	k, lit, p, param := g.number(col)
 	holds := func(row pruneRow) bool {
-		x := cell(row)
+		x := pruneCell(row, col)
 		switch op {
 		case "<":
 			return x < k
@@ -92,11 +100,48 @@ func (g *pruneGen) conj() pruneConj {
 		}
 		return x != k
 	}
+	params := []catalog.Value{param}
 	if g.r.Intn(4) == 0 { // k op column
 		mirror := map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}[op]
-		return pruneConj{lit: lit + " " + mirror + " " + col, par: p + " " + mirror + " " + col, param: param, holds: holds}
+		return pruneConj{lit: lit + " " + mirror + " " + col, par: p + " " + mirror + " " + col, params: params, holds: holds}
 	}
-	return pruneConj{lit: col + " " + op + " " + lit, par: col + " " + op + " " + p, param: param, holds: holds}
+	return pruneConj{lit: col + " " + op + " " + lit, par: col + " " + op + " " + p, params: params, holds: holds}
+}
+
+// between is `col BETWEEN lo AND hi`, which no zone reads: it ends a
+// scan's leading run of comparisons.
+func (g *pruneGen) between() pruneConj {
+	col := []string{"a", "f", "id"}[g.r.Intn(3)]
+	lo, loLit, loPar, first := g.number(col)
+	hi, hiLit, hiPar, second := g.number(col)
+	if hi < lo {
+		lo, hi, loLit, hiLit, loPar, hiPar = hi, lo, hiLit, loLit, hiPar, loPar
+	}
+	return pruneConj{
+		lit:    col + " BETWEEN " + loLit + " AND " + hiLit,
+		par:    col + " BETWEEN " + loPar + " AND " + hiPar,
+		params: []catalog.Value{first, second},
+		holds: func(row pruneRow) bool {
+			x := pruneCell(row, col)
+			return lo <= x && x <= hi
+		},
+	}
+}
+
+// runEnd is a conjunct that ends a scan's leading run of comparisons: a
+// comparison of the TEXT column, or a comparison of a number column
+// with a string parameter, which fails on every row it sees — so no
+// comparison after it may rule out a page.
+func (g *pruneGen) runEnd() pruneConj {
+	g.n++
+	p := fmt.Sprintf("$%d", g.n)
+	if g.r.Intn(2) == 0 {
+		s, ne := fmt.Sprintf("s%d", g.r.Intn(7)), g.r.Intn(2) == 0
+		op := map[bool]string{false: " = ", true: " != "}[ne]
+		return pruneConj{lit: "s" + op + "'" + s + "'", par: "s" + op + p, params: []catalog.Value{s},
+			holds: func(row pruneRow) bool { return (fmt.Sprintf("s%d", row.id%7) == s) != ne }}
+	}
+	return pruneConj{lit: "a < 'x'", par: "a < " + p, params: []catalog.Value{"x"}}
 }
 
 type pruneGen struct {
@@ -107,7 +152,10 @@ type pruneGen struct {
 // chain is a conjunction of one to three comparisons, sometimes led by
 // a conjunct that fails on every row (a division by zero, as costly as
 // a comparison, so the planner keeps it first) or by a comparison with
-// a NULL parameter. Its param spelling has no literal then.
+// a NULL parameter — its param spelling has no literal then — and
+// sometimes with a conjunct that ends the leading run among the
+// comparisons. A BETWEEN, costlier than a comparison, comes last, where
+// the planner puts it.
 func (g *pruneGen) chain() (lit, par string, params []catalog.Value, conjs []pruneConj) {
 	g.n = 0
 	switch g.r.Intn(6) {
@@ -115,17 +163,28 @@ func (g *pruneGen) chain() (lit, par string, params []catalog.Value, conjs []pru
 		conjs = append(conjs, pruneConj{lit: "id / 0", par: "id / 0"})
 	case 1:
 		g.n++
-		conjs = append(conjs, pruneConj{par: "a > $1", holds: func(pruneRow) bool { return false }})
-		params = append(params, nil)
+		conjs = append(conjs, pruneConj{par: "a > $1", params: []catalog.Value{nil}, holds: func(pruneRow) bool { return false }})
 	}
-	for n := 1 + g.r.Intn(3); n > 0; n-- {
-		c := g.conj()
-		conjs = append(conjs, c)
-		params = append(params, c.param)
+	n := 1 + g.r.Intn(3)
+	end := -1
+	if g.r.Intn(4) == 0 {
+		end = g.r.Intn(n + 1)
+	}
+	for i := 0; i <= n; i++ {
+		if i == end {
+			conjs = append(conjs, g.runEnd())
+		}
+		if i < n {
+			conjs = append(conjs, g.conj())
+		}
+	}
+	if g.r.Intn(4) == 0 {
+		conjs = append(conjs, g.between())
 	}
 	var lits, pars []string
 	for _, c := range conjs {
 		lits, pars = append(lits, c.lit), append(pars, c.par)
+		params = append(params, c.params...)
 	}
 	if slices.Contains(lits, "") {
 		return "", strings.Join(pars, " AND "), params, conjs
@@ -184,6 +243,9 @@ func TestPrunedScanMatchesFilter(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	var rows []pruneRow
 	insert := func(batch []pruneRow) {
+		if len(batch) == 0 {
+			return // the churn's delete found no row
+		}
 		var sb strings.Builder
 		sb.WriteString("INSERT INTO z VALUES ")
 		for i, row := range batch {

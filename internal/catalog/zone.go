@@ -88,11 +88,9 @@ func (z *zones) widen(i int, row Row) {
 func (z *zones) drop(i int) { z.w[i*z.stride]-- }
 
 // ZoneCond is `column op k` for an INT or FLOAT column Col and a number
-// k: IntK when Int is set, else FloatK. Accept is the set of outcomes of
-// comparing a cell with k that op accepts — 1 below, 2 equal, 4 above,
-// so `<=` is 3 — where a cell compares with k as the executor compares
-// them: as int64s when both are INTs, else as float64s, and a NaN on
-// either side compares equal.
+// k: IntK when Int is set, else FloatK. Accept is op, where a cell
+// compares with k as the executor compares them: as int64s when both
+// are INTs, else as float64s, and a NaN on either side compares equal.
 //
 // When In is set the cond is instead `column IN Keys` for an INT column
 // and Keys sorted ascending — a hash join's build keys, which are all a
@@ -100,7 +98,7 @@ func (z *zones) drop(i int) { z.w[i*z.stride]-- }
 // its zone, so with no Keys none is.
 type ZoneCond struct {
 	Col    int
-	Accept uint8
+	Accept CmpOp
 	Int    bool
 	IntK   int64
 	FloatK float64
@@ -142,17 +140,17 @@ func (z *zones) admits(i int, c ZoneCond) bool {
 }
 
 // outcomes is the set of outcomes of comparing a value in [lo, hi] with
-// k, neither bound nor k a NaN: 1 below, 2 equal, 4 above.
-func outcomes[T int64 | float64](lo, hi, k T) uint8 {
-	var o uint8
+// k, neither bound nor k a NaN.
+func outcomes[T int64 | float64](lo, hi, k T) CmpOp {
+	var o CmpOp
 	if lo < k {
-		o |= 1
+		o |= CmpLT
 	}
 	if lo <= k && k <= hi {
-		o |= 2
+		o |= CmpEQ
 	}
 	if hi > k {
-		o |= 4
+		o |= CmpGT
 	}
 	return o
 }
@@ -232,11 +230,28 @@ func (t *Table) ZoneSelectivity(c ZoneCond) (sel float64, ok bool) {
 	return min(1, est/float64(t.rows)), true
 }
 
+// ZoneRange returns the least and the greatest value of INT column col
+// over the zones of the pages with live rows: every live row's value
+// lies in [lo, hi]. ok is false for any other column and for a table
+// without live rows.
+func (t *Table) ZoneRange(col int) (lo, hi int64, ok bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	z, a := &t.zones, t.zones.at[col]
+	lo, hi = math.MaxInt64, math.MinInt64
+	for i := range t.pages {
+		if w := z.w[i*z.stride:]; w[0] > 0 && z.types[col] == Int64 {
+			lo, hi = min(lo, int64(w[a])), max(hi, int64(w[a+1]))
+		}
+	}
+	return lo, hi, lo <= hi
+}
+
 // zoneShare is the share of a page's rows, spread evenly over [lo, hi],
 // whose outcome against k Accept takes: over hi-lo+1 integers when
 // discrete, else over the interval, where a single value carries no
 // share unless lo == hi.
-func zoneShare(lo, hi, k float64, accept uint8, discrete bool) float64 {
+func zoneShare(lo, hi, k float64, accept CmpOp, discrete bool) float64 {
 	if lo != lo || hi != hi || k != k || math.IsInf(hi-lo, 0) || math.IsInf(k, 0) {
 		return 1.0 / 3
 	}
@@ -264,13 +279,13 @@ func zoneShare(lo, hi, k float64, accept uint8, discrete bool) float64 {
 		below, above = (k-lo)/(hi-lo), (hi-k)/(hi-lo)
 	}
 	share := 0.0
-	if accept&1 != 0 {
+	if accept&CmpLT != 0 {
 		share += min(1, max(0, below))
 	}
-	if accept&2 != 0 {
+	if accept&CmpEQ != 0 {
 		share += equal
 	}
-	if accept&4 != 0 {
+	if accept&CmpGT != 0 {
 		share += min(1, max(0, above))
 	}
 	return min(1, share)

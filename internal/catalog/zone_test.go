@@ -25,7 +25,7 @@ var (
 // executor's filters do: as int64s when both are INTs, else as float64s,
 // with a NaN on either side comparing equal; it returns the outcome's
 // bit (1 below, 2 equal, 4 above).
-func zoneCell(cell Value, c ZoneCond) uint8 {
+func zoneCell(cell Value, c ZoneCond) CmpOp {
 	if x, ok := cell.(int64); ok && c.Int {
 		switch {
 		case x < c.IntK:
@@ -70,7 +70,7 @@ func zoneRow(r *rand.Rand, n int) Row {
 }
 
 func zoneCond(r *rand.Rand) ZoneCond {
-	c := ZoneCond{Col: []int{0, 1, 3}[r.Intn(3)], Accept: uint8(1 + r.Intn(6))}
+	c := ZoneCond{Col: []int{0, 1, 3}[r.Intn(3)], Accept: CmpOp(1 + r.Intn(6))}
 	switch r.Intn(4) {
 	case 0:
 		c.Int, c.IntK = true, zoneInts[r.Intn(len(zoneInts))]

@@ -51,6 +51,16 @@ func TestJoinTopPrunesByBuildKeys(t *testing.T) {
 			t.Errorf("Filter %s: est_rows %v, actual %v: not within 10x", f, est, actual)
 		}
 	}
+	// Before ANALYZE a join key's distinct values are bounded by its
+	// table's rows and its zones' span, not guessed as a tenth of the
+	// cross product.
+	for _, r := range res.Rows {
+		if op := strings.TrimSpace(r[0].(string)); strings.HasPrefix(op, "HashJoin") {
+			if est, actual := float64(r[1].(int64)), float64(r[2].(int64)); est < actual/10 || est > actual*10 {
+				t.Errorf("%s: est_rows %v, actual %v: not within 10x", op, est, actual)
+			}
+		}
+	}
 	users := ops["Scan users"]
 	if read, pruned := users[9].(int64), users[10].(int64); read > 340 || read+pruned != 848 {
 		t.Errorf("users scan read %d pages and pruned %d, want at most 340 of 848 read", read, pruned)

@@ -292,7 +292,7 @@ func isCondition(e sql.Expr) bool {
 	case *sql.NotExpr, *sql.InExpr, *sql.BetweenExpr:
 		return true
 	case *sql.BinaryExpr:
-		return v.Op == "AND" || v.Op == "OR" || cmpOpOf(v.Op) != opNone
+		return v.Op == "AND" || v.Op == "OR" || catalog.CmpOf(v.Op) != 0
 	}
 	return false
 }
@@ -616,7 +616,7 @@ func bindBool(e sql.Expr, scope *Scope, funcs FuncRegistry) (pred, error) {
 		if err != nil {
 			return nil, err
 		}
-		geLo, leHi := cmpTest(opGE, bindComparer(sub, lo)), cmpTest(opLE, bindComparer(sub, hi))
+		geLo, leHi := cmpTest(catalog.CmpGE, bindComparer(sub, lo)), cmpTest(catalog.CmpLE, bindComparer(sub, hi))
 		return rowPred(func(c *Chunk, r int32) (bool, error) {
 			okLo, err := geLo(c, r)
 			if err != nil {
@@ -651,11 +651,8 @@ func bindBool(e sql.Expr, scope *Scope, funcs FuncRegistry) (pred, error) {
 	if err != nil {
 		return nil, err
 	}
-	op := cmpOpOf(v.Op)
-	if p, ok := columnVsNumber(l, r, op); ok {
-		return p, nil
-	}
-	if p, ok := callVsNumber(l, r, op); ok {
+	op := catalog.CmpOf(v.Op)
+	if p, ok := vsNumber(l, r, op); ok {
 		return p, nil
 	}
 	return cmpTest(op, bindComparer(l, r)), nil
@@ -710,7 +707,7 @@ func bindComparer(l, r bound) comparer {
 // cmpTest is the row test a comparison operator makes of cmp's result: a
 // comparison with NULL is not true of any row, as in SQL (tables hold no
 // NULL; a parameter can); any other failure stays the error it was.
-func cmpTest(op cmpOp, cmp comparer) rowPred {
+func cmpTest(op catalog.CmpOp, cmp comparer) rowPred {
 	return func(c *Chunk, r int32) (bool, error) {
 		x, null, err := cmp(c, r)
 		if err != nil {
@@ -719,29 +716,33 @@ func cmpTest(op cmpOp, cmp comparer) rowPred {
 			}
 			return false, err
 		}
-		return op.holds(x), nil
+		return op.Holds(x), nil
 	}
 }
 
-// columnVsNumber binds the predicate most filters are made of — a
-// numeric column compared with a numeric literal or parameter, either
-// way round — to a loop over the column's vector with the number held
-// unboxed. ok is false for every other shape, which the general path
-// binds.
-func columnVsNumber(l, r bound, op cmpOp) (p pred, ok bool) {
-	if l.col < 0 {
-		l, r, op = r, l, op.mirrored() // k op column
+// vsNumber binds the predicates most filters are made of — a numeric
+// column, or a chunk-form call, compared with a numeric literal or
+// parameter, either way round — with the number held unboxed: a column
+// to a loop over its vector, a call to a callPred. ok is false for
+// every other shape, which the general path binds.
+func vsNumber(l, r bound, op catalog.CmpOp) (p pred, ok bool) {
+	if r.col >= 0 || r.vc != nil {
+		l, r, op = r, l, op.Mirrored() // k op x
 	}
-	if l.col < 0 || !r.isConst() {
+	if !r.isConst() || !r.k.numeric() {
 		return nil, false
 	}
 	ints := func(v *vec) []int64 { return v.I }
 	switch {
+	case l.vc != nil:
+		return callPred{l.vc, r, op}, true
+	case l.col < 0:
+		return nil, false
 	case l.k == kInt && r.k == kInt:
 		return colPred[int64, int64]{l.col, ints, r, op}, true
-	case l.k == kInt && r.k == kFloat:
+	case l.k == kInt:
 		return colPred[int64, float64]{l.col, ints, r, op}, true
-	case l.k == kFloat && r.k.numeric():
+	case l.k == kFloat:
 		return colPred[float64, float64]{l.col, func(v *vec) []float64 { return v.F }, r, op}, true
 	}
 	return nil, false
@@ -754,45 +755,15 @@ type colPred[T, K int64 | float64] struct {
 	col   int
 	cells func(*vec) []T
 	k     bound
-	op    cmpOp
+	op    catalog.CmpOp
 }
 
 func (p colPred[T, K]) test(c *Chunk, r int32) (bool, error) {
-	return p.op.holds(cmpOrd(K(p.cells(c.cols[p.col])[r]), number[K](p.k.konst(c)))), nil
+	return p.op.Holds(cmpOrd(K(p.cells(c.cols[p.col])[r]), number[K](p.k.konst(c)))), nil
 }
 
 func (p colPred[T, K]) apply(c *Chunk, sel []int32) ([]int32, error) {
 	return selectCmp(p.cells(c.cols[p.col]), number[K](p.k.konst(c)), p.op, sel), nil
-}
-
-// zoned is a conjunct a page's zone can rule out: zone is it under a
-// run's parameters, as catalog.Table.PagesFor takes it.
-type zoned interface {
-	zone(params []catalog.Value) catalog.ZoneCond
-}
-
-func (p colPred[T, K]) zone(params []catalog.Value) catalog.ZoneCond {
-	c := catalog.ZoneCond{Col: p.col, Accept: uint8(p.op)}
-	switch k := any(number[K](p.k.konstIn(params))).(type) {
-	case int64:
-		c.Int, c.IntK = true, k
-	case float64:
-		c.FloatK = k
-	}
-	return c
-}
-
-// callVsNumber binds a chunk-form call compared with a numeric literal
-// or parameter, either way round, to a callPred. ok is false for every
-// other shape.
-func callVsNumber(l, r bound, op cmpOp) (p pred, ok bool) {
-	if l.vc == nil {
-		l, r, op = r, l, op.mirrored()
-	}
-	if l.vc == nil || !r.isConst() || !r.k.numeric() {
-		return nil, false
-	}
-	return callPred{l.vc, r, op}, true
 }
 
 // callPred is `call op k`. Where the function has a selecting form for
@@ -803,12 +774,12 @@ func callVsNumber(l, r bound, op cmpOp) (p pred, ok bool) {
 type callPred struct {
 	call *vecCall
 	k    bound
-	op   cmpOp
+	op   catalog.CmpOp
 }
 
 func (p callPred) test(c *Chunk, r int32) (bool, error) {
 	x, err := p.call.row(c, r)
-	return err == nil && p.op.holds(cmpOrd(x, number[float64](p.k.konst(c)))), err
+	return err == nil && p.op.Holds(cmpOrd(x, number[float64](p.k.konst(c)))), err
 }
 
 func (p callPred) apply(c *Chunk, sel []int32) ([]int32, error) {
@@ -865,43 +836,43 @@ func (v *vecCall) selectBy(s Selector, c *Chunk, sel []int32) ([]int32, error) {
 // test's outcome: the compiler turns the ordering tests into conditional
 // moves itself, and = and <> add two flags, so no loop branches on a
 // cell.
-func selectCmp[T, K int64 | float64](cells []T, k K, op cmpOp, sel []int32) []int32 {
+func selectCmp[T, K int64 | float64](cells []T, k K, op catalog.CmpOp, sel []int32) []int32 {
 	j := 0
 	switch op {
-	case opEQ:
+	case catalog.CmpEQ:
 		for _, r := range sel {
 			sel[j] = r
 			x := K(cells[r])
 			j += 1 ^ (b2i(x < k) | b2i(x > k))
 		}
-	case opNE:
+	case catalog.CmpNE:
 		for _, r := range sel {
 			sel[j] = r
 			x := K(cells[r])
 			j += b2i(x < k) | b2i(x > k)
 		}
-	case opLT:
+	case catalog.CmpLT:
 		for _, r := range sel {
 			sel[j] = r
 			if K(cells[r]) < k {
 				j++
 			}
 		}
-	case opLE:
+	case catalog.CmpLE:
 		for _, r := range sel {
 			sel[j] = r
 			if !(K(cells[r]) > k) {
 				j++
 			}
 		}
-	case opGT:
+	case catalog.CmpGT:
 		for _, r := range sel {
 			sel[j] = r
 			if K(cells[r]) > k {
 				j++
 			}
 		}
-	case opGE:
+	case catalog.CmpGE:
 		for _, r := range sel {
 			sel[j] = r
 			if !(K(cells[r]) < k) {
@@ -919,44 +890,6 @@ func b2i(b bool) int {
 	}
 	return 0
 }
-
-// cmpOp is a comparison operator as the set of compare results it
-// accepts: bit x+1 for result x.
-type cmpOp uint8
-
-const (
-	opNone cmpOp = 0
-	opLT   cmpOp = 1 << 0
-	opEQ   cmpOp = 1 << 1
-	opGT   cmpOp = 1 << 2
-	opNE         = opLT | opGT
-	opLE         = opLT | opEQ
-	opGE         = opEQ | opGT
-)
-
-func cmpOpOf(op string) cmpOp {
-	switch op {
-	case "=":
-		return opEQ
-	case "!=":
-		return opNE
-	case "<":
-		return opLT
-	case "<=":
-		return opLE
-	case ">":
-		return opGT
-	case ">=":
-		return opGE
-	}
-	return opNone
-}
-
-// holds reports whether the operator accepts compare's result x.
-func (op cmpOp) holds(x int) bool { return op>>(x+1)&1 != 0 }
-
-// mirrored is the operator with its operands swapped: k < x is x > k.
-func (op cmpOp) mirrored() cmpOp { return op&opEQ | (op&opLT)<<2 | (op&opGT)>>2 }
 
 // truthy coerces a value used as a condition.
 func truthy(v catalog.Value) (bool, error) {

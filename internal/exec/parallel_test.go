@@ -188,7 +188,7 @@ func TestChunkVectors(t *testing.T) {
 	}
 	c.n = 10
 	c.selectAll()
-	c.sel = selectCmp(c.cols[0].I, int64(45), opGT, c.sel)
+	c.sel = selectCmp(c.cols[0].I, int64(45), catalog.CmpGT, c.sel)
 	if c.Len() != 5 || c.sel[0] != 5 || c.cols[0].I[5] != 50 {
 		t.Fatalf("after the filter: sel %v, cells %v", c.sel, c.cols[0].I)
 	}

@@ -82,6 +82,10 @@ type scanStep struct {
 	kinds  []kind
 	rowIDs bool
 	ts     []transform
+	// zones, for a heap scan, is the leading run of the comparisons a
+	// page's zone can rule out in the filter fused first into it
+	// (zoneRun); a run prunes the pages they rule out.
+	zones []plan.Comparison
 }
 
 func (s *scanStep) open(rc *runCtx) BatchOperator { return rc.stream(s) }
@@ -246,6 +250,9 @@ func (c *compiler) over(n plan.Node, in step, scope *Scope) (step, []kind, error
 		if err != nil {
 			return nil, nil, err
 		}
+		if s, ok := in.(*scanStep); ok && len(s.ts) == 0 {
+			s.zones, _ = c.zoneRun(s, v.Cond)
+		}
 		return fused(in, &filterTransform{cond: cond, node: v}), kinds, nil
 	case *plan.ProjectNode:
 		t, out, err := c.bindProject(v, scope)
@@ -348,37 +355,51 @@ func (c *compiler) join(v *plan.JoinNode) (step, []kind, error) {
 		j.buildIsLeft = true
 	}
 	j.pruneCol = -1
-	if s, ok := j.probe.(*scanStep); ok && j.mode == keyInt && j.probeKey[0].col >= 0 && prunable(s) {
+	if s, ok := j.probe.(*scanStep); ok && j.mode == keyInt && j.probeKey[0].col >= 0 && c.prunable(s) {
 		j.pruneCol = j.probeKey[0].col
 	}
 	return j, j.outKinds, nil
 }
 
 // prunable reports whether a join may read only some of s's pages: s is
-// a heap scan whose fused transforms are filters of column-vs-number
-// comparisons alone, which no row fails on, so a page left out changes
-// no statement's error.
-func prunable(s *scanStep) bool {
-	if _, heap := s.node.(*plan.ScanNode); !heap {
-		return false
-	}
+// a heap scan whose fused transforms are filters of zone comparisons
+// alone, which no row fails on, so a page left out changes no
+// statement's error.
+func (c *compiler) prunable(s *scanStep) bool {
+	_, heap := s.node.(*plan.ScanNode)
 	for _, t := range s.ts {
-		if f, ok := t.(*filterTransform); !ok || !allZoned(f.cond) {
+		f, ok := t.(*filterTransform)
+		if !ok {
+			return false
+		}
+		if _, whole := c.zoneRun(s, f.node.Cond); !whole {
 			return false
 		}
 	}
-	return true
+	return heap
 }
 
-// allZoned reports whether every conjunct of p is zoned.
-func allZoned(p pred) bool {
-	switch p := p.(type) {
-	case andPred:
-		return allZoned(p.l) && allZoned(p.r)
-	case zoned:
-		return true
+// zoneRun returns the leading run, in evaluation order, of the
+// conjuncts of cond, a filter over heap scan s, that compare a column
+// with a number (plan.Compared) under the parameters' kinds, and
+// whether the run is all of cond. Only a row every one of them holds
+// for reaches the conjuncts after them, so a page they rule out holds
+// no row the filter keeps and none a later conjunct could fail on; a
+// comparison with a NULL or a string parameter, or a conjunct of any
+// other kind, ends the run. A scan of any other kind has no run.
+func (c *compiler) zoneRun(s *scanStep, cond sql.Expr) (run []plan.Comparison, whole bool) {
+	scan, ok := s.node.(*plan.ScanNode)
+	if !ok {
+		return nil, false
 	}
-	return false
+	for _, e := range plan.Conjuncts(cond) {
+		cmp, ok := plan.Compared(scan.Table, scan.Alias, e)
+		if _, num := cmp.Number(c.params); !ok || !num {
+			return run, false
+		}
+		run = append(run, cmp)
+	}
+	return run, true
 }
 
 // bindProject binds a projection's items against its input and returns

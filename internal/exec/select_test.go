@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"aidb/internal/catalog"
 )
 
 // selectCase checks selectCmp over cells and a non-ascending selection
-// against the per-row test it stands for, op.holds(cmpOrd(K(x), k)),
+// against the per-row test it stands for, op.Holds(cmpOrd(K(x), k)),
 // for every operator and every constant in ks.
 func selectCase[T, K int64 | float64](t *testing.T, name string, cells []T, ks []K, r *rand.Rand) {
 	t.Helper()
@@ -20,11 +22,11 @@ func selectCase[T, K int64 | float64](t *testing.T, name string, cells []T, ks [
 			sel = append(sel, int32(i))
 		}
 	}
-	for _, op := range []cmpOp{opEQ, opNE, opLT, opLE, opGT, opGE} {
+	for _, op := range []catalog.CmpOp{catalog.CmpEQ, catalog.CmpNE, catalog.CmpLT, catalog.CmpLE, catalog.CmpGT, catalog.CmpGE} {
 		for _, k := range ks {
 			var want []int32
 			for _, row := range sel {
-				if op.holds(cmpOrd(K(cells[row]), k)) {
+				if op.Holds(cmpOrd(K(cells[row]), k)) {
 					want = append(want, row)
 				}
 			}
@@ -62,7 +64,7 @@ func TestSelectCmpMatchesCompare(t *testing.T) {
 	selectCase(t, "int64 vs float64", intCells, floats, r)
 	selectCase(t, "float64 vs float64", floatCells, floats, r)
 	// An empty selection selects nothing.
-	if got := selectCmp(intCells, int64(0), opEQ, nil); len(got) != 0 {
+	if got := selectCmp(intCells, int64(0), catalog.CmpEQ, nil); len(got) != 0 {
 		t.Errorf("an empty selection kept %v", got)
 	}
 }
@@ -93,10 +95,10 @@ func BenchmarkSelectCmp(b *testing.B) {
 		name string
 		run  func(sel []int32) []int32
 	}{
-		{"int_lt_37.5pct", func(sel []int32) []int32 { return selectCmp(ints, int64(30), opLT, sel) }},
-		{"float_gt_50pct", func(sel []int32) []int32 { return selectCmp(floats, 50.0, opGT, sel) }},
-		{"float_eq_30pct", func(sel []int32) []int32 { return selectCmp(labels, 1.0, opEQ, sel) }},
-		{"int_eq_1.25pct", func(sel []int32) []int32 { return selectCmp(ints, int64(7), opEQ, sel) }},
+		{"int_lt_37.5pct", func(sel []int32) []int32 { return selectCmp(ints, int64(30), catalog.CmpLT, sel) }},
+		{"float_gt_50pct", func(sel []int32) []int32 { return selectCmp(floats, 50.0, catalog.CmpGT, sel) }},
+		{"float_eq_30pct", func(sel []int32) []int32 { return selectCmp(labels, 1.0, catalog.CmpEQ, sel) }},
+		{"int_eq_1.25pct", func(sel []int32) []int32 { return selectCmp(ints, int64(7), catalog.CmpEQ, sel) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			sel := make([]int32, rows)

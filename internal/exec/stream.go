@@ -513,7 +513,7 @@ func (s *morselStream) open() error {
 
 // plan fixes the stream's morsels from the run's parameters and
 // settings. A heap scan leaves out the pages whose zones rule out the
-// filter fused into it (zoneConds) or, for a join's probe, hold none of
+// filter fused into it (scanStep.zones) or, for a join's probe, hold none of
 // the build side's keys (probeBy), and consults the chaos site serially,
 // once per morsel of the pages it keeps — the schedule depends only on
 // the pages read and the morsel configuration — and a failed scan reads
@@ -527,7 +527,14 @@ func (s *morselStream) plan() error {
 	rc, ex := s.rc, s.rc.ex
 	switch v := s.src.node.(type) {
 	case *plan.ScanNode:
-		s.conds = zoneConds(s.conds, s.src.ts, rc.params)
+		s.conds = s.conds[:0]
+		for _, z := range s.src.zones {
+			zc, ok := z.Zone(rc.params)
+			if !ok {
+				break
+			}
+			s.conds = append(s.conds, zc)
+		}
 		if s.probed {
 			s.conds = append(s.conds, catalog.ZoneCond{Col: s.probeCol, In: true, Keys: s.probeKeys})
 		}
@@ -747,39 +754,6 @@ func tableKinds(t *catalog.Table, needed []bool) []kind {
 		}
 	}
 	return kinds
-}
-
-// zoneConds returns, in conds' room, the conditions a scan's pages are
-// pruned by under a run's parameters: the leading run, in evaluation
-// order, of the column-vs-number conjuncts of the filter fused first
-// into the scan. Only a row every one of them holds for reaches the
-// conjuncts after them, so a page they rule out holds no row the filter
-// keeps and none a later conjunct could fail on; a conjunct of any other
-// kind ends the run.
-func zoneConds(conds []catalog.ZoneCond, ts []transform, params []catalog.Value) []catalog.ZoneCond {
-	conds = conds[:0]
-	if len(ts) == 0 {
-		return conds
-	}
-	f, ok := ts[0].(*filterTransform)
-	if !ok {
-		return conds
-	}
-	leadingConds(f.cond, params, &conds)
-	return conds
-}
-
-// leadingConds appends p's leading run of zoned conjuncts to conds and
-// reports whether the run goes on past p.
-func leadingConds(p pred, params []catalog.Value, conds *[]catalog.ZoneCond) bool {
-	switch p := p.(type) {
-	case andPred:
-		return leadingConds(p.l, params, conds) && leadingConds(p.r, params, conds)
-	case zoned:
-		*conds = append(*conds, p.zone(params))
-		return true
-	}
-	return false
 }
 
 // pruned counts the pages a scan left out, and their live rows as rows

@@ -27,177 +27,101 @@ type HistogramEstimator struct {
 }
 
 // EstimateFilter implements CardinalityEstimator.
-func (h HistogramEstimator) EstimateFilter(t *catalog.Table, alias string, cond sql.Expr) float64 {
-	return h.estimateCond(t, alias, cond)
-}
-
-func (h HistogramEstimator) estimateCond(t *catalog.Table, alias string, e sql.Expr) float64 {
+func (h HistogramEstimator) EstimateFilter(t *catalog.Table, alias string, e sql.Expr) float64 {
 	switch v := e.(type) {
 	case *sql.BinaryExpr:
 		switch v.Op {
 		case "AND":
-			return h.estimateCond(t, alias, v.Left) * h.estimateCond(t, alias, v.Right)
+			return h.EstimateFilter(t, alias, v.Left) * h.EstimateFilter(t, alias, v.Right)
 		case "OR":
-			a, b := h.estimateCond(t, alias, v.Left), h.estimateCond(t, alias, v.Right)
+			a, b := h.EstimateFilter(t, alias, v.Left), h.EstimateFilter(t, alias, v.Right)
 			return a + b - a*b
-		case "=", "<", "<=", ">", ">=", "!=":
-			return h.estimateComparison(t, alias, v)
+		}
+		if c, ok := Compared(t, alias, v); ok {
+			if sel, ok := h.selectivity(t, c); ok {
+				return sel
+			}
 		}
 	case *sql.BetweenExpr:
-		col, ok := columnIndexOf(t, alias, v.Subject)
-		if !ok {
-			return 1.0 / 3
-		}
-		if !t.HasHistogram(col) {
+		lo, ok1 := compared(t, alias, v.Subject, catalog.CmpGE, v.Lo)
+		hi, ok2 := compared(t, alias, v.Subject, catalog.CmpLE, v.Hi)
+		switch {
+		case !ok1 || !ok2:
+		case !t.HasHistogram(lo.Col):
 			// Every value is at least lo or at most hi, so the share that
 			// is both is the two shares' sum less one.
-			ge, ok1 := h.selectivity(t, col, ">=", v.Lo)
-			le, ok2 := h.selectivity(t, col, "<=", v.Hi)
-			if !ok1 || !ok2 {
-				return 1.0 / 3
+			ge, ok1 := h.selectivity(t, lo)
+			le, ok2 := h.selectivity(t, hi)
+			if ok1 && ok2 {
+				return max(0, ge+le-1)
 			}
-			return max(0, ge+le-1)
+		default:
+			l, ok1 := h.intValue(lo)
+			u, ok2 := h.intValue(hi)
+			if ok1 && ok2 {
+				return t.EstimateSelectivity(lo.Col, l, u)
+			}
 		}
-		lo, ok1 := h.intValue(v.Lo)
-		hi, ok2 := h.intValue(v.Hi)
-		if !ok1 || !ok2 {
-			return 1.0 / 3
-		}
-		return t.EstimateSelectivity(col, lo, hi)
 	case *sql.InExpr:
-		col, ok := columnIndexOf(t, alias, v.Subject)
-		if !ok {
-			return 1.0 / 3
-		}
 		sel := 0.0
 		for _, item := range v.List {
-			eq, ok := h.selectivity(t, col, "=", item)
+			c, ok := compared(t, alias, v.Subject, catalog.CmpEQ, item)
+			if !ok {
+				return 1.0 / 3
+			}
+			eq, ok := h.selectivity(t, c)
 			if !ok {
 				return 1.0 / 3
 			}
 			sel += eq
 		}
-		if sel > 1 {
-			sel = 1
-		}
+		sel = min(sel, 1)
 		if v.Negated {
 			return 1 - sel
 		}
 		return sel
 	case *sql.NotExpr:
-		return 1 - h.estimateCond(t, alias, v.Inner)
+		return 1 - h.EstimateFilter(t, alias, v.Inner)
 	}
 	return 1.0 / 3
 }
 
-// estimateComparison estimates `column op k` for a column of t and a
-// number k, either way round.
-func (h HistogramEstimator) estimateComparison(t *catalog.Table, alias string, v *sql.BinaryExpr) float64 {
-	col, ok := columnIndexOf(t, alias, v.Left)
-	op, k := v.Op, v.Right
-	if _, num := h.number(k); !ok || !num {
-		col, ok = columnIndexOf(t, alias, v.Right)
-		op, k = MirrorOp(v.Op), v.Left
+// selectivity estimates c: from the column's histogram where ANALYZE
+// built one, else from the table's zones. ok is false when c's number
+// is unbound or not a number, or when neither estimates anything.
+func (h HistogramEstimator) selectivity(t *catalog.Table, c Comparison) (float64, bool) {
+	if !t.HasHistogram(c.Col) {
+		z, ok := c.Zone(h.Params)
+		if !ok {
+			return 0, false
+		}
+		return t.ZoneSelectivity(z)
 	}
+	lit, ok := h.intValue(c)
 	if !ok {
-		return 1.0 / 3
-	}
-	if sel, ok := h.selectivity(t, col, op, k); ok {
-		return sel
-	}
-	return 1.0 / 3
-}
-
-// accepts is, per comparison operator, the outcomes of comparing a cell
-// with the constant it holds for, as catalog.ZoneCond spells them.
-var accepts = map[string]uint8{"<": 1, "<=": 3, "=": 2, ">=": 6, ">": 4, "!=": 5}
-
-// selectivity estimates `col op e` for a number e: from the column's
-// histogram where ANALYZE built one, else from the table's zones. ok is
-// false when e is no number or neither estimates anything.
-func (h HistogramEstimator) selectivity(t *catalog.Table, col int, op string, e sql.Expr) (float64, bool) {
-	k, ok := h.number(e)
-	if !ok || accepts[op] == 0 {
 		return 0, false
 	}
-	if !t.HasHistogram(col) {
-		c := catalog.ZoneCond{Col: col, Accept: accepts[op]}
-		switch k := k.(type) {
-		case int64:
-			c.Int, c.IntK = true, k
-		case float64:
-			c.FloatK = k
-		}
-		return t.ZoneSelectivity(c)
-	}
-	lit, _ := h.intValue(e)
 	const inf = int64(1) << 40
-	switch op {
-	case "=":
-		return t.EstimateSelectivity(col, lit, lit), true
-	case "!=":
-		return 1 - t.EstimateSelectivity(col, lit, lit), true
-	case "<":
-		return t.EstimateSelectivity(col, -inf, lit-1), true
-	case "<=":
-		return t.EstimateSelectivity(col, -inf, lit), true
-	case ">":
-		return t.EstimateSelectivity(col, lit+1, inf), true
-	default: // ">="
-		return t.EstimateSelectivity(col, lit, inf), true
+	switch c.Op {
+	case catalog.CmpEQ:
+		return t.EstimateSelectivity(c.Col, lit, lit), true
+	case catalog.CmpNE:
+		return 1 - t.EstimateSelectivity(c.Col, lit, lit), true
+	case catalog.CmpLT:
+		return t.EstimateSelectivity(c.Col, -inf, lit-1), true
+	case catalog.CmpLE:
+		return t.EstimateSelectivity(c.Col, -inf, lit), true
+	case catalog.CmpGT:
+		return t.EstimateSelectivity(c.Col, lit+1, inf), true
+	default: // CmpGE
+		return t.EstimateSelectivity(c.Col, lit, inf), true
 	}
 }
 
-// MirrorOp is the comparison that holds of (b, a) when op holds of (a, b).
-func MirrorOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	}
-	return op
-}
-
-func columnIndexOf(t *catalog.Table, alias string, e sql.Expr) (int, bool) {
-	c, ok := e.(*sql.ColumnRef)
-	if !ok || t == nil {
-		return 0, false
-	}
-	if c.Table != "" && c.Table != alias && c.Table != t.Name {
-		return 0, false
-	}
-	idx := t.Schema.ColIndex(c.Column)
-	return idx, idx >= 0
-}
-
-// number is the number a predicate compares with, an int64 or a
-// float64: a numeric literal, or the number h.Params binds to a
-// placeholder.
-func (h HistogramEstimator) number(e sql.Expr) (catalog.Value, bool) {
-	switch v := e.(type) {
-	case *sql.IntLit:
-		return v.Value, true
-	case *sql.FloatLit:
-		return v.Value, true
-	case *sql.ParamRef:
-		if v.Index >= 1 && v.Index <= len(h.Params) {
-			switch p := h.Params[v.Index-1].(type) {
-			case int64, float64:
-				return p, true
-			}
-		}
-	}
-	return nil, false
-}
-
-// intValue is number as an integer, a float truncated.
-func (h HistogramEstimator) intValue(e sql.Expr) (int64, bool) {
-	switch v, _ := h.number(e); v := v.(type) {
+// intValue is c's number under h.Params as an integer, a float
+// truncated.
+func (h HistogramEstimator) intValue(c Comparison) (int64, bool) {
+	switch v, _ := c.Number(h.Params); v := v.(type) {
 	case int64:
 		return v, true
 	case float64:
@@ -305,14 +229,12 @@ func joinNDV(j *JoinNode) float64 {
 		case *IndexScanNode:
 			t, alias = sc.Table, sc.Alias
 		}
-		if t == nil || t.Stats == nil {
+		if t == nil {
 			return 0
 		}
 		for ci, c := range t.Schema.Columns {
 			if alias+"."+c.Name == col || c.Name == col {
-				if cs, ok := t.Stats.Cols[ci]; ok {
-					return float64(cs.NDV)
-				}
+				return keyNDV(t, ci)
 			}
 		}
 		return 0
@@ -322,4 +244,20 @@ func joinNDV(j *JoinNode) float64 {
 		return l
 	}
 	return r
+}
+
+// keyNDV bounds the distinct values of column col of t: ANALYZE's count
+// where there is one, never more than the table's live rows and, for an
+// INT column, never more than the integers its zones span.
+func keyNDV(t *catalog.Table, col int) float64 {
+	ndv := float64(t.NumRows())
+	if t.Stats != nil {
+		if cs, ok := t.Stats.Cols[col]; ok {
+			ndv = min(ndv, float64(cs.NDV))
+		}
+	}
+	if lo, hi, ok := t.ZoneRange(col); ok {
+		ndv = min(ndv, float64(hi)-float64(lo)+1)
+	}
+	return ndv
 }

@@ -45,6 +45,31 @@ type keyRange struct {
 func (r *keyRange) atLeast(b Bound) { r.lo = tighten(r.lo, b, func(a, b int64) bool { return a > b }) }
 func (r *keyRange) atMost(b Bound)  { r.hi = tighten(r.hi, b, func(a, b int64) bool { return a < b }) }
 
+// add narrows the range by `column op b`. A strict comparison with an
+// int64 extreme that nothing lies past bounds nothing.
+func (r *keyRange) add(op catalog.CmpOp, b Bound) {
+	switch op {
+	case catalog.CmpEQ:
+		r.point = true
+		r.atLeast(b)
+		r.atMost(b)
+	case catalog.CmpLT:
+		if b.Param != 0 || b.N > math.MinInt64 {
+			b.N--
+			r.atMost(b)
+		}
+	case catalog.CmpLE:
+		r.atMost(b)
+	case catalog.CmpGT:
+		if b.Param != 0 || b.N < math.MaxInt64 {
+			b.N++
+			r.atLeast(b)
+		}
+	case catalog.CmpGE:
+		r.atLeast(b)
+	}
+}
+
 func tighten(side []Bound, b Bound, tighter func(a, b int64) bool) []Bound {
 	if b.Param == 0 {
 		for i, old := range side {
@@ -101,70 +126,36 @@ func (r *keyRange) width() uint64 {
 // scan that reads it, or nil when no indexed column is constrained.
 // Ties go to the lower column position, so the choice is deterministic.
 func bestIndexRange(scan *ScanNode, cond sql.Expr) *IndexScanNode {
-	ranges := make([]keyRange, len(scan.Table.Schema.Columns))
-	var collect func(e sql.Expr)
-	collect = func(e sql.Expr) {
-		switch v := e.(type) {
-		case *sql.BinaryExpr:
-			if v.Op == "AND" {
-				collect(v.Left)
-				collect(v.Right)
-				return
-			}
-			op := v.Op
-			c, okc := scanColumnIndex(scan, v.Left)
-			b, okb := boundOf(v.Right)
-			if !okc || !okb {
-				// Mirrored form: bound OP column.
-				c, okc = scanColumnIndex(scan, v.Right)
-				b, okb = boundOf(v.Left)
-				if !okc || !okb {
-					return
+	t := scan.Table
+	ranges := make([]keyRange, len(t.Schema.Columns))
+	for _, e := range Conjuncts(cond) {
+		if v, ok := e.(*sql.BetweenExpr); ok {
+			lo, ok1 := compared(t, scan.Alias, v.Subject, catalog.CmpGE, v.Lo)
+			hi, ok2 := compared(t, scan.Alias, v.Subject, catalog.CmpLE, v.Hi)
+			if ok1 && ok2 {
+				l, ok1 := indexBound(t, lo)
+				h, ok2 := indexBound(t, hi)
+				if ok1 && ok2 {
+					ranges[lo.Col].add(lo.Op, l)
+					ranges[lo.Col].add(hi.Op, h)
 				}
-				op = MirrorOp(op)
 			}
-			r := &ranges[c]
-			switch op {
-			case "=":
-				r.point = true
-				r.atLeast(b)
-				r.atMost(b)
-			case "<":
-				if b.Param != 0 || b.N > math.MinInt64 {
-					b.N--
-					r.atMost(b)
-				}
-			case "<=":
-				r.atMost(b)
-			case ">":
-				if b.Param != 0 || b.N < math.MaxInt64 {
-					b.N++
-					r.atLeast(b)
-				}
-			case ">=":
-				r.atLeast(b)
-			}
-		case *sql.BetweenExpr:
-			c, okc := scanColumnIndex(scan, v.Subject)
-			l, okl := boundOf(v.Lo)
-			h, okh := boundOf(v.Hi)
-			if okc && okl && okh {
-				ranges[c].atLeast(l)
-				ranges[c].atMost(h)
+		} else if c, ok := Compared(t, scan.Alias, e); ok {
+			if b, ok := indexBound(t, c); ok {
+				ranges[c.Col].add(c.Op, b)
 			}
 		}
 	}
-	collect(cond)
 	var best *IndexScanNode
 	var bestWidth uint64
 	for c := range ranges {
 		r := &ranges[c]
-		if len(r.lo) == 0 && len(r.hi) == 0 || !scan.Table.Indexed(c) {
+		if len(r.lo) == 0 && len(r.hi) == 0 || !t.Indexed(c) {
 			continue // unconstrained, or no index
 		}
 		if w := r.width(); best == nil || w < bestWidth {
 			best = &IndexScanNode{
-				Table: scan.Table, Alias: scan.Alias, Column: c,
+				Table: t, Alias: scan.Alias, Column: c,
 				Lo: r.lo, Hi: r.hi, RowIDs: scan.RowIDs, Needed: scan.Needed,
 				schema: scan.Schema(),
 			}
@@ -174,34 +165,16 @@ func bestIndexRange(scan *ScanNode, cond sql.Expr) *IndexScanNode {
 	return best
 }
 
-// boundOf accepts the expressions an index bound can be: an integer
-// literal or a placeholder. Float literals are left to the filter —
-// truncating one would move the bound.
-func boundOf(e sql.Expr) (Bound, bool) {
-	switch v := e.(type) {
-	case *sql.IntLit:
-		return Bound{N: v.Value}, true
-	case *sql.ParamRef:
-		return Bound{Param: v.Index}, true
+// indexBound is the bound c puts on an index when it can put one: its
+// column is an INT and its number an integer literal or a placeholder.
+// A float literal is left to the filter — truncating it would move the
+// bound.
+func indexBound(t *catalog.Table, c Comparison) (Bound, bool) {
+	if t.Schema.Columns[c.Col].Type != catalog.Int64 {
+		return Bound{}, false
 	}
-	return Bound{}, false
-}
-
-// scanColumnIndex resolves a column reference against a scan node.
-func scanColumnIndex(scan *ScanNode, e sql.Expr) (int, bool) {
-	c, ok := e.(*sql.ColumnRef)
-	if !ok {
-		return 0, false
+	if n, ok := c.Lit.(int64); ok {
+		return Bound{N: n}, true
 	}
-	if c.Table != "" && c.Table != scan.Alias && c.Table != scan.Table.Name {
-		return 0, false
-	}
-	idx := scan.Table.Schema.ColIndex(c.Column)
-	if idx < 0 {
-		return 0, false
-	}
-	if scan.Table.Schema.Columns[idx].Type != catalog.Int64 {
-		return 0, false
-	}
-	return idx, true
+	return Bound{Param: c.Param}, c.Param > 0
 }

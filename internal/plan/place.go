@@ -37,7 +37,7 @@ const (
 func sinkIntoJoin(f *FilterNode, j *JoinNode) Node {
 	left, right := j.Left.Schema(), j.Right.Schema()
 	var parts [3][]sql.Expr
-	for _, c := range splitAnd(f.Cond) {
+	for _, c := range Conjuncts(f.Cond) {
 		s := conjunctSide(c, left, right)
 		parts[s] = append(parts[s], c)
 	}

@@ -1,8 +1,12 @@
 // Package plan turns parsed SQL into a logical operator tree and costs it.
-// It contains the *traditional* optimizer machinery — histogram-based
-// selectivity estimation and a Selinger-style cost model — that the
-// learned components (internal/cardest, internal/joinorder,
-// internal/optimizer) are benchmarked against.
+// It contains the *traditional* optimizer machinery that the learned
+// components (internal/cardest, internal/joinorder, internal/optimizer)
+// are benchmarked against: selectivity estimation from histograms and
+// zones, index selection, and Cost, which is C_out — the estimated rows
+// each operator handles, summed — over the plan as built, with joins in
+// the order the query writes them (no join order is enumerated). A
+// filter's `column op number` conjuncts are read one way (Compared) by
+// the estimator, by index selection and by the executor's page pruning.
 package plan
 
 import (

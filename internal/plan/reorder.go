@@ -51,7 +51,7 @@ func ReorderConjuncts(e sql.Expr) sql.Expr {
 	if !ok || b.Op != "AND" {
 		return e
 	}
-	conjuncts := splitAnd(e)
+	conjuncts := Conjuncts(e)
 	cheaper := func(i, j int) bool { return ExprCost(conjuncts[i]) < ExprCost(conjuncts[j]) }
 	if sort.SliceIsSorted(conjuncts, cheaper) {
 		return e
@@ -60,9 +60,10 @@ func ReorderConjuncts(e sql.Expr) sql.Expr {
 	return andOf(conjuncts)
 }
 
-func splitAnd(e sql.Expr) []sql.Expr {
+// Conjuncts is e's conjuncts in evaluation order, left to right.
+func Conjuncts(e sql.Expr) []sql.Expr {
 	if b, ok := e.(*sql.BinaryExpr); ok && b.Op == "AND" {
-		return append(splitAnd(b.Left), splitAnd(b.Right)...)
+		return append(Conjuncts(b.Left), Conjuncts(b.Right)...)
 	}
 	return []sql.Expr{e}
 }

@@ -40,11 +40,11 @@ func TestReorderPutsModelLast(t *testing.T) {
 func TestReorderPreservesConjunctSet(t *testing.T) {
 	e := parseWhere(t, "a = 1 AND PREDICT(m, a) = 1 AND b = 2")
 	before := map[string]bool{}
-	for _, c := range splitAnd(e) {
+	for _, c := range Conjuncts(e) {
 		before[c.String()] = true
 	}
 	out := ReorderConjuncts(e)
-	after := splitAnd(out)
+	after := Conjuncts(out)
 	if len(after) != len(before) {
 		t.Fatalf("conjunct count changed: %d vs %d", len(after), len(before))
 	}
