@@ -35,7 +35,7 @@ func (e *Engine) explainAnalyze(ctx context.Context, ent *plancache.Entry, sp *o
 	prof.AttachSpans(esp)
 	esp.Finish()
 	if err != nil {
-		e.record(ent, text, time.Since(start), nil, err)
+		e.record(ent, text, start, time.Since(start), nil, err)
 		return nil, err
 	}
 	latency := time.Since(start)
@@ -63,6 +63,6 @@ func (e *Engine) explainAnalyze(ctx context.Context, ent *plancache.Entry, sp *o
 			op.PagesPruned(),
 		})
 	})
-	e.record(ent, text, latency, res, nil)
+	e.record(ent, text, start, latency, res, nil)
 	return out, nil
 }

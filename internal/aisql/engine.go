@@ -285,42 +285,43 @@ func (e *Engine) ExecuteContext(ctx context.Context, query string) (*exec.Result
 	sp := e.tracer.Start("query")
 	defer sp.Finish()
 	e.stmts.Inc()
-	toks, key, params, err := e.lex(sp, query)
+	f, err := e.lex(sp, query)
 	if err != nil {
 		return nil, err
 	}
-	parse := func() (sql.Statement, error) { return e.parse(sp, toks, query) }
-	if kind := toks[0].Text; kind == "SELECT" || kind == "UPDATE" || kind == "DELETE" {
+	defer f.Release()
+	parse := func() (sql.Statement, error) { return e.parse(sp, f.Toks, query) }
+	if kind := f.Toks[0].Text; kind == "SELECT" || kind == "UPDATE" || kind == "DELETE" {
 		sp.SetTag("stmt", kind)
 		if err := e.cancelled(ctx); err != nil {
 			return nil, err
 		}
-		ent, err := e.planFor(sp, key, params, parse)
+		ent, err := e.planFor(sp, f.Key, f.Params, parse)
 		if err != nil {
 			return nil, err
 		}
-		return e.execPlan(ctx, ent, sp, query, params)
+		return e.execPlan(ctx, ent, sp, query, f.Params)
 	}
 	stmt, err := parse()
 	if err != nil {
 		return nil, err
 	}
 	sp.SetTag("stmt", sql.StatementKind(stmt))
-	return e.executeStmt(ctx, stmt, sp, query, key, params)
+	return e.executeStmt(ctx, stmt, sp, query, f.Key, f.Params)
 }
 
 // lex is the front of every text path: the statement's tokens, key and
-// literals (sql.Normalize). A text the lexer rejects is a failed parse.
-func (e *Engine) lex(sp *obs.Span, query string) ([]sql.Token, string, []catalog.Value, error) {
-	toks, err := sql.Lex(query)
+// literals (sql.Normalize) in a pooled sql.Front the caller releases. A
+// text the lexer rejects is a failed parse.
+func (e *Engine) lex(sp *obs.Span, query string) (*sql.Front, error) {
+	f, err := sql.ReadFront(query)
 	if err != nil {
 		e.parses.Inc()
 		e.parseErrors.Inc()
 		sp.SetTag("error", "parse")
-		return nil, "", nil, err
+		return nil, err
 	}
-	toks, key, params := sql.Normalize(toks)
-	return toks, key, params, nil
+	return f, nil
 }
 
 // parse builds the AST from normalized tokens under a "parse" span. An
@@ -379,7 +380,7 @@ func (e *Engine) ExecuteScript(script string) (*exec.Result, error) {
 // DELETE, attaching child spans to sp (nil when tracing is off). text is
 // the client's query; key and params are what sql.Normalize made of it,
 // under which EXPLAIN finds the plan the explained statement runs.
-func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Span, text, key string, params []catalog.Value) (*exec.Result, error) {
+func (e *Engine) executeStmt(ctx context.Context, stmt sql.Statement, sp *obs.Span, text string, key []byte, params []catalog.Value) (*exec.Result, error) {
 	if err := e.cancelled(ctx); err != nil {
 		return nil, err
 	}
@@ -593,18 +594,21 @@ func (e *Engine) buildPlan(stmt sql.Statement, params []catalog.Value) (plan.Nod
 // so of the sessions that miss together after an invalidation one plans.
 // With no cache the plan is built for this call alone. PlanNs covers
 // parse and plan: what a hit skips.
-func (e *Engine) planFor(sp *obs.Span, key string, params []catalog.Value, parse func() (sql.Statement, error)) (*plancache.Entry, error) {
+func (e *Engine) planFor(sp *obs.Span, key []byte, params []catalog.Value, parse func() (sql.Statement, error)) (*plancache.Entry, error) {
 	cache := e.Plans
 	if cache != nil {
-		if ent := cache.Lookup(key); ent != nil {
+		if ent := cache.LookupKey(key); ent != nil {
 			sp.SetTag("plancache", "hit")
 			return ent, nil
 		}
 		sp.SetTag("plancache", "miss")
-		mu := cache.BuildLock(key)
+	}
+	k := string(key) // the entry's own copy; key is the caller's buffer
+	if cache != nil {
+		mu := cache.BuildLock(k)
 		mu.Lock()
 		defer mu.Unlock()
-		if ent := cache.Peek(key); ent != nil {
+		if ent := cache.Peek(k); ent != nil {
 			return ent, nil
 		}
 	}
@@ -621,7 +625,7 @@ func (e *Engine) planFor(sp *obs.Span, key string, params []catalog.Value, parse
 	}
 	nodes, depth := plan.Summary(p)
 	ent := &plancache.Entry{
-		Key:         key,
+		Key:         k,
 		Fingerprint: plan.Fingerprint(p),
 		Plan:        p,
 		NumParams:   sql.CountParams(stmt),
@@ -641,25 +645,30 @@ func (e *Engine) planFor(sp *obs.Span, key string, params []catalog.Value, parse
 // are read-only: sessions share one copy, and a run whose parameters
 // have the program's kinds compiles nothing.
 func (e *Engine) execPlan(ctx context.Context, ent *plancache.Entry, sp *obs.Span, text string, params []catalog.Value) (*exec.Result, error) {
-	start := time.Now()
 	sp.SetTag("plan", ent.Summary)
-	esp := sp.Child("exec")
-	res, err := e.ex.RunCompiled(ctx, ent.Plan, &ent.Program, e.args(params))
-	esp.Finish()
-	e.record(ent, text, time.Since(start), res, err)
+	a := e.args(params)
+	a.Start = time.Now() // the one clock read this run's span, executor and record start from
+	esp := sp.ChildAt("exec", a.Start)
+	res, err := e.ex.RunCompiled(ctx, ent.Plan, &ent.Program, a)
+	latency := time.Since(a.Start)
+	esp.FinishAfter(latency)
+	e.record(ent, text, a.Start, latency, res, err)
 	return res, err
 }
 
-// record folds one run of ent into the statement-statistics store under
-// the entry's fingerprint and key, its outcome ok or, by
-// governance.Classify, cancelled (context cancel or deadline), shed
-// (memory budget, admission) or error. No-op when the engine is
-// uninstrumented.
-func (e *Engine) record(ent *plancache.Entry, text string, latency time.Duration, res *exec.Result, err error) {
+// record folds one run of ent, begun at start, into the
+// statement-statistics store under the entry's fingerprint and key, its
+// outcome ok or, by governance.Classify, cancelled (context cancel or
+// deadline), shed (memory budget, admission) or error. No-op when the
+// engine is uninstrumented.
+func (e *Engine) record(ent *plancache.Entry, text string, start time.Time, latency time.Duration, res *exec.Result, err error) {
 	if e.stmtstats == nil {
 		return
 	}
-	o := obs.StmtObservation{Fingerprint: ent.Fingerprint, Key: ent.Key, Query: text, Outcome: obs.StmtError, LatencyNs: latency.Nanoseconds()}
+	o := obs.StmtObservation{
+		Fingerprint: ent.Fingerprint, Key: ent.Key, Query: text, Outcome: obs.StmtError,
+		LatencyNs: latency.Nanoseconds(), EndNs: start.UnixNano() + latency.Nanoseconds(),
+	}
 	if err == nil {
 		o.Outcome, o.Rows, o.Chunks, o.PeakBytes, o.ChaosFires = obs.StmtOK, int64(len(res.Rows)), res.Chunks, res.PeakBytes, res.ChaosFires
 	} else {

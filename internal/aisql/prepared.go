@@ -3,6 +3,7 @@ package aisql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"aidb/internal/catalog"
@@ -25,7 +26,7 @@ type Prepared struct {
 	NumParams int    // the $N the client binds on EXECUTE
 
 	stmt sql.Statement // as planned; INSERT is evaluated from it
-	key  string        // plan-cache key; "" for INSERT
+	key  []byte        // plan-cache key; empty for INSERT
 	// consts are the literals sql.Normalize took out of a body that
 	// spells no $N of its own: the plan's parameters on every EXECUTE.
 	consts []catalog.Value
@@ -60,11 +61,12 @@ func (p *Prepared) plan(e *Engine, sp *obs.Span, params []catalog.Value) (*planc
 // unknown tables and columns fail at PREPARE, like PostgreSQL. INSERT is
 // held as an AST and evaluated with bound parameters at execute time.
 func (e *Engine) PrepareText(query string) (*Prepared, error) {
-	toks, key, consts, err := e.lex(nil, query)
+	f, err := e.lex(nil, query)
 	if err != nil {
 		return nil, err
 	}
-	stmt, err := e.parse(nil, toks, query)
+	defer f.Release()
+	stmt, err := e.parse(nil, f.Toks, query)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +74,11 @@ func (e *Engine) PrepareText(query string) (*Prepared, error) {
 	if !ok {
 		return nil, fmt.Errorf("aisql: not a PREPARE statement: %s", sql.StatementKind(stmt))
 	}
-	return e.prepare(ps.Name, ps.Stmt, key, consts)
+	var consts []catalog.Value
+	if len(f.Params) > 0 {
+		consts = slices.Clone(f.Params)
+	}
+	return e.prepare(ps.Name, ps.Stmt, slices.Clone(f.Key), consts)
 }
 
 // Prepare is PrepareText for a caller that holds the statement as an AST
@@ -80,10 +86,10 @@ func (e *Engine) PrepareText(query string) (*Prepared, error) {
 // literals stay in the plan, so such a handle shares its entry with
 // other handles of the same AST but not with ad-hoc text.
 func (e *Engine) Prepare(name string, stmt sql.Statement) (*Prepared, error) {
-	return e.prepare(name, stmt, sql.Deparse(stmt), nil)
+	return e.prepare(name, stmt, []byte(sql.Deparse(stmt)), nil)
 }
 
-func (e *Engine) prepare(name string, stmt sql.Statement, key string, consts []catalog.Value) (*Prepared, error) {
+func (e *Engine) prepare(name string, stmt sql.Statement, key []byte, consts []catalog.Value) (*Prepared, error) {
 	prep := &Prepared{Name: name, Kind: sql.StatementKind(stmt), stmt: stmt, key: key, consts: consts, text: "EXECUTE " + name}
 	if consts == nil { // otherwise the $N in stmt are Normalize's, not the client's
 		prep.NumParams = sql.CountParams(stmt)

@@ -122,15 +122,19 @@ func explainRows(t *testing.T, e *Engine, text string, tableRows, indexRows int6
 
 // Allocation ceilings of a cached point read on an instrumented engine,
 // whose entry keeps its compiled program and whose runs recycle their
-// chunks and streams, run by the engine's one executor: measured 11 for
-// an ad-hoc read and 9 for a prepared get (12 and 10 with an executor
-// made per statement, 40 and 38 when every run compiled the plan and
-// grew fresh chunks). What is left is the front end's (tokens, key, the
-// literals), the trace span, the boxed result and its Result. A breach
-// means per-run compilation or allocation crept back into the run.
+// chunks and streams, run by the engine's one executor: measured 3 for
+// an ad-hoc read and 4 for a prepared get (11 and 6 while every
+// statement lexed into a fresh token slice and key, a span tree took
+// three allocations and a row boxed in three; 40 and 38 when every run
+// compiled the plan and grew fresh chunks). What is left is the trace
+// span, the boxed row and its Result, plus the test's own argument
+// slice and literal for the get. Each ceiling is one above, for a
+// literal key of 256 or more, which the ad-hoc read boxes. A breach
+// means per-run compilation or allocation crept back into the front
+// end or the run.
 const (
-	adhocPointAllocCeiling    = 17
-	preparedPointAllocCeiling = 14
+	adhocPointAllocCeiling    = 4
+	preparedPointAllocCeiling = 5
 )
 
 func TestCachedPointReadAllocCeiling(t *testing.T) {

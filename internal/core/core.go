@@ -308,9 +308,10 @@ func AppendResult(dst []byte, res *exec.Result) []byte {
 	if res == nil || len(res.Columns) == 0 {
 		return append(dst, "OK\n"...)
 	}
-	widths := make([]int, len(res.Columns))
-	for i, c := range res.Columns {
-		widths[i] = len(c)
+	var room [16]int // the widths of a result this narrow stay on the stack
+	widths := room[:0]
+	for _, c := range res.Columns {
+		widths = append(widths, len(c))
 	}
 	// The stage holds each staged cell as its length in four bytes, then
 	// its text.

@@ -94,18 +94,34 @@ func sessionKeyword(query string) string {
 // gate and the plan cache. EXECUTE passes the gate too — a prepared
 // statement is still one unit of admitted work.
 func (s *Session) ExecContext(ctx context.Context, query string) (*exec.Result, error) {
+	kw := sessionKeyword(query)
 	s.mu.Lock()
 	closed := s.closed
+	if !closed && kw == "" {
+		s.noteTxnWorkLocked()
+	}
 	s.mu.Unlock()
 	if closed {
 		return nil, fmt.Errorf("core: session is closed")
 	}
-	switch sessionKeyword(query) {
+	switch kw {
 	case "":
-		s.noteTxnWork()
 		return s.db.ExecContext(ctx, query)
 	case "PREPARE":
 		return s.handlePrepare(ctx, query)
+	case "EXECUTE":
+		// Literal arguments are read off the tokens; anything else is the
+		// parser's, and so is any error.
+		if f, err := sql.ReadFront(query); err == nil {
+			defer f.Release()
+			if name, args, ok := f.ExecuteArgs(); ok {
+				prep, err := s.toExecute(name)
+				if err != nil {
+					return nil, err
+				}
+				return s.execute(ctx, query, prep, args)
+			}
+		}
 	}
 	stmt, err := sql.Parse(query)
 	if err != nil {
@@ -114,15 +130,13 @@ func (s *Session) ExecContext(ctx context.Context, query string) (*exec.Result, 
 	return s.execSessionStmt(ctx, query, stmt)
 }
 
-// noteTxnWork counts one data statement inside an open transaction
-// block (session-control statements are not counted — a clean
-// BEGIN; ROLLBACK pair succeeds).
-func (s *Session) noteTxnWork() {
-	s.mu.Lock()
+// noteTxnWorkLocked counts one data statement inside an open
+// transaction block (session-control statements are not counted — a
+// clean BEGIN; ROLLBACK pair succeeds). Caller holds mu.
+func (s *Session) noteTxnWorkLocked() {
 	if s.inTxn {
 		s.txnStmts++
 	}
-	s.mu.Unlock()
 }
 
 // ExecScript runs a ';'-separated script statement by statement through
@@ -205,16 +219,13 @@ func (s *Session) handlePrepare(ctx context.Context, query string) (*exec.Result
 	return &exec.Result{}, nil
 }
 
-// handleExecute binds the EXECUTE arguments (constant expressions) and
-// runs the prepared statement through the governance plane.
+// handleExecute evaluates the arguments of an EXECUTE the parser read
+// (constant expressions) and runs it.
 func (s *Session) handleExecute(ctx context.Context, query string, v *sql.ExecStmt) (*exec.Result, error) {
-	s.mu.Lock()
-	prep, ok := s.prepared[v.Name]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("core: prepared statement %q does not exist", v.Name)
+	prep, err := s.toExecute(v.Name)
+	if err != nil {
+		return nil, err
 	}
-	s.noteTxnWork()
 	args := make([]catalog.Value, len(v.Args))
 	scope := exec.NewScope(nil)
 	for i, a := range v.Args {
@@ -224,6 +235,25 @@ func (s *Session) handleExecute(ctx context.Context, query string, v *sql.ExecSt
 		}
 		args[i] = val
 	}
+	return s.execute(ctx, query, prep, args)
+}
+
+// toExecute finds the prepared statement an EXECUTE names and counts
+// the EXECUTE as work of an open transaction.
+func (s *Session) toExecute(name string) (*aisql.Prepared, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	prep, ok := s.prepared[name]
+	if !ok {
+		return nil, fmt.Errorf("core: prepared statement %q does not exist", name)
+	}
+	s.noteTxnWorkLocked()
+	return prep, nil
+}
+
+// execute runs prep with args bound to its $N through the governance
+// plane.
+func (s *Session) execute(ctx context.Context, query string, prep *aisql.Prepared, args []catalog.Value) (*exec.Result, error) {
 	return s.db.govern(ctx, query, func(ctx context.Context) (*exec.Result, error) {
 		return s.db.engine.ExecutePrepared(ctx, prep, args)
 	})

@@ -3,10 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"aidb/internal/catalog"
+	"aidb/internal/sql"
 )
 
 func seededDB(t *testing.T, rows int) *DB {
@@ -134,9 +138,9 @@ func TestExecuteSkipsParserPlannerEstimator(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// EXECUTE parses only its own tiny statement in the session layer
-	// (never through the engine's parse counter) and reuses the cached
-	// plan: both pipeline counters must stay flat.
+	// EXECUTE reads its literal arguments off its tokens in the session
+	// layer (never through the engine's parse counter) and reuses the
+	// cached plan: both pipeline counters must stay flat.
 	if got := metric(t, db, "sql.parses"); got != parses {
 		t.Errorf("sql.parses moved %v -> %v on the hit path", parses, got)
 	}
@@ -145,6 +149,46 @@ func TestExecuteSkipsParserPlannerEstimator(t *testing.T) {
 	}
 	if hits := metric(t, db, "plancache.hits"); hits < 10 {
 		t.Errorf("plancache.hits = %v, want >= 10", hits)
+	}
+}
+
+// TestExecuteLinesReadAsTheParserReads runs EXECUTE lines through a
+// session against a statement that returns its two parameters. Literal
+// arguments, read off the tokens, come back as the parser and evaluator
+// read them; other arguments go through the parser; a line it rejects
+// fails with its error, and a name no PREPARE bound fails as before.
+func TestExecuteLinesReadAsTheParserReads(t *testing.T) {
+	db := Open()
+	s := db.NewSession()
+	defer s.Close()
+	if _, err := s.ExecScript(context.Background(), "CREATE TABLE one (x INT); INSERT INTO one VALUES (1); PREPARE p AS SELECT $1, $2 FROM one"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		line string
+		want catalog.Row
+	}{
+		{"EXECUTE p(-9223372036854775808, 'it''s')", catalog.Row{int64(math.MinInt64), "it's"}},
+		{"execute p ( 2.5 , - 7 ) ;", catalog.Row{2.5, int64(-7)}},
+		{"EXECUTE p(1 + 2, (4))", catalog.Row{int64(3), int64(4)}},
+	} {
+		res, err := s.Exec(c.line)
+		if err != nil {
+			t.Fatalf("%s: %v", c.line, err)
+		}
+		if len(res.Rows) != 1 || !reflect.DeepEqual(res.Rows[0], c.want) {
+			t.Errorf("%s: %v, want %v", c.line, res.Rows, c.want)
+		}
+	}
+	for _, line := range []string{"EXECUTE p(NULL, 1)", "EXECUTE p(99999999999999999999, 1)", "EXECUTE p(1,)", "EXECUTE p 1", "EXECUTE p('x"} {
+		_, err := s.Exec(line)
+		_, perr := sql.Parse(line)
+		if err == nil || perr == nil || err.Error() != perr.Error() {
+			t.Errorf("%s: %v, want the parser's %v", line, err, perr)
+		}
+	}
+	if _, err := s.Exec("EXECUTE q(1)"); err == nil || err.Error() != `core: prepared statement "q" does not exist` {
+		t.Errorf("EXECUTE q(1): %v", err)
 	}
 }
 

@@ -346,48 +346,74 @@ func (p *chunkPool) outstanding() int64 {
 	return p.gets.Load() - p.puts.Load()
 }
 
-// box renders c's live rows, in order, as rows of boxed values. The
-// numbers and strings are copied into one slab each and every value
-// points into its slab, so a chunk boxes in a handful of allocations,
-// not one per cell. Nothing writes a slab afterwards.
+// box renders c's live rows, in order, as rows of boxed values. Every
+// cell's value is copied into one slab of string headers and every
+// value points into it: a string as itself, a number as its bits in the
+// length word of a header whose pointer word stays nil, the word the
+// collector scans. So a chunk boxes in three allocations (slab, values,
+// rows), not one per cell, and a point read's one row in one. Nothing
+// writes the slab afterwards.
 func (c *Chunk) box() []catalog.Row {
 	w, n := len(c.cols), len(c.sel)
-	var numCols, strCols int
+	inSlab := 0
 	for _, v := range c.cols {
 		switch v.k {
-		case kInt, kFloat:
-			numCols++
-		case kString:
-			strCols++
+		case kInt, kFloat, kString:
+			inSlab++
 		}
 	}
-	nums := make([]uint64, 0, n*numCols)
-	strs := make([]string, 0, n*strCols)
-	vals := make([]catalog.Value, n*w)
+	var rows []catalog.Row
+	var vals []catalog.Value
+	var slab []string
+	if n == 1 && w <= maxOneRowCols {
+		one := new(oneRow)
+		rows, vals, slab = one.row[:], one.vals[:w], one.slab[:inSlab]
+	} else {
+		rows, vals, slab = make([]catalog.Row, n), make([]catalog.Value, n*w), make([]string, n*inSlab)
+	}
+	k := 0
 	for j, v := range c.cols {
 		for i, r := range c.sel {
 			var x catalog.Value
 			switch v.k {
 			case kInt:
-				nums = append(nums, uint64(v.I[r]))
-				x = boxAt(intType, unsafe.Pointer(&nums[len(nums)-1]))
+				x = boxWord(&slab[k], intType, uint64(v.I[r]))
+				k++
 			case kFloat:
-				nums = append(nums, math.Float64bits(v.F[r]))
-				x = boxAt(floatType, unsafe.Pointer(&nums[len(nums)-1]))
+				x = boxWord(&slab[k], floatType, math.Float64bits(v.F[r]))
+				k++
 			case kString:
-				strs = append(strs, v.S[r])
-				x = boxAt(stringType, unsafe.Pointer(&strs[len(strs)-1]))
+				slab[k] = v.S[r]
+				x = boxAt(stringType, unsafe.Pointer(&slab[k]))
+				k++
 			default:
 				x = v.V[r]
 			}
 			vals[i*w+j] = x
 		}
 	}
-	rows := make([]catalog.Row, n)
 	for i := range rows {
 		rows[i] = vals[i*w : (i+1)*w : (i+1)*w]
 	}
 	return rows
+}
+
+// oneRow is what box allocates for a chunk of one row and at most
+// maxOneRowCols columns: the row, its values and their slab together.
+type oneRow struct {
+	row  [1]catalog.Row
+	vals [maxOneRowCols]catalog.Value
+	slab [maxOneRowCols]string
+}
+
+const maxOneRowCols = 4
+
+// boxWord is the value of type typ (int64 or float64) whose bits are
+// bits, held in the length word of the string header at h.
+func boxWord(h *string, typ unsafe.Pointer, bits uint64) catalog.Value {
+	words := (*[2]uint64)(unsafe.Pointer(h))
+	words[1] = bits
+	return boxAt(typ, unsafe.Pointer(&words[1]))
 }
 
 // eface is the runtime's layout of an interface{} value: a type word and

@@ -168,6 +168,10 @@ type RunArgs struct {
 	// Chaos, when set, injects faults at SiteExecScan. Nil disables
 	// injection.
 	Chaos *chaos.Injector
+	// Start, when set, is when the caller began the run, read once for
+	// its own timing too; the run's latency counts from it. Zero reads
+	// the clock.
+	Start time.Time
 }
 
 // RunContext compiles the plan and streams its output into a
@@ -203,10 +207,11 @@ func (ex *Executor) RunCompiled(ctx context.Context, n plan.Node, keep *Compiled
 	cores.Add(1)
 	defer cores.Add(-1)
 	ex.Obs.Queries.Inc()
-	var start time.Time
 	if ex.Obs.QueryLatency != nil {
-		start = time.Now()
-		defer func() { ex.Obs.QueryLatency.Observe(float64(time.Since(start))) }()
+		if a.Start.IsZero() {
+			a.Start = time.Now()
+		}
+		defer func() { ex.Obs.QueryLatency.Observe(float64(time.Since(a.Start))) }()
 	}
 	var p *program
 	if keep != nil {
@@ -381,13 +386,10 @@ func (rc *runCtx) release() {
 	}
 	rc.used = 0
 	rc.ex, rc.ctx, rc.mem, rc.prof, rc.params, rc.chaos, rc.pool.m = nil, nil, nil, nil, nil, nil, nil
-	rc.cancelAt.Store(0)
-	rc.live.Store(0)
-	rc.peak.Store(0)
-	rc.chunks.Store(0)
-	rc.chaosFires.Store(0)
-	rc.pool.gets.Store(0)
-	rc.pool.puts.Store(0)
+	// No goroutine of the run is left, so the counters are reset by plain
+	// stores, not by atomic ones that each wait for the writes before.
+	rc.cancelAt, rc.live, rc.peak, rc.chunks, rc.chaosFires = atomic.Int64{}, atomic.Int64{}, atomic.Int64{}, atomic.Int64{}, atomic.Int64{}
+	rc.pool.gets, rc.pool.puts = atomic.Int64{}, atomic.Int64{}
 	runs.mu.Lock()
 	if len(runs.free) < maxFreeRuns {
 		runs.free = append(runs.free, rc)

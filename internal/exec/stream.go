@@ -568,7 +568,11 @@ func (s *morselStream) plan() error {
 			s.n = len(s.pages)
 			return nil
 		}
-		s.keys = splitKeyRange(s.keys, lo, hi, rc.workers()*2, minIndexMorselWidth)
+		k := 1 // a range too narrow to split asks for no worker count
+		if lo <= hi && uint64(hi)-uint64(lo) >= 2*minIndexMorselWidth {
+			k = rc.workers() * 2
+		}
+		s.keys = splitKeyRange(s.keys, lo, hi, k, minIndexMorselWidth)
 		s.n, s.from = len(s.keys), fromKeys
 	case *plan.VirtualScanNode:
 		rows, err := v.Table.Fetch()

@@ -36,7 +36,8 @@ type admissionWaiter struct {
 // backlog.
 //
 // A zero MaxConcurrent disables the gate: every Admit succeeds
-// immediately. All methods are safe for concurrent use.
+// immediately. All methods are safe for concurrent use. Make one with
+// NewAdmissionGate.
 type AdmissionGate struct {
 	mu     sync.Mutex
 	max    int
@@ -49,6 +50,10 @@ type AdmissionGate struct {
 	// ceil(k+1/max) * hold.
 	ewmaHoldNs float64
 
+	// leave is the release of every statement admitted while the gate
+	// has no bound, made once (see Admit).
+	leave func()
+
 	m Metrics
 }
 
@@ -58,7 +63,9 @@ func NewAdmissionGate(maxConcurrent int) *AdmissionGate {
 	if maxConcurrent < 0 {
 		maxConcurrent = 0
 	}
-	return &AdmissionGate{max: maxConcurrent}
+	g := &AdmissionGate{max: maxConcurrent}
+	g.leave = g.leaveUnbounded
+	return g
 }
 
 // Instrument wires the gate's admitted/shed/queued_ns metrics.
@@ -120,18 +127,30 @@ func (g *AdmissionGate) estWaitLocked(pos int) time.Duration {
 // MUST be called exactly once when the query finishes. On shed it
 // returns an error wrapping ErrShed; on plain cancellation, the context
 // error.
+//
+// While the gate has no bound, Admit reads no clock and allocates
+// nothing: every such statement gets the same release. It keeps no hold
+// time, since only a bounded gate predicts queue waits, and a second
+// call would free another statement's slot. A bounded gate's release is
+// idempotent.
 func (g *AdmissionGate) Admit(ctx context.Context) (release func(), err error) {
 	if g == nil {
 		return func() {}, nil
 	}
-	start := time.Now()
 	g.mu.Lock()
-	if g.max <= 0 || (g.active < g.max && len(g.queue) == 0) {
+	if g.max <= 0 {
 		g.active++
 		g.mu.Unlock()
 		g.m.Admitted.Inc()
 		g.m.QueuedNs.Observe(0)
-		return g.releaseFunc(start), nil
+		return g.leave, nil
+	}
+	if g.active < g.max && len(g.queue) == 0 {
+		g.active++
+		g.mu.Unlock()
+		g.m.Admitted.Inc()
+		g.m.QueuedNs.Observe(0)
+		return g.releaseFunc(time.Now()), nil
 	}
 	// Deadline-aware shedding at enqueue time: a request that cannot be
 	// granted before its deadline is refused now rather than queued.
@@ -147,6 +166,7 @@ func (g *AdmissionGate) Admit(ctx context.Context) (release func(), err error) {
 	w.deadline, w.hasDL = ctx.Deadline()
 	g.queue = append(g.queue, w)
 	g.mu.Unlock()
+	start := time.Now()
 
 	select {
 	case <-w.ch:
@@ -201,9 +221,21 @@ func (g *AdmissionGate) releaseFunc(grantedAt time.Time) func() {
 	}
 }
 
+// leaveUnbounded releases the slot of a statement admitted while the
+// gate had no bound.
+func (g *AdmissionGate) leaveUnbounded() {
+	g.mu.Lock()
+	g.active--
+	g.grantLocked()
+	g.mu.Unlock()
+}
+
 // grantLocked hands freed slots to queued waiters in FIFO order,
 // shedding any whose deadline has already expired. Caller holds mu.
 func (g *AdmissionGate) grantLocked() {
+	if len(g.queue) == 0 {
+		return
+	}
 	now := time.Now()
 	for len(g.queue) > 0 && (g.max <= 0 || g.active < g.max) {
 		w := g.queue[0]

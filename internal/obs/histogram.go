@@ -63,7 +63,9 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-	for {
+	// A zero leaves the sum as it is: an unbounded admission gate
+	// observes one per statement, and the sum is a word every core writes.
+	for v != 0 {
 		old := h.sum.Load()
 		nw := math.Float64bits(math.Float64frombits(old) + v)
 		if h.sum.CompareAndSwap(old, nw) {

@@ -40,6 +40,9 @@ type StmtObservation struct {
 	// ChaosFires is the number of injected faults this execution's own
 	// scans absorbed.
 	ChaosFires int64
+	// EndNs is when the execution finished, in Unix nanoseconds, for a
+	// caller that has read the clock already; 0 makes Record read it.
+	EndNs int64
 }
 
 // stmtLatBuckets cover query latencies from ~1µs to ~275s in powers of
@@ -99,7 +102,10 @@ func (s *StatementStats) Record(o StmtObservation) {
 	if s == nil {
 		return
 	}
-	now := time.Now().UnixNano()
+	now := o.EndNs
+	if now == 0 {
+		now = time.Now().UnixNano()
+	}
 	k := stmtKey{o.Fingerprint, o.Key}
 	s.mu.RLock()
 	e := s.byKey[k]

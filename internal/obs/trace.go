@@ -39,13 +39,31 @@ func (t *Tracer) Start(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	// A root and room for the few tags a statement sets, in one allocation.
-	r := &struct {
-		Span
-		tags [4]spanTag
-	}{Span: Span{tr: t, Name: name, start: time.Now()}}
-	r.Span.tags = r.tags[:0]
+	r := new(rootSpan) // set field by field: a composite literal is built, then copied
+	r.tr, r.Name, r.start = t, name, time.Now()
+	r.Span.tags, r.Span.children, r.Span.root = r.tags[:0], r.kids[:0], r
 	return &r.Span
+}
+
+// rootSpan is a root with room for the few tags and children a
+// statement gives it and for its first children themselves, so opening
+// a statement's spans takes one allocation, not two more per child.
+type rootSpan struct {
+	Span
+	tags  [4]spanTag
+	kids  [3]*Span
+	spare [1]Span // handed out to the tree's first child, at any depth: "exec" on a cache hit
+	used  int
+}
+
+// newSpan is a zero span for the tree under s: one of the root's spares
+// while they last.
+func (s *Span) newSpan() *Span {
+	if r := s.root; r != nil && r.used < len(r.spare) {
+		r.used++
+		return &r.spare[r.used-1]
+	}
+	return new(Span)
 }
 
 // record files a finished root span. Called from Span.Finish.
@@ -143,6 +161,7 @@ type Span struct {
 	start    time.Time
 	dur      time.Duration
 	parent   *Span
+	root     *rootSpan // nil for a span of no tracer's tree
 	children []*Span
 	tags     []spanTag
 	finishes int32
@@ -155,7 +174,17 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{Name: name, start: time.Now(), parent: s}
+	return s.ChildAt(name, time.Now())
+}
+
+// ChildAt is Child for a caller that has already read the clock: the
+// sub-span starts at start. Nil-safe.
+func (s *Span) ChildAt(name string, start time.Time) *Span {
+	if s == nil {
+		return nil
+	}
+	c := s.newSpan()
+	c.Name, c.start, c.parent, c.root = name, start, s, s.root
 	s.children = append(s.children, c)
 	return c
 }
@@ -169,7 +198,8 @@ func (s *Span) Graft(name string, d time.Duration) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{Name: name, parent: s, dur: d, finishes: 1}
+	c := s.newSpan()
+	c.Name, c.parent, c.root, c.dur, c.finishes = name, s, s.root, d, 1
 	s.children = append(s.children, c)
 	return c
 }
@@ -195,8 +225,17 @@ func (s *Span) Finish() {
 	if s == nil {
 		return
 	}
+	s.FinishAfter(time.Since(s.start))
+}
+
+// FinishAfter is Finish for a caller that has already measured the
+// span's duration d.
+func (s *Span) FinishAfter(d time.Duration) {
+	if s == nil {
+		return
+	}
 	s.finishes++
-	s.dur = time.Since(s.start)
+	s.dur = d
 	if s.parent == nil && s.tr != nil {
 		s.tr.record(s)
 	}

@@ -150,26 +150,22 @@ func costRec(n Node, est CardinalityEstimator) (cost, rows float64) {
 		r := float64(v.Table.NumRows())
 		return r, r
 	case *IndexScanNode:
-		// A placeholder bound has no value at plan time; such a range gets
-		// the guess an inestimable filter gets.
-		sel := 1.0 / 3
-		if lo, hi, ok := v.Range(nil); ok {
-			sel = v.Table.EstimateSelectivity(v.Column, lo, hi)
-		}
-		r := float64(v.Table.NumRows()) * sel
+		r := indexScanRows(v, est)
 		return r + math.Log2(float64(v.Table.NumRows())+2), r
 	case *VirtualScanNode:
 		r := float64(v.Table.Est())
 		return r, r
 	case *FilterNode:
 		c, r := costRec(v.Input, est)
-		var t *catalog.Table
-		alias := ""
-		if sc, ok := v.Input.(*ScanNode); ok {
-			t, alias = sc.Table, sc.Alias
+		switch in := v.Input.(type) {
+		case *ScanNode:
+			return c + r, r * est.EstimateFilter(in.Table, in.Alias, v.Cond)
+		case *IndexScanNode:
+			// The filter checks again every conjunct the index range took,
+			// so what passes is the table's share, not a share of the range.
+			return c + r, min(r, float64(in.Table.NumRows())*est.EstimateFilter(in.Table, in.Alias, v.Cond))
 		}
-		sel := est.EstimateFilter(t, alias, v.Cond)
-		return c + r, r * sel
+		return c + r, r * est.EstimateFilter(nil, "", v.Cond)
 	case *JoinNode:
 		lc, lr := costRec(v.Left, est)
 		rc, rr := costRec(v.Right, est)
@@ -212,6 +208,53 @@ func costRec(n Node, est CardinalityEstimator) (cost, rows float64) {
 	default:
 		return 0, 0
 	}
+}
+
+// indexScanRows estimates the rows an index scan reads. A range whose
+// bounds the estimator's parameters fix is priced as the estimator
+// prices `col >= lo AND col <= hi`: by the column's histogram, else by
+// the table's zones. Where a placeholder has no value, an equality reads
+// one key's share of the live rows, and any other range gets the guess
+// an inestimable filter gets.
+func indexScanRows(s *IndexScanNode, est CardinalityEstimator) float64 {
+	var params []catalog.Value
+	if h, ok := est.(HistogramEstimator); ok {
+		params = h.Params
+	}
+	t, rows := s.Table, float64(s.Table.NumRows())
+	lo, hi, ok := s.Range(params)
+	switch {
+	case !ok && s.point():
+		return rows / max(keyNDV(t, s.Column), 1)
+	case !ok:
+		return rows / 3
+	case lo > hi:
+		return 0
+	case t.HasHistogram(s.Column):
+		return rows * t.EstimateSelectivity(s.Column, lo, hi)
+	}
+	zone := func(op catalog.CmpOp, k int64) (float64, bool) {
+		return t.ZoneSelectivity(catalog.ZoneCond{Col: s.Column, Accept: op, Int: true, IntK: k})
+	}
+	sel, ok := 1.0, true
+	switch {
+	case lo == hi:
+		sel, ok = zone(catalog.CmpEQ, lo)
+	case lo > math.MinInt64 && hi < math.MaxInt64:
+		// Every key is at least lo or at most hi, so the share that is
+		// both is the two shares' sum less one.
+		ge, ok1 := zone(catalog.CmpGE, lo)
+		le, ok2 := zone(catalog.CmpLE, hi)
+		sel, ok = max(0, ge+le-1), ok1 && ok2
+	case lo > math.MinInt64:
+		sel, ok = zone(catalog.CmpGE, lo)
+	case hi < math.MaxInt64:
+		sel, ok = zone(catalog.CmpLE, hi)
+	}
+	if !ok {
+		sel = 1.0 / 3
+	}
+	return rows * sel
 }
 
 func joinNDV(j *JoinNode) float64 {

@@ -12,6 +12,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -180,6 +181,18 @@ func (s *IndexScanNode) Range(params []catalog.Value) (lo, hi int64, ok bool) {
 		return 1, 0, true
 	}
 	return lo, hi, true
+}
+
+// point reports whether the range is one key wide whatever its
+// placeholders hold: some bound is both a lower and an upper one, as an
+// equality makes it.
+func (s *IndexScanNode) point() bool {
+	for _, lo := range s.Lo {
+		if slices.Contains(s.Hi, lo) {
+			return true
+		}
+	}
+	return false
 }
 
 // Schema implements Node, like ScanNode.Schema.

@@ -134,7 +134,7 @@ func (c *Cache) shardFor(key string) *shard {
 	return c.shards[fnv32(key)%numShards]
 }
 
-func fnv32(s string) uint32 {
+func fnv32[K string | []byte](s K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
@@ -146,10 +146,16 @@ func fnv32(s string) uint32 {
 // Lookup returns the live entry under key, counting a hit or miss. A
 // generation-stale entry is removed on the way out and reported as a
 // miss — lazy invalidation, so Invalidate itself is O(1).
-func (c *Cache) Lookup(key string) *Entry {
-	e := c.Peek(key)
+func (c *Cache) Lookup(key string) *Entry { return lookup(c, key) }
+
+// LookupKey is Lookup for a key held in a buffer (sql.Front.Key): a hit
+// allocates nothing.
+func (c *Cache) LookupKey(key []byte) *Entry { return lookup(c, key) }
+
+func lookup[K string | []byte](c *Cache, key K) *Entry {
+	e := peek(c, key)
 	if e == nil {
-		if e = c.legacy(key); e == nil {
+		if e = c.legacy(string(key)); e == nil {
 			c.missesC.Inc()
 		}
 		return e
@@ -162,13 +168,15 @@ func (c *Cache) Lookup(key string) *Entry {
 // Peek is Lookup without the counting: the second look a planner takes
 // once it holds the key's BuildLock, which is neither a new hit nor a
 // new miss of the statement that already counted one.
-func (c *Cache) Peek(key string) *Entry {
-	s := c.shardFor(key)
+func (c *Cache) Peek(key string) *Entry { return peek(c, key) }
+
+func peek[K string | []byte](c *Cache, key K) *Entry {
+	s := c.shards[fnv32(key)%numShards]
 	gen := c.gen.Load()
 	s.mu.Lock()
-	e, ok := s.entries[key]
+	e, ok := s.entries[string(key)]
 	if ok && e.gen != gen {
-		s.remove(key)
+		s.remove(e.Key)
 		ok = false
 	}
 	s.mu.Unlock()

@@ -32,10 +32,9 @@ type Token struct {
 	Pos  int
 }
 
-// keywords maps each reserved word to itself, so a token's text is the
-// map's string and recognising one allocates nothing.
-var keywords = func() map[string]string {
-	m := map[string]string{}
+// keywordsByInitial lists the reserved words by their first letter, so
+// recognising a word compares it with a handful of them at most.
+var keywordsByInitial = func() (t [26][]string) {
 	for _, k := range []string{
 		"SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "INSERT", "INTO",
 		"VALUES", "CREATE", "TABLE", "INT", "FLOAT", "TEXT", "UPDATE", "SET",
@@ -45,27 +44,61 @@ var keywords = func() map[string]string {
 		"BETWEEN", "IN", "NULL", "PRIMARY", "KEY", "PREPARE", "EXECUTE",
 		"DEALLOCATE", "BEGIN", "COMMIT", "ROLLBACK",
 	} {
-		m[k] = k
+		t[k[0]-'A'] = append(t[k[0]-'A'], k)
 	}
-	return m
+	return t
 }()
 
-// keyword returns the reserved word that word spells in any letter case.
+// keyword returns the reserved word that word spells in any letter case;
+// the token's text is then the list's string, so it allocates nothing.
 func keyword(word string) (string, bool) {
-	var up [len("DEALLOCATE")]byte // the longest keyword
-	if len(word) > len(up) {
+	c := word[0] | 0x20 // lower case, for a letter
+	if c < 'a' || c > 'z' {
 		return "", false
 	}
-	for i := 0; i < len(word); i++ {
-		c := word[i]
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
+next:
+	for _, kw := range keywordsByInitial[c-'a'] {
+		if len(kw) != len(word) {
+			continue
 		}
-		up[i] = c
+		for i := 1; i < len(word); i++ {
+			c := word[i]
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			if c != kw[i] {
+				continue next
+			}
+		}
+		return kw, true
 	}
-	kw, ok := keywords[string(up[:len(word)])]
-	return kw, ok
+	return "", false
 }
+
+// Byte classes for the lexer, read from unicode's tables once: the
+// lexer takes a byte for the rune of the same number, so a byte that
+// numbers a Latin-1 letter (é, µ) counts as a letter.
+const (
+	nameStart = 1 << iota // a letter or '_'
+	namePart              // a letter, a digit or '_'
+	digit
+	symbol // punctuation that is a token by itself
+)
+
+var byteClass = func() (t [256]uint8) {
+	for c := range t {
+		if unicode.IsLetter(rune(c)) || c == '_' {
+			t[c] |= nameStart | namePart
+		}
+		if unicode.IsDigit(rune(c)) {
+			t[c] |= namePart | digit
+		}
+	}
+	for _, c := range []byte("(),.*=+-/;") {
+		t[c] |= symbol
+	}
+	return t
+}()
 
 // SplitStatement takes the first statement off a ';'-separated script:
 // stmt is its text, trimmed, and rest what follows its ';'. A ';' inside
@@ -103,10 +136,16 @@ func SplitStatement(script string) (stmt, rest string) {
 
 // Lex tokenizes input, returning an error with position info on invalid
 // characters or unterminated strings.
-func Lex(input string) ([]Token, error) {
-	// One allocation for the usual statement: a load script's VALUES
-	// list, the densest common input, runs at about two bytes a token.
-	toks := make([]Token, 0, len(input)/2+1)
+func Lex(input string) ([]Token, error) { return AppendLex(nil, input) }
+
+// AppendLex is Lex appending to dst, which it grows once to room for the
+// usual statement: a load script's VALUES list, the densest common
+// input, runs at about two bytes a token.
+func AppendLex(dst []Token, input string) ([]Token, error) {
+	toks := dst
+	if room := len(input)/2 + 1; cap(toks)-len(toks) < room {
+		toks = append(make([]Token, 0, len(toks)+room), toks...)
+	}
 	i := 0
 	n := len(input)
 	for i < n {
@@ -118,9 +157,9 @@ func Lex(input string) ([]Token, error) {
 			for i < n && input[i] != '\n' {
 				i++
 			}
-		case unicode.IsLetter(rune(c)) || c == '_':
+		case byteClass[c]&nameStart != 0:
 			start := i
-			for i < n && (unicode.IsLetter(rune(input[i])) || unicode.IsDigit(rune(input[i])) || input[i] == '_') {
+			for i < n && byteClass[input[i]]&namePart != 0 {
 				i++
 			}
 			word := input[start:i]
@@ -129,10 +168,10 @@ func Lex(input string) ([]Token, error) {
 			} else {
 				toks = append(toks, Token{Kind: TokIdent, Text: word, Pos: start})
 			}
-		case unicode.IsDigit(rune(c)):
+		case byteClass[c]&digit != 0:
 			start := i
 			isFloat := false
-			for i < n && (unicode.IsDigit(rune(input[i])) || input[i] == '.') {
+			for i < n && (byteClass[input[i]]&digit != 0 || input[i] == '.') {
 				if input[i] == '.' {
 					if isFloat {
 						return nil, fmt.Errorf("sql: invalid number at position %d", start)
@@ -173,14 +212,14 @@ func Lex(input string) ([]Token, error) {
 			start := i
 			i++
 			ds := i
-			for i < n && unicode.IsDigit(rune(input[i])) {
+			for i < n && byteClass[input[i]]&digit != 0 {
 				i++
 			}
 			if i == ds {
 				return nil, fmt.Errorf("sql: expected parameter number after '$' at position %d", start)
 			}
 			toks = append(toks, Token{Kind: TokParam, Text: input[ds:i], Pos: start})
-		case strings.ContainsRune("(),.*=+-/;", rune(c)):
+		case byteClass[c]&symbol != 0:
 			toks = append(toks, Token{Kind: TokSymbol, Text: input[i : i+1], Pos: i})
 			i++
 		case c == '<' || c == '>' || c == '!':

@@ -1,6 +1,9 @@
 package sql
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+)
 
 // Normalize is the plan cache's key function. For a SELECT, UPDATE or
 // DELETE — bare, or as the body of EXPLAIN [ANALYZE] or PREPARE name AS —
@@ -27,19 +30,28 @@ import "strconv"
 // plan to cache. Token positions are kept, so a parse error still points
 // into the client's text. No AST is built.
 func Normalize(toks []Token) (out []Token, key string, params []any) {
+	var buf [256]byte
+	out, k, params := normalizeInto(toks, buf[:0], nil)
+	if len(params) == 0 {
+		params = nil // no literal, or every literal was one the parser will reject
+	}
+	return out, string(k), params
+}
+
+// normalizeInto is Normalize appending the key to key and the literals to
+// params, which a caller with buffers to reuse passes in; the key is
+// empty when there is no plan to cache.
+func normalizeInto(toks []Token, key []byte, params []any) ([]Token, []byte, []any) {
 	start := bodyStart(toks)
 	if start < 0 {
-		return toks, "", nil
+		return toks, key, params
 	}
 	body := toks[start:]
 	if n := countLiterals(body); n > 0 {
-		body, params = takeLiterals(body, make([]any, 0, n))
+		body, params = takeLiterals(body, slices.Grow(params, n))
 		toks = toks[:start+len(body)]
-		if len(params) == 0 {
-			params = nil // every literal was one the parser will reject
-		}
 	}
-	return toks, tokenText(body), params
+	return toks, appendKey(key, body), params
 }
 
 // bodyStart finds the SELECT, UPDATE or DELETE a statement plans: at its
@@ -173,30 +185,59 @@ func literalValue(t Token, negate bool) (v any, ok bool) {
 // sign stands before them: one ParseInt of the signed text, so the
 // smallest int64, whose magnitude is no int64, reads like any other.
 func intValue(digits string, negative bool) (int64, error) {
+	if len(digits) <= 18 { // no 18-digit number overflows; the usual key or bound
+		var v int64
+		for i := 0; i < len(digits); i++ {
+			c := digits[i]
+			if c < '0' || c > '9' {
+				v = -1
+				break
+			}
+			v = v*10 + int64(c-'0')
+		}
+		if v >= 0 && digits != "" {
+			if negative {
+				v = -v
+			}
+			return v, nil
+		}
+	}
 	if negative {
 		digits = "-" + digits
 	}
 	return strconv.ParseInt(digits, 10, 64)
 }
 
-// tokenText renders tokens (up to TokEOF, a closing ';' dropped) as SQL
+// appendKey appends tokens (up to TokEOF, a closing ';' dropped) as SQL
 // that lexes back to them, spaced the way people write it — the key is
 // what system.plan_cache shows.
-func tokenText(toks []Token) string {
-	var buf [256]byte
-	b := buf[:0]
-	sym := func(i int, text string) bool { return i >= 0 && toks[i].Kind == TokSymbol && toks[i].Text == text }
-	name := func(i int) bool {
-		return i >= 0 && (toks[i].Kind == TokIdent || (toks[i].Kind == TokKeyword && toks[i].Text == "PREDICT"))
-	}
+func appendKey(b []byte, toks []Token) []byte {
+	// What the two tokens before this one were, for the spacing rule.
+	var prevOpen, prevDot, prevName, prev2Name bool
 	for i, t := range toks {
-		if t.Kind == TokEOF || (sym(i, ";") && toks[i+1].Kind == TokEOF) {
-			break
+		var open, close, comma, dot bool
+		switch t.Kind {
+		case TokEOF:
+			return b
+		case TokSymbol:
+			switch t.Text {
+			case "(":
+				open = true
+			case ")":
+				close = true
+			case ",":
+				comma = true
+			case ".":
+				dot = true
+			case ";":
+				if toks[i+1].Kind == TokEOF {
+					return b
+				}
+			}
 		}
 		// One space between tokens, but none inside f(x, y) or t.col.
 		// Only punctuation that cannot fuse with a neighbour is set tight.
-		tight := i == 0 || sym(i, ")") || sym(i, ",") || sym(i-1, "(") || (sym(i, "(") && name(i-1)) ||
-			(sym(i, ".") && name(i-1)) || (sym(i-1, ".") && name(i-2))
+		tight := i == 0 || close || comma || prevOpen || (open && prevName) || (dot && prevName) || (prevDot && prev2Name)
 		if !tight {
 			b = append(b, ' ')
 		}
@@ -215,6 +256,8 @@ func tokenText(toks []Token) string {
 		default:
 			b = append(b, t.Text...)
 		}
+		name := t.Kind == TokIdent || (t.Kind == TokKeyword && t.Text == "PREDICT")
+		prevOpen, prevDot, prev2Name, prevName = open, dot, prevName, name
 	}
-	return string(b)
+	return b
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -103,6 +104,27 @@ func TestNormalize(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIntValueMatchesParseInt: an integer token's value, read digit by
+// digit up to 18 digits, is strconv's for the signed text, and so is
+// its error past int64's range.
+func TestIntValueMatchesParseInt(t *testing.T) {
+	for _, digits := range []string{"0", "7", "007", "255", "256", "47110", "999999999999999999",
+		"1000000000000000000", "9223372036854775807", "9223372036854775808", "9223372036854775809",
+		"99999999999999999999", "00000000000000000001"} {
+		for _, neg := range []bool{false, true} {
+			text := digits
+			if neg {
+				text = "-" + digits
+			}
+			want, wantErr := strconv.ParseInt(text, 10, 64)
+			got, err := intValue(digits, neg)
+			if got != want || (err == nil) != (wantErr == nil) {
+				t.Errorf("intValue(%q, %v) = %d, %v; strconv gives %d, %v", digits, neg, got, err, want, wantErr)
+			}
+		}
 	}
 }
 
@@ -426,7 +448,8 @@ func FuzzNormalize(f *testing.F) {
 }
 
 // BenchmarkNormalize prices what every ad-hoc statement now pays before
-// its plan-cache probe: a lexer pass and the key function.
+// its plan-cache probe: a lexer pass and the key function, into a
+// pooled Front as the engine reads a statement.
 func BenchmarkNormalize(b *testing.B) {
 	for _, c := range []struct{ name, raw string }{
 		{"point", "SELECT id,age,city FROM users WHERE id = 47110"},
@@ -436,13 +459,14 @@ func BenchmarkNormalize(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(c.raw)))
 			for i := 0; i < b.N; i++ {
-				toks, err := Lex(c.raw)
+				f, err := ReadFront(c.raw)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, key, params := Normalize(toks); key == "" || params == nil {
+				if len(f.Key) == 0 || len(f.Params) == 0 {
 					b.Fatal("not normalized")
 				}
+				f.Release()
 			}
 		})
 	}
